@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from .numkernel import (
@@ -52,6 +51,7 @@ __all__ = [
     "ustat_refined_bound",
     "eps_to_t",
     "t_to_eps",
+    "check_n",
     "optimal_h_cross_check",
 ]
 
@@ -86,6 +86,21 @@ class TailBound:
 
 def _invalid(method: str, reason: str) -> TailBound:
     return TailBound(method=method, log_bound=None, invalid_reason=reason)
+
+
+def check_n(method: str, n, threshold) -> TailBound | None:
+    """Invalid unless n is a positive integer and the threshold a number.
+
+    Every evaluator that takes a summand count n calls this first; the CLI
+    calls it before converting a threshold, which divides by n.
+    """
+    if n % 1 != 0:
+        return _invalid(method, "n not an integer")
+    if n < 1:
+        return _invalid(method, "n < 1")
+    if threshold != threshold:
+        return _invalid(method, "threshold is NaN")
+    return None
 
 
 def _clamp(log_value: float, params: dict) -> float:
@@ -211,6 +226,8 @@ def hoeffding_bound(n: int, p: float, t: float) -> TailBound:
     Returns ln H(n,p,t) = -n*D(t/n || p); valid for np < t < n.
     """
     method = "hoeffding"
+    if bad := check_n(method, n, t):
+        return bad
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
     if t <= n * p:
@@ -237,13 +254,15 @@ def ik_bound(n: int, gamma: float, eps: float, c: float = 1.0) -> TailBound:
     unless the caller overrides c.
     """
     method = "ik"
+    if bad := check_n(method, n, eps):
+        return bad
     if not 0.0 < gamma < 1.0:
         return _invalid(method, "gamma outside (0,1)")
-    if c < 1.0:
+    if not c >= 1.0:
         return _invalid(method, "c < 1")
     if eps <= 0.0:
         return _invalid(method, "eps <= 0")
-    if eps >= 1.0 / gamma - 1.0:
+    if eps >= 1.0 / gamma - 1.0 or gamma * (1.0 + eps) >= 1.0:
         return _invalid(method, "eps >= 1/gamma - 1")
     log_bound = math.log(c) - n * kl_divergence(gamma * (1.0 + eps), gamma)
     params = {
@@ -256,24 +275,26 @@ def ik_bound(n: int, gamma: float, eps: float, c: float = 1.0) -> TailBound:
 
 
 def _profile_log_sk(profile, n: int, k: int) -> float | None:
-    """ln S_k from a moment profile, or None if the profile cannot supply it."""
+    """ln S_k from a moment profile, or None if the profile cannot supply it
+    (S_k not given, or a negative or NaN moment)."""
     if isinstance(profile, SymmetricMoments):
-        if k not in profile.s:
-            return None
-        sk = profile.s[k]
-        return math.log(sk) if sk > 0.0 else NEG_INF
-    if isinstance(profile, ProductBound):
-        return log_binom_coeff(n, k) + k * math.log(profile.gamma)
-    if isinstance(profile, MeanOnly):
-        if k == 1:
-            return math.log(n * profile.p) if profile.p > 0 else NEG_INF
+        log_c, x, power = 0.0, profile.s.get(k), 1
+    elif isinstance(profile, ProductBound):
+        log_c, x, power = log_binom_coeff(n, k), profile.gamma, k
+    elif isinstance(profile, MeanOnly) and k == 1:
+        log_c, x, power = 0.0, n * profile.p, 1
+    else:
         return None
-    return None
+    if x is None or not x >= 0.0:
+        return None
+    return log_c + power * math.log(x) if x > 0.0 else NEG_INF
 
 
 def linial_luria_bound(n: int, beta_n: int, k: int, profile) -> TailBound:
     """Symmetric-moment bound S_k / C(beta_n, k) for Bernoulli indicators."""
     method = "linial-luria"
+    if bad := check_n(method, n, beta_n):
+        return bad
     if not 0 < beta_n <= n:
         return _invalid(method, "beta_n outside (0, n]")
     if not 0 < k < beta_n:
@@ -307,6 +328,8 @@ def expfunct_bound(n: int, gamma: float, delta: float, t: float) -> TailBound:
     which the closed form never exceeds.
     """
     method = "expfunct"
+    if bad := check_n(method, n, t):
+        return bad
     if not 0.0 < gamma < 1.0:
         return _invalid(method, "gamma outside (0,1)")
     if not 0.0 < delta <= 1.0:
@@ -324,7 +347,7 @@ def expfunct_bound(n: int, gamma: float, delta: float, t: float) -> TailBound:
         + t * (math.log(n - t) - math.log(t))
         + n * (math.log(n) - math.log(n - t))
     )
-    q = gamma * (1.0 + eps)
+    q = t / n
     log_kl_form = -n * (
         kl_divergence(q, gamma) - (1.0 - q) * (math.log(delta) - math.log1p(-gamma))
     )
@@ -344,6 +367,8 @@ def bincoupling_bound(n: int, p: float, t: float) -> TailBound:
     soundness requires E[prod_{i in A} X_i] <= p^|A|.
     """
     method = "bincoupling"
+    if bad := check_n(method, n, t):
+        return bad
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
     if t <= n * p + 1.0:
@@ -366,11 +391,13 @@ def mcdiarmid_bound(n: int, p: float, t: float) -> TailBound:
     -p_i <= Y_i <= 1-p_i and p the average of the p_i.
     """
     method = "mcdiarmid"
+    if bad := check_n(method, n, t):
+        return bad
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
     if t <= 0.0:
         return _invalid(method, "t <= 0")
-    if t >= 1.0 - p:
+    if t >= 1.0 - p or p + t >= 1.0:
         return _invalid(method, "t >= 1-p")
     log_bound = -n * kl_divergence(p + t, p)
     params = {"foolproof": -2.0 * n * t * t}
@@ -389,6 +416,8 @@ def mcdiarmid_refined_bound(n: int, p: float, t: float) -> TailBound:
     optimal exponential tilt h exceeds 1.  Always at most the plain bound.
     """
     method = "mcdiarmid-refined"
+    if bad := check_n(method, n, t):
+        return bad
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
     if t >= 1.0 - p:
@@ -429,13 +458,15 @@ def mcdiarmid_refined_bound(n: int, p: float, t: float) -> TailBound:
 def kwise_bound(n: int, k: int, p: float, eps: float) -> TailBound:
     """k-wise independence bound (p-p^2)^(k-n) * exp(-n*D(p(1+eps)||p))."""
     method = "kwise"
+    if bad := check_n(method, n, eps):
+        return bad
     if not 1 <= k <= n:
         return _invalid(method, "k outside [1, n]")
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
     if eps <= 0.0:
         return _invalid(method, "eps <= 0")
-    if eps >= 1.0 / p - 1.0:
+    if eps >= 1.0 / p - 1.0 or p * (1.0 + eps) >= 1.0:
         return _invalid(method, "eps >= 1/p - 1")
     log_bound = -(n - k) * math.log(p * (1.0 - p)) - n * kl_divergence(
         p * (1.0 + eps), p
@@ -447,6 +478,8 @@ def kwise_bound(n: int, k: int, p: float, eps: float) -> TailBound:
 def kwise_bernoulli_bound(n: int, k: int, p: float, eps: float) -> TailBound:
     """Bernoulli k-wise bound C(n,k) p^k / C(np(1+eps), k), integer threshold."""
     method = "kwise-bernoulli"
+    if bad := check_n(method, n, eps):
+        return bad
     if not 1 <= k <= n:
         return _invalid(method, "k outside [1, n]")
     if not 0.0 < p < 1.0:
@@ -454,6 +487,8 @@ def kwise_bernoulli_bound(n: int, k: int, p: float, eps: float) -> TailBound:
     if eps <= 0.0:
         return _invalid(method, "eps <= 0")
     m_real = n * p * (1.0 + eps)
+    if m_real == math.inf:
+        return _invalid(method, "np(1+eps) > n")
     m = round(m_real)
     if abs(m_real - m) > 1e-9 or m < 1:
         return _invalid(method, "np(1+eps) not a positive integer")
@@ -476,6 +511,8 @@ def sss_bound(n: int, p: float, eps: float, k: int) -> TailBound:
     evaluated through the log-gamma extension.
     """
     method = "sss"
+    if bad := check_n(method, n, eps):
+        return bad
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
     if eps <= 0.0:
@@ -500,6 +537,8 @@ def sss_bound(n: int, p: float, eps: float, k: int) -> TailBound:
 def depgraph_bound(params: DependencyGraphParams, t: float) -> TailBound:
     """Dependency-graph bound 2^(n-alpha) * H(n, 1/2, t)."""
     method = "depgraph"
+    if bad := check_n(method, params.n, t):
+        return bad
     n, alpha = params.n, params.alpha
     if t <= n / 2.0:
         return _invalid(method, "t <= n/2")
@@ -513,10 +552,12 @@ def depgraph_bound(params: DependencyGraphParams, t: float) -> TailBound:
 def ustat_bound(params: UStatParams, t: float) -> TailBound:
     """Hoeffding's U-statistic bound exp(-k*D(p+t||p)) at y = E[X] + t*C(n,d)."""
     method = "ustat"
+    if bad := check_n(method, params.n, t):
+        return bad
     k, p, n_d = params.k, params.p, params.n_d
     if t <= 0.0:
         return _invalid(method, "t <= 0")
-    if t >= 1.0 - p:
+    if t >= 1.0 - p or p + t >= 1.0:
         return _invalid(method, "t >= 1-p")
     log_bound = -k * kl_divergence(p + t, p)
     y = k * n_d * (p + t)
@@ -536,6 +577,8 @@ def ustat_refined_bound(params: UStatParams, t: float) -> TailBound:
     positive integer in (kp, k) and t above the h*N_d > 1 threshold.
     """
     method = "ustat-refined"
+    if bad := check_n(method, params.n, t):
+        return bad
     k, p, n_d = params.k, params.p, params.n_d
     if t <= 0.0:
         return _invalid(method, "t <= 0")
@@ -589,6 +632,8 @@ def optimal_h_cross_check(log_objective, h_lo: float = 1e-9,
     Guards the closed-form tilts against transcription errors; returns
     (h_min, objective(h_min)).
     """
+    from scipy.optimize import minimize_scalar  # test-only; keeps it off the import path
+
     res = minimize_scalar(
         log_objective, bounds=(h_lo, h_hi), method="bounded",
         options={"xatol": 1e-12},

@@ -12,7 +12,10 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
+from functools import partial
 from itertools import product
+from typing import Callable
 
 from . import bounds as bd
 from . import graphcomb as gc
@@ -71,214 +74,270 @@ def _emit(records, fmt: str, out=None):
 
 
 # ---------------------------------------------------------------------------
-# bound subcommand
+# the method table: bound, compare and simulate --bound auto read only this
 
 
-def _sweep(text: str, cast):
+def finite(text: str) -> float:
+    """float() that rejects NaN and +-inf: the cast of every float flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+@dataclass(frozen=True)
+class Method:
+    """How the CLI reaches one evaluator.
+
+    flags: (flag, cast, required), in record order.  scale: the threshold
+    the evaluator takes -- sum (the sum-scale t), eps (t = n*base*(1+eps)),
+    dev (a per-summand deviation: t = count*(base+dev)), int (an integer t)
+    or beta-n (linial-luria's --beta-n).  base: the flag holding the base
+    rate, or the fixed rate.  bind: flag values -> evaluator of the native
+    threshold; it raises ValueError when the values break the hypotheses.
+    """
+
+    flags: tuple
+    scale: str
+    base: str | float | None
+    bind: Callable
+    count: Callable = lambda a: a["n"]
+    provenance: str = "closed-form"
+
+
+def moment_profile(a):
+    """linial-luria's moment profile: --s-k, else --gamma, else --p."""
+    if "s-k" in a:
+        return bd.SymmetricMoments({0: 1.0, a["k"]: a["s-k"]})
+    if "gamma" in a:
+        return bd.ProductBound(a["gamma"])
+    if "p" in a:
+        return bd.MeanOnly(a["p"])
+    raise UsageError("linial-luria needs a moment profile: --s-k, --gamma or --p")
+
+
+def _linial_luria(a):
+    """linial-luria as a function of beta_n: at --k, else at the k with the
+    smallest valid bound."""
+    n, profile = a["n"], moment_profile(a)
+    if "k" in a:
+        return partial(bd.linial_luria_bound, n, k=a["k"], profile=profile)
+
+    def best_k(beta_n):
+        tbs = [bd.linial_luria_bound(n, beta_n, k, profile)
+               for k in range(1, min(beta_n, n))]
+        valid = [tb for tb in tbs if tb.is_valid]
+        if not valid:
+            return bd.linial_luria_bound(n, beta_n, 1, profile)
+        return min(valid, key=lambda tb: tb.log_bound)
+
+    return best_k
+
+
+def _ustat(a):
+    return bd.UStatParams(a["n"], a["d"], a["p"])
+
+
+_N, _K, _M, _D = (("n", int, True), ("k", int, True), ("m", int, True),
+                  ("d", int, True))
+_P, _GAMMA = ("p", finite, True), ("gamma", finite, True)
+
+METHODS = {
+    "hoeffding": Method((_N, _P), "sum", "p",
+                        lambda a: partial(bd.hoeffding_bound, a["n"], a["p"])),
+    "ik": Method(
+        (_N, _GAMMA, ("c", finite, False)), "eps", "gamma",
+        lambda a: partial(bd.ik_bound, a["n"], a["gamma"], c=a.get("c", 1.0))),
+    "linial-luria": Method(
+        (_N, ("beta-n", int, True), _K, ("s-k", finite, False),
+         ("gamma", finite, False), ("p", finite, False)),
+        "beta-n", None, _linial_luria),
+    "expfunct": Method(
+        (_N, _GAMMA, ("delta", finite, True)), "sum", "gamma",
+        lambda a: partial(bd.expfunct_bound, a["n"], a["gamma"], a["delta"])),
+    "bincoupling": Method((_N, _P), "sum", "p",
+                          lambda a: partial(bd.bincoupling_bound, a["n"], a["p"])),
+    "mcdiarmid": Method((_N, _P), "dev", "p",
+                        lambda a: partial(bd.mcdiarmid_bound, a["n"], a["p"])),
+    "mcdiarmid-refined": Method(
+        (_N, _P), "dev", "p",
+        lambda a: partial(bd.mcdiarmid_refined_bound, a["n"], a["p"])),
+    "kwise": Method((_N, _K, _P), "eps", "p",
+                    lambda a: partial(bd.kwise_bound, a["n"], a["k"], a["p"])),
+    "kwise-bernoulli": Method(
+        (_N, _K, _P), "eps", "p",
+        lambda a: partial(bd.kwise_bernoulli_bound, a["n"], a["k"], a["p"])),
+    "sss": Method((_N, _K, _P), "eps", "p",
+                  lambda a: partial(bd.sss_bound, a["n"], a["p"], k=a["k"])),
+    "depgraph": Method(
+        (_N, ("alpha", int, True)), "sum", 0.5,
+        lambda a: partial(bd.depgraph_bound,
+                          bd.DependencyGraphParams(a["n"], a["alpha"]))),
+    # bind checks d | n first, so C(n, d) >= 1
+    "ustat": Method((_N, _D, _P), "dev", "p",
+                    lambda a: partial(bd.ustat_bound, _ustat(a)),
+                    count=lambda a: math.comb(a["n"], a["d"])),
+    "ustat-refined": Method((_N, _D, _P), "dev", "p",
+                            lambda a: partial(bd.ustat_refined_bound, _ustat(a)),
+                            count=lambda a: math.comb(a["n"], a["d"])),
+    "gnm-isolated": Method(
+        (_N, _M), "int", None,
+        lambda a: partial(gc.gnm_isolated_bound, a["n"], a["m"]),
+        provenance="grid-minimized"),
+    "gnm-triangles": Method(
+        (_N, _M), "int", None,
+        lambda a: partial(gc.gnm_triangles_bound, a["n"], a["m"]),
+        provenance="grid-minimized"),
+}
+
+# every method flag with its cast, in first-use order
+_FLAG_CASTS = {
+    name: cast for spec in METHODS.values() for name, cast, _r in spec.flags
+}
+
+
+def _base(spec, a):
+    return a[spec.base] if isinstance(spec.base, str) else spec.base
+
+
+def sum_to_native(spec, a, t):
+    """The method's native threshold for the sum-scale threshold t."""
+    if spec.scale == "eps":
+        return bd.t_to_eps(a["n"], _base(spec, a), t)
+    if spec.scale == "dev":
+        return t / spec.count(a) - _base(spec, a)
+    if spec.scale in ("int", "beta-n"):
+        count = int(round(t))
+        if spec.scale == "beta-n" and abs(t - count) > 1e-9:
+            return -1  # a fractional t is no beta_n; -1 is rejected
+        return count
+    return t
+
+
+def bound_threshold(spec, a, th, flag):
+    """(native threshold, (t, eps)) for bound's --t or --eps value th."""
+    if spec.scale == "beta-n":
+        return a["beta-n"], (float(a["beta-n"]), "")
+    if spec.scale == "int":
+        return th, (th, "")
+    n, base = a["n"], _base(spec, a)
+    if spec.scale == "dev":
+        t = th if flag == "t" else base * th
+        return t, (t, t / base)
+    if spec.scale == "eps":
+        eps = th if flag == "eps" else bd.t_to_eps(n, base, th)
+        return eps, (bd.eps_to_t(n, base, eps), eps)
+    t = th if flag == "t" else bd.eps_to_t(n, base, th)
+    return t, (t, bd.t_to_eps(n, base, t))
+
+
+def evaluate(name, a, th, convert):
+    """Method ``name`` at flag values ``a`` and threshold ``th``, which
+    ``convert(spec, a, th)`` maps to (native threshold, scales).
+
+    Returns (TailBound, scales), or (Invalid, None) when the input cannot
+    reach the evaluator: n is not a positive integer, the flag values break
+    the method's hypotheses, or a zero base rate leaves the scale undefined.
+    """
+    spec = METHODS[name]
+    bad = bd.check_n(name, a["n"], th)
+    if bad:
+        return bad, None
+    try:
+        evaluator = spec.bind(a)
+    except ValueError as exc:
+        return bd._invalid(name, str(exc)), None
+    try:
+        native, scales = convert(spec, a, th)
+    except ZeroDivisionError:
+        return bd._invalid(name, f"{spec.base} outside (0,1)"), None
+    return evaluator(native), scales
+
+
+def at_sum(name, a, t):
+    """Method ``name`` at the sum-scale threshold t."""
+    tb, _ = evaluate(name, a, t, lambda *args: (sum_to_native(*args), None))
+    return tb
+
+
+def _sweep(flag: str, text: str, cast):
     try:
         return [cast(part) for part in text.split(",")]
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(f"--{flag}: {exc}")
 
 
-# (flag, cast, required); threshold mode:
-#   sum  -- evaluator takes the sum-scale t; --eps converts via t = n*base*(1+eps)
-#   dev  -- evaluator takes the per-variable deviation t; --eps gives t = base*eps
-#   eps  -- evaluator takes eps; --t converts via eps = t/(n*base) - 1
-#   int  -- evaluator takes an integer t; --eps rejected
-#   none -- no threshold flag (linial-luria uses --beta-n)
-BOUND_SPECS = {
-    "hoeffding": dict(
-        flags=[("n", int, True), ("p", float, True)],
-        mode="sum", base="p",
-        call=lambda a, t: bd.hoeffding_bound(a["n"], a["p"], t),
-    ),
-    "ik": dict(
-        flags=[("n", int, True), ("gamma", float, True), ("c", float, False)],
-        mode="eps", base="gamma",
-        call=lambda a, e: bd.ik_bound(a["n"], a["gamma"], e, a.get("c", 1.0)),
-    ),
-    "linial-luria": dict(
-        flags=[("n", int, True), ("beta-n", int, True), ("k", int, True),
-               ("s-k", float, False), ("gamma", float, False),
-               ("p", float, False)],
-        mode="none",
-        call=None,  # handled specially below
-    ),
-    "expfunct": dict(
-        flags=[("n", int, True), ("gamma", float, True), ("delta", float, True)],
-        mode="sum", base="gamma",
-        call=lambda a, t: bd.expfunct_bound(a["n"], a["gamma"], a["delta"], t),
-    ),
-    "bincoupling": dict(
-        flags=[("n", int, True), ("p", float, True)],
-        mode="sum", base="p",
-        call=lambda a, t: bd.bincoupling_bound(a["n"], a["p"], t),
-    ),
-    "mcdiarmid": dict(
-        flags=[("n", int, True), ("p", float, True)],
-        mode="dev", base="p",
-        call=lambda a, t: bd.mcdiarmid_bound(a["n"], a["p"], t),
-    ),
-    "mcdiarmid-refined": dict(
-        flags=[("n", int, True), ("p", float, True)],
-        mode="dev", base="p",
-        call=lambda a, t: bd.mcdiarmid_refined_bound(a["n"], a["p"], t),
-    ),
-    "kwise": dict(
-        flags=[("n", int, True), ("k", int, True), ("p", float, True)],
-        mode="eps", base="p",
-        call=lambda a, e: bd.kwise_bound(a["n"], a["k"], a["p"], e),
-    ),
-    "kwise-bernoulli": dict(
-        flags=[("n", int, True), ("k", int, True), ("p", float, True)],
-        mode="eps", base="p",
-        call=lambda a, e: bd.kwise_bernoulli_bound(a["n"], a["k"], a["p"], e),
-    ),
-    "sss": dict(
-        flags=[("n", int, True), ("k", int, True), ("p", float, True)],
-        mode="eps", base="p",
-        call=lambda a, e: bd.sss_bound(a["n"], a["p"], e, a["k"]),
-    ),
-    "depgraph": dict(
-        flags=[("n", int, True), ("alpha", int, True)],
-        mode="sum", base=None,  # base rate is fixed at 1/2
-        call=lambda a, t: bd.depgraph_bound(
-            bd.DependencyGraphParams(a["n"], a["alpha"]), t
-        ),
-    ),
-    "ustat": dict(
-        flags=[("n", int, True), ("d", int, True), ("p", float, True)],
-        mode="dev", base="p",
-        call=lambda a, t: bd.ustat_bound(
-            bd.UStatParams(a["n"], a["d"], a["p"]), t
-        ),
-    ),
-    "ustat-refined": dict(
-        flags=[("n", int, True), ("d", int, True), ("p", float, True)],
-        mode="dev", base="p",
-        call=lambda a, t: bd.ustat_refined_bound(
-            bd.UStatParams(a["n"], a["d"], a["p"]), t
-        ),
-    ),
-    "gnm-isolated": dict(
-        flags=[("n", int, True), ("m", int, True)],
-        mode="int", base=None,
-        call=lambda a, t: gc.gnm_isolated_bound(a["n"], a["m"], t),
-        provenance="grid-minimized",
-    ),
-    "gnm-triangles": dict(
-        flags=[("n", int, True), ("m", int, True)],
-        mode="int", base=None,
-        call=lambda a, t: gc.gnm_triangles_bound(a["n"], a["m"], t),
-        provenance="grid-minimized",
-    ),
-}
-
-_ALL_BOUND_FLAGS = [
-    ("n", int), ("p", float), ("gamma", float), ("delta", float),
-    ("c", float), ("k", int), ("beta-n", int), ("alpha", int),
-    ("d", int), ("m", int), ("s-k", float),
-]
+def _given(args):
+    """The method flags given on the command line, as text."""
+    given = {name: getattr(args, name.replace("-", "_")) for name in _FLAG_CASTS}
+    return {name: text for name, text in given.items() if text is not None}
 
 
-def _linial_luria_call(a):
-    if "s-k" in a:
-        profile = bd.SymmetricMoments({0: 1.0, a["k"]: a["s-k"]})
-    elif "gamma" in a:
-        profile = bd.ProductBound(a["gamma"])
-    elif "p" in a:
-        profile = bd.MeanOnly(a["p"])
-    else:
+def _method(name):
+    if name not in METHODS:
         raise UsageError(
-            "linial-luria needs a moment profile: --s-k, --gamma or --p"
+            f"unknown method {name!r}; available: {', '.join(sorted(METHODS))}"
         )
-    return bd.linial_luria_bound(a["n"], a["beta-n"], a["k"], profile)
+    return METHODS[name]
+
+
+# ---------------------------------------------------------------------------
+# bound subcommand
 
 
 def cmd_bound(args) -> int:
-    try:
-        spec = BOUND_SPECS[args.method]
-    except KeyError:
-        raise UsageError(
-            f"unknown method {args.method!r}; "
-            f"available: {', '.join(sorted(BOUND_SPECS))}"
-        )
-    given = {
-        name: getattr(args, name.replace("-", "_"))
-        for name, _cast in _ALL_BOUND_FLAGS
-        if getattr(args, name.replace("-", "_")) is not None
-    }
-    allowed = {name for name, _c, _r in spec["flags"]}
+    spec = _method(args.method)
+    given = _given(args)
+    allowed = {name for name, _c, _r in spec.flags}
     for name in given:
         if name not in allowed:
             raise UsageError(f"--{name} does not apply to {args.method}")
-    sweeps, order = {}, []
-    for name, cast, required in spec["flags"]:
+    sweeps = {}
+    for name, cast, required in spec.flags:
         if name in given:
-            sweeps[name] = _sweep(given[name], cast)
-            order.append(name)
+            sweeps[name] = _sweep(name, given[name], cast)
         elif required:
             raise UsageError(f"{args.method} requires --{name}")
 
-    mode = spec["mode"]
-    if mode == "none":
+    if spec.scale == "beta-n":
         if args.t is not None or args.eps is not None:
             raise UsageError(
                 f"{args.method} takes its threshold from --beta-n, not --t/--eps"
             )
-        thresholds = [None]
-        th_flag = None
+        th_flag, thresholds = None, [None]
     else:
         if (args.t is None) == (args.eps is None):
             raise UsageError(f"{args.method} needs exactly one of --t or --eps")
         if args.t is not None:
             th_flag = "t"
-            thresholds = _sweep(args.t, int if mode == "int" else float)
+            thresholds = _sweep("t", args.t, int if spec.scale == "int" else finite)
         else:
-            if mode == "int":
+            if spec.scale == "int":
                 raise UsageError(f"{args.method} takes --t (an integer), not --eps")
             th_flag = "eps"
-            thresholds = _sweep(args.eps, float)
+            thresholds = _sweep("eps", args.eps, finite)
 
     records = []
     any_invalid = False
-    for combo in product(*(sweeps[name] for name in order)):
-        a = dict(zip(order, combo))
+    for combo in product(*sweeps.values()):
+        a = dict(zip(sweeps, combo))
         for th in thresholds:
             start = time.perf_counter()
-            if mode == "none":
-                tb = _linial_luria_call(a)
-                t_val, eps_val = float(a["beta-n"]), ""
-            else:
-                n = a["n"]
-                base = 0.5 if spec["base"] is None else a[spec["base"]]
-                if mode == "eps":
-                    eps_val = th if th_flag == "eps" else bd.t_to_eps(n, base, th)
-                    t_val = bd.eps_to_t(n, base, eps_val)
-                    tb = spec["call"](a, eps_val)
-                elif mode == "dev":
-                    t_val = th if th_flag == "t" else base * th
-                    eps_val = t_val / base
-                    tb = spec["call"](a, t_val)
-                elif mode == "int":
-                    t_val, eps_val = th, ""
-                    tb = spec["call"](a, th)
-                else:  # sum
-                    t_val = th if th_flag == "t" else bd.eps_to_t(n, base, th)
-                    eps_val = bd.t_to_eps(n, base, t_val)
-                    tb = spec["call"](a, t_val)
+            tb, scales = evaluate(
+                args.method, a, th, partial(bound_threshold, flag=th_flag)
+            )
             runtime_ms = (time.perf_counter() - start) * 1e3
             rec = {"method": args.method}
             rec.update(a)
-            rec["t"] = t_val
-            rec["eps"] = eps_val
+            rec["t"], rec["eps"] = scales or (
+                th if th_flag == "t" else "", th if th_flag == "eps" else ""
+            )
             rec["log_bound"] = tb.log_bound if tb.is_valid else ""
             rec["bound"] = tb.bound if tb.is_valid else ""
             rec["validity"] = (
                 "Valid" if tb.is_valid else f"Invalid: {tb.invalid_reason}"
             )
-            rec["provenance"] = spec.get("provenance", "closed-form")
+            rec["provenance"] = spec.provenance
             rec["runtime_ms"] = runtime_ms
             records.append(rec)
             any_invalid = any_invalid or not tb.is_valid
@@ -366,7 +425,7 @@ def _build_model(args):
     if name == "mds":
         (n,) = _require(args, "n")
         if args.p_vector is not None:
-            p_vec = tuple(_sweep(args.p_vector, float))
+            p_vec = tuple(_sweep("p-vector", args.p_vector, finite))
             if len(p_vec) != n:
                 raise UsageError("--p-vector length must equal --n")
         elif args.p is not None:
@@ -404,15 +463,13 @@ def _auto_bound(args, t):
         }[name]
         n = args.m if name == "ustat-triangles" else args.n
         gamma = gc.gnp_constants(kind, n, args.p)
-        count = gc.gnp_count(kind, n)
-        return bd.ik_bound(count, gamma, bd.t_to_eps(count, gamma, t))
-    if name == "gnm-isolated":
-        return gc.gnm_isolated_bound(args.n, args.m, int(round(t)))
-    if name == "gnm-triangles":
-        return gc.gnm_triangles_bound(args.n, args.m, int(round(t)))
+        return at_sum("ik", {"n": gc.gnp_count(kind, n), "gamma": gamma}, t)
+    if name in ("gnm-isolated", "gnm-triangles"):
+        return at_sum(name, {"n": args.n, "m": args.m}, t)
     if name == "mds":
         if args.p is None:
             raise UsageError("--bound auto for mds needs a constant --p")
+        # the simulated sum is centred, so t is already a deviation
         return bd.mcdiarmid_bound(args.n, args.p, t / args.n)
     if name == "ustat":
         kernel = args.kernel or "all-below"
@@ -421,9 +478,7 @@ def _auto_bound(args, t):
                 "--bound auto for ustat needs the all-below kernel "
                 "(closed-form mean)"
             )
-        p = args.c ** args.d
-        count = math.comb(args.n, args.d)
-        return bd.ustat_bound(bd.UStatParams(args.n, args.d, p), t / count - p)
+        return at_sum("ustat", {"n": args.n, "d": args.d, "p": args.c ** args.d}, t)
     raise UsageError(f"no automatic bound is defined for {name}")
 
 
@@ -473,103 +528,28 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # compare subcommand
 
-# every entry evaluates at a sum-scale threshold t so columns are aligned
-COMPARE_EVALS = {
-    "hoeffding": lambda a, t: bd.hoeffding_bound(a["n"], a["p"], t),
-    "mcdiarmid": lambda a, t: bd.mcdiarmid_bound(
-        a["n"], a["p"], t / a["n"] - a["p"]
-    ),
-    "mcdiarmid-refined": lambda a, t: bd.mcdiarmid_refined_bound(
-        a["n"], a["p"], t / a["n"] - a["p"]
-    ),
-    "ik": lambda a, t: bd.ik_bound(
-        a["n"], a["gamma"], bd.t_to_eps(a["n"], a["gamma"], t)
-    ),
-    "bincoupling": lambda a, t: bd.bincoupling_bound(a["n"], a["p"], t),
-    "expfunct": lambda a, t: bd.expfunct_bound(
-        a["n"], a["gamma"], a["delta"], t
-    ),
-    "kwise": lambda a, t: bd.kwise_bound(
-        a["n"], a["k"], a["p"], bd.t_to_eps(a["n"], a["p"], t)
-    ),
-    "kwise-bernoulli": lambda a, t: bd.kwise_bernoulli_bound(
-        a["n"], a["k"], a["p"], bd.t_to_eps(a["n"], a["p"], t)
-    ),
-    "sss": lambda a, t: bd.sss_bound(
-        a["n"], a["p"], bd.t_to_eps(a["n"], a["p"], t), a["k"]
-    ),
-    "depgraph": lambda a, t: bd.depgraph_bound(
-        bd.DependencyGraphParams(a["n"], a["alpha"]), t
-    ),
-    "ustat": lambda a, t: bd.ustat_bound(
-        bd.UStatParams(a["n"], a["d"], a["p"]),
-        t / math.comb(a["n"], a["d"]) - a["p"],
-    ),
-    "ustat-refined": lambda a, t: bd.ustat_refined_bound(
-        bd.UStatParams(a["n"], a["d"], a["p"]),
-        t / math.comb(a["n"], a["d"]) - a["p"],
-    ),
-    "linial-luria": None,  # optimal-k evaluation handled specially
-    "gnm-isolated": lambda a, t: gc.gnm_isolated_bound(
-        a["n"], a["m"], int(round(t))
-    ),
-    "gnm-triangles": lambda a, t: gc.gnm_triangles_bound(
-        a["n"], a["m"], int(round(t))
-    ),
-}
-
-
-def _compare_ll(a, t):
-    beta_n = int(round(t))
-    if abs(t - beta_n) > 1e-9:
-        return bd.linial_luria_bound(a["n"], -1, 1, bd.ProductBound(0.5))
-    profile = bd.ProductBound(a["gamma"]) if "gamma" in a else bd.MeanOnly(
-        a.get("p", 0.0)
-    )
-    best = None
-    for k in range(1, beta_n):
-        tb = bd.linial_luria_bound(a["n"], beta_n, k, profile)
-        if tb.is_valid and (best is None or tb.log_bound < best.log_bound):
-            best = tb
-    if best is None:
-        return bd.linial_luria_bound(a["n"], beta_n, 1, profile)
-    return best
-
-
 def cmd_compare(args) -> int:
     methods = [m for m in (args.methods or "").split(",") if m]
     if len(methods) < 2:
         raise UsageError("--methods needs at least two comma-separated methods")
     for m in methods:
-        if m not in COMPARE_EVALS:
-            raise UsageError(
-                f"unknown method {m!r}; available: "
-                f"{', '.join(sorted(COMPARE_EVALS))}"
-            )
+        _method(m)
     if args.t is None:
         raise UsageError("--t is required (comma-separated sweep)")
-    ts = _sweep(args.t, float)
-    shared = {
-        name: getattr(args, name.replace("-", "_"))
-        for name, _cast in _ALL_BOUND_FLAGS
-        if getattr(args, name.replace("-", "_")) is not None
-    }
+    ts = _sweep("t", args.t, finite)
     a = {}
-    for name, cast in _ALL_BOUND_FLAGS:
-        if name in shared:
-            try:
-                a[name] = cast(shared[name])
-            except ValueError:
-                raise UsageError(f"--{name} must be a single {cast.__name__}")
-
+    for name, text in _given(args).items():
+        values = _sweep(name, text, _FLAG_CASTS[name])
+        if len(values) != 1:
+            raise UsageError(f"--{name} takes a single value in compare")
+        a[name] = values[0]
     records = []
     for t in sorted(ts):
         rec = {"t": t}
         best_method, best_log = None, math.inf
         for m in methods:
-            fn = _compare_ll if m == "linial-luria" else COMPARE_EVALS[m]
             try:
-                tb = fn(a, t)
+                tb = at_sum(m, a, t)
             except KeyError as exc:
                 raise UsageError(f"{m} requires --{exc.args[0]}")
             if tb.is_valid:
@@ -601,7 +581,7 @@ def _build_parser() -> _Parser:
     p_bound = sub.add_parser("bound", parents=[common],
                              help="evaluate a tail bound over a parameter grid")
     p_bound.add_argument("method")
-    for name, cast in _ALL_BOUND_FLAGS:
+    for name in _FLAG_CASTS:
         p_bound.add_argument(f"--{name}", type=str, default=None)
     p_bound.add_argument("--t", type=str, default=None)
     p_bound.add_argument("--eps", type=str, default=None)
@@ -620,14 +600,14 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--n", type=int, default=None)
     p_sim.add_argument("--m", type=int, default=None)
     p_sim.add_argument("--d", type=int, default=None)
-    p_sim.add_argument("--p", type=float, default=None)
-    p_sim.add_argument("--c", type=float, default=None)
-    p_sim.add_argument("--theta", type=float, default=None)
+    p_sim.add_argument("--p", type=finite, default=None)
+    p_sim.add_argument("--c", type=finite, default=None)
+    p_sim.add_argument("--theta", type=finite, default=None)
     p_sim.add_argument("--p-vector", type=str, default=None)
     p_sim.add_argument("--kernel", type=str, default=None)
     p_sim.add_argument("--graph", type=str, default=None,
                        help="edge-list file for orientation-parity")
-    p_sim.add_argument("--t", type=float, default=None)
+    p_sim.add_argument("--t", type=finite, default=None)
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--bound", type=str, default=None)
     p_sim.set_defaults(func=cmd_simulate)
@@ -635,7 +615,7 @@ def _build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="tabulate several bounds over a t-sweep")
     p_cmp.add_argument("--methods", type=str, default=None)
-    for name, cast in _ALL_BOUND_FLAGS:
+    for name in _FLAG_CASTS:
         p_cmp.add_argument(f"--{name}", type=str, default=None)
     p_cmp.add_argument("--t", type=str, default=None)
     p_cmp.set_defaults(func=cmd_compare)

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import TailBound, _clamp, _invalid
+from .bounds import TailBound, _clamp, _invalid, check_n
 from .numkernel import NEG_INF
 
 MAX_EXACT_MIS_N = 30
@@ -276,6 +276,8 @@ def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
     evaluated in exact rational arithmetic.
     """
     method = "gnm-isolated"
+    if bad := check_n(method, n, t):
+        return bad
     if not 1 <= t <= n:
         return _invalid(method, "t outside [1, n]")
     if m > math.comb(n, 2) or m < 0:
@@ -308,6 +310,8 @@ def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
     exact rational arithmetic, floor exactly as displayed.
     """
     method = "gnm-triangles"
+    if bad := check_n(method, n, t):
+        return bad
     n3 = math.comb(n, 3)
     if not 2 <= t <= n3:
         return _invalid(method, "t outside {2,...,C(n,3)}")

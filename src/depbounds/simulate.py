@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .graphcomb import (
     Graph,
@@ -389,12 +389,12 @@ def exact_binomial_ci(successes: int, trials: int, level: float = CI_LEVEL):
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(beta_dist.ppf(alpha / 2.0, successes, trials - successes + 1))
+        lo = float(betaincinv(successes, trials - successes + 1, alpha / 2.0))
     if successes == trials:
         hi = 1.0
     else:
         hi = float(
-            beta_dist.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes)
+            betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0)
         )
     return lo, hi
 

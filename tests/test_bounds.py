@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from depbounds import bounds as bd
+from depbounds import graphcomb as gc
 from depbounds.numkernel import (
     BinomialSpec,
     binom_pmf_log,
@@ -503,3 +504,69 @@ class TestMonotonicityGrids:
                 vals.append(tb.log_bound)
         assert len(vals) >= 20
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestInputGuard:
+    """Nonsense n, NaN thresholds and rounding at the domain edge give
+    Invalid, never a value and never an exception."""
+
+    # evaluator of (n, threshold), and a threshold that is valid at n = 10
+    BY_N = {
+        "hoeffding": (lambda n, x: bd.hoeffding_bound(n, 0.3, x), 5.0),
+        "ik": (lambda n, x: bd.ik_bound(n, 0.3, x), 0.5),
+        "linial-luria": (
+            lambda n, x: bd.linial_luria_bound(n, x, 1, bd.ProductBound(0.3)), 8
+        ),
+        "expfunct": (lambda n, x: bd.expfunct_bound(n, 0.3, 0.9, x), 5.0),
+        "bincoupling": (lambda n, x: bd.bincoupling_bound(n, 0.3, x), 5.0),
+        "mcdiarmid": (lambda n, x: bd.mcdiarmid_bound(n, 0.3, x), 0.2),
+        "mcdiarmid-refined": (
+            lambda n, x: bd.mcdiarmid_refined_bound(n, 0.3, x), 0.4
+        ),
+        "kwise": (lambda n, x: bd.kwise_bound(n, 5, 0.3, x), 0.5),
+        "kwise-bernoulli": (
+            lambda n, x: bd.kwise_bernoulli_bound(n, 2, 0.3, x), 1.0
+        ),
+        "sss": (lambda n, x: bd.sss_bound(n, 0.3, x, 10), 1.0),
+        "gnm-isolated": (lambda n, x: gc.gnm_isolated_bound(n, 10, x), 3),
+        "gnm-triangles": (lambda n, x: gc.gnm_triangles_bound(n, 20, x), 3),
+    }
+
+    @pytest.mark.parametrize("method", sorted(BY_N))
+    @pytest.mark.parametrize("n", [-3, 0, 2.5])
+    def test_bad_n(self, method, n):
+        call, x = self.BY_N[method]
+        assert call(10, x).is_valid
+        tb = call(n, x)
+        assert not tb.is_valid and tb.log_bound is None
+
+    @pytest.mark.parametrize("method", sorted(BY_N))
+    def test_nan_threshold(self, method):
+        call, _x = self.BY_N[method]
+        assert call(10, math.nan).invalid_reason == "threshold is NaN"
+
+    @pytest.mark.parametrize("call", [
+        lambda x: bd.depgraph_bound(bd.DependencyGraphParams(10, 5), x),
+        lambda x: bd.ustat_bound(bd.UStatParams(10, 2, 0.3), x),
+        lambda x: bd.ustat_refined_bound(bd.UStatParams(10, 2, 0.3), x),
+    ])
+    def test_nan_threshold_params(self, call):
+        assert call(math.nan).invalid_reason == "threshold is NaN"
+
+    def test_rate_rounding_to_one(self):
+        # eps just below 1/gamma - 1, or t just below 1-p or n, where the
+        # tilted rate rounds to 1.0 and the KL divergence is undefined
+        g, e = 0.8474337369372327, 0.18003326562636898
+        assert not bd.ik_bound(10, g, e).is_valid
+        assert not bd.kwise_bound(10, 3, g, e).is_valid
+        p, t = 0.8444218515250481, 0.15557814847495186
+        assert not bd.mcdiarmid_bound(10, p, t).is_valid
+        assert not bd.ustat_bound(bd.UStatParams(10, 2, p), t).is_valid
+        assert bd.expfunct_bound(7, 0.1469614007334975, 1.0, 6.999999999999999).is_valid
+
+    def test_moment_profiles(self):
+        for profile in (bd.MeanOnly(-0.1), bd.ProductBound(-0.3),
+                        bd.SymmetricMoments({0: 1.0, 2: -1.0})):
+            k = 1 if isinstance(profile, bd.MeanOnly) else 2
+            assert not bd.linial_luria_bound(10, 8, k, profile).is_valid
+        assert bd.linial_luria_bound(10, 8, 2, bd.ProductBound(0.0)).bound == 0.0

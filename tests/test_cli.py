@@ -1,20 +1,23 @@
 """Command-line interface: exit codes, output formats, and cross-checks
 against the library API."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depbounds import bounds as bd
-from depbounds.cli import main
+from depbounds.cli import METHODS, SIM_MODELS, main
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +156,32 @@ class TestBound:
         assert len(rows) == 3
         got = float(rows[1][rows[0].index("bound")])
         assert got == pytest.approx(bd.hoeffding_bound(100, 0.3, 40).bound, rel=1e-12)
+
+    def test_non_finite_threshold_is_usage_error(self, capsys):
+        for value in ("nan", "inf"):
+            code, out, err = run_cli(
+                capsys, "bound", "hoeffding", "--n", "10", "--p", "0.3",
+                "--t", value,
+            )
+            assert code == 64 and not out
+            assert "--t" in err
+
+    def test_bad_parameters_give_invalid_rows(self, capsys):
+        for argv, reason in [
+            (("hoeffding", "--n", "0", "--p", "0.3", "--t", "5"), "n < 1"),
+            (("ustat", "--n", "7", "--d", "2", "--p", "0.3", "--t", "0.2"),
+             "d=2 does not divide n=7"),
+            (("depgraph", "--n", "6", "--alpha", "8", "--eps", "0.1"),
+             "independence number 8 outside [1, 6]"),
+            (("mcdiarmid", "--n", "10", "--p", "0", "--eps", "0.5"),
+             "p outside (0,1)"),
+        ]:
+            code, out, _ = run_cli(
+                capsys, "bound", *argv, "--format", "json-lines"
+            )
+            assert code == 2
+            (rec,) = json_records(out)
+            assert rec["validity"] == f"Invalid: {reason}"
 
     def test_table_format_has_header(self, capsys):
         code, out, _ = run_cli(
@@ -312,6 +341,126 @@ class TestCompare:
         )
         assert code == 64
         assert "gamma" in err
+
+
+    def test_linial_luria_needs_a_profile(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--methods", "linial-luria,depgraph",
+            "--n", "10", "--alpha", "5", "--t", "8",
+        )
+        assert code == 64 and not out
+        assert "linial-luria needs a moment profile: --s-k, --gamma or --p" in err
+
+    def test_linial_luria_profile_flags_as_in_bound(self, capsys):
+        def ll_log(*flags):
+            code, out, _ = run_cli(
+                capsys, "compare", "--methods", "linial-luria,hoeffding",
+                "--n", "10", "--p", "0.3", *flags, "--t", "8",
+                "--format", "json-lines",
+            )
+            assert code == 0
+            return json_records(out)[0]["linial-luria_log"]
+
+        s_k = bd.SymmetricMoments({0: 1.0, 3: 5.0})
+        want = bd.linial_luria_bound(10, 8, 3, s_k).log_bound
+        assert ll_log("--k", "3", "--s-k", "5.0") == want
+        # without --k the best k is used
+        best = min(
+            bd.linial_luria_bound(10, 8, k, bd.ProductBound(0.4)).log_bound
+            for k in range(1, 8)
+        )
+        assert ll_log("--gamma", "0.4") == best
+
+    def test_ik_honours_c(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--methods", "ik,hoeffding", "--n", "30",
+            "--gamma", "0.2", "--p", "0.2", "--c", "2", "--t", "10",
+            "--format", "json-lines",
+        )
+        assert code == 0
+        (rec,) = json_records(out)
+        assert rec["ik_log"] == bd.ik_bound(30, 0.2, 10 / 6 - 1, 2.0).log_bound
+
+
+class TestInputGuard:
+    """Any flag values reach a record or a usage error, never a traceback."""
+
+    INTS = st.integers(-5, 60)
+    FLOATS = st.floats() | st.sampled_from(
+        [0.0, -1.0, 0.5, math.nan, math.inf, -math.inf]
+    )
+    # small thresholds: gnm-triangles minimizes over every k < t in exact
+    # fractions
+    THRESHOLDS = st.floats(-5.0, 60.0) | st.sampled_from(
+        [0.0, -0.5, math.nan, math.inf, -math.inf]
+    )
+
+    @staticmethod
+    def exit_code(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return exc.code
+
+    def flag_args(self, data, flags, sweep, all_required):
+        argv = []
+        for name, cast, required in flags:
+            if (required and all_required) or data.draw(st.booleans()):
+                values = self.INTS if cast is int else self.FLOATS
+                drawn = data.draw(st.lists(values, min_size=1, max_size=sweep))
+                argv.append(f"--{name}={','.join(map(repr, drawn))}")
+        return argv
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bound_exit_codes(self, method, data):
+        spec = METHODS[method]
+        argv = ["bound", method, *self.flag_args(data, spec.flags, 2, True)]
+        if spec.scale == "int":
+            argv.append(f"--t={data.draw(self.INTS)}")
+        elif spec.scale != "beta-n":
+            flag = data.draw(st.sampled_from(["t", "eps"]))
+            argv.append(f"--{flag}={data.draw(self.THRESHOLDS)!r}")
+        assert self.exit_code(argv) in (0, 2, 64)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_compare_exit_codes(self, method, data):
+        other = data.draw(st.sampled_from(sorted(METHODS)))
+        flags = {f[0]: f for m in (method, other) for f in METHODS[m].flags}
+        ts = data.draw(st.lists(self.THRESHOLDS, min_size=1, max_size=2))
+        argv = ["compare", f"--methods={method},{other}",
+                *self.flag_args(data, flags.values(), 1, False),
+                f"--t={','.join(map(repr, ts))}"]
+        assert self.exit_code(argv) in (0, 64)
+
+
+class TestSurface:
+    def test_import_skips_scipy_stats_and_optimize(self):
+        code = (
+            "import sys, depbounds.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_readme_lists_every_method_and_model(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bound_section = readme.split("### `bound`")[1].split("### ")[0]
+        methods = re.findall(r"^\| `([a-z0-9-]+)` \|", bound_section, re.M)
+        assert methods == sorted(METHODS)
+        sim_section = readme.split("### `simulate`")[1].split("### ")[0]
+        models_text = sim_section.split("Models:")[1].split(". With")[0]
+        assert tuple(re.findall(r"`([a-z][a-z0-9-]*)`", models_text)) == SIM_MODELS
 
 
 class TestEntryPoint:
