@@ -85,6 +85,14 @@ def finite(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """int() that rejects negative values: the cast of --seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 @dataclass(frozen=True)
 class Method:
     """How the CLI reaches one evaluator.
@@ -389,12 +397,31 @@ SIM_MODELS = (
 )
 
 
+# the range of each model flag; _build_model narrows --m and --d further
+_SIM_RANGES = {
+    "n": (1, math.inf),
+    "m": (0, math.inf),
+    "d": (1, math.inf),
+    "p": (0.0, 1.0),
+    "c": (0.0, 1.0),
+}
+
+
+def _in_range(name, value, lo, hi=math.inf):
+    if not lo <= value <= hi:
+        want = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise UsageError(f"--{name} must be {want}, got {value}")
+    return value
+
+
 def _require(args, *names):
     vals = []
     for name in names:
         v = getattr(args, name.replace("-", "_"))
         if v is None:
             raise UsageError(f"{args.model} requires --{name}")
+        if name in _SIM_RANGES:
+            _in_range(name, v, *_SIM_RANGES[name])
         vals.append(v)
     return vals
 
@@ -410,15 +437,18 @@ def _build_model(args):
     if name == "gnp-4cliques":
         n, p = _require(args, "n", "p")
         return sim.Gnp4Cliques(n, p)
-    if name == "gnm-isolated":
+    if name in ("gnm-isolated", "gnm-triangles"):
         n, m = _require(args, "n", "m")
-        return sim.GnmIsolated(n, m)
-    if name == "gnm-triangles":
-        n, m = _require(args, "n", "m")
-        return sim.GnmTriangles(n, m)
+        _in_range("m", m, 0, math.comb(n, 2))
+        model = sim.GnmIsolated if name == "gnm-isolated" else sim.GnmTriangles
+        return model(n, m)
     if name == "orientation-parity":
         (path,) = _require(args, "graph")
-        return sim.OrientationParity(gc.Graph.load(path))
+        try:
+            graph = gc.Graph.load(path)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"--graph: {exc}") from None
+        return sim.OrientationParity(graph)
     if name == "degree-parity":
         (n,) = _require(args, "n")
         return sim.DegreeParity(n)
@@ -428,13 +458,17 @@ def _build_model(args):
             p_vec = tuple(_sweep("p-vector", args.p_vector, finite))
             if len(p_vec) != n:
                 raise UsageError("--p-vector length must equal --n")
+            for p in p_vec:
+                _in_range("p-vector", p, 0.0, 1.0)
         elif args.p is not None:
-            p_vec = (args.p,) * n
+            (p,) = _require(args, "p")
+            p_vec = (p,) * n
         else:
             raise UsageError("mds requires --p or --p-vector")
         return sim.MartingaleDiff(n, p_vec, args.kernel or "polya-style")
     if name == "ustat":
         n, d = _require(args, "n", "d")
+        _in_range("d", d, 1, n)
         kernel = args.kernel or "all-below"
         if kernel == "all-below":
             (c,) = _require(args, "c")
@@ -447,6 +481,7 @@ def _build_model(args):
         return sim.UStat(n, d, kernel, "uniform", kernel_args)
     if name == "ustat-triangles":
         m, p = _require(args, "m", "p")
+        _in_range("m", m, 1)
         return sim.UStat(m, 3, "triangle-indicator", "gnp", (("p", p),))
     raise UsageError(f"unknown model {name!r}")
 
@@ -461,7 +496,13 @@ def _auto_bound(args, t):
             "gnp-4cliques": "cliques4",
             "ustat-triangles": "triangles",
         }[name]
-        n = args.m if name == "ustat-triangles" else args.n
+        flag = "m" if name == "ustat-triangles" else "n"
+        n, least = getattr(args, flag), 4 if kind == "cliques4" else 3
+        if n < least or not 0.0 < args.p < 1.0:
+            raise UsageError(
+                f"--bound auto for {name} needs --{flag} >= {least} "
+                "and --p inside (0, 1)"
+            )
         gamma = gc.gnp_constants(kind, n, args.p)
         return at_sum("ik", {"n": gc.gnp_count(kind, n), "gamma": gamma}, t)
     if name in ("gnm-isolated", "gnm-triangles"):
@@ -574,7 +615,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="depbounds")
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=seed, default=None)
     common.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,6 +25,7 @@ __all__ = [
     "binom_tail_log",
     "poisson_binom_dist",
     "binomial_median_lb_check",
+    "binomial_median_lb_grid",
     "to_prob",
 ]
 
@@ -154,17 +155,48 @@ def poisson_binom_dist(spec: PoissonBinomialSpec) -> np.ndarray:
     computation in the package (log-space convolution buys nothing at
     these sizes).
     """
-    probs = np.array([1.0])
-    for p in spec.ps:
-        nxt = np.zeros(len(probs) + 1)
-        nxt[:-1] = probs * (1.0 - p)
-        nxt[1:] += probs * p
+    return _poisson_binom_rows(np.array([spec.ps]))[0]
+
+
+def _poisson_binom_rows(ps: np.ndarray) -> np.ndarray:
+    """Row-wise Poisson-binomial pmfs: (m, n) trial probabilities -> (m, n+1).
+
+    One DP step per trial, vectorized over the rows.
+    """
+    probs = np.ones((ps.shape[0], 1))
+    for i in range(ps.shape[1]):
+        p = ps[:, i : i + 1]
+        nxt = np.zeros((ps.shape[0], probs.shape[1] + 1))
+        nxt[:, :-1] = probs * (1.0 - p)
+        nxt[:, 1:] += probs * p
         probs = nxt
     return probs
 
 
 def binomial_median_lb_check(spec: BinomialSpec) -> bool:
     """True iff P[Bin(n,p) >= np - 1] >= 1/2, from the exact distribution."""
-    n, p = spec.n, spec.p
-    j0 = max(0, math.ceil(n * p - 1.0 - 1e-12))
-    return to_prob(binom_tail_log(spec, j0)) >= 0.5 - 1e-12
+    return bool(binomial_median_lb_grid(spec.n, (spec.p,))[0])
+
+
+def binomial_median_lb_grid(n: int, ps) -> np.ndarray:
+    """:func:`binomial_median_lb_check` for one n over a grid of p, at once.
+
+    Row r holds ln P[Bin(n, ps[r]) = j] for every j; the upper tail from
+    j0 = ceil(np - 1) is one log-sum-exp per row, never 1 - cdf.
+    """
+    ps = np.asarray(ps, dtype=float)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not np.all((ps > 0.0) & (ps < 1.0)):
+        raise ValueError(f"p must be in (0,1), got {ps}")
+    j = np.arange(n + 1)
+    log_pmf = (
+        gammaln(n + 1)
+        - gammaln(j + 1)
+        - gammaln(n - j + 1)
+        + j * np.log(ps)[:, None]
+        + (n - j) * np.log1p(-ps)[:, None]
+    )
+    j0 = np.maximum(0.0, np.ceil(n * ps - 1.0 - 1e-12))
+    tail = logsumexp(np.where(j >= j0[:, None], log_pmf, NEG_INF), axis=1)
+    return np.exp(np.minimum(tail, 0.0)) >= 0.5 - 1e-12

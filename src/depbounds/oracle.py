@@ -5,6 +5,13 @@ and convex-ordering checks.
 
 Everything here is a ground-truth oracle: sizes are capped (2^n
 enumeration at n <= 20) and computations are exact up to float rounding.
+
+Subset moments are whole-array transforms over the subset lattice.  For a
+Bernoulli law the outcome pmf (a ``bincount`` of the atom bitmasks) is
+E[Z_A] itself, its superset-sum (zeta) transform is E[prod_{i in A} X_i]
+and the law of Z is a ``bincount`` of the atom sizes: O(n 2^n) however
+many atoms the law has.  Other laws are broadcast over their atoms, in
+chunks that keep each (atoms, 2^n) block near 8 MB.
 """
 
 from __future__ import annotations
@@ -13,17 +20,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import comb, logsumexp
 
 from .numkernel import (
     NEG_INF,
     PoissonBinomialSpec,
-    log_binom_coeff,
+    _poisson_binom_rows,
     poisson_binom_dist,
 )
 from .bounds import ProductBound, SplitBound, TailBound, _clamp, _invalid
 
 MAX_ENUM_N = 20
+
+# entries of one (atoms, 2^n) block on the non-Bernoulli paths
+_CHUNK_ENTRIES = 1 << 20
 
 __all__ = [
     "JointDist",
@@ -42,6 +52,7 @@ __all__ = [
     "random_joint_dist",
     "subset_product_moments",
     "subset_zeta_moments",
+    "subset_sizes",
     "GenerationError",
 ]
 
@@ -118,6 +129,15 @@ class JointDist:
             raise ValueError(f"weights sum to {total}, outside tolerance")
         return cls(n=xs.shape[1], xs=xs, ws=ws / total)
 
+    @classmethod
+    def from_masks(cls, n: int, masks, ws) -> "JointDist":
+        """Bernoulli law with one atom per bitmask (bit i set means X_i = 1);
+        the weights are renormalized to sum to 1."""
+        masks = np.asarray(masks, dtype=np.int64)
+        xs = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        ws = np.asarray(ws, dtype=float)
+        return cls(n=n, xs=xs, ws=ws / math.fsum(ws))
+
     def save(self, path):
         with open(path, "w") as fh:
             fh.write(self.dumps())
@@ -167,25 +187,22 @@ def zeta_decomposition(x) -> np.ndarray:
         raise ValueError(f"n={n} exceeds the 2^n enumeration cap {MAX_ENUM_N}")
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("coordinates must lie in [0,1]")
-    zeta = np.array([1.0])
-    for xi in x:
-        zeta = np.concatenate([zeta * (1.0 - xi), zeta * xi])
-    return zeta
+    return _lattice_products(1.0 - x[None, :], x[None, :])[0]
 
 
 def z_distribution(dist: JointDist) -> ZDist:
     """Law of Z on {0,...,n}: P[Z=j] = sum over |A|=j of E[zeta_A].
 
     The size-j subset sums of the zeta weights of a point x are exactly
-    the Poisson-binomial pmf of the coordinates of x, so each atom
-    contributes one DP convolution rather than a 2^n enumeration.
+    the Poisson-binomial pmf of the coordinates of x, so the atoms go
+    through one DP convolution together rather than a 2^n enumeration;
+    a Bernoulli atom is a point mass at its number of ones.
     """
-    if dist.n > MAX_ENUM_N:
-        raise ValueError(f"n={dist.n} exceeds cap {MAX_ENUM_N}")
-    probs = np.zeros(dist.n + 1)
-    for w, x in zip(dist.ws, dist.xs):
-        probs += w * poisson_binom_dist(PoissonBinomialSpec(tuple(x)))
-    return ZDist(probs)
+    _check_cap(dist.n)
+    if dist.is_bernoulli:
+        sizes = dist.xs.sum(axis=1).astype(np.int64)
+        return ZDist(np.bincount(sizes, weights=dist.ws, minlength=dist.n + 1))
+    return ZDist(_atom_sum(dist, _poisson_binom_rows, dist.n + 1))
 
 
 def exact_tail(dist: JointDist, t: float) -> float:
@@ -215,12 +232,11 @@ class ExponentialFamily:
 
     def log_values(self, zdist: ZDist, t: float):
         j = np.arange(zdist.n + 1)
+        h = np.asarray(self.h_grid, dtype=float)
         with np.errstate(divide="ignore"):
             logp = np.where(zdist.probs > 0.0, np.log(zdist.probs), NEG_INF)
-        vals = []
-        for h in self.h_grid:
-            vals.append(float(logsumexp(logp + h * j)) - h * t)
-        return np.array(vals), [{"h": float(h)} for h in self.h_grid]
+        vals = logsumexp(logp + h[:, None] * j, axis=1) - h * t
+        return vals, [{"h": float(v)} for v in h]
 
 
 @dataclass(frozen=True)
@@ -235,15 +251,13 @@ class HingeFamily:
 
     def log_values(self, zdist: ZDist, t: float):
         j = np.arange(zdist.n + 1)
-        vals, members = [], []
-        for h in self.h_grid:
-            ft = h * (t - self.ell) + 1.0
-            if ft <= 0.0:
-                continue
-            num = float(zdist.probs @ np.maximum(0.0, h * (j - self.ell) + 1.0))
-            vals.append(math.log(num) - math.log(ft) if num > 0.0 else NEG_INF)
-            members.append({"h": float(h), "ell": self.ell})
-        return np.array(vals), members
+        h = np.asarray(self.h_grid, dtype=float)
+        ft = h * (t - self.ell) + 1.0
+        h, ft = h[ft > 0.0], ft[ft > 0.0]
+        num = np.maximum(0.0, h[:, None] * (j - self.ell) + 1.0) @ zdist.probs
+        with np.errstate(divide="ignore"):
+            vals = np.where(num > 0.0, np.log(num) - np.log(ft), NEG_INF)
+        return vals, [{"h": float(v), "ell": self.ell} for v in h]
 
 
 @dataclass(frozen=True)
@@ -252,21 +266,19 @@ class BinomCoeffFamily:
 
     k: int
 
-    def _f(self, x: float) -> float:
-        lo, hi = math.floor(x), math.ceil(x)
-        f_lo = math.comb(lo, self.k) if lo >= self.k else 0
-        f_hi = math.comb(hi, self.k) if hi >= self.k else 0
-        if lo == hi:
-            return float(f_lo)
+    def _f(self, x):
+        """f elementwise over an array of points."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = np.floor(x), np.ceil(x)
+        # comb is 0 below k
+        f_lo, f_hi = comb(lo, self.k), comb(hi, self.k)
         return f_lo + (x - lo) * (f_hi - f_lo)
 
     def log_values(self, zdist: ZDist, t: float):
-        ft = self._f(t)
+        ft = float(self._f(t))
         if ft <= 0.0:
             return np.array([]), []
-        j = np.arange(zdist.n + 1)
-        fj = np.array([self._f(float(v)) for v in j])
-        num = float(zdist.probs @ fj)
+        num = float(zdist.probs @ self._f(np.arange(zdist.n + 1)))
         val = math.log(num) - math.log(ft) if num > 0.0 else NEG_INF
         return np.array([val]), [{"k": self.k}]
 
@@ -296,28 +308,25 @@ def dephoeff_bound(zdist: ZDist, t: float, family) -> TailBound:
 # moments and classical orderings
 
 
-def _esp(x: np.ndarray, k: int) -> float:
-    """Elementary symmetric polynomial e_k(x) by the O(nk) recurrence."""
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for xi in x:
-        e[1:] = e[1:] + xi * e[:-1]
-    return float(e[k])
+def _esp(xs: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise elementary symmetric polynomials e_k by the O(nk) recurrence."""
+    e = np.zeros((xs.shape[0], k + 1))
+    e[:, 0] = 1.0
+    for i in range(xs.shape[1]):
+        e[:, 1:] = e[:, 1:] + xs[:, i : i + 1] * e[:, :-1]
+    return e[:, k]
 
 
 def symmetric_moment(dist: JointDist, k: int) -> float:
     """Exact E[S_k] = E[sum over |A|=k of prod_{i in A} X_i].
 
-    Per-atom elementary-symmetric recurrence, no 2^n blowup.
+    Elementary-symmetric recurrence over all atoms at once, no 2^n blowup.
     """
     if not 0 <= k <= dist.n:
         raise ValueError(f"k={k} outside [0, {dist.n}]")
     if k == 0:
         return 1.0
-    total = 0.0
-    for w, x in zip(dist.ws, dist.xs):
-        total += w * _esp(x, k)
-    return total
+    return float(dist.ws @ _esp(dist.xs, k))
 
 
 def convex_order_check(ps: PoissonBinomialSpec, h: float) -> bool:
@@ -348,35 +357,77 @@ def poisson_trials_check(ps: PoissonBinomialSpec, b: int) -> bool:
 # subset-moment transforms (bitmask indexed, n <= 20)
 
 
-def subset_product_moments(dist: JointDist) -> np.ndarray:
-    """E[prod_{i in A} X_i] for every subset A (bitmask indexed)."""
-    n = dist.n
+def _check_cap(n: int):
     if n > MAX_ENUM_N:
         raise ValueError(f"n={n} exceeds cap {MAX_ENUM_N}")
-    out = np.zeros(1 << n)
-    for w, x in zip(dist.ws, dist.xs):
-        prods = np.array([1.0])
-        for xi in x:
-            prods = np.concatenate([prods, prods * xi])
-        out += w * prods
+
+
+def subset_sizes(n: int) -> np.ndarray:
+    """|A| for every subset A of {0,...,n-1} (bitmask indexed), by doubling."""
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sizes
+
+
+def _lattice_products(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row-wise prod_{i in A} hi_i * prod_{i not in A} lo_i for every A.
+
+    ``lo`` and ``hi`` are (m, n); the result is (m, 2^n), bitmask indexed.
+    """
+    out = np.ones((lo.shape[0], 1))
+    for i in range(lo.shape[1]):
+        out = np.concatenate([out * lo[:, i : i + 1], out * hi[:, i : i + 1]], axis=1)
     return out
+
+
+def _atom_sum(dist: JointDist, per_atom, width: int) -> np.ndarray:
+    """sum_k w_k per_atom(x_k) for a row function ``per_atom`` of the given
+    output width, in chunks of atoms."""
+    rows = max(1, _CHUNK_ENTRIES // width)
+    out = np.zeros(width)
+    for s in range(0, len(dist.ws), rows):
+        out += dist.ws[s : s + rows] @ per_atom(dist.xs[s : s + rows])
+    return out
+
+
+def _outcome_pmf(dist: JointDist) -> np.ndarray:
+    """P[X = 1_A] for every A of a Bernoulli law (bitmask indexed)."""
+    masks = dist.xs.astype(np.int64) @ (1 << np.arange(dist.n, dtype=np.int64))
+    return np.bincount(masks, weights=dist.ws, minlength=1 << dist.n)
+
+
+def subset_product_moments(dist: JointDist) -> np.ndarray:
+    """E[prod_{i in A} X_i] for every subset A (bitmask indexed).
+
+    For a Bernoulli law this is the superset sum of the outcome pmf, one
+    pass per coordinate over a (-1, 2, 2^i) view.
+    """
+    _check_cap(dist.n)
+    if not dist.is_bernoulli:
+        return _atom_sum(
+            dist, lambda xs: _lattice_products(np.ones_like(xs), xs), 1 << dist.n
+        )
+    moments = _outcome_pmf(dist)
+    for i in range(dist.n):
+        pairs = moments.reshape(-1, 2, 1 << i)
+        pairs[:, 0, :] += pairs[:, 1, :]
+    return moments
 
 
 def subset_zeta_moments(dist: JointDist) -> np.ndarray:
-    """E[Z_A] for every subset A (bitmask indexed)."""
-    n = dist.n
-    if n > MAX_ENUM_N:
-        raise ValueError(f"n={n} exceeds cap {MAX_ENUM_N}")
-    out = np.zeros(1 << n)
-    for w, x in zip(dist.ws, dist.xs):
-        out += w * zeta_decomposition(x)
-    return out
+    """E[Z_A] for every subset A (bitmask indexed); for a Bernoulli law the
+    outcome pmf itself."""
+    _check_cap(dist.n)
+    if dist.is_bernoulli:
+        return _outcome_pmf(dist)
+    return _atom_sum(dist, lambda xs: _lattice_products(1.0 - xs, xs), 1 << dist.n)
 
 
 def _check_product_constraint(dist: JointDist, gamma: float) -> float | None:
     """Largest violation of E[prod_A X] <= gamma^|A|, or None if satisfied."""
     moments = subset_product_moments(dist)
-    sizes = np.array([bin(m).count("1") for m in range(len(moments))])
+    sizes = subset_sizes(dist.n)
     excess = moments[1:] - gamma ** sizes[1:]
     worst = float(excess.max())
     return worst if worst > 1e-12 else None
@@ -385,7 +436,7 @@ def _check_product_constraint(dist: JointDist, gamma: float) -> float | None:
 def _check_split_constraint(dist: JointDist, gamma: float, delta: float):
     moments = subset_zeta_moments(dist)
     n = dist.n
-    sizes = np.array([bin(m).count("1") for m in range(len(moments))])
+    sizes = subset_sizes(n)
     excess = moments - gamma ** sizes * delta ** (n - sizes)
     worst = float(excess.max())
     return worst if worst > 1e-12 else None
@@ -435,13 +486,9 @@ def _candidate(rng, n, constraint, bernoulli) -> JointDist:
         if bernoulli:
             m = int(rng.integers(2, min(16, 1 << n) + 1))
             masks = rng.choice(1 << n, size=m, replace=False)
-            xs = np.array(
-                [[(mask >> i) & 1 for i in range(n)] for mask in masks],
-                dtype=float,
-            )
-        else:
-            m = int(rng.integers(2, 9))
-            xs = rng.random((m, n))
+            return JointDist.from_masks(n, masks, rng.dirichlet(np.ones(m)))
+        m = int(rng.integers(2, 9))
+        xs = rng.random((m, n))
         ws = rng.dirichlet(np.ones(m))
         ws = ws / math.fsum(ws)
         return JointDist(n=n, xs=xs, ws=ws)
@@ -456,16 +503,10 @@ def _candidate(rng, n, constraint, bernoulli) -> JointDist:
     mix = rng.dirichlet(np.ones(comps))
     if bernoulli:
         # expand the mixture of product-Bernoulli laws over all 2^n outcomes
-        outcome_probs = np.zeros(1 << n)
-        for w, q in zip(mix, rates):
-            outcome_probs += w * zeta_decomposition(q)
-        keep = outcome_probs > 0.0
-        masks = np.nonzero(keep)[0]
-        xs = np.array(
-            [[(mask >> i) & 1 for i in range(n)] for mask in masks], dtype=float
+        outcome_probs = (mix[:, None] * _lattice_products(1.0 - rates, rates)).sum(
+            axis=0
         )
-        ws = outcome_probs[keep]
-        ws = ws / math.fsum(ws)
-        return JointDist(n=n, xs=xs, ws=ws)
+        masks = np.nonzero(outcome_probs > 0.0)[0]
+        return JointDist.from_masks(n, masks, outcome_probs[masks])
     ws = mix / math.fsum(mix)
     return JointDist(n=n, xs=rates, ws=ws)

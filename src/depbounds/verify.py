@@ -14,9 +14,8 @@ from . import bounds as bd
 from . import graphcomb as gc
 from . import oracle as oc
 from .numkernel import (
-    BinomialSpec,
     PoissonBinomialSpec,
-    binomial_median_lb_check,
+    binomial_median_lb_grid,
     kl_divergence,
     poisson_binom_dist,
 )
@@ -71,35 +70,23 @@ def bernoulli_sum_moments(dist: oc.JointDist):
     return zdist, sk
 
 
-def _gamma_product(dist: oc.JointDist) -> float:
-    """Smallest gamma with E[prod_{i in A} X_i] <= gamma^|A| for all A."""
-    moments = oc.subset_product_moments(dist)
-    sizes = np.array([bin(m).count("1") for m in range(len(moments))])
-    with np.errstate(divide="ignore"):
-        roots = moments[1:] ** (1.0 / sizes[1:])
-    return float(roots.max())
+def _gamma(moments: np.ndarray, sizes: np.ndarray) -> float:
+    """Smallest gamma with moments[A] <= gamma^|A| for all A != {}.
+
+    On the product moments this is the ProductBound rate; on the zeta
+    moments the SplitBound rate at delta = 1.
+    """
+    return float((moments[1:] ** (1.0 / sizes[1:])).max())
 
 
-def _gamma_zeta(dist: oc.JointDist) -> float:
-    """Smallest gamma with E[Z_A] <= gamma^|A| (delta = 1) for all A != {}."""
-    moments = oc.subset_zeta_moments(dist)
-    sizes = np.array([bin(m).count("1") for m in range(len(moments))])
-    roots = moments[1:] ** (1.0 / sizes[1:])
-    return float(roots.max())
-
-
-def _is_independent(dist: oc.JointDist) -> bool:
-    moments = oc.subset_product_moments(dist)
-    means = dist.means()
-    n = dist.n
-    for mask in range(1, 1 << n):
-        prod = 1.0
-        for i in range(n):
-            if mask >> i & 1:
-                prod *= means[i]
-        if abs(moments[mask] - prod) > 1e-9:
-            return False
-    return True
+def _is_independent(dist: oc.JointDist, moments: np.ndarray) -> bool:
+    """True iff the product moments ``moments`` of ``dist`` match, within
+    1e-9, those of the product law with the same means."""
+    means = np.clip(dist.means(), 0.0, 1.0)
+    product = oc.subset_product_moments(
+        oc.JointDist(n=dist.n, xs=means[None, :], ws=np.ones(1))
+    )
+    return bool(np.all(np.abs(moments[1:] - product[1:]) <= 1e-9))
 
 
 def _interior_grid(lo: float, hi: float, count: int = 5) -> list:
@@ -112,7 +99,9 @@ def applicable_bound_checks(dist: oc.JointDist, thresholds_per_bound: int = 5):
     validity range."""
     n = dist.n
     checks = []
-    gamma = _gamma_product(dist)
+    moments = oc.subset_product_moments(dist)
+    sizes = oc.subset_sizes(n)
+    gamma = _gamma(moments, sizes)
     pbar = dist.mean_rate
     zdist, sk = bernoulli_sum_moments(dist)
 
@@ -124,7 +113,7 @@ def applicable_bound_checks(dist: oc.JointDist, thresholds_per_bound: int = 5):
             for t in _interior_grid(n * gamma + 1.0, n, thresholds_per_bound):
                 checks.append(("bincoupling", t, bd.bincoupling_bound(n, gamma, t)))
 
-    gamma_z = _gamma_zeta(dist)
+    gamma_z = _gamma(oc.subset_zeta_moments(dist), sizes)
     if 0.0 < gamma_z < 1.0:
         for t in _interior_grid(n * gamma_z, n, thresholds_per_bound):
             checks.append(
@@ -144,7 +133,7 @@ def applicable_bound_checks(dist: oc.JointDist, thresholds_per_bound: int = 5):
                 )
             )
 
-    if _is_independent(dist) and 0.0 < pbar < 1.0:
+    if _is_independent(dist, moments) and 0.0 < pbar < 1.0:
         for t in _interior_grid(n * pbar, n, thresholds_per_bound):
             checks.append(("hoeffding", t, bd.hoeffding_bound(n, pbar, t)))
             eps = bd.t_to_eps(n, pbar, t)
@@ -171,10 +160,7 @@ def _random_bernoulli_dist(rng, n_max: int) -> oc.JointDist:
         )
     # independent product-Bernoulli, expanded over all outcomes
     q = rng.random(n) * 0.8 + 0.1
-    masks = np.arange(1 << n)
-    xs = np.array([[(m >> i) & 1 for i in range(n)] for m in masks], dtype=float)
-    ws = oc.zeta_decomposition(q)
-    return oc.JointDist(n=n, xs=xs, ws=ws / math.fsum(ws))
+    return oc.JointDist.from_masks(n, np.arange(1 << n), oc.zeta_decomposition(q))
 
 
 @_suite("soundness")
@@ -405,11 +391,10 @@ def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12, **_):
          f"{trials} vectors, all valid thresholds, {pt_fail} failures")
     )
 
-    med_fail = 0
-    for n in range(1, 201):
-        for ip in range(1, 100):
-            if not binomial_median_lb_check(BinomialSpec(n, ip / 100.0)):
-                med_fail += 1
+    p_grid = np.arange(1, 100) / 100.0
+    med_fail = sum(
+        int((~binomial_median_lb_grid(n, p_grid)).sum()) for n in range(1, 201)
+    )
     records.append(
         ("convex-order/binomial-median", med_fail == 0,
          f"grid n<=200 x p in 0.01..0.99, {med_fail} failures")

@@ -275,6 +275,31 @@ class TestSimulate:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("argv,flag", [
+        ("gnm-isolated --n 5 --m 100", "--m"),
+        ("gnp-isolated --n 2 --p 0.3 --bound auto", "--n"),
+        ("mds --n 0 --p 0.3 --bound auto", "--n"),
+        ("gnp-isolated --n 0 --p 1.5", "--n"),
+        ("gnp-isolated --n 5 --p 1.5", "--p"),
+        ("gnp-4cliques --n 3 --p 0.5 --bound auto", "--n"),
+        ("gnp-triangles --n 6 --p 1 --bound auto", "--p"),
+        ("ustat-triangles --m 2 --p 0.5 --bound auto", "--m"),
+        ("ustat-triangles --m 0 --p 0.5", "--m"),
+        ("mds --n 3 --p-vector 0.2,0.3,1.2", "--p-vector"),
+        ("ustat --n 4 --d 5 --c 0.5", "--d"),
+        ("ustat --n 4 --d 2 --c -0.1", "--c"),
+        ("degree-parity --n -2", "--n"),
+        ("gnp-isolated --n 5 --p 0.3 --seed -1", "--seed"),
+        ("orientation-parity --graph no-such-file.txt", "--graph"),
+    ])
+    def test_bad_model_parameters_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run_cli(
+            capsys, "simulate", *argv.split(), "--t", "1", "--reps", "10"
+        )
+        assert code == 64
+        assert out == ""
+        assert flag in err
+
     def test_mds_auto_bound(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "mds", "--n", "20", "--p", "0.3",

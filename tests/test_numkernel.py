@@ -16,6 +16,7 @@ from depbounds.numkernel import (
     binom_pmf_log,
     binom_tail_log,
     binomial_median_lb_check,
+    binomial_median_lb_grid,
     kl_divergence,
     log_binom_coeff,
     log_gen_binom_coeff,
@@ -221,6 +222,22 @@ class TestBinomialMedian:
         for n in range(1, 201):
             for ip in range(1, 100):
                 assert binomial_median_lb_check(BinomialSpec(n, ip / 100))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 200])
+    def test_grid_matches_scalar_tail(self, n):
+        ps = np.arange(1, 100) / 100.0
+        want = []
+        for p in ps:
+            j0 = max(0, math.ceil(n * p - 1.0 - 1e-12))
+            tail = to_prob(binom_tail_log(BinomialSpec(n, p), j0))
+            want.append(tail >= 0.5 - 1e-12)
+        assert binomial_median_lb_grid(n, ps).tolist() == want
+
+    def test_grid_validation(self):
+        with pytest.raises(ValueError):
+            binomial_median_lb_grid(0, [0.5])
+        with pytest.raises(ValueError):
+            binomial_median_lb_grid(5, [0.5, 1.0])
 
 
 class TestToProb:

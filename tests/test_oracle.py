@@ -2,6 +2,7 @@
 convex-family bounds, moments, orderings and the constrained generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from depbounds import bounds as bd
 from depbounds import oracle as oc
+from depbounds import verify
 from depbounds.numkernel import (
     BinomialSpec,
     PoissonBinomialSpec,
@@ -27,6 +29,137 @@ def product_bernoulli_dist(q):
     xs = np.array([[(m >> i) & 1 for i in range(n)] for m in masks], dtype=float)
     ws = oc.zeta_decomposition(q)
     return oc.JointDist(n=n, xs=xs, ws=ws / math.fsum(ws))
+
+
+# -- per-atom reference definitions of the subset transforms ----------------
+
+
+def ref_product_moments(dist):
+    out = np.zeros(1 << dist.n)
+    for w, x in zip(dist.ws, dist.xs):
+        prods = np.array([1.0])
+        for xi in x:
+            prods = np.concatenate([prods, prods * xi])
+        out += w * prods
+    return out
+
+
+def ref_zeta_moments(dist):
+    out = np.zeros(1 << dist.n)
+    for w, x in zip(dist.ws, dist.xs):
+        zeta = np.array([1.0])
+        for xi in x:
+            zeta = np.concatenate([zeta * (1.0 - xi), zeta * xi])
+        out += w * zeta
+    return out
+
+
+def ref_z_distribution(dist):
+    probs = np.zeros(dist.n + 1)
+    for w, x in zip(dist.ws, dist.xs):
+        pmf = np.array([1.0])
+        for xi in x:
+            nxt = np.zeros(len(pmf) + 1)
+            nxt[:-1] = pmf * (1.0 - xi)
+            nxt[1:] += pmf * xi
+            pmf = nxt
+        probs += w * pmf
+    return probs
+
+
+@st.composite
+def joint_laws(draw, kind):
+    """A law on n <= 10 coordinates, written out and read back through
+    ``JointDist.loads``.  Bernoulli atoms come from a few bitmasks, so
+    duplicate atoms are common; a mixed law has one fractional atom."""
+    n = draw(st.integers(1, 10))
+    top = min(draw(st.sampled_from([3, (1 << n) - 1])), (1 << n) - 1)
+    masks = draw(st.lists(st.integers(0, top), min_size=1, max_size=12))
+    xs = [[float(mask >> i & 1) for i in range(n)] for mask in masks]
+    frac = st.floats(0.001, 0.999)
+    if kind == "non-bernoulli":
+        xs = [draw(st.lists(frac, min_size=n, max_size=n)) for _ in masks]
+    elif kind == "mixed":
+        xs[0] = draw(st.lists(frac, min_size=n, max_size=n))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(xs), max_size=len(xs)))
+    total = math.fsum(raw)
+    text = "".join(
+        " ".join(repr(v) for v in [w / total, *x]) + "\n" for w, x in zip(raw, xs)
+    )
+    return oc.JointDist.loads(text)
+
+
+class TestSubsetTransforms:
+    """Whole-array transforms against the per-atom reference loops."""
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "non-bernoulli", "mixed"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_match_reference(self, kind, data):
+        dist = data.draw(joint_laws(kind))
+        assert dist.is_bernoulli == (kind == "bernoulli")
+        got = {
+            "product": oc.subset_product_moments(dist),
+            "zeta": oc.subset_zeta_moments(dist),
+            "z": oc.z_distribution(dist).probs,
+        }
+        want = {
+            "product": ref_product_moments(dist),
+            "zeta": ref_zeta_moments(dist),
+            "z": ref_z_distribution(dist),
+        }
+        for name in got:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+        if kind == "bernoulli":
+            np.testing.assert_array_equal(got["zeta"], want["zeta"])
+            np.testing.assert_array_equal(got["z"], want["z"])
+
+    def test_chunked_atoms_match_reference(self):
+        # 600 atoms at n = 12 span three (atoms, 2^n) chunks
+        rng = np.random.default_rng(5)
+        dist = oc.JointDist(
+            n=12, xs=rng.random((600, 12)), ws=rng.dirichlet(np.ones(600))
+        )
+        for got, want in [
+            (oc.subset_product_moments(dist), ref_product_moments(dist)),
+            (oc.subset_zeta_moments(dist), ref_zeta_moments(dist)),
+            (oc.z_distribution(dist).probs, ref_z_distribution(dist)),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_non_bernoulli_memory_is_bounded(self):
+        # an unchunked (2000, 2^14) array alone would take ~260 MB
+        rng = np.random.default_rng(0)
+        dist = oc.JointDist(
+            n=14, xs=rng.random((2000, 14)), ws=rng.dirichlet(np.ones(2000))
+        )
+        for transform in (oc.subset_product_moments, oc.subset_zeta_moments):
+            tracemalloc.start()
+            try:
+                transform(dist)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, (transform.__name__, peak)
+
+    def test_subset_sizes(self):
+        for n in range(8):
+            want = [bin(m).count("1") for m in range(1 << n)]
+            assert oc.subset_sizes(n).tolist() == want
+
+    def test_from_masks(self):
+        dist = oc.JointDist.from_masks(3, [5, 2], [1.0, 3.0])
+        np.testing.assert_array_equal(dist.xs, [[1, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(dist.ws, [0.25, 0.75])
+
+    def test_is_independent(self):
+        dist = product_bernoulli_dist([0.2, 0.5, 0.7, 0.4])
+        assert verify._is_independent(dist, oc.subset_product_moments(dist))
+        ws = dist.ws.copy()
+        ws[0] -= 1e-3
+        ws[1] += 1e-3
+        skewed = oc.JointDist(n=dist.n, xs=dist.xs, ws=ws)
+        assert not verify._is_independent(skewed, oc.subset_product_moments(skewed))
 
 
 class TestZetaDecomposition:
@@ -164,6 +297,32 @@ class TestDephoeff:
         )
         fine = oc.dephoeff_bound(zd, t, oc.ExponentialFamily(fine_grid))
         assert fine.log_bound <= coarse.log_bound + 1e-15
+
+    def test_family_values_match_member_loops(self):
+        zd = oc.z_distribution(oc.random_joint_dist(7, seed=3, bernoulli=False))
+        t, hs = 4.5, oc.default_h_grid(1.0, size=64)
+        j = np.arange(zd.n + 1)
+        probs = zd.probs
+        vals, members = oc.ExponentialFamily(hs).log_values(zd, t)
+        want = [math.log(float(probs @ np.exp(h * j))) - h * t for h in hs]
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
+        assert [m["h"] for m in members] == hs.tolist()
+        ell = 5.0
+        vals, members = oc.HingeFamily(ell, hs).log_values(zd, t)
+        kept = [h for h in hs if h * (t - ell) + 1.0 > 0.0]
+        want = [
+            math.log(float(probs @ np.maximum(0.0, h * (j - ell) + 1.0)))
+            - math.log(h * (t - ell) + 1.0)
+            for h in kept
+        ]
+        assert 0 < len(kept) < len(hs)
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
+        assert [m["h"] for m in members] == kept
+        for k in (1, 2, 5):
+            (val,), _ = oc.BinomCoeffFamily(k).log_values(zd, t)
+            f_t = math.comb(4, k) + 0.5 * (math.comb(5, k) - math.comb(4, k))
+            num = math.fsum(p * math.comb(i, k) for i, p in enumerate(probs))
+            assert val == pytest.approx(math.log(num / f_t), abs=1e-12)
 
     def test_t_below_mean_invalid(self):
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
