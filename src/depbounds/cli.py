@@ -358,13 +358,25 @@ def cmd_bound(args) -> int:
 
 _SOUNDNESS_SUITES = {"soundness", "sandwich"}
 
+# the --n-max range of each suite that reads it: Bernoulli laws are drawn
+# with 3..n-max variables (full support only up to 12), convex-order
+# vectors with 2..n-max trials, and lemmas enumerates all 2^C(n,2) graphs
+_VERIFY_N_MAX = {
+    "soundness": (3, 12),
+    "sandwich": (3, 12),
+    "convex-order": (2, math.inf),
+    "lemmas": (3, 7),
+}
+
 
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.n_max is not None:
-        kwargs["n_max"] = args.n_max
+    if args.n_max is not None and args.suite in _VERIFY_N_MAX:
+        kwargs["n_max"] = _in_range("n-max", args.n_max, *_VERIFY_N_MAX[args.suite])
     if args.trials is not None:
-        kwargs["trials"] = args.trials
+        # lemmas draws --trials random graphs
+        key = "random_graphs" if args.suite == "lemmas" else "trials"
+        kwargs[key] = _in_range("trials", args.trials, 1)
     if args.seed is not None:
         kwargs["seed"] = args.seed
     results = run_suite(args.suite, **kwargs)
@@ -465,7 +477,13 @@ def _build_model(args):
             p_vec = (p,) * n
         else:
             raise UsageError("mds requires --p or --p-vector")
-        return sim.MartingaleDiff(n, p_vec, args.kernel or "polya-style")
+        kernel = args.kernel or "polya-style"
+        if kernel not in sim.MDS_KERNELS:
+            raise UsageError(
+                f"--kernel for mds must be one of {sorted(sim.MDS_KERNELS)}, "
+                f"got {kernel!r}"
+            )
+        return sim.MartingaleDiff(n, p_vec, kernel)
     if name == "ustat":
         n, d = _require(args, "n", "d")
         _in_range("d", d, 1, n)

@@ -19,6 +19,11 @@ MAX_EXACT_MIS_N = 30
 
 __all__ = [
     "Graph",
+    "neighbour_masks",
+    "edge_masks",
+    "isolated_count",
+    "triangle_count",
+    "clique4_count",
     "triangle_union_edges",
     "clique4_union_triangles",
     "independence_number",
@@ -102,47 +107,99 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# subgraph counting (shared with the simulation module)
+# subgraph counts over a batch of graphs
+#
+# A batch of graphs on n vertices is held as neighbour masks: a (..., n, W)
+# uint64 array, W = ceil(n / 64), whose row v is the little-endian
+# ``np.packbits`` of row v of the adjacency matrix, so bit u % 64 of word
+# u // 64 says whether u ~ v.  Graphs of different sizes share a batch by
+# padding with isolated vertices, which no triangle or clique touches.
 
 
-def count_isolated(g: Graph) -> int:
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return sum(1 for d in deg if d == 0)
+def neighbour_masks(adj) -> np.ndarray:
+    """Neighbour masks of boolean adjacency matrices of shape (..., n, n)."""
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[-1]
+    packed = np.packbits(adj, axis=-1, bitorder="little")
+    pad = [(0, 0)] * (adj.ndim - 1) + [(0, -(-n // 64) * 8 - packed.shape[-1])]
+    return np.pad(packed, pad).view("<u8")
 
 
-def triangles_of(g: Graph) -> list:
-    """All vertex triples spanning a triangle."""
-    a = g.adjacency()
-    out = []
-    for u, v in sorted(g.edges):
-        common = np.nonzero(a[u] & a[v])[0]
-        for w in common:
-            if w > v:
-                out.append((u, v, int(w)))
-    return out
+def edge_masks(n: int, bits) -> np.ndarray:
+    """Neighbour masks of graphs given as edge bits of shape (..., C(n,2)),
+    in the order of ``combinations(range(n), 2)``."""
+    bits = np.asarray(bits, dtype=bool)
+    # adjacency entry (u, v) is padded[1 + index of edge uv] and the
+    # diagonal reads padded[0], which is False; np.take returns a C-ordered
+    # array (fancy indexing would not), which packbits reads several times
+    # faster
+    u, v = np.triu_indices(n, 1)
+    source = np.zeros((n, n), dtype=np.intp)
+    source[u, v] = source[v, u] = np.arange(1, len(u) + 1)
+    padded = np.zeros(bits.shape[:-1] + (len(u) + 1,), dtype=bool)
+    padded[..., 1:] = bits
+    return neighbour_masks(np.take(padded, source, axis=-1))
 
 
-def count_triangles(g: Graph) -> int:
-    a = g.adjacency().astype(np.int64)
-    return int(np.trace(a @ a @ a) // 6)
+def _codegrees(masks):
+    """Common-neighbour masks of every vertex pair (v, u), u < v, that is an
+    edge, and zero masks for the other pairs.  Pairs are ordered by v then
+    u, so the pairs inside vertices 0..w-1 come first."""
+    n, words = masks.shape[-2:]
+    vertex = neighbour_masks(np.eye(n, dtype=bool))  # the one-vertex masks
+    common = np.empty(masks.shape[:-2] + (n * (n - 1) // 2, words), np.uint64)
+    for v in range(1, n):
+        row = masks[..., v, None, :]
+        block = common[..., v * (v - 1) // 2: v * (v + 1) // 2, :]
+        np.bitwise_and(row, masks[..., :v, :], out=block)
+        block *= (row & vertex[:v]).any(axis=-1)[..., None]
+    return common
 
 
-def cliques4_of(g: Graph) -> list:
-    a = g.adjacency()
-    out = []
-    for (u, v, w) in triangles_of(g):
-        ext = np.nonzero(a[u] & a[v] & a[w])[0]
-        for z in ext:
-            if z > w:
-                out.append((u, v, w, int(z)))
-    return out
+def _set_bits(masks) -> np.ndarray:
+    """Total set bits over the last two axes, (..., k, W) -> (...)."""
+    return np.bitwise_count(masks).sum(axis=(-2, -1), dtype=np.int64)
 
 
-def count_4cliques(g: Graph) -> int:
-    return len(cliques4_of(g))
+def isolated_count(masks) -> np.ndarray:
+    """Number of isolated vertices (all-zero rows) of each graph."""
+    return (~masks.any(axis=-1)).sum(axis=-1)
+
+
+def triangle_count(masks) -> tuple:
+    """(triangle count, edge count of the union of the triangles' edge
+    sets) of each graph.
+
+    An edge lies in codegree-many triangles, so the triangle count is the
+    codegree sum over edges divided by 3, and the union holds the edges of
+    positive codegree.
+    """
+    common = _codegrees(masks)
+    return _set_bits(common) // 3, common.any(axis=-1).sum(axis=-1)
+
+
+def clique4_count(masks) -> tuple:
+    """(4-clique count, triangle count of the union of the 4-cliques'
+    triangle sets) of each graph.
+
+    A triangle lies in as many 4-cliques as it has common neighbours, so
+    the 4-clique count is the sum of those over triangles divided by 4, and
+    the union holds the triangles with a common neighbour.  Triangles are
+    visited by their largest vertex w, one vertex at a time.
+    """
+    n = masks.shape[-2]
+    vertex = neighbour_masks(np.eye(n, dtype=bool))
+    common = _codegrees(masks)
+    count = np.zeros(masks.shape[:-2], dtype=np.int64)
+    union = np.zeros(masks.shape[:-2], dtype=np.int64)
+    for w in range(2, n):
+        pair = common[..., : w * (w - 1) // 2, :]  # the pairs u < v < w
+        # common neighbours of u, v and w, kept where uvw is a triangle
+        extend = pair & masks[..., w, None, :]
+        extend *= (pair & vertex[w]).any(axis=-1)[..., None]
+        count += _set_bits(extend)
+        union += extend.any(axis=-1).sum(axis=-1)
+    return count // 4, union
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +213,8 @@ def triangle_union_edges(g: Graph) -> tuple:
     """
     if g.n < 3:
         raise ValueError(f"need n >= 3, got {g.n}")
-    tris = triangles_of(g)
-    union = set()
-    for (u, v, w) in tris:
-        union.update({(u, v), (u, w), (v, w)})
-    return len(tris), len(union)
+    j, r = triangle_count(neighbour_masks(g.adjacency()))
+    return int(j), int(r)
 
 
 def clique4_union_triangles(g: Graph) -> tuple:
@@ -170,13 +224,8 @@ def clique4_union_triangles(g: Graph) -> tuple:
     """
     if g.n < 4:
         raise ValueError(f"need n >= 4, got {g.n}")
-    quads = cliques4_of(g)
-    union = set()
-    for (u, v, w, z) in quads:
-        union.update(
-            {(u, v, w), (u, v, z), (u, w, z), (v, w, z)}
-        )
-    return len(quads), len(union)
+    k, r = clique4_count(neighbour_masks(g.adjacency()))
+    return int(k), int(r)
 
 
 # ---------------------------------------------------------------------------

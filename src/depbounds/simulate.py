@@ -1,7 +1,11 @@
 """Monte Carlo generators for the dependence models and an empirical tail
 estimator with exact binomial confidence intervals.
 
-Reproducibility contract: every sampler takes an explicit seed, and
+Every model samples in batches: ``model.batch(rng, size)`` returns the
+statistic of ``size`` independent replications.  The graph models count
+subgraphs with the neighbour-mask kernels of ``graphcomb``.
+
+Reproducibility contract: every batch draws from an explicit generator, and
 ``empirical_tail`` derives an independent child stream for each fixed-size
 chunk of replications from (seed, chunk index).  The result is therefore a
 pure function of (model, t, reps, seed), identical for any degree of
@@ -18,12 +22,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import betaincinv
 
-from .graphcomb import (
-    Graph,
-    count_4cliques,
-    count_isolated,
-    count_triangles,
-)
+from . import graphcomb as gc
 
 CHUNK_SIZE = 4096
 CI_LEVEL = 0.999
@@ -39,19 +38,10 @@ __all__ = [
     "DegreeParity",
     "MartingaleDiff",
     "UStat",
-    "sample_gnp",
-    "sample_gnm",
-    "sample_orientation_parity",
-    "sample_martingale_diff",
-    "sample_ustat",
     "empirical_tail",
     "exact_binomial_ci",
     "MDS_KERNELS",
 ]
-
-
-# ---------------------------------------------------------------------------
-# single-draw samplers
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -60,61 +50,51 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     )
 
 
-def sample_gnp(n: int, p: float, seed: int) -> Graph:
-    """One Erdos-Renyi G(n,p) draw; independent edge indicators."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p outside [0,1]: {p}")
-    rng = np.random.default_rng(seed)
-    pairs = list(combinations(range(n), 2))
-    bits = rng.random(len(pairs)) < p
-    return Graph.from_edge_list(n, [e for e, b in zip(pairs, bits) if b])
+# ---------------------------------------------------------------------------
+# batch samplers: every model draws `size` replications at once
 
 
-def sample_gnm(n: int, m: int, seed: int) -> Graph:
-    """One uniform draw among labelled graphs with n vertices and m edges."""
-    pairs = list(combinations(range(n), 2))
-    if not 0 <= m <= len(pairs):
-        raise ValueError(f"m={m} outside [0, {len(pairs)}]")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pairs), size=m, replace=False)
-    return Graph.from_edge_list(n, [pairs[i] for i in chosen])
+def _gnp_edges(n, p, rng, size):
+    """(size, C(n,2)) edge bits of G(n,p), in ``combinations`` order."""
+    return rng.random((size, math.comb(n, 2))) < p
 
 
-def sample_orientation_parity(g: Graph, seed: int) -> np.ndarray:
-    """In-degree parities after orienting every edge uniformly at random."""
-    rng = np.random.default_rng(seed)
-    indeg = np.zeros(g.n, dtype=np.int64)
-    edges = sorted(g.edges)
-    flips = rng.random(len(edges)) < 0.5
-    for (u, v), flip in zip(edges, flips):
-        indeg[v if not flip else u] += 1
-    return indeg % 2
+def _gnm_edges(n, m, rng, size):
+    """(size, C(n,2)) edge bits of uniform graphs with exactly m edges."""
+    e = math.comb(n, 2)
+    order = np.argsort(rng.random((size, e)), axis=1)
+    bits = np.zeros((size, e), dtype=bool)
+    rows = np.repeat(np.arange(size), m)
+    bits[rows, order[:, :m].ravel()] = True
+    return bits
 
 
-# -- martingale difference kernels ------------------------------------------
+# -- martingale difference kernels: (size, n) arrays of Y values ------------
 
 
-def _mds_independent_centered(rng, n, p_vec):
-    bits = rng.random(n) < p_vec
-    return bits.astype(float) - p_vec
+def _mds_independent_centered(rng, size, p_vec):
+    bits = rng.random((size, len(p_vec))) < p_vec
+    return bits - p_vec
 
 
-def _mds_polya_style(rng, n, p_vec):
+def _mds_polya_style(rng, size, p_vec):
     """Dependent martingale differences with exact range constraints.
 
     Step i takes value kappa_i*(1-pi_i) with probability pi_i and
     -kappa_i*pi_i otherwise, where pi_i is an urn fraction of the past
     up-moves mapped into [0.2, 0.8].  The conditional mean is identically
     zero and kappa_i is sized so -p_i <= Y_i <= 1-p_i holds surely.
+    Replication r uses the uniforms of row r, step by step.
     """
-    y = np.empty(n)
-    ups = 0
-    for i in range(n):
+    u = rng.random((size, len(p_vec)))
+    y = np.empty_like(u)
+    ups = np.zeros(size, dtype=np.int64)
+    for i, p in enumerate(p_vec):
         pi = 0.2 + 0.6 * (1 + ups) / (2 + i)
-        kappa = min(p_vec[i], 1.0 - p_vec[i]) / 0.8
-        up = rng.random() < pi
-        y[i] = kappa * (1.0 - pi) if up else -kappa * pi
-        ups += int(up)
+        kappa = min(p, 1.0 - p) / 0.8
+        up = u[:, i] < pi
+        y[:, i] = np.where(up, kappa * (1.0 - pi), -kappa * pi)
+        ups += up
     return y
 
 
@@ -124,111 +104,12 @@ MDS_KERNELS = {
 }
 
 
-def sample_martingale_diff(n: int, p_vector, kernel: str, seed: int) -> np.ndarray:
-    """One martingale-difference trajectory with -p_i <= Y_i <= 1-p_i surely."""
-    p_vec = np.asarray(p_vector, dtype=float)
-    if p_vec.shape != (n,):
-        raise ValueError(f"p_vector must have length {n}")
-    if np.any(p_vec <= 0.0) or np.any(p_vec >= 1.0):
-        raise ValueError("all p_i must lie strictly inside (0,1)")
-    try:
-        fn = MDS_KERNELS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; available: {sorted(MDS_KERNELS)}"
-        ) from None
-    return fn(np.random.default_rng(seed), n, p_vec)
-
-
-# -- U-statistic kernels ----------------------------------------------------
+# ---------------------------------------------------------------------------
+# models
 
 
 def _ustat_tuples(n: int, d: int) -> np.ndarray:
     return np.array(list(combinations(range(n), d)), dtype=np.int64)
-
-
-def _ustat_value(u: np.ndarray, d: int, kernel: str, **kw) -> float:
-    tuples = _ustat_tuples(len(u), d)
-    if kernel == "all-below":
-        mask = u <= kw["c"]
-        return float(np.all(mask[tuples], axis=1).sum())
-    if kernel == "threshold-sum":
-        return float((u[tuples].sum(axis=1) >= kw["theta"]).sum())
-    raise ValueError(f"unknown U-statistic kernel {kernel!r}")
-
-
-def sample_ustat(n: int, d: int, kernel: str, base: str, seed: int, **kw) -> float:
-    """One U-statistic realization X = sum over d-subsets of F(xi_(i1..id)).
-
-    Kernels on the 'uniform' base: 'all-below' (F = prod 1[u_i <= c],
-    mean c^d) and 'threshold-sum' (F = 1[sum u >= theta]).  The
-    'triangle-indicator' kernel runs directly on a G(n, p) graph with
-    d = 3 potential edges per vertex triple; X is its triangle count.
-    """
-    if n % d != 0:
-        raise ValueError(f"d={d} does not divide n={n}")
-    rng = np.random.default_rng(seed)
-    if kernel == "triangle-indicator":
-        if base != "gnp":
-            raise ValueError("triangle-indicator requires the 'gnp' base")
-        g = sample_gnp(n, kw["p"], seed)
-        return float(count_triangles(g))
-    if base != "uniform":
-        raise ValueError(f"unknown base distribution {base!r}")
-    return _ustat_value(rng.random(n), d, kernel, **kw)
-
-
-# ---------------------------------------------------------------------------
-# models with vectorized batch statistics
-
-
-def _pair_index(n: int):
-    pairs = list(combinations(range(n), 2))
-    idx = {e: i for i, e in enumerate(pairs)}
-    return pairs, idx
-
-
-def _edge_bits_stat_gnp(n, p, rng, size, stat):
-    e = math.comb(n, 2)
-    bits = rng.random((size, e)) < p
-    return stat(n, bits)
-
-
-def _edge_bits_stat_gnm(n, m, rng, size, stat):
-    e = math.comb(n, 2)
-    order = np.argsort(rng.random((size, e)), axis=1)
-    bits = np.zeros((size, e), dtype=bool)
-    rows = np.repeat(np.arange(size), m)
-    bits[rows, order[:, :m].ravel()] = True
-    return stat(n, bits)
-
-
-def _stat_isolated(n, bits):
-    pairs, _ = _pair_index(n)
-    inc = np.zeros((len(pairs), n), dtype=np.int64)
-    for i, (u, v) in enumerate(pairs):
-        inc[i, u] = inc[i, v] = 1
-    deg = bits.astype(np.int64) @ inc
-    return (deg == 0).sum(axis=1).astype(float)
-
-
-def _stat_triangles(n, bits):
-    _, idx = _pair_index(n)
-    total = np.zeros(bits.shape[0], dtype=np.int64)
-    for (u, v, w) in combinations(range(n), 3):
-        total += bits[:, idx[(u, v)]] & bits[:, idx[(u, w)]] & bits[:, idx[(v, w)]]
-    return total.astype(float)
-
-
-def _stat_4cliques(n, bits):
-    _, idx = _pair_index(n)
-    total = np.zeros(bits.shape[0], dtype=np.int64)
-    for quad in combinations(range(n), 4):
-        present = np.ones(bits.shape[0], dtype=bool)
-        for e in combinations(quad, 2):
-            present &= bits[:, idx[e]]
-        total += present
-    return total.astype(float)
 
 
 @dataclass(frozen=True)
@@ -237,7 +118,8 @@ class GnpIsolated:
     p: float
 
     def batch(self, rng, size):
-        return _edge_bits_stat_gnp(self.n, self.p, rng, size, _stat_isolated)
+        bits = _gnp_edges(self.n, self.p, rng, size)
+        return gc.isolated_count(gc.edge_masks(self.n, bits)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -246,7 +128,8 @@ class GnpTriangles:
     p: float
 
     def batch(self, rng, size):
-        return _edge_bits_stat_gnp(self.n, self.p, rng, size, _stat_triangles)
+        bits = _gnp_edges(self.n, self.p, rng, size)
+        return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
 
 
 @dataclass(frozen=True)
@@ -255,7 +138,8 @@ class Gnp4Cliques:
     p: float
 
     def batch(self, rng, size):
-        return _edge_bits_stat_gnp(self.n, self.p, rng, size, _stat_4cliques)
+        bits = _gnp_edges(self.n, self.p, rng, size)
+        return gc.clique4_count(gc.edge_masks(self.n, bits))[0].astype(float)
 
 
 @dataclass(frozen=True)
@@ -264,7 +148,8 @@ class GnmIsolated:
     m: int
 
     def batch(self, rng, size):
-        return _edge_bits_stat_gnm(self.n, self.m, rng, size, _stat_isolated)
+        bits = _gnm_edges(self.n, self.m, rng, size)
+        return gc.isolated_count(gc.edge_masks(self.n, bits)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -273,14 +158,15 @@ class GnmTriangles:
     m: int
 
     def batch(self, rng, size):
-        return _edge_bits_stat_gnm(self.n, self.m, rng, size, _stat_triangles)
+        bits = _gnm_edges(self.n, self.m, rng, size)
+        return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
 
 
 @dataclass(frozen=True)
 class OrientationParity:
     """Sum of in-degree parities under a uniform random orientation."""
 
-    graph: Graph
+    graph: gc.Graph
 
     def batch(self, rng, size):
         edges = sorted(self.graph.edges)
@@ -299,14 +185,9 @@ class DegreeParity:
     n: int
 
     def batch(self, rng, size):
-        e = math.comb(self.n, 2)
-        bits = rng.random((size, e)) < 0.5
-        pairs, _ = _pair_index(self.n)
-        deg = np.zeros((size, self.n), dtype=np.int64)
-        for j, (u, v) in enumerate(pairs):
-            deg[:, u] += bits[:, j]
-            deg[:, v] += bits[:, j]
-        return (deg % 2).sum(axis=1).astype(float)
+        masks = gc.edge_masks(self.n, _gnp_edges(self.n, 0.5, rng, size))
+        degree = np.bitwise_count(masks).sum(axis=-1)
+        return (degree % 2).sum(axis=1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -318,18 +199,20 @@ class MartingaleDiff:
     kernel: str = "polya-style"
 
     def batch(self, rng, size):
-        fn = MDS_KERNELS[self.kernel]
         p_vec = np.asarray(self.p_vector, dtype=float)
-        if self.kernel == "independent-centered":
-            bits = rng.random((size, self.n)) < p_vec
-            return (bits - p_vec).sum(axis=1)
-        return np.array(
-            [fn(rng, self.n, p_vec).sum() for _ in range(size)]
-        )
+        return MDS_KERNELS[self.kernel](rng, size, p_vec).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class UStat:
+    """U-statistic X = sum over d-subsets of F(xi_(i1..id)).
+
+    Kernels on the 'uniform' base: 'all-below' (F = prod 1[u_i <= c],
+    mean c^d) and 'threshold-sum' (F = 1[sum u >= theta]).  The
+    'triangle-indicator' kernel runs directly on a G(n, p) graph with
+    d = 3 potential edges per vertex triple; X is its triangle count.
+    """
+
     n: int
     d: int
     kernel: str = "all-below"
@@ -339,9 +222,8 @@ class UStat:
     def batch(self, rng, size):
         kw = dict(self.kernel_args)
         if self.kernel == "triangle-indicator":
-            e = math.comb(self.n, 2)
-            bits = rng.random((size, e)) < kw["p"]
-            return _stat_triangles(self.n, bits)
+            bits = _gnp_edges(self.n, kw["p"], rng, size)
+            return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
         tuples = _ustat_tuples(self.n, self.d)
         u = rng.random((size, self.n))
         if self.kernel == "all-below":

@@ -6,7 +6,6 @@ tests, so the exact same sweeps run in both places.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +21,9 @@ from .numkernel import (
 
 SOUNDNESS_TOL = 1e-12
 IDENTITY_TOL = 1e-10
+# vertex pairs (graphs times C(n,2)) per subgraph-kernel call in the lemma
+# suite: each of the kernel's arrays then holds at most 8 MB
+KERNEL_PAIRS = 1 << 20
 
 __all__ = [
     "suite_soundness",
@@ -279,47 +281,32 @@ def suite_identities(**_):
     return records
 
 
+def _union_violations(masks, n):
+    """Graphs among ``masks`` (each on ``n`` vertices, padding aside) that
+    break the triangle-union or the 4-clique-union lemma."""
+    j, r = gc.triangle_count(masks)
+    k, rt = gc.clique4_count(masks)
+    return int((r * (n - 2) < 3 * j).sum()), int((rt * (n - 3) < 4 * k).sum())
+
+
 def _all_graph_union_check(n: int):
-    """Vectorized exhaustive check of both union lemmas over all 2^C(n,2)
-    graphs on n labelled vertices.  Returns violation counts."""
-    pairs = list(combinations(range(n), 2))
-    e = len(pairs)
-    idx = {pq: i for i, pq in enumerate(pairs)}
+    """Exhaustive check of both union lemmas over all 2^C(n,2) graphs on n
+    labelled vertices, graph index i having edge e iff bit e of i is set.
+    Returns (graphs, triangle-union violations, clique-union violations)."""
+    e = math.comb(n, 2)
     total = 1 << e
-    masks = np.arange(total, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(e)) & 1
-
-    tri_list = list(combinations(range(n), 3))
-    tri_present = np.ones((total, len(tri_list)), dtype=bool)
-    for ti, (u, v, w) in enumerate(tri_list):
-        for pq in ((u, v), (u, w), (v, w)):
-            tri_present[:, ti] &= bits[:, idx[pq]].astype(bool)
-    j = tri_present.sum(axis=1)
-    edge_in_union = np.zeros((total, e), dtype=bool)
-    for ti, (u, v, w) in enumerate(tri_list):
-        for pq in ((u, v), (u, w), (v, w)):
-            edge_in_union[:, idx[pq]] |= tri_present[:, ti]
-    r_edges = edge_in_union.sum(axis=1)
-    tri_violations = int((r_edges * (n - 2) < 3 * j).sum())
-
-    quad_list = list(combinations(range(n), 4))
-    tri_idx = {t: i for i, t in enumerate(tri_list)}
-    quad_present = np.ones((total, len(quad_list)), dtype=bool)
-    for qi, quad in enumerate(quad_list):
-        for pq in combinations(quad, 2):
-            quad_present[:, qi] &= bits[:, idx[pq]].astype(bool)
-    k = quad_present.sum(axis=1)
-    tri_in_union = np.zeros((total, len(tri_list)), dtype=bool)
-    for qi, quad in enumerate(quad_list):
-        for t3 in combinations(quad, 3):
-            tri_in_union[:, tri_idx[t3]] |= quad_present[:, qi]
-    r_tris = tri_in_union.sum(axis=1)
-    quad_violations = int((r_tris * (n - 3) < 4 * k).sum())
-    return total, tri_violations, quad_violations
+    chunk = KERNEL_PAIRS // e
+    tv = qv = 0
+    for start in range(0, total, chunk):
+        index = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        bits = (index[:, None] >> np.arange(e)) & 1
+        t, q = _union_violations(gc.edge_masks(n, bits), n)
+        tv, qv = tv + t, qv + q
+    return total, tv, qv
 
 
 @_suite("lemmas")
-def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0, **_):
+def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     """Triangle and 4-clique edge-union lemmas: exhaustive on small n,
     randomized on larger graphs, with the tight cases witnessed."""
     records = []
@@ -343,20 +330,22 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0, **_
          f"K5: k={k5}, r={r5} (bound 4k/(n-3)={4 * k5 / 2})")
     )
 
+    # a graph on n of 4..30 vertices joins a batch of 30-vertex graphs with
+    # vertices n..29 isolated: its edges are the pairs u < v < n, which come
+    # in the same order in both edge-bit layouts
     rng = np.random.default_rng(seed)
+    _, second = np.triu_indices(30, 1)
+    chunk = KERNEL_PAIRS // second.size
     violations = 0
-    for _i in range(random_graphs):
-        n = int(rng.integers(4, 31))
-        p = float(rng.random())
-        pairs = list(combinations(range(n), 2))
-        bits = rng.random(len(pairs)) < p
-        g = gc.Graph.from_edge_list(n, [pq for pq, b in zip(pairs, bits) if b])
-        j, r = gc.triangle_union_edges(g)
-        if r * (n - 2) < 3 * j:
-            violations += 1
-        k, rt = gc.clique4_union_triangles(g)
-        if rt * (n - 3) < 4 * k:
-            violations += 1
+    for start in range(0, random_graphs, chunk):
+        size = min(chunk, random_graphs - start)
+        ns = np.empty(size, dtype=np.int64)
+        bits = np.zeros((size, second.size), dtype=bool)
+        for i in range(size):
+            n = ns[i] = int(rng.integers(4, 31))
+            p = float(rng.random())
+            bits[i, second < n] = rng.random(math.comb(n, 2)) < p
+        violations += sum(_union_violations(gc.edge_masks(30, bits), ns))
     records.append(
         (
             "lemmas/random-graphs",

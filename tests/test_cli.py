@@ -219,6 +219,33 @@ class TestVerify:
         b = run_cli(capsys, "verify", "sandwich", "--trials", "20", "--seed", "5")
         assert a == b
 
+    @pytest.mark.parametrize("argv,flag,want", [
+        ("soundness --n-max 2 --trials 3", "--n-max", "[3, 12]"),
+        ("soundness --n-max 30 --trials 1", "--n-max", "[3, 12]"),
+        ("soundness --trials -1", "--trials", ">= 1"),
+        ("sandwich --n-max 13 --trials 1", "--n-max", "[3, 12]"),
+        ("sandwich --trials 0", "--trials", ">= 1"),
+        ("convex-order --n-max 1 --trials 2", "--n-max", ">= 2"),
+        ("lemmas --n-max 9", "--n-max", "[3, 7]"),
+        ("lemmas --n-max 2", "--n-max", "[3, 7]"),
+        ("lemmas --trials 0", "--trials", ">= 1"),
+    ])
+    def test_flag_out_of_range_is_usage_error(self, capsys, argv, flag, want):
+        code, out, err = run_cli(capsys, "verify", *argv.split())
+        assert code == 64
+        assert out == ""
+        assert flag in err and want in err
+
+    def test_lemmas_reads_trials_as_random_graphs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "lemmas", "--n-max", "4", "--trials", "7",
+            "--format", "json-lines",
+        )
+        assert code == 0
+        recs = {r["name"]: r for r in json_records(out)}
+        assert recs["lemmas/random-graphs"]["detail"].startswith("7 random graphs")
+        assert recs["lemmas/exhaustive-n4"]["passed"]
+
 
 class TestSimulate:
     def test_gnp_isolated_dominated(self, capsys):
@@ -291,6 +318,8 @@ class TestSimulate:
         ("degree-parity --n -2", "--n"),
         ("gnp-isolated --n 5 --p 0.3 --seed -1", "--seed"),
         ("orientation-parity --graph no-such-file.txt", "--graph"),
+        ("mds --n 3 --p-vector 0.2,0.3", "--p-vector"),
+        ("mds --n 5 --p 0.3 --kernel nope", "--kernel"),
     ])
     def test_bad_model_parameters_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run_cli(
@@ -299,6 +328,16 @@ class TestSimulate:
         assert code == 64
         assert out == ""
         assert flag in err
+
+    def test_unknown_mds_kernel_lists_kernels(self, capsys):
+        from depbounds.simulate import MDS_KERNELS
+
+        code, _, err = run_cli(
+            capsys, "simulate", "mds", "--n", "5", "--p", "0.3", "--kernel",
+            "nope", "--t", "1", "--reps", "10",
+        )
+        assert code == 64
+        assert str(sorted(MDS_KERNELS)) in err
 
     def test_mds_auto_bound(self, capsys):
         code, out, _ = run_cli(

@@ -33,6 +33,35 @@ def brute_force_counts(g):
     return tri, quad
 
 
+def union_reference(g):
+    """(triangle-edge union size, 4-clique-triangle union size) from the
+    explicit sets of triangles and 4-cliques."""
+    adj = g.adjacency()
+    tris = [
+        t for t in combinations(range(g.n), 3)
+        if all(adj[a, b] for a, b in combinations(t, 2))
+    ]
+    quads = [
+        q for q in combinations(range(g.n), 4)
+        if all(adj[a, b] for a, b in combinations(q, 2))
+    ]
+    edges = {e for t in tris for e in combinations(t, 2)}
+    faces = {t for q in quads for t in combinations(q, 3)}
+    return len(edges), len(faces)
+
+
+def masks_of(g):
+    return gc.neighbour_masks(g.adjacency())
+
+
+def kernel_counts(masks):
+    """(isolated, triangles, triangle-edge union, 4-cliques,
+    4-clique-triangle union) of each graph of a batch, as int arrays."""
+    j, r = gc.triangle_count(masks)
+    k, rt = gc.clique4_count(masks)
+    return np.stack([gc.isolated_count(masks), j, r, k, rt], axis=-1)
+
+
 def brute_force_alpha(g):
     adj = g.adjacency()
     best = 0
@@ -65,26 +94,70 @@ class TestGraphBasics:
 
 class TestCounts:
     def test_empty_graph(self):
-        g = Graph.empty(7)
-        assert gc.count_isolated(g) == 7
-        assert gc.count_triangles(g) == 0
-        assert gc.count_4cliques(g) == 0
+        assert kernel_counts(masks_of(Graph.empty(7))).tolist() == [7, 0, 0, 0, 0]
 
     def test_complete_k5(self):
-        g = Graph.complete(5)
-        assert gc.count_triangles(g) == 10
-        assert gc.count_4cliques(g) == 5
-        assert gc.count_isolated(g) == 0
+        assert kernel_counts(masks_of(Graph.complete(5))).tolist() == [
+            0, 10, 10, 5, 10
+        ]
 
     def test_random_graphs_match_brute_force(self):
         rng = np.random.default_rng(123)
         for _ in range(50):
             g = random_graph(rng, 8, float(rng.random()))
-            tri, quad = brute_force_counts(g)
-            assert gc.count_triangles(g) == tri
-            assert gc.count_4cliques(g) == quad
+            iso, tri, _, quad, _ = kernel_counts(masks_of(g)).tolist()
+            assert (tri, quad) == brute_force_counts(g)
             deg = g.adjacency().sum(axis=0)
-            assert gc.count_isolated(g) == int((deg == 0).sum())
+            assert iso == int((deg == 0).sum())
+
+
+class TestMaskKernel:
+    """The neighbour-mask kernels against direct enumeration."""
+
+    @staticmethod
+    def reference(g):
+        deg = g.adjacency().sum(axis=0)
+        tri, quad = brute_force_counts(g)
+        edges, faces = union_reference(g)
+        return [int((deg == 0).sum()), tri, edges, quad, faces]
+
+    @pytest.mark.parametrize("n", list(range(1, 31)) + [65, 70])
+    def test_random_graphs(self, n):
+        rng = np.random.default_rng(n)
+        # the references enumerate all C(n,4) quadruples: one sparse graph
+        # for the two-word sizes
+        ps = [0.2] if n > 64 else [0.2, 0.5, 0.9]
+        for p in ps:
+            g = random_graph(rng, n, p)
+            masks = masks_of(g)
+            assert masks.shape == (n, -(-n // 64))
+            assert kernel_counts(masks).tolist() == self.reference(g)
+
+    def test_edge_masks_match_graph_masks(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 9, 64, 65, 70):
+            bits = rng.random((4, math.comb(n, 2))) < 0.4
+            masks = gc.edge_masks(n, bits)
+            pairs = list(combinations(range(n), 2))
+            for row, m in zip(bits, masks):
+                g = Graph.from_edge_list(n, [pq for pq, b in zip(pairs, row) if b])
+                assert np.array_equal(m, masks_of(g))
+
+    def test_padded_batch_of_mixed_sizes(self):
+        # graphs of 1..66 vertices padded with isolated vertices to 70:
+        # padding changes the isolated count only
+        rng = np.random.default_rng(11)
+        graphs = [random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+                  for n in (1, 4, 5, 12, 30, 66)]
+        masks = np.zeros((len(graphs), 70, 2), dtype=np.uint64)
+        for i, g in enumerate(graphs):
+            m = masks_of(g)
+            masks[i, :g.n, :m.shape[-1]] = m
+        got = kernel_counts(masks)
+        for g, row in zip(graphs, got.tolist()):
+            want = self.reference(g)
+            want[0] += 70 - g.n
+            assert row == want
 
 
 class TestUnionLemmas:
@@ -194,7 +267,7 @@ def exact_gnm_triangle_tail(n, m, t):
     for mask_pairs in combinations(range(len(pairs)), m):
         g = Graph.from_edge_list(n, [pairs[i] for i in mask_pairs])
         total += 1
-        if gc.count_triangles(g) >= t:
+        if gc.triangle_count(masks_of(g))[0] >= t:
             hits += 1
     return Fraction(hits, total)
 
@@ -222,7 +295,7 @@ class TestGnmBounds:
             for mask_pairs in combinations(range(len(pairs)), m):
                 g = Graph.from_edge_list(n, [pairs[i] for i in mask_pairs])
                 total += 1
-                if gc.count_isolated(g) >= t:
+                if gc.isolated_count(masks_of(g)) >= t:
                     hits += 1
             assert gc.gnm_isolated_exact_tail(n, m, t) == Fraction(hits, total)
 

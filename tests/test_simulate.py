@@ -7,54 +7,50 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from depbounds import graphcomb as gc
 from depbounds import simulate as sim
-from depbounds.graphcomb import Graph, count_triangles
+from depbounds.graphcomb import Graph
 
 P_VALUE_FLOOR = 1e-4
 
 
+def row_counts(bits):
+    """How often each distinct row of a 0/1 array occurs."""
+    _, counts = np.unique(bits, axis=0, return_counts=True)
+    return counts
+
+
 class TestSampleGnp:
     def test_p_zero_and_one(self):
-        assert sim.sample_gnp(6, 0.0, 1).edges == frozenset()
-        assert sim.sample_gnp(6, 1.0, 1) == Graph.complete(6)
-
-    def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            sim.sample_gnp(5, 1.5, 0)
+        rng = np.random.default_rng(1)
+        assert not sim._gnp_edges(6, 0.0, rng, 20).any()
+        full = sim._gnp_edges(6, 1.0, rng, 20)
+        assert full.all()
+        complete = gc.neighbour_masks(Graph.complete(6).adjacency())
+        assert np.array_equal(gc.edge_masks(6, full), np.broadcast_to(
+            complete, (20, 6, 1)))
 
     def test_uniform_over_all_graphs(self):
         # G(4, 1/2) puts equal mass on all 64 labelled graphs
-        counts = {}
-        reps = 6400
-        for seed in range(reps):
-            g = sim.sample_gnp(4, 0.5, seed)
-            key = tuple(sorted(g.edges))
-            counts[key] = counts.get(key, 0) + 1
+        bits = sim._gnp_edges(4, 0.5, np.random.default_rng(0), 6400)
+        counts = row_counts(bits)
         assert len(counts) == 64
-        _, p = chisquare(list(counts.values()))
+        _, p = chisquare(counts)
         assert p > P_VALUE_FLOOR
 
 
 class TestSampleGnm:
     def test_edge_count_exact(self):
-        for seed in range(20):
-            g = sim.sample_gnm(7, 9, seed)
-            assert len(g.edges) == 9
-
-    def test_m_out_of_range(self):
-        with pytest.raises(ValueError):
-            sim.sample_gnm(4, 7, 0)
+        bits = sim._gnm_edges(7, 9, np.random.default_rng(0), 200)
+        assert bits.shape == (200, 21)
+        assert np.all(bits.sum(axis=1) == 9)
 
     def test_uniform_over_edge_sets(self):
         # G(5, 4) is uniform over the C(10,4) = 210 four-edge graphs
-        counts = {}
-        reps = 21000
-        for seed in range(reps):
-            g = sim.sample_gnm(5, 4, seed)
-            key = tuple(sorted(g.edges))
-            counts[key] = counts.get(key, 0) + 1
+        bits = sim._gnm_edges(5, 4, np.random.default_rng(0), 21000)
+        counts = row_counts(bits)
         assert len(counts) == 210
-        _, p = chisquare(list(counts.values()))
+        _, p = chisquare(counts)
         assert p > P_VALUE_FLOOR
 
     def test_batch_model_matches_exact_tail(self):
@@ -69,14 +65,13 @@ class TestSampleGnm:
 
 class TestOrientationParity:
     def test_single_edge_complementary(self):
-        g = Graph.from_edge_list(2, [(0, 1)])
-        for seed in range(30):
-            par = sim.sample_orientation_parity(g, seed)
-            assert par.sum() == 1  # exactly one endpoint has in-degree 1
+        model = sim.OrientationParity(Graph.from_edge_list(2, [(0, 1)]))
+        # exactly one endpoint has in-degree 1
+        assert np.all(model.batch(np.random.default_rng(0), 30) == 1)
 
     def test_empty_graph(self):
-        par = sim.sample_orientation_parity(Graph.empty(5), 0)
-        assert par.tolist() == [0, 0, 0, 0, 0]
+        model = sim.OrientationParity(Graph.empty(5))
+        assert np.all(model.batch(np.random.default_rng(0), 30) == 0)
 
     def test_k4_parity_sum_is_even(self):
         # in-degrees sum to the edge count 6, so the parity sum is even
@@ -106,12 +101,12 @@ class TestOrientationParity:
 
 class TestMartingaleDiff:
     def test_range_constraint_held_surely(self):
-        p_vec = (0.1, 0.5, 0.9, 0.3, 0.7)
-        for kernel in sim.MDS_KERNELS:
-            for seed in range(200):
-                y = sim.sample_martingale_diff(5, p_vec, kernel, seed)
-                assert np.all(y >= -np.array(p_vec) - 1e-12)
-                assert np.all(y <= 1.0 - np.array(p_vec) + 1e-12)
+        p_vec = np.array([0.1, 0.5, 0.9, 0.3, 0.7])
+        for kernel, fn in sim.MDS_KERNELS.items():
+            y = fn(np.random.default_rng(0), 2000, p_vec)
+            assert y.shape == (2000, 5)
+            assert np.all(y >= -p_vec - 1e-12)
+            assert np.all(y <= 1.0 - p_vec + 1e-12)
 
     def test_conditional_mean_zero_statistically(self):
         model = sim.MartingaleDiff(8, (0.3,) * 8, kernel="polya-style")
@@ -124,20 +119,17 @@ class TestMartingaleDiff:
         stats = model.batch(np.random.default_rng(9), 20000)
         assert abs(stats.mean()) < 0.05
 
-    def test_kernel_and_p_validation(self):
-        with pytest.raises(ValueError):
-            sim.sample_martingale_diff(3, (0.5, 0.5, 0.5), "nope", 0)
-        with pytest.raises(ValueError):
-            sim.sample_martingale_diff(3, (0.0, 0.5, 0.5), "polya-style", 0)
-        with pytest.raises(ValueError):
-            sim.sample_martingale_diff(3, (0.5, 0.5), "polya-style", 0)
+
+def ustat(n, d, kernel, **kw):
+    base = "gnp" if kernel == "triangle-indicator" else "uniform"
+    return sim.UStat(n, d, kernel, base, tuple(kw.items()))
 
 
 class TestUStat:
     def test_all_below_c1_is_total_count(self):
-        for seed in range(10):
-            val = sim.sample_ustat(6, 2, "all-below", "uniform", seed, c=1.0)
-            assert val == math.comb(6, 2)
+        stats = ustat(6, 2, "all-below", c=1.0).batch(
+            np.random.default_rng(0), 50)
+        assert np.all(stats == math.comb(6, 2))
 
     def test_all_below_mean(self):
         model = sim.UStat(6, 2, "all-below", "uniform", (("c", 0.5),))
@@ -146,30 +138,68 @@ class TestUStat:
         assert stats.mean() == pytest.approx(want, abs=0.1)
 
     def test_triangle_indicator_matches_graph_count(self):
-        for seed in range(10):
-            val = sim.sample_ustat(
-                6, 3, "triangle-indicator", "gnp", seed, p=0.5
-            )
-            g = sim.sample_gnp(6, 0.5, seed)
-            assert val == count_triangles(g)
+        # the same stream gives the same edge bits; count their triangles
+        # by direct iteration over vertex triples
+        model = ustat(6, 3, "triangle-indicator", p=0.5)
+        for seed in range(5):
+            stats = model.batch(np.random.default_rng(seed), 40)
+            bits = sim._gnp_edges(6, 0.5, np.random.default_rng(seed), 40)
+            index = {pq: i for i, pq in enumerate(combinations(range(6), 2))}
+            want = [
+                sum(
+                    all(row[index[pq]] for pq in combinations(t, 2))
+                    for t in combinations(range(6), 3)
+                )
+                for row in bits
+            ]
+            assert stats.tolist() == want
 
     def test_threshold_sum_extremes(self):
-        assert (
-            sim.sample_ustat(4, 2, "threshold-sum", "uniform", 0, theta=0.0)
+        rng = np.random.default_rng(0)
+        assert np.all(
+            ustat(4, 2, "threshold-sum", theta=0.0).batch(rng, 20)
             == math.comb(4, 2)
         )
-        assert (
-            sim.sample_ustat(4, 2, "threshold-sum", "uniform", 0, theta=5.0)
-            == 0.0
-        )
+        assert np.all(ustat(4, 2, "threshold-sum", theta=5.0).batch(rng, 20) == 0)
 
-    def test_divisibility_and_kernel_errors(self):
+    def test_unknown_kernel_error(self):
         with pytest.raises(ValueError):
-            sim.sample_ustat(7, 2, "all-below", "uniform", 0, c=0.5)
-        with pytest.raises(ValueError):
-            sim.sample_ustat(6, 2, "mystery", "uniform", 0)
-        with pytest.raises(ValueError):
-            sim.sample_ustat(6, 3, "triangle-indicator", "uniform", 0, p=0.5)
+            ustat(6, 2, "mystery").batch(np.random.default_rng(0), 5)
+
+
+# empirical_tail(model, t, 4096, seed=1).dumps() of the models that the
+# graph-mc benchmark workload simulates, pinned so that a change to a
+# sampler or a subgraph kernel cannot move a seeded result unnoticed
+GOLDEN = [
+    (sim.GnpIsolated(30, 0.1), 2.0,
+     "empirical_tail=0.41259765625\nci_low=0.3873444712296998\n"
+     "ci_high=0.43817505299383036\nseed=1\nsum_mean=1.42724609375\n"),
+    (sim.GnpTriangles(30, 0.05), 1.0,
+     "empirical_tail=0.3818359375\nci_low=0.3569717395183092\n"
+     "ci_high=0.40713849366644206\nseed=1\nsum_mean=0.539306640625\n"),
+    (sim.Gnp4Cliques(20, 0.3), 4.0,
+     "empirical_tail=0.38232421875\nci_low=0.3574530309171023\n"
+     "ci_high=0.4076319526598392\nseed=1\nsum_mean=3.597412109375\n"),
+    (sim.GnmIsolated(30, 40), 4.0,
+     "empirical_tail=0.06787109375\nci_low=0.05561972260600448\n"
+     "ci_high=0.08173531124743083\nseed=1\nsum_mean=1.68701171875\n"),
+    (sim.GnmTriangles(20, 40), 15.0,
+     "empirical_tail=0.066650390625\nci_low=0.05450954935008331\n"
+     "ci_high=0.08040880217703342\nseed=1\nsum_mean=10.03955078125\n"),
+    (sim.MartingaleDiff(20, (0.3,) * 20), 0.5,
+     "empirical_tail=0.29150390625\nci_low=0.2684185497006735\n"
+     "ci_high=0.31536308538482166\nseed=1\nsum_mean=0.017160397355979597\n"),
+    (sim.UStat(40, 2, "all-below", "uniform", (("c", 0.5),)), 200.0,
+     "empirical_tail=0.450439453125\nci_low=0.4248472469822182\n"
+     "ci_high=0.476215487241267\nseed=1\nsum_mean=196.55078125\n"),
+]
+
+
+@pytest.mark.parametrize("model,t,tail", GOLDEN,
+                         ids=[type(m).__name__ for m, _, _ in GOLDEN])
+def test_golden_graph_mc_models(model, t, tail):
+    got = sim.empirical_tail(model, t, 4096, seed=1).dumps()
+    assert got == f"replications=4096\nthreshold={t!r}\n" + tail
 
 
 class TestEmpiricalTail:
