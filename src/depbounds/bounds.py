@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .numkernel import (
     NEG_INF,
@@ -24,6 +23,7 @@ from .numkernel import (
     kl_divergence,
     log_binom_coeff,
     log_gen_binom_coeff,
+    logsumexp,
     to_prob,
 )
 
@@ -52,7 +52,6 @@ __all__ = [
     "eps_to_t",
     "t_to_eps",
     "check_n",
-    "optimal_h_cross_check",
 ]
 
 
@@ -620,22 +619,3 @@ def ustat_refined_bound(params: UStatParams, t: float) -> TailBound:
     }
     return TailBound(method, _clamp(log_bound, out), out)
 
-
-# ---------------------------------------------------------------------------
-# numeric cross-check of the closed-form optimizers
-
-
-def optimal_h_cross_check(log_objective, h_lo: float = 1e-9,
-                          h_hi: float = 50.0) -> tuple[float, float]:
-    """Minimize a log-scale objective over h > 0 by bracketed scalar search.
-
-    Guards the closed-form tilts against transcription errors; returns
-    (h_min, objective(h_min)).
-    """
-    from scipy.optimize import minimize_scalar  # test-only; keeps it off the import path
-
-    res = minimize_scalar(
-        log_objective, bounds=(h_lo, h_hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x), float(res.fun)

@@ -19,7 +19,6 @@ from typing import Callable
 
 from . import bounds as bd
 from . import graphcomb as gc
-from . import simulate as sim
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -439,6 +438,8 @@ def _require(args, *names):
 
 
 def _build_model(args):
+    from . import simulate as sim
+
     name = args.model
     if name == "gnp-isolated":
         n, p = _require(args, "n", "p")
@@ -474,6 +475,8 @@ def _build_model(args):
                 _in_range("p-vector", p, 0.0, 1.0)
         elif args.p is not None:
             (p,) = _require(args, "p")
+            # the size depends on n alone: check it before the vector exists
+            _fit_chunk(args, sim.MartingaleDiff(n, ()))
             p_vec = (p,) * n
         else:
             raise UsageError("mds requires --p or --p-vector")
@@ -541,12 +544,36 @@ def _auto_bound(args, t):
     raise UsageError(f"no automatic bound is defined for {name}")
 
 
+# the flag that sizes each model's largest array
+_SIZE_FLAG = {"orientation-parity": "graph", "ustat-triangles": "m"}
+
+
+def _fit_chunk(args, model):
+    """Refuse a model whose batch of one chunk needs an array over the
+    per-chunk limit, before anything is drawn."""
+    from . import simulate as sim
+
+    need = model.batch_bytes(sim.CHUNK_SIZE)
+    if need > sim.CHUNK_BYTES_MAX:
+        raise UsageError(
+            f"--{_SIZE_FLAG.get(args.model, 'n')} is too large: one "
+            f"{sim.CHUNK_SIZE}-replication chunk of {args.model} needs a "
+            f"{need / 2**30:.3g} GiB array, over the "
+            f"{sim.CHUNK_BYTES_MAX / 2**30:g} GiB limit"
+        )
+    return model
+
+
 def cmd_simulate(args) -> int:
+    # simulate (and through its confidence interval scipy) loads only for
+    # this subcommand: bound, compare and verify import neither
+    from . import simulate as sim
+
     if args.reps is None or args.reps < 1:
         raise UsageError("--reps must be a positive integer")
     if args.t is None:
         raise UsageError("--t is required")
-    model = _build_model(args)
+    model = _fit_chunk(args, _build_model(args))
     res = sim.empirical_tail(
         model, args.t, args.reps, args.seed or 0, threads=args.threads or 1
     )

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 NEG_INF = float("-inf")
 
@@ -92,13 +91,71 @@ def kl_divergence(q: float, p: float) -> float:
     return max(value, 0.0)
 
 
+def logsumexp(a, axis=None, b=None):
+    """ln sum(b * exp(a)) over ``axis`` (every entry when None), weights b >= 0.
+
+    Shifts by the finite maximum; the maximal terms are summed apart and the
+    rest enters through log1p, so a sum just above its largest term keeps
+    full relative accuracy.  Terms with a zero weight are dropped, and a
+    slice without a positive term gives -inf.  Where the ratio overflows
+    (a subnormal weight on the largest exponent) the slice is summed
+    directly instead.
+    """
+    a = np.asarray(a, dtype=float)
+    if b is not None:
+        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+        a = np.where(b != 0.0, a, NEG_INF)
+    top = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.exp(a - shift)
+        if b is not None:
+            terms *= b
+        at_top = a == top
+        big = np.sum(np.where(at_top, terms, 0.0), axis=axis, keepdims=True)
+        rest = np.sum(np.where(at_top, 0.0, terms), axis=axis, keepdims=True)
+        out = np.log1p(np.where(rest == 0.0, 0.0, rest / big)) + np.log(big) + shift
+        redo = np.isnan(out) | (out == np.inf)
+        if redo.any():
+            direct = np.exp(a) if b is None else b * np.exp(a)
+            out = np.where(
+                redo, np.log(np.sum(direct, axis=axis, keepdims=True)), out
+            )
+    if axis is None:
+        return out.reshape(())[()]
+    return np.squeeze(out, axis=axis)
+
+
+_LOG_FACTORIALS = np.zeros(1)
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """ln k! = lgamma(k + 1) for k = 0..n, read-only, from one table that
+    grows on demand.
+
+    Each call slices the table it checked or built, so a concurrent call
+    that installs a shorter table costs a recomputation, never a short
+    result.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n >= len(table):
+        have = len(table)
+        more = [math.lgamma(k + 1) for k in range(have, max(n + 1, 2 * have))]
+        table = np.concatenate([table, more])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[: n + 1]
+
+
 def log_binom_coeff(n: int, k: int) -> float:
     """ln C(n,k) via log-gamma; 0 <= k <= n."""
     if k < 0 or n < 0:
         raise ValueError(f"n and k must be nonnegative, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def log_gen_binom_coeff(x: float, k: int) -> float:
@@ -110,7 +167,7 @@ def log_gen_binom_coeff(x: float, k: int) -> float:
         raise ValueError(f"k must be nonnegative, got {k}")
     if x <= k - 1:
         raise ValueError(f"top argument {x} must exceed k-1={k - 1}")
-    return float(gammaln(x + 1) - gammaln(k + 1) - gammaln(x - k + 1))
+    return math.lgamma(x + 1) - math.lgamma(k + 1) - math.lgamma(x - k + 1)
 
 
 def binom_pmf_log(spec: BinomialSpec, j: int) -> float:
@@ -125,10 +182,11 @@ def binom_pmf_log(spec: BinomialSpec, j: int) -> float:
 
 def _binom_pmf_log_vec(n: int, p: float) -> np.ndarray:
     j = np.arange(n + 1)
+    lf = log_factorials(n)
     return (
-        gammaln(n + 1)
-        - gammaln(j + 1)
-        - gammaln(n - j + 1)
+        lf[n]
+        - lf
+        - lf[::-1]
         + j * math.log(p)
         + (n - j) * math.log1p(-p)
     )
@@ -190,10 +248,11 @@ def binomial_median_lb_grid(n: int, ps) -> np.ndarray:
     if not np.all((ps > 0.0) & (ps < 1.0)):
         raise ValueError(f"p must be in (0,1), got {ps}")
     j = np.arange(n + 1)
+    lf = log_factorials(n)
     log_pmf = (
-        gammaln(n + 1)
-        - gammaln(j + 1)
-        - gammaln(n - j + 1)
+        lf[n]
+        - lf
+        - lf[::-1]
         + j * np.log(ps)[:, None]
         + (n - j) * np.log1p(-ps)[:, None]
     )

@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb, logsumexp
 
 from .numkernel import (
     NEG_INF,
     PoissonBinomialSpec,
     _poisson_binom_rows,
+    logsumexp,
     poisson_binom_dist,
 )
 from .bounds import ProductBound, SplitBound, TailBound, _clamp, _invalid
@@ -47,6 +47,7 @@ __all__ = [
     "exact_tail",
     "dephoeff_bound",
     "symmetric_moment",
+    "averaged_binomial_checks",
     "convex_order_check",
     "poisson_trials_check",
     "random_joint_dist",
@@ -270,8 +271,9 @@ class BinomCoeffFamily:
         """f elementwise over an array of points."""
         x = np.asarray(x, dtype=float)
         lo, hi = np.floor(x), np.ceil(x)
-        # comb is 0 below k
-        f_lo, f_hi = comb(lo, self.k), comb(hi, self.k)
+        # exact math.comb, which is 0 below k
+        comb = np.vectorize(lambda j: math.comb(int(j), self.k), otypes=[float])
+        f_lo, f_hi = comb(lo), comb(hi)
         return f_lo + (x - lo) * (f_hi - f_lo)
 
     def log_values(self, zdist: ZDist, t: float):
@@ -329,28 +331,40 @@ def symmetric_moment(dist: JointDist, k: int) -> float:
     return float(dist.ws @ _esp(dist.xs, k))
 
 
-def convex_order_check(ps: PoissonBinomialSpec, h: float) -> bool:
-    """True iff E[exp(h*H(p_1..p_n))] <= E[exp(h*Bin(n, pbar))], exactly."""
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+def averaged_binomial_checks(ps: PoissonBinomialSpec, hs=(), bs=()):
+    """Compare independent trials ps with Bin(n, pbar) at every tilt and
+    every threshold, building each of the two pmfs once.
+
+    Returns two bool arrays: E[exp(h*H(p_1..p_n))] <= E[exp(h*Bin(n, pbar))]
+    for each h in ``hs`` (h > 0), and P[sum B_i >= b] >= P[Bin(n, pbar) >= b]
+    for each b in ``bs`` (0 <= b <= n*pbar).  Exact up to float rounding.
+    """
     n, pbar = ps.n, ps.mean
+    hs = np.asarray(hs, dtype=float)
+    bs = np.asarray(bs, dtype=np.int64)
+    if np.any(hs <= 0.0):
+        raise ValueError(f"h must be positive, got {hs}")
+    if np.any((bs < 0) | (bs > n * pbar + 1e-12)):
+        raise ValueError(f"b={bs} outside [0, n*pbar={n * pbar}]")
     lhs_dist = poisson_binom_dist(ps)
     rhs_dist = poisson_binom_dist(PoissonBinomialSpec((pbar,) * n))
-    j = np.arange(n + 1)
+    tilts = hs[:, None] * np.arange(n + 1)
     # compare in log scale so large h stays finite
-    lhs = logsumexp(h * j, b=lhs_dist)
-    rhs = logsumexp(h * j, b=rhs_dist)
-    return bool(lhs <= rhs + 1e-12)
+    lhs = logsumexp(tilts, axis=1, b=lhs_dist)
+    rhs = logsumexp(tilts, axis=1, b=rhs_dist)
+    lhs_tail = np.cumsum(lhs_dist[::-1])[::-1]
+    rhs_tail = np.cumsum(rhs_dist[::-1])[::-1]
+    return lhs <= rhs + 1e-12, lhs_tail[bs] >= rhs_tail[bs] - 1e-12
+
+
+def convex_order_check(ps: PoissonBinomialSpec, h: float) -> bool:
+    """True iff E[exp(h*H(p_1..p_n))] <= E[exp(h*Bin(n, pbar))], exactly."""
+    return bool(averaged_binomial_checks(ps, hs=(h,))[0][0])
 
 
 def poisson_trials_check(ps: PoissonBinomialSpec, b: int) -> bool:
     """True iff P[sum B_i >= b] >= P[Bin(n, pbar) >= b], for 0 <= b <= n*pbar."""
-    n, pbar = ps.n, ps.mean
-    if b < 0 or b > n * pbar + 1e-12:
-        raise ValueError(f"b={b} outside [0, n*pbar={n * pbar}]")
-    lhs = float(poisson_binom_dist(ps)[b:].sum())
-    rhs = float(poisson_binom_dist(PoissonBinomialSpec((pbar,) * n))[b:].sum())
-    return lhs >= rhs - 1e-12
+    return bool(averaged_binomial_checks(ps, bs=(b,))[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import graphcomb as gc
 
 CHUNK_SIZE = 4096
 CI_LEVEL = 0.999
+# the largest array one CHUNK_SIZE batch may allocate; the CLI refuses
+# models above it before anything is drawn
+CHUNK_BYTES_MAX = 1 << 30
 
 __all__ = [
     "SimResult",
@@ -60,13 +62,20 @@ def _gnp_edges(n, p, rng, size):
 
 
 def _gnm_edges(n, m, rng, size):
-    """(size, C(n,2)) edge bits of uniform graphs with exactly m edges."""
-    e = math.comb(n, 2)
-    order = np.argsort(rng.random((size, e)), axis=1)
-    bits = np.zeros((size, e), dtype=bool)
-    rows = np.repeat(np.arange(size), m)
-    bits[rows, order[:, :m].ravel()] = True
-    return bits
+    """(size, C(n,2)) edge bits of uniform graphs with exactly m edges: the
+    edges holding the m smallest of C(n,2) uniforms (ties have probability
+    zero)."""
+    u = rng.random((size, math.comb(n, 2)))
+    if m == 0:
+        return np.zeros(u.shape, dtype=bool)
+    return u <= np.partition(u, m - 1, axis=1)[:, m - 1 : m]
+
+
+def _edge_bytes(n, size, codegrees=False):
+    """Bytes of the (size, C(n,2)) edge uniforms, or with ``codegrees`` of
+    the (size, C(n,2), ceil(n/64)) codegree masks of the triangle and clique
+    kernels; both hold 8-byte entries."""
+    return 8 * size * math.comb(n, 2) * (-(-n // 64) if codegrees else 1)
 
 
 # -- martingale difference kernels: (size, n) arrays of Y values ------------
@@ -121,6 +130,10 @@ class GnpIsolated:
         bits = _gnp_edges(self.n, self.p, rng, size)
         return gc.isolated_count(gc.edge_masks(self.n, bits)).astype(float)
 
+    def batch_bytes(self, size):
+        """Bytes of the largest array ``batch(rng, size)`` allocates."""
+        return _edge_bytes(self.n, size)
+
 
 @dataclass(frozen=True)
 class GnpTriangles:
@@ -130,6 +143,9 @@ class GnpTriangles:
     def batch(self, rng, size):
         bits = _gnp_edges(self.n, self.p, rng, size)
         return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
+
+    def batch_bytes(self, size):
+        return _edge_bytes(self.n, size, codegrees=True)
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,9 @@ class Gnp4Cliques:
         bits = _gnp_edges(self.n, self.p, rng, size)
         return gc.clique4_count(gc.edge_masks(self.n, bits))[0].astype(float)
 
+    def batch_bytes(self, size):
+        return _edge_bytes(self.n, size, codegrees=True)
+
 
 @dataclass(frozen=True)
 class GnmIsolated:
@@ -151,6 +170,9 @@ class GnmIsolated:
         bits = _gnm_edges(self.n, self.m, rng, size)
         return gc.isolated_count(gc.edge_masks(self.n, bits)).astype(float)
 
+    def batch_bytes(self, size):
+        return _edge_bytes(self.n, size)
+
 
 @dataclass(frozen=True)
 class GnmTriangles:
@@ -160,6 +182,9 @@ class GnmTriangles:
     def batch(self, rng, size):
         bits = _gnm_edges(self.n, self.m, rng, size)
         return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
+
+    def batch_bytes(self, size):
+        return _edge_bytes(self.n, size, codegrees=True)
 
 
 @dataclass(frozen=True)
@@ -177,6 +202,9 @@ class OrientationParity:
             indeg[:, u] += flips[:, j]
         return (indeg % 2).sum(axis=1).astype(float)
 
+    def batch_bytes(self, size):
+        return 8 * size * max(len(self.graph.edges), self.graph.n)
+
 
 @dataclass(frozen=True)
 class DegreeParity:
@@ -188,6 +216,9 @@ class DegreeParity:
         masks = gc.edge_masks(self.n, _gnp_edges(self.n, 0.5, rng, size))
         degree = np.bitwise_count(masks).sum(axis=-1)
         return (degree % 2).sum(axis=1).astype(float)
+
+    def batch_bytes(self, size):
+        return _edge_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -201,6 +232,9 @@ class MartingaleDiff:
     def batch(self, rng, size):
         p_vec = np.asarray(self.p_vector, dtype=float)
         return MDS_KERNELS[self.kernel](rng, size, p_vec).sum(axis=1)
+
+    def batch_bytes(self, size):
+        return 8 * size * self.n
 
 
 @dataclass(frozen=True)
@@ -235,6 +269,14 @@ class UStat:
             )
         raise ValueError(f"unknown U-statistic kernel {self.kernel!r}")
 
+    def batch_bytes(self, size):
+        if self.kernel == "triangle-indicator":
+            return _edge_bytes(self.n, size, codegrees=True)
+        # the kernel's entries gathered at every d-subset: bool or float
+        entry = 1 if self.kernel == "all-below" else 8
+        return max(8 * size * self.n,
+                   entry * size * self.d * math.comb(self.n, self.d))
+
 
 # ---------------------------------------------------------------------------
 # empirical tail estimation
@@ -265,6 +307,9 @@ class SimResult:
 
 def exact_binomial_ci(successes: int, trials: int, level: float = CI_LEVEL):
     """Two-sided Clopper-Pearson interval; no normal approximation."""
+    # the one scipy function of the package, imported on first use
+    from scipy.special import betaincinv
+
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
     alpha = 1.0 - level

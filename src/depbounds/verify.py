@@ -365,12 +365,11 @@ def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12, **_):
     for _i in range(trials):
         n = int(rng.integers(2, n_max + 1))
         ps = PoissonBinomialSpec(tuple(rng.random(n)))
-        for h in (0.1, 1.0, 3.0):
-            if not oc.convex_order_check(ps, h):
-                cc_fail += 1
-        for b in range(0, math.floor(ps.n * ps.mean) + 1):
-            if not oc.poisson_trials_check(ps, b):
-                pt_fail += 1
+        exp_ok, tail_ok = oc.averaged_binomial_checks(
+            ps, hs=(0.1, 1.0, 3.0), bs=range(math.floor(ps.n * ps.mean) + 1)
+        )
+        cc_fail += int((~exp_ok).sum())
+        pt_fail += int((~tail_ok).sum())
     records.append(
         ("convex-order/exp-moments", cc_fail == 0,
          f"{trials} vectors x 3 tilts, {cc_fail} failures")

@@ -11,6 +11,8 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -320,6 +322,11 @@ class TestSimulate:
         ("orientation-parity --graph no-such-file.txt", "--graph"),
         ("mds --n 3 --p-vector 0.2,0.3", "--p-vector"),
         ("mds --n 5 --p 0.3 --kernel nope", "--kernel"),
+        # one 4096-replication chunk would need a 137 GiB / 987 GiB array
+        ("gnp-isolated --n 3000 --p 0.1", "--n"),
+        ("ustat --n 200 --d 4 --c 0.5", "--n"),
+        ("ustat-triangles --m 3000 --p 0.5", "--m"),
+        ("mds --n 100000000 --p 0.3", "--n"),
     ])
     def test_bad_model_parameters_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run_cli(
@@ -328,6 +335,31 @@ class TestSimulate:
         assert code == 64
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("argv", [
+        "gnp-isolated --n 3000 --p 0.1",
+        "ustat --n 200 --d 4 --c 0.5",
+        "mds --n 100000000 --p 0.3",
+    ])
+    def test_oversized_models_stop_before_sampling(self, capsys, monkeypatch,
+                                                   argv):
+        from depbounds import simulate as sim
+
+        def sampled(*args, **kwargs):
+            raise AssertionError("the sampler was reached")
+
+        monkeypatch.setattr(sim, "empirical_tail", sampled)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "simulate", *argv.split(), "--t", "1", "--reps", "10"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 64 and out == ""
+        assert "GiB limit" in err
+        assert peak < 16 << 20
 
     def test_unknown_mds_kernel_lists_kernels(self, capsys):
         from depbounds.simulate import MDS_KERNELS
@@ -503,19 +535,63 @@ class TestInputGuard:
         assert self.exit_code(argv) in (0, 64)
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports the package from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
+SCIPY_MODULES = (
+    "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+)
+
+
 class TestSurface:
     def test_import_skips_scipy_stats_and_optimize(self):
-        code = (
+        # no scipy module at all, and no depbounds module the CLI does not
+        # need before it parses a command
+        proc = run_python(
             "import sys, depbounds.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.optimize'))))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            f"print({SCIPY_MODULES}); "
+            "print('depbounds.simulate' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "False"]
+
+    def test_only_simulate_loads_scipy(self):
+        """bound, compare and verify run in-process without loading any
+        scipy module; simulate loads scipy.special for its interval."""
+        proc = run_python(textwrap.dedent(f"""
+            import contextlib, io, sys
+            from depbounds.cli import main
+            runs = [
+                ["bound", "hoeffding", "--n", "100", "--p", "0.3", "--t", "40"],
+                ["bound", "mcdiarmid-refined", "--n", "50", "--p", "0.2",
+                 "--t", "0.3"],
+                ["compare", "--methods", "hoeffding,mcdiarmid,ik,ustat",
+                 "--n", "20", "--p", "0.3", "--gamma", "0.3", "--d", "2",
+                 "--t", "10,12"],
+                ["verify", "identities"],
+                ["simulate", "gnp-isolated", "--n", "10", "--p", "0.2",
+                 "--t", "3", "--reps", "100", "--format", "json-lines"],
+            ]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = main(argv)
+                print(argv[0], code, {SCIPY_MODULES})
+            print(out.getvalue(), end="")
+        """))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:4] == ["bound 0 []", "bound 0 []", "compare 0 []",
+                             "verify 0 []"]
+        assert lines[4].startswith("simulate 0 [") and "'scipy.special'" in lines[4]
+        rec = json.loads(lines[5])
+        assert 0.0 <= rec["ci_low"] <= rec["empirical_tail"] <= rec["ci_high"] <= 1.0
+        assert rec["ci_low"] < rec["ci_high"]
 
     def test_readme_lists_every_method_and_model(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,6 +325,16 @@ class TestDephoeff:
             num = math.fsum(p * math.comb(i, k) for i, p in enumerate(probs))
             assert val == pytest.approx(math.log(num / f_t), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 12])
+    def test_binom_coeff_family_matches_scipy_comb(self, k):
+        x = np.linspace(0.0, 30.0, 241)
+        lo, hi = np.floor(x), np.ceil(x)
+        f_lo, f_hi = scipy.special.comb(lo, k), scipy.special.comb(hi, k)
+        np.testing.assert_allclose(
+            oc.BinomCoeffFamily(k)._f(x), f_lo + (x - lo) * (f_hi - f_lo),
+            rtol=1e-14, atol=0.0,
+        )
+
     def test_t_below_mean_invalid(self):
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
         tb = oc.dephoeff_bound(zd, 4.0, oc.ExponentialFamily(np.array([1.0])))
@@ -400,6 +411,42 @@ class TestHoeffding1956Checks:
         assert oc.convex_order_check(spec, h)
         for b in range(0, math.floor(spec.n * spec.mean) + 1):
             assert oc.poisson_trials_check(spec, b)
+
+    @given(
+        ps=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=14),
+        hs=st.lists(st.floats(min_value=1e-3, max_value=50.0), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_per_check_reference(self, ps, hs):
+        """One call over every tilt and threshold gives the verdicts of
+        the pmf-per-check computation it replaced."""
+        spec = PoissonBinomialSpec(tuple(ps))
+        n, pbar = spec.n, spec.mean
+        bs = range(math.floor(n * pbar) + 1)
+        exp_ok, tail_ok = oc.averaged_binomial_checks(spec, hs, bs)
+        lhs = poisson_binom_dist(spec)
+        rhs = poisson_binom_dist(PoissonBinomialSpec((pbar,) * n))
+        j = np.arange(n + 1)
+        with np.errstate(over="ignore"):
+            want_exp = [
+                scipy.special.logsumexp(h * j, b=lhs)
+                <= scipy.special.logsumexp(h * j, b=rhs) + 1e-12
+                for h in hs
+            ]
+        want_tail = [lhs[b:].sum() >= rhs[b:].sum() - 1e-12 for b in bs]
+        assert exp_ok.tolist() == want_exp
+        assert tail_ok.tolist() == want_tail
+        for h, ok in zip(hs, exp_ok):
+            assert oc.convex_order_check(spec, h) == ok
+
+    def test_batch_domain(self):
+        spec = PoissonBinomialSpec((0.2, 0.2))
+        with pytest.raises(ValueError):
+            oc.averaged_binomial_checks(spec, hs=(1.0, 0.0))
+        with pytest.raises(ValueError):
+            oc.averaged_binomial_checks(spec, bs=(0, 1))
+        exp_ok, tail_ok = oc.averaged_binomial_checks(spec)
+        assert exp_ok.shape == tail_ok.shape == (0,)
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """Monte Carlo samplers: exactness, uniformity, and the determinism contract."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +45,16 @@ class TestSampleGnm:
         bits = sim._gnm_edges(7, 9, np.random.default_rng(0), 200)
         assert bits.shape == (200, 21)
         assert np.all(bits.sum(axis=1) == 9)
+
+    @pytest.mark.parametrize("n,m", [(30, 40), (20, 40), (5, 10), (4, 1),
+                                     (30, 435), (6, 0)])
+    def test_same_bits_as_a_full_sort(self, n, m):
+        # the edges at the m smallest uniforms, as the argsort sampler chose
+        got = sim._gnm_edges(n, m, np.random.default_rng(5), 300)
+        u = np.random.default_rng(5).random((300, math.comb(n, 2)))
+        want = np.zeros(u.shape, dtype=bool)
+        np.put_along_axis(want, np.argsort(u, axis=1)[:, :m], True, axis=1)
+        assert np.array_equal(got, want)
 
     def test_uniform_over_edge_sets(self):
         # G(5, 4) is uniform over the C(10,4) = 210 four-edge graphs
@@ -200,6 +211,46 @@ GOLDEN = [
 def test_golden_graph_mc_models(model, t, tail):
     got = sim.empirical_tail(model, t, 4096, seed=1).dumps()
     assert got == f"replications=4096\nthreshold={t!r}\n" + tail
+
+
+class TestBatchBytes:
+    MODELS = [
+        sim.GnpIsolated(30, 0.1),
+        sim.GnpTriangles(30, 0.05),
+        sim.Gnp4Cliques(20, 0.3),
+        sim.GnmIsolated(30, 40),
+        sim.GnmTriangles(70, 400),
+        sim.DegreeParity(12),
+        sim.OrientationParity(Graph.complete(8)),
+        sim.MartingaleDiff(20, (0.3,) * 20),
+        sim.UStat(12, 3, "all-below", "uniform", (("c", 0.5),)),
+        sim.UStat(10, 2, "threshold-sum", "uniform", (("theta", 1.2),)),
+        sim.UStat(9, 3, "triangle-indicator", "gnp", (("p", 0.4),)),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_bounds_the_batch_peak(self, model):
+        """batch_bytes names an array the batch really allocates, and the
+        batch's peak traced memory stays within a small multiple of it."""
+        size = 512
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            model.batch(rng, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        need = model.batch_bytes(size)
+        assert need <= peak <= 4 * need + (1 << 20)
+
+    def test_chunk_sizes_of_oversized_models(self):
+        assert sim.GnpIsolated(3000, 0.1).batch_bytes(sim.CHUNK_SIZE) == (
+            8 * sim.CHUNK_SIZE * math.comb(3000, 2))
+        assert sim.GnmTriangles(100, 10).batch_bytes(1) == 8 * math.comb(100, 2) * 2
+        assert sim.UStat(200, 4, "all-below", "uniform", (("c", 0.5),)).batch_bytes(
+            sim.CHUNK_SIZE) == sim.CHUNK_SIZE * 4 * math.comb(200, 4)
+        for model in self.MODELS:
+            assert model.batch_bytes(sim.CHUNK_SIZE) <= sim.CHUNK_BYTES_MAX
 
 
 class TestEmpiricalTail:
