@@ -12,16 +12,17 @@ _EXPORTS = {
     "bounds": (
         "DependencyGraphParams", "MeanOnly", "ProductBound", "SplitBound",
         "SymmetricMoments", "TailBound", "UStatParams", "bincoupling_bound",
-        "depgraph_bound", "eps_to_t", "expfunct_bound", "hoeffding_bound",
-        "ik_bound", "kwise_bernoulli_bound", "kwise_bound",
+        "depgraph_bound", "eps_to_t", "expfunct_bound", "gnm_isolated_bound",
+        "gnm_triangles_bound", "hoeffding_bound", "ik_bound",
+        "kwise_bernoulli_bound", "kwise_bound",
         "linial_lower_bound", "linial_luria_bound", "mcdiarmid_bound",
         "mcdiarmid_refined_bound", "sss_bound", "t_to_eps", "ustat_bound",
         "ustat_refined_bound",
     ),
     "graphcomb": (
-        "Graph", "clique4_union_triangles", "gnm_isolated_bound",
-        "gnm_isolated_exact_tail", "gnm_triangles_bound", "gnp_constants",
-        "gnp_count", "independence_number", "triangle_union_edges",
+        "Graph", "clique4_union_triangles", "gnm_isolated_exact_tail",
+        "gnp_constants", "gnp_count", "independence_number",
+        "triangle_union_edges",
     ),
     "numkernel": (
         "BinomialSpec", "PoissonBinomialSpec", "binom_tail_log",

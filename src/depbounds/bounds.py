@@ -6,14 +6,16 @@ is per-variable, as in their statements) and returns a :class:`TailBound`
 carrying the log-scale value, the optimizer parameters actually used and
 a structured validity verdict.  Hypothesis violations are never warnings:
 they produce ``Invalid`` with the violated clause named, and no value.
+
+Only the two refined evaluators sum arrays; they import numpy where they
+build them, so every other evaluator runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from fractions import Fraction
 
 from .numkernel import (
     NEG_INF,
@@ -49,6 +51,8 @@ __all__ = [
     "depgraph_bound",
     "ustat_bound",
     "ustat_refined_bound",
+    "gnm_isolated_bound",
+    "gnm_triangles_bound",
     "eps_to_t",
     "t_to_eps",
     "check_n",
@@ -433,6 +437,8 @@ def mcdiarmid_refined_bound(n: int, p: float, t: float) -> TailBound:
         return _invalid(method, "t too small: h <= 1")
     h = math.log((t + p) * (1.0 - p)) - math.log(p * (1.0 - p - t))
     missing = (1.0 + h) / math.exp(h)
+    import numpy as np
+
     pmf = _binom_pmf_log_vec(n, p)
     j = np.arange(n + 1)
     # H_m - T telescopes to the upper part of the tilted sum, so no
@@ -595,6 +601,8 @@ def ustat_refined_bound(params: UStatParams, t: float) -> TailBound:
     h = h_nd / n_d
     missing = (h_nd + 1.0) / math.exp(h_nd)
     y = k * n_d * (p + t)
+    import numpy as np
+
     pmf = _binom_pmf_log_vec(k, p)
     j = np.arange(k + 1)
     foolproof = math.exp(-2.0 * k * t * t)
@@ -619,3 +627,79 @@ def ustat_refined_bound(params: UStatParams, t: float) -> TailBound:
     }
     return TailBound(method, _clamp(log_bound, out), out)
 
+
+# ---------------------------------------------------------------------------
+# exact G(n,m) bounds
+
+
+def _log_fraction(frac: Fraction) -> float:
+    if frac == 0:
+        return NEG_INF
+    return math.log(frac.numerator) - math.log(frac.denominator)
+
+
+def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
+    """Tail bound on the number of isolated vertices in G(n,m).
+
+    min over 0<k<t of C(n,k) C(C(n-k,2), m) / (C(t,k) C(C(n,2), m)),
+    evaluated in exact rational arithmetic.
+    """
+    method = "gnm-isolated"
+    if bad := check_n(method, n, t):
+        return bad
+    if not 1 <= t <= n:
+        return _invalid(method, "t outside [1, n]")
+    if m > math.comb(n, 2) or m < 0:
+        return _invalid(method, "m outside [0, C(n,2)]")
+    if t == 1:
+        return _invalid(method, "t too small: empty minimization range")
+    denom_graphs = math.comb(math.comb(n, 2), m)
+    best, best_k = None, None
+    for k in range(1, t):
+        pairs_left = math.comb(n - k, 2)
+        if pairs_left < m:
+            term = Fraction(0)
+        else:
+            term = Fraction(
+                math.comb(n, k) * math.comb(pairs_left, m),
+                math.comb(t, k) * denom_graphs,
+            )
+        if best is None or term < best:
+            best, best_k = term, k
+    params = {"k": best_k}
+    return TailBound(method, _clamp(_log_fraction(best), params), params)
+
+
+def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
+    """Tail bound on the number of triangles in G(n,m).
+
+    min over 0<k<t of
+    C(C(n,3),k) C(C(n,2)-floor(3k/(n-2)), m-floor(3k/(n-2)))
+      / (C(t,k) C(C(n,2), m)),
+    exact rational arithmetic, floor exactly as displayed.
+    """
+    method = "gnm-triangles"
+    if bad := check_n(method, n, t):
+        return bad
+    n3 = math.comb(n, 3)
+    if not 2 <= t <= n3:
+        return _invalid(method, "t outside {2,...,C(n,3)}")
+    if m > math.comb(n, 2) or m < 0:
+        return _invalid(method, "m outside [0, C(n,2)]")
+    n2 = math.comb(n, 2)
+    denom_graphs = math.comb(n2, m)
+    best, best_k = None, None
+    for k in range(1, t):
+        forced = (3 * k) // (n - 2)
+        if m < forced:
+            # no m-edge graph contains the forced edges
+            term = Fraction(0)
+        else:
+            term = Fraction(
+                math.comb(n3, k) * math.comb(n2 - forced, m - forced),
+                math.comb(t, k) * denom_graphs,
+            )
+        if best is None or term < best:
+            best, best_k = term, k
+    params = {"k": best_k}
+    return TailBound(method, _clamp(_log_fraction(best), params), params)

@@ -17,9 +17,10 @@ from functools import partial
 from itertools import product
 from typing import Callable
 
+# bound and compare need only bounds, which loads numpy for the two refined
+# methods alone; verify, graphcomb and simulate (and with them numpy and
+# scipy) are imported by the subcommands that use them
 from . import bounds as bd
-from . import graphcomb as gc
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -189,11 +190,11 @@ METHODS = {
                             count=lambda a: math.comb(a["n"], a["d"])),
     "gnm-isolated": Method(
         (_N, _M), "int", None,
-        lambda a: partial(gc.gnm_isolated_bound, a["n"], a["m"]),
+        lambda a: partial(bd.gnm_isolated_bound, a["n"], a["m"]),
         provenance="grid-minimized"),
     "gnm-triangles": Method(
         (_N, _M), "int", None,
-        lambda a: partial(gc.gnm_triangles_bound, a["n"], a["m"]),
+        lambda a: partial(bd.gnm_triangles_bound, a["n"], a["m"]),
         provenance="grid-minimized"),
 }
 
@@ -355,15 +356,19 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # verify subcommand
 
+# the keys of verify.SUITES, named here so that parsing imports no suite
+VERIFY_SUITES = ("convex-order", "identities", "lemmas", "sandwich", "soundness")
+
 _SOUNDNESS_SUITES = {"soundness", "sandwich"}
 
 # the --n-max range of each suite that reads it: Bernoulli laws are drawn
 # with 3..n-max variables (full support only up to 12), convex-order
-# vectors with 2..n-max trials, and lemmas enumerates all 2^C(n,2) graphs
+# vectors with 2..n-max trials (the Poisson-binomial DP is quadratic in n,
+# so the range stops at 10 000), and lemmas enumerates all 2^C(n,2) graphs
 _VERIFY_N_MAX = {
     "soundness": (3, 12),
     "sandwich": (3, 12),
-    "convex-order": (2, math.inf),
+    "convex-order": (2, 10_000),
     "lemmas": (3, 7),
 }
 
@@ -378,6 +383,9 @@ def cmd_verify(args) -> int:
         kwargs[key] = _in_range("trials", args.trials, 1)
     if args.seed is not None:
         kwargs["seed"] = args.seed
+    # after the flag checks, so that a usage error loads no suite or numpy
+    from .verify import run_suite
+
     results = run_suite(args.suite, **kwargs)
     if args.format == "table":
         for name, passed, detail in results:
@@ -438,6 +446,7 @@ def _require(args, *names):
 
 
 def _build_model(args):
+    from . import graphcomb as gc
     from . import simulate as sim
 
     name = args.model
@@ -509,6 +518,8 @@ def _build_model(args):
 
 def _auto_bound(args, t):
     """The matching analytic bound for a simulation model, or None."""
+    from . import graphcomb as gc
+
     name = args.model
     if name in ("gnp-isolated", "gnp-triangles", "gnp-4cliques", "ustat-triangles"):
         kind = {
@@ -565,8 +576,6 @@ def _fit_chunk(args, model):
 
 
 def cmd_simulate(args) -> int:
-    # simulate (and through its confidence interval scipy) loads only for
-    # this subcommand: bound, compare and verify import neither
     from . import simulate as sim
 
     if args.reps is None or args.reps < 1:
@@ -675,7 +684,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)

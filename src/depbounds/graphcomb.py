@@ -1,6 +1,7 @@
 """Combinatorial lemmas and derived constants for the random-graph bounds:
 triangle/4-clique edge-union lower bounds, exact independence number, the
-moment rates for G(n,p) counting problems and the exact G(n,m) bounds.
+moment rates for G(n,p) counting problems and the exact G(n,m) isolated-
+vertex tail.  The G(n,m) bounds are in :mod:`depbounds.bounds`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import TailBound, _clamp, _invalid, check_n
-from .numkernel import NEG_INF
+# re-exported for callers that reach the G(n,m) bounds through this module
+from .bounds import gnm_isolated_bound, gnm_triangles_bound
 
 MAX_EXACT_MIS_N = 30
 
@@ -310,79 +311,6 @@ def gnp_count(kind: str, n: int) -> int:
     if kind == "cliques4":
         return math.comb(n, 4)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def _log_fraction(frac: Fraction) -> float:
-    if frac == 0:
-        return NEG_INF
-    return math.log(frac.numerator) - math.log(frac.denominator)
-
-
-def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
-    """Tail bound on the number of isolated vertices in G(n,m).
-
-    min over 0<k<t of C(n,k) C(C(n-k,2), m) / (C(t,k) C(C(n,2), m)),
-    evaluated in exact rational arithmetic.
-    """
-    method = "gnm-isolated"
-    if bad := check_n(method, n, t):
-        return bad
-    if not 1 <= t <= n:
-        return _invalid(method, "t outside [1, n]")
-    if m > math.comb(n, 2) or m < 0:
-        return _invalid(method, "m outside [0, C(n,2)]")
-    if t == 1:
-        return _invalid(method, "t too small: empty minimization range")
-    denom_graphs = math.comb(math.comb(n, 2), m)
-    best, best_k = None, None
-    for k in range(1, t):
-        pairs_left = math.comb(n - k, 2)
-        if pairs_left < m:
-            term = Fraction(0)
-        else:
-            term = Fraction(
-                math.comb(n, k) * math.comb(pairs_left, m),
-                math.comb(t, k) * denom_graphs,
-            )
-        if best is None or term < best:
-            best, best_k = term, k
-    params = {"k": best_k}
-    return TailBound(method, _clamp(_log_fraction(best), params), params)
-
-
-def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
-    """Tail bound on the number of triangles in G(n,m).
-
-    min over 0<k<t of
-    C(C(n,3),k) C(C(n,2)-floor(3k/(n-2)), m-floor(3k/(n-2)))
-      / (C(t,k) C(C(n,2), m)),
-    exact rational arithmetic, floor exactly as displayed.
-    """
-    method = "gnm-triangles"
-    if bad := check_n(method, n, t):
-        return bad
-    n3 = math.comb(n, 3)
-    if not 2 <= t <= n3:
-        return _invalid(method, "t outside {2,...,C(n,3)}")
-    if m > math.comb(n, 2) or m < 0:
-        return _invalid(method, "m outside [0, C(n,2)]")
-    n2 = math.comb(n, 2)
-    denom_graphs = math.comb(n2, m)
-    best, best_k = None, None
-    for k in range(1, t):
-        forced = (3 * k) // (n - 2)
-        if m < forced:
-            # no m-edge graph contains the forced edges
-            term = Fraction(0)
-        else:
-            term = Fraction(
-                math.comb(n3, k) * math.comb(n2 - forced, m - forced),
-                math.comb(t, k) * denom_graphs,
-            )
-        if best is None or term < best:
-            best, best_k = term, k
-    params = {"k": best_k}
-    return TailBound(method, _clamp(_log_fraction(best), params), params)
 
 
 def _graphs_no_isolated(r: int, m: int) -> int:

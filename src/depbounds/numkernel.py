@@ -3,14 +3,20 @@
 Everything probability-valued in this package lives on the natural-log
 scale: a "log-prob" is a float <= 0, with ``-inf`` standing for probability
 zero.  Conversion back to linear scale clamps into [0, 1].
+
+The scalar primitives use only :mod:`math`; the array kernels import numpy
+in their own bodies, so the closed-form evaluators that use this module
+never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NEG_INF = float("-inf")
 
@@ -101,6 +107,8 @@ def logsumexp(a, axis=None, b=None):
     (a subnormal weight on the largest exponent) the slice is summed
     directly instead.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     if b is not None:
         a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
@@ -126,8 +134,8 @@ def logsumexp(a, axis=None, b=None):
     return np.squeeze(out, axis=axis)
 
 
-_LOG_FACTORIALS = np.zeros(1)
-_LOG_FACTORIALS.flags.writeable = False
+# read-only numpy array from the first call on
+_LOG_FACTORIALS = ()
 
 
 def log_factorials(n: int) -> np.ndarray:
@@ -139,6 +147,8 @@ def log_factorials(n: int) -> np.ndarray:
     result.
     """
     global _LOG_FACTORIALS
+    import numpy as np
+
     table = _LOG_FACTORIALS
     if n >= len(table):
         have = len(table)
@@ -181,6 +191,8 @@ def binom_pmf_log(spec: BinomialSpec, j: int) -> float:
 
 
 def _binom_pmf_log_vec(n: int, p: float) -> np.ndarray:
+    import numpy as np
+
     j = np.arange(n + 1)
     lf = log_factorials(n)
     return (
@@ -213,6 +225,8 @@ def poisson_binom_dist(spec: PoissonBinomialSpec) -> np.ndarray:
     computation in the package (log-space convolution buys nothing at
     these sizes).
     """
+    import numpy as np
+
     return _poisson_binom_rows(np.array([spec.ps]))[0]
 
 
@@ -221,6 +235,8 @@ def _poisson_binom_rows(ps: np.ndarray) -> np.ndarray:
 
     One DP step per trial, vectorized over the rows.
     """
+    import numpy as np
+
     probs = np.ones((ps.shape[0], 1))
     for i in range(ps.shape[1]):
         p = ps[:, i : i + 1]
@@ -242,6 +258,8 @@ def binomial_median_lb_grid(n: int, ps) -> np.ndarray:
     Row r holds ln P[Bin(n, ps[r]) = j] for every j; the upper tail from
     j0 = ceil(np - 1) is one log-sum-exp per row, never 1 - cdf.
     """
+    import numpy as np
+
     ps = np.asarray(ps, dtype=float)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -227,7 +227,9 @@ class TestVerify:
         ("soundness --trials -1", "--trials", ">= 1"),
         ("sandwich --n-max 13 --trials 1", "--n-max", "[3, 12]"),
         ("sandwich --trials 0", "--trials", ">= 1"),
-        ("convex-order --n-max 1 --trials 2", "--n-max", ">= 2"),
+        ("convex-order --n-max 1 --trials 2", "--n-max", "[2, 10000]"),
+        ("convex-order --n-max 20001 --trials 1", "--n-max", "[2, 10000]"),
+        (f"convex-order --n-max {10**30} --trials 1", "--n-max", "[2, 10000]"),
         ("lemmas --n-max 9", "--n-max", "[3, 7]"),
         ("lemmas --n-max 2", "--n-max", "[3, 7]"),
         ("lemmas --trials 0", "--trials", ">= 1"),
@@ -547,19 +549,91 @@ def run_python(code):
 SCIPY_MODULES = (
     "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 )
+NUMPY_LOADED = "any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules)"
+
+# flags and a threshold at which each method but the two refined ones gives
+# a Valid bound
+CLOSED_FORM_ARGV = {
+    "hoeffding": "--n 100 --p 0.3 --t 40",
+    "ik": "--n 100 --gamma 0.3 --eps 0.5",
+    "linial-luria": "--n 20 --beta-n 10 --k 3 --gamma 0.3",
+    "expfunct": "--n 20 --gamma 0.3 --delta 0.8 --t 12",
+    "bincoupling": "--n 100 --p 0.3 --t 40",
+    "mcdiarmid": "--n 100 --p 0.3 --t 0.1",
+    "kwise": "--n 100 --k 10 --p 0.3 --eps 0.5",
+    "kwise-bernoulli": "--n 100 --k 10 --p 0.3 --eps 0.5",
+    "sss": "--n 100 --k 30 --p 0.3 --eps 0.5",
+    "depgraph": "--n 100 --alpha 10 --t 80",
+    "ustat": "--n 20 --d 2 --p 0.3 --t 0.2",
+    "gnm-isolated": "--n 20 --m 20 --t 3",
+    "gnm-triangles": "--n 6 --m 9 --t 3",
+}
 
 
 class TestSurface:
     def test_import_skips_scipy_stats_and_optimize(self):
-        # no scipy module at all, and no depbounds module the CLI does not
-        # need before it parses a command
+        # no scipy or numpy module at all, and no depbounds module the CLI
+        # does not need before it parses a command
         proc = run_python(
             "import sys, depbounds.cli; "
             f"print({SCIPY_MODULES}); "
-            "print('depbounds.simulate' in sys.modules)"
+            f"print({NUMPY_LOADED}); "
+            "print([m for m in ('depbounds.verify', 'depbounds.graphcomb', "
+            "'depbounds.simulate', 'depbounds.oracle') if m in sys.modules])"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[]", "False"]
+        assert proc.stdout.split() == ["[]", "False", "[]"]
+
+    def test_closed_forms_load_no_numpy(self):
+        """bound and compare of every method but the two refined ones, and
+        usage errors, run in-process without loading numpy; the refined
+        methods, verify and simulate load it afterwards."""
+        assert set(CLOSED_FORM_ARGV) == set(METHODS) - {
+            "mcdiarmid-refined", "ustat-refined"}
+        closed = [["bound", m, *flags.split()]
+                  for m, flags in CLOSED_FORM_ARGV.items()]
+        runs = closed + [
+            ["compare", "--methods",
+             "hoeffding,mcdiarmid,bincoupling,ik,expfunct,depgraph",
+             "--n", "20", "--p", "0.3", "--gamma", "0.3", "--delta", "0.8",
+             "--alpha", "10", "--t", "10,12"],
+            ["bound", "no-such-method", "--t", "1"],
+            ["bound", "hoeffding", "--n", "100", "--t", "40"],
+            ["verify", "convex-order", "--n-max", "20001"],
+            ["bound", "mcdiarmid-refined", "--n", "50", "--p", "0.2",
+             "--t", "0.3"],
+            ["verify", "identities"],
+            ["simulate", "gnp-isolated", "--n", "10", "--p", "0.2",
+             "--t", "3", "--reps", "100"],
+        ]
+        proc = run_python(textwrap.dedent(f"""
+            import contextlib, io, sys
+            from depbounds.cli import main
+            for argv in {runs!r}:
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                print(code, {NUMPY_LOADED})
+        """))
+        assert proc.returncode == 0, proc.stderr
+        got = [line.split() for line in proc.stdout.splitlines()]
+        assert got == ([["0", "False"]] * (len(closed) + 1)
+                       + [["64", "False"]] * 3 + [["0", "True"]] * 3)
+
+    def test_suite_names_and_gnm_bounds_have_one_source(self):
+        import argparse
+
+        import depbounds
+        from depbounds import cli, graphcomb, verify
+
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions
+                     if a.dest == "suite")
+        assert set(suite.choices) == set(verify.SUITES)
+        for name in ("gnm_isolated_bound", "gnm_triangles_bound"):
+            assert getattr(graphcomb, name) is getattr(bd, name)
+            assert getattr(depbounds, name) is getattr(bd, name)
 
     def test_only_simulate_loads_scipy(self):
         """bound, compare and verify run in-process without loading any
