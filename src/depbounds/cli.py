@@ -503,6 +503,15 @@ def _build_model(args):
         if kernel == "all-below":
             (c,) = _require(args, "c")
             kernel_args = (("c", c),)
+            # the sampler indexes a float table of C(b, d), b <= n; the
+            # size check first keeps n small enough for math.comb
+            _fit_chunk(args, sim.UStat(n, d))
+            try:
+                float(math.comb(n, d))
+            except OverflowError:
+                raise UsageError(
+                    f"--d is too large: C({n}, {d}) is beyond the float range"
+                ) from None
         elif kernel == "threshold-sum":
             (theta,) = _require(args, "theta")
             kernel_args = (("theta", theta),)
@@ -566,11 +575,13 @@ def _fit_chunk(args, model):
 
     need = model.batch_bytes(sim.CHUNK_SIZE)
     if need > sim.CHUNK_BYTES_MAX:
+        # a byte count over C(n, d) tuples can be beyond the float range
+        array = (f"a {need / 2**30:.3g} GiB array" if need.bit_length() < 1000
+                 else f"an array of over 2^{need.bit_length() - 31} GiB")
         raise UsageError(
             f"--{_SIZE_FLAG.get(args.model, 'n')} is too large: one "
-            f"{sim.CHUNK_SIZE}-replication chunk of {args.model} needs a "
-            f"{need / 2**30:.3g} GiB array, over the "
-            f"{sim.CHUNK_BYTES_MAX / 2**30:g} GiB limit"
+            f"{sim.CHUNK_SIZE}-replication chunk of {args.model} needs "
+            f"{array}, over the {sim.CHUNK_BYTES_MAX / 2**30:g} GiB limit"
         )
     return model
 

@@ -24,6 +24,7 @@ import numpy as np
 from .numkernel import (
     NEG_INF,
     PoissonBinomialSpec,
+    _binom_pmf_log_vec,
     _poisson_binom_rows,
     logsumexp,
     poisson_binom_dist,
@@ -337,7 +338,9 @@ def averaged_binomial_checks(ps: PoissonBinomialSpec, hs=(), bs=()):
 
     Returns two bool arrays: E[exp(h*H(p_1..p_n))] <= E[exp(h*Bin(n, pbar))]
     for each h in ``hs`` (h > 0), and P[sum B_i >= b] >= P[Bin(n, pbar) >= b]
-    for each b in ``bs`` (0 <= b <= n*pbar).  Exact up to float rounding.
+    for each b in ``bs`` (0 <= b <= n*pbar).  Exact up to float rounding:
+    the trials' pmf comes from the O(n^2) dynamic program, Bin(n, pbar)'s
+    from its closed form in O(n).
     """
     n, pbar = ps.n, ps.mean
     hs = np.asarray(hs, dtype=float)
@@ -347,7 +350,15 @@ def averaged_binomial_checks(ps: PoissonBinomialSpec, hs=(), bs=()):
     if np.any((bs < 0) | (bs > n * pbar + 1e-12)):
         raise ValueError(f"b={bs} outside [0, n*pbar={n * pbar}]")
     lhs_dist = poisson_binom_dist(ps)
-    rhs_dist = poisson_binom_dist(PoissonBinomialSpec((pbar,) * n))
+    if 0.0 < pbar < 1.0:
+        # every mass carries the rounding of ln n!, a common relative error
+        # near n ln(n) eps that tips tail sums past the 1e-12 slack at
+        # n ~ 10^4; dividing by the total removes it
+        rhs_dist = np.exp(_binom_pmf_log_vec(n, pbar))
+        rhs_dist /= rhs_dist.sum()
+    else:  # a point mass at 0 or n, where the log form has log(0)
+        rhs_dist = np.zeros(n + 1)
+        rhs_dist[round(pbar) * n] = 1.0
     tilts = hs[:, None] * np.arange(n + 1)
     # compare in log scale so large h stays finite
     lhs = logsumexp(tilts, axis=1, b=lhs_dist)

@@ -258,12 +258,15 @@ class UStat:
         if self.kernel == "triangle-indicator":
             bits = _gnp_edges(self.n, kw["p"], rng, size)
             return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
-        tuples = _ustat_tuples(self.n, self.d)
         u = rng.random((size, self.n))
         if self.kernel == "all-below":
-            mask = u <= kw["c"]
-            return np.all(mask[:, tuples], axis=2).sum(axis=1).astype(float)
+            # the d-subsets inside the B coordinates at or below c number
+            # exactly C(B, d); C(n, d) must lie in the float range
+            below = (u <= kw["c"]).sum(axis=1)
+            counts = [float(math.comb(b, self.d)) for b in range(self.n + 1)]
+            return np.array(counts)[below]
         if self.kernel == "threshold-sum":
+            tuples = _ustat_tuples(self.n, self.d)
             return (
                 (u[:, tuples].sum(axis=2) >= kw["theta"]).sum(axis=1).astype(float)
             )
@@ -272,10 +275,10 @@ class UStat:
     def batch_bytes(self, size):
         if self.kernel == "triangle-indicator":
             return _edge_bytes(self.n, size, codegrees=True)
-        # the kernel's entries gathered at every d-subset: bool or float
-        entry = 1 if self.kernel == "all-below" else 8
-        return max(8 * size * self.n,
-                   entry * size * self.d * math.comb(self.n, self.d))
+        if self.kernel == "all-below":
+            return 8 * size * self.n  # the uniforms
+        # the uniforms gathered at every d-subset, d C(n, d) >= n of them
+        return 8 * size * self.d * math.comb(self.n, self.d)
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,13 @@ class TestSimulate:
         ("orientation-parity --graph no-such-file.txt", "--graph"),
         ("mds --n 3 --p-vector 0.2,0.3", "--p-vector"),
         ("mds --n 5 --p 0.3 --kernel nope", "--kernel"),
-        # one 4096-replication chunk would need a 137 GiB / 987 GiB array
+        # one 4096-replication chunk would need a 137 GiB / 7.9e3 GiB array
         ("gnp-isolated --n 3000 --p 0.1", "--n"),
-        ("ustat --n 200 --d 4 --c 0.5", "--n"),
+        ("ustat --n 200 --d 4 --kernel threshold-sum --theta 2", "--n"),
+        # a byte count beyond the float range still gets its message
+        ("ustat --n 2000 --d 1000 --kernel threshold-sum --theta 2", "--n"),
+        # all-below needs C(n, d) as a float
+        ("ustat --n 2000 --d 1000 --c 0.5", "--d"),
         ("ustat-triangles --m 3000 --p 0.5", "--m"),
         ("mds --n 100000000 --p 0.3", "--n"),
     ])
@@ -340,7 +344,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("argv", [
         "gnp-isolated --n 3000 --p 0.1",
-        "ustat --n 200 --d 4 --c 0.5",
+        "ustat --n 200 --d 4 --kernel threshold-sum --theta 2",
         "mds --n 100000000 --p 0.3",
     ])
     def test_oversized_models_stop_before_sampling(self, capsys, monkeypatch,
@@ -362,6 +366,16 @@ class TestSimulate:
         assert code == 64 and out == ""
         assert "GiB limit" in err
         assert peak < 16 << 20
+
+    def test_all_below_counts_without_the_subsets(self, capsys):
+        # C(200, 4) = 64.7 million subsets, counted as C(B, 4) per draw
+        code, out, err = run_cli(
+            capsys, "simulate", "ustat", "--n", "200", "--d", "4", "--c",
+            "0.5", "--t", "1", "--reps", "10", "--format", "json-lines",
+        )
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        assert rec["replications"] == 10 and rec["empirical_tail"] == 1.0
 
     def test_unknown_mds_kernel_lists_kernels(self, capsys):
         from depbounds.simulate import MDS_KERNELS

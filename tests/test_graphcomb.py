@@ -133,15 +133,38 @@ class TestMaskKernel:
             assert masks.shape == (n, -(-n // 64))
             assert kernel_counts(masks).tolist() == self.reference(g)
 
+    @staticmethod
+    def int_mask_words(g):
+        """``Graph.neighbor_masks()`` (one Python int per vertex) split
+        into 64-bit words, low word first: no packing code involved."""
+        words = -(-g.n // 64)
+        return np.array(
+            [[m >> (64 * w) & (1 << 64) - 1 for w in range(words)]
+             for m in g.neighbor_masks()],
+            dtype=np.uint64,
+        ).reshape(g.n, words)
+
     def test_edge_masks_match_graph_masks(self):
+        """Both packers against the Python-int masks, at word and byte
+        boundaries and for batches of every rank."""
         rng = np.random.default_rng(3)
-        for n in (1, 2, 9, 64, 65, 70):
-            bits = rng.random((4, math.comb(n, 2))) < 0.4
-            masks = gc.edge_masks(n, bits)
+        for n in (1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70, 130):
             pairs = list(combinations(range(n), 2))
-            for row, m in zip(bits, masks):
-                g = Graph.from_edge_list(n, [pq for pq, b in zip(pairs, row) if b])
-                assert np.array_equal(m, masks_of(g))
+            for shape in [(), (3,), (2, 3)]:
+                bits = rng.random(shape + (len(pairs),)) < rng.uniform(0.1, 0.9)
+                graphs = [
+                    Graph.from_edge_list(
+                        n, [pq for pq, b in zip(pairs, row) if b])
+                    for row in bits.reshape(math.prod(shape), len(pairs))
+                ]
+                want = np.array([self.int_mask_words(g) for g in graphs])
+                want = want.reshape(shape + want.shape[1:])
+                adj = np.array([g.adjacency() for g in graphs])
+                for got in (gc.edge_masks(n, bits),
+                            gc.neighbour_masks(adj.reshape(shape + (n, n)))):
+                    assert got.dtype == np.uint64
+                    assert got.shape == shape + (n, -(-n // 64))
+                    assert np.array_equal(got, want)
 
     def test_padded_batch_of_mixed_sizes(self):
         # graphs of 1..66 vertices padded with isolated vertices to 70:

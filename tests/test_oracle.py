@@ -16,6 +16,7 @@ from depbounds import verify
 from depbounds.numkernel import (
     BinomialSpec,
     PoissonBinomialSpec,
+    _binom_pmf_log_vec,
     binom_pmf_log,
     poisson_binom_dist,
     to_prob,
@@ -438,6 +439,23 @@ class TestHoeffding1956Checks:
         assert tail_ok.tolist() == want_tail
         for h, ok in zip(hs, exp_ok):
             assert oc.convex_order_check(spec, h) == ok
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 333, 1000, 2000])
+    def test_closed_form_binomial_matches_the_dp(self, n):
+        """Bin(n, pbar) from its log pmf agrees with the Poisson-binomial
+        DP over n equal trials, to 1e-12 in every mass."""
+        for p in (1e-9, 0.01, 0.3, 0.5, 0.77, 0.999):
+            closed = np.exp(_binom_pmf_log_vec(n, p))
+            dp = poisson_binom_dist(PoissonBinomialSpec((p,) * n))
+            assert np.max(np.abs(closed - dp)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_point_mass_average(self, p):
+        # pbar in {0, 1}: both laws are the point mass at n * p
+        spec = PoissonBinomialSpec((p,) * 5)
+        exp_ok, tail_ok = oc.averaged_binomial_checks(
+            spec, hs=(0.1, 3.0), bs=range(5 * int(p) + 1))
+        assert exp_ok.all() and tail_ok.all()
 
     def test_batch_domain(self):
         spec = PoissonBinomialSpec((0.2, 0.2))

@@ -177,6 +177,24 @@ class TestUStat:
         with pytest.raises(ValueError):
             ustat(6, 2, "mystery").batch(np.random.default_rng(0), 5)
 
+    @staticmethod
+    def all_below_by_gather(u, d, c):
+        """The all-below count by gathering every d-subset, as the sampler
+        did before it counted C(B, d)."""
+        tuples = np.array(list(combinations(range(u.shape[1]), d)))
+        return np.all((u <= c)[:, tuples], axis=2).sum(axis=1).astype(float)
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n,d", [(1, 1), (6, 2), (9, 9), (12, 3), (40, 2)])
+    def test_all_below_count_equals_the_gather(self, n, d, c):
+        model = ustat(n, d, "all-below", c=c)
+        for seed in range(3):
+            got = model.batch(np.random.default_rng(seed), 700)
+            u = np.random.default_rng(seed).random((700, n))
+            want = self.all_below_by_gather(u, d, c)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
 
 # empirical_tail(model, t, 4096, seed=1).dumps() of the models that the
 # graph-mc benchmark workload simulates, pinned so that a change to a
@@ -247,8 +265,13 @@ class TestBatchBytes:
         assert sim.GnpIsolated(3000, 0.1).batch_bytes(sim.CHUNK_SIZE) == (
             8 * sim.CHUNK_SIZE * math.comb(3000, 2))
         assert sim.GnmTriangles(100, 10).batch_bytes(1) == 8 * math.comb(100, 2) * 2
-        assert sim.UStat(200, 4, "all-below", "uniform", (("c", 0.5),)).batch_bytes(
-            sim.CHUNK_SIZE) == sim.CHUNK_SIZE * 4 * math.comb(200, 4)
+        threshold_sum = sim.UStat(200, 4, "threshold-sum", "uniform",
+                                  (("theta", 2.0),))
+        assert threshold_sum.batch_bytes(sim.CHUNK_SIZE) == (
+            8 * sim.CHUNK_SIZE * 4 * math.comb(200, 4))
+        # all-below counts the uniforms at or below c and gathers nothing
+        all_below = sim.UStat(200, 4, "all-below", "uniform", (("c", 0.5),))
+        assert all_below.batch_bytes(sim.CHUNK_SIZE) == 8 * sim.CHUNK_SIZE * 200
         for model in self.MODELS:
             assert model.batch_bytes(sim.CHUNK_SIZE) <= sim.CHUNK_BYTES_MAX
 
@@ -298,6 +321,49 @@ class TestEmpiricalTail:
         model = sim.GnpIsolated(10, 0.3)
         res = sim.empirical_tail(model, 3, reps=30000, seed=7)
         assert res.sum_mean == pytest.approx(10 * 0.7**9, abs=0.05)
+
+
+class TestCalibration:
+    """Samplers against exact tails: the 0.999 Clopper-Pearson interval of
+    ``empirical_tail`` must cover the exact P[statistic >= t].
+
+    An unbiased sampler misses with probability at most 0.001 per check,
+    so a miss on these seeds (fixed before the first run) points at the
+    sampler, not at chance.  A biased sampler that a bound still dominates
+    fails here.
+    """
+
+    @staticmethod
+    def covers(model, t, exact, reps, seed):
+        res = sim.empirical_tail(model, t, reps=reps, seed=seed)
+        assert res.ci_low <= exact <= res.ci_high, (res, exact)
+
+    @pytest.mark.parametrize("n,d,c,t", [(12, 3, 0.5, 56.0), (40, 2, 0.5, 200.0),
+                                         (9, 9, 0.9, 1.0)])
+    def test_ustat_all_below(self, n, d, c, t):
+        # X = C(B, d) with B ~ Bin(n, c)
+        exact = sum(
+            math.comb(n, b) * c**b * (1 - c) ** (n - b)
+            for b in range(n + 1) if math.comb(b, d) >= t
+        )
+        self.covers(ustat(n, d, "all-below", c=c), t, exact, 100_000, seed=71)
+
+    @pytest.mark.parametrize("n,m,t", [(30, 40, 4), (20, 15, 6)])
+    def test_gnm_isolated(self, n, m, t):
+        exact = float(gc.gnm_isolated_exact_tail(n, m, t))
+        self.covers(sim.GnmIsolated(n, m), t, exact, 100_000, seed=72)
+
+    def test_gnp_isolated(self):
+        # G(n, p) given its edge count m is G(n, m), and m ~ Bin(C(n,2), p)
+        n, p, t = 30, 0.1, 1
+        pairs = math.comb(n, 2)
+        exact = math.fsum(
+            math.comb(pairs, m) * p**m * (1 - p) ** (pairs - m)
+            * float(gc.gnm_isolated_exact_tail(n, m, t))
+            for m in range(pairs + 1)
+        )
+        assert exact == pytest.approx(0.73960, abs=5e-6)
+        self.covers(sim.GnpIsolated(n, p), t, exact, 200_000, seed=73)
 
 
 class TestExactBinomialCI:
