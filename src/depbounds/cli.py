@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -593,9 +594,12 @@ def cmd_simulate(args) -> int:
         raise UsageError("--reps must be a positive integer")
     if args.t is None:
         raise UsageError("--t is required")
+    # each thread holds a block of arrays; threads beyond the CPUs add
+    # memory and no speed
+    _in_range("threads", args.threads, 1, os.cpu_count() or 1)
     model = _fit_chunk(args, _build_model(args))
     res = sim.empirical_tail(
-        model, args.t, args.reps, args.seed or 0, threads=args.threads or 1
+        model, args.t, args.reps, args.seed or 0, threads=args.threads
     )
     rec = {
         "model": args.model,
@@ -681,7 +685,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--seed", type=seed, default=None)
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", parents=[common],

@@ -10,6 +10,12 @@ Reproducibility contract: every batch draws from an explicit generator, and
 chunk of replications from (seed, chunk index).  The result is therefore a
 pure function of (model, t, reps, seed), identical for any degree of
 parallelism.
+
+A chunk is drawn as consecutive blocks of rows from its one stream, each
+block's largest array holding about ``graphcomb.BLOCK_BYTES``.  Every
+model's batch draws exactly one ``rng.random((size, k))`` array and
+replication r reads row r of it, so the blocks get the rows of one
+whole-chunk draw and the result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from . import graphcomb as gc
 
 CHUNK_SIZE = 4096
 CI_LEVEL = 0.999
-# the largest array one CHUNK_SIZE batch may allocate; the CLI refuses
-# models above it before anything is drawn
+# the largest array one whole CHUNK_SIZE batch would allocate, which caps
+# a model's size: the CLI refuses models above it before anything is drawn
+# (empirical_tail draws each chunk in smaller blocks)
 CHUNK_BYTES_MAX = 1 << 30
 
 __all__ = [
@@ -69,13 +76,6 @@ def _gnm_edges(n, m, rng, size):
     if m == 0:
         return np.zeros(u.shape, dtype=bool)
     return u <= np.partition(u, m - 1, axis=1)[:, m - 1 : m]
-
-
-def _edge_bytes(n, size, codegrees=False):
-    """Bytes of the (size, C(n,2)) edge uniforms, or with ``codegrees`` of
-    the (size, C(n,2), ceil(n/64)) codegree masks of the triangle and clique
-    kernels; both hold 8-byte entries."""
-    return 8 * size * math.comb(n, 2) * (-(-n // 64) if codegrees else 1)
 
 
 # -- martingale difference kernels: (size, n) arrays of Y values ------------
@@ -132,7 +132,7 @@ class GnpIsolated:
 
     def batch_bytes(self, size):
         """Bytes of the largest array ``batch(rng, size)`` allocates."""
-        return _edge_bytes(self.n, size)
+        return gc.edge_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ class GnpTriangles:
         return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
 
     def batch_bytes(self, size):
-        return _edge_bytes(self.n, size, codegrees=True)
+        return gc.edge_bytes(self.n, size, codegrees=True)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class Gnp4Cliques:
         return gc.clique4_count(gc.edge_masks(self.n, bits))[0].astype(float)
 
     def batch_bytes(self, size):
-        return _edge_bytes(self.n, size, codegrees=True)
+        return gc.edge_bytes(self.n, size, codegrees=True)
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class GnmIsolated:
         return gc.isolated_count(gc.edge_masks(self.n, bits)).astype(float)
 
     def batch_bytes(self, size):
-        return _edge_bytes(self.n, size)
+        return gc.edge_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ class GnmTriangles:
         return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
 
     def batch_bytes(self, size):
-        return _edge_bytes(self.n, size, codegrees=True)
+        return gc.edge_bytes(self.n, size, codegrees=True)
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ class DegreeParity:
         return (degree % 2).sum(axis=1).astype(float)
 
     def batch_bytes(self, size):
-        return _edge_bytes(self.n, size)
+        return gc.edge_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ class UStat:
 
     def batch_bytes(self, size):
         if self.kernel == "triangle-indicator":
-            return _edge_bytes(self.n, size, codegrees=True)
+            return gc.edge_bytes(self.n, size, codegrees=True)
         if self.kernel == "all-below":
             return 8 * size * self.n  # the uniforms
         # the uniforms gathered at every d-subset, d C(n, d) >= n of them
@@ -329,6 +329,16 @@ def exact_binomial_ci(successes: int, trials: int, level: float = CI_LEVEL):
     return lo, hi
 
 
+def _batch_blocks(model, rng, size):
+    """``model.batch(rng, size)``, drawn in blocks of rows that keep the
+    largest array of each near ``graphcomb.BLOCK_BYTES``."""
+    rows = gc.block_rows(model.batch_bytes(1))
+    return np.concatenate([
+        model.batch(rng, min(rows, size - start))
+        for start in range(0, size, rows)
+    ])
+
+
 def empirical_tail(model, t: float, reps: int, seed: int,
                    threads: int = 1) -> SimResult:
     """Empirical P[statistic >= t] with an exact 0.999 confidence interval.
@@ -345,7 +355,7 @@ def empirical_tail(model, t: float, reps: int, seed: int,
 
     def run(chunk):
         c, size = chunk
-        stats = model.batch(_chunk_rng(seed, c), size)
+        stats = _batch_blocks(model, _chunk_rng(seed, c), size)
         return int((stats >= t - 1e-12).sum()), float(stats.sum())
 
     if threads > 1:

@@ -21,9 +21,6 @@ from .numkernel import (
 
 SOUNDNESS_TOL = 1e-12
 IDENTITY_TOL = 1e-10
-# vertex pairs (graphs times C(n,2)) per subgraph-kernel call in the lemma
-# suite: each of the kernel's arrays then holds at most 8 MB
-KERNEL_PAIRS = 1 << 20
 
 __all__ = [
     "suite_soundness",
@@ -295,7 +292,7 @@ def _all_graph_union_check(n: int):
     Returns (graphs, triangle-union violations, clique-union violations)."""
     e = math.comb(n, 2)
     total = 1 << e
-    chunk = KERNEL_PAIRS // e
+    chunk = gc.block_rows(gc.edge_bytes(n, 1, codegrees=True))
     tv = qv = 0
     for start in range(0, total, chunk):
         index = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -335,7 +332,7 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     # in the same order in both edge-bit layouts
     rng = np.random.default_rng(seed)
     _, second = np.triu_indices(30, 1)
-    chunk = KERNEL_PAIRS // second.size
+    chunk = gc.block_rows(gc.edge_bytes(30, 1, codegrees=True))
     violations = 0
     for start in range(0, random_graphs, chunk):
         size = min(chunk, random_graphs - start)

@@ -274,7 +274,9 @@ class TestSimulate:
         (rec,) = json_records(out)
         assert rec["verdict"].startswith("Invalid")
 
-    def test_threads_do_not_change_output(self, capsys):
+    def test_threads_do_not_change_output(self, capsys, monkeypatch):
+        # --threads may not exceed the CPU count; pretend there are 4
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         args = (
             "simulate", "gnm-isolated", "--n", "10", "--m", "15",
             "--t", "3", "--reps", "12000", "--seed", "9",
@@ -333,6 +335,13 @@ class TestSimulate:
         ("ustat --n 2000 --d 1000 --c 0.5", "--d"),
         ("ustat-triangles --m 3000 --p 0.5", "--m"),
         ("mds --n 100000000 --p 0.3", "--n"),
+        ("gnp-isolated --n 10 --p 0.2 --threads 0", "--threads"),
+        ("gnp-isolated --n 10 --p 0.2 --threads -3", "--threads"),
+        (f"gnp-isolated --n 10 --p 0.2 --threads {(os.cpu_count() or 1) + 1}",
+         "--threads"),
+        # refused before sampling; --reps 10 is one chunk, so not even a
+        # missing check could start more than one thread
+        ("gnp-isolated --n 10 --p 0.2 --threads 10000", "--threads"),
     ])
     def test_bad_model_parameters_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run_cli(

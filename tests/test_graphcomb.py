@@ -148,7 +148,8 @@ class TestMaskKernel:
         """Both packers against the Python-int masks, at word and byte
         boundaries and for batches of every rank."""
         rng = np.random.default_rng(3)
-        for n in (1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70, 130):
+        for n in (1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 63, 64, 65, 70,
+                  127, 128, 129, 130, 139):
             pairs = list(combinations(range(n), 2))
             for shape in [(), (3,), (2, 3)]:
                 bits = rng.random(shape + (len(pairs),)) < rng.uniform(0.1, 0.9)

@@ -276,6 +276,42 @@ class TestBatchBytes:
             assert model.batch_bytes(sim.CHUNK_SIZE) <= sim.CHUNK_BYTES_MAX
 
 
+class TestBlocks:
+    """``empirical_tail`` draws each chunk in blocks of rows."""
+
+    MODELS = TestBatchBytes.MODELS + [
+        sim.MartingaleDiff(20, (0.3,) * 20, "independent-centered"),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_blocks_are_the_rows_of_one_batch(self, model):
+        """Each batch draws one rng.random((size, k)) and replication r
+        reads row r, so batches drawn one after another from one stream
+        are the rows of one whole batch."""
+        rows = gc.block_rows(model.batch_bytes(1))
+        for size in sorted({1, rows - 1, rows + 1, sim.CHUNK_SIZE} - {0}):
+            whole = model.batch(np.random.default_rng(size), size)
+            blocks = sim._batch_blocks(model, np.random.default_rng(size), size)
+            assert blocks.dtype == whole.dtype
+            assert np.array_equal(blocks, whole)
+
+    @pytest.mark.parametrize("model", [
+        sim.GnmIsolated(30, 40),
+        sim.GnpTriangles(30, 0.05),
+        sim.Gnp4Cliques(20, 0.3),
+    ], ids=lambda m: type(m).__name__)
+    def test_chunk_peak_is_about_one_block(self, model):
+        # whole-chunk batches peaked at 18-29 MiB here
+        sim.exact_binomial_ci(1, 2)  # import scipy before tracing
+        tracemalloc.start()
+        try:
+            sim.empirical_tail(model, 1, sim.CHUNK_SIZE, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
 class TestEmpiricalTail:
     def test_threshold_at_or_below_min_gives_one(self):
         model = sim.GnpIsolated(8, 0.2)
