@@ -119,15 +119,18 @@ class Graph:
 #
 # Callers split large batches into blocks of graphs whose largest array
 # holds about BLOCK_BYTES: every array of a block then stays in a core's
-# 2 MiB L2 cache, and the memory in use does not grow with the batch.
+# 2 MiB L2 cache, and the memory in use does not grow with the batch.  A
+# block keeps at least MIN_BLOCK_ROWS rows, since below that the fixed
+# cost of each call (index arrays, numpy dispatch, fresh allocations)
+# outweighs what the smaller arrays save.
 
 BLOCK_BYTES = 1 << 20
+MIN_BLOCK_ROWS = 64
 
 
 def block_rows(row_bytes: int) -> int:
-    """Rows per block when one row's largest array takes ``row_bytes``;
-    at least one."""
-    return max(1, BLOCK_BYTES // max(1, row_bytes))
+    """Rows per block when one row's largest array takes ``row_bytes``."""
+    return max(MIN_BLOCK_ROWS, BLOCK_BYTES // max(1, row_bytes))
 
 
 def edge_bytes(n: int, size: int, codegrees: bool = False) -> int:

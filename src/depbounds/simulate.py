@@ -12,8 +12,9 @@ pure function of (model, t, reps, seed), identical for any degree of
 parallelism.
 
 A chunk is drawn as consecutive blocks of rows from its one stream, each
-block's largest array holding about ``graphcomb.BLOCK_BYTES``.  Every
-model's batch draws exactly one ``rng.random((size, k))`` array and
+block's largest array holding about ``graphcomb.BLOCK_BYTES``; models whose
+batch loops in Python over steps or edges (``stepwise``) draw it whole.
+Every model's batch draws exactly one ``rng.random((size, k))`` array and
 replication r reads row r of it, so the blocks get the rows of one
 whole-chunk draw and the result does not depend on the block size.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -117,8 +119,21 @@ MDS_KERNELS = {
 # models
 
 
+# the U-statistic tables are cached: a chunk's blocks would otherwise
+# rebuild them once per block
+@lru_cache(maxsize=8)
 def _ustat_tuples(n: int, d: int) -> np.ndarray:
-    return np.array(list(combinations(range(n), d)), dtype=np.int64)
+    tuples = np.array(list(combinations(range(n), d)), dtype=np.int64)
+    tuples.flags.writeable = False
+    return tuples
+
+
+@lru_cache(maxsize=8)
+def _ustat_subset_counts(n: int, d: int) -> np.ndarray:
+    """C(b, d) for b = 0..n as floats; C(n, d) must lie in the float range."""
+    counts = np.array([float(math.comb(b, d)) for b in range(n + 1)])
+    counts.flags.writeable = False
+    return counts
 
 
 @dataclass(frozen=True)
@@ -192,6 +207,8 @@ class OrientationParity:
     """Sum of in-degree parities under a uniform random orientation."""
 
     graph: gc.Graph
+    # batch() loops in Python over the edges (see _block_rows)
+    stepwise = True
 
     def batch(self, rng, size):
         edges = sorted(self.graph.edges)
@@ -229,6 +246,11 @@ class MartingaleDiff:
     p_vector: tuple
     kernel: str = "polya-style"
 
+    @property
+    def stepwise(self):
+        """Whether batch() loops in Python over the n steps."""
+        return self.kernel == "polya-style"
+
     def batch(self, rng, size):
         p_vec = np.asarray(self.p_vector, dtype=float)
         return MDS_KERNELS[self.kernel](rng, size, p_vec).sum(axis=1)
@@ -261,10 +283,9 @@ class UStat:
         u = rng.random((size, self.n))
         if self.kernel == "all-below":
             # the d-subsets inside the B coordinates at or below c number
-            # exactly C(B, d); C(n, d) must lie in the float range
+            # exactly C(B, d)
             below = (u <= kw["c"]).sum(axis=1)
-            counts = [float(math.comb(b, self.d)) for b in range(self.n + 1)]
-            return np.array(counts)[below]
+            return _ustat_subset_counts(self.n, self.d)[below]
         if self.kernel == "threshold-sum":
             tuples = _ustat_tuples(self.n, self.d)
             return (
@@ -329,10 +350,22 @@ def exact_binomial_ci(successes: int, trials: int, level: float = CI_LEVEL):
     return lo, hi
 
 
+def _block_rows(model) -> int:
+    """Rows per block of ``model``'s chunks: enough to fill about
+    ``graphcomb.BLOCK_BYTES`` of its largest array, and at least
+    ``graphcomb.MIN_BLOCK_ROWS``.  A ``stepwise`` model
+    loops in Python over its steps or edges in every batch, a fixed cost
+    each block would repeat and its smaller arrays do not repay, so it
+    draws its chunks whole."""
+    if getattr(model, "stepwise", False):
+        return CHUNK_SIZE
+    return gc.block_rows(model.batch_bytes(1))
+
+
 def _batch_blocks(model, rng, size):
-    """``model.batch(rng, size)``, drawn in blocks of rows that keep the
-    largest array of each near ``graphcomb.BLOCK_BYTES``."""
-    rows = gc.block_rows(model.batch_bytes(1))
+    """``model.batch(rng, size)``, drawn in blocks of ``_block_rows(model)``
+    rows."""
+    rows = _block_rows(model)
     return np.concatenate([
         model.batch(rng, min(rows, size - start))
         for start in range(0, size, rows)

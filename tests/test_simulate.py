@@ -287,13 +287,44 @@ class TestBlocks:
     def test_blocks_are_the_rows_of_one_batch(self, model):
         """Each batch draws one rng.random((size, k)) and replication r
         reads row r, so batches drawn one after another from one stream
-        are the rows of one whole batch."""
+        are the rows of one whole batch.  This holds for the stepwise
+        models too, which empirical_tail draws whole."""
         rows = gc.block_rows(model.batch_bytes(1))
-        for size in sorted({1, rows - 1, rows + 1, sim.CHUNK_SIZE} - {0}):
+        for size in sorted({1, rows - 1, rows + 1, sim.CHUNK_SIZE}):
             whole = model.batch(np.random.default_rng(size), size)
-            blocks = sim._batch_blocks(model, np.random.default_rng(size), size)
+            rng = np.random.default_rng(size)
+            blocks = np.concatenate([
+                model.batch(rng, min(rows, size - start))
+                for start in range(0, size, rows)
+            ])
             assert blocks.dtype == whole.dtype
             assert np.array_equal(blocks, whole)
+            drawn = sim._batch_blocks(model, np.random.default_rng(size), size)
+            assert np.array_equal(drawn, whole)
+
+    def test_block_rows(self):
+        assert gc.block_rows(1) == gc.BLOCK_BYTES
+        assert gc.block_rows(gc.BLOCK_BYTES // 100) == 100
+        # a few rows per block would repeat each call's fixed cost
+        assert gc.block_rows(gc.BLOCK_BYTES) == gc.MIN_BLOCK_ROWS
+        threshold_sum = sim.UStat(20, 4, "threshold-sum", "uniform",
+                                  (("theta", 2.0),))
+        assert sim._block_rows(threshold_sum) == gc.MIN_BLOCK_ROWS
+
+    def test_stepwise_models_draw_chunks_whole(self):
+        """Models whose batch loops in Python over steps or edges would
+        repeat the loop in every block; they take one batch per chunk."""
+        stepwise = [
+            sim.MartingaleDiff(5000, (0.3,) * 5000, "polya-style"),
+            sim.OrientationParity(Graph.complete(64)),
+        ]
+        for model in stepwise:
+            # by its bytes alone the chunk would split into blocks
+            assert gc.block_rows(model.batch_bytes(1)) < sim.CHUNK_SIZE
+            assert sim._block_rows(model) == sim.CHUNK_SIZE
+        independent = sim.MartingaleDiff(5000, (0.3,) * 5000,
+                                         "independent-centered")
+        assert sim._block_rows(independent) == gc.block_rows(8 * 5000)
 
     @pytest.mark.parametrize("model", [
         sim.GnmIsolated(30, 40),
@@ -301,7 +332,11 @@ class TestBlocks:
         sim.Gnp4Cliques(20, 0.3),
     ], ids=lambda m: type(m).__name__)
     def test_chunk_peak_is_about_one_block(self, model):
-        # whole-chunk batches peaked at 18-29 MiB here
+        """A block's kernel holds its uniforms, its edge bits and masks and
+        the codegree masks at once, each at most about BLOCK_BYTES (these
+        three chunks peak at 1.4-3.2 BLOCK_BYTES), so 8 BLOCK_BYTES leaves
+        room for numpy's temporaries.  Whole-chunk batches peaked at 18-29
+        MiB here."""
         sim.exact_binomial_ci(1, 2)  # import scipy before tracing
         tracemalloc.start()
         try:
@@ -309,7 +344,7 @@ class TestBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20
+        assert peak < 8 * gc.BLOCK_BYTES
 
 
 class TestEmpiricalTail:
