@@ -594,7 +594,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--reps must be a positive integer")
     if args.t is None:
         raise UsageError("--t is required")
-    # each thread holds a block of arrays; threads beyond the CPUs add
+    # each thread holds a workspace of arrays; threads beyond the CPUs add
     # memory and no speed
     _in_range("threads", args.threads, 1, os.cpu_count() or 1)
     model = _fit_chunk(args, _build_model(args))
@@ -624,9 +624,13 @@ def cmd_simulate(args) -> int:
             status = EXIT_INVALID
         elif res.ci_high <= tb.bound:
             rec["verdict"] = "DOMINATED"
-        else:
+        elif res.ci_low > tb.bound:
             rec["verdict"] = "VIOLATED"
             status = EXIT_VIOLATED
+        else:
+            # the interval straddles the bound: too few replications to
+            # tell, which is no evidence against it
+            rec["verdict"] = "INCONCLUSIVE"
     if args.format == "table":
         for k, v in rec.items():
             sys.stdout.write(f"{k}={_fmt(v)}\n")
@@ -685,7 +689,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--seed", type=seed, default=None)
-    common.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", parents=[common],
@@ -720,6 +723,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--t", type=finite, default=None)
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--bound", type=str, default=None)
+    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", parents=[common],

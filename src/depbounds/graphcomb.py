@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -118,13 +119,20 @@ class Graph:
 # padding with isolated vertices, which no triangle or clique touches.
 #
 # Callers split large batches into blocks of graphs whose largest array
-# holds about BLOCK_BYTES: every array of a block then stays in a core's
-# 2 MiB L2 cache, and the memory in use does not grow with the batch.  A
-# block keeps at least MIN_BLOCK_ROWS rows, since below that the fixed
-# cost of each call (index arrays, numpy dispatch, fresh allocations)
-# outweighs what the smaller arrays save.
+# holds about BLOCK_BYTES, and may pass every kernel of a block one
+# ``scratch`` dict.  The kernels then write their arrays into buffers kept
+# in it (see _buffer), so a caller that reuses the dict for block after
+# block allocates no large array once the first block has grown them.
+# All of a block's arrays then stay allocated together: its uniforms, edge
+# bits, adjacency and masks and two or three codegree-sized arrays, three
+# to six times its largest array (a chunk of the simulate models peaks at
+# 2.8-5.6 BLOCK_BYTES).  BLOCK_BYTES sizes the largest array so that this
+# whole working set, 1.4-2.8 MiB, stays near a core's 2 MiB L2 cache.  A
+# block keeps at least MIN_BLOCK_ROWS rows, since below that the fixed cost
+# of each call (numpy dispatch, small temporaries) outweighs what the
+# smaller arrays save.
 
-BLOCK_BYTES = 1 << 20
+BLOCK_BYTES = 1 << 19
 MIN_BLOCK_ROWS = 64
 
 
@@ -141,7 +149,47 @@ def edge_bytes(n: int, size: int, codegrees: bool = False) -> int:
     return 8 * size * math.comb(n, 2) * (-(-n // 64) if codegrees else 1)
 
 
-def neighbour_masks(adj) -> np.ndarray:
+def _buffer(scratch, key, shape, dtype) -> np.ndarray:
+    """An uninitialised array of ``shape`` and ``dtype``: a view of the
+    buffer ``scratch[key]``, grown when it is too small, or a new array
+    when ``scratch`` is None.  Views of one key alias each other, so a
+    kernel gives every array it still reads its own key."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = scratch.get(key)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = scratch[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+@lru_cache(maxsize=8)
+def _edge_source(n: int) -> np.ndarray:
+    """(n, 8 ceil(n/8)) index of adjacency entry (u, v) into the edge bits
+    with a False entry prepended: 1 + the index of edge uv, and 0 on the
+    diagonal and in the columns that fill each row to whole bytes."""
+    u, v = np.triu_indices(n, 1)
+    source = np.zeros((n, -(-n // 8) * 8), dtype=np.intp)
+    source[u, v] = source[v, u] = np.arange(1, len(u) + 1)
+    source.flags.writeable = False
+    return source
+
+
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple:
+    """(v, u, word, shift) of the vertex pairs u < v, ordered by v then u:
+    the pair's two vertices, and the flat (v, u // 64) index into a graph's
+    (n, W) masks and the bit u % 64 there that says whether uv is an
+    edge."""
+    words = -(-n // 64)
+    v, u = np.tril_indices(n, -1)
+    pairs = (v, u, v * words + u // 64, (u % 64).astype(np.uint64))
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def neighbour_masks(adj, scratch=None) -> np.ndarray:
     """Neighbour masks of boolean adjacency matrices of shape (..., n, n).
     Rows may carry False columns past n, up to a whole number of bytes."""
     adj = np.asarray(adj, dtype=bool)
@@ -153,47 +201,61 @@ def neighbour_masks(adj) -> np.ndarray:
         adj = filled
     # rows of whole bytes make one packbits of the flat array the row-wise
     # pack, and the flat pack runs several times faster than axis=-1
-    words = np.zeros(adj.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    words = _buffer(scratch, "words", adj.shape[:-1] + (-(-n // 64) * 8,),
+                    np.uint8)
+    words[..., nbytes:] = 0
     words[..., :nbytes] = np.packbits(adj, axis=None, bitorder="little").reshape(
         adj.shape[:-1] + (nbytes,)
     )
     return words.view("<u8")
 
 
-def edge_masks(n: int, bits) -> np.ndarray:
+def edge_masks(n: int, bits, scratch=None) -> np.ndarray:
     """Neighbour masks of graphs given as edge bits of shape (..., C(n,2)),
     in the order of ``combinations(range(n), 2)``."""
     bits = np.asarray(bits, dtype=bool)
-    # adjacency entry (u, v) is padded[1 + index of edge uv]; the diagonal
-    # and the columns that fill each row to whole bytes read padded[0],
-    # which is False; np.take returns a C-ordered array (fancy indexing
-    # would not), which packbits reads several times faster
-    u, v = np.triu_indices(n, 1)
-    source = np.zeros((n, -(-n // 8) * 8), dtype=np.intp)
-    source[u, v] = source[v, u] = np.arange(1, len(u) + 1)
-    padded = np.zeros(bits.shape[:-1] + (len(u) + 1,), dtype=bool)
+    # adjacency entry (u, v) is padded[_edge_source(n)[u, v]]; np.take
+    # returns a C-ordered array (fancy indexing would not), which packbits
+    # reads several times faster; mode="clip" writes straight into ``out``
+    # where mode="raise" would fill a temporary first
+    source = _edge_source(n)
+    padded = _buffer(scratch, "padded", bits.shape[:-1] + (bits.shape[-1] + 1,),
+                     bool)
+    padded[..., 0] = False
     padded[..., 1:] = bits
-    return neighbour_masks(np.take(padded, source, axis=-1))
+    adj = _buffer(scratch, "adjacency", bits.shape[:-1] + source.shape, bool)
+    np.take(padded, source, axis=-1, out=adj, mode="clip")
+    return neighbour_masks(adj, scratch)
 
 
-def _codegrees(masks):
+def _codegrees(masks, scratch=None):
     """Common-neighbour masks of every vertex pair (v, u), u < v, that is an
-    edge, and zero masks for the other pairs.  Pairs are ordered by v then
-    u, so the pairs inside vertices 0..w-1 come first."""
+    edge, and zero masks for the other pairs, as little-endian words.
+    Pairs are ordered by v then u, so the pairs inside vertices 0..w-1
+    come first."""
     n, words = masks.shape[-2:]
-    vertex = neighbour_masks(np.eye(n, dtype=bool))  # the one-vertex masks
-    common = np.empty(masks.shape[:-2] + (n * (n - 1) // 2, words), np.uint64)
-    for v in range(1, n):
-        row = masks[..., v, None, :]
-        block = common[..., v * (v - 1) // 2: v * (v + 1) // 2, :]
-        np.bitwise_and(row, masks[..., :v, :], out=block)
-        block *= (row & vertex[:v]).any(axis=-1)[..., None]
+    v, u, word, shift = _pairs(n)
+    shape = masks.shape[:-2] + (len(v), words)
+    common = _buffer(scratch, "common", shape, np.dtype("<u8"))
+    np.take(masks, u, axis=-2, out=common, mode="clip")
+    rows_v = np.take(masks, v, axis=-2, mode="clip",
+                     out=_buffer(scratch, "gather", shape, np.uint64))
+    common &= rows_v
+    # bit u of row v, 1 where uv is an edge and 0 elsewhere, gathered into
+    # the buffer of rows_v, which is no longer read
+    edge = np.take(masks.reshape(masks.shape[:-2] + (n * words,)), word,
+                   axis=-1, mode="clip",
+                   out=_buffer(scratch, "gather", shape[:-1], np.uint64))
+    np.right_shift(edge, shift, out=edge)
+    edge &= np.uint64(1)
+    common *= edge[..., None]
     return common
 
 
-def _set_bits(masks) -> np.ndarray:
+def _set_bits(masks, scratch=None) -> np.ndarray:
     """Total set bits over the last two axes, (..., k, W) -> (...)."""
-    return np.bitwise_count(masks).sum(axis=(-2, -1), dtype=np.int64)
+    counts = _buffer(scratch, "bit_counts", masks.shape, np.uint8)
+    return np.bitwise_count(masks, out=counts).sum(axis=(-2, -1), dtype=np.int64)
 
 
 def isolated_count(masks) -> np.ndarray:
@@ -201,7 +263,7 @@ def isolated_count(masks) -> np.ndarray:
     return (~masks.any(axis=-1)).sum(axis=-1)
 
 
-def triangle_count(masks) -> tuple:
+def triangle_count(masks, scratch=None) -> tuple:
     """(triangle count, edge count of the union of the triangles' edge
     sets) of each graph.
 
@@ -209,11 +271,11 @@ def triangle_count(masks) -> tuple:
     codegree sum over edges divided by 3, and the union holds the edges of
     positive codegree.
     """
-    common = _codegrees(masks)
-    return _set_bits(common) // 3, common.any(axis=-1).sum(axis=-1)
+    common = _codegrees(masks, scratch)
+    return _set_bits(common, scratch) // 3, common.any(axis=-1).sum(axis=-1)
 
 
-def clique4_count(masks) -> tuple:
+def clique4_count(masks, scratch=None) -> tuple:
     """(4-clique count, triangle count of the union of the 4-cliques'
     triangle sets) of each graph.
 
@@ -223,16 +285,20 @@ def clique4_count(masks) -> tuple:
     visited by their largest vertex w, one vertex at a time.
     """
     n = masks.shape[-2]
-    vertex = neighbour_masks(np.eye(n, dtype=bool))
-    common = _codegrees(masks)
+    common = _codegrees(masks, scratch)
     count = np.zeros(masks.shape[:-2], dtype=np.int64)
     union = np.zeros(masks.shape[:-2], dtype=np.int64)
     for w in range(2, n):
         pair = common[..., : w * (w - 1) // 2, :]  # the pairs u < v < w
-        # common neighbours of u, v and w, kept where uvw is a triangle
-        extend = pair & masks[..., w, None, :]
-        extend *= (pair & vertex[w]).any(axis=-1)[..., None]
-        count += _set_bits(extend)
+        # common neighbours of u, v and w, kept where uvw is a triangle,
+        # that is where bit w of the pair's common neighbours is set: bit
+        # w % 8 of byte w // 8 of the little-endian words
+        extend = _buffer(scratch, "extend", pair.shape, np.uint64)
+        np.bitwise_and(pair, masks[..., w, None, :], out=extend)
+        triangle = pair.view(np.uint8)[..., w // 8] >> np.uint8(w % 8)
+        triangle &= np.uint8(1)
+        extend *= triangle[..., None]
+        count += _set_bits(extend, scratch)
         union += extend.any(axis=-1).sum(axis=-1)
     return count // 4, union
 

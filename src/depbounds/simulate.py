@@ -1,9 +1,9 @@
 """Monte Carlo generators for the dependence models and an empirical tail
 estimator with exact binomial confidence intervals.
 
-Every model samples in batches: ``model.batch(rng, size)`` returns the
-statistic of ``size`` independent replications.  The graph models count
-subgraphs with the neighbour-mask kernels of ``graphcomb``.
+Every model samples in batches: ``model.batch(rng, size, scratch=None)``
+returns the statistic of ``size`` independent replications.  The graph
+models count subgraphs with the neighbour-mask kernels of ``graphcomb``.
 
 Reproducibility contract: every batch draws from an explicit generator, and
 ``empirical_tail`` derives an independent child stream for each fixed-size
@@ -17,11 +17,23 @@ batch loops in Python over steps or edges (``stepwise``) draw it whole.
 Every model's batch draws exactly one ``rng.random((size, k))`` array and
 replication r reads row r of it, so the blocks get the rows of one
 whole-chunk draw and the result does not depend on the block size.
+
+Each thread of an ``empirical_tail`` call passes every block it draws one
+``scratch`` dict, a workspace that lives as long as the call.  The graph
+models write their uniforms, edge bits, masks and codegrees into buffers
+kept in it (``graphcomb._buffer``), so after a thread's first block no
+block allocates a large array, and no block pays for page faults on memory
+the allocator returned to the system when the previous block freed it.  A
+thread's workspace holds one block's whole working set, a few times
+``graphcomb.BLOCK_BYTES``; the other models ignore the argument.  Without
+a workspace (``scratch=None``, as for public callers) every array returned
+is a new one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -65,19 +77,33 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 # batch samplers: every model draws `size` replications at once
 
 
-def _gnp_edges(n, p, rng, size):
+def _uniforms(rng, size, k, scratch=None):
+    """``rng.random((size, k))``, drawn into the buffer ``scratch["uniforms"]``
+    (the same numbers: ``out=`` does not change the stream)."""
+    shape = (size, k)
+    return rng.random(shape, out=gc._buffer(scratch, "uniforms", shape, np.float64))
+
+
+def _gnp_edges(n, p, rng, size, scratch=None):
     """(size, C(n,2)) edge bits of G(n,p), in ``combinations`` order."""
-    return rng.random((size, math.comb(n, 2))) < p
+    u = _uniforms(rng, size, math.comb(n, 2), scratch)
+    return np.less(u, p, out=gc._buffer(scratch, "bits", u.shape, bool))
 
 
-def _gnm_edges(n, m, rng, size):
+def _gnm_edges(n, m, rng, size, scratch=None):
     """(size, C(n,2)) edge bits of uniform graphs with exactly m edges: the
     edges holding the m smallest of C(n,2) uniforms (ties have probability
     zero)."""
-    u = rng.random((size, math.comb(n, 2)))
+    u = _uniforms(rng, size, math.comb(n, 2), scratch)
+    bits = gc._buffer(scratch, "bits", u.shape, bool)
     if m == 0:
-        return np.zeros(u.shape, dtype=bool)
-    return u <= np.partition(u, m - 1, axis=1)[:, m - 1 : m]
+        bits[...] = False
+        return bits
+    # the m-th smallest uniform of each row, partitioned in place in a copy
+    kth = gc._buffer(scratch, "partition", u.shape, np.float64)
+    np.copyto(kth, u)
+    kth.partition(m - 1, axis=1)
+    return np.less_equal(u, kth[:, m - 1 : m], out=bits)
 
 
 # -- martingale difference kernels: (size, n) arrays of Y values ------------
@@ -141,9 +167,9 @@ class GnpIsolated:
     n: int
     p: float
 
-    def batch(self, rng, size):
-        bits = _gnp_edges(self.n, self.p, rng, size)
-        return gc.isolated_count(gc.edge_masks(self.n, bits)).astype(float)
+    def batch(self, rng, size, scratch=None):
+        bits = _gnp_edges(self.n, self.p, rng, size, scratch)
+        return gc.isolated_count(gc.edge_masks(self.n, bits, scratch)).astype(float)
 
     def batch_bytes(self, size):
         """Bytes of the largest array ``batch(rng, size)`` allocates."""
@@ -155,9 +181,10 @@ class GnpTriangles:
     n: int
     p: float
 
-    def batch(self, rng, size):
-        bits = _gnp_edges(self.n, self.p, rng, size)
-        return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
+    def batch(self, rng, size, scratch=None):
+        bits = _gnp_edges(self.n, self.p, rng, size, scratch)
+        masks = gc.edge_masks(self.n, bits, scratch)
+        return gc.triangle_count(masks, scratch)[0].astype(float)
 
     def batch_bytes(self, size):
         return gc.edge_bytes(self.n, size, codegrees=True)
@@ -168,9 +195,10 @@ class Gnp4Cliques:
     n: int
     p: float
 
-    def batch(self, rng, size):
-        bits = _gnp_edges(self.n, self.p, rng, size)
-        return gc.clique4_count(gc.edge_masks(self.n, bits))[0].astype(float)
+    def batch(self, rng, size, scratch=None):
+        bits = _gnp_edges(self.n, self.p, rng, size, scratch)
+        masks = gc.edge_masks(self.n, bits, scratch)
+        return gc.clique4_count(masks, scratch)[0].astype(float)
 
     def batch_bytes(self, size):
         return gc.edge_bytes(self.n, size, codegrees=True)
@@ -181,9 +209,9 @@ class GnmIsolated:
     n: int
     m: int
 
-    def batch(self, rng, size):
-        bits = _gnm_edges(self.n, self.m, rng, size)
-        return gc.isolated_count(gc.edge_masks(self.n, bits)).astype(float)
+    def batch(self, rng, size, scratch=None):
+        bits = _gnm_edges(self.n, self.m, rng, size, scratch)
+        return gc.isolated_count(gc.edge_masks(self.n, bits, scratch)).astype(float)
 
     def batch_bytes(self, size):
         return gc.edge_bytes(self.n, size)
@@ -194,9 +222,10 @@ class GnmTriangles:
     n: int
     m: int
 
-    def batch(self, rng, size):
-        bits = _gnm_edges(self.n, self.m, rng, size)
-        return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
+    def batch(self, rng, size, scratch=None):
+        bits = _gnm_edges(self.n, self.m, rng, size, scratch)
+        masks = gc.edge_masks(self.n, bits, scratch)
+        return gc.triangle_count(masks, scratch)[0].astype(float)
 
     def batch_bytes(self, size):
         return gc.edge_bytes(self.n, size, codegrees=True)
@@ -210,7 +239,7 @@ class OrientationParity:
     # batch() loops in Python over the edges (see _block_rows)
     stepwise = True
 
-    def batch(self, rng, size):
+    def batch(self, rng, size, scratch=None):
         edges = sorted(self.graph.edges)
         flips = rng.random((size, len(edges))) < 0.5
         indeg = np.zeros((size, self.graph.n), dtype=np.int64)
@@ -229,8 +258,9 @@ class DegreeParity:
 
     n: int
 
-    def batch(self, rng, size):
-        masks = gc.edge_masks(self.n, _gnp_edges(self.n, 0.5, rng, size))
+    def batch(self, rng, size, scratch=None):
+        bits = _gnp_edges(self.n, 0.5, rng, size, scratch)
+        masks = gc.edge_masks(self.n, bits, scratch)
         degree = np.bitwise_count(masks).sum(axis=-1)
         return (degree % 2).sum(axis=1).astype(float)
 
@@ -251,7 +281,7 @@ class MartingaleDiff:
         """Whether batch() loops in Python over the n steps."""
         return self.kernel == "polya-style"
 
-    def batch(self, rng, size):
+    def batch(self, rng, size, scratch=None):
         p_vec = np.asarray(self.p_vector, dtype=float)
         return MDS_KERNELS[self.kernel](rng, size, p_vec).sum(axis=1)
 
@@ -275,11 +305,12 @@ class UStat:
     base: str = "uniform"
     kernel_args: tuple = field(default_factory=tuple)  # (("c", 0.5), ...)
 
-    def batch(self, rng, size):
+    def batch(self, rng, size, scratch=None):
         kw = dict(self.kernel_args)
         if self.kernel == "triangle-indicator":
-            bits = _gnp_edges(self.n, kw["p"], rng, size)
-            return gc.triangle_count(gc.edge_masks(self.n, bits))[0].astype(float)
+            bits = _gnp_edges(self.n, kw["p"], rng, size, scratch)
+            masks = gc.edge_masks(self.n, bits, scratch)
+            return gc.triangle_count(masks, scratch)[0].astype(float)
         u = rng.random((size, self.n))
         if self.kernel == "all-below":
             # the d-subsets inside the B coordinates at or below c number
@@ -362,12 +393,12 @@ def _block_rows(model) -> int:
     return gc.block_rows(model.batch_bytes(1))
 
 
-def _batch_blocks(model, rng, size):
+def _batch_blocks(model, rng, size, scratch=None):
     """``model.batch(rng, size)``, drawn in blocks of ``_block_rows(model)``
-    rows."""
+    rows that all reuse the workspace ``scratch``."""
     rows = _block_rows(model)
     return np.concatenate([
-        model.batch(rng, min(rows, size - start))
+        model.batch(rng, min(rows, size - start), scratch=scratch)
         for start in range(0, size, rows)
     ])
 
@@ -386,9 +417,14 @@ def empirical_tail(model, t: float, reps: int, seed: int,
         for c in range((reps + CHUNK_SIZE - 1) // CHUNK_SIZE)
     ]
 
+    # one workspace per thread, kept for all the chunks the thread draws
+    # and dropped with ``local`` when the call returns
+    local = threading.local()
+
     def run(chunk):
         c, size = chunk
-        stats = _batch_blocks(model, _chunk_rng(seed, c), size)
+        scratch = vars(local).setdefault("scratch", {})
+        stats = _batch_blocks(model, _chunk_rng(seed, c), size, scratch)
         return int((stats >= t - 1e-12).sum()), float(stats.sum())
 
     if threads > 1:

@@ -278,11 +278,12 @@ def suite_identities(**_):
     return records
 
 
-def _union_violations(masks, n):
+def _union_violations(masks, n, scratch):
     """Graphs among ``masks`` (each on ``n`` vertices, padding aside) that
-    break the triangle-union or the 4-clique-union lemma."""
-    j, r = gc.triangle_count(masks)
-    k, rt = gc.clique4_count(masks)
+    break the triangle-union or the 4-clique-union lemma; the kernels reuse
+    the workspace ``scratch`` (see graphcomb._buffer)."""
+    j, r = gc.triangle_count(masks, scratch)
+    k, rt = gc.clique4_count(masks, scratch)
     return int((r * (n - 2) < 3 * j).sum()), int((rt * (n - 3) < 4 * k).sum())
 
 
@@ -293,11 +294,13 @@ def _all_graph_union_check(n: int):
     e = math.comb(n, 2)
     total = 1 << e
     chunk = gc.block_rows(gc.edge_bytes(n, 1, codegrees=True))
+    scratch = {}
     tv = qv = 0
     for start in range(0, total, chunk):
         index = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bits = (index[:, None] >> np.arange(e)) & 1
-        t, q = _union_violations(gc.edge_masks(n, bits), n)
+        masks = gc.edge_masks(n, bits, scratch)
+        t, q = _union_violations(masks, n, scratch)
         tv, qv = tv + t, qv + q
     return total, tv, qv
 
@@ -333,6 +336,7 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     rng = np.random.default_rng(seed)
     _, second = np.triu_indices(30, 1)
     chunk = gc.block_rows(gc.edge_bytes(30, 1, codegrees=True))
+    scratch = {}
     violations = 0
     for start in range(0, random_graphs, chunk):
         size = min(chunk, random_graphs - start)
@@ -342,7 +346,8 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
             n = ns[i] = int(rng.integers(4, 31))
             p = float(rng.random())
             bits[i, second < n] = rng.random(math.comb(n, 2)) < p
-        violations += sum(_union_violations(gc.edge_masks(30, bits), ns))
+        masks = gc.edge_masks(30, bits, scratch)
+        violations += sum(_union_violations(masks, ns, scratch))
     records.append(
         (
             "lemmas/random-graphs",

@@ -274,6 +274,50 @@ class TestSimulate:
         (rec,) = json_records(out)
         assert rec["verdict"].startswith("Invalid")
 
+    def test_straddled_bound_is_inconclusive(self, capsys):
+        """0 hits in 20000 give ci_high 3.8e-4 against a bound of 5.8e-16;
+        the exact tail is 2.4e-17, so the bound holds and the interval
+        only cannot show it."""
+        from fractions import Fraction
+
+        from depbounds.graphcomb import gnm_isolated_exact_tail
+
+        code, out, _ = run_cli(
+            capsys, "simulate", "gnm-isolated", "--n", "30", "--m", "40",
+            "--t", "14", "--reps", "20000", "--bound", "auto",
+            "--format", "json-lines",
+        )
+        (rec,) = json_records(out)
+        assert rec["ci_low"] <= rec["bound"] < rec["ci_high"]
+        assert gnm_isolated_exact_tail(30, 40, 14) < Fraction(rec["bound"])
+        assert (code, rec["verdict"]) == (0, "INCONCLUSIVE")
+
+    def test_violated_needs_the_whole_interval_above(self, capsys,
+                                                     monkeypatch):
+        from depbounds import cli
+
+        # a stand-in bound of 0.01 under a tail of about 0.41
+        monkeypatch.setattr(cli, "_auto_bound", lambda args, t: bd.TailBound(
+            method="stand-in", log_bound=math.log(0.01)))
+        code, out, _ = run_cli(
+            capsys, "simulate", "gnp-isolated", "--n", "30", "--p", "0.1",
+            "--t", "2", "--reps", "4096", "--seed", "1", "--bound", "auto",
+            "--format", "json-lines",
+        )
+        (rec,) = json_records(out)
+        assert rec["ci_low"] > rec["bound"]
+        assert (code, rec["verdict"]) == (3, "VIOLATED")
+
+    @pytest.mark.parametrize("argv", [
+        "bound hoeffding --n 10 --p 0.3 --t 5",
+        "compare --methods hoeffding,mcdiarmid --n 10 --p 0.3 --t 5",
+        "verify identities",
+    ])
+    def test_threads_only_on_simulate(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split(), "--threads", "1")
+        assert code == 64 and out == ""
+        assert "--threads" in err
+
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         # --threads may not exceed the CPU count; pretend there are 4
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

@@ -167,6 +167,41 @@ class TestMaskKernel:
                     assert got.shape == shape + (n, -(-n // 64))
                     assert np.array_equal(got, want)
 
+    @staticmethod
+    def loop_codegrees(masks):
+        """The codegree masks one vertex v at a time, pairs (v, u) with
+        u < v in order, masked by an explicit one-vertex mask of u."""
+        n, words = masks.shape[-2:]
+        vertex = gc.neighbour_masks(np.eye(n, dtype=bool))
+        blocks = []
+        for v in range(1, n):
+            row = masks[..., v, None, :]
+            common = row & masks[..., :v, :]
+            blocks.append(common * (row & vertex[:v]).any(axis=-1)[..., None])
+        return np.concatenate(blocks, axis=-2)
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 30, 63, 64, 65, 70, 130])
+    def test_codegree_gather_equals_the_loop(self, n):
+        rng = np.random.default_rng(n)
+        bits = rng.random((2, 3, math.comb(n, 2))) < 0.4
+        masks = gc.edge_masks(n, bits)
+        want = self.loop_codegrees(masks)
+        assert np.array_equal(gc._codegrees(masks), want)
+        scratch = {}
+        for rows in (3, 1, 3):  # the buffers shrink, then grow back
+            assert np.array_equal(gc._codegrees(masks[0, :rows], scratch),
+                                  want[0, :rows])
+
+    def test_edge_masks_without_scratch_are_new_arrays(self):
+        rng = np.random.default_rng(2)
+        bits = rng.random((2, 4, 45)) < 0.5
+        first = gc.edge_masks(10, bits[0])
+        kept = first.copy()
+        second = gc.edge_masks(10, bits[1])
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert first.flags.writeable and second.flags.writeable
+
     def test_padded_batch_of_mixed_sizes(self):
         # graphs of 1..66 vertices padded with isolated vertices to 70:
         # padding changes the isolated count only

@@ -326,25 +326,80 @@ class TestBlocks:
                                          "independent-centered")
         assert sim._block_rows(independent) == gc.block_rows(8 * 5000)
 
-    @pytest.mark.parametrize("model", [
+    PEAK_MODELS = [
         sim.GnmIsolated(30, 40),
         sim.GnpTriangles(30, 0.05),
         sim.Gnp4Cliques(20, 0.3),
-    ], ids=lambda m: type(m).__name__)
-    def test_chunk_peak_is_about_one_block(self, model):
-        """A block's kernel holds its uniforms, its edge bits and masks and
-        the codegree masks at once, each at most about BLOCK_BYTES (these
-        three chunks peak at 1.4-3.2 BLOCK_BYTES), so 8 BLOCK_BYTES leaves
-        room for numpy's temporaries.  Whole-chunk batches peaked at 18-29
-        MiB here."""
+        sim.GnmTriangles(20, 40),
+    ]
+
+    @staticmethod
+    def peak(model, reps):
+        """Peak traced memory of one empirical_tail call."""
         sim.exact_binomial_ci(1, 2)  # import scipy before tracing
         tracemalloc.start()
         try:
-            sim.empirical_tail(model, 1, sim.CHUNK_SIZE, seed=0)
+            sim.empirical_tail(model, 1, reps, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * gc.BLOCK_BYTES
+        return peak
+
+    @pytest.mark.parametrize("model", PEAK_MODELS,
+                             ids=lambda m: type(m).__name__)
+    def test_chunk_peak_is_about_one_block(self, model):
+        """A block's workspace holds its uniforms, its edge bits and masks
+        and the codegree masks at once, each at most about BLOCK_BYTES, so
+        8 BLOCK_BYTES leaves room for numpy's temporaries.  Whole-chunk
+        batches peaked at 18-29 MiB here."""
+        assert self.peak(model, sim.CHUNK_SIZE) < 8 * gc.BLOCK_BYTES
+
+    @pytest.mark.parametrize("model", PEAK_MODELS,
+                             ids=lambda m: type(m).__name__)
+    def test_workspace_does_not_grow_with_chunks(self, model):
+        """The one workspace of a thread serves every chunk it draws."""
+        one = self.peak(model, sim.CHUNK_SIZE)
+        assert self.peak(model, 3 * sim.CHUNK_SIZE) <= 1.1 * one
+
+
+class TestWorkspace:
+    """A ``scratch`` dict reused from block to block changes no result."""
+
+    @pytest.mark.parametrize(
+        "model", TestBatchBytes.MODELS + [sim.Gnp4Cliques(70, 0.2)],
+        ids=lambda m: type(m).__name__)
+    def test_reused_workspace_gives_the_same_statistics(self, model):
+        rows = gc.block_rows(model.batch_bytes(1))
+        scratch = {}
+        kept = []
+        # a full block, a short tail, then a full block again, with the
+        # buffers grown by the first; n = 20, 30 and 70 (two mask words)
+        for seed, size in enumerate((rows, 7, rows)):
+            want = model.batch(np.random.default_rng(seed), size)
+            got = model.batch(np.random.default_rng(seed), size, scratch=scratch)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            kept.append((got, want))
+        # no statistic is a view of the workspace that later blocks rewrite
+        for got, want in kept:
+            assert np.array_equal(got, want)
+
+    def test_chunks_reuse_one_workspace_per_thread(self, monkeypatch):
+        seen = []
+        batch_blocks = sim._batch_blocks
+
+        def record(model, rng, size, scratch):
+            seen.append(scratch)
+            return batch_blocks(model, rng, size, scratch)
+
+        monkeypatch.setattr(sim, "_batch_blocks", record)
+        model = sim.GnpTriangles(12, 0.3)
+        sim.empirical_tail(model, 1, 3 * sim.CHUNK_SIZE, seed=0)
+        assert len(seen) == 3 and all(s is seen[0] for s in seen)
+        assert seen[0]  # the graph kernels filled it
+        # a new call starts from a new workspace
+        sim.empirical_tail(model, 1, 10, seed=0)
+        assert seen[3] is not seen[0]
 
 
 class TestEmpiricalTail:
