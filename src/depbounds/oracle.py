@@ -6,6 +6,10 @@ and convex-ordering checks.
 Everything here is a ground-truth oracle: sizes are capped (2^n
 enumeration at n <= 20) and computations are exact up to float rounding.
 
+The soundness and sandwich sweeps of ``verify`` read the tails of a
+Bernoulli law from one per-law table, ``tail_lookup``, whose entries equal
+``exact_tail`` bit for bit; ``exact_tail`` stays the oracle for other laws.
+
 Subset moments are whole-array transforms over the subset lattice.  For a
 Bernoulli law the outcome pmf (a ``bincount`` of the atom bitmasks) is
 E[Z_A] itself, its superset-sum (zeta) transform is E[prod_{i in A} X_i]
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,6 +51,7 @@ __all__ = [
     "zeta_decomposition",
     "z_distribution",
     "exact_tail",
+    "tail_lookup",
     "dephoeff_bound",
     "symmetric_moment",
     "averaged_binomial_checks",
@@ -94,7 +100,7 @@ class JointDist:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
 
-    @property
+    @cached_property
     def is_bernoulli(self) -> bool:
         return bool(np.all((self.xs == 0.0) | (self.xs == 1.0)))
 
@@ -211,6 +217,28 @@ def exact_tail(dist: JointDist, t: float) -> float:
     """Ground truth P[sum X_i >= t] by direct enumeration of the support."""
     sums = dist.xs.sum(axis=1)
     return float(dist.ws[sums >= t - 1e-12].sum())
+
+
+def tail_lookup(dist: JointDist):
+    """P[sum X_i >= t] of a Bernoulli law as a function of finite t, equal
+    bit for bit to ``exact_tail(dist, t)``.
+
+    Every atom sum is an integer, so ``sums >= t - 1e-12`` selects the same
+    atoms as ``sums >= j`` at j = ceil(t - 1e-12) clamped to [0, n + 1];
+    the tail at each such j is computed on its first lookup only.
+    """
+    if not dist.is_bernoulli:
+        raise ValueError("tail_lookup needs a Bernoulli law; use exact_tail")
+    sums = dist.xs.sum(axis=1)
+    tails = {}
+
+    def tail(t: float) -> float:
+        j = min(max(math.ceil(t - 1e-12), 0), dist.n + 1)
+        if j not in tails:
+            tails[j] = float(dist.ws[sums >= j].sum())
+        return tails[j]
+
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +415,14 @@ def _check_cap(n: int):
         raise ValueError(f"n={n} exceeds cap {MAX_ENUM_N}")
 
 
+@lru_cache(maxsize=8)
 def subset_sizes(n: int) -> np.ndarray:
-    """|A| for every subset A of {0,...,n-1} (bitmask indexed), by doubling."""
+    """|A| for every subset A of {0,...,n-1} (bitmask indexed), by doubling;
+    one read-only array per n."""
     sizes = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         sizes = np.concatenate([sizes, sizes + 1])
+    sizes.flags.writeable = False
     return sizes
 
 

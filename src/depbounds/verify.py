@@ -57,15 +57,19 @@ def run_suite(name: str, **kw):
 
 
 def bernoulli_sum_moments(dist: oc.JointDist):
-    """(sum distribution, symmetric moments S_k) of a Bernoulli joint dist."""
+    """(sum distribution, symmetric moments S_k) of a Bernoulli joint dist.
+
+    S_k = sum_j P[Z = j] C(j, k), added left to right in plain floats (not
+    builtin ``sum``, which compensates float items from CPython 3.12 on).
+    """
     zdist = oc.z_distribution(dist)
-    n = dist.n
-    sk = {
-        k: float(
-            sum(zdist.probs[j] * math.comb(j, k) for j in range(k, n + 1))
-        )
-        for k in range(n + 1)
-    }
+    probs = zdist.probs.tolist()
+    sk = {}
+    for k in range(dist.n + 1):
+        total = 0.0
+        for j in range(k, dist.n + 1):
+            total += probs[j] * math.comb(j, k)
+        sk[k] = total
     return zdist, sk
 
 
@@ -82,9 +86,7 @@ def _is_independent(dist: oc.JointDist, moments: np.ndarray) -> bool:
     """True iff the product moments ``moments`` of ``dist`` match, within
     1e-9, those of the product law with the same means."""
     means = np.clip(dist.means(), 0.0, 1.0)
-    product = oc.subset_product_moments(
-        oc.JointDist(n=dist.n, xs=means[None, :], ws=np.ones(1))
-    )
+    product = oc._lattice_products(np.ones((1, dist.n)), means[None, :])[0]
     return bool(np.all(np.abs(moments[1:] - product[1:]) <= 1e-9))
 
 
@@ -138,7 +140,7 @@ def applicable_bound_checks(dist: oc.JointDist, thresholds_per_bound: int = 5):
             eps = bd.t_to_eps(n, pbar, t)
             checks.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, eps)))
 
-    if np.allclose(dist.means(), 0.5, atol=1e-12):
+    if np.allclose(dist.means(), 0.5, rtol=0.0, atol=1e-12):
         params = bd.DependencyGraphParams(n=n, alpha=1)
         for t in _interior_grid(n / 2.0, n, thresholds_per_bound):
             checks.append(("depgraph(alpha=1)", t, bd.depgraph_bound(params, t)))
@@ -165,18 +167,20 @@ def _random_bernoulli_dist(rng, n_max: int) -> oc.JointDist:
 @_suite("soundness")
 def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
     """Master soundness sweep: exact_tail <= bound for every applicable
-    bound on random Bernoulli joint distributions."""
+    bound on random Bernoulli joint distributions, each law's tails read
+    from one ``oc.tail_lookup``."""
     rng = np.random.default_rng(seed)
     records = []
     checked = 0
     worst = (None, -math.inf)
     for i in range(trials):
         dist = _random_bernoulli_dist(rng, n_max)
+        tail_at = oc.tail_lookup(dist)
         for label, t, tb in applicable_bound_checks(dist):
             if not tb.is_valid:
                 continue
             checked += 1
-            tail = oc.exact_tail(dist, t)
+            tail = tail_at(t)
             gap = tail - tb.bound
             if gap > worst[1]:
                 worst = (f"{label} n={dist.n} t={t:.4g} trial={i}", gap)
@@ -401,10 +405,11 @@ def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0, **_):
     for i in range(trials):
         dist = _random_bernoulli_dist(rng, n_max)
         n = dist.n
+        tail_at = oc.tail_lookup(dist)
         _, sk = bernoulli_sum_moments(dist)
         profile = bd.SymmetricMoments(sk)
         for beta_n in range(1, n + 1):
-            tail = oc.exact_tail(dist, float(beta_n))
+            tail = tail_at(float(beta_n))
             lower = math.exp(bd.linial_lower_bound(n, beta_n, sk[beta_n]))
             if lower > tail + SOUNDNESS_TOL:
                 fails.append(f"trial {i}: lower {lower!r} > tail {tail!r}")

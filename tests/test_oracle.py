@@ -149,6 +149,17 @@ class TestSubsetTransforms:
             want = [bin(m).count("1") for m in range(1 << n)]
             assert oc.subset_sizes(n).tolist() == want
 
+    def test_subset_sizes_are_one_read_only_array_per_n(self):
+        want = [bin(m).count("1") for m in range(1 << 6)]
+        sizes = oc.subset_sizes(6)
+        assert not sizes.flags.writeable
+        with pytest.raises(ValueError):
+            sizes[1] += 1
+        # the rejection sampler reads the cached array for every candidate
+        oc.random_joint_dist(6, bd.ProductBound(0.5), seed=1)
+        assert oc.subset_sizes(6) is sizes
+        assert sizes.tolist() == want
+
     def test_from_masks(self):
         dist = oc.JointDist.from_masks(3, [5, 2], [1.0, 3.0])
         np.testing.assert_array_equal(dist.xs, [[1, 0, 1], [0, 1, 0]])

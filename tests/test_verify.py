@@ -1,0 +1,215 @@
+"""The soundness and sandwich sweeps: the per-law tail lookup, the sweeps
+against the per-check loop they replaced, and rerun determinism."""
+
+import math
+
+import numpy as np
+import pytest
+
+from depbounds import bounds as bd
+from depbounds import oracle as oc
+from depbounds import verify
+
+# ---------------------------------------------------------------------------
+# the reference: the per-check loop the sweeps ran before each law's tails
+# came from one table, with a fresh exact_tail per check, a one-atom
+# JointDist in the independence test and S_k summed over numpy scalars
+
+
+def reference_sum_moments(dist):
+    zdist = oc.z_distribution(dist)
+    n = dist.n
+    sk = {
+        k: float(
+            sum(zdist.probs[j] * math.comb(j, k) for j in range(k, n + 1))
+        )
+        for k in range(n + 1)
+    }
+    return zdist, sk
+
+
+def reference_is_independent(dist, moments):
+    means = np.clip(dist.means(), 0.0, 1.0)
+    product = oc.subset_product_moments(
+        oc.JointDist(n=dist.n, xs=means[None, :], ws=np.ones(1))
+    )
+    return bool(np.all(np.abs(moments[1:] - product[1:]) <= 1e-9))
+
+
+def reference_soundness(n_max, trials, seed):
+    rng = np.random.default_rng(seed)
+    records = []
+    checked = 0
+    worst = (None, -math.inf)
+    for i in range(trials):
+        dist = verify._random_bernoulli_dist(rng, n_max)
+        for label, t, tb in verify.applicable_bound_checks(dist):
+            if not tb.is_valid:
+                continue
+            checked += 1
+            tail = oc.exact_tail(dist, t)
+            gap = tail - tb.bound
+            if gap > worst[1]:
+                worst = (f"{label} n={dist.n} t={t:.4g} trial={i}", gap)
+            if gap > verify.SOUNDNESS_TOL:
+                records.append(
+                    (
+                        f"soundness/{label}",
+                        False,
+                        f"trial {i}: exact_tail={tail!r} > bound={tb.bound!r} "
+                        f"at t={t!r}, params={tb.params}",
+                    )
+                )
+    records.append(
+        (
+            "soundness/sweep",
+            not any(not ok for _, ok, _ in records),
+            f"{checked} bound evaluations over {trials} distributions; "
+            f"worst margin {worst[1]:.3g} at {worst[0]}",
+        )
+    )
+    return records
+
+
+def reference_sandwich(n_max, trials, seed):
+    rng = np.random.default_rng(seed)
+    fails = []
+    checked = 0
+    for i in range(trials):
+        dist = verify._random_bernoulli_dist(rng, n_max)
+        n = dist.n
+        _, sk = reference_sum_moments(dist)
+        profile = bd.SymmetricMoments(sk)
+        for beta_n in range(1, n + 1):
+            tail = oc.exact_tail(dist, float(beta_n))
+            lower = math.exp(bd.linial_lower_bound(n, beta_n, sk[beta_n]))
+            if lower > tail + verify.SOUNDNESS_TOL:
+                fails.append(f"trial {i}: lower {lower!r} > tail {tail!r}")
+            checked += 1
+            for k in range(1, beta_n):
+                tb = bd.linial_luria_bound(n, beta_n, k, profile)
+                if tb.is_valid and tail > tb.bound + verify.SOUNDNESS_TOL:
+                    fails.append(
+                        f"trial {i}: tail {tail!r} > upper {tb.bound!r} "
+                        f"(beta_n={beta_n}, k={k})"
+                    )
+                checked += 1
+    return [
+        (
+            "sandwich/linial",
+            not fails,
+            f"{checked} comparisons over {trials} distributions"
+            + (f"; first failure: {fails[0]}" if fails else ""),
+        )
+    ]
+
+
+def product_law(q):
+    q = np.asarray(q, dtype=float)
+    n = len(q)
+    return oc.JointDist.from_masks(n, np.arange(1 << n), oc.zeta_decomposition(q))
+
+
+def random_laws(count, n_max, seed=0):
+    rng = np.random.default_rng(seed)
+    return [verify._random_bernoulli_dist(rng, n_max) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestTailLookup:
+    def test_equals_exact_tail(self):
+        for dist in random_laws(200, 10):
+            n = dist.n
+            ts = [-1.0, 0.0, float(n), n + 0.5]
+            for j in range(n + 2):
+                ts += [float(j), j - 0.5, j + 0.5, j - 1e-13, j + 1e-13]
+            tail = oc.tail_lookup(dist)
+            for t in ts:
+                assert tail(t) == oc.exact_tail(dist, t), (n, t)
+
+    def test_order_of_lookups_does_not_matter(self):
+        dist = random_laws(1, 8, seed=3)[0]
+        ts = [t / 4.0 for t in range(-4, 4 * dist.n + 8)]
+        forward, backward = oc.tail_lookup(dist), oc.tail_lookup(dist)
+        want = [forward(t) for t in ts]
+        assert [backward(t) for t in reversed(ts)] == want[::-1]
+
+    def test_rejects_a_non_bernoulli_law(self):
+        dist = oc.JointDist(n=2, xs=[[0.5, 1.0], [0.0, 0.25]], ws=[0.5, 0.5])
+        with pytest.raises(ValueError, match="Bernoulli"):
+            oc.tail_lookup(dist)
+
+
+class TestSweepsMatchReference:
+    @pytest.mark.parametrize("n_max", [7, 10])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_soundness(self, monkeypatch, seed, n_max):
+        got = verify.suite_soundness(n_max=n_max, trials=200, seed=seed)
+        # applicable_bound_checks reaches the reference helpers by name
+        monkeypatch.setattr(verify, "bernoulli_sum_moments", reference_sum_moments)
+        monkeypatch.setattr(verify, "_is_independent", reference_is_independent)
+        assert got == reference_soundness(n_max, 200, seed)
+
+    @pytest.mark.parametrize("n_max", [7, 10])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sandwich(self, seed, n_max):
+        got = verify.suite_sandwich(n_max=n_max, trials=200, seed=seed)
+        assert got == reference_sandwich(n_max, 200, seed)
+
+    def test_symmetric_moments_equal_numpy_scalar_sums(self):
+        for dist in random_laws(100, 12, seed=1):
+            zdist, sk = verify.bernoulli_sum_moments(dist)
+            ref_zdist, ref_sk = reference_sum_moments(dist)
+            assert zdist.probs.tolist() == ref_zdist.probs.tolist()
+            assert sk == ref_sk
+            assert all(type(v) is float for v in sk.values())
+
+    def test_independence_test_matches_one_atom_law(self):
+        point_mass = oc.JointDist.from_masks(3, [5], [1.0])
+        laws = random_laws(100, 8, seed=2) + [product_law([0.3, 0.6]), point_mass]
+        for dist in laws:
+            means = np.clip(dist.means(), 0.0, 1.0)
+            one_atom = oc.JointDist(n=dist.n, xs=means[None, :], ws=np.ones(1))
+            np.testing.assert_array_equal(
+                oc._lattice_products(np.ones((1, dist.n)), means[None, :])[0],
+                oc.subset_product_moments(one_atom),
+            )
+            moments = oc.subset_product_moments(dist)
+            assert verify._is_independent(dist, moments) == (
+                reference_is_independent(dist, moments)
+            )
+
+
+class TestDepgraphGate:
+    @staticmethod
+    def labels(dist):
+        return {label for label, _t, _tb in verify.applicable_bound_checks(dist)}
+
+    def test_means_near_one_half_get_no_check(self):
+        dist = product_law([0.5 + 1e-7] * 5)
+        # inside numpy's default relative tolerance around 1/2
+        assert np.allclose(dist.means(), 0.5, atol=1e-12)
+        assert "depgraph(alpha=1)" not in self.labels(dist)
+
+    def test_means_of_exactly_one_half_get_a_check(self):
+        dist = product_law([0.5] * 5)
+        assert np.all(dist.means() == 0.5)
+        assert "depgraph(alpha=1)" in self.labels(dist)
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        ("soundness", {"n_max": 9, "trials": 80, "seed": 5}),
+        ("sandwich", {"n_max": 9, "trials": 80, "seed": 5}),
+        ("convex-order", {"n_max": 40, "trials": 30, "seed": 5}),
+        ("identities", {}),
+    ],
+)
+def test_reruns_are_identical(suite, kwargs):
+    first = verify.run_suite(suite, **kwargs)
+    # a call in between on other inputs must leave nothing behind
+    verify.run_suite(suite, **{**kwargs, "seed": 6})
+    assert verify.run_suite(suite, **kwargs) == first
