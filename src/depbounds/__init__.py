@@ -26,12 +26,12 @@ _EXPORTS = {
     ),
     "numkernel": (
         "BinomialSpec", "PoissonBinomialSpec", "binom_tail_log",
-        "binomial_median_lb_check", "kl_divergence", "poisson_binom_dist",
+        "kl_divergence", "poisson_binom_dist",
     ),
     "oracle": (
-        "BinomCoeffFamily", "ExponentialFamily", "HingeFamily", "JointDist",
-        "ZDist", "dephoeff_bound", "exact_tail", "random_joint_dist",
-        "symmetric_moment", "z_distribution", "zeta_decomposition",
+        "ExponentialFamily", "JointDist", "ZDist", "dephoeff_bound",
+        "exact_tail", "random_joint_dist", "z_distribution",
+        "zeta_decomposition",
     ),
     "simulate": ("SimResult", "empirical_tail", "exact_binomial_ci"),
     "verify": ("run_suite",),

@@ -19,9 +19,7 @@ from fractions import Fraction
 
 from .numkernel import (
     NEG_INF,
-    BinomialSpec,
     _binom_pmf_log_vec,
-    binom_pmf_log,
     kl_divergence,
     log_binom_coeff,
     log_gen_binom_coeff,

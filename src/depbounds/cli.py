@@ -362,10 +362,11 @@ VERIFY_SUITES = ("convex-order", "identities", "lemmas", "sandwich", "soundness"
 
 _SOUNDNESS_SUITES = {"soundness", "sandwich"}
 
-# the --n-max range of each suite that reads it: Bernoulli laws are drawn
-# with 3..n-max variables (full support only up to 12), convex-order
-# vectors with 2..n-max trials (the Poisson-binomial DP is quadratic in n,
-# so the range stops at 10 000), and lemmas enumerates all 2^C(n,2) graphs
+# the --n-max range of each suite that draws random inputs, which alone
+# take --n-max and --trials: Bernoulli laws are drawn with 3..n-max
+# variables (full support only up to 12), convex-order vectors with
+# 2..n-max trials (the Poisson-binomial DP is quadratic in n, so the range
+# stops at 10 000), and lemmas enumerates all 2^C(n,2) graphs
 _VERIFY_N_MAX = {
     "soundness": (3, 12),
     "sandwich": (3, 12),
@@ -375,8 +376,11 @@ _VERIFY_N_MAX = {
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("n-max", args.n_max), ("trials", args.trials)):
+        if value is not None and args.suite not in _VERIFY_N_MAX:
+            raise UsageError(f"--{flag} does not apply to verify {args.suite}")
     kwargs = {}
-    if args.n_max is not None and args.suite in _VERIFY_N_MAX:
+    if args.n_max is not None:
         kwargs["n_max"] = _in_range("n-max", args.n_max, *_VERIFY_N_MAX[args.suite])
     if args.trials is not None:
         # lemmas draws --trials random graphs
@@ -518,11 +522,12 @@ def _build_model(args):
             kernel_args = (("theta", theta),)
         else:
             raise UsageError(f"unknown U-statistic kernel {kernel!r}")
-        return sim.UStat(n, d, kernel, "uniform", kernel_args)
+        return sim.UStat(n, d, kernel, kernel_args)
     if name == "ustat-triangles":
+        # the triangle count of G(m, p) is a U-statistic of its edge bits
         m, p = _require(args, "m", "p")
         _in_range("m", m, 1)
-        return sim.UStat(m, 3, "triangle-indicator", "gnp", (("p", p),))
+        return sim.GnpTriangles(m, p)
     raise UsageError(f"unknown model {name!r}")
 
 
@@ -688,7 +693,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="depbounds")
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
-    common.add_argument("--seed", type=seed, default=None)
+    # verify and simulate draw random inputs; bound and compare draw none
+    # and refuse --seed
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=seed, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", parents=[common],
@@ -700,14 +708,14 @@ def _build_parser() -> _Parser:
     p_bound.add_argument("--eps", type=str, default=None)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[common, seeded],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[common, seeded],
                            help="estimate an empirical tail by Monte Carlo")
     p_sim.add_argument("model", choices=SIM_MODELS)
     p_sim.add_argument("--n", type=int, default=None)

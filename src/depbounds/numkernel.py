@@ -29,7 +29,6 @@ __all__ = [
     "binom_pmf_log",
     "binom_tail_log",
     "poisson_binom_dist",
-    "binomial_median_lb_check",
     "binomial_median_lb_grid",
     "to_prob",
 ]
@@ -247,13 +246,9 @@ def _poisson_binom_rows(ps: np.ndarray) -> np.ndarray:
     return probs
 
 
-def binomial_median_lb_check(spec: BinomialSpec) -> bool:
-    """True iff P[Bin(n,p) >= np - 1] >= 1/2, from the exact distribution."""
-    return bool(binomial_median_lb_grid(spec.n, (spec.p,))[0])
-
-
 def binomial_median_lb_grid(n: int, ps) -> np.ndarray:
-    """:func:`binomial_median_lb_check` for one n over a grid of p, at once.
+    """For one n and every p of a grid: True iff P[Bin(n,p) >= np - 1] >= 1/2,
+    from the exact distribution.
 
     Row r holds ln P[Bin(n, ps[r]) = j] for every j; the upper tail from
     j0 = ceil(np - 1) is one log-sum-exp per row, never 1 - cdf.

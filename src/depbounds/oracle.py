@@ -1,7 +1,7 @@
 """Exact small-instance machinery: explicit joint distributions, the
 subset-weight decomposition of a sum of [0,1] variables, the induced
-distribution on {0,...,n}, convex-function tail bounds, symmetric moments
-and convex-ordering checks.
+distribution on {0,...,n}, the exponential-family convex-function tail
+bound E f(Z)/f(t), and the averaged-binomial ordering checks.
 
 Everything here is a ground-truth oracle: sizes are capped (2^n
 enumeration at n <= 20) and computations are exact up to float rounding.
@@ -21,7 +21,7 @@ chunks that keep each (atoms, 2^n) block near 8 MB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -45,18 +45,13 @@ __all__ = [
     "JointDist",
     "ZDist",
     "ExponentialFamily",
-    "HingeFamily",
-    "BinomCoeffFamily",
     "default_h_grid",
     "zeta_decomposition",
     "z_distribution",
     "exact_tail",
     "tail_lookup",
     "dephoeff_bound",
-    "symmetric_moment",
     "averaged_binomial_checks",
-    "convex_order_check",
-    "poisson_trials_check",
     "random_joint_dist",
     "subset_product_moments",
     "subset_zeta_moments",
@@ -112,31 +107,6 @@ class JointDist:
         """Average coordinate mean p = (1/n) sum E[X_i]."""
         return float(self.means().mean())
 
-    # -- text serialization: one atom per line, "w x_1 ... x_n" ----------
-
-    def dumps(self) -> str:
-        lines = []
-        for w, x in zip(self.ws, self.xs):
-            lines.append(" ".join([repr(float(w))] + [repr(float(v)) for v in x]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "JointDist":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split()])
-        if not rows:
-            raise ValueError("empty joint-distribution file")
-        arr = np.array(rows, dtype=float)
-        ws, xs = arr[:, 0], arr[:, 1:]
-        total = math.fsum(ws)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total}, outside tolerance")
-        return cls(n=xs.shape[1], xs=xs, ws=ws / total)
-
     @classmethod
     def from_masks(cls, n: int, masks, ws) -> "JointDist":
         """Bernoulli law with one atom per bitmask (bit i set means X_i = 1);
@@ -145,15 +115,6 @@ class JointDist:
         xs = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
         ws = np.asarray(ws, dtype=float)
         return cls(n=n, xs=xs, ws=ws / math.fsum(ws))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
-    @classmethod
-    def load(cls, path) -> "JointDist":
-        with open(path) as fh:
-            return cls.loads(fh.read())
 
 
 @dataclass
@@ -242,7 +203,7 @@ def tail_lookup(dist: JointDist):
 
 
 # ---------------------------------------------------------------------------
-# convex function families
+# the exponential convex-function family
 
 
 def default_h_grid(center: float, span: float = 8.0, size: int = 512) -> np.ndarray:
@@ -269,51 +230,6 @@ class ExponentialFamily:
         return vals, [{"h": float(v)} for v in h]
 
 
-@dataclass(frozen=True)
-class HingeFamily:
-    """f(x) = max(0, h*(x - ell) + 1), h over a grid.
-
-    Members with f(t) <= 0 are not valid bound witnesses and are skipped.
-    """
-
-    ell: float
-    h_grid: np.ndarray
-
-    def log_values(self, zdist: ZDist, t: float):
-        j = np.arange(zdist.n + 1)
-        h = np.asarray(self.h_grid, dtype=float)
-        ft = h * (t - self.ell) + 1.0
-        h, ft = h[ft > 0.0], ft[ft > 0.0]
-        num = np.maximum(0.0, h[:, None] * (j - self.ell) + 1.0) @ zdist.probs
-        with np.errstate(divide="ignore"):
-            vals = np.where(num > 0.0, np.log(num) - np.log(ft), NEG_INF)
-        return vals, [{"h": float(v), "ell": self.ell} for v in h]
-
-
-@dataclass(frozen=True)
-class BinomCoeffFamily:
-    """f(j) = C(j,k) on integers (0 below k), linear in between."""
-
-    k: int
-
-    def _f(self, x):
-        """f elementwise over an array of points."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = np.floor(x), np.ceil(x)
-        # exact math.comb, which is 0 below k
-        comb = np.vectorize(lambda j: math.comb(int(j), self.k), otypes=[float])
-        f_lo, f_hi = comb(lo), comb(hi)
-        return f_lo + (x - lo) * (f_hi - f_lo)
-
-    def log_values(self, zdist: ZDist, t: float):
-        ft = float(self._f(t))
-        if ft <= 0.0:
-            return np.array([]), []
-        num = float(zdist.probs @ self._f(np.arange(zdist.n + 1)))
-        val = math.log(num) - math.log(ft) if num > 0.0 else NEG_INF
-        return np.array([val]), [{"k": self.k}]
-
-
 def dephoeff_bound(zdist: ZDist, t: float, family) -> TailBound:
     """Best tail bound (1/f(t)) * E[f(Z)] over a convex-function family.
 
@@ -336,28 +252,7 @@ def dephoeff_bound(zdist: ZDist, t: float, family) -> TailBound:
 
 
 # ---------------------------------------------------------------------------
-# moments and classical orderings
-
-
-def _esp(xs: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise elementary symmetric polynomials e_k by the O(nk) recurrence."""
-    e = np.zeros((xs.shape[0], k + 1))
-    e[:, 0] = 1.0
-    for i in range(xs.shape[1]):
-        e[:, 1:] = e[:, 1:] + xs[:, i : i + 1] * e[:, :-1]
-    return e[:, k]
-
-
-def symmetric_moment(dist: JointDist, k: int) -> float:
-    """Exact E[S_k] = E[sum over |A|=k of prod_{i in A} X_i].
-
-    Elementary-symmetric recurrence over all atoms at once, no 2^n blowup.
-    """
-    if not 0 <= k <= dist.n:
-        raise ValueError(f"k={k} outside [0, {dist.n}]")
-    if k == 0:
-        return 1.0
-    return float(dist.ws @ _esp(dist.xs, k))
+# classical orderings
 
 
 def averaged_binomial_checks(ps: PoissonBinomialSpec, hs=(), bs=()):
@@ -394,16 +289,6 @@ def averaged_binomial_checks(ps: PoissonBinomialSpec, hs=(), bs=()):
     lhs_tail = np.cumsum(lhs_dist[::-1])[::-1]
     rhs_tail = np.cumsum(rhs_dist[::-1])[::-1]
     return lhs <= rhs + 1e-12, lhs_tail[bs] >= rhs_tail[bs] - 1e-12
-
-
-def convex_order_check(ps: PoissonBinomialSpec, h: float) -> bool:
-    """True iff E[exp(h*H(p_1..p_n))] <= E[exp(h*Bin(n, pbar))], exactly."""
-    return bool(averaged_binomial_checks(ps, hs=(h,))[0][0])
-
-
-def poisson_trials_check(ps: PoissonBinomialSpec, b: int) -> bool:
-    """True iff P[sum B_i >= b] >= P[Bin(n, pbar) >= b], for 0 <= b <= n*pbar."""
-    return bool(averaged_binomial_checks(ps, bs=(b,))[1][0])
 
 
 # ---------------------------------------------------------------------------

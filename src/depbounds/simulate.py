@@ -291,26 +291,21 @@ class MartingaleDiff:
 
 @dataclass(frozen=True)
 class UStat:
-    """U-statistic X = sum over d-subsets of F(xi_(i1..id)).
+    """U-statistic X = sum over d-subsets of F(u_i1, ..., u_id) of n
+    independent uniforms.
 
-    Kernels on the 'uniform' base: 'all-below' (F = prod 1[u_i <= c],
-    mean c^d) and 'threshold-sum' (F = 1[sum u >= theta]).  The
-    'triangle-indicator' kernel runs directly on a G(n, p) graph with
-    d = 3 potential edges per vertex triple; X is its triangle count.
+    Kernels: 'all-below' (F = prod 1[u_i <= c], mean c^d) and
+    'threshold-sum' (F = 1[sum u >= theta]).  The triangle count of
+    G(n, p), a U-statistic of the edge bits, is ``GnpTriangles``.
     """
 
     n: int
     d: int
     kernel: str = "all-below"
-    base: str = "uniform"
     kernel_args: tuple = field(default_factory=tuple)  # (("c", 0.5), ...)
 
     def batch(self, rng, size, scratch=None):
         kw = dict(self.kernel_args)
-        if self.kernel == "triangle-indicator":
-            bits = _gnp_edges(self.n, kw["p"], rng, size, scratch)
-            masks = gc.edge_masks(self.n, bits, scratch)
-            return gc.triangle_count(masks, scratch)[0].astype(float)
         u = rng.random((size, self.n))
         if self.kernel == "all-below":
             # the d-subsets inside the B coordinates at or below c number
@@ -325,8 +320,6 @@ class UStat:
         raise ValueError(f"unknown U-statistic kernel {self.kernel!r}")
 
     def batch_bytes(self, size):
-        if self.kernel == "triangle-indicator":
-            return gc.edge_bytes(self.n, size, codegrees=True)
         if self.kernel == "all-below":
             return 8 * size * self.n  # the uniforms
         # the uniforms gathered at every d-subset, d C(n, d) >= n of them

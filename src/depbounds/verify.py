@@ -205,8 +205,11 @@ def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
 
 
 @_suite("identities")
-def suite_identities(**_):
-    """Reduction identities between evaluators, within 1e-10 in log scale."""
+def suite_identities(seed: int = 0):
+    """Reduction identities between evaluators, within 1e-10 in log scale.
+
+    Every input is fixed, so ``seed``, which every suite takes, changes
+    nothing."""
     records = []
 
     def close(name, a, b, tol=IDENTITY_TOL):
@@ -363,7 +366,7 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
 
 
 @_suite("convex-order")
-def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12, **_):
+def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12):
     """Averaged-binomial domination properties of independent trials."""
     rng = np.random.default_rng(seed)
     records = []
@@ -397,7 +400,7 @@ def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12, **_):
 
 
 @_suite("sandwich")
-def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0, **_):
+def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0):
     """Lower and upper symmetric-moment bounds sandwich the exact tail."""
     rng = np.random.default_rng(seed)
     fails = []

@@ -7,10 +7,8 @@ file doubles as a human-readable checklist and a hard gate.
 
 import math
 import time
-from itertools import combinations
 
 import numpy as np
-import pytest
 
 from depbounds import bounds as bd
 from depbounds import graphcomb as gc

@@ -10,13 +10,6 @@ from scipy.optimize import minimize_scalar
 
 from depbounds import bounds as bd
 from depbounds import graphcomb as gc
-from depbounds.numkernel import (
-    BinomialSpec,
-    binom_pmf_log,
-    binom_tail_log,
-    kl_divergence,
-    to_prob,
-)
 
 mpmath.mp.dps = 60
 

@@ -233,6 +233,9 @@ class TestVerify:
         ("lemmas --n-max 9", "--n-max", "[3, 7]"),
         ("lemmas --n-max 2", "--n-max", "[3, 7]"),
         ("lemmas --trials 0", "--trials", ">= 1"),
+        # identities draws nothing random
+        ("identities --n-max 5", "--n-max", "does not apply"),
+        ("identities --trials 5", "--trials", "does not apply"),
     ])
     def test_flag_out_of_range_is_usage_error(self, capsys, argv, flag, want):
         code, out, err = run_cli(capsys, "verify", *argv.split())
@@ -314,9 +317,28 @@ class TestSimulate:
         "verify identities",
     ])
     def test_threads_only_on_simulate(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv.split(), "--threads", "1")
-        assert code == 64 and out == ""
-        assert "--threads" in err
+        """--threads belongs to simulate alone, and --seed to simulate and
+        verify: bound and compare draw nothing random."""
+        seeded = argv.startswith("verify")
+        for flag in ["--threads"] if seeded else ["--threads", "--seed"]:
+            code, out, err = run_cli(capsys, *argv.split(), flag, "1")
+            assert code == 64 and out == ""
+            assert flag in err
+
+    def test_ustat_triangles_is_gnp_triangles(self, capsys):
+        """ustat-triangles --m m is the triangle count of G(m, p), drawn by
+        the gnp-triangles sampler."""
+        tail = ("--p", "0.4", "--t", "10", "--reps", "9000", "--seed", "1",
+                "--format", "json-lines")
+        code_u, out_u, _ = run_cli(capsys, "simulate", "ustat-triangles",
+                                   "--m", "9", *tail)
+        code_g, out_g, _ = run_cli(capsys, "simulate", "gnp-triangles",
+                                   "--n", "9", *tail)
+        (rec_u,), (rec_g,) = json_records(out_u), json_records(out_g)
+        assert (code_u, code_g) == (0, 0)
+        assert rec_u.pop("model") == "ustat-triangles"
+        assert rec_g.pop("model") == "gnp-triangles"
+        assert rec_u == rec_g
 
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         # --threads may not exceed the CPU count; pretend there are 4

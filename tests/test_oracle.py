@@ -1,5 +1,6 @@
 """Exact-oracle machinery: decomposition identities, induced distribution,
-convex-family bounds, moments, orderings and the constrained generator."""
+the exponential convex-family bound, symmetric moments, orderings and the
+constrained generator."""
 
 import math
 import tracemalloc
@@ -71,9 +72,9 @@ def ref_z_distribution(dist):
 
 @st.composite
 def joint_laws(draw, kind):
-    """A law on n <= 10 coordinates, written out and read back through
-    ``JointDist.loads``.  Bernoulli atoms come from a few bitmasks, so
-    duplicate atoms are common; a mixed law has one fractional atom."""
+    """A law on n <= 10 coordinates.  Bernoulli atoms come from a few
+    bitmasks, so duplicate atoms are common; a mixed law has one fractional
+    atom."""
     n = draw(st.integers(1, 10))
     top = min(draw(st.sampled_from([3, (1 << n) - 1])), (1 << n) - 1)
     masks = draw(st.lists(st.integers(0, top), min_size=1, max_size=12))
@@ -84,11 +85,7 @@ def joint_laws(draw, kind):
     elif kind == "mixed":
         xs[0] = draw(st.lists(frac, min_size=n, max_size=n))
     raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(xs), max_size=len(xs)))
-    total = math.fsum(raw)
-    text = "".join(
-        " ".join(repr(v) for v in [w / total, *x]) + "\n" for w, x in zip(raw, xs)
-    )
-    return oc.JointDist.loads(text)
+    return oc.JointDist(n=n, xs=xs, ws=np.array(raw) / math.fsum(raw))
 
 
 class TestSubsetTransforms:
@@ -281,23 +278,6 @@ class TestDephoeff:
         want = bd.hoeffding_bound(n, p, t)
         assert tb.log_bound == pytest.approx(want.log_bound, abs=1e-9)
 
-    def test_binomcoeff_matches_symmetric_moment_bound(self):
-        dist = oc.random_joint_dist(8, seed=5)
-        zd = oc.z_distribution(dist)
-        n, beta_n, k = 8, 6, 3
-        sk = oc.symmetric_moment(dist, k)
-        tb = oc.dephoeff_bound(zd, float(beta_n), oc.BinomCoeffFamily(k))
-        want = bd.linial_luria_bound(n, beta_n, k, bd.SymmetricMoments({0: 1.0, k: sk}))
-        assert tb.log_bound == pytest.approx(want.log_bound, abs=1e-10)
-
-    def test_hinge_at_threshold_below_exponential(self):
-        n, p, t = 20, 0.3, 12.0
-        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
-        h = math.log((t / n) * (1 - p) / ((1 - t / n) * p))
-        exp_val = oc.dephoeff_bound(zd, t, oc.ExponentialFamily(np.array([h])))
-        hinge_val = oc.dephoeff_bound(zd, t, oc.HingeFamily(t, np.array([h])))
-        assert hinge_val.log_bound <= exp_val.log_bound + 1e-12
-
     def test_grid_refinement_never_increases(self):
         n, p, t = 14, 0.4, 9.0
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
@@ -320,32 +300,6 @@ class TestDephoeff:
         want = [math.log(float(probs @ np.exp(h * j))) - h * t for h in hs]
         np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
         assert [m["h"] for m in members] == hs.tolist()
-        ell = 5.0
-        vals, members = oc.HingeFamily(ell, hs).log_values(zd, t)
-        kept = [h for h in hs if h * (t - ell) + 1.0 > 0.0]
-        want = [
-            math.log(float(probs @ np.maximum(0.0, h * (j - ell) + 1.0)))
-            - math.log(h * (t - ell) + 1.0)
-            for h in kept
-        ]
-        assert 0 < len(kept) < len(hs)
-        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
-        assert [m["h"] for m in members] == kept
-        for k in (1, 2, 5):
-            (val,), _ = oc.BinomCoeffFamily(k).log_values(zd, t)
-            f_t = math.comb(4, k) + 0.5 * (math.comb(5, k) - math.comb(4, k))
-            num = math.fsum(p * math.comb(i, k) for i, p in enumerate(probs))
-            assert val == pytest.approx(math.log(num / f_t), abs=1e-12)
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 5, 12])
-    def test_binom_coeff_family_matches_scipy_comb(self, k):
-        x = np.linspace(0.0, 30.0, 241)
-        lo, hi = np.floor(x), np.ceil(x)
-        f_lo, f_hi = scipy.special.comb(lo, k), scipy.special.comb(hi, k)
-        np.testing.assert_allclose(
-            oc.BinomCoeffFamily(k)._f(x), f_lo + (x - lo) * (f_hi - f_lo),
-            rtol=1e-14, atol=0.0,
-        )
 
     def test_t_below_mean_invalid(self):
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
@@ -358,60 +312,66 @@ class TestDephoeff:
             dist = oc.random_joint_dist(6, seed=seed)
             zd = oc.z_distribution(dist)
             mean = zd.mean()
+            fam = oc.ExponentialFamily(oc.default_h_grid(1.0))
             for t in np.linspace(mean + 0.1, 5.9, 5):
-                h_opt = 1.0
-                for fam in (
-                    oc.ExponentialFamily(oc.default_h_grid(h_opt)),
-                    oc.HingeFamily(float(t), oc.default_h_grid(h_opt)),
-                    oc.BinomCoeffFamily(2),
-                ):
-                    tb = oc.dephoeff_bound(zd, float(t), fam)
-                    if tb.is_valid:
-                        assert oc.exact_tail(dist, float(t)) <= tb.bound + 1e-12
+                tb = oc.dephoeff_bound(zd, float(t), fam)
+                if tb.is_valid:
+                    assert oc.exact_tail(dist, float(t)) <= tb.bound + 1e-12
 
 
 class TestSymmetricMoment:
+    """S_k = E[sum over |A|=k of prod_{i in A} X_i] of a Bernoulli law, as
+    ``verify.bernoulli_sum_moments`` reads it off the law of Z."""
+
+    @staticmethod
+    def moments(dist):
+        return verify.bernoulli_sum_moments(dist)[1]
+
     def test_k_zero(self):
         dist = oc.random_joint_dist(5, seed=1)
-        assert oc.symmetric_moment(dist, 0) == 1.0
+        assert self.moments(dist)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_k_one_is_sum_of_means(self):
-        dist = oc.random_joint_dist(5, seed=2, bernoulli=False)
-        assert oc.symmetric_moment(dist, 1) == pytest.approx(
+        dist = oc.random_joint_dist(5, seed=2)
+        assert self.moments(dist)[1] == pytest.approx(
             float(dist.means().sum()), abs=1e-12
         )
 
     def test_product_bernoulli_closed_form(self):
         n, k, p = 10, 4, 0.35
         dist = product_bernoulli_dist([p] * n)
-        assert oc.symmetric_moment(dist, k) == pytest.approx(
+        assert self.moments(dist)[k] == pytest.approx(
             math.comb(n, k) * p**k, rel=1e-10
         )
 
     def test_matches_subset_enumeration(self):
-        dist = oc.random_joint_dist(6, seed=9, bernoulli=False)
+        dist = oc.random_joint_dist(6, seed=9)
         moments = oc.subset_product_moments(dist)
+        sk = self.moments(dist)
         for k in range(7):
             want = math.fsum(
                 moments[m] for m in range(64) if bin(m).count("1") == k
             )
-            assert oc.symmetric_moment(dist, k) == pytest.approx(want, abs=1e-10)
+            assert sk[k] == pytest.approx(want, abs=1e-10)
 
 
 class TestHoeffding1956Checks:
     def test_equal_ps_equality(self):
-        assert oc.convex_order_check(PoissonBinomialSpec((0.4,) * 6), 1.0)
+        spec = PoissonBinomialSpec((0.4,) * 6)
+        assert oc.averaged_binomial_checks(spec, hs=(1.0,))[0].tolist() == [True]
 
     def test_two_trial_example(self):
-        assert oc.convex_order_check(PoissonBinomialSpec((0.1, 0.9)), 1.0)
+        spec = PoissonBinomialSpec((0.1, 0.9))
+        assert oc.averaged_binomial_checks(spec, hs=(1.0,))[0].tolist() == [True]
 
     def test_poisson_trials_examples(self):
-        assert oc.poisson_trials_check(PoissonBinomialSpec((0.2, 0.8)), 0)
-        assert oc.poisson_trials_check(PoissonBinomialSpec((0.2, 0.8)), 1)
+        spec = PoissonBinomialSpec((0.2, 0.8))
+        _, tail_ok = oc.averaged_binomial_checks(spec, bs=(0, 1))
+        assert tail_ok.tolist() == [True, True]
 
     def test_poisson_trials_domain(self):
         with pytest.raises(ValueError):
-            oc.poisson_trials_check(PoissonBinomialSpec((0.2, 0.2)), 2)
+            oc.averaged_binomial_checks(PoissonBinomialSpec((0.2, 0.2)), bs=(2,))
 
     @given(
         ps=st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2, max_size=10),
@@ -420,9 +380,9 @@ class TestHoeffding1956Checks:
     @settings(max_examples=150, deadline=None)
     def test_random_sweep(self, ps, h):
         spec = PoissonBinomialSpec(tuple(ps))
-        assert oc.convex_order_check(spec, h)
-        for b in range(0, math.floor(spec.n * spec.mean) + 1):
-            assert oc.poisson_trials_check(spec, b)
+        bs = range(math.floor(spec.n * spec.mean) + 1)
+        exp_ok, tail_ok = oc.averaged_binomial_checks(spec, hs=(h,), bs=bs)
+        assert exp_ok.all() and tail_ok.all()
 
     @given(
         ps=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=14),
@@ -430,8 +390,8 @@ class TestHoeffding1956Checks:
     )
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_per_check_reference(self, ps, hs):
-        """One call over every tilt and threshold gives the verdicts of
-        the pmf-per-check computation it replaced."""
+        """One call over every tilt and threshold gives the verdicts of a
+        pmf-per-check computation."""
         spec = PoissonBinomialSpec(tuple(ps))
         n, pbar = spec.n, spec.mean
         bs = range(math.floor(n * pbar) + 1)
@@ -448,8 +408,6 @@ class TestHoeffding1956Checks:
         want_tail = [lhs[b:].sum() >= rhs[b:].sum() - 1e-12 for b in bs]
         assert exp_ok.tolist() == want_exp
         assert tail_ok.tolist() == want_tail
-        for h, ok in zip(hs, exp_ok):
-            assert oc.convex_order_check(spec, h) == ok
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 333, 1000, 2000])
     def test_closed_form_binomial_matches_the_dp(self, n):
@@ -478,25 +436,7 @@ class TestHoeffding1956Checks:
         assert exp_ok.shape == tail_ok.shape == (0,)
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        dist = oc.random_joint_dist(6, seed=8, bernoulli=False)
-        path = tmp_path / "dist.txt"
-        dist.save(path)
-        back = oc.JointDist.load(path)
-        assert back.n == dist.n
-        np.testing.assert_array_equal(back.xs, dist.xs)
-        np.testing.assert_array_equal(back.ws, dist.ws)
-
-    def test_renormalizes_within_tolerance(self):
-        text = "0.5000000001 1 0\n0.5 0 1\n"
-        dist = oc.JointDist.loads(text)
-        assert math.fsum(dist.ws) == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_far_from_one(self):
-        with pytest.raises(ValueError):
-            oc.JointDist.loads("0.6 1 0\n0.5 0 1\n")
-
+class TestJointDist:
     def test_validation(self):
         with pytest.raises(ValueError):
             oc.JointDist(n=2, xs=np.array([[0.5, 1.5]]), ws=np.array([1.0]))
@@ -516,7 +456,8 @@ class TestRandomJointDist:
     def test_determinism(self):
         a = oc.random_joint_dist(8, bd.ProductBound(0.3), seed=17)
         b = oc.random_joint_dist(8, bd.ProductBound(0.3), seed=17)
-        assert a.dumps() == b.dumps()
+        np.testing.assert_array_equal(a.xs, b.xs)
+        np.testing.assert_array_equal(a.ws, b.ws)
 
     def test_product_constraint_verified(self):
         g = 0.3

@@ -39,6 +39,23 @@ class TestSampleGnp:
         _, p = chisquare(counts)
         assert p > P_VALUE_FLOOR
 
+    def test_triangles_match_graph_count(self):
+        # the same stream gives the same edge bits; count their triangles
+        # by direct iteration over vertex triples
+        model = sim.GnpTriangles(6, 0.5)
+        for seed in range(5):
+            stats = model.batch(np.random.default_rng(seed), 40)
+            bits = sim._gnp_edges(6, 0.5, np.random.default_rng(seed), 40)
+            index = {pq: i for i, pq in enumerate(combinations(range(6), 2))}
+            want = [
+                sum(
+                    all(row[index[pq]] for pq in combinations(t, 2))
+                    for t in combinations(range(6), 3)
+                )
+                for row in bits
+            ]
+            assert stats.tolist() == want
+
 
 class TestSampleGnm:
     def test_edge_count_exact(self):
@@ -132,8 +149,7 @@ class TestMartingaleDiff:
 
 
 def ustat(n, d, kernel, **kw):
-    base = "gnp" if kernel == "triangle-indicator" else "uniform"
-    return sim.UStat(n, d, kernel, base, tuple(kw.items()))
+    return sim.UStat(n, d, kernel, tuple(kw.items()))
 
 
 class TestUStat:
@@ -143,27 +159,10 @@ class TestUStat:
         assert np.all(stats == math.comb(6, 2))
 
     def test_all_below_mean(self):
-        model = sim.UStat(6, 2, "all-below", "uniform", (("c", 0.5),))
+        model = sim.UStat(6, 2, "all-below", (("c", 0.5),))
         stats = model.batch(np.random.default_rng(1), 40000)
         want = math.comb(6, 2) * 0.5**2
         assert stats.mean() == pytest.approx(want, abs=0.1)
-
-    def test_triangle_indicator_matches_graph_count(self):
-        # the same stream gives the same edge bits; count their triangles
-        # by direct iteration over vertex triples
-        model = ustat(6, 3, "triangle-indicator", p=0.5)
-        for seed in range(5):
-            stats = model.batch(np.random.default_rng(seed), 40)
-            bits = sim._gnp_edges(6, 0.5, np.random.default_rng(seed), 40)
-            index = {pq: i for i, pq in enumerate(combinations(range(6), 2))}
-            want = [
-                sum(
-                    all(row[index[pq]] for pq in combinations(t, 2))
-                    for t in combinations(range(6), 3)
-                )
-                for row in bits
-            ]
-            assert stats.tolist() == want
 
     def test_threshold_sum_extremes(self):
         rng = np.random.default_rng(0)
@@ -218,7 +217,7 @@ GOLDEN = [
     (sim.MartingaleDiff(20, (0.3,) * 20), 0.5,
      "empirical_tail=0.29150390625\nci_low=0.2684185497006735\n"
      "ci_high=0.31536308538482166\nseed=1\nsum_mean=0.017160397355979597\n"),
-    (sim.UStat(40, 2, "all-below", "uniform", (("c", 0.5),)), 200.0,
+    (sim.UStat(40, 2, "all-below", (("c", 0.5),)), 200.0,
      "empirical_tail=0.450439453125\nci_low=0.4248472469822182\n"
      "ci_high=0.476215487241267\nseed=1\nsum_mean=196.55078125\n"),
 ]
@@ -241,9 +240,8 @@ class TestBatchBytes:
         sim.DegreeParity(12),
         sim.OrientationParity(Graph.complete(8)),
         sim.MartingaleDiff(20, (0.3,) * 20),
-        sim.UStat(12, 3, "all-below", "uniform", (("c", 0.5),)),
-        sim.UStat(10, 2, "threshold-sum", "uniform", (("theta", 1.2),)),
-        sim.UStat(9, 3, "triangle-indicator", "gnp", (("p", 0.4),)),
+        sim.UStat(12, 3, "all-below", (("c", 0.5),)),
+        sim.UStat(10, 2, "threshold-sum", (("theta", 1.2),)),
     ]
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
@@ -265,12 +263,11 @@ class TestBatchBytes:
         assert sim.GnpIsolated(3000, 0.1).batch_bytes(sim.CHUNK_SIZE) == (
             8 * sim.CHUNK_SIZE * math.comb(3000, 2))
         assert sim.GnmTriangles(100, 10).batch_bytes(1) == 8 * math.comb(100, 2) * 2
-        threshold_sum = sim.UStat(200, 4, "threshold-sum", "uniform",
-                                  (("theta", 2.0),))
+        threshold_sum = sim.UStat(200, 4, "threshold-sum", (("theta", 2.0),))
         assert threshold_sum.batch_bytes(sim.CHUNK_SIZE) == (
             8 * sim.CHUNK_SIZE * 4 * math.comb(200, 4))
         # all-below counts the uniforms at or below c and gathers nothing
-        all_below = sim.UStat(200, 4, "all-below", "uniform", (("c", 0.5),))
+        all_below = sim.UStat(200, 4, "all-below", (("c", 0.5),))
         assert all_below.batch_bytes(sim.CHUNK_SIZE) == 8 * sim.CHUNK_SIZE * 200
         for model in self.MODELS:
             assert model.batch_bytes(sim.CHUNK_SIZE) <= sim.CHUNK_BYTES_MAX
@@ -307,8 +304,7 @@ class TestBlocks:
         assert gc.block_rows(gc.BLOCK_BYTES // 100) == 100
         # a few rows per block would repeat each call's fixed cost
         assert gc.block_rows(gc.BLOCK_BYTES) == gc.MIN_BLOCK_ROWS
-        threshold_sum = sim.UStat(20, 4, "threshold-sum", "uniform",
-                                  (("theta", 2.0),))
+        threshold_sum = sim.UStat(20, 4, "threshold-sum", (("theta", 2.0),))
         assert sim._block_rows(threshold_sum) == gc.MIN_BLOCK_ROWS
 
     def test_stepwise_models_draw_chunks_whole(self):
