@@ -636,6 +636,18 @@ def _log_fraction(frac: Fraction) -> float:
     return math.log(frac.numerator) - math.log(frac.denominator)
 
 
+def _gnm_min_over_k(method: str, t: int, denom_graphs: int, numerator) -> TailBound:
+    """min over 0<k<t of numerator(k) / (C(t,k) denom_graphs), in exact
+    rational arithmetic; the first minimizing k on ties."""
+    best, best_k = None, None
+    for k in range(1, t):
+        term = Fraction(numerator(k), math.comb(t, k) * denom_graphs)
+        if best is None or term < best:
+            best, best_k = term, k
+    params = {"k": best_k}
+    return TailBound(method, _clamp(_log_fraction(best), params), params)
+
+
 def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
     """Tail bound on the number of isolated vertices in G(n,m).
 
@@ -651,21 +663,11 @@ def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
         return _invalid(method, "m outside [0, C(n,2)]")
     if t == 1:
         return _invalid(method, "t too small: empty minimization range")
-    denom_graphs = math.comb(math.comb(n, 2), m)
-    best, best_k = None, None
-    for k in range(1, t):
-        pairs_left = math.comb(n - k, 2)
-        if pairs_left < m:
-            term = Fraction(0)
-        else:
-            term = Fraction(
-                math.comb(n, k) * math.comb(pairs_left, m),
-                math.comb(t, k) * denom_graphs,
-            )
-        if best is None or term < best:
-            best, best_k = term, k
-    params = {"k": best_k}
-    return TailBound(method, _clamp(_log_fraction(best), params), params)
+    # C(C(n-k,2), m) is 0 once fewer than m pairs are left
+    return _gnm_min_over_k(
+        method, t, math.comb(math.comb(n, 2), m),
+        lambda k: math.comb(n, k) * math.comb(math.comb(n - k, 2), m),
+    )
 
 
 def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
@@ -685,19 +687,12 @@ def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
     if m > math.comb(n, 2) or m < 0:
         return _invalid(method, "m outside [0, C(n,2)]")
     n2 = math.comb(n, 2)
-    denom_graphs = math.comb(n2, m)
-    best, best_k = None, None
-    for k in range(1, t):
+
+    def numerator(k):
         forced = (3 * k) // (n - 2)
         if m < forced:
             # no m-edge graph contains the forced edges
-            term = Fraction(0)
-        else:
-            term = Fraction(
-                math.comb(n3, k) * math.comb(n2 - forced, m - forced),
-                math.comb(t, k) * denom_graphs,
-            )
-        if best is None or term < best:
-            best, best_k = term, k
-    params = {"k": best_k}
-    return TailBound(method, _clamp(_log_fraction(best), params), params)
+            return 0
+        return math.comb(n3, k) * math.comb(n2 - forced, m - forced)
+
+    return _gnm_min_over_k(method, t, math.comb(n2, m), numerator)

@@ -45,6 +45,8 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count n={self.n} is negative")
         norm = set()
         for u, v in self.edges:
             if u == v:

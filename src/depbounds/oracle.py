@@ -1,7 +1,7 @@
 """Exact small-instance machinery: explicit joint distributions, the
 subset-weight decomposition of a sum of [0,1] variables, the induced
-distribution on {0,...,n}, the exponential-family convex-function tail
-bound E f(Z)/f(t), and the averaged-binomial ordering checks.
+distribution on {0,...,n}, the convex-function tail bound E f(Z)/f(t) over
+exponentials f(x) = exp(h*x), and the averaged-binomial ordering checks.
 
 Everything here is a ground-truth oracle: sizes are capped (2^n
 enumeration at n <= 20) and computations are exact up to float rounding.
@@ -44,7 +44,6 @@ _CHUNK_ENTRIES = 1 << 20
 __all__ = [
     "JointDist",
     "ZDist",
-    "ExponentialFamily",
     "default_h_grid",
     "zeta_decomposition",
     "z_distribution",
@@ -203,7 +202,7 @@ def tail_lookup(dist: JointDist):
 
 
 # ---------------------------------------------------------------------------
-# the exponential convex-function family
+# the convex-function bound over exponential tilts
 
 
 def default_h_grid(center: float, span: float = 8.0, size: int = 512) -> np.ndarray:
@@ -215,26 +214,11 @@ def default_h_grid(center: float, span: float = 8.0, size: int = 512) -> np.ndar
     return np.sort(np.append(grid, center))
 
 
-@dataclass(frozen=True)
-class ExponentialFamily:
-    """f(x) = exp(h*x), h over a grid."""
-
-    h_grid: np.ndarray
-
-    def log_values(self, zdist: ZDist, t: float):
-        j = np.arange(zdist.n + 1)
-        h = np.asarray(self.h_grid, dtype=float)
-        with np.errstate(divide="ignore"):
-            logp = np.where(zdist.probs > 0.0, np.log(zdist.probs), NEG_INF)
-        vals = logsumexp(logp + h[:, None] * j, axis=1) - h * t
-        return vals, [{"h": float(v)} for v in h]
-
-
-def dephoeff_bound(zdist: ZDist, t: float, family) -> TailBound:
-    """Best tail bound (1/f(t)) * E[f(Z)] over a convex-function family.
+def dephoeff_bound(zdist: ZDist, t: float, h_grid) -> TailBound:
+    """Best tail bound E[f(Z)] / f(t) over f(x) = exp(h*x), h in ``h_grid``.
 
     The infimum over all increasing convex functions is not computable;
-    the reported value is the best member found on the family's grid and
+    the reported value is the best tilt on the grid (``params["h"]``) and
     is always an upper bound on P[sum X_i >= t].
     """
     method = "convex-family"
@@ -243,11 +227,14 @@ def dephoeff_bound(zdist: ZDist, t: float, family) -> TailBound:
         return _invalid(method, "t <= mean")
     if t >= zdist.n:
         return _invalid(method, "t >= n")
-    vals, members = family.log_values(zdist, t)
-    if len(vals) == 0:
-        return _invalid(method, "family has no valid member at this t")
+    h = np.asarray(h_grid, dtype=float)
+    if h.size == 0:
+        return _invalid(method, "empty tilt grid")
+    with np.errstate(divide="ignore"):
+        logp = np.where(zdist.probs > 0.0, np.log(zdist.probs), NEG_INF)
+    vals = logsumexp(logp + h[:, None] * np.arange(zdist.n + 1), axis=1) - h * t
     idx = int(np.argmin(vals))
-    params = {"member": members[idx], "family": type(family).__name__}
+    params = {"h": float(h[idx])}
     return TailBound(method, _clamp(float(vals[idx]), params), params)
 
 
@@ -365,20 +352,16 @@ def subset_zeta_moments(dist: JointDist) -> np.ndarray:
     return _atom_sum(dist, lambda xs: _lattice_products(1.0 - xs, xs), 1 << dist.n)
 
 
-def _check_product_constraint(dist: JointDist, gamma: float) -> float | None:
-    """Largest violation of E[prod_A X] <= gamma^|A|, or None if satisfied."""
-    moments = subset_product_moments(dist)
+def _violation(dist: JointDist, constraint) -> float | None:
+    """Largest excess of a subset moment over its cap, or None if every cap
+    holds within 1e-12: E[prod_A X] <= gamma^|A| for A nonempty under a
+    ProductBound, E[Z_A] <= gamma^|A| delta^(n-|A|) under a SplitBound."""
     sizes = subset_sizes(dist.n)
-    excess = moments[1:] - gamma ** sizes[1:]
-    worst = float(excess.max())
-    return worst if worst > 1e-12 else None
-
-
-def _check_split_constraint(dist: JointDist, gamma: float, delta: float):
-    moments = subset_zeta_moments(dist)
-    n = dist.n
-    sizes = subset_sizes(n)
-    excess = moments - gamma ** sizes * delta ** (n - sizes)
+    if isinstance(constraint, ProductBound):
+        excess = subset_product_moments(dist)[1:] - constraint.gamma ** sizes[1:]
+    else:
+        caps = constraint.gamma ** sizes * constraint.delta ** (dist.n - sizes)
+        excess = subset_zeta_moments(dist) - caps
     worst = float(excess.max())
     return worst if worst > 1e-12 else None
 
@@ -387,33 +370,27 @@ def random_joint_dist(
     n: int,
     profile_constraint=None,
     seed: int = 0,
-    bernoulli: bool = True,
     max_attempts: int = 100_000,
 ) -> JointDist:
-    """Seeded generator of valid joint distributions.
+    """Seeded generator of Bernoulli joint distributions, n <= 12.
 
-    With a :class:`ProductBound` or :class:`SplitBound` constraint the
-    candidate is a mixture of product-Bernoulli components whose rates are
-    confined to the feasible interval, and the subset-moment condition is
-    then verified exhaustively; candidates failing verification are
-    rejected.  Deterministic given the seed.
+    Unconstrained, the law has 2..16 atoms at distinct outcomes with
+    Dirichlet weights.  With a :class:`ProductBound` or :class:`SplitBound`
+    constraint the candidate is a mixture of product-Bernoulli components
+    whose rates are confined to the feasible interval, expanded over all
+    2^n outcomes, and the subset-moment condition is then verified
+    exhaustively; candidates failing verification are rejected.
+    Deterministic given the seed.
     """
-    if bernoulli and n > 12:
+    if n > 12:
         raise ValueError(f"Bernoulli full-support generation capped at n=12, got {n}")
     rng = np.random.default_rng(seed)
+    if profile_constraint is None:
+        return _candidate(rng, n, None)
     worst = None
     for _ in range(max_attempts):
-        dist = _candidate(rng, n, profile_constraint, bernoulli)
-        if profile_constraint is None:
-            return dist
-        if isinstance(profile_constraint, ProductBound):
-            worst = _check_product_constraint(dist, profile_constraint.gamma)
-        elif isinstance(profile_constraint, SplitBound):
-            worst = _check_split_constraint(
-                dist, profile_constraint.gamma, profile_constraint.delta
-            )
-        else:
-            raise TypeError(f"unsupported constraint {profile_constraint!r}")
+        dist = _candidate(rng, n, profile_constraint)
+        worst = _violation(dist, profile_constraint)
         if worst is None:
             return dist
     raise GenerationError(
@@ -422,17 +399,11 @@ def random_joint_dist(
     )
 
 
-def _candidate(rng, n, constraint, bernoulli) -> JointDist:
+def _candidate(rng, n, constraint) -> JointDist:
     if constraint is None:
-        if bernoulli:
-            m = int(rng.integers(2, min(16, 1 << n) + 1))
-            masks = rng.choice(1 << n, size=m, replace=False)
-            return JointDist.from_masks(n, masks, rng.dirichlet(np.ones(m)))
-        m = int(rng.integers(2, 9))
-        xs = rng.random((m, n))
-        ws = rng.dirichlet(np.ones(m))
-        ws = ws / math.fsum(ws)
-        return JointDist(n=n, xs=xs, ws=ws)
+        m = int(rng.integers(2, min(16, 1 << n) + 1))
+        masks = rng.choice(1 << n, size=m, replace=False)
+        return JointDist.from_masks(n, masks, rng.dirichlet(np.ones(m)))
     if isinstance(constraint, ProductBound):
         lo, hi = 0.0, constraint.gamma
     elif isinstance(constraint, SplitBound):
@@ -442,12 +413,6 @@ def _candidate(rng, n, constraint, bernoulli) -> JointDist:
     comps = int(rng.integers(2, 6))
     rates = lo + (hi - lo) * rng.random((comps, n))
     mix = rng.dirichlet(np.ones(comps))
-    if bernoulli:
-        # expand the mixture of product-Bernoulli laws over all 2^n outcomes
-        outcome_probs = (mix[:, None] * _lattice_products(1.0 - rates, rates)).sum(
-            axis=0
-        )
-        masks = np.nonzero(outcome_probs > 0.0)[0]
-        return JointDist.from_masks(n, masks, outcome_probs[masks])
-    ws = mix / math.fsum(mix)
-    return JointDist(n=n, xs=rates, ws=ws)
+    outcome_probs = (mix[:, None] * _lattice_products(1.0 - rates, rates)).sum(axis=0)
+    masks = np.nonzero(outcome_probs > 0.0)[0]
+    return JointDist.from_masks(n, masks, outcome_probs[masks])

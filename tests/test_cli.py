@@ -417,6 +417,18 @@ class TestSimulate:
         assert out == ""
         assert flag in err
 
+    def test_negative_vertex_count_in_graph_file_is_usage_error(
+            self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n -1\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "orientation-parity", "--graph", str(path),
+            "--t", "1", "--reps", "10"
+        )
+        assert code == 64
+        assert out == ""
+        assert "--graph" in err and "negative" in err
+
     @pytest.mark.parametrize("argv", [
         "gnp-isolated --n 3000 --p 0.1",
         "ustat --n 200 --d 4 --kernel threshold-sum --theta 2",
@@ -712,7 +724,6 @@ class TestSurface:
     def test_suite_names_and_gnm_bounds_have_one_source(self):
         import argparse
 
-        import depbounds
         from depbounds import cli, graphcomb, verify
 
         sub = next(a for a in cli._build_parser()._actions
@@ -722,7 +733,6 @@ class TestSurface:
         assert set(suite.choices) == set(verify.SUITES)
         for name in ("gnm_isolated_bound", "gnm_triangles_bound"):
             assert getattr(graphcomb, name) is getattr(bd, name)
-            assert getattr(depbounds, name) is getattr(bd, name)
 
     def test_only_simulate_loads_scipy(self):
         """bound, compare and verify run in-process without loading any

@@ -1,5 +1,5 @@
 """Exact-oracle machinery: decomposition identities, induced distribution,
-the exponential convex-family bound, symmetric moments, orderings and the
+the convex-function bound over exponential tilts, symmetric moments, orderings and the
 constrained generator."""
 
 import math
@@ -22,6 +22,13 @@ from depbounds.numkernel import (
     poisson_binom_dist,
     to_prob,
 )
+
+
+def random_point_law(n, seed, m=5):
+    """A [0,1]-valued law with m uniformly drawn atoms, Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    ws = rng.dirichlet(np.ones(m))
+    return oc.JointDist(n, rng.random((m, n)), ws / math.fsum(ws))
 
 
 def product_bernoulli_dist(q):
@@ -247,7 +254,7 @@ class TestZDistribution:
         np.testing.assert_allclose(zd.probs, want, atol=1e-12)
 
     def test_mean_matches_sum_of_means(self):
-        dist = oc.random_joint_dist(7, seed=42, bernoulli=False)
+        dist = random_point_law(7, seed=42)
         zd = oc.z_distribution(dist)
         assert zd.mean() == pytest.approx(float(dist.means().sum()), abs=1e-10)
 
@@ -273,8 +280,7 @@ class TestDephoeff:
         n, p, t = 20, 0.3, 11.0
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
         h_opt = math.log(t * (1 - p) / ((n - t) * p))
-        fam = oc.ExponentialFamily(oc.default_h_grid(h_opt))
-        tb = oc.dephoeff_bound(zd, t, fam)
+        tb = oc.dephoeff_bound(zd, t, oc.default_h_grid(h_opt))
         want = bd.hoeffding_bound(n, p, t)
         assert tb.log_bound == pytest.approx(want.log_bound, abs=1e-9)
 
@@ -282,29 +288,33 @@ class TestDephoeff:
         n, p, t = 14, 0.4, 9.0
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
         h_opt = math.log(t * (1 - p) / ((n - t) * p))
-        coarse = oc.dephoeff_bound(
-            zd, t, oc.ExponentialFamily(oc.default_h_grid(h_opt, size=8))
-        )
+        coarse = oc.dephoeff_bound(zd, t, oc.default_h_grid(h_opt, size=8))
         fine_grid = np.union1d(
             oc.default_h_grid(h_opt, size=8), oc.default_h_grid(h_opt, size=256)
         )
-        fine = oc.dephoeff_bound(zd, t, oc.ExponentialFamily(fine_grid))
+        fine = oc.dephoeff_bound(zd, t, fine_grid)
         assert fine.log_bound <= coarse.log_bound + 1e-15
 
-    def test_family_values_match_member_loops(self):
-        zd = oc.z_distribution(oc.random_joint_dist(7, seed=3, bernoulli=False))
+    def test_best_tilt_matches_per_tilt_loop(self):
+        zd = oc.z_distribution(random_point_law(7, seed=3))
         t, hs = 4.5, oc.default_h_grid(1.0, size=64)
         j = np.arange(zd.n + 1)
-        probs = zd.probs
-        vals, members = oc.ExponentialFamily(hs).log_values(zd, t)
-        want = [math.log(float(probs @ np.exp(h * j))) - h * t for h in hs]
-        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
-        assert [m["h"] for m in members] == hs.tolist()
+        vals = [math.log(float(zd.probs @ np.exp(h * j))) - h * t for h in hs]
+        best = int(np.argmin(vals))
+        tb = oc.dephoeff_bound(zd, t, hs)
+        assert tb.is_valid and vals[best] < 0.0
+        assert tb.log_bound == pytest.approx(vals[best], rel=0, abs=1e-12)
+        assert tb.params == {"h": float(hs[best])}
 
     def test_t_below_mean_invalid(self):
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
-        tb = oc.dephoeff_bound(zd, 4.0, oc.ExponentialFamily(np.array([1.0])))
+        tb = oc.dephoeff_bound(zd, 4.0, np.array([1.0]))
         assert not tb.is_valid
+
+    def test_empty_grid_invalid(self):
+        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
+        tb = oc.dephoeff_bound(zd, 7.0, np.array([]))
+        assert not tb.is_valid and "grid" in tb.invalid_reason
 
     def test_always_dominates_exact_tail(self):
         # soundness of the convex-family bound itself on random dists
@@ -312,9 +322,8 @@ class TestDephoeff:
             dist = oc.random_joint_dist(6, seed=seed)
             zd = oc.z_distribution(dist)
             mean = zd.mean()
-            fam = oc.ExponentialFamily(oc.default_h_grid(1.0))
             for t in np.linspace(mean + 0.1, 5.9, 5):
-                tb = oc.dephoeff_bound(zd, float(t), fam)
+                tb = oc.dephoeff_bound(zd, float(t), oc.default_h_grid(1.0))
                 if tb.is_valid:
                     assert oc.exact_tail(dist, float(t)) <= tb.bound + 1e-12
 
@@ -482,7 +491,7 @@ class TestRandomJointDist:
         # force the candidate stream to violate the constraint so the
         # attempt budget is exhausted and reported
         monkeypatch.setattr(
-            oc, "_candidate", lambda rng, n, c, b: product_bernoulli_dist([0.9] * n)
+            oc, "_candidate", lambda rng, n, c: product_bernoulli_dist([0.9] * n)
         )
         with pytest.raises(oc.GenerationError) as exc:
             oc.random_joint_dist(

@@ -1,8 +1,11 @@
-"""The package surface: every advertised name resolves, and no module of
-``src/depbounds`` imports a name it never uses."""
+"""The package surface: every advertised name resolves, importing the
+package loads none of its modules, and no module of ``src/depbounds``
+imports a name it never uses."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,12 +23,12 @@ def test_every_all_entry_resolves(module):
     assert missing == []
 
 
-def test_every_package_export_resolves():
-    for module, names in depbounds._EXPORTS.items():
-        mod = importlib.import_module(f"depbounds.{module}")
-        for name in names:
-            assert getattr(depbounds, name) is getattr(mod, name)
-    assert sorted(depbounds.__all__) == sorted(depbounds._HOME)
+def test_package_import_loads_no_module():
+    code = ("import sys, depbounds; "
+            "print(sorted(m for m in sys.modules if m.startswith('depbounds.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=SRC.parent, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def unused_imports(source: str) -> list:
