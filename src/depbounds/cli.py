@@ -413,22 +413,25 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate subcommand
 
-SIM_MODELS = (
-    "gnp-isolated", "gnp-triangles", "gnp-4cliques",
-    "gnm-isolated", "gnm-triangles",
-    "orientation-parity", "degree-parity", "mds",
-    "ustat", "ustat-triangles",
-)
 
+@dataclass(frozen=True)
+class SimModel:
+    """How simulate reaches one model.
 
-# the range of each model flag; _build_model narrows --m and --d further
-_SIM_RANGES = {
-    "n": (1, math.inf),
-    "m": (0, math.inf),
-    "d": (1, math.inf),
-    "p": (0.0, 1.0),
-    "c": (0.0, 1.0),
-}
+    flags: the model flags it takes, each required unless in optional.
+    build(sim, a): the sampler for the flag values a, from the simulate
+    module sim (passed in, so that the table loads no numpy); it raises
+    UsageError for values no sampler takes.  auto(a, t): the --bound auto
+    TailBound at the threshold t, or None for a model without one; it
+    raises UsageError naming what the bound needs.  size: the flag that
+    sizes the model's largest array.
+    """
+
+    flags: tuple
+    build: Callable
+    auto: Callable | None = None
+    optional: tuple = ()
+    size: str = "n"
 
 
 def _in_range(name, value, lo, hi=math.inf):
@@ -438,143 +441,22 @@ def _in_range(name, value, lo, hi=math.inf):
     return value
 
 
-def _require(args, *names):
-    vals = []
-    for name in names:
-        v = getattr(args, name.replace("-", "_"))
-        if v is None:
-            raise UsageError(f"{args.model} requires --{name}")
-        if name in _SIM_RANGES:
-            _in_range(name, v, *_SIM_RANGES[name])
-        vals.append(v)
-    return vals
+# every model flag: (cast, lo, hi), the range checked before any model is
+# built; the builders narrow --m and --d further and check the rest
+_SIM_FLAGS = {
+    "n": (int, 1, math.inf),
+    "m": (int, 0, math.inf),
+    "d": (int, 1, math.inf),
+    "p": (finite, 0.0, 1.0),
+    "c": (finite, 0.0, 1.0),
+    "theta": (finite, None, None),
+    "p-vector": (str, None, None),
+    "kernel": (str, None, None),
+    "graph": (str, None, None),
+}
 
 
-def _build_model(args):
-    from . import graphcomb as gc
-    from . import simulate as sim
-
-    name = args.model
-    if name == "gnp-isolated":
-        n, p = _require(args, "n", "p")
-        return sim.GnpIsolated(n, p)
-    if name == "gnp-triangles":
-        n, p = _require(args, "n", "p")
-        return sim.GnpTriangles(n, p)
-    if name == "gnp-4cliques":
-        n, p = _require(args, "n", "p")
-        return sim.Gnp4Cliques(n, p)
-    if name in ("gnm-isolated", "gnm-triangles"):
-        n, m = _require(args, "n", "m")
-        _in_range("m", m, 0, math.comb(n, 2))
-        model = sim.GnmIsolated if name == "gnm-isolated" else sim.GnmTriangles
-        return model(n, m)
-    if name == "orientation-parity":
-        (path,) = _require(args, "graph")
-        try:
-            graph = gc.Graph.load(path)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"--graph: {exc}") from None
-        return sim.OrientationParity(graph)
-    if name == "degree-parity":
-        (n,) = _require(args, "n")
-        return sim.DegreeParity(n)
-    if name == "mds":
-        (n,) = _require(args, "n")
-        if args.p_vector is not None:
-            p_vec = tuple(_sweep("p-vector", args.p_vector, finite))
-            if len(p_vec) != n:
-                raise UsageError("--p-vector length must equal --n")
-            for p in p_vec:
-                _in_range("p-vector", p, 0.0, 1.0)
-        elif args.p is not None:
-            (p,) = _require(args, "p")
-            # the size depends on n alone: check it before the vector exists
-            _fit_chunk(args, sim.MartingaleDiff(n, ()))
-            p_vec = (p,) * n
-        else:
-            raise UsageError("mds requires --p or --p-vector")
-        kernel = args.kernel or "polya-style"
-        if kernel not in sim.MDS_KERNELS:
-            raise UsageError(
-                f"--kernel for mds must be one of {sorted(sim.MDS_KERNELS)}, "
-                f"got {kernel!r}"
-            )
-        return sim.MartingaleDiff(n, p_vec, kernel)
-    if name == "ustat":
-        n, d = _require(args, "n", "d")
-        _in_range("d", d, 1, n)
-        kernel = args.kernel or "all-below"
-        if kernel == "all-below":
-            (c,) = _require(args, "c")
-            kernel_args = (("c", c),)
-            # the sampler indexes a float table of C(b, d), b <= n; the
-            # size check first keeps n small enough for math.comb
-            _fit_chunk(args, sim.UStat(n, d))
-            try:
-                float(math.comb(n, d))
-            except OverflowError:
-                raise UsageError(
-                    f"--d is too large: C({n}, {d}) is beyond the float range"
-                ) from None
-        elif kernel == "threshold-sum":
-            (theta,) = _require(args, "theta")
-            kernel_args = (("theta", theta),)
-        else:
-            raise UsageError(f"unknown U-statistic kernel {kernel!r}")
-        return sim.UStat(n, d, kernel, kernel_args)
-    if name == "ustat-triangles":
-        # the triangle count of G(m, p) is a U-statistic of its edge bits
-        m, p = _require(args, "m", "p")
-        _in_range("m", m, 1)
-        return sim.GnpTriangles(m, p)
-    raise UsageError(f"unknown model {name!r}")
-
-
-def _auto_bound(args, t):
-    """The matching analytic bound for a simulation model, or None."""
-    from . import graphcomb as gc
-
-    name = args.model
-    if name in ("gnp-isolated", "gnp-triangles", "gnp-4cliques", "ustat-triangles"):
-        kind = {
-            "gnp-isolated": "isolated",
-            "gnp-triangles": "triangles",
-            "gnp-4cliques": "cliques4",
-            "ustat-triangles": "triangles",
-        }[name]
-        flag = "m" if name == "ustat-triangles" else "n"
-        n, least = getattr(args, flag), 4 if kind == "cliques4" else 3
-        if n < least or not 0.0 < args.p < 1.0:
-            raise UsageError(
-                f"--bound auto for {name} needs --{flag} >= {least} "
-                "and --p inside (0, 1)"
-            )
-        gamma = gc.gnp_constants(kind, n, args.p)
-        return at_sum("ik", {"n": gc.gnp_count(kind, n), "gamma": gamma}, t)
-    if name in ("gnm-isolated", "gnm-triangles"):
-        return at_sum(name, {"n": args.n, "m": args.m}, t)
-    if name == "mds":
-        if args.p is None:
-            raise UsageError("--bound auto for mds needs a constant --p")
-        # the simulated sum is centred, so t is already a deviation
-        return bd.mcdiarmid_bound(args.n, args.p, t / args.n)
-    if name == "ustat":
-        kernel = args.kernel or "all-below"
-        if kernel != "all-below":
-            raise UsageError(
-                "--bound auto for ustat needs the all-below kernel "
-                "(closed-form mean)"
-            )
-        return at_sum("ustat", {"n": args.n, "d": args.d, "p": args.c ** args.d}, t)
-    raise UsageError(f"no automatic bound is defined for {name}")
-
-
-# the flag that sizes each model's largest array
-_SIZE_FLAG = {"orientation-parity": "graph", "ustat-triangles": "m"}
-
-
-def _fit_chunk(args, model):
+def _fit_chunk(model, name):
     """Refuse a model whose batch of one chunk needs an array over the
     per-chunk limit, before anything is drawn."""
     from . import simulate as sim
@@ -585,16 +467,133 @@ def _fit_chunk(args, model):
         array = (f"a {need / 2**30:.3g} GiB array" if need.bit_length() < 1000
                  else f"an array of over 2^{need.bit_length() - 31} GiB")
         raise UsageError(
-            f"--{_SIZE_FLAG.get(args.model, 'n')} is too large: one "
-            f"{sim.CHUNK_SIZE}-replication chunk of {args.model} needs "
+            f"--{SIM_MODELS[name].size} is too large: one "
+            f"{sim.CHUNK_SIZE}-replication chunk of {name} needs "
             f"{array}, over the {sim.CHUNK_BYTES_MAX / 2**30:g} GiB limit"
         )
     return model
 
 
-def cmd_simulate(args) -> int:
-    from . import simulate as sim
+def _edges(a):
+    """--m, which a graph on --n vertices must hold."""
+    return _in_range("m", a["m"], 0, math.comb(a["n"], 2))
 
+
+def _orientation_parity(sim, a):
+    from .graphcomb import Graph
+
+    try:
+        graph = Graph.load(a["graph"])
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--graph: {exc}") from None
+    return sim.OrientationParity(graph)
+
+
+def _mds(sim, a):
+    n = a["n"]
+    if ("p" in a) == ("p-vector" in a):
+        raise UsageError("mds takes exactly one of --p or --p-vector")
+    if "p" in a:
+        # the size depends on n alone: check it before the vector exists
+        _fit_chunk(sim.MartingaleDiff(n, ()), "mds")
+        p_vec = (a["p"],) * n
+    else:
+        p_vec = tuple(_sweep("p-vector", a["p-vector"], finite))
+        if len(p_vec) != n:
+            raise UsageError("--p-vector length must equal --n")
+        for p in p_vec:
+            _in_range("p-vector", p, 0.0, 1.0)
+    kernel = a.get("kernel", "polya-style")
+    if kernel not in sim.MDS_KERNELS:
+        raise UsageError(
+            f"--kernel for mds must be one of {sorted(sim.MDS_KERNELS)}, "
+            f"got {kernel!r}"
+        )
+    return sim.MartingaleDiff(n, p_vec, kernel)
+
+
+def _ustat_model(sim, a):
+    n, kernel = a["n"], a.get("kernel", "all-below")
+    d = _in_range("d", a["d"], 1, n)
+    if kernel not in ("all-below", "threshold-sum"):
+        raise UsageError(f"unknown U-statistic kernel {kernel!r}")
+    # each kernel takes one parameter flag and refuses the other
+    flag, other = ("c", "theta") if kernel == "all-below" else ("theta", "c")
+    if other in a:
+        raise UsageError(f"--{other} does not apply to the {kernel} kernel")
+    if flag not in a:
+        raise UsageError(f"ustat with the {kernel} kernel requires --{flag}")
+    if kernel == "all-below":
+        # the sampler indexes a float table of C(b, d), b <= n; the size
+        # check first keeps n small enough for math.comb
+        _fit_chunk(sim.UStat(n, d), "ustat")
+        try:
+            float(math.comb(n, d))
+        except OverflowError:
+            raise UsageError(
+                f"--d is too large: C({n}, {d}) is beyond the float range"
+            ) from None
+    return sim.UStat(n, d, kernel, ((flag, a[flag]),))
+
+
+def _gnp_auto(kind, flag, a, t):
+    """ik at the count and rate of the G(n,p) count ``kind`` on --flag
+    vertices."""
+    from .graphcomb import gnp_rate
+
+    least = 4 if kind == "cliques4" else 3
+    if a[flag] < least or not 0.0 < a["p"] < 1.0:
+        raise UsageError(f"--{flag} >= {least} and --p inside (0, 1)")
+    count, gamma = gnp_rate(kind, a[flag], a["p"])
+    return at_sum("ik", {"n": count, "gamma": gamma}, t)
+
+
+def _mds_auto(a, t):
+    if "p" not in a:
+        raise UsageError("a constant --p")
+    # the simulated sum is centred, so t is already a deviation
+    return bd.mcdiarmid_bound(a["n"], a["p"], t / a["n"])
+
+
+def _ustat_auto(a, t):
+    if a.get("kernel", "all-below") != "all-below":
+        raise UsageError("the all-below kernel (closed-form mean)")
+    return at_sum("ustat", {"n": a["n"], "d": a["d"], "p": a["c"] ** a["d"]}, t)
+
+
+# the simulate models, in the order README lists them
+SIM_MODELS = {
+    "gnp-isolated": SimModel(
+        ("n", "p"), lambda sim, a: sim.GnpIsolated(a["n"], a["p"]),
+        partial(_gnp_auto, "isolated", "n")),
+    "gnp-triangles": SimModel(
+        ("n", "p"), lambda sim, a: sim.GnpTriangles(a["n"], a["p"]),
+        partial(_gnp_auto, "triangles", "n")),
+    "gnp-4cliques": SimModel(
+        ("n", "p"), lambda sim, a: sim.Gnp4Cliques(a["n"], a["p"]),
+        partial(_gnp_auto, "cliques4", "n")),
+    "gnm-isolated": SimModel(
+        ("n", "m"), lambda sim, a: sim.GnmIsolated(a["n"], _edges(a)),
+        partial(at_sum, "gnm-isolated")),
+    "gnm-triangles": SimModel(
+        ("n", "m"), lambda sim, a: sim.GnmTriangles(a["n"], _edges(a)),
+        partial(at_sum, "gnm-triangles")),
+    "orientation-parity": SimModel(("graph",), _orientation_parity,
+                                   size="graph"),
+    "degree-parity": SimModel(("n",), lambda sim, a: sim.DegreeParity(a["n"])),
+    "mds": SimModel(("n", "p", "p-vector", "kernel"), _mds, _mds_auto,
+                    optional=("p", "p-vector", "kernel")),
+    "ustat": SimModel(("n", "d", "kernel", "c", "theta"), _ustat_model,
+                      _ustat_auto, optional=("kernel", "c", "theta")),
+    # the triangle count of G(m, p) is a U-statistic of its edge bits
+    "ustat-triangles": SimModel(
+        ("m", "p"),
+        lambda sim, a: sim.GnpTriangles(_in_range("m", a["m"], 1), a["p"]),
+        partial(_gnp_auto, "triangles", "m"), size="m"),
+}
+
+
+def cmd_simulate(args) -> int:
     if args.reps is None or args.reps < 1:
         raise UsageError("--reps must be a positive integer")
     if args.t is None:
@@ -602,7 +601,29 @@ def cmd_simulate(args) -> int:
     # each thread holds a workspace of arrays; threads beyond the CPUs add
     # memory and no speed
     _in_range("threads", args.threads, 1, os.cpu_count() or 1)
-    model = _fit_chunk(args, _build_model(args))
+    spec = SIM_MODELS[args.model]
+    a = {}
+    for name, (_cast, lo, hi) in _SIM_FLAGS.items():
+        value = getattr(args, name.replace("-", "_"))
+        if value is None:
+            if name in spec.flags and name not in spec.optional:
+                raise UsageError(f"{args.model} requires --{name}")
+        elif name not in spec.flags:
+            raise UsageError(f"--{name} does not apply to {args.model}")
+        else:
+            a[name] = value if lo is None else _in_range(name, value, lo, hi)
+    if args.bound is not None:
+        if args.bound != "auto":
+            raise UsageError("--bound only supports 'auto'")
+        if spec.auto is None:
+            raise UsageError(f"--bound auto is not defined for {args.model}")
+    from . import simulate as sim
+
+    model = _fit_chunk(spec.build(sim, a), args.model)
+    try:
+        tb = spec.auto(a, args.t) if args.bound else None
+    except UsageError as exc:
+        raise UsageError(f"--bound auto for {args.model} needs {exc}") from None
     res = sim.empirical_tail(
         model, args.t, args.reps, args.seed or 0, threads=args.threads
     )
@@ -617,10 +638,7 @@ def cmd_simulate(args) -> int:
         "seed": res.seed,
     }
     status = EXIT_OK
-    if args.bound is not None:
-        if args.bound != "auto":
-            raise UsageError("--bound only supports 'auto'")
-        tb = _auto_bound(args, args.t)
+    if tb is not None:
         rec["bound_method"] = tb.method
         rec["log_bound"] = tb.log_bound if tb.is_valid else ""
         rec["bound"] = tb.bound if tb.is_valid else ""
@@ -718,16 +736,8 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", parents=[common, seeded],
                            help="estimate an empirical tail by Monte Carlo")
     p_sim.add_argument("model", choices=SIM_MODELS)
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--m", type=int, default=None)
-    p_sim.add_argument("--d", type=int, default=None)
-    p_sim.add_argument("--p", type=finite, default=None)
-    p_sim.add_argument("--c", type=finite, default=None)
-    p_sim.add_argument("--theta", type=finite, default=None)
-    p_sim.add_argument("--p-vector", type=str, default=None)
-    p_sim.add_argument("--kernel", type=str, default=None)
-    p_sim.add_argument("--graph", type=str, default=None,
-                       help="edge-list file for orientation-parity")
+    for name, (cast, _lo, _hi) in _SIM_FLAGS.items():
+        p_sim.add_argument(f"--{name}", type=cast, default=None)
     p_sim.add_argument("--t", type=finite, default=None)
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--bound", type=str, default=None)

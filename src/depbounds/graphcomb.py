@@ -30,7 +30,7 @@ __all__ = [
     "triangle_union_edges",
     "clique4_union_triangles",
     "independence_number",
-    "gnp_constants",
+    "gnp_rate",
     "gnm_isolated_bound",
     "gnm_triangles_bound",
     "gnm_isolated_exact_tail",
@@ -380,39 +380,25 @@ def independence_number(g: Graph) -> int:
 # G(n,p) rates and G(n,m) exact bounds
 
 
-def gnp_constants(kind: str, n: int, p: float) -> float:
-    """Rate gamma for the G(n,p) counting bounds.
+def gnp_rate(kind: str, n: int, p: float) -> tuple:
+    """(count N, rate gamma) of the G(n,p) counting bounds.
 
-    'isolated':  gamma = (1-p)^((n-1)/2),  count N = n
-    'triangles': gamma = p^(3/(n-2)),      count N = C(n,3)
-    'cliques4':  gamma = p^(12/((n-2)(n-3))), count N = C(n,4)
+    'isolated':  N = n,       gamma = (1-p)^((n-1)/2)
+    'triangles': N = C(n,3),  gamma = p^(3/(n-2))
+    'cliques4':  N = C(n,4),  gamma = p^(12/((n-2)(n-3)))
     """
+    if kind not in ("isolated", "triangles", "cliques4"):
+        raise ValueError(f"unknown kind {kind!r}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p}")
+    least = 4 if kind == "cliques4" else 3
+    if n < least:
+        raise ValueError(f"need n >= {least}")
     if kind == "isolated":
-        if n < 3:
-            raise ValueError("need n >= 3")
-        return (1.0 - p) ** ((n - 1) / 2.0)
+        return n, (1.0 - p) ** ((n - 1) / 2.0)
     if kind == "triangles":
-        if n < 3:
-            raise ValueError("need n >= 3")
-        return p ** (3.0 / (n - 2))
-    if kind == "cliques4":
-        if n < 4:
-            raise ValueError("need n >= 4")
-        return p ** (12.0 / ((n - 2) * (n - 3)))
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def gnp_count(kind: str, n: int) -> int:
-    """Number of summands N for each G(n,p) counting bound."""
-    if kind == "isolated":
-        return n
-    if kind == "triangles":
-        return math.comb(n, 3)
-    if kind == "cliques4":
-        return math.comb(n, 4)
-    raise ValueError(f"unknown kind {kind!r}")
+        return math.comb(n, 3), p ** (3.0 / (n - 2))
+    return math.comb(n, 4), p ** (12.0 / ((n - 2) * (n - 3)))
 
 
 def _graphs_no_isolated(r: int, m: int) -> int:

@@ -384,6 +384,8 @@ def random_joint_dist(
     """
     if n > 12:
         raise ValueError(f"Bernoulli full-support generation capped at n=12, got {n}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     rng = np.random.default_rng(seed)
     if profile_constraint is None:
         return _candidate(rng, n, None)

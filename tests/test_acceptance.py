@@ -190,8 +190,7 @@ class TestAcceptance:
         reps = 100_000
 
         def gnp_bound(kind, n, p, t):
-            gamma = gc.gnp_constants(kind, n, p)
-            count = gc.gnp_count(kind, n)
+            count, gamma = gc.gnp_rate(kind, n, p)
             return bd.ik_bound(count, gamma, bd.t_to_eps(count, gamma, t))
 
         cases = []

@@ -3,6 +3,7 @@ against the library API."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -300,8 +301,9 @@ class TestSimulate:
         from depbounds import cli
 
         # a stand-in bound of 0.01 under a tail of about 0.41
-        monkeypatch.setattr(cli, "_auto_bound", lambda args, t: bd.TailBound(
-            method="stand-in", log_bound=math.log(0.01)))
+        monkeypatch.setitem(cli.SIM_MODELS, "gnp-isolated", dataclasses.replace(
+            cli.SIM_MODELS["gnp-isolated"], auto=lambda a, t: bd.TailBound(
+                method="stand-in", log_bound=math.log(0.01))))
         code, out, _ = run_cli(
             capsys, "simulate", "gnp-isolated", "--n", "30", "--p", "0.1",
             "--t", "2", "--reps", "4096", "--seed", "1", "--bound", "auto",
@@ -408,6 +410,21 @@ class TestSimulate:
         # refused before sampling; --reps 10 is one chunk, so not even a
         # missing check could start more than one thread
         ("gnp-isolated --n 10 --p 0.2 --threads 10000", "--threads"),
+        # mds samples one of the two, so --bound auto could not match it
+        ("mds --n 3 --p 0.02 --p-vector 0.5,0.5,0.5 --bound auto",
+         "--p-vector"),
+        ("mds --n 3 --kernel polya-style", "--p-vector"),
+        # a flag the model does not take
+        ("gnp-isolated --n 10 --p 0.1 --kernel bogus", "--kernel"),
+        ("gnp-isolated --n 10 --p 0.1 --d 4", "--d"),
+        ("gnp-isolated --n 10 --p 0.1 --theta 9", "--theta"),
+        ("gnm-isolated --n 5 --m 3 --p 0.2", "--p"),
+        ("degree-parity --n 5 --graph g.txt", "--graph"),
+        ("orientation-parity --graph no-such-file.txt --n 3", "--n"),
+        ("ustat-triangles --m 5 --p 0.5 --n 5", "--n"),
+        # a flag the U-statistic kernel does not take
+        ("ustat --n 4 --d 2 --c 0.5 --theta 3", "--theta"),
+        ("ustat --n 4 --d 2 --kernel threshold-sum --theta 2 --c 0.5", "--c"),
     ])
     def test_bad_model_parameters_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run_cli(
@@ -453,6 +470,56 @@ class TestSimulate:
         assert code == 64 and out == ""
         assert "GiB limit" in err
         assert peak < 16 << 20
+
+    @pytest.mark.parametrize("argv,flag", [
+        ("degree-parity --n 40 --bound auto", "--bound"),
+        ("gnp-isolated --n 10 --p 0.2 --bound nope", "--bound"),
+        ("gnp-isolated --n 2 --p 0.2 --bound auto", "--n"),
+        ("gnp-triangles --n 8 --p 1 --bound auto", "--p"),
+        ("ustat --n 6 --d 2 --kernel threshold-sum --theta 1 --bound auto",
+         "all-below"),
+        ("mds --n 3 --p-vector 0.2,0.3,0.4 --bound auto", "--p"),
+    ])
+    def test_bound_errors_stop_before_sampling(self, capsys, monkeypatch,
+                                               argv, flag):
+        from depbounds import simulate as sim
+
+        def sampled(*args, **kwargs):
+            raise AssertionError("the sampler was reached")
+
+        monkeypatch.setattr(sim, "empirical_tail", sampled)
+        code, out, err = run_cli(
+            capsys, "simulate", *argv.split(), "--t", "2", "--reps", "400000"
+        )
+        assert code == 64 and out == ""
+        assert "--bound" in err and flag in err
+
+    # one valid input for each model with a --bound auto bound
+    AUTO_ARGV = {
+        "gnp-isolated": "--n 30 --p 0.1 --t 10",
+        "gnp-triangles": "--n 30 --p 0.05 --t 2990",
+        "gnp-4cliques": "--n 20 --p 0.3 --t 4645",
+        "gnm-isolated": "--n 30 --m 40 --t 4",
+        "gnm-triangles": "--n 20 --m 40 --t 15",
+        "mds": "--n 20 --p 0.3 --t 4",
+        "ustat": "--n 40 --d 2 --c 0.5 --t 260",
+        "ustat-triangles": "--m 30 --p 0.05 --t 2990",
+    }
+
+    @pytest.mark.parametrize(
+        "model", [name for name, spec in SIM_MODELS.items() if spec.auto])
+    def test_every_auto_bound_gives_a_valid_record(self, capsys, model):
+        assert set(self.AUTO_ARGV) == {
+            name for name, spec in SIM_MODELS.items() if spec.auto}
+        code, out, err = run_cli(
+            capsys, "simulate", model, *self.AUTO_ARGV[model].split(),
+            "--reps", "4096", "--seed", "5", "--bound", "auto",
+            "--format", "json-lines",
+        )
+        (rec,) = json_records(out)
+        assert (code, err) == (0, "")
+        assert rec["verdict"] in ("DOMINATED", "INCONCLUSIVE")
+        assert 0.0 < rec["bound"] == pytest.approx(math.exp(rec["log_bound"]))
 
     def test_all_below_counts_without_the_subsets(self, capsys):
         # C(200, 4) = 64.7 million subsets, counted as C(B, 4) per draw
@@ -734,6 +801,26 @@ class TestSurface:
         for name in ("gnm_isolated_bound", "gnm_triangles_bound"):
             assert getattr(graphcomb, name) is getattr(bd, name)
 
+    def test_simulate_models_and_flags_have_one_source(self):
+        import argparse
+
+        from depbounds import cli
+
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        p_sim = sub.choices["simulate"]
+        model = next(a for a in p_sim._actions if a.dest == "model")
+        assert tuple(model.choices) == tuple(cli.SIM_MODELS)
+        options = {o for a in p_sim._actions for o in a.option_strings
+                   if o.startswith("--")}
+        run_flags = {"--help", "--format", "--seed", "--t", "--reps",
+                     "--bound", "--threads"}
+        assert options - run_flags == {f"--{f}" for f in cli._SIM_FLAGS}
+        for name, spec in cli.SIM_MODELS.items():
+            assert set(spec.flags) <= set(cli._SIM_FLAGS), name
+            assert set(spec.optional) <= set(spec.flags), name
+            assert spec.size in spec.flags, name
+
     def test_only_simulate_loads_scipy(self):
         """bound, compare and verify run in-process without loading any
         scipy module; simulate loads scipy.special for its interval."""
@@ -773,7 +860,7 @@ class TestSurface:
         assert methods == sorted(METHODS)
         sim_section = readme.split("### `simulate`")[1].split("### ")[0]
         models_text = sim_section.split("Models:")[1].split(". With")[0]
-        assert tuple(re.findall(r"`([a-z][a-z0-9-]*)`", models_text)) == SIM_MODELS
+        assert tuple(re.findall(r"`([a-z][a-z0-9-]*)`", models_text)) == tuple(SIM_MODELS)
 
 
 class TestEntryPoint:

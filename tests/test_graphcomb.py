@@ -290,33 +290,35 @@ class TestIndependenceNumber:
 
 class TestGnpConstants:
     def test_isolated_small_p(self):
-        assert gc.gnp_constants("isolated", 10, 1e-9) == pytest.approx(1.0, abs=1e-6)
+        _, gamma = gc.gnp_rate("isolated", 10, 1e-9)
+        assert gamma == pytest.approx(1.0, abs=1e-6)
 
     def test_triangles_n5(self):
-        assert gc.gnp_constants("triangles", 5, 0.5) == pytest.approx(0.5, rel=1e-12)
+        _, gamma = gc.gnp_rate("triangles", 5, 0.5)
+        assert gamma == pytest.approx(0.5, rel=1e-12)
 
     def test_counts(self):
-        assert gc.gnp_count("isolated", 7) == 7
-        assert gc.gnp_count("triangles", 7) == 35
-        assert gc.gnp_count("cliques4", 7) == 35
+        assert gc.gnp_rate("isolated", 7, 0.5)[0] == 7
+        assert gc.gnp_rate("triangles", 7, 0.5)[0] == 35
+        assert gc.gnp_rate("cliques4", 7, 0.5)[0] == 35
 
     def test_isolated_moment_condition(self):
         # the proof's moment requirement: every j-subset of vertices is
         # simultaneously isolated with probability at most gamma^j
         for n in range(3, 9):
             for p in (0.1, 0.5, 0.9):
-                g = gc.gnp_constants("isolated", n, p)
+                _, g = gc.gnp_rate("isolated", n, p)
                 for j in range(1, n + 1):
                     prob = (1 - p) ** (math.comb(j, 2) + j * (n - j))
                     assert prob <= g**j + 1e-12
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            gc.gnp_constants("isolated", 10, 0.0)
+            gc.gnp_rate("isolated", 10, 0.0)
         with pytest.raises(ValueError):
-            gc.gnp_constants("cliques4", 3, 0.5)
+            gc.gnp_rate("cliques4", 3, 0.5)
         with pytest.raises(ValueError):
-            gc.gnp_constants("pentagons", 10, 0.5)
+            gc.gnp_rate("pentagons", 10, 0.5)
 
 
 def exact_gnm_triangle_tail(n, m, t):

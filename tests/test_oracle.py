@@ -499,6 +499,10 @@ class TestRandomJointDist:
             )
         assert "margin" in str(exc.value)
 
+    def test_no_attempt_budget_is_a_value_error(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            oc.random_joint_dist(4, bd.ProductBound(0.3), max_attempts=0)
+
     def test_unsupported_constraint_type(self):
         with pytest.raises(TypeError):
             oc.random_joint_dist(4, bd.MeanOnly(0.3), seed=0)
