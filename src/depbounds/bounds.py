@@ -14,8 +14,6 @@ build them, so every other evaluator runs on the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .numkernel import (
     NEG_INF,
@@ -61,12 +59,14 @@ __all__ = [
 # result and profile types
 
 
-@dataclass
 class TailBound:
-    method: str
-    log_bound: float | None
-    params: dict = field(default_factory=dict)
-    invalid_reason: str | None = None
+    __slots__ = ("method", "log_bound", "params", "invalid_reason")
+
+    def __init__(self, method: str, log_bound: float | None,
+                 params: dict | None = None, invalid_reason: str | None = None):
+        self.method, self.log_bound = method, log_bound
+        self.params = {} if params is None else params
+        self.invalid_reason = invalid_reason
 
     @property
     def is_valid(self) -> bool:
@@ -111,67 +111,66 @@ def _clamp(log_value: float, params: dict) -> float:
     return log_value
 
 
-@dataclass(frozen=True)
 class MeanOnly:
     """Only the average mean p is known."""
 
-    p: float
+    __slots__ = ("p",)
+
+    def __init__(self, p: float):
+        self.p = p
 
 
-@dataclass(frozen=True)
 class ProductBound:
     """E[prod_{i in A} X_i] <= gamma^|A| for every subset A."""
 
-    gamma: float
+    __slots__ = ("gamma",)
+
+    def __init__(self, gamma: float):
+        self.gamma = gamma
 
 
-@dataclass(frozen=True)
 class SplitBound:
     """E[Z_A] <= gamma^|A| * delta^(n-|A|) for every subset A.
 
     Feasibility forces gamma + delta >= 1; infeasible pairs are rejected.
     """
 
-    gamma: float
-    delta: float
+    __slots__ = ("gamma", "delta")
 
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0,1], got {self.delta}")
-        if self.gamma + self.delta < 1.0:
-            raise ValueError(
-                f"gamma + delta = {self.gamma + self.delta} < 1 is infeasible"
-            )
+    def __init__(self, gamma: float, delta: float):
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"gamma must be in (0,1), got {gamma}")
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must be in (0,1], got {delta}")
+        if gamma + delta < 1.0:
+            raise ValueError(f"gamma + delta = {gamma + delta} < 1 is infeasible")
+        self.gamma, self.delta = gamma, delta
 
 
-@dataclass(frozen=True)
 class SymmetricMoments:
     """Exact symmetric moments S_k = sum_{|A|=k} E[prod_{i in A} X_i]."""
 
-    s: dict
+    __slots__ = ("s",)
 
-    def __post_init__(self):
-        if self.s.get(0, 1.0) != 1.0 and not math.isclose(self.s[0], 1.0):
+    def __init__(self, s: dict):
+        if s.get(0, 1.0) != 1.0 and not math.isclose(s[0], 1.0):
             raise ValueError("S_0 must equal 1")
+        self.s = s
 
 
-@dataclass(frozen=True)
 class UStatParams:
     """Parameters of a U-statistic sum over d-subsets of n i.i.d. variables."""
 
-    n: int
-    d: int
-    p: float
+    __slots__ = ("n", "d", "p")
 
-    def __post_init__(self):
-        if self.d < 1 or self.n < 1:
+    def __init__(self, n: int, d: int, p: float):
+        if d < 1 or n < 1:
             raise ValueError("n and d must be positive")
-        if self.n % self.d != 0:
-            raise ValueError(f"d={self.d} does not divide n={self.n}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0,1), got {self.p}")
+        if n % d != 0:
+            raise ValueError(f"d={d} does not divide n={n}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must be in (0,1), got {p}")
+        self.n, self.d, self.p = n, d, p
 
     @property
     def k(self) -> int:
@@ -182,16 +181,13 @@ class UStatParams:
         return math.comb(self.n - 1, self.d - 1)
 
 
-@dataclass(frozen=True)
 class DependencyGraphParams:
-    n: int
-    alpha: int
+    __slots__ = ("n", "alpha")
 
-    def __post_init__(self):
-        if not 1 <= self.alpha <= self.n:
-            raise ValueError(
-                f"independence number {self.alpha} outside [1, {self.n}]"
-            )
+    def __init__(self, n: int, alpha: int):
+        if not 1 <= alpha <= n:
+            raise ValueError(f"independence number {alpha} outside [1, {n}]")
+        self.n, self.alpha = n, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -630,29 +626,30 @@ def ustat_refined_bound(params: UStatParams, t: float) -> TailBound:
 # exact G(n,m) bounds
 
 
-def _log_fraction(frac: Fraction) -> float:
-    if frac == 0:
-        return NEG_INF
-    return math.log(frac.numerator) - math.log(frac.denominator)
-
-
 def _gnm_min_over_k(method: str, t: int, denom_graphs: int, numerator) -> TailBound:
-    """min over 0<k<t of numerator(k) / (C(t,k) denom_graphs), in exact
-    rational arithmetic; the first minimizing k on ties."""
-    best, best_k = None, None
-    for k in range(1, t):
-        term = Fraction(numerator(k), math.comb(t, k) * denom_graphs)
-        if best is None or term < best:
-            best, best_k = term, k
+    """min over 0<k<t (t >= 2) of numerator(k) / (C(t,k) denom_graphs), in
+    exact integer arithmetic; the first minimizing k on ties."""
+    best_num, best_ct, best_k = numerator(1), t, 1
+    for k in range(2, t):
+        num, ct = numerator(k), math.comb(t, k)
+        # denom_graphs is common to every term, so comparing num/ct by
+        # cross-multiplication orders them, with no gcd per term
+        if num * best_ct < best_num * ct:
+            best_num, best_ct, best_k = num, ct, k
     params = {"k": best_k}
-    return TailBound(method, _clamp(_log_fraction(best), params), params)
+    # the log of the minimum in lowest terms, the same float a reduced
+    # fraction gives
+    den = best_ct * denom_graphs
+    g = math.gcd(best_num, den)
+    log_value = math.log(best_num // g) - math.log(den // g) if best_num else NEG_INF
+    return TailBound(method, _clamp(log_value, params), params)
 
 
 def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
     """Tail bound on the number of isolated vertices in G(n,m).
 
     min over 0<k<t of C(n,k) C(C(n-k,2), m) / (C(t,k) C(C(n,2), m)),
-    evaluated in exact rational arithmetic.
+    evaluated in exact integer arithmetic.
     """
     method = "gnm-isolated"
     if bad := check_n(method, n, t):
@@ -676,7 +673,7 @@ def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
     min over 0<k<t of
     C(C(n,3),k) C(C(n,2)-floor(3k/(n-2)), m-floor(3k/(n-2)))
       / (C(t,k) C(C(n,2), m)),
-    exact rational arithmetic, floor exactly as displayed.
+    exact integer arithmetic, floor exactly as displayed.
     """
     method = "gnm-triangles"
     if bad := check_n(method, n, t):

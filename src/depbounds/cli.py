@@ -7,20 +7,19 @@ Exit codes: 0 success, 2 validity failures, 3 soundness violation, 64 usage.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # bound and compare need only bounds, which loads numpy for the two refined
-# methods alone; verify, graphcomb and simulate (and with them numpy and
-# scipy) are imported by the subcommands that use them
+# methods alone; their path loads no dataclasses or fractions, and json and
+# csv load only for the format that writes them.  verify, graphcomb and
+# simulate (and with them numpy and scipy) are imported by the subcommands
+# that use them
 from . import bounds as bd
 
 EXIT_OK = 0
@@ -56,12 +55,16 @@ def _emit(records, fmt: str, out=None):
     if not records:
         return
     if fmt == "json-lines":
+        import json
+
         for rec in records:
             out.write(json.dumps(rec) + "\n")
         return
     keys = list(records[0])
     rows = [[_fmt(rec.get(k, "")) for k in keys] for rec in records]
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(keys)
         writer.writerows(rows)
@@ -94,8 +97,7 @@ def seed(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """How the CLI reaches one evaluator.
 
     flags: (flag, cast, required), in record order.  scale: the threshold
@@ -414,8 +416,7 @@ def cmd_verify(args) -> int:
 # simulate subcommand
 
 
-@dataclass(frozen=True)
-class SimModel:
+class SimModel(NamedTuple):
     """How simulate reaches one model.
 
     flags: the model flags it takes, each required unless in optional.

@@ -12,7 +12,6 @@ never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -41,29 +40,26 @@ def to_prob(log_value: float) -> float:
     return min(1.0, math.exp(min(log_value, 0.0)))
 
 
-@dataclass(frozen=True)
 class BinomialSpec:
     """Binomial trial count n >= 1 and success probability p in (0,1)."""
 
-    n: int
-    p: float
+    __slots__ = ("n", "p")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0,1), got {self.p}")
+    def __init__(self, n: int, p: float):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must be in (0,1), got {p}")
+        self.n, self.p = n, p
 
 
-@dataclass(frozen=True)
 class PoissonBinomialSpec:
     """Per-trial success probabilities, each in [0,1]."""
 
-    ps: tuple
+    __slots__ = ("ps",)
 
-    def __post_init__(self):
-        ps = tuple(float(p) for p in self.ps)
-        object.__setattr__(self, "ps", ps)
+    def __init__(self, ps: tuple):
+        self.ps = ps = tuple(float(p) for p in ps)
         if len(ps) < 1:
             raise ValueError("need at least one trial probability")
         for p in ps:

@@ -411,7 +411,7 @@ def _candidate(rng, n, constraint) -> JointDist:
     elif isinstance(constraint, SplitBound):
         lo, hi = 1.0 - constraint.delta, constraint.gamma
     else:
-        raise TypeError(f"unsupported constraint {constraint!r}")
+        raise TypeError(f"unsupported constraint {type(constraint).__name__}")
     comps = int(rng.integers(2, 6))
     rates = lo + (hi - lo) * rng.random((comps, n))
     mix = rng.dirichlet(np.ones(comps))

@@ -10,6 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from depbounds import bounds as bd
 from depbounds import graphcomb as gc
+from depbounds.numkernel import BinomialSpec, PoissonBinomialSpec
 
 mpmath.mp.dps = 60
 
@@ -577,3 +578,79 @@ class TestInputGuard:
             k = 1 if isinstance(profile, bd.MeanOnly) else 2
             assert not bd.linial_luria_bound(10, 8, k, profile).is_valid
         assert bd.linial_luria_bound(10, 8, 2, bd.ProductBound(0.0)).bound == 0.0
+
+
+class TestRecords:
+    """The result and parameter records: keyword construction, defaults,
+    repr and the text of every ValueError a bad input raises."""
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (bd.MeanOnly, {"p": 0.3}),
+        (bd.ProductBound, {"gamma": 0.3}),
+        (bd.SplitBound, {"gamma": 0.3, "delta": 0.8}),
+        (bd.SymmetricMoments, {"s": {0: 1.0, 2: 3.0}}),
+        (bd.UStatParams, {"n": 9, "d": 3, "p": 0.2}),
+        (bd.DependencyGraphParams, {"n": 10, "alpha": 1}),
+        (BinomialSpec, {"n": 10, "p": 0.3}),
+        (PoissonBinomialSpec, {"ps": (0.25, 0.5)}),
+    ])
+    def test_keyword_construction(self, cls, kwargs):
+        record = cls(**kwargs)
+        assert {k: getattr(record, k) for k in kwargs} == kwargs
+        positional = cls(*kwargs.values())
+        assert {k: getattr(positional, k) for k in kwargs} == kwargs
+
+    def test_tail_bound_defaults_and_keywords(self):
+        tb = bd.TailBound(method="stand-in", log_bound=-1.5)
+        assert (tb.method, tb.log_bound, tb.params, tb.invalid_reason) == (
+            "stand-in", -1.5, {}, None)
+        assert tb.is_valid and tb.bound == math.exp(-1.5)
+        bad = bd.TailBound("x", None, invalid_reason="t <= np")
+        assert not bad.is_valid and bad.params == {}
+
+    def test_tail_bounds_never_share_params(self):
+        a, b = bd.TailBound("a", -1.0), bd.TailBound("b", -2.0)
+        a.params["clamped"] = True
+        assert b.params == {}
+        c, d = bd._invalid("c", "why"), bd._invalid("d", "why")
+        c.params["k"] = 1
+        assert d.params == {}
+
+    def test_tail_bound_repr(self):
+        assert repr(bd.TailBound("hoeffding", -1.234567891)) == (
+            "TailBound(hoeffding, log_bound=-1.23457)")
+        assert repr(bd.hoeffding_bound(10, 0.3, 2.0)) == (
+            "TailBound(hoeffding, Invalid('t <= np'))")
+        with pytest.raises(ValueError) as exc:
+            bd.hoeffding_bound(10, 0.3, 2.0).bound
+        assert str(exc.value) == "invalid bound: t <= np"
+
+    def test_poisson_binomial_trials_become_floats(self):
+        spec = PoissonBinomialSpec([1, 0.5])
+        assert spec.ps == (1.0, 0.5) and type(spec.ps[0]) is float
+        assert (spec.n, spec.mean) == (2, 0.75)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: bd.SplitBound(0.0, 0.8), "gamma must be in (0,1), got 0.0"),
+        (lambda: bd.SplitBound(0.3, 1.5), "delta must be in (0,1], got 1.5"),
+        (lambda: bd.SplitBound(0.25, 0.5),
+         "gamma + delta = 0.75 < 1 is infeasible"),
+        (lambda: bd.SymmetricMoments({0: 2.0}), "S_0 must equal 1"),
+        (lambda: bd.UStatParams(9, 0, 0.2), "n and d must be positive"),
+        (lambda: bd.UStatParams(0, 3, 0.2), "n and d must be positive"),
+        (lambda: bd.UStatParams(10, 3, 0.2), "d=3 does not divide n=10"),
+        (lambda: bd.UStatParams(9, 3, 1.0), "p must be in (0,1), got 1.0"),
+        (lambda: bd.DependencyGraphParams(10, 11),
+         "independence number 11 outside [1, 10]"),
+        (lambda: bd.DependencyGraphParams(n=10, alpha=0),
+         "independence number 0 outside [1, 10]"),
+        (lambda: BinomialSpec(0, 0.5), "n must be >= 1, got 0"),
+        (lambda: BinomialSpec(5, 0.0), "p must be in (0,1), got 0.0"),
+        (lambda: PoissonBinomialSpec(()), "need at least one trial probability"),
+        (lambda: PoissonBinomialSpec((0.5, 1.5)),
+         "trial probability 1.5 outside [0,1]"),
+    ])
+    def test_bad_input_messages(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message

@@ -3,7 +3,6 @@ against the library API."""
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -301,9 +300,10 @@ class TestSimulate:
         from depbounds import cli
 
         # a stand-in bound of 0.01 under a tail of about 0.41
-        monkeypatch.setitem(cli.SIM_MODELS, "gnp-isolated", dataclasses.replace(
-            cli.SIM_MODELS["gnp-isolated"], auto=lambda a, t: bd.TailBound(
-                method="stand-in", log_bound=math.log(0.01))))
+        stand_in = cli.SIM_MODELS["gnp-isolated"]._replace(
+            auto=lambda a, t: bd.TailBound(
+                method="stand-in", log_bound=math.log(0.01)))
+        monkeypatch.setitem(cli.SIM_MODELS, "gnp-isolated", stand_in)
         code, out, _ = run_cli(
             capsys, "simulate", "gnp-isolated", "--n", "30", "--p", "0.1",
             "--t", "2", "--reps", "4096", "--seed", "1", "--bound", "auto",
@@ -719,6 +719,9 @@ SCIPY_MODULES = (
 )
 NUMPY_LOADED = "any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules)"
 
+# standard-library modules that bound and compare in table format do not use
+UNUSED_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "json", "csv")
+
 # flags and a threshold at which each method but the two refined ones gives
 # a Valid bound
 CLOSED_FORM_ARGV = {
@@ -751,6 +754,26 @@ class TestSurface:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]", "False", "[]"]
+
+    def test_import_loads_no_unused_stdlib(self):
+        """import depbounds.cli loads no dataclasses (with the inspect it
+        brings), fractions, decimal, json or csv; a table-format bound
+        loads no json or csv either."""
+        proc = run_python(textwrap.dedent(f"""
+            import contextlib, io, sys
+            before = set(sys.modules)
+            import depbounds.cli
+            print(sorted(m for m in {UNUSED_STDLIB!r}
+                         if m in sys.modules and m not in before))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = depbounds.cli.main(["bound", "hoeffding", "--n", "100",
+                                           "--p", "0.3", "--t", "40",
+                                           "--format", "table"])
+            print(code, sorted(m for m in ("json", "csv")
+                               if m in sys.modules and m not in before))
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "0 []"]
 
     def test_closed_forms_load_no_numpy(self):
         """bound and compare of every method but the two refined ones, and

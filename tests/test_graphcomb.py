@@ -389,6 +389,43 @@ class TestGnmBounds:
         # the reported minimum never exceeds the k=1 Markov term
         assert tb.bound <= k1_term + 1e-12
 
+    def test_integer_minimum_matches_fractions(self):
+        # the Fraction minimum over k as a reference: the same log_bound
+        # and the same (first) minimizing k at every n, m, t with n <= 9
+        def reference(t, denom, numerator):
+            terms = [Fraction(numerator(k), math.comb(t, k) * denom)
+                     for k in range(1, t)]
+            best = min(terms)
+            if best == 0:
+                log_value = -math.inf
+            else:
+                log_value = min(0.0, math.log(best.numerator)
+                                - math.log(best.denominator))
+            return log_value, terms.index(best) + 1
+
+        def triangles(n, m):
+            n2, n3 = math.comb(n, 2), math.comb(n, 3)
+
+            def numerator(k):
+                forced = 3 * k // (n - 2)
+                return (math.comb(n3, k) * math.comb(n2 - forced, m - forced)
+                        if m >= forced else 0)
+            return numerator
+
+        for n in range(3, 10):
+            n2 = math.comb(n, 2)
+            for m in range(n2 + 1):
+                denom = math.comb(n2, m)
+                for t in range(2, n + 1):
+                    tb = gc.gnm_isolated_bound(n, m, t)
+                    want = reference(t, denom, lambda k: math.comb(n, k)
+                                     * math.comb(math.comb(n - k, 2), m))
+                    assert (tb.log_bound, tb.params["k"]) == want, (n, m, t)
+                for t in range(2, math.comb(n, 3) + 1):
+                    tb = gc.gnm_triangles_bound(n, m, t)
+                    want = reference(t, denom, triangles(n, m))
+                    assert (tb.log_bound, tb.params["k"]) == want, (n, m, t)
+
     def test_forced_edges_zero_term(self):
         # when m is below the forced edge count every such k contributes 0
         tb = gc.gnm_triangles_bound(6, 2, 12)
