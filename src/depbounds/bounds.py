@@ -7,8 +7,9 @@ carrying the log-scale value, the optimizer parameters actually used and
 a structured validity verdict.  Hypothesis violations are never warnings:
 they produce ``Invalid`` with the violated clause named, and no value.
 
-Only the two refined evaluators sum arrays; they import numpy where they
-build them, so every other evaluator runs on the standard library alone.
+Every evaluator runs on the standard library alone: the two refined ones
+sum at most n + 1 binomial terms with ``math.fsum``, and the G(n,m) bounds
+decide their minimum in integers.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import math
 
 from .numkernel import (
     NEG_INF,
-    _binom_pmf_log_vec,
+    BinomialSpec,
+    binom_pmf_log,
     kl_divergence,
     log_binom_coeff,
     log_gen_binom_coeff,
-    logsumexp,
     to_prob,
 )
 
@@ -401,6 +402,13 @@ def mcdiarmid_bound(n: int, p: float, t: float) -> TailBound:
     return TailBound(method, _clamp(log_bound, params), params)
 
 
+def _log_sum_exp(values: list) -> float:
+    """ln sum(exp(v)) of finite values: shifted by the largest, whose term
+    is exactly 1, so fsum gives the rest correctly rounded for log1p."""
+    top = max(values)
+    return top + math.log1p(math.fsum([-1.0, *(math.exp(v - top) for v in values)]))
+
+
 def _mds_h_threshold(p: float) -> float:
     """Lower t-threshold below which the optimal h drops to <= 1."""
     return p * (1.0 - p) * (math.e - 1.0) / (1.0 - p + math.e * p)
@@ -431,20 +439,13 @@ def mcdiarmid_refined_bound(n: int, p: float, t: float) -> TailBound:
         return _invalid(method, "t too small: h <= 1")
     h = math.log((t + p) * (1.0 - p)) - math.log(p * (1.0 - p - t))
     missing = (1.0 + h) / math.exp(h)
-    import numpy as np
-
-    pmf = _binom_pmf_log_vec(n, p)
-    j = np.arange(n + 1)
+    spec = BinomialSpec(n, p)
+    upper = [binom_pmf_log(spec, j) for j in range(ell, n + 1)]
     # H_m - T telescopes to the upper part of the tilted sum, so no
     # subtraction of close quantities is ever performed
-    log_hm_minus_t = float(logsumexp(pmf[ell:] + h * (j[ell:] - ell)))
-    log_at_ell = float(pmf[ell])
-    log_bound = float(
-        logsumexp(
-            [math.log(missing) + log_hm_minus_t,
-             math.log1p(-missing) + log_at_ell]
-        )
-    )
+    log_hm_minus_t = _log_sum_exp([v + h * i for i, v in enumerate(upper)])
+    log_bound = _log_sum_exp([math.log(missing) + log_hm_minus_t,
+                              math.log1p(-missing) + upper[0]])
     params = {
         "h": h,
         "missing_factor": missing,
@@ -595,16 +596,12 @@ def ustat_refined_bound(params: UStatParams, t: float) -> TailBound:
     h = h_nd / n_d
     missing = (h_nd + 1.0) / math.exp(h_nd)
     y = k * n_d * (p + t)
-    import numpy as np
-
-    pmf = _binom_pmf_log_vec(k, p)
-    j = np.arange(k + 1)
+    spec = BinomialSpec(k, p)
     foolproof = math.exp(-2.0 * k * t * t)
-    if ell >= 1:
-        t2 = float(np.exp(logsumexp(pmf[:ell] + h * (n_d * j[:ell] - y))))
-    else:
-        t2 = 0.0
-    value = missing * (foolproof - t2) + (1.0 - missing) * math.exp(pmf[ell])
+    t2 = math.exp(_log_sum_exp([binom_pmf_log(spec, j) + h * (n_d * j - y)
+                                for j in range(ell)]))
+    value = (missing * (foolproof - t2)
+             + (1.0 - missing) * math.exp(binom_pmf_log(spec, ell)))
     if value <= 0.0:
         log_bound = NEG_INF
     else:
@@ -626,22 +623,49 @@ def ustat_refined_bound(params: UStatParams, t: float) -> TailBound:
 # exact G(n,m) bounds
 
 
-def _gnm_min_over_k(method: str, t: int, denom_graphs: int, numerator) -> TailBound:
-    """min over 0<k<t (t >= 2) of numerator(k) / (C(t,k) denom_graphs), in
-    exact integer arithmetic; the first minimizing k on ties."""
-    best_num, best_ct, best_k = numerator(1), t, 1
-    for k in range(2, t):
-        num, ct = numerator(k), math.comb(t, k)
+# CPython's own tests hold math.lgamma to 5 ulps or 1e-15 of the exact
+# value; the G(n,m) screen allows each value 64 ulps and 1e-14
+_LGAMMA_REL, _LGAMMA_ABS = 64.0 * 2.0 ** -52, 1e-14
+
+
+def _gnm_min_over_k(method: str, t: int, denom_graphs: int, binomials) -> TailBound:
+    """min over 0<k<t (t >= 2) of numerator(k) / (C(t,k) denom_graphs), the
+    first minimizing k on ties.  ``binomials(k)`` lists the (N, j) whose
+    C(N, j) multiply to numerator(k), or is None where numerator(k) is 0.
+
+    Every k is screened in floats with lgamma.  Only the k whose float log
+    is within twice the largest lgamma error bound of the least are
+    compared, in exact integer arithmetic, so the result is the exact
+    minimum's."""
+    lg = math.lgamma
+    screen, slack = [], 0.0
+    for k in range(1, t):
+        pairs = binomials(k)
+        if pairs is None:
+            # every earlier numerator is positive
+            return TailBound(method, NEG_INF, {"k": k})
+        terms = [lg(t - k + 1), lg(k + 1), -lg(t + 1)]
+        for big, j in pairs:
+            terms += [lg(big + 1), -lg(j + 1), -lg(big - j + 1)]
+        screen.append((k, math.fsum(terms)))
+        slack = max(slack, _LGAMMA_REL * math.fsum(map(abs, terms))
+                    + _LGAMMA_ABS * len(terms))
+    least = min(value for _, value in screen)
+    best_num = best_ct = best_k = None
+    for k, value in screen:
+        if value > least + 2.0 * slack:
+            continue
+        num, ct = math.prod(math.comb(*pair) for pair in binomials(k)), math.comb(t, k)
         # denom_graphs is common to every term, so comparing num/ct by
         # cross-multiplication orders them, with no gcd per term
-        if num * best_ct < best_num * ct:
+        if best_k is None or num * best_ct < best_num * ct:
             best_num, best_ct, best_k = num, ct, k
     params = {"k": best_k}
     # the log of the minimum in lowest terms, the same float a reduced
     # fraction gives
     den = best_ct * denom_graphs
     g = math.gcd(best_num, den)
-    log_value = math.log(best_num // g) - math.log(den // g) if best_num else NEG_INF
+    log_value = math.log(best_num // g) - math.log(den // g)
     return TailBound(method, _clamp(log_value, params), params)
 
 
@@ -660,11 +684,13 @@ def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
         return _invalid(method, "m outside [0, C(n,2)]")
     if t == 1:
         return _invalid(method, "t too small: empty minimization range")
-    # C(C(n-k,2), m) is 0 once fewer than m pairs are left
-    return _gnm_min_over_k(
-        method, t, math.comb(math.comb(n, 2), m),
-        lambda k: math.comb(n, k) * math.comb(math.comb(n - k, 2), m),
-    )
+
+    def binomials(k):
+        # C(C(n-k,2), m) is 0 once fewer than m pairs are left
+        pairs = math.comb(n - k, 2)
+        return ((n, k), (pairs, m)) if pairs >= m else None
+
+    return _gnm_min_over_k(method, t, math.comb(math.comb(n, 2), m), binomials)
 
 
 def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
@@ -685,11 +711,11 @@ def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
         return _invalid(method, "m outside [0, C(n,2)]")
     n2 = math.comb(n, 2)
 
-    def numerator(k):
+    def binomials(k):
         forced = (3 * k) // (n - 2)
         if m < forced:
             # no m-edge graph contains the forced edges
-            return 0
-        return math.comb(n3, k) * math.comb(n2 - forced, m - forced)
+            return None
+        return (n3, k), (n2 - forced, m - forced)
 
-    return _gnm_min_over_k(method, t, math.comb(n2, m), numerator)
+    return _gnm_min_over_k(method, t, math.comb(n2, m), binomials)

@@ -15,11 +15,11 @@ from functools import partial
 from itertools import product
 from typing import Callable, NamedTuple
 
-# bound and compare need only bounds, which loads numpy for the two refined
-# methods alone; their path loads no dataclasses or fractions, and json and
+# bound and compare need only bounds, which runs on the standard library
+# alone; their path loads no numpy, dataclasses or fractions, and json and
 # csv load only for the format that writes them.  verify, graphcomb and
-# simulate (and with them numpy and scipy) are imported by the subcommands
-# that use them
+# simulate (and with them numpy) are imported by the subcommands that use
+# them; no command loads scipy
 from . import bounds as bd
 
 EXIT_OK = 0

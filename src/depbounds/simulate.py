@@ -353,25 +353,139 @@ class SimResult:
         )
 
 
-def exact_binomial_ci(successes: int, trials: int, level: float = CI_LEVEL):
-    """Two-sided Clopper-Pearson interval; no normal approximation."""
-    # the one scipy function of the package, imported on first use
-    from scipy.special import betaincinv
+# ---------------------------------------------------------------------------
+# the Clopper-Pearson interval, on the standard library
 
+_EPS = 2.0 ** -52
+_TINY = 1e-300
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) ln x - x + ln sqrt(2 pi)) for x >= 10, by
+    Stirling's series to its x^-13 term; the next term is below 3e-17."""
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r * (
+        1 / 1188 - r * (691 / 360360 - r / 156)))))) / x
+
+
+def _log_beta(a: int, b: int) -> float:
+    """ln B(a, b) for integers a, b >= 1, to a few ulps of its own size.
+
+    lgamma(a) + lgamma(b) - lgamma(a + b) cancels when one argument is
+    large: at a = 3, b = 10^6 the error of each lgamma, about 2e-9, is
+    the error of the result.  For p = min(a, b) < 10 the product
+    B(p, q) = (p - 1)! / (q (q + 1) ... (q + p - 1)) has no cancellation;
+    above, the large terms of Stirling's series cancel in closed form.
+    """
+    p, q = min(a, b), max(a, b)
+    if p < 10:
+        return math.lgamma(p) - math.fsum([math.log(q + i) for i in range(p)])
+    corr = _stirling_tail(p) + _stirling_tail(q) - _stirling_tail(p + q)
+    r = p / (p + q)
+    return (_LOG_SQRT_2PI - 0.5 * math.log(q) + corr + (p - 0.5) * math.log(r)
+            + q * math.log1p(-r))
+
+
+def _beta_cf(a: int, b: int, x: float):
+    """(f, terms) with I_x(a, b) = x^a (1 - x)^b f / (a B(a, b)), by the
+    modified Lentz method on the continued fraction of DLMF 8.17.22.  At
+    x < (a + 1) / (a + b + 2) it converges in at most a few dozen terms,
+    far below the cap of 10^4."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    f = d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    for m in range(1, 10_001):
+        m2 = a + 2 * m
+        coef = m * (b - m) * x / ((m2 - 1) * m2)
+        d = 1.0 + coef * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + coef / c
+        c = c if abs(c) > _TINY else _TINY
+        f *= d * c
+        coef = -(a + m) * (a + b + m) * x / (m2 * (m2 + 1))
+        d = 1.0 + coef * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + coef / c
+        c = c if abs(c) > _TINY else _TINY
+        f *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            break
+    return f, m
+
+
+def _log_beta_cdf(a: int, b: int, x: float, log_beta: float):
+    """(ln I_x(a, b), its derivative in x, an estimate of its rounding error).
+
+    The error estimate allows a few ulps for each term of the exponent and
+    of the continued fraction; the tests check the roots it leads to
+    against exact rational tails and against scipy.
+    """
+    log_x, log_y = math.log(x), math.log1p(-x)
+    log_front = a * log_x + b * log_y - log_beta
+    # B(a, b) <= 1, so every term of the exponent is at most 0
+    err = _EPS * (4.0 * (-a * log_x - b * log_y - log_beta) + 16.0)
+    if x * (a + b + 2) < a + 1:
+        f, terms = _beta_cf(a, b, x)
+        err += 8.0 * _EPS * terms
+        return log_front + math.log(f / a), a / (x * (1.0 - x) * f), err
+    # the complement converges fast here; 1 - x rounds by an ulp of x
+    f, terms = _beta_cf(b, a, 1.0 - x)
+    upper = math.exp(log_front) * f / b
+    slope = upper * b / (f * x * (1.0 - x) * (1.0 - upper))
+    err = (err + 8.0 * _EPS * terms) * upper / (1.0 - upper) + _EPS * slope
+    return math.log1p(-upper), slope, err
+
+
+def _beta_quantile_below(a: int, b: int, p: float) -> float:
+    """A float x at most the root of I_x(a, b) = p, within about an ulp
+    plus the rounding error of I_x; integers a, b >= 1 and 0 < p < 1/2.
+
+    Newton's method on g(x) = ln I_x(a, b) - ln p starts from the normal
+    approximation of Abramowitz & Stegun 26.5.22 (with 26.2.23 for the
+    normal quantile).  The beta density is log-concave for a, b >= 1, so
+    g is concave and increasing: a Newton step never passes the root from
+    the left, and after at most one step from the right the iterates rise
+    to it.  The last step's end is lowered by twice the error in x that
+    the rounding error of g allows, and by one ulp, so that the exact
+    I_x(a, b) at the result is at most p.
+    """
+    t = math.sqrt(-2.0 * math.log(p))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    lam = (z * z - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
+    w = z * math.sqrt(h + lam) / h - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (
+        lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+    x = 1.0 / (1.0 + b / a * math.exp(2.0 * w))
+    log_beta, log_p = _log_beta(a, b), math.log(p)
+    for _ in range(200):
+        g, slope, err = _log_beta_cdf(a, b, x, log_beta)
+        step, tol = (g - log_p) / slope, err / slope
+        if abs(step) <= tol + 4.0 * _EPS * x:
+            return math.nextafter(x - step - 2.0 * tol, 0.0)
+        # only a first step from the right can leave (0, 1), past 0
+        x = x - step if step < x else 0.5 * x
+    raise ArithmeticError(f"no beta quantile found for a={a}, b={b}, p={p}")
+
+
+def exact_binomial_ci(successes: int, trials: int, level: float = CI_LEVEL):
+    """Two-sided Clopper-Pearson interval; no normal approximation.
+
+    The ends solve I_lo(k, n - k + 1) = alpha/2 and
+    I_(1-hi)(n - k, k + 1) = alpha/2 (k successes in n trials, alpha =
+    1 - level), each rounded outwards, so the interval contains the exact
+    one.  hi is 1 - x for a root x that is near 1 when k is small, so it
+    keeps x's absolute precision of about 1e-16.
+    """
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
-    alpha = 1.0 - level
-    if successes == 0:
-        lo = 0.0
-    else:
-        lo = float(betaincinv(successes, trials - successes + 1, alpha / 2.0))
-    if successes == trials:
-        hi = 1.0
-    else:
-        hi = float(
-            betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0)
-        )
-    return lo, hi
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0,1), got {level}")
+    k, n, half_alpha = successes, trials, (1.0 - level) / 2.0
+    lo = 0.0 if k == 0 else _beta_quantile_below(k, n - k + 1, half_alpha)
+    if k == n:
+        return lo, 1.0
+    return lo, math.nextafter(1.0 - _beta_quantile_below(n - k, k + 1, half_alpha), 2.0)
 
 
 def _block_rows(model) -> int:

@@ -271,6 +271,73 @@ class TestMcDiarmid:
             assert a.log_bound == pytest.approx(b.log_bound, abs=1e-10)
 
 
+def numpy_refined_log_bounds(n, p, t, params=None):
+    """The refined bounds as the package computed them with numpy arrays
+    (``numkernel._binom_pmf_log_vec`` and ``numkernel.logsumexp``), kept
+    here as a reference for the standard-library sums: mcdiarmid-refined
+    at (n, p, t), or ustat-refined when ``params`` is given."""
+    from depbounds.numkernel import _binom_pmf_log_vec, logsumexp
+
+    if params is None:
+        ref = bd.mcdiarmid_refined_bound(n, p, t)
+        h, missing = ref.params["h"], ref.params["missing_factor"]
+        ell = ref.params["ell"]
+        pmf = _binom_pmf_log_vec(n, p)
+        j = np.arange(n + 1)
+        log_hm_minus_t = float(logsumexp(pmf[ell:] + h * (j[ell:] - ell)))
+        return min(0.0, float(logsumexp([math.log(missing) + log_hm_minus_t,
+                                         math.log1p(-missing) + float(pmf[ell])])))
+    ref = bd.ustat_refined_bound(params, t)
+    k, n_d, y, h = params.k, params.n_d, ref.params["y"], ref.params["h"]
+    missing = ref.params["missing_factor"]
+    ell = round(k * (params.p + t))
+    pmf = _binom_pmf_log_vec(k, params.p)
+    j = np.arange(k + 1)
+    t2 = float(np.exp(logsumexp(pmf[:ell] + h * (n_d * j[:ell] - y))))
+    value = (missing * (math.exp(-2.0 * k * t * t) - t2)
+             + (1.0 - missing) * math.exp(pmf[ell]))
+    return min(0.0, math.log(value))
+
+
+class TestRefinedSums:
+    """The refined bounds sum with math alone; their values stay within
+    1e-12 (relative, as a difference of logs) of the numpy arrays'."""
+
+    @staticmethod
+    def grid(size):
+        """Integer thresholds ell spread over (0, size)."""
+        return sorted({max(1, size * i // 40) for i in range(1, 40)} | {size - 1})
+
+    def test_mcdiarmid_refined_matches_numpy_sums(self):
+        checked = 0
+        for n in (5, 20, 100, 1000, 10**4):
+            for p in (0.05, 0.3, 0.7):
+                for ell in self.grid(n):
+                    t = ell / n - p
+                    tb = bd.mcdiarmid_refined_bound(n, p, t)
+                    if not tb.is_valid:
+                        continue
+                    want = numpy_refined_log_bounds(n, p, t)
+                    assert abs(tb.log_bound - want) <= 1e-12, (n, p, ell)
+                    checked += 1
+        assert checked >= 200
+
+    def test_ustat_refined_matches_numpy_sums(self):
+        checked = 0
+        for n, d in [(10, 1), (40, 2), (300, 3), (2000, 2), (10**4, 1), (10**4, 2)]:
+            for p in (0.05, 0.3, 0.7):
+                params = bd.UStatParams(n, d, p)
+                for ell in self.grid(params.k):
+                    t = ell / params.k - p
+                    tb = bd.ustat_refined_bound(params, t)
+                    if not tb.is_valid or tb.log_bound == -math.inf:
+                        continue
+                    want = numpy_refined_log_bounds(n, p, t, params)
+                    assert abs(tb.log_bound - want) <= 1e-12, (n, d, p, ell)
+                    checked += 1
+        assert checked >= 150
+
+
 class TestMcDiarmidRefined:
     def test_example_value_dominates_exact_tail(self):
         n, p, t = 20, 0.3, 0.4
@@ -463,26 +530,38 @@ class TestUStat:
                         checked += 1
         assert checked >= 50
 
-    def test_refined_direct_formula_oracle(self):
-        n, d, p, t = 30, 3, 0.2, 0.4
-        params = bd.UStatParams(n, d, p)
-        tb = bd.ustat_refined_bound(params, t)
-        k, n_d = 10, math.comb(29, 2)
-        mp_p, mp_t = mpmath.mpf("0.2"), mpmath.mpf("0.4")
+    @staticmethod
+    def mp_refined(n, d, p, t):
+        """The refined U-statistic bound from its displayed formula, in
+        60-digit arithmetic."""
+        k, n_d = n // d, math.comb(n - 1, d - 1)
+        mp_p, mp_t = mpmath.mpf(str(p)), mpmath.mpf(str(t))
         h_nd = mpmath.log((mp_p + mp_t) * (1 - mp_p) / (mp_p * (1 - mp_p - mp_t)))
         h = h_nd / n_d
         missing = (h_nd + 1) / mpmath.e**h_nd
-        ell = 6
+        ell = round(k * (p + t))
         y = k * n_d * (mp_p + mp_t)
         t2 = mpmath.mpf(0)
         for j in range(ell):
             pj = mpmath.binomial(k, j) * mp_p**j * (1 - mp_p) ** (k - j)
             t2 += mpmath.e ** (h * (n_d * j - y)) * pj
         p_ell = mpmath.binomial(k, ell) * mp_p**ell * (1 - mp_p) ** (k - ell)
-        want = float(
+        return float(
             missing * (mpmath.e ** (-2 * k * mp_t**2) - t2) + (1 - missing) * p_ell
         )
-        assert tb.bound == pytest.approx(want, rel=1e-10)
+
+    def test_refined_direct_formula_oracle(self):
+        n, d, p, t = 30, 3, 0.2, 0.4
+        tb = bd.ustat_refined_bound(bd.UStatParams(n, d, p), t)
+        assert tb.bound == pytest.approx(self.mp_refined(n, d, p, t), rel=1e-10)
+
+    def test_refined_takes_n_d_beyond_int64(self):
+        # N_d = C(79, 39) > 2^63: the numpy sums raised OverflowError
+        n, d, p, t = 80, 40, 0.2, 0.3
+        assert math.comb(n - 1, d - 1) > 2**63
+        tb = bd.ustat_refined_bound(bd.UStatParams(n, d, p), t)
+        assert tb.is_valid
+        assert tb.bound == pytest.approx(self.mp_refined(n, d, p, t), rel=1e-10)
 
 
 class TestThresholdConversions:

@@ -722,8 +722,7 @@ NUMPY_LOADED = "any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules)
 # standard-library modules that bound and compare in table format do not use
 UNUSED_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "json", "csv")
 
-# flags and a threshold at which each method but the two refined ones gives
-# a Valid bound
+# flags and a threshold at which each method gives a Valid bound
 CLOSED_FORM_ARGV = {
     "hoeffding": "--n 100 --p 0.3 --t 40",
     "ik": "--n 100 --gamma 0.3 --eps 0.5",
@@ -731,11 +730,13 @@ CLOSED_FORM_ARGV = {
     "expfunct": "--n 20 --gamma 0.3 --delta 0.8 --t 12",
     "bincoupling": "--n 100 --p 0.3 --t 40",
     "mcdiarmid": "--n 100 --p 0.3 --t 0.1",
+    "mcdiarmid-refined": "--n 50 --p 0.2 --t 0.3",
     "kwise": "--n 100 --k 10 --p 0.3 --eps 0.5",
     "kwise-bernoulli": "--n 100 --k 10 --p 0.3 --eps 0.5",
     "sss": "--n 100 --k 30 --p 0.3 --eps 0.5",
     "depgraph": "--n 100 --alpha 10 --t 80",
     "ustat": "--n 20 --d 2 --p 0.3 --t 0.2",
+    "ustat-refined": "--n 20 --d 2 --p 0.3 --t 0.4",
     "gnm-isolated": "--n 20 --m 20 --t 3",
     "gnm-triangles": "--n 6 --m 9 --t 3",
 }
@@ -776,11 +777,10 @@ class TestSurface:
         assert proc.stdout.splitlines() == ["[]", "0 []"]
 
     def test_closed_forms_load_no_numpy(self):
-        """bound and compare of every method but the two refined ones, and
-        usage errors, run in-process without loading numpy; the refined
-        methods, verify and simulate load it afterwards."""
-        assert set(CLOSED_FORM_ARGV) == set(METHODS) - {
-            "mcdiarmid-refined", "ustat-refined"}
+        """bound and compare of every method, and usage errors, run
+        in-process without loading numpy; verify and simulate load it
+        afterwards."""
+        assert set(CLOSED_FORM_ARGV) == set(METHODS)
         closed = [["bound", m, *flags.split()]
                   for m, flags in CLOSED_FORM_ARGV.items()]
         runs = closed + [
@@ -791,8 +791,6 @@ class TestSurface:
             ["bound", "no-such-method", "--t", "1"],
             ["bound", "hoeffding", "--n", "100", "--t", "40"],
             ["verify", "convex-order", "--n-max", "20001"],
-            ["bound", "mcdiarmid-refined", "--n", "50", "--p", "0.2",
-             "--t", "0.3"],
             ["verify", "identities"],
             ["simulate", "gnp-isolated", "--n", "10", "--p", "0.2",
              "--t", "3", "--reps", "100"],
@@ -809,7 +807,7 @@ class TestSurface:
         assert proc.returncode == 0, proc.stderr
         got = [line.split() for line in proc.stdout.splitlines()]
         assert got == ([["0", "False"]] * (len(closed) + 1)
-                       + [["64", "False"]] * 3 + [["0", "True"]] * 3)
+                       + [["64", "False"]] * 3 + [["0", "True"]] * 2)
 
     def test_suite_names_and_gnm_bounds_have_one_source(self):
         import argparse
@@ -844,9 +842,9 @@ class TestSurface:
             assert set(spec.optional) <= set(spec.flags), name
             assert spec.size in spec.flags, name
 
-    def test_only_simulate_loads_scipy(self):
-        """bound, compare and verify run in-process without loading any
-        scipy module; simulate loads scipy.special for its interval."""
+    def test_no_command_loads_scipy(self):
+        """bound, compare, verify and simulate run in-process without
+        loading any scipy module."""
         proc = run_python(textwrap.dedent(f"""
             import contextlib, io, sys
             from depbounds.cli import main
@@ -869,9 +867,8 @@ class TestSurface:
         """))
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert lines[:4] == ["bound 0 []", "bound 0 []", "compare 0 []",
-                             "verify 0 []"]
-        assert lines[4].startswith("simulate 0 [") and "'scipy.special'" in lines[4]
+        assert lines[:5] == ["bound 0 []", "bound 0 []", "compare 0 []",
+                             "verify 0 []", "simulate 0 []"]
         rec = json.loads(lines[5])
         assert 0.0 <= rec["ci_low"] <= rec["empirical_tail"] <= rec["ci_high"] <= 1.0
         assert rec["ci_low"] < rec["ci_high"]

@@ -4,8 +4,10 @@ import math
 import tracemalloc
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 from scipy.stats import chisquare
 
 from depbounds import graphcomb as gc
@@ -200,26 +202,26 @@ class TestUStat:
 # sampler or a subgraph kernel cannot move a seeded result unnoticed
 GOLDEN = [
     (sim.GnpIsolated(30, 0.1), 2.0,
-     "empirical_tail=0.41259765625\nci_low=0.3873444712296998\n"
-     "ci_high=0.43817505299383036\nseed=1\nsum_mean=1.42724609375\n"),
+     "empirical_tail=0.41259765625\nci_low=0.387344471229678\n"
+     "ci_high=0.438175052993852\nseed=1\nsum_mean=1.42724609375\n"),
     (sim.GnpTriangles(30, 0.05), 1.0,
-     "empirical_tail=0.3818359375\nci_low=0.3569717395183092\n"
-     "ci_high=0.40713849366644206\nseed=1\nsum_mean=0.539306640625\n"),
+     "empirical_tail=0.3818359375\nci_low=0.35697173951828853\n"
+     "ci_high=0.40713849366646343\nseed=1\nsum_mean=0.539306640625\n"),
     (sim.Gnp4Cliques(20, 0.3), 4.0,
-     "empirical_tail=0.38232421875\nci_low=0.3574530309171023\n"
-     "ci_high=0.4076319526598392\nseed=1\nsum_mean=3.597412109375\n"),
+     "empirical_tail=0.38232421875\nci_low=0.35745303091708125\n"
+     "ci_high=0.40763195265985913\nseed=1\nsum_mean=3.597412109375\n"),
     (sim.GnmIsolated(30, 40), 4.0,
-     "empirical_tail=0.06787109375\nci_low=0.05561972260600448\n"
-     "ci_high=0.08173531124743083\nseed=1\nsum_mean=1.68701171875\n"),
+     "empirical_tail=0.06787109375\nci_low=0.055619722606000906\n"
+     "ci_high=0.08173531124743551\nseed=1\nsum_mean=1.68701171875\n"),
     (sim.GnmTriangles(20, 40), 15.0,
-     "empirical_tail=0.066650390625\nci_low=0.05450954935008331\n"
-     "ci_high=0.08040880217703342\nseed=1\nsum_mean=10.03955078125\n"),
+     "empirical_tail=0.066650390625\nci_low=0.05450954935007976\n"
+     "ci_high=0.08040880217703784\nseed=1\nsum_mean=10.03955078125\n"),
     (sim.MartingaleDiff(20, (0.3,) * 20), 0.5,
-     "empirical_tail=0.29150390625\nci_low=0.2684185497006735\n"
-     "ci_high=0.31536308538482166\nseed=1\nsum_mean=0.017160397355979597\n"),
+     "empirical_tail=0.29150390625\nci_low=0.268418549700657\n"
+     "ci_high=0.3153630853848382\nseed=1\nsum_mean=0.017160397355979597\n"),
     (sim.UStat(40, 2, "all-below", (("c", 0.5),)), 200.0,
-     "empirical_tail=0.450439453125\nci_low=0.4248472469822182\n"
-     "ci_high=0.476215487241267\nseed=1\nsum_mean=196.55078125\n"),
+     "empirical_tail=0.450439453125\nci_low=0.42484724698219617\n"
+     "ci_high=0.4762154872412881\nseed=1\nsum_mean=196.55078125\n"),
 ]
 
 
@@ -332,7 +334,6 @@ class TestBlocks:
     @staticmethod
     def peak(model, reps):
         """Peak traced memory of one empirical_tail call."""
-        sim.exact_binomial_ci(1, 2)  # import scipy before tracing
         tracemalloc.start()
         try:
             sim.empirical_tail(model, 1, reps, seed=0)
@@ -523,3 +524,63 @@ class TestExactBinomialCI:
     def test_validation(self):
         with pytest.raises(ValueError):
             sim.exact_binomial_ci(5, 4)
+
+    @pytest.mark.parametrize("level", [1.5, -1.0, 0.0, 1.0, float("nan")])
+    def test_rejects_level_outside_open_unit_interval(self, level):
+        # 1.5 gave (nan, nan) and -1 the inverted (1.0, 0.0)
+        with pytest.raises(ValueError, match="level must be in"):
+            sim.exact_binomial_ci(1, 2, level=level)
+
+    @staticmethod
+    def tail_times_2000(n, x, js):
+        """(2000 P(Bin(n, x) in js), 1) as integers, exactly: x is taken
+        at its rational value, so the pair compares with alpha/2 = 1/2000
+        at level 0.999 with no rounding."""
+        u, d = x.as_integer_ratio()
+        total = sum(math.comb(n, j) * u**j * (d - u) ** (n - j) for j in js)
+        return 2000 * total, d**n
+
+    def test_contains_exact_interval_and_is_tight(self):
+        """Every k at n <= 60: the exact Clopper-Pearson ends solve
+        P(Bin(n, lo) >= k) = 1/2000 and P(Bin(n, hi) <= k) = 1/2000.  Each
+        returned end has its tail at most 1/2000, and moving it inwards
+        by 1e-12 relative makes the tail exceed 1/2000."""
+        for n in range(1, 61):
+            for k in range(n + 1):
+                lo, hi = sim.exact_binomial_ci(k, n)
+                if k > 0:
+                    above = range(k, n + 1)
+                    tail, one = self.tail_times_2000(n, lo, above)
+                    assert tail <= one, (k, n, "lo")
+                    tail, one = self.tail_times_2000(n, lo * (1 + 1e-12), above)
+                    assert tail > one, (k, n, "lo loose")
+                if k < n:
+                    below = range(k + 1)
+                    tail, one = self.tail_times_2000(n, hi, below)
+                    assert tail <= one, (k, n, "hi")
+                    tail, one = self.tail_times_2000(n, hi * (1 - 1e-12), below)
+                    assert tail > one, (k, n, "hi loose")
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 4096, 10**5, 10**6])
+    def test_matches_scipy_betaincinv(self, n):
+        """scipy is a reference here only: both ends agree with
+        betaincinv within 1e-10 relative for reps up to 10^6."""
+        alpha = 1.0 - sim.CI_LEVEL
+        ks = {0, 1, 2, 3, 10, n // 100, n // 7, n // 3, n // 2, n - 3, n - 1, n}
+        for k in sorted(k for k in ks if 0 <= k <= n):
+            lo, hi = sim.exact_binomial_ci(k, n)
+            want_lo = 0.0 if k == 0 else betaincinv(k, n - k + 1, alpha / 2.0)
+            want_hi = 1.0 if k == n else betaincinv(k + 1, n - k, 1.0 - alpha / 2.0)
+            assert lo == pytest.approx(want_lo, rel=1e-10, abs=0.0), (k, n)
+            assert hi == pytest.approx(want_hi, rel=1e-10, abs=0.0), (k, n)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, 10**6), (9, 10**6), (10, 10**6),
+                                     (40, 4057), (2048, 2049), (500000, 500001)])
+    def test_log_beta_has_no_cancellation(self, a, b):
+        """lgamma(a) + lgamma(b) - lgamma(a + b) loses about 2e-9 at
+        (3, 10^6); the interval's log-beta keeps a few ulps of its size."""
+        with mpmath.workdps(40):
+            want = mpmath.log(mpmath.beta(a, b))
+        got = sim._log_beta(a, b)
+        assert abs(got - want) <= 8 * 2.0**-52 * abs(want) + 1e-15
+        assert sim._log_beta(b, a) == got

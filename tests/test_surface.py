@@ -1,6 +1,6 @@
 """The package surface: every advertised name resolves, importing the
 package loads none of its modules, and no module of ``src/depbounds``
-imports a name it never uses."""
+imports a name it never uses or imports scipy."""
 
 import ast
 import importlib
@@ -64,6 +64,29 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("module", ["__init__", *MODULES])
 def test_no_unused_imports(module):
     assert unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Every module an import statement of ``source`` names, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("module", ["__init__", *MODULES])
+def test_no_module_imports_scipy(module):
+    """scipy is a test-only reference: no command may load it."""
+    names = imported_modules((SRC / f"{module}.py").read_text())
+    assert sorted(m for m in names if m.split(".")[0] == "scipy") == []
+
+
+def test_scipy_import_check_sees_a_nested_import():
+    source = "def f():\n    from scipy.special import betaincinv\n    import os\n"
+    assert imported_modules(source) == {"scipy.special", "os"}
 
 
 def test_unused_import_check_sees_an_unused_name():
