@@ -167,11 +167,13 @@ class UStatParams:
     def __init__(self, n: int, d: int, p: float):
         if d < 1 or n < 1:
             raise ValueError("n and d must be positive")
+        if n % 1 or d % 1:
+            raise ValueError(f"n and d must be integers, got n={n}, d={d}")
         if n % d != 0:
             raise ValueError(f"d={d} does not divide n={n}")
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0,1), got {p}")
-        self.n, self.d, self.p = n, d, p
+        self.n, self.d, self.p = int(n), int(d), p
 
     @property
     def k(self) -> int:
@@ -289,14 +291,15 @@ def _profile_log_sk(profile, n: int, k: int) -> float | None:
 
 
 def linial_luria_bound(n: int, beta_n: int, k: int, profile) -> TailBound:
-    """Symmetric-moment bound S_k / C(beta_n, k) for Bernoulli indicators."""
+    """Symmetric-moment bound S_k / C(beta_n, k) for Bernoulli indicators,
+    0 < k <= beta_n: C(Z, k) >= C(beta_n, k) >= 1 once Z >= beta_n."""
     method = "linial-luria"
     if bad := check_n(method, n, beta_n):
         return bad
     if not 0 < beta_n <= n:
         return _invalid(method, "beta_n outside (0, n]")
-    if not 0 < k < beta_n:
-        return _invalid(method, "k not in (0, beta_n)")
+    if not 0 < k <= beta_n:
+        return _invalid(method, "k not in (0, beta_n]")
     log_sk = _profile_log_sk(profile, n, k)
     if log_sk is None:
         return _invalid(method, f"profile cannot supply S_{k}")
@@ -423,6 +426,7 @@ def mcdiarmid_refined_bound(n: int, p: float, t: float) -> TailBound:
     method = "mcdiarmid-refined"
     if bad := check_n(method, n, t):
         return bad
+    n = int(n)
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
     if t >= 1.0 - p:
@@ -678,6 +682,7 @@ def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
     method = "gnm-isolated"
     if bad := check_n(method, n, t):
         return bad
+    n = int(n)
     if not 1 <= t <= n:
         return _invalid(method, "t outside [1, n]")
     if m > math.comb(n, 2) or m < 0:
@@ -704,6 +709,7 @@ def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
     method = "gnm-triangles"
     if bad := check_n(method, n, t):
         return bad
+    n = int(n)
     n3 = math.comb(n, 3)
     if not 2 <= t <= n3:
         return _invalid(method, "t outside {2,...,C(n,3)}")

@@ -135,12 +135,10 @@ def _linial_luria(a):
         return partial(bd.linial_luria_bound, n, k=a["k"], profile=profile)
 
     def best_k(beta_n):
+        # k = 1 comes first, so with no valid bound its Invalid is returned
         tbs = [bd.linial_luria_bound(n, beta_n, k, profile)
-               for k in range(1, min(beta_n, n))]
-        valid = [tb for tb in tbs if tb.is_valid]
-        if not valid:
-            return bd.linial_luria_bound(n, beta_n, 1, profile)
-        return min(valid, key=lambda tb: tb.log_bound)
+               for k in range(1, max(1, min(beta_n, n)) + 1)]
+        return min(tbs, key=lambda tb: tb.log_bound if tb.is_valid else math.inf)
 
     return best_k
 
@@ -359,35 +357,44 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # verify subcommand
 
-# the keys of verify.SUITES, named here so that parsing imports no suite
-VERIFY_SUITES = ("convex-order", "identities", "lemmas", "sandwich", "soundness")
+class Suite(NamedTuple):
+    """How verify reaches one suite.
 
-_SOUNDNESS_SUITES = {"soundness", "sandwich"}
+    run(verify): the suite function, from the verify module passed in, so
+    that the table loads no numpy.  n_max: the --n-max range, or None for a
+    suite that draws nothing and takes neither --n-max nor --trials.
+    trials: the keyword --trials sets.  fail: the exit code on a failure.
+    """
 
-# the --n-max range of each suite that draws random inputs, which alone
-# take --n-max and --trials: Bernoulli laws are drawn with 3..n-max
-# variables (full support only up to 12), convex-order vectors with
-# 2..n-max trials (the Poisson-binomial DP is quadratic in n, so the range
-# stops at 10 000), and lemmas enumerates all 2^C(n,2) graphs
-_VERIFY_N_MAX = {
-    "soundness": (3, 12),
-    "sandwich": (3, 12),
-    "convex-order": (2, 10_000),
-    "lemmas": (3, 7),
+    run: Callable
+    n_max: tuple | None = None
+    trials: str = "trials"
+    fail: int = EXIT_INVALID
+
+
+# the verify suites, in the order of verify's choices
+VERIFY_SUITES = {
+    # vectors of 2..n-max trials; the Poisson-binomial DP is quadratic in n
+    "convex-order": Suite(lambda v: v.suite_convex_order, (2, 10_000)),
+    "identities": Suite(lambda v: v.suite_identities),
+    # all 2^C(n,2) graphs on n-max vertices, and --trials random graphs
+    "lemmas": Suite(lambda v: v.suite_lemmas, (3, 7), "random_graphs"),
+    # Bernoulli laws of 3..n-max variables, full support only up to 12
+    "sandwich": Suite(lambda v: v.suite_sandwich, (3, 12), fail=EXIT_VIOLATED),
+    "soundness": Suite(lambda v: v.suite_soundness, (3, 12), fail=EXIT_VIOLATED),
 }
 
 
 def cmd_verify(args) -> int:
+    spec = VERIFY_SUITES[args.suite]
     for flag, value in (("n-max", args.n_max), ("trials", args.trials)):
-        if value is not None and args.suite not in _VERIFY_N_MAX:
+        if value is not None and spec.n_max is None:
             raise UsageError(f"--{flag} does not apply to verify {args.suite}")
     kwargs = {}
     if args.n_max is not None:
-        kwargs["n_max"] = _in_range("n-max", args.n_max, *_VERIFY_N_MAX[args.suite])
+        kwargs["n_max"] = _in_range("n-max", args.n_max, *spec.n_max)
     if args.trials is not None:
-        # lemmas draws --trials random graphs
-        key = "random_graphs" if args.suite == "lemmas" else "trials"
-        kwargs[key] = _in_range("trials", args.trials, 1)
+        kwargs[spec.trials] = _in_range("trials", args.trials, 1)
     if args.seed is not None:
         kwargs["seed"] = args.seed
     # after the flag checks, so that a usage error loads no suite or numpy
@@ -409,7 +416,7 @@ def cmd_verify(args) -> int:
         )
     if all(passed for _n, passed, _d in results):
         return EXIT_OK
-    return EXIT_VIOLATED if args.suite in _SOUNDNESS_SUITES else EXIT_INVALID
+    return spec.fail
 
 
 # ---------------------------------------------------------------------------

@@ -154,13 +154,46 @@ def log_factorials(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) ln x - x + ln sqrt(2 pi)) for x >= 10, by
+    Stirling's series to its x^-13 term; the next term is below 3e-17."""
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r * (
+        1 / 1188 - r * (691 / 360360 - r / 156)))))) / x
+
+
+def _log_beta(a: int, b: int) -> float:
+    """ln B(a, b) for integers a, b >= 1, to a few ulps of its own size.
+
+    lgamma(a) + lgamma(b) - lgamma(a + b) cancels when one argument is
+    large: at a = 3, b = 10^6 the error of each lgamma, about 2e-9, is
+    the error of the result.  For p = min(a, b) < 10,
+    B(p, q) = (p - 1)! / (q (q + 1) ... (q + p - 1)) with the product
+    exact in integers; above, the large terms of Stirling's series cancel
+    in closed form.
+    """
+    p, q = min(a, b), max(a, b)
+    if p < 10:
+        return math.lgamma(p) - math.log(math.prod(range(q, q + p)))
+    corr = _stirling_tail(p) + _stirling_tail(q) - _stirling_tail(p + q)
+    r = p / (p + q)
+    return (_LOG_SQRT_2PI - 0.5 * math.log(q) + corr + (p - 0.5) * math.log(r)
+            + q * math.log1p(-r))
+
+
 def log_binom_coeff(n: int, k: int) -> float:
-    """ln C(n,k) via log-gamma; 0 <= k <= n."""
-    if k < 0 or n < 0:
-        raise ValueError(f"n and k must be nonnegative, got n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    """ln C(n,k) for integers 0 <= k <= n (integral floats too): the exact
+    integer's log while min(k, n - k) < 10, else -ln(n + 1) minus
+    ln B(k + 1, n - k + 1), where a difference of lgammas would cancel."""
+    if not 0 <= k <= n or n % 1 or k % 1:
+        raise ValueError(f"need integers 0 <= k <= n, got n={n}, k={k}")
+    n, k = int(n), int(min(k, n - k))
+    if k < 10:
+        return math.log(math.comb(n, k))
+    return -math.log(n + 1) - _log_beta(k + 1, n - k + 1)
 
 
 def log_gen_binom_coeff(x: float, k: int) -> float:

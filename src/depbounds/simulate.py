@@ -42,6 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from . import graphcomb as gc
+from .numkernel import _log_beta
 
 CHUNK_SIZE = 4096
 CI_LEVEL = 0.999
@@ -358,33 +359,6 @@ class SimResult:
 
 _EPS = 2.0 ** -52
 _TINY = 1e-300
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _stirling_tail(x: float) -> float:
-    """lgamma(x) - ((x - 1/2) ln x - x + ln sqrt(2 pi)) for x >= 10, by
-    Stirling's series to its x^-13 term; the next term is below 3e-17."""
-    r = 1.0 / (x * x)
-    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r * (
-        1 / 1188 - r * (691 / 360360 - r / 156)))))) / x
-
-
-def _log_beta(a: int, b: int) -> float:
-    """ln B(a, b) for integers a, b >= 1, to a few ulps of its own size.
-
-    lgamma(a) + lgamma(b) - lgamma(a + b) cancels when one argument is
-    large: at a = 3, b = 10^6 the error of each lgamma, about 2e-9, is
-    the error of the result.  For p = min(a, b) < 10 the product
-    B(p, q) = (p - 1)! / (q (q + 1) ... (q + p - 1)) has no cancellation;
-    above, the large terms of Stirling's series cancel in closed form.
-    """
-    p, q = min(a, b), max(a, b)
-    if p < 10:
-        return math.lgamma(p) - math.fsum([math.log(q + i) for i in range(p)])
-    corr = _stirling_tail(p) + _stirling_tail(q) - _stirling_tail(p + q)
-    r = p / (p + q)
-    return (_LOG_SQRT_2PI - 0.5 * math.log(q) + corr + (p - 0.5) * math.log(r)
-            + q * math.log1p(-r))
 
 
 def _beta_cf(a: int, b: int, x: float):

@@ -6,12 +6,14 @@ tests, so the exact same sweeps run in both places.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from . import bounds as bd
 from . import graphcomb as gc
 from . import oracle as oc
+from .cli import VERIFY_SUITES
 from .numkernel import (
     PoissonBinomialSpec,
     binomial_median_lb_grid,
@@ -33,23 +35,14 @@ __all__ = [
     "bernoulli_sum_moments",
 ]
 
-SUITES = {}
-
-
-def _suite(name):
-    def deco(fn):
-        SUITES[name] = fn
-        return fn
-
-    return deco
-
 
 def run_suite(name: str, **kw):
+    """The records of the suite ``name``, a key of ``cli.VERIFY_SUITES``."""
     try:
-        fn = SUITES[name]
+        suite = VERIFY_SUITES[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return fn(**kw)
+        raise ValueError(f"unknown suite {name!r}; available: {sorted(VERIFY_SUITES)}")
+    return suite.run(sys.modules[__name__])(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +157,6 @@ def _random_bernoulli_dist(rng, n_max: int) -> oc.JointDist:
     return oc.JointDist.from_masks(n, np.arange(1 << n), oc.zeta_decomposition(q))
 
 
-@_suite("soundness")
 def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
     """Master soundness sweep: exact_tail <= bound for every applicable
     bound on random Bernoulli joint distributions, each law's tails read
@@ -204,7 +196,6 @@ def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
     return records
 
 
-@_suite("identities")
 def suite_identities(seed: int = 0):
     """Reduction identities between evaluators, within 1e-10 in log scale.
 
@@ -311,7 +302,6 @@ def _all_graph_union_check(n: int):
     return total, tv, qv
 
 
-@_suite("lemmas")
 def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     """Triangle and 4-clique edge-union lemmas: exhaustive on small n,
     randomized on larger graphs, with the tight cases witnessed."""
@@ -364,7 +354,6 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     return records
 
 
-@_suite("convex-order")
 def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12):
     """Averaged-binomial domination properties of independent trials."""
     rng = np.random.default_rng(seed)
@@ -398,7 +387,6 @@ def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12):
     return records
 
 
-@_suite("sandwich")
 def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0):
     """Lower and upper symmetric-moment bounds sandwich the exact tail."""
     rng = np.random.default_rng(seed)

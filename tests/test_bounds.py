@@ -1,5 +1,6 @@
 """Bound evaluators against independent oracles and the stated identities."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from scipy.optimize import minimize_scalar
 
 from depbounds import bounds as bd
 from depbounds import graphcomb as gc
-from depbounds.numkernel import BinomialSpec, PoissonBinomialSpec
+from depbounds.cli import METHODS
+from depbounds.numkernel import BinomialSpec, PoissonBinomialSpec, log_binom_coeff
 
 mpmath.mp.dps = 60
 
@@ -126,9 +128,26 @@ class TestLinialLuria:
         assert tb.bound == pytest.approx(want, rel=1e-12)
         assert tb.bound >= float(exact_binom_tail(n, Fraction(1, 2), beta_n))
 
-    def test_k_not_less_than_beta_n(self):
-        tb = bd.linial_luria_bound(10, 5, 5, bd.ProductBound(0.3))
-        assert not tb.is_valid
+    def test_k_above_beta_n_is_invalid(self):
+        tb = bd.linial_luria_bound(10, 5, 6, bd.ProductBound(0.3))
+        assert tb.invalid_reason == "k not in (0, beta_n]"
+
+    def test_k_equal_to_beta_n_bounds_exact_tails(self):
+        """At k = beta_n the bound is S_beta_n, Markov on C(Z, beta_n),
+        which is at least 1 exactly when Z >= beta_n."""
+        from depbounds import oracle as oc
+        from depbounds import verify
+
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            dist = verify._random_bernoulli_dist(rng, 10)
+            _, sk = verify.bernoulli_sum_moments(dist)
+            tail_at = oc.tail_lookup(dist)
+            for beta_n in range(1, dist.n + 1):
+                tb = bd.linial_luria_bound(
+                    dist.n, beta_n, beta_n, bd.SymmetricMoments(sk))
+                assert tb.is_valid
+                assert tail_at(float(beta_n)) <= tb.bound + 1e-12
 
     def test_product_profile_matches_explicit_moment(self):
         n, beta_n, k, g = 12, 9, 3, 0.4
@@ -271,18 +290,27 @@ class TestMcDiarmid:
             assert a.log_bound == pytest.approx(b.log_bound, abs=1e-10)
 
 
+@functools.lru_cache(maxsize=None)
+def binom_pmf_logs(n, p):
+    """ln P[Bin(n, p) = j] for j = 0..n, on the package's log_binom_coeff."""
+    j = np.arange(n + 1)
+    log_c = np.array([log_binom_coeff(n, i) for i in range(n + 1)])
+    return log_c + j * math.log(p) + (n - j) * math.log1p(-p)
+
+
 def numpy_refined_log_bounds(n, p, t, params=None):
     """The refined bounds as the package computed them with numpy arrays
-    (``numkernel._binom_pmf_log_vec`` and ``numkernel.logsumexp``), kept
-    here as a reference for the standard-library sums: mcdiarmid-refined
-    at (n, p, t), or ustat-refined when ``params`` is given."""
-    from depbounds.numkernel import _binom_pmf_log_vec, logsumexp
+    (``numkernel.logsumexp`` over the binomial log-pmf), kept here as a
+    reference for the standard-library sums: mcdiarmid-refined at
+    (n, p, t), or ustat-refined when ``params`` is given.  Both sides take
+    the same log-pmf terms, so only the sums are compared."""
+    from depbounds.numkernel import logsumexp
 
     if params is None:
         ref = bd.mcdiarmid_refined_bound(n, p, t)
         h, missing = ref.params["h"], ref.params["missing_factor"]
         ell = ref.params["ell"]
-        pmf = _binom_pmf_log_vec(n, p)
+        pmf = binom_pmf_logs(n, p)
         j = np.arange(n + 1)
         log_hm_minus_t = float(logsumexp(pmf[ell:] + h * (j[ell:] - ell)))
         return min(0.0, float(logsumexp([math.log(missing) + log_hm_minus_t,
@@ -291,7 +319,7 @@ def numpy_refined_log_bounds(n, p, t, params=None):
     k, n_d, y, h = params.k, params.n_d, ref.params["y"], ref.params["h"]
     missing = ref.params["missing_factor"]
     ell = round(k * (params.p + t))
-    pmf = _binom_pmf_log_vec(k, params.p)
+    pmf = binom_pmf_logs(k, params.p)
     j = np.arange(k + 1)
     t2 = float(np.exp(logsumexp(pmf[:ell] + h * (n_d * j[:ell] - y))))
     value = (missing * (math.exp(-2.0 * k * t * t) - t2)
@@ -733,3 +761,35 @@ class TestRecords:
         with pytest.raises(ValueError) as exc:
             make()
         assert str(exc.value) == message
+
+
+# one valid point per method at n = 20: flag values and native threshold
+FLOAT_N_POINTS = {
+    "hoeffding": ({"p": 0.3}, 9.0),
+    "ik": ({"gamma": 0.3}, 0.5),
+    "linial-luria": ({"beta-n": 10, "gamma": 0.3}, 10),
+    "expfunct": ({"gamma": 0.3, "delta": 0.8}, 12.0),
+    "bincoupling": ({"p": 0.3}, 12.0),
+    "mcdiarmid": ({"p": 0.3}, 0.1),
+    "mcdiarmid-refined": ({"p": 0.3}, 0.4),
+    "kwise": ({"k": 5, "p": 0.3}, 0.5),
+    "kwise-bernoulli": ({"k": 5, "p": 0.3}, 0.5),
+    "sss": ({"k": 10, "p": 0.3}, 0.5),
+    "depgraph": ({"alpha": 10}, 15.0),
+    "ustat": ({"d": 2, "p": 0.3}, 0.2),
+    "ustat-refined": ({"d": 2, "p": 0.3}, 0.4),
+    "gnm-isolated": ({"m": 10}, 3),
+    "gnm-triangles": ({"m": 40}, 3),
+}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_integral_float_n_gives_the_int_record(method):
+    """check_n accepts n = 20.0, so every evaluator returns what it does
+    at n = 20."""
+    flags, native = FLOAT_N_POINTS[method]
+    want = METHODS[method].bind({**flags, "n": 20})(native)
+    got = METHODS[method].bind({**flags, "n": 20.0})(native)
+    assert want.is_valid
+    assert (got.log_bound, got.params, got.invalid_reason) == (
+        want.log_bound, want.params, want.invalid_reason)

@@ -243,6 +243,21 @@ class TestVerify:
         assert out == ""
         assert flag in err and want in err
 
+    @pytest.mark.parametrize("suite,want", [
+        ("soundness", 3), ("sandwich", 3), ("convex-order", 2),
+        ("identities", 2), ("lemmas", 2),
+    ])
+    def test_failing_record_exit_code(self, capsys, monkeypatch, suite, want):
+        from depbounds import cli, verify
+
+        name = cli.VERIFY_SUITES[suite].run(verify).__name__
+        monkeypatch.setattr(verify, name, lambda **kw: [
+            (f"{suite}/ok", True, "passed"), (f"{suite}/bad", False, "forced"),
+        ])
+        code, out, _ = run_cli(capsys, "verify", suite)
+        assert code == want
+        assert out == f"PASS {suite}/ok: passed\nFAIL {suite}/bad: forced\n"
+
     def test_lemmas_reads_trials_as_random_graphs(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "lemmas", "--n-max", "4", "--trials", "7",
@@ -630,12 +645,23 @@ class TestCompare:
         s_k = bd.SymmetricMoments({0: 1.0, 3: 5.0})
         want = bd.linial_luria_bound(10, 8, 3, s_k).log_bound
         assert ll_log("--k", "3", "--s-k", "5.0") == want
-        # without --k the best k is used
+        # without --k the best k in 1..beta_n is used
         best = min(
             bd.linial_luria_bound(10, 8, k, bd.ProductBound(0.4)).log_bound
-            for k in range(1, 8)
+            for k in range(1, 9)
         )
         assert ll_log("--gamma", "0.4") == best
+
+    def test_linial_luria_best_k_includes_beta_n(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--methods", "linial-luria,ik", "--n", "10",
+            "--gamma", "0.1", "--t", "8", "--format", "json-lines",
+        )
+        assert code == 0
+        (rec,) = json_records(out)
+        # k = 8: C(10, 8) 0.1^8 / C(8, 8), below k = 7's 1.5e-6 and ik's
+        assert rec["linial-luria"] == pytest.approx(4.5e-7, rel=1e-12)
+        assert rec["minimum"] == "linial-luria"
 
     def test_ik_honours_c(self, capsys):
         code, out, _ = run_cli(
@@ -811,6 +837,7 @@ class TestSurface:
 
     def test_suite_names_and_gnm_bounds_have_one_source(self):
         import argparse
+        import inspect
 
         from depbounds import cli, graphcomb, verify
 
@@ -818,7 +845,12 @@ class TestSurface:
                    if isinstance(a, argparse._SubParsersAction))
         suite = next(a for a in sub.choices["verify"]._actions
                      if a.dest == "suite")
-        assert set(suite.choices) == set(verify.SUITES)
+        assert tuple(suite.choices) == tuple(cli.VERIFY_SUITES)
+        runs = [spec.run(verify) for spec in cli.VERIFY_SUITES.values()]
+        for fn in runs:
+            assert inspect.isfunction(fn) and fn.__module__ == verify.__name__
+        assert set(runs) == {fn for name, fn in vars(verify).items()
+                             if name.startswith("suite_")}
         for name in ("gnm_isolated_bound", "gnm_triangles_bound"):
             assert getattr(graphcomb, name) is getattr(bd, name)
 

@@ -104,6 +104,22 @@ class TestLogBinomCoeff:
         with pytest.raises(ValueError):
             log_binom_coeff(3, 4)
 
+    @pytest.mark.parametrize("n,k", [
+        *((n, k) for n in (10**6, 10**8) for k in (0, 1, 2, 3, 5, 9, 10, 40)),
+        *((n, k) for n in (2, 11, 100, 999, 2000)
+          for k in (n // 2 - 1, n // 2, n // 2 + 1)),
+    ])
+    def test_no_cancellation(self, n, k):
+        """lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) is off by 1.8e-9 at
+        (10^6, 3) and 6e-8 at (10^8, 3); the log-beta form is not."""
+        want = math.log(math.comb(n, k))
+        assert abs(log_binom_coeff(n, k) - want) <= 1e-14 * abs(want)
+
+    def test_integral_floats(self):
+        assert log_binom_coeff(20.0, 15) == log_binom_coeff(20, 15)
+        with pytest.raises(ValueError):
+            log_binom_coeff(10.5, 3)
+
     @given(n=st.integers(0, 300), k=st.integers(0, 300))
     @settings(max_examples=200, deadline=None)
     def test_matches_exact_integer(self, n, k):

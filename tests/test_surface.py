@@ -1,11 +1,15 @@
 """The package surface: every advertised name resolves, importing the
 package loads none of its modules, and no module of ``src/depbounds``
-imports a name it never uses or imports scipy."""
+imports a name it never uses, imports scipy or keeps a private name that
+nothing reads."""
 
 import ast
 import importlib
+import io
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,3 +98,36 @@ def test_unused_import_check_sees_an_unused_name():
               "from x import a, b as c\n__all__ = ['a']\n"
               "def f(y: 'Path') -> os.PathLike:\n    return y\n")
     assert unused_imports(source) == ["line 2: math", "line 3: c"]
+
+
+def unread_private_names(sources: list) -> list:
+    """Module-level names starting with ``_`` (dunders aside) that appear
+    only once as a name token across all of ``sources``: defined, never
+    read, imported or called."""
+    seen = Counter()
+    defined = []
+    for source in sources:
+        seen.update(tok.string for tok in tokenize.generate_tokens(
+            io.StringIO(source).readline) if tok.type == tokenize.NAME)
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined += [n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)]
+    return sorted(name for name in set(defined) if name.startswith("_")
+                  and not name.startswith("__") and seen[name] < 2)
+
+
+def test_every_private_name_is_read():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(sources) == []
+
+
+def test_private_name_check_sees_a_leftover():
+    sources = ["_TABLE = {}\n_A, _B = 1, 2\n\ndef _deco(fn):\n    return fn\n",
+               "from .m import _B\n# _A in a comment is no read\n"
+               "def f():\n    return _TABLE\n"]
+    assert unread_private_names(sources) == ["_A", "_deco"]
