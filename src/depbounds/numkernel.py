@@ -197,14 +197,22 @@ def log_binom_coeff(n: int, k: int) -> float:
 
 
 def log_gen_binom_coeff(x: float, k: int) -> float:
-    """ln of the generalized binomial coefficient C(x,k) = x!/(k!(x-k)!).
+    """ln of the generalized binomial coefficient C(x,k) = x!/(k!(x-k)!)
+    for real x > k - 1.
 
-    Extended by log-gamma to real x > k - 1.
+    While k < 10 it is the log of an exact integer ratio, as a difference
+    of lgammas would cancel at large x: with x = a/b, C(x,k) =
+    prod_{i<k} (a - i b) / (b^k k!).  Larger k take the lgammas.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if x <= k - 1:
         raise ValueError(f"top argument {x} must exceed k-1={k - 1}")
+    if k < 10:
+        a, b = float(x).as_integer_ratio()
+        return math.log(math.prod(a - i * b for i in range(k))) - math.log(
+            b**k * math.factorial(k)
+        )
     return math.lgamma(x + 1) - math.lgamma(k + 1) - math.lgamma(x - k + 1)
 
 

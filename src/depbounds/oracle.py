@@ -55,13 +55,7 @@ __all__ = [
     "subset_product_moments",
     "subset_zeta_moments",
     "subset_sizes",
-    "GenerationError",
 ]
-
-
-class GenerationError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
-
 
 # ---------------------------------------------------------------------------
 # joint distributions
@@ -352,66 +346,38 @@ def subset_zeta_moments(dist: JointDist) -> np.ndarray:
     return _atom_sum(dist, lambda xs: _lattice_products(1.0 - xs, xs), 1 << dist.n)
 
 
-def _violation(dist: JointDist, constraint) -> float | None:
-    """Largest excess of a subset moment over its cap, or None if every cap
-    holds within 1e-12: E[prod_A X] <= gamma^|A| for A nonempty under a
-    ProductBound, E[Z_A] <= gamma^|A| delta^(n-|A|) under a SplitBound."""
-    sizes = subset_sizes(dist.n)
-    if isinstance(constraint, ProductBound):
-        excess = subset_product_moments(dist)[1:] - constraint.gamma ** sizes[1:]
-    else:
-        caps = constraint.gamma ** sizes * constraint.delta ** (dist.n - sizes)
-        excess = subset_zeta_moments(dist) - caps
-    worst = float(excess.max())
-    return worst if worst > 1e-12 else None
-
-
-def random_joint_dist(
-    n: int,
-    profile_constraint=None,
-    seed: int = 0,
-    max_attempts: int = 100_000,
-) -> JointDist:
-    """Seeded generator of Bernoulli joint distributions, n <= 12.
+def random_joint_dist(n: int, profile_constraint=None, seed: int = 0) -> JointDist:
+    """Seeded generator of Bernoulli joint distributions, 1 <= n <= 12.
 
     Unconstrained, the law has 2..16 atoms at distinct outcomes with
     Dirichlet weights.  With a :class:`ProductBound` or :class:`SplitBound`
-    constraint the candidate is a mixture of product-Bernoulli components
-    whose rates are confined to the feasible interval, expanded over all
-    2^n outcomes, and the subset-moment condition is then verified
-    exhaustively; candidates failing verification are rejected.
+    constraint it is a Dirichlet mixture of 2..5 product-Bernoulli laws,
+    expanded over all 2^n outcomes, whose rates are drawn from [0, gamma]
+    or [1 - delta, gamma].  Such a law meets the constraint by
+    construction, so nothing is checked: each product component meets
+    every cap (E[prod_A X] = prod_A p_i <= gamma^|A|, and E[Z_A] =
+    prod_A p_i prod_{not A} (1 - p_i) <= gamma^|A| delta^(n-|A|)), and
+    the caps are linear in the law, so the mixture meets them too.  An
+    infeasible constraint is refused before anything is drawn.
     Deterministic given the seed.
     """
-    if n > 12:
-        raise ValueError(f"Bernoulli full-support generation capped at n=12, got {n}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
+        raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
+    if isinstance(profile_constraint, ProductBound):
+        if not 0.0 <= profile_constraint.gamma <= 1.0:
+            raise ValueError(
+                f"ProductBound gamma must be in [0, 1], got {profile_constraint.gamma}"
+            )
+        lo, hi = 0.0, profile_constraint.gamma
+    elif isinstance(profile_constraint, SplitBound):
+        lo, hi = 1.0 - profile_constraint.delta, profile_constraint.gamma
+    elif profile_constraint is not None:
+        raise TypeError(f"unsupported constraint {type(profile_constraint).__name__}")
     rng = np.random.default_rng(seed)
     if profile_constraint is None:
-        return _candidate(rng, n, None)
-    worst = None
-    for _ in range(max_attempts):
-        dist = _candidate(rng, n, profile_constraint)
-        worst = _violation(dist, profile_constraint)
-        if worst is None:
-            return dist
-    raise GenerationError(
-        f"no valid distribution in {max_attempts} attempts; "
-        f"tightest violated margin {worst:.3g}"
-    )
-
-
-def _candidate(rng, n, constraint) -> JointDist:
-    if constraint is None:
         m = int(rng.integers(2, min(16, 1 << n) + 1))
         masks = rng.choice(1 << n, size=m, replace=False)
         return JointDist.from_masks(n, masks, rng.dirichlet(np.ones(m)))
-    if isinstance(constraint, ProductBound):
-        lo, hi = 0.0, constraint.gamma
-    elif isinstance(constraint, SplitBound):
-        lo, hi = 1.0 - constraint.delta, constraint.gamma
-    else:
-        raise TypeError(f"unsupported constraint {type(constraint).__name__}")
     comps = int(rng.integers(2, 6))
     rates = lo + (hi - lo) * rng.random((comps, n))
     mix = rng.dirichlet(np.ones(comps))

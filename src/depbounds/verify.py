@@ -83,11 +83,15 @@ def _is_independent(dist: oc.JointDist, moments: np.ndarray) -> bool:
     return bool(np.all(np.abs(moments[1:] - product[1:]) <= 1e-9))
 
 
-def _interior_grid(lo: float, hi: float, count: int = 5) -> list:
-    return [lo + (hi - lo) * i / (count + 1) for i in range(1, count + 1)]
+# thresholds each applicable bound is checked at
+_THRESHOLDS = 5
 
 
-def applicable_bound_checks(dist: oc.JointDist, thresholds_per_bound: int = 5):
+def _interior_grid(lo: float, hi: float) -> list:
+    return [lo + (hi - lo) * i / (_THRESHOLDS + 1) for i in range(1, _THRESHOLDS + 1)]
+
+
+def applicable_bound_checks(dist: oc.JointDist):
     """(label, t, TailBound) triples for every bound whose hypotheses the
     distribution provably satisfies, at interior thresholds of each bound's
     validity range."""
@@ -100,23 +104,23 @@ def applicable_bound_checks(dist: oc.JointDist, thresholds_per_bound: int = 5):
     zdist, sk = bernoulli_sum_moments(dist)
 
     if 0.0 < gamma < 1.0:
-        for t in _interior_grid(n * gamma, n, thresholds_per_bound):
+        for t in _interior_grid(n * gamma, n):
             eps = bd.t_to_eps(n, gamma, t)
             checks.append(("ik", t, bd.ik_bound(n, gamma, eps, c=1.0)))
         if n * gamma + 1.0 < n:
-            for t in _interior_grid(n * gamma + 1.0, n, thresholds_per_bound):
+            for t in _interior_grid(n * gamma + 1.0, n):
                 checks.append(("bincoupling", t, bd.bincoupling_bound(n, gamma, t)))
 
     gamma_z = _gamma(oc.subset_zeta_moments(dist), sizes)
     if 0.0 < gamma_z < 1.0:
-        for t in _interior_grid(n * gamma_z, n, thresholds_per_bound):
+        for t in _interior_grid(n * gamma_z, n):
             checks.append(
                 ("expfunct", t, bd.expfunct_bound(n, gamma_z, 1.0, t))
             )
 
     profile = bd.SymmetricMoments(sk)
     beta_lo = max(1, math.floor(n * pbar) + 1)
-    beta_candidates = list(range(beta_lo, n + 1))[:thresholds_per_bound]
+    beta_candidates = list(range(beta_lo, n + 1))[:_THRESHOLDS]
     for beta_n in beta_candidates:
         for k in range(1, beta_n):
             checks.append(
@@ -128,14 +132,14 @@ def applicable_bound_checks(dist: oc.JointDist, thresholds_per_bound: int = 5):
             )
 
     if _is_independent(dist, moments) and 0.0 < pbar < 1.0:
-        for t in _interior_grid(n * pbar, n, thresholds_per_bound):
+        for t in _interior_grid(n * pbar, n):
             checks.append(("hoeffding", t, bd.hoeffding_bound(n, pbar, t)))
             eps = bd.t_to_eps(n, pbar, t)
             checks.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, eps)))
 
     if np.allclose(dist.means(), 0.5, rtol=0.0, atol=1e-12):
         params = bd.DependencyGraphParams(n=n, alpha=1)
-        for t in _interior_grid(n / 2.0, n, thresholds_per_bound):
+        for t in _interior_grid(n / 2.0, n):
             checks.append(("depgraph(alpha=1)", t, bd.depgraph_bound(params, t)))
 
     return checks

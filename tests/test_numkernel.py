@@ -139,6 +139,13 @@ class TestLogBinomCoeff:
                     log_binom_coeff(n, k), rel=1e-12, abs=1e-12
                 )
 
+    @pytest.mark.parametrize("x", [1e6 + 0.5, 1e8 + 0.25])
+    def test_generalized_real_top_at_large_x(self, x):
+        # three lgammas of size x ln x cancel here; they were 6.8e-10 and
+        # 5.3e-8 off
+        want = mpmath.log(mpmath.binomial(mpmath.mpf(x), 3))
+        assert abs(log_gen_binom_coeff(x, 3) - float(want)) < 1e-14
+
     def test_generalized_domain(self):
         with pytest.raises(ValueError):
             log_gen_binom_coeff(3.5, 5)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depbounds import bounds as bd
@@ -159,8 +159,8 @@ class TestSubsetTransforms:
         assert not sizes.flags.writeable
         with pytest.raises(ValueError):
             sizes[1] += 1
-        # the rejection sampler reads the cached array for every candidate
-        oc.random_joint_dist(6, bd.ProductBound(0.5), seed=1)
+        # applicable_bound_checks reads the cached array for every law
+        verify.applicable_bound_checks(oc.random_joint_dist(6, seed=1))
         assert oc.subset_sizes(6) is sizes
         assert sizes.tolist() == want
 
@@ -467,41 +467,53 @@ class TestRandomJointDist:
         b = oc.random_joint_dist(8, bd.ProductBound(0.3), seed=17)
         np.testing.assert_array_equal(a.xs, b.xs)
         np.testing.assert_array_equal(a.ws, b.ws)
+        # the law stream of the sweeps: the same draws as when every
+        # candidate was checked and could be rejected
+        assert len(a.ws) == 256 and a.ws[0] == 0.27524238878061924
+        c = oc.random_joint_dist(6, bd.SplitBound(0.5, 0.9), seed=4)
+        assert len(c.ws) == 64 and c.ws[0] == 0.08023381887816917
 
-    def test_product_constraint_verified(self):
-        g = 0.3
-        dist = oc.random_joint_dist(8, bd.ProductBound(g), seed=4)
-        moments = oc.subset_product_moments(dist)
-        for mask in range(1, 1 << 8):
-            assert moments[mask] <= g ** bin(mask).count("1") + 1e-12
+    @given(
+        n=st.integers(1, 12),
+        gamma=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_product_constraint_verified(self, n, gamma, seed):
+        dist = oc.random_joint_dist(n, bd.ProductBound(gamma), seed=seed)
+        sizes = oc.subset_sizes(n)
+        excess = oc.subset_product_moments(dist)[1:] - gamma ** sizes[1:]
+        assert excess.max() <= 1e-12
 
-    def test_split_constraint_verified(self):
-        g, d = 0.5, 0.9
-        dist = oc.random_joint_dist(6, bd.SplitBound(g, d), seed=4)
-        zmoms = oc.subset_zeta_moments(dist)
-        for mask in range(1 << 6):
-            j = bin(mask).count("1")
-            assert zmoms[mask] <= g**j * d ** (6 - j) + 1e-12
+    @given(
+        n=st.integers(1, 12),
+        gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        delta_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_constraint_verified(self, n, gamma, delta_share, seed):
+        # delta spans [1 - gamma, 1], where gamma + delta >= 1
+        delta = min(1.0, 1.0 - gamma + gamma * delta_share)
+        assume(gamma + delta >= 1.0)
+        dist = oc.random_joint_dist(n, bd.SplitBound(gamma, delta), seed=seed)
+        sizes = oc.subset_sizes(n)
+        caps = gamma**sizes * delta ** (n - sizes)
+        assert (oc.subset_zeta_moments(dist) - caps).max() <= 1e-12
 
     def test_bernoulli_cap(self):
         with pytest.raises(ValueError):
             oc.random_joint_dist(13, seed=0)
 
-    def test_generation_failure_reports_margin(self, monkeypatch):
-        # force the candidate stream to violate the constraint so the
-        # attempt budget is exhausted and reported
-        monkeypatch.setattr(
-            oc, "_candidate", lambda rng, n, c: product_bernoulli_dist([0.9] * n)
-        )
-        with pytest.raises(oc.GenerationError) as exc:
-            oc.random_joint_dist(
-                4, bd.ProductBound(0.1), seed=0, max_attempts=50
-            )
-        assert "margin" in str(exc.value)
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_n_outside_one_to_twelve_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match=rf"n must be an integer in \[1, 12\], got {n}"):
+            oc.random_joint_dist(n, bd.ProductBound(0.3), seed=0)
 
-    def test_no_attempt_budget_is_a_value_error(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            oc.random_joint_dist(4, bd.ProductBound(0.3), max_attempts=0)
+    @pytest.mark.parametrize("gamma", [-0.2, 1.5, math.nan])
+    def test_infeasible_product_gamma_is_a_value_error(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma must be in \\[0, 1\\], got {gamma}"):
+            oc.random_joint_dist(3, bd.ProductBound(gamma), seed=0)
 
     def test_unsupported_constraint_type(self):
         with pytest.raises(TypeError):

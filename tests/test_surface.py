@@ -1,7 +1,7 @@
 """The package surface: every advertised name resolves, importing the
-package loads none of its modules, and no module of ``src/depbounds``
+package loads none of its modules, no module of ``src/depbounds``
 imports a name it never uses, imports scipy or keeps a private name that
-nothing reads."""
+nothing reads, and every public name that only tests read says why."""
 
 import ast
 import importlib
@@ -100,15 +100,23 @@ def test_unused_import_check_sees_an_unused_name():
     assert unused_imports(source) == ["line 2: math", "line 3: c"]
 
 
+def name_tokens(sources: list) -> Counter:
+    """How often each name token occurs across ``sources``; strings and
+    comments hold none."""
+    seen = Counter()
+    for source in sources:
+        seen.update(tok.string for tok in tokenize.generate_tokens(
+            io.StringIO(source).readline) if tok.type == tokenize.NAME)
+    return seen
+
+
 def unread_private_names(sources: list) -> list:
     """Module-level names starting with ``_`` (dunders aside) that appear
     only once as a name token across all of ``sources``: defined, never
     read, imported or called."""
-    seen = Counter()
+    seen = name_tokens(sources)
     defined = []
     for source in sources:
-        seen.update(tok.string for tok in tokenize.generate_tokens(
-            io.StringIO(source).readline) if tok.type == tokenize.NAME)
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append(node.name)
@@ -131,3 +139,41 @@ def test_private_name_check_sees_a_leftover():
                "from .m import _B\n# _A in a comment is no read\n"
                "def f():\n    return _TABLE\n"]
     assert unread_private_names(sources) == ["_A", "_deco"]
+
+
+# Public names that no module of src/depbounds and no file of perfbench/
+# reads, each with the reason it stays.  A new one must be declared here;
+# one that gains a caller must leave.
+TEST_ONLY_PUBLIC = {
+    "oracle.exact_tail": "the reference the sweep tests check tail_lookup against",
+    "numkernel.binom_tail_log": "a test reference; perfbench names a metric after it",
+    "graphcomb.independence_number": "the depgraph check at alpha > 1 (ROADMAP item 2)",
+    "graphcomb.gnm_isolated_exact_tail": "the gnm count tables' cross-check "
+                                         "(ROADMAP items 2 and 10)",
+}
+
+
+def public_names_only_tests_read(sources: list, public: dict) -> list:
+    """``module.name`` for each name of ``public`` ({module: __all__}) that
+    appears only once, where it is defined, as a name token across
+    ``sources``."""
+    seen = name_tokens(sources)
+    return sorted(f"{module}.{name}" for module, names in public.items()
+                  for name in names if seen[name] < 2)
+
+
+def test_every_test_only_public_name_is_declared():
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    paths = sorted(SRC.glob("*.py")) + sorted(perfbench.rglob("*.py"))
+    public = {module: getattr(importlib.import_module(f"depbounds.{module}"),
+                              "__all__", ()) for module in MODULES}
+    got = public_names_only_tests_read([path.read_text() for path in paths], public)
+    assert got == sorted(TEST_ONLY_PUBLIC)
+
+
+def test_test_only_check_sees_a_new_name():
+    sources = ["__all__ = ['read', 'unread']\n\ndef read():\n    pass\n\n"
+               "def unread():\n    '''read() in a docstring is no read'''\n",
+               "from .m import read\n"]
+    assert public_names_only_tests_read(
+        sources, {"m": ["read", "unread"]}) == ["m.unread"]

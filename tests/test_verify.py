@@ -1,5 +1,6 @@
 """The soundness and sandwich sweeps: the per-law tail lookup, the sweeps
-against the per-check loop they replaced, and rerun determinism."""
+against the per-check loop they replaced, their records at pinned flags
+and rerun determinism."""
 
 import math
 
@@ -180,6 +181,23 @@ class TestSweepsMatchReference:
             assert verify._is_independent(dist, moments) == (
                 reference_is_independent(dist, moments)
             )
+
+
+class TestLawStream:
+    """The sweeps' records at fixed flags, pinned: any change to the law
+    generator's stream of random draws shows here."""
+
+    def test_soundness_records(self):
+        assert verify.suite_soundness(n_max=7, trials=100, seed=0) == [
+            ("soundness/sweep", True,
+             "2602 bound evaluations over 100 distributions; "
+             "worst margin 0 at linial-luria(k=6) n=7 t=7 trial=0"),
+        ]
+
+    def test_sandwich_records(self):
+        assert verify.suite_sandwich(n_max=7, trials=100, seed=0) == [
+            ("sandwich/linial", True, "1560 comparisons over 100 distributions"),
+        ]
 
 
 class TestDepgraphGate:
