@@ -754,7 +754,11 @@ def _build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", parents=[common],
                            help="tabulate several bounds over a t-sweep")
-    p_cmp.add_argument("--methods", type=str, default=None)
+    p_cmp.add_argument(
+        "--methods", type=str, default=None,
+        help="two or more comma-separated bound methods; ustat-refined "
+             "refines exp(-2kt^2), not exp(-k D(p+t||p)), so it is often "
+             "looser than ustat")
     for name in _FLAG_CASTS:
         p_cmp.add_argument(f"--{name}", type=str, default=None)
     p_cmp.add_argument("--t", type=str, default=None)

@@ -165,23 +165,35 @@ def _stirling_tail(x: float) -> float:
         1 / 1188 - r * (691 / 360360 - r / 156)))))) / x
 
 
-def _log_beta(a: int, b: int) -> float:
-    """ln B(a, b) for integers a, b >= 1, to a few ulps of its own size.
+def _stirling_log_beta(p, q, xp=math):
+    """ln B(p, q) for reals 10 <= p <= q, where the large terms of
+    Stirling's series cancel in closed form; ``xp`` is :mod:`math` for
+    floats or numpy for arrays."""
+    corr = _stirling_tail(p) + _stirling_tail(q) - _stirling_tail(p + q)
+    r = p / (p + q)
+    return (_LOG_SQRT_2PI - 0.5 * xp.log(q) + corr + (p - 0.5) * xp.log(r)
+            + q * xp.log1p(-r))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) for integers a, b >= 1, or reals a, b > 0 with
+    max(a, b) >= 10, to a few ulps of its own size.
 
     lgamma(a) + lgamma(b) - lgamma(a + b) cancels when one argument is
     large: at a = 3, b = 10^6 the error of each lgamma, about 2e-9, is
-    the error of the result.  For p = min(a, b) < 10,
-    B(p, q) = (p - 1)! / (q (q + 1) ... (q + p - 1)) with the product
-    exact in integers; above, the large terms of Stirling's series cancel
-    in closed form.
+    the error of the result.  For p = min(a, b) >= 10 it is Stirling's
+    closed form.  Below, for integers B(p, q) = (p - 1)! / (q (q + 1) ...
+    (q + p - 1)) with the product exact; for a real p it is lgamma(p)
+    minus lgamma(q + p) - lgamma(q) by the difference of Stirling's
+    series at q and q + p.
     """
     p, q = min(a, b), max(a, b)
-    if p < 10:
-        return math.lgamma(p) - math.log(math.prod(range(q, q + p)))
-    corr = _stirling_tail(p) + _stirling_tail(q) - _stirling_tail(p + q)
-    r = p / (p + q)
-    return (_LOG_SQRT_2PI - 0.5 * math.log(q) + corr + (p - 0.5) * math.log(r)
-            + q * math.log1p(-r))
+    if p >= 10:
+        return _stirling_log_beta(p, q)
+    if p % 1 == q % 1 == 0:
+        return math.lgamma(p) - math.log(math.prod(range(int(q), int(q + p))))
+    return (math.lgamma(p) - (q - 0.5) * math.log1p(p / q) - p * math.log(q + p)
+            + p - _stirling_tail(q + p) + _stirling_tail(q))
 
 
 def log_binom_coeff(n: int, k: int) -> float:
@@ -200,9 +212,10 @@ def log_gen_binom_coeff(x: float, k: int) -> float:
     """ln of the generalized binomial coefficient C(x,k) = x!/(k!(x-k)!)
     for real x > k - 1.
 
-    While k < 10 it is the log of an exact integer ratio, as a difference
-    of lgammas would cancel at large x: with x = a/b, C(x,k) =
-    prod_{i<k} (a - i b) / (b^k k!).  Larger k take the lgammas.
+    A difference of lgammas would cancel at large x.  While k < 10 it is
+    the log of an exact integer ratio: with x = a/b, C(x,k) =
+    prod_{i<k} (a - i b) / (b^k k!).  Larger k take -ln(x + 1) minus
+    ln B(k + 1, x - k + 1).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -213,7 +226,7 @@ def log_gen_binom_coeff(x: float, k: int) -> float:
         return math.log(math.prod(a - i * b for i in range(k))) - math.log(
             b**k * math.factorial(k)
         )
-    return math.lgamma(x + 1) - math.lgamma(k + 1) - math.lgamma(x - k + 1)
+    return -math.log(x + 1) - _log_beta(k + 1, x - k + 1)
 
 
 def binom_pmf_log(spec: BinomialSpec, j: int) -> float:
@@ -227,17 +240,19 @@ def binom_pmf_log(spec: BinomialSpec, j: int) -> float:
 
 
 def _binom_pmf_log_vec(n: int, p: float) -> np.ndarray:
+    """ln P[Bin(n,p) = j] for j = 0..n, with ln C(n, j) built the way
+    ``log_binom_coeff`` builds it for j <= n/2 and mirrored."""
     import numpy as np
 
+    half = [math.log(math.comb(n, k)) for k in range(min(n // 2, 9) + 1)]
+    if n >= 20:  # below, every k is < 10
+        k = np.arange(10.0, n // 2 + 1)
+        half = np.concatenate(
+            (half, -math.log(n + 1) - _stirling_log_beta(k + 1, n - k + 1, np))
+        )
     j = np.arange(n + 1)
-    lf = log_factorials(n)
-    return (
-        lf[n]
-        - lf
-        - lf[::-1]
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-    )
+    return (np.concatenate((half, half[n // 2 - 1 + n % 2 :: -1]))
+            + j * math.log(p) + (n - j) * math.log1p(-p))
 
 
 def binom_tail_log(spec: BinomialSpec, j: int) -> float:
@@ -288,7 +303,9 @@ def binomial_median_lb_grid(n: int, ps) -> np.ndarray:
     from the exact distribution.
 
     Row r holds ln P[Bin(n, ps[r]) = j] for every j; the upper tail from
-    j0 = ceil(np - 1) is one log-sum-exp per row, never 1 - cdf.
+    j0 = ceil(np - 1) is a plain sum of the exp'd masses, never 1 - cdf.
+    Linear scale is safe because the verdict compares with 1/2 and every
+    term is at most 1: the sum is exact to about n eps.
     """
     import numpy as np
 
@@ -299,13 +316,11 @@ def binomial_median_lb_grid(n: int, ps) -> np.ndarray:
         raise ValueError(f"p must be in (0,1), got {ps}")
     j = np.arange(n + 1)
     lf = log_factorials(n)
-    log_pmf = (
-        lf[n]
-        - lf
-        - lf[::-1]
-        + j * np.log(ps)[:, None]
-        + (n - j) * np.log1p(-ps)[:, None]
-    )
+    # j ln(p) + (n - j) ln(1 - p) = j ln(p / (1 - p)) + n ln(1 - p)
+    log_q = np.log1p(-ps)
+    pmf = np.multiply.outer(np.log(ps) - log_q, j)
+    pmf += lf[n] - lf - lf[::-1]
+    pmf += n * log_q[:, None]
+    np.exp(pmf, out=pmf)
     j0 = np.maximum(0.0, np.ceil(n * ps - 1.0 - 1e-12))
-    tail = logsumexp(np.where(j >= j0[:, None], log_pmf, NEG_INF), axis=1)
-    return np.exp(np.minimum(tail, 0.0)) >= 0.5 - 1e-12
+    return np.einsum("ij,ij->i", pmf, j >= j0[:, None]) >= 0.5 - 1e-12

@@ -255,18 +255,19 @@ def averaged_binomial_checks(ps: PoissonBinomialSpec, hs=(), bs=()):
         raise ValueError(f"b={bs} outside [0, n*pbar={n * pbar}]")
     lhs_dist = poisson_binom_dist(ps)
     if 0.0 < pbar < 1.0:
-        # every mass carries the rounding of ln n!, a common relative error
-        # near n ln(n) eps that tips tail sums past the 1e-12 slack at
-        # n ~ 10^4; dividing by the total removes it
+        # rounding j ln(p) + (n - j) ln(1 - p) leaves the masses a total
+        # up to ~4e-13 off 1 at n = 10^4, near the 1e-12 slack; dividing by
+        # the total removes that common part
         rhs_dist = np.exp(_binom_pmf_log_vec(n, pbar))
         rhs_dist /= rhs_dist.sum()
     else:  # a point mass at 0 or n, where the log form has log(0)
         rhs_dist = np.zeros(n + 1)
         rhs_dist[round(pbar) * n] = 1.0
-    tilts = hs[:, None] * np.arange(n + 1)
-    # compare in log scale so large h stays finite
-    lhs = logsumexp(tilts, axis=1, b=lhs_dist)
-    rhs = logsumexp(tilts, axis=1, b=rhs_dist)
+    # both sides in one call, in log scale so large h stays finite
+    lhs, rhs = logsumexp(
+        hs[:, None] * np.arange(n + 1), axis=-1,
+        b=np.stack((lhs_dist, rhs_dist))[:, None],
+    )
     lhs_tail = np.cumsum(lhs_dist[::-1])[::-1]
     rhs_tail = np.cumsum(rhs_dist[::-1])[::-1]
     return lhs <= rhs + 1e-12, lhs_tail[bs] >= rhs_tail[bs] - 1e-12

@@ -14,6 +14,8 @@ from depbounds.numkernel import (
     NEG_INF,
     BinomialSpec,
     PoissonBinomialSpec,
+    _binom_pmf_log_vec,
+    _log_beta,
     binom_pmf_log,
     binom_tail_log,
     binomial_median_lb_grid,
@@ -145,6 +147,33 @@ class TestLogBinomCoeff:
         # 5.3e-8 off
         want = mpmath.log(mpmath.binomial(mpmath.mpf(x), 3))
         assert abs(log_gen_binom_coeff(x, 3) - float(want)) < 1e-14
+
+    @pytest.mark.parametrize("x,k", [(1e8 + 0.25, 12), (1e6 + 0.5, 20),
+                                     (1e8 + 0.25, 10**8 - 3), (12.5, 10)])
+    def test_generalized_large_k_at_large_x(self, x, k):
+        # three lgammas were 1.8e-7, 2.3e-9 and 9.4e-8 off at the first three
+        want = float(mpmath.log(mpmath.binomial(mpmath.mpf(x), k)))
+        assert abs(log_gen_binom_coeff(x, k) - want) <= 8 * 2.0**-52 * abs(want)
+
+    @pytest.mark.parametrize("a,b", [(4.25, 10**8 - 2), (0.5, 11), (9.5, 10**6),
+                                     (10.5, 10**6 + 0.5), (11, 3.75)])
+    def test_log_beta_with_a_real_argument(self, a, b):
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.beta(a, b)))
+        assert abs(_log_beta(a, b) - want) <= 8 * 2.0**-52 * abs(want) + 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 1000, 10**4])
+    def test_binomial_log_pmf_row_has_no_cancellation(self, n):
+        """The row's ln C(n, j) is a few ulps of its size from the exact
+        integer's log; lgamma differences were 3.6e-11 off at n = 10^4."""
+        p, j = 0.3, np.arange(n + 1)
+        log_c, c = [], 1
+        for i in range(n + 1):  # exact C(n, i), by the integer recurrence
+            log_c.append(math.log(c))
+            c = c * (n - i) // (i + 1)
+        want = log_c + j * math.log(p) + (n - j) * math.log1p(-p)
+        err = np.abs(_binom_pmf_log_vec(n, p) - want).max()
+        assert err <= 4 * np.spacing(n * math.log(2.0))
 
     def test_generalized_domain(self):
         with pytest.raises(ValueError):
@@ -314,7 +343,7 @@ class TestBinomialMedian:
         for n in range(1, 201):
             assert binomial_median_lb_grid(n, ps).all()
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 50, 200])
+    @pytest.mark.parametrize("n", range(1, 201))
     def test_grid_matches_scalar_tail(self, n):
         ps = np.arange(1, 100) / 100.0
         want = []

@@ -19,6 +19,7 @@ from depbounds.numkernel import (
     PoissonBinomialSpec,
     _binom_pmf_log_vec,
     binom_pmf_log,
+    logsumexp,
     poisson_binom_dist,
     to_prob,
 )
@@ -417,6 +418,23 @@ class TestHoeffding1956Checks:
         want_tail = [lhs[b:].sum() >= rhs[b:].sum() - 1e-12 for b in bs]
         assert exp_ok.tolist() == want_exp
         assert tail_ok.tolist() == want_tail
+
+    @given(
+        data=st.data(),
+        n=st.integers(0, 30),
+        hs=st.lists(st.floats(min_value=1e-3, max_value=800.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_tilt_sums_match_separate_calls(self, data, n, hs):
+        """The two sides' tilt sums from one stacked logsumexp call equal
+        one call per side, bit for bit."""
+        weights = st.lists(st.floats(min_value=0.0, max_value=1.0),
+                           min_size=n + 1, max_size=n + 1)
+        lhs_dist, rhs_dist = np.array(data.draw(weights)), np.array(data.draw(weights))
+        tilts = np.array(hs)[:, None] * np.arange(n + 1)
+        lhs, rhs = logsumexp(tilts, axis=-1, b=np.stack((lhs_dist, rhs_dist))[:, None])
+        np.testing.assert_array_equal(lhs, logsumexp(tilts, axis=1, b=lhs_dist))
+        np.testing.assert_array_equal(rhs, logsumexp(tilts, axis=1, b=rhs_dist))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 333, 1000, 2000])
     def test_closed_form_binomial_matches_the_dp(self, n):

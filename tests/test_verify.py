@@ -199,6 +199,16 @@ class TestLawStream:
             ("sandwich/linial", True, "1560 comparisons over 100 distributions"),
         ]
 
+    @pytest.mark.parametrize("n_max", [12, 40])
+    def test_convex_order_records(self, n_max):
+        assert verify.suite_convex_order(n_max=n_max, seed=0) == [
+            ("convex-order/exp-moments", True, "100 vectors x 3 tilts, 0 failures"),
+            ("convex-order/tail-domination", True,
+             "100 vectors, all valid thresholds, 0 failures"),
+            ("convex-order/binomial-median", True,
+             "grid n<=200 x p in 0.01..0.99, 0 failures"),
+        ]
+
 
 class TestDepgraphGate:
     @staticmethod
