@@ -398,9 +398,9 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     # after the flag checks, so that a usage error loads no suite or numpy
-    from .verify import run_suite
+    from . import verify
 
-    results = run_suite(args.suite, **kwargs)
+    results = spec.run(verify)(**kwargs)
     if args.format == "table":
         for name, passed, detail in results:
             sys.stdout.write(

@@ -239,9 +239,9 @@ def binom_pmf_log(spec: BinomialSpec, j: int) -> float:
     )
 
 
-def _binom_pmf_log_vec(n: int, p: float) -> np.ndarray:
-    """ln P[Bin(n,p) = j] for j = 0..n, with ln C(n, j) built the way
-    ``log_binom_coeff`` builds it for j <= n/2 and mirrored."""
+def _log_binom_row(n: int) -> np.ndarray:
+    """ln C(n, j) for j = 0..n, built the way ``log_binom_coeff`` builds it
+    for j <= n/2 and mirrored."""
     import numpy as np
 
     half = [math.log(math.comb(n, k)) for k in range(min(n // 2, 9) + 1)]
@@ -250,9 +250,15 @@ def _binom_pmf_log_vec(n: int, p: float) -> np.ndarray:
         half = np.concatenate(
             (half, -math.log(n + 1) - _stirling_log_beta(k + 1, n - k + 1, np))
         )
+    return np.concatenate((half, half[n // 2 - 1 + n % 2 :: -1]))
+
+
+def _binom_pmf_log_vec(n: int, p: float) -> np.ndarray:
+    """ln P[Bin(n,p) = j] for j = 0..n."""
+    import numpy as np
+
     j = np.arange(n + 1)
-    return (np.concatenate((half, half[n // 2 - 1 + n % 2 :: -1]))
-            + j * math.log(p) + (n - j) * math.log1p(-p))
+    return _log_binom_row(n) + j * math.log(p) + (n - j) * math.log1p(-p)
 
 
 def binom_tail_log(spec: BinomialSpec, j: int) -> float:
@@ -284,43 +290,89 @@ def poisson_binom_dist(spec: PoissonBinomialSpec) -> np.ndarray:
 def _poisson_binom_rows(ps: np.ndarray) -> np.ndarray:
     """Row-wise Poisson-binomial pmfs: (m, n) trial probabilities -> (m, n+1).
 
-    One DP step per trial, vectorized over the rows.
+    One DP step per trial, in place and vectorized over the rows.  A step
+    with p = 0 leaves a pmf exactly unchanged, so step i stops at the last
+    row with a nonzero p_i: zero-padded rows in order of decreasing length
+    cost only their own trials.
     """
     import numpy as np
 
-    probs = np.ones((ps.shape[0], 1))
-    for i in range(ps.shape[1]):
-        p = ps[:, i : i + 1]
-        nxt = np.zeros((ps.shape[0], probs.shape[1] + 1))
-        nxt[:, :-1] = probs * (1.0 - p)
-        nxt[:, 1:] += probs * p
-        probs = nxt
+    m, n = ps.shape
+    probs = np.zeros((m, n + 1))
+    probs[:, 0] = 1.0
+    nonzero = ps != 0.0
+    rows = np.where(nonzero.any(axis=0), m - np.argmax(nonzero[::-1], axis=0), 0)
+    for i, k in enumerate(rows.tolist()):
+        p = ps[:k, i : i + 1]
+        head = probs[:k, : i + 1]
+        moved = head * p
+        head *= 1.0 - p
+        probs[:k, 1 : i + 2] += moved
     return probs
 
 
-def binomial_median_lb_grid(n: int, ps) -> np.ndarray:
-    """For one n and every p of a grid: True iff P[Bin(n,p) >= np - 1] >= 1/2,
-    from the exact distribution.
+# entries of one padded block in the batched kernels (512 KB of floats):
+# small enough to stay in cache and add little to peak memory, large enough
+# that a block costs far more than its numpy calls
+_BLOCK_ENTRIES = 1 << 16
 
-    Row r holds ln P[Bin(n, ps[r]) = j] for every j; the upper tail from
+
+def _row_blocks(costs):
+    """Consecutive ranges (start, stop) over rows of the given ``costs``
+    (entries per row) whose block, every row padded to the largest cost in
+    it, holds at most ``_BLOCK_ENTRIES`` entries; each range has at least
+    one row."""
+    start = 0
+    while start < len(costs):
+        stop, top = start + 1, costs[start]
+        while (stop < len(costs)
+               and (stop + 1 - start) * max(top, costs[stop]) <= _BLOCK_ENTRIES):
+            top = max(top, costs[stop])
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def binomial_median_lb_grid(ns, ps) -> np.ndarray:
+    """For every n of ``ns`` and every p of a grid: True iff
+    P[Bin(n,p) >= np - 1] >= 1/2, from the exact distribution; the result
+    has shape ``np.shape(ns) + (len(ps),)``.
+
+    Blocks of consecutive n are padded to their largest n.  Entry (n, p, j)
+    holds ln P[Bin(n, p) = j] (-inf for j > n); the upper tail from
     j0 = ceil(np - 1) is a plain sum of the exp'd masses, never 1 - cdf.
     Linear scale is safe because the verdict compares with 1/2 and every
     term is at most 1: the sum is exact to about n eps.
     """
     import numpy as np
 
+    ns = np.asarray(ns, dtype=np.int64)
     ps = np.asarray(ps, dtype=float)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not np.all(ns >= 1):
+        raise ValueError(f"n must be >= 1, got {ns}")
     if not np.all((ps > 0.0) & (ps < 1.0)):
         raise ValueError(f"p must be in (0,1), got {ps}")
-    j = np.arange(n + 1)
-    lf = log_factorials(n)
+    flat = ns.ravel()
+    out = np.empty((flat.size, ps.size), dtype=bool)
     # j ln(p) + (n - j) ln(1 - p) = j ln(p / (1 - p)) + n ln(1 - p)
     log_q = np.log1p(-ps)
-    pmf = np.multiply.outer(np.log(ps) - log_q, j)
-    pmf += lf[n] - lf - lf[::-1]
-    pmf += n * log_q[:, None]
-    np.exp(pmf, out=pmf)
-    j0 = np.maximum(0.0, np.ceil(n * ps - 1.0 - 1e-12))
-    return np.einsum("ij,ij->i", pmf, j >= j0[:, None]) >= 0.5 - 1e-12
+    log_ratio = np.log(ps) - log_q
+    costs = ((flat + 1) * ps.size).tolist()
+    # every block's masses and mask reuse one buffer each
+    masses = np.empty(max(_BLOCK_ENTRIES, *costs, 0))
+    upper = np.empty(masses.size, dtype=bool)
+    for start, stop in _row_blocks(costs):
+        n = flat[start:stop, None]
+        j = np.arange(n.max() + 1)
+        shape = (stop - start, ps.size, j.size)
+        pmf = masses[: math.prod(shape)].reshape(shape)
+        lf = log_factorials(j[-1])
+        coef = np.where(j <= n, lf[n] - lf[j] - lf[np.abs(n - j)], NEG_INF)
+        np.add(np.multiply.outer(log_ratio, j), coef[:, None, :], out=pmf)
+        pmf += (n * log_q)[:, :, None]
+        np.exp(pmf, out=pmf)
+        j0 = np.maximum(0.0, np.ceil(n * ps - 1.0 - 1e-12))
+        keep = upper[: pmf.size].reshape(shape)
+        np.greater_equal(j, j0[:, :, None], out=keep)
+        out[start:stop] = np.einsum("kpj,kpj->kp", pmf, keep) >= 0.5 - 1e-12
+    return out.reshape(ns.shape + ps.shape)

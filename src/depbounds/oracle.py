@@ -16,11 +16,24 @@ E[Z_A] itself, its superset-sum (zeta) transform is E[prod_{i in A} X_i]
 and the law of Z is a ``bincount`` of the atom sizes: O(n 2^n) however
 many atoms the law has.  Other laws are broadcast over their atoms, in
 chunks that keep each (atoms, 2^n) block near 8 MB.
+
+Per-law data is built once.  A ``JointDist`` is never changed after
+construction: its ``xs`` and ``ws`` are neither reassigned nor written.
+On that assumption ``is_bernoulli``, ``means()`` and, for a Bernoulli law,
+``outcome_pmf`` are computed on first use and kept, the two arrays
+read-only; ``JointDist.from_masks`` fills the pmf and the Bernoulli flag
+from its masks at once.  The subset transforms start from a copy of the
+pmf, so every caller gets a fresh writable array.
+
+``averaged_binomial_checks`` takes all vectors of a sweep in one call:
+their Poisson-binomial DPs, closed-form binomial pmfs, tilt sums and tails
+run over zero-padded rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -29,8 +42,9 @@ import numpy as np
 from .numkernel import (
     NEG_INF,
     PoissonBinomialSpec,
-    _binom_pmf_log_vec,
+    _log_binom_row,
     _poisson_binom_rows,
+    _row_blocks,
     logsumexp,
     poisson_binom_dist,
 )
@@ -51,6 +65,8 @@ __all__ = [
     "tail_lookup",
     "dephoeff_bound",
     "averaged_binomial_checks",
+    # the exact pmf of independent trials, from numkernel
+    "poisson_binom_dist",
     "random_joint_dist",
     "subset_product_moments",
     "subset_zeta_moments",
@@ -61,12 +77,19 @@ __all__ = [
 # joint distributions
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class JointDist:
     """Finite joint distribution of n dependent [0,1]-valued variables.
 
     ``xs`` is an (m, n) array of support points, ``ws`` the matching
-    probability weights (summing to 1 within 1e-12).
+    probability weights (summing to 1 within 1e-12).  Neither is reassigned
+    or written after construction: ``is_bernoulli``, ``means()`` and
+    ``outcome_pmf`` are computed once per law.
     """
 
     n: int
@@ -80,34 +103,55 @@ class JointDist:
             raise ValueError(f"support must be (m, {self.n}), got {self.xs.shape}")
         if self.ws.shape != (self.xs.shape[0],):
             raise ValueError("one weight per atom required")
-        if np.any(self.xs < 0.0) or np.any(self.xs > 1.0):
-            raise ValueError("coordinates must lie in [0,1]")
-        if np.any(self.ws < 0.0):
-            raise ValueError("weights must be nonnegative")
+        # written so that NaN fails each test
+        if not np.all((self.xs >= 0.0) & (self.xs <= 1.0)):
+            raise ValueError("xs: coordinates must be numbers in [0,1]")
+        if not np.all(self.ws >= 0.0):
+            raise ValueError("ws: weights must be nonnegative numbers")
         total = math.fsum(self.ws)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total}, not 1")
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"ws: weights sum to {total}, not 1")
 
     @cached_property
     def is_bernoulli(self) -> bool:
         return bool(np.all((self.xs == 0.0) | (self.xs == 1.0)))
 
+    @cached_property
+    def _means(self) -> np.ndarray:
+        return _read_only(self.ws @ self.xs)
+
     def means(self) -> np.ndarray:
-        return self.ws @ self.xs
+        """E[X_i] for every i, one read-only array per law."""
+        return self._means
 
     @property
     def mean_rate(self) -> float:
         """Average coordinate mean p = (1/n) sum E[X_i]."""
-        return float(self.means().mean())
+        # the value np.mean gives (its sum, then the division), at less cost
+        return float(self.means().sum()) / self.n
+
+    @cached_property
+    def outcome_pmf(self) -> np.ndarray:
+        """P[X = 1_A] for every A of a Bernoulli law (bitmask indexed), one
+        read-only array per law."""
+        masks = self.xs.astype(np.int64) @ (1 << np.arange(self.n, dtype=np.int64))
+        return _read_only(np.bincount(masks, weights=self.ws, minlength=1 << self.n))
 
     @classmethod
     def from_masks(cls, n: int, masks, ws) -> "JointDist":
         """Bernoulli law with one atom per bitmask (bit i set means X_i = 1);
-        the weights are renormalized to sum to 1."""
+        the weights are renormalized to sum to 1.  The outcome pmf is counted
+        from the masks themselves."""
         masks = np.asarray(masks, dtype=np.int64)
         xs = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
         ws = np.asarray(ws, dtype=float)
-        return cls(n=n, xs=xs, ws=ws / math.fsum(ws))
+        dist = cls(n=n, xs=xs, ws=ws / math.fsum(ws))
+        # cached_property defines no setter: these fill the caches
+        dist.is_bernoulli = True
+        dist.outcome_pmf = _read_only(
+            np.bincount(masks, weights=dist.ws, minlength=1 << n)
+        )
+        return dist
 
 
 @dataclass
@@ -118,11 +162,12 @@ class ZDist:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
-        if np.any(self.probs < -1e-15):
-            raise ValueError("negative probability")
+        # written so that NaN fails each test
+        if not np.all(self.probs >= -1e-15):
+            raise ValueError("probs: probabilities must be nonnegative numbers")
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        if not abs(total - 1.0) <= 1e-10:
+            raise ValueError(f"probs: probabilities sum to {total}, not 1")
 
     @property
     def n(self) -> int:
@@ -236,41 +281,73 @@ def dephoeff_bound(zdist: ZDist, t: float, h_grid) -> TailBound:
 # classical orderings
 
 
-def averaged_binomial_checks(ps: PoissonBinomialSpec, hs=(), bs=()):
-    """Compare independent trials ps with Bin(n, pbar) at every tilt and
-    every threshold, building each of the two pmfs once.
+def averaged_binomial_checks(specs: Sequence[PoissonBinomialSpec], hs=()):
+    """Compare each vector of independent trials in ``specs`` with
+    Bin(n, pbar), at every tilt and every valid threshold, in blocks of
+    vectors.
 
-    Returns two bool arrays: E[exp(h*H(p_1..p_n))] <= E[exp(h*Bin(n, pbar))]
-    for each h in ``hs`` (h > 0), and P[sum B_i >= b] >= P[Bin(n, pbar) >= b]
-    for each b in ``bs`` (0 <= b <= n*pbar).  Exact up to float rounding:
-    the trials' pmf comes from the O(n^2) dynamic program, Bin(n, pbar)'s
-    from its closed form in O(n).
+    Returns two bool arrays with one row per vector.  ``exp_ok``, (m,
+    len(hs)): E[exp(h*H(p_1..p_n))] <= E[exp(h*Bin(n, pbar))] for each h
+    in ``hs`` (h > 0).  ``tail_ok``, (m, N + 1) for the largest n = N:
+    entry b is P[sum B_i >= b] >= P[Bin(n, pbar) >= b] for the valid
+    thresholds 0 <= b <= floor(n*pbar), and True past them.  Exact up to
+    float rounding: the trials' pmfs come from the O(n^2) dynamic program
+    on zero-padded rows (a p = 0 step leaves a pmf exactly unchanged),
+    each Bin(n, pbar) from its closed form in O(n).
     """
-    n, pbar = ps.n, ps.mean
     hs = np.asarray(hs, dtype=float)
-    bs = np.asarray(bs, dtype=np.int64)
-    if np.any(hs <= 0.0):
+    if not np.all(hs > 0.0):
         raise ValueError(f"h must be positive, got {hs}")
-    if np.any((bs < 0) | (bs > n * pbar + 1e-12)):
-        raise ValueError(f"b={bs} outside [0, n*pbar={n * pbar}]")
-    lhs_dist = poisson_binom_dist(ps)
-    if 0.0 < pbar < 1.0:
+    if not specs:
+        raise ValueError("need at least one vector of trials")
+    ns = [spec.n for spec in specs]
+    exp_ok = np.empty((len(specs), hs.size), dtype=bool)
+    tail_ok = np.ones((len(specs), max(ns) + 1), dtype=bool)
+    # longest first: a block is as wide as its first vector, and the DP
+    # skips each row once its own trials are done
+    order = sorted(range(len(specs)), key=lambda r: -ns[r])
+    # blocks bound the (2, rows, tilts, n + 1) arrays of the tilt sums
+    costs = [2 * max(hs.size, 1) * (ns[r] + 1) for r in order]
+    for start, stop in _row_blocks(costs):
+        rows = order[start:stop]
+        exp_ok[rows], block = _averaged_binomial_block([specs[r] for r in rows], hs)
+        tail_ok[rows, : block.shape[1]] = block
+    return exp_ok, tail_ok
+
+
+def _averaged_binomial_block(specs, hs):
+    """``averaged_binomial_checks`` on one block, padded to its largest n."""
+    width = max(spec.n for spec in specs) + 1
+    lhs = _poisson_binom_rows(
+        np.array([spec.ps + (0.0,) * (width - 1 - spec.n) for spec in specs])
+    )
+    n = np.array([[spec.n] for spec in specs])
+    pbar = [spec.mean for spec in specs]
+    j = np.arange(width)
+    rhs = np.zeros_like(lhs)
+    inner = [r for r, p in enumerate(pbar) if 0.0 < p < 1.0]
+    if inner:
+        sizes, which = np.unique(n[inner, 0], return_inverse=True)
+        coef = np.full((sizes.size, width), NEG_INF)
+        for row, size in zip(coef, sizes.tolist()):
+            row[: size + 1] = _log_binom_row(size)
+        log_p = np.array([[math.log(pbar[r]), math.log1p(-pbar[r])] for r in inner])
+        masses = np.exp(
+            coef[which] + j * log_p[:, :1] + (n[inner] - j) * log_p[:, 1:]
+        )
         # rounding j ln(p) + (n - j) ln(1 - p) leaves the masses a total
         # up to ~4e-13 off 1 at n = 10^4, near the 1e-12 slack; dividing by
         # the total removes that common part
-        rhs_dist = np.exp(_binom_pmf_log_vec(n, pbar))
-        rhs_dist /= rhs_dist.sum()
-    else:  # a point mass at 0 or n, where the log form has log(0)
-        rhs_dist = np.zeros(n + 1)
-        rhs_dist[round(pbar) * n] = 1.0
+        rhs[inner] = masses / masses.sum(axis=1, keepdims=True)
+    for r, p in enumerate(pbar):
+        if not 0.0 < p < 1.0:  # a point mass at 0 or n, where the log form has log(0)
+            rhs[r, round(p) * specs[r].n] = 1.0
+    both = np.stack((lhs, rhs))
     # both sides in one call, in log scale so large h stays finite
-    lhs, rhs = logsumexp(
-        hs[:, None] * np.arange(n + 1), axis=-1,
-        b=np.stack((lhs_dist, rhs_dist))[:, None],
-    )
-    lhs_tail = np.cumsum(lhs_dist[::-1])[::-1]
-    rhs_tail = np.cumsum(rhs_dist[::-1])[::-1]
-    return lhs <= rhs + 1e-12, lhs_tail[bs] >= rhs_tail[bs] - 1e-12
+    lhs_exp, rhs_exp = logsumexp(hs[:, None] * j, axis=-1, b=both[:, :, None])
+    lhs_tail, rhs_tail = np.cumsum(both[..., ::-1], axis=-1)[..., ::-1]
+    limit = np.array([[math.floor(spec.n * p)] for spec, p in zip(specs, pbar)])
+    return lhs_exp <= rhs_exp + 1e-12, (lhs_tail >= rhs_tail - 1e-12) | (j > limit)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +366,25 @@ def subset_sizes(n: int) -> np.ndarray:
     sizes = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         sizes = np.concatenate([sizes, sizes + 1])
-    sizes.flags.writeable = False
-    return sizes
+    return _read_only(sizes)
 
 
 def _lattice_products(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Row-wise prod_{i in A} hi_i * prod_{i not in A} lo_i for every A.
 
-    ``lo`` and ``hi`` are (m, n); the result is (m, 2^n), bitmask indexed.
+    ``hi`` is (m, n) and ``lo`` is (m, n), or None for all ones; the result
+    is (m, 2^n), bitmask indexed.  Built by doubling in place: step i writes
+    the sets containing i from the first 2^i columns times hi_i, then
+    scales those columns by lo_i.
     """
-    out = np.ones((lo.shape[0], 1))
-    for i in range(lo.shape[1]):
-        out = np.concatenate([out * lo[:, i : i + 1], out * hi[:, i : i + 1]], axis=1)
+    m, n = hi.shape
+    out = np.empty((m, 1 << n))
+    out[:, 0] = 1.0
+    for i in range(n):
+        half = 1 << i
+        np.multiply(out[:, :half], hi[:, i : i + 1], out=out[:, half : 2 * half])
+        if lo is not None:
+            out[:, :half] *= lo[:, i : i + 1]
     return out
 
 
@@ -314,12 +398,6 @@ def _atom_sum(dist: JointDist, per_atom, width: int) -> np.ndarray:
     return out
 
 
-def _outcome_pmf(dist: JointDist) -> np.ndarray:
-    """P[X = 1_A] for every A of a Bernoulli law (bitmask indexed)."""
-    masks = dist.xs.astype(np.int64) @ (1 << np.arange(dist.n, dtype=np.int64))
-    return np.bincount(masks, weights=dist.ws, minlength=1 << dist.n)
-
-
 def subset_product_moments(dist: JointDist) -> np.ndarray:
     """E[prod_{i in A} X_i] for every subset A (bitmask indexed).
 
@@ -328,10 +406,8 @@ def subset_product_moments(dist: JointDist) -> np.ndarray:
     """
     _check_cap(dist.n)
     if not dist.is_bernoulli:
-        return _atom_sum(
-            dist, lambda xs: _lattice_products(np.ones_like(xs), xs), 1 << dist.n
-        )
-    moments = _outcome_pmf(dist)
+        return _atom_sum(dist, lambda xs: _lattice_products(None, xs), 1 << dist.n)
+    moments = dist.outcome_pmf.copy()
     for i in range(dist.n):
         pairs = moments.reshape(-1, 2, 1 << i)
         pairs[:, 0, :] += pairs[:, 1, :]
@@ -343,7 +419,7 @@ def subset_zeta_moments(dist: JointDist) -> np.ndarray:
     outcome pmf itself."""
     _check_cap(dist.n)
     if dist.is_bernoulli:
-        return _outcome_pmf(dist)
+        return dist.outcome_pmf.copy()
     return _atom_sum(dist, lambda xs: _lattice_products(1.0 - xs, xs), 1 << dist.n)
 
 

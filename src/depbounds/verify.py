@@ -13,7 +13,6 @@ import numpy as np
 from . import bounds as bd
 from . import graphcomb as gc
 from . import oracle as oc
-from .cli import VERIFY_SUITES
 from .numkernel import (
     PoissonBinomialSpec,
     binomial_median_lb_grid,
@@ -37,7 +36,13 @@ __all__ = [
 
 
 def run_suite(name: str, **kw):
-    """The records of the suite ``name``, a key of ``cli.VERIFY_SUITES``."""
+    """The records of the suite ``name``, a key of ``cli.VERIFY_SUITES``.
+
+    The table is read here, not at import: under ``python -m depbounds.cli``
+    the CLI runs as ``__main__``, and a module-level import would load a
+    second copy of it."""
+    from .cli import VERIFY_SUITES
+
     try:
         suite = VERIFY_SUITES[name]
     except KeyError:
@@ -78,8 +83,8 @@ def _gamma(moments: np.ndarray, sizes: np.ndarray) -> float:
 def _is_independent(dist: oc.JointDist, moments: np.ndarray) -> bool:
     """True iff the product moments ``moments`` of ``dist`` match, within
     1e-9, those of the product law with the same means."""
-    means = np.clip(dist.means(), 0.0, 1.0)
-    product = oc._lattice_products(np.ones((1, dist.n)), means[None, :])[0]
+    means = np.minimum(np.maximum(dist.means(), 0.0), 1.0)  # np.clip, faster
+    product = oc._lattice_products(None, means[None, :])[0]
     return bool(np.all(np.abs(moments[1:] - product[1:]) <= 1e-9))
 
 
@@ -137,7 +142,7 @@ def applicable_bound_checks(dist: oc.JointDist):
             eps = bd.t_to_eps(n, pbar, t)
             checks.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, eps)))
 
-    if np.allclose(dist.means(), 0.5, rtol=0.0, atol=1e-12):
+    if np.all(np.abs(dist.means() - 0.5) <= 1e-12):
         params = bd.DependencyGraphParams(n=n, alpha=1)
         for t in _interior_grid(n / 2.0, n):
             checks.append(("depgraph(alpha=1)", t, bd.depgraph_bound(params, t)))
@@ -248,8 +253,9 @@ def suite_identities(seed: int = 0):
             math.log(s1 / beta_n),
         )
 
-    # quadratic lower bound on the divergence, over a dense (q, p) grid
-    grid = np.linspace(0.005, 0.995, 100)
+    # quadratic lower bound on the divergence, over a dense (q, p) grid of
+    # Python floats (numpy scalars give the same values, more slowly)
+    grid = np.linspace(0.005, 0.995, 100).tolist()
     worst = math.inf
     for q in grid:
         for p in grid:
@@ -362,15 +368,13 @@ def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12):
     """Averaged-binomial domination properties of independent trials."""
     rng = np.random.default_rng(seed)
     records = []
-    cc_fail = pt_fail = 0
+    specs = []
     for _i in range(trials):
         n = int(rng.integers(2, n_max + 1))
-        ps = PoissonBinomialSpec(tuple(rng.random(n)))
-        exp_ok, tail_ok = oc.averaged_binomial_checks(
-            ps, hs=(0.1, 1.0, 3.0), bs=range(math.floor(ps.n * ps.mean) + 1)
-        )
-        cc_fail += int((~exp_ok).sum())
-        pt_fail += int((~tail_ok).sum())
+        specs.append(PoissonBinomialSpec(tuple(rng.random(n))))
+    exp_ok, tail_ok = oc.averaged_binomial_checks(specs, hs=(0.1, 1.0, 3.0))
+    cc_fail = int((~exp_ok).sum())
+    pt_fail = int((~tail_ok).sum())
     records.append(
         ("convex-order/exp-moments", cc_fail == 0,
          f"{trials} vectors x 3 tilts, {cc_fail} failures")
@@ -381,9 +385,7 @@ def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12):
     )
 
     p_grid = np.arange(1, 100) / 100.0
-    med_fail = sum(
-        int((~binomial_median_lb_grid(n, p_grid)).sum()) for n in range(1, 201)
-    )
+    med_fail = int((~binomial_median_lb_grid(np.arange(1, 201), p_grid)).sum())
     records.append(
         ("convex-order/binomial-median", med_fail == 0,
          f"grid n<=200 x p in 0.01..0.99, {med_fail} failures")

@@ -769,6 +769,21 @@ CLOSED_FORM_ARGV = {
 
 
 class TestSurface:
+    def test_verify_loads_the_cli_once(self):
+        """Run as ``python -m depbounds.cli``, verify imports no second
+        copy of the CLI module under its package name."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "depbounds.cli",
+             "verify", "identities"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in
+                    proc.stderr.splitlines() if line.startswith("import time:")]
+        assert "depbounds.verify" in imported
+        assert "depbounds.cli" not in imported
+
     def test_import_skips_scipy_stats_and_optimize(self):
         # no scipy or numpy module at all, and no depbounds module the CLI
         # does not need before it parses a command

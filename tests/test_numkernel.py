@@ -358,6 +358,20 @@ class TestBinomialMedian:
             binomial_median_lb_grid(0, [0.5])
         with pytest.raises(ValueError):
             binomial_median_lb_grid(5, [0.5, 1.0])
+        with pytest.raises(ValueError):
+            binomial_median_lb_grid([3, 0, 4], [0.5])
+
+    def test_many_n_in_one_call_match_one_n_at_a_time(self):
+        """n <= 200 in one call, over blocks of consecutive n padded to
+        their largest, gives each n's own verdicts; the result has the
+        shape of ns plus the p axis."""
+        ps = np.arange(1, 100) / 100.0
+        ns = np.arange(1, 201)
+        want = [binomial_median_lb_grid(int(n), ps).tolist() for n in ns]
+        assert binomial_median_lb_grid(ns, ps).tolist() == want
+        grid = binomial_median_lb_grid(ns[::-1].reshape(20, 10), ps)
+        assert grid.shape == (20, 10, 99)
+        assert grid.reshape(200, 99).tolist() == want[::-1]
 
 
 class TestToProb:

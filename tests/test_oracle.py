@@ -12,12 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depbounds import bounds as bd
+from depbounds import numkernel
 from depbounds import oracle as oc
 from depbounds import verify
 from depbounds.numkernel import (
     BinomialSpec,
     PoissonBinomialSpec,
     _binom_pmf_log_vec,
+    _poisson_binom_rows,
     binom_pmf_log,
     logsumexp,
     poisson_binom_dist,
@@ -169,6 +171,54 @@ class TestSubsetTransforms:
         dist = oc.JointDist.from_masks(3, [5, 2], [1.0, 3.0])
         np.testing.assert_array_equal(dist.xs, [[1, 0, 1], [0, 1, 0]])
         np.testing.assert_array_equal(dist.ws, [0.25, 0.75])
+
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+        ones=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lattice_products_in_place_equal_concatenation(self, m, n, seed, ones):
+        """The in-place doubling gives the products of n concatenation
+        steps bit for bit; lo = None is a row of ones."""
+        rng = np.random.default_rng(seed)
+        lo = np.ones((m, n)) if ones else rng.random((m, n))
+        hi = rng.random((m, n))
+        want = np.ones((m, 1))
+        for i in range(n):
+            want = np.concatenate(
+                [want * lo[:, i : i + 1], want * hi[:, i : i + 1]], axis=1
+            )
+        np.testing.assert_array_equal(oc._lattice_products(lo, hi), want)
+        if ones:
+            np.testing.assert_array_equal(oc._lattice_products(None, hi), want)
+
+    def test_law_data_is_cached_read_only(self):
+        masks = [0, 5, 6, 7, 5]
+        dist = oc.JointDist.from_masks(3, masks, [1.0, 2.0, 3.0, 4.0, 5.0])
+        same = oc.JointDist(n=3, xs=dist.xs, ws=dist.ws)
+        assert dist.is_bernoulli and same.is_bernoulli
+        # from_masks counts the pmf from its masks; the property from xs
+        np.testing.assert_array_equal(dist.outcome_pmf, same.outcome_pmf)
+        for law in (dist, same):
+            for cached in (law.means(), law.outcome_pmf):
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0] = 1.0
+            assert law.means() is law.means()
+            assert law.outcome_pmf is law.outcome_pmf
+        np.testing.assert_array_equal(dist.means(), dist.ws @ dist.xs)
+
+    def test_subset_moments_are_fresh_writable_arrays(self):
+        dist = oc.random_joint_dist(5, seed=2)
+        for transform in (oc.subset_product_moments, oc.subset_zeta_moments):
+            first, second = transform(dist), transform(dist)
+            assert first.flags.writeable and first is not second
+            assert not np.shares_memory(first, dist.outcome_pmf)
+            first[:] = -1.0
+            np.testing.assert_array_equal(second, transform(dist))
+        np.testing.assert_array_equal(oc.subset_zeta_moments(dist), dist.outcome_pmf)
 
     def test_is_independent(self):
         dist = product_bernoulli_dist([0.2, 0.5, 0.7, 0.4])
@@ -365,23 +415,62 @@ class TestSymmetricMoment:
             assert sk[k] == pytest.approx(want, abs=1e-10)
 
 
+def reference_averaged_binomial_checks(spec, hs=(), bs=()):
+    """One vector's checks as the per-vector form computed them, before
+    the vectors of a call were checked together."""
+    n, pbar = spec.n, spec.mean
+    hs = np.asarray(hs, dtype=float)
+    bs = np.asarray(bs, dtype=np.int64)
+    lhs_dist = poisson_binom_dist(spec)
+    if 0.0 < pbar < 1.0:
+        rhs_dist = np.exp(_binom_pmf_log_vec(n, pbar))
+        rhs_dist /= rhs_dist.sum()
+    else:
+        rhs_dist = np.zeros(n + 1)
+        rhs_dist[round(pbar) * n] = 1.0
+    lhs, rhs = logsumexp(
+        hs[:, None] * np.arange(n + 1), axis=-1,
+        b=np.stack((lhs_dist, rhs_dist))[:, None],
+    )
+    lhs_tail = np.cumsum(lhs_dist[::-1])[::-1]
+    rhs_tail = np.cumsum(rhs_dist[::-1])[::-1]
+    return lhs <= rhs + 1e-12, lhs_tail[bs] >= rhs_tail[bs] - 1e-12
+
+
+def valid_thresholds(spec):
+    return range(math.floor(spec.n * spec.mean) + 1)
+
+
+# vectors of 1..40 trials, some of them all 0 or all 1 (pbar in {0, 1})
+trial_vectors = st.one_of(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    st.builds(lambda p, n: [p] * n, st.sampled_from([0.0, 1.0]), st.integers(1, 40)),
+)
+
+
 class TestHoeffding1956Checks:
     def test_equal_ps_equality(self):
         spec = PoissonBinomialSpec((0.4,) * 6)
-        assert oc.averaged_binomial_checks(spec, hs=(1.0,))[0].tolist() == [True]
+        assert oc.averaged_binomial_checks([spec], hs=(1.0,))[0].tolist() == [[True]]
 
     def test_two_trial_example(self):
         spec = PoissonBinomialSpec((0.1, 0.9))
-        assert oc.averaged_binomial_checks(spec, hs=(1.0,))[0].tolist() == [True]
+        assert oc.averaged_binomial_checks([spec], hs=(1.0,))[0].tolist() == [[True]]
 
     def test_poisson_trials_examples(self):
         spec = PoissonBinomialSpec((0.2, 0.8))
-        _, tail_ok = oc.averaged_binomial_checks(spec, bs=(0, 1))
-        assert tail_ok.tolist() == [True, True]
+        _, tail_ok = oc.averaged_binomial_checks([spec])
+        assert tail_ok.tolist() == [[True, True, True]]
 
     def test_poisson_trials_domain(self):
-        with pytest.raises(ValueError):
-            oc.averaged_binomial_checks(PoissonBinomialSpec((0.2, 0.2)), bs=(2,))
+        # n pbar = 1: b = 2 lies past the valid thresholds, where the tail
+        # of the trials (0.09) is below the binomial's (0.25); it is not a
+        # check, so its entry is True
+        spec = PoissonBinomialSpec((0.1, 0.9))
+        _, want = reference_averaged_binomial_checks(spec, bs=(0, 1, 2))
+        assert want.tolist() == [True, True, False]
+        _, tail_ok = oc.averaged_binomial_checks([spec])
+        assert tail_ok.tolist() == [[True, True, True]]
 
     @given(
         ps=st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2, max_size=10),
@@ -390,8 +479,7 @@ class TestHoeffding1956Checks:
     @settings(max_examples=150, deadline=None)
     def test_random_sweep(self, ps, h):
         spec = PoissonBinomialSpec(tuple(ps))
-        bs = range(math.floor(spec.n * spec.mean) + 1)
-        exp_ok, tail_ok = oc.averaged_binomial_checks(spec, hs=(h,), bs=bs)
+        exp_ok, tail_ok = oc.averaged_binomial_checks([spec], hs=(h,))
         assert exp_ok.all() and tail_ok.all()
 
     @given(
@@ -404,8 +492,8 @@ class TestHoeffding1956Checks:
         pmf-per-check computation."""
         spec = PoissonBinomialSpec(tuple(ps))
         n, pbar = spec.n, spec.mean
-        bs = range(math.floor(n * pbar) + 1)
-        exp_ok, tail_ok = oc.averaged_binomial_checks(spec, hs, bs)
+        bs = valid_thresholds(spec)
+        exp_ok, tail_ok = oc.averaged_binomial_checks([spec], hs)
         lhs = poisson_binom_dist(spec)
         rhs = poisson_binom_dist(PoissonBinomialSpec((pbar,) * n))
         j = np.arange(n + 1)
@@ -416,8 +504,39 @@ class TestHoeffding1956Checks:
                 for h in hs
             ]
         want_tail = [lhs[b:].sum() >= rhs[b:].sum() - 1e-12 for b in bs]
-        assert exp_ok.tolist() == want_exp
-        assert tail_ok.tolist() == want_tail
+        assert exp_ok.tolist() == [want_exp]
+        assert tail_ok[0, : len(bs)].tolist() == want_tail
+        assert tail_ok[0, len(bs) :].all()
+
+    @given(
+        vectors=st.lists(trial_vectors, min_size=1, max_size=12),
+        hs=st.lists(st.floats(min_value=1e-3, max_value=300.0), max_size=4),
+        budget=st.sampled_from([1, 200, 1 << 16]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_vectors_checked_together_match_one_at_a_time(self, vectors, hs, budget):
+        """Vectors of different lengths, padded with p = 0 trials into
+        blocks of one or more rows, get the verdicts the per-vector form
+        gave them."""
+        specs = [PoissonBinomialSpec(tuple(v)) for v in vectors]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numkernel, "_BLOCK_ENTRIES", budget)
+            exp_ok, tail_ok = oc.averaged_binomial_checks(specs, hs)
+        width = max(spec.n for spec in specs) + 1
+        assert exp_ok.shape == (len(specs), len(hs))
+        assert tail_ok.shape == (len(specs), width)
+        for row, spec in enumerate(specs):
+            bs = valid_thresholds(spec)
+            want_exp, want_tail = reference_averaged_binomial_checks(spec, hs, bs)
+            assert exp_ok[row].tolist() == want_exp.tolist()
+            assert tail_ok[row, : len(bs)].tolist() == want_tail.tolist()
+            assert tail_ok[row, len(bs) :].all()
+
+    def test_zero_trials_leave_a_pmf_unchanged(self):
+        spec = PoissonBinomialSpec((0.3, 0.9, 0.05))
+        padded = _poisson_binom_rows(np.array([spec.ps + (0.0,) * 5]))[0]
+        np.testing.assert_array_equal(padded[:4], poisson_binom_dist(spec))
+        assert not padded[4:].any()
 
     @given(
         data=st.data(),
@@ -449,18 +568,19 @@ class TestHoeffding1956Checks:
     def test_point_mass_average(self, p):
         # pbar in {0, 1}: both laws are the point mass at n * p
         spec = PoissonBinomialSpec((p,) * 5)
-        exp_ok, tail_ok = oc.averaged_binomial_checks(
-            spec, hs=(0.1, 3.0), bs=range(5 * int(p) + 1))
+        exp_ok, tail_ok = oc.averaged_binomial_checks([spec], hs=(0.1, 3.0))
         assert exp_ok.all() and tail_ok.all()
 
     def test_batch_domain(self):
         spec = PoissonBinomialSpec((0.2, 0.2))
-        with pytest.raises(ValueError):
-            oc.averaged_binomial_checks(spec, hs=(1.0, 0.0))
-        with pytest.raises(ValueError):
-            oc.averaged_binomial_checks(spec, bs=(0, 1))
-        exp_ok, tail_ok = oc.averaged_binomial_checks(spec)
-        assert exp_ok.shape == tail_ok.shape == (0,)
+        with pytest.raises(ValueError, match="positive"):
+            oc.averaged_binomial_checks([spec], hs=(1.0, 0.0))
+        with pytest.raises(ValueError, match="positive"):
+            oc.averaged_binomial_checks([spec], hs=(float("nan"),))
+        with pytest.raises(ValueError, match="at least one"):
+            oc.averaged_binomial_checks([])
+        exp_ok, tail_ok = oc.averaged_binomial_checks([spec])
+        assert exp_ok.shape == (1, 0) and tail_ok.shape == (1, 3)
 
 
 class TestJointDist:
@@ -471,6 +591,20 @@ class TestJointDist:
             oc.JointDist(
                 n=2, xs=np.array([[0.5, 0.5]]), ws=np.array([0.9])
             )
+
+    def test_nan_weight_is_rejected(self):
+        with pytest.raises(ValueError, match="ws"):
+            oc.JointDist(n=1, xs=[[0.5]], ws=[math.nan])
+
+    def test_nan_coordinate_is_rejected(self):
+        with pytest.raises(ValueError, match="xs"):
+            oc.JointDist(n=1, xs=[[math.nan]], ws=[1.0])
+
+    def test_nan_probability_is_rejected(self):
+        with pytest.raises(ValueError, match="probs"):
+            oc.ZDist([math.nan, 0.5])
+        with pytest.raises(ValueError, match="probs"):
+            oc.ZDist([math.nan, 1.0])
 
 
 class TestRandomJointDist:
