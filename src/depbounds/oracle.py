@@ -48,7 +48,7 @@ from .numkernel import (
     logsumexp,
     poisson_binom_dist,
 )
-from .bounds import ProductBound, SplitBound, TailBound, _clamp, _invalid
+from .bounds import ProductBound, SplitBound, TailBound, _clamp, _invalid, check_n
 
 MAX_ENUM_N = 20
 
@@ -58,7 +58,6 @@ _CHUNK_ENTRIES = 1 << 20
 __all__ = [
     "JointDist",
     "ZDist",
-    "default_h_grid",
     "zeta_decomposition",
     "z_distribution",
     "exact_tail",
@@ -189,11 +188,10 @@ def zeta_decomposition(x) -> np.ndarray:
     sum(x); both identities hold by construction.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n > MAX_ENUM_N:
-        raise ValueError(f"n={n} exceeds the 2^n enumeration cap {MAX_ENUM_N}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("coordinates must lie in [0,1]")
+    _check_cap(len(x))
+    # written so that NaN fails it
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("coordinates must be numbers in [0,1]")
     return _lattice_products(1.0 - x[None, :], x[None, :])[0]
 
 
@@ -244,37 +242,40 @@ def tail_lookup(dist: JointDist):
 # the convex-function bound over exponential tilts
 
 
-def default_h_grid(center: float, span: float = 8.0, size: int = 512) -> np.ndarray:
-    """Geometric grid of tilts around (and containing) a closed-form optimizer."""
-    center = max(center, 1e-9)
-    grid = center * np.geomspace(1.0 / span, span, size)
-    # an odd-size geomspace would hit the center only up to rounding;
-    # include it exactly so closed-form optima are reproduced
-    return np.sort(np.append(grid, center))
-
-
-def dephoeff_bound(zdist: ZDist, t: float, h_grid) -> TailBound:
-    """Best tail bound E[f(Z)] / f(t) over f(x) = exp(h*x), h in ``h_grid``.
-
-    The infimum over all increasing convex functions is not computable;
-    the reported value is the best tilt on the grid (``params["h"]``) and
-    is always an upper bound on P[sum X_i >= t].
+def dephoeff_bound(zdist: ZDist, t: float) -> TailBound:
+    """Tail bound E[f(Z)] / f(t) at the best f(x) = exp(h*x), h > 0; always
+    an upper bound on P[sum X_i >= t].  ln E[exp(hZ)] - h*t is convex in h,
+    with slope the h-tilted mean of Z minus t: its root is bracketed by
+    doubling from h = 1 and bisected to float resolution (``params["h"]``).
+    Past the top s < n of Z's support the tilt runs off to h = inf, leaving
+    ln P[Z = s] at t = s and -inf for t > s.
     """
     method = "convex-family"
-    mean = zdist.mean()
-    if t <= mean:
+    if bad := check_n(method, zdist.n, t):
+        return bad
+    if t <= zdist.mean():
         return _invalid(method, "t <= mean")
     if t >= zdist.n:
         return _invalid(method, "t >= n")
-    h = np.asarray(h_grid, dtype=float)
-    if h.size == 0:
-        return _invalid(method, "empty tilt grid")
-    with np.errstate(divide="ignore"):
-        logp = np.where(zdist.probs > 0.0, np.log(zdist.probs), NEG_INF)
-    vals = logsumexp(logp + h[:, None] * np.arange(zdist.n + 1), axis=1) - h * t
-    idx = int(np.argmin(vals))
-    params = {"h": float(h[idx])}
-    return TailBound(method, _clamp(float(vals[idx]), params), params)
+    top = int(np.flatnonzero(zdist.probs > 0.0)[-1])
+    if t >= top:
+        log_top = math.log(zdist.probs[top]) if t == top else NEG_INF
+        return TailBound(method, log_top, {"h": math.inf})
+    # tilted weights of Z - s: each at most P[Z = j], so none overflows
+    q, down = zdist.probs[: top + 1], np.arange(-top, 1)
+
+    def tilted_mean(h):
+        w = q * np.exp(h * down)
+        return top + float(w @ down) / float(w.sum())
+
+    lo, hi = 0.0, 1.0
+    while tilted_mean(hi) < t:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if tilted_mean(mid) < t else (lo, mid)
+    params = {"h": hi}
+    log_bound = math.log(float(q @ np.exp(hi * down))) + hi * (top - t)
+    return TailBound(method, _clamp(log_bound, params), params)
 
 
 # ---------------------------------------------------------------------------

@@ -212,8 +212,8 @@ def suite_identities(seed: int = 0):
     nothing."""
     records = []
 
-    def close(name, a, b, tol=IDENTITY_TOL):
-        ok = abs(a - b) <= tol
+    def close(name, a, b):
+        ok = abs(a - b) <= IDENTITY_TOL
         records.append((f"identities/{name}", ok, f"{a!r} vs {b!r}"))
 
     # kwise at k=n collapses to the independent bound
@@ -274,12 +274,10 @@ def suite_identities(seed: int = 0):
     # closed-form independent bound
     for (n, p, t) in [(20, 0.3, 11.0), (14, 0.5, 10.0)]:
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
-        h_opt = math.log(t * (1 - p) / ((n - t) * p))
         close(
             f"dephoeff(exp)=hoeffding[n={n}]",
-            oc.dephoeff_bound(zd, t, oc.default_h_grid(h_opt)).log_bound,
+            oc.dephoeff_bound(zd, t).log_bound,
             bd.hoeffding_bound(n, p, t).log_bound,
-            tol=1e-9,
         )
 
     return records

@@ -87,9 +87,8 @@ class TestAcceptance:
         # exponential family on a binomial sum distribution
         nn, pp, tt = 20, 0.3, 11.0
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((pp,) * nn)))
-        h_opt = math.log(tt * (1 - pp) / ((nn - tt) * pp))
         gaps["dephoeff(exp)"] = abs(
-            oc.dephoeff_bound(zd, tt, oc.default_h_grid(h_opt)).log_bound
+            oc.dephoeff_bound(zd, tt).log_bound
             - bd.hoeffding_bound(nn, pp, tt).log_bound
         )
         worst = max(gaps.values())

@@ -260,6 +260,11 @@ class TestZetaDecomposition:
         with pytest.raises(ValueError):
             oc.zeta_decomposition([0.5] * 21)
 
+    @pytest.mark.parametrize("x", [[0.5, math.nan], [-0.1, 0.5], [0.5, 1.5]])
+    def test_coordinate_outside_unit_interval_is_rejected(self, x):
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            oc.zeta_decomposition(x)
+
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
     )
@@ -326,57 +331,113 @@ class TestExactTail:
         assert oc.exact_tail(dist, t) == pytest.approx(want, abs=1e-15)
 
 
+def grid_tilts(center, span=8.0, size=512):
+    """Geometric grid of tilts around (and containing) ``center``."""
+    return np.sort(np.append(center * np.geomspace(1.0 / span, span, size), center))
+
+
+def grid_dephoeff(zd, t, hs):
+    """Best ln E[exp(hZ)] - h*t over the tilts ``hs``: the grid evaluator the
+    exact solver replaced, kept as a reference."""
+    with np.errstate(divide="ignore"):
+        logp = np.where(zd.probs > 0.0, np.log(zd.probs), -np.inf)
+    vals = logsumexp(logp + hs[:, None] * np.arange(zd.n + 1), axis=1) - hs * t
+    return float(np.min(vals))
+
+
+def tilted_mean(zd, h):
+    """Mean of Z under weights proportional to P[Z = j] exp(h*j)."""
+    j = np.arange(zd.n + 1)
+    w = zd.probs * np.exp(h * j - h * zd.n)
+    return float(w @ j) / float(w.sum())
+
+
+def dephoeff_cases():
+    """(law, Z-law, threshold) over Bernoulli and [0,1]-valued laws, at
+    thresholds spread over (mean, n)."""
+    for seed in range(20):
+        for dist in (oc.random_joint_dist(6, seed=seed), random_point_law(5, seed)):
+            zd = oc.z_distribution(dist)
+            for t in np.linspace(zd.mean(), dist.n, 7)[1:-1]:
+                yield dist, zd, float(t)
+
+
 class TestDephoeff:
     def test_exponential_on_binomial_matches_closed_form(self):
-        n, p, t = 20, 0.3, 11.0
-        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
-        h_opt = math.log(t * (1 - p) / ((n - t) * p))
-        tb = oc.dephoeff_bound(zd, t, oc.default_h_grid(h_opt))
-        want = bd.hoeffding_bound(n, p, t)
-        assert tb.log_bound == pytest.approx(want.log_bound, abs=1e-9)
+        cases = [(20, 0.3, 11.0), (14, 0.5, 10.0), (14, 0.4, 9.0), (50, 0.1, 5.5)]
+        for n, p, t in cases:
+            zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
+            tb = oc.dephoeff_bound(zd, t)
+            want = bd.hoeffding_bound(n, p, t)
+            assert abs(tb.log_bound - want.log_bound) <= 1e-10
 
-    def test_grid_refinement_never_increases(self):
-        n, p, t = 14, 0.4, 9.0
-        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
-        h_opt = math.log(t * (1 - p) / ((n - t) * p))
-        coarse = oc.dephoeff_bound(zd, t, oc.default_h_grid(h_opt, size=8))
-        fine_grid = np.union1d(
-            oc.default_h_grid(h_opt, size=8), oc.default_h_grid(h_opt, size=256)
-        )
-        fine = oc.dephoeff_bound(zd, t, fine_grid)
-        assert fine.log_bound <= coarse.log_bound + 1e-15
+    def test_first_order_condition(self):
+        # below the top of Z's support the h-tilted mean at the reported
+        # tilt is the threshold
+        solved = 0
+        for _, zd, t in dephoeff_cases():
+            if t < np.flatnonzero(zd.probs > 0.0)[-1]:
+                h = oc.dephoeff_bound(zd, t).params["h"]
+                assert 0.0 < h < math.inf
+                assert tilted_mean(zd, h) == pytest.approx(t, rel=1e-12)
+                solved += 1
+        assert solved >= 100
 
     def test_best_tilt_matches_per_tilt_loop(self):
         zd = oc.z_distribution(random_point_law(7, seed=3))
-        t, hs = 4.5, oc.default_h_grid(1.0, size=64)
+        t, hs = 4.5, grid_tilts(1.0, size=64)
         j = np.arange(zd.n + 1)
-        vals = [math.log(float(zd.probs @ np.exp(h * j))) - h * t for h in hs]
-        best = int(np.argmin(vals))
-        tb = oc.dephoeff_bound(zd, t, hs)
-        assert tb.is_valid and vals[best] < 0.0
-        assert tb.log_bound == pytest.approx(vals[best], rel=0, abs=1e-12)
-        assert tb.params == {"h": float(hs[best])}
 
-    def test_t_below_mean_invalid(self):
-        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
-        tb = oc.dephoeff_bound(zd, 4.0, np.array([1.0]))
-        assert not tb.is_valid
+        def value(h):
+            return math.log(float(zd.probs @ np.exp(h * j))) - h * t
 
-    def test_empty_grid_invalid(self):
-        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
-        tb = oc.dephoeff_bound(zd, 7.0, np.array([]))
-        assert not tb.is_valid and "grid" in tb.invalid_reason
+        tb = oc.dephoeff_bound(zd, t)
+        assert tb.is_valid and tb.log_bound < 0.0
+        assert tb.log_bound == pytest.approx(value(tb.params["h"]), rel=0, abs=1e-12)
+        assert tb.log_bound <= min(value(h) for h in hs) + 1e-12
+
+    def test_no_grid_does_better(self):
+        for _, zd, t in dephoeff_cases():
+            best = min(grid_dephoeff(zd, t, grid_tilts(c)) for c in (0.1, 1.0, 10.0))
+            assert oc.dephoeff_bound(zd, t).log_bound <= best + 1e-12
 
     def test_always_dominates_exact_tail(self):
         # soundness of the convex-family bound itself on random dists
-        for seed in range(20):
-            dist = oc.random_joint_dist(6, seed=seed)
-            zd = oc.z_distribution(dist)
-            mean = zd.mean()
-            for t in np.linspace(mean + 0.1, 5.9, 5):
-                tb = oc.dephoeff_bound(zd, float(t), oc.default_h_grid(1.0))
-                if tb.is_valid:
-                    assert oc.exact_tail(dist, float(t)) <= tb.bound + 1e-12
+        for dist, zd, t in dephoeff_cases():
+            tb = oc.dephoeff_bound(zd, t)
+            tail = oc.exact_tail(dist, t)
+            assert tail == 0.0 or math.log(tail) <= tb.log_bound + 1e-12
+
+    def test_t_below_mean_invalid(self):
+        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
+        for t in (4.0, 5.0, -math.inf):
+            tb = oc.dephoeff_bound(zd, t)
+            assert not tb.is_valid and tb.invalid_reason == "t <= mean"
+
+    def test_t_at_or_above_n_invalid(self):
+        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
+        for t in (10.0, 10.5, math.inf):
+            tb = oc.dephoeff_bound(zd, t)
+            assert not tb.is_valid and tb.invalid_reason == "t >= n"
+
+    def test_nan_threshold_invalid(self):
+        tb = oc.dephoeff_bound(oc.ZDist([0.25, 0.5, 0.25]), math.nan)
+        assert not tb.is_valid and tb.invalid_reason == "threshold is NaN"
+
+    def test_t_at_top_of_support(self):
+        # Z <= 3 < n: the tilt runs off to infinity and leaves ln P[Z = 3]
+        zd = oc.ZDist([0.1, 0.4, 0.3, 0.2, 0.0, 0.0])
+        tb = oc.dephoeff_bound(zd, 3.0)
+        assert tb.log_bound == math.log(0.2) and tb.params == {"h": math.inf}
+        below = oc.dephoeff_bound(zd, 3.0 - 1e-9)
+        assert math.log(0.2) < below.log_bound < math.log(0.2) + 1e-6
+
+    def test_t_above_top_of_support(self):
+        zd = oc.ZDist([0.1, 0.4, 0.3, 0.2, 0.0, 0.0])
+        for t in (3.5, 4.0, 4.999):
+            tb = oc.dephoeff_bound(zd, t)
+            assert tb.is_valid and tb.log_bound == -math.inf
+            assert tb.params == {"h": math.inf} and tb.bound == 0.0
 
 
 class TestSymmetricMoment:
