@@ -105,6 +105,15 @@ def check_n(method: str, n, threshold) -> TailBound | None:
     return None
 
 
+def _check_integer(method: str, name: str, value) -> TailBound | None:
+    """Invalid naming ``name`` unless ``value`` is an integer; NaN and the
+    infinities are not.  Each evaluator with an integer parameter besides
+    n calls this after ``check_n``."""
+    if not value % 1 == 0:
+        return _invalid(method, f"{name} not an integer")
+    return None
+
+
 def _clamp(log_value: float, params: dict) -> float:
     if log_value > 0.0:
         params["clamped"] = True
@@ -188,6 +197,8 @@ class DependencyGraphParams:
     __slots__ = ("n", "alpha")
 
     def __init__(self, n: int, alpha: int):
+        if alpha % 1:
+            raise ValueError(f"independence number must be an integer, got {alpha}")
         if not 1 <= alpha <= n:
             raise ValueError(f"independence number {alpha} outside [1, {n}]")
         self.n, self.alpha = n, alpha
@@ -294,7 +305,8 @@ def linial_luria_bound(n: int, beta_n: int, k: int, profile) -> TailBound:
     """Symmetric-moment bound S_k / C(beta_n, k) for Bernoulli indicators,
     0 < k <= beta_n: C(Z, k) >= C(beta_n, k) >= 1 once Z >= beta_n."""
     method = "linial-luria"
-    if bad := check_n(method, n, beta_n):
+    if bad := (check_n(method, n, beta_n) or _check_integer(method, "beta_n", beta_n)
+               or _check_integer(method, "k", k)):
         return bad
     if not 0 < beta_n <= n:
         return _invalid(method, "beta_n outside (0, n]")
@@ -462,7 +474,7 @@ def mcdiarmid_refined_bound(n: int, p: float, t: float) -> TailBound:
 def kwise_bound(n: int, k: int, p: float, eps: float) -> TailBound:
     """k-wise independence bound (p-p^2)^(k-n) * exp(-n*D(p(1+eps)||p))."""
     method = "kwise"
-    if bad := check_n(method, n, eps):
+    if bad := check_n(method, n, eps) or _check_integer(method, "k", k):
         return bad
     if not 1 <= k <= n:
         return _invalid(method, "k outside [1, n]")
@@ -482,7 +494,7 @@ def kwise_bound(n: int, k: int, p: float, eps: float) -> TailBound:
 def kwise_bernoulli_bound(n: int, k: int, p: float, eps: float) -> TailBound:
     """Bernoulli k-wise bound C(n,k) p^k / C(np(1+eps), k), integer threshold."""
     method = "kwise-bernoulli"
-    if bad := check_n(method, n, eps):
+    if bad := check_n(method, n, eps) or _check_integer(method, "k", k):
         return bad
     if not 1 <= k <= n:
         return _invalid(method, "k outside [1, n]")
@@ -515,7 +527,7 @@ def sss_bound(n: int, p: float, eps: float, k: int) -> TailBound:
     evaluated through the log-gamma extension.
     """
     method = "sss"
-    if bad := check_n(method, n, eps):
+    if bad := check_n(method, n, eps) or _check_integer(method, "k", k):
         return bad
     if not 0.0 < p < 1.0:
         return _invalid(method, "p outside (0,1)")
@@ -680,9 +692,10 @@ def gnm_isolated_bound(n: int, m: int, t: int) -> TailBound:
     evaluated in exact integer arithmetic.
     """
     method = "gnm-isolated"
-    if bad := check_n(method, n, t):
+    if bad := (check_n(method, n, t) or _check_integer(method, "m", m)
+               or _check_integer(method, "t", t)):
         return bad
-    n = int(n)
+    n, m, t = int(n), int(m), int(t)
     if not 1 <= t <= n:
         return _invalid(method, "t outside [1, n]")
     if m > math.comb(n, 2) or m < 0:
@@ -707,9 +720,10 @@ def gnm_triangles_bound(n: int, m: int, t: int) -> TailBound:
     exact integer arithmetic, floor exactly as displayed.
     """
     method = "gnm-triangles"
-    if bad := check_n(method, n, t):
+    if bad := (check_n(method, n, t) or _check_integer(method, "m", m)
+               or _check_integer(method, "t", t)):
         return bad
-    n = int(n)
+    n, m, t = int(n), int(m), int(t)
     n3 = math.comb(n, 3)
     if not 2 <= t <= n3:
         return _invalid(method, "t outside {2,...,C(n,3)}")

@@ -7,6 +7,11 @@ zero.  Conversion back to linear scale clamps into [0, 1].
 The scalar primitives use only :mod:`math`; the array kernels import numpy
 in their own bodies, so the closed-form evaluators that use this module
 never load it.
+
+A sum of exponentials is shifted by its largest term, ln sum_i e^(a_i) =
+a* + ln sum_i e^(a_i - a*), so no term exceeds 1 and none overflows:
+``binom_tail_log`` and ``bounds._log_sum_exp`` add the shifted terms with
+``math.fsum``, the averaged-binomial tilt sums of :mod:`oracle` on arrays.
 """
 
 from __future__ import annotations
@@ -90,68 +95,6 @@ def kl_divergence(q: float, p: float) -> float:
         math.log1p(-q) - math.log1p(-p)
     )
     return max(value, 0.0)
-
-
-def logsumexp(a, axis=None, b=None):
-    """ln sum(b * exp(a)) over ``axis`` (every entry when None), weights b >= 0.
-
-    Shifts by the finite maximum; the maximal terms are summed apart and the
-    rest enters through log1p, so a sum just above its largest term keeps
-    full relative accuracy.  Terms with a zero weight are dropped, and a
-    slice without a positive term gives -inf.  Where the ratio overflows
-    (a subnormal weight on the largest exponent) the slice is summed
-    directly instead.
-    """
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    if b is not None:
-        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
-        a = np.where(b != 0.0, a, NEG_INF)
-    top = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.exp(a - shift)
-        if b is not None:
-            terms *= b
-        at_top = a == top
-        big = np.sum(np.where(at_top, terms, 0.0), axis=axis, keepdims=True)
-        rest = np.sum(np.where(at_top, 0.0, terms), axis=axis, keepdims=True)
-        out = np.log1p(np.where(rest == 0.0, 0.0, rest / big)) + np.log(big) + shift
-        redo = np.isnan(out) | (out == np.inf)
-        if redo.any():
-            direct = np.exp(a) if b is None else b * np.exp(a)
-            out = np.where(
-                redo, np.log(np.sum(direct, axis=axis, keepdims=True)), out
-            )
-    if axis is None:
-        return out.reshape(())[()]
-    return np.squeeze(out, axis=axis)
-
-
-# read-only numpy array from the first call on
-_LOG_FACTORIALS = ()
-
-
-def log_factorials(n: int) -> np.ndarray:
-    """ln k! = lgamma(k + 1) for k = 0..n, read-only, from one table that
-    grows on demand.
-
-    Each call slices the table it checked or built, so a concurrent call
-    that installs a shorter table costs a recomputation, never a short
-    result.
-    """
-    global _LOG_FACTORIALS
-    import numpy as np
-
-    table = _LOG_FACTORIALS
-    if n >= len(table):
-        have = len(table)
-        more = [math.lgamma(k + 1) for k in range(have, max(n + 1, 2 * have))]
-        table = np.concatenate([table, more])
-        table.flags.writeable = False
-        _LOG_FACTORIALS = table
-    return table[: n + 1]
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -262,7 +205,8 @@ def _binom_pmf_log_vec(n: int, p: float) -> np.ndarray:
 
 
 def binom_tail_log(spec: BinomialSpec, j: int) -> float:
-    """ln P[Bin(n,p) >= j] by direct log-sum-exp over the upper terms.
+    """ln P[Bin(n,p) >= j] by direct log-sum-exp over the upper terms,
+    shifted by the largest.
 
     Never computed as 1 - cdf, so deep tails keep full relative accuracy.
     """
@@ -272,7 +216,8 @@ def binom_tail_log(spec: BinomialSpec, j: int) -> float:
     if j == 0:
         return 0.0
     terms = _binom_pmf_log_vec(n, spec.p)[j:]
-    return min(0.0, float(logsumexp(terms)))
+    top = float(terms.max())
+    return min(0.0, top + math.log(math.fsum(map(math.exp, (terms - top).tolist()))))
 
 
 def poisson_binom_dist(spec: PoissonBinomialSpec) -> np.ndarray:
@@ -357,6 +302,7 @@ def binomial_median_lb_grid(ns, ps) -> np.ndarray:
     # j ln(p) + (n - j) ln(1 - p) = j ln(p / (1 - p)) + n ln(1 - p)
     log_q = np.log1p(-ps)
     log_ratio = np.log(ps) - log_q
+    lf = np.array([math.lgamma(k + 1) for k in range(flat.max(initial=0) + 1)])
     costs = ((flat + 1) * ps.size).tolist()
     # every block's masses and mask reuse one buffer each
     masses = np.empty(max(_BLOCK_ENTRIES, *costs, 0))
@@ -366,7 +312,6 @@ def binomial_median_lb_grid(ns, ps) -> np.ndarray:
         j = np.arange(n.max() + 1)
         shape = (stop - start, ps.size, j.size)
         pmf = masses[: math.prod(shape)].reshape(shape)
-        lf = log_factorials(j[-1])
         coef = np.where(j <= n, lf[n] - lf[j] - lf[np.abs(n - j)], NEG_INF)
         np.add(np.multiply.outer(log_ratio, j), coef[:, None, :], out=pmf)
         pmf += (n * log_q)[:, :, None]

@@ -27,7 +27,8 @@ pmf, so every caller gets a fresh writable array.
 
 ``averaged_binomial_checks`` takes all vectors of a sweep in one call:
 their Poisson-binomial DPs, closed-form binomial pmfs, tilt sums and tails
-run over zero-padded rows.
+run over zero-padded rows.  Each tilt sum ln sum_j q_j e^(hj) is shifted
+by its largest term, so it needs no general log-sum-exp.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .numkernel import (
     _log_binom_row,
     _poisson_binom_rows,
     _row_blocks,
-    logsumexp,
     poisson_binom_dist,
 )
 from .bounds import ProductBound, SplitBound, TailBound, _clamp, _invalid, check_n
@@ -294,7 +294,8 @@ def averaged_binomial_checks(specs: Sequence[PoissonBinomialSpec], hs=()):
     thresholds 0 <= b <= floor(n*pbar), and True past them.  Exact up to
     float rounding: the trials' pmfs come from the O(n^2) dynamic program
     on zero-padded rows (a p = 0 step leaves a pmf exactly unchanged),
-    each Bin(n, pbar) from its closed form in O(n).
+    each Bin(n, pbar) from its closed form in O(n), and each side's
+    ln E[exp(hZ)] from ``_tilt_sums``, shifted by its largest term.
     """
     hs = np.asarray(hs, dtype=float)
     if not np.all(hs > 0.0):
@@ -318,6 +319,17 @@ def averaged_binomial_checks(specs: Sequence[PoissonBinomialSpec], hs=()):
 
 def _averaged_binomial_block(specs, hs):
     """``averaged_binomial_checks`` on one block, padded to its largest n."""
+    both = _averaged_binomial_pmfs(specs)
+    lhs_exp, rhs_exp = _tilt_sums(both, hs)
+    lhs_tail, rhs_tail = np.cumsum(both[..., ::-1], axis=-1)[..., ::-1]
+    j = np.arange(both.shape[-1])
+    limit = np.array([[math.floor(spec.n * spec.mean)] for spec in specs])
+    return lhs_exp <= rhs_exp + 1e-12, (lhs_tail >= rhs_tail - 1e-12) | (j > limit)
+
+
+def _averaged_binomial_pmfs(specs):
+    """The pmfs of each vector's trials and of its Bin(n, pbar), zero-padded
+    to the largest n + 1: shape (2, len(specs), N + 1)."""
     width = max(spec.n for spec in specs) + 1
     lhs = _poisson_binom_rows(
         np.array([spec.ps + (0.0,) * (width - 1 - spec.n) for spec in specs])
@@ -343,12 +355,22 @@ def _averaged_binomial_block(specs, hs):
     for r, p in enumerate(pbar):
         if not 0.0 < p < 1.0:  # a point mass at 0 or n, where the log form has log(0)
             rhs[r, round(p) * specs[r].n] = 1.0
-    both = np.stack((lhs, rhs))
-    # both sides in one call, in log scale so large h stays finite
-    lhs_exp, rhs_exp = logsumexp(hs[:, None] * j, axis=-1, b=both[:, :, None])
-    lhs_tail, rhs_tail = np.cumsum(both[..., ::-1], axis=-1)[..., ::-1]
-    limit = np.array([[math.floor(spec.n * p)] for spec, p in zip(specs, pbar)])
-    return lhs_exp <= rhs_exp + 1e-12, (lhs_tail >= rhs_tail - 1e-12) | (j > limit)
+    return np.stack((lhs, rhs))
+
+
+def _tilt_sums(pmfs, hs):
+    """ln sum_j q_j e^(hj) for every pmf q along the last axis of ``pmfs``
+    and every h of ``hs``: shape ``pmfs.shape[:-1] + hs.shape``.
+
+    Each sum is shifted by its largest term ln q_j + hj, so every term is
+    at most 1, the largest exactly 1, and the sum lies in [1, n + 1]:
+    nothing overflows at large h, and a subnormal q_j costs no precision.
+    """
+    with np.errstate(divide="ignore"):  # ln 0 = -inf drops a zero mass
+        terms = np.log(pmfs)[..., None, :] + hs[:, None] * np.arange(pmfs.shape[-1])
+    top = terms.max(axis=-1, keepdims=True)
+    terms -= top
+    return top[..., 0] + np.log(np.exp(terms, out=terms).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -341,18 +341,6 @@ class SimResult:
     seed: int
     sum_mean: float
 
-    def dumps(self) -> str:
-        """key=value record, one line per field."""
-        return (
-            f"replications={self.replications}\n"
-            f"threshold={self.threshold!r}\n"
-            f"empirical_tail={self.empirical_tail!r}\n"
-            f"ci_low={self.ci_low!r}\n"
-            f"ci_high={self.ci_high!r}\n"
-            f"seed={self.seed}\n"
-            f"sum_mean={self.sum_mean!r}\n"
-        )
-
 
 # ---------------------------------------------------------------------------
 # the Clopper-Pearson interval, on the standard library

@@ -232,9 +232,9 @@ class TestAcceptance:
 
     def test_09_determinism(self):
         model = sim.GnmTriangles(7, 10)
-        base = sim.empirical_tail(model, 4, reps=20000, seed=7, threads=1).dumps()
+        base = repr(sim.empirical_tail(model, 4, reps=20000, seed=7, threads=1))
         sim_ok = all(
-            sim.empirical_tail(model, 4, reps=20000, seed=7, threads=th).dumps()
+            repr(sim.empirical_tail(model, 4, reps=20000, seed=7, threads=th))
             == base
             for th in (2, 4)
         )

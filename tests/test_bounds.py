@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from depbounds import bounds as bd
 from depbounds import graphcomb as gc
@@ -300,12 +301,10 @@ def binom_pmf_logs(n, p):
 
 def numpy_refined_log_bounds(n, p, t, params=None):
     """The refined bounds as the package computed them with numpy arrays
-    (``numkernel.logsumexp`` over the binomial log-pmf), kept here as a
-    reference for the standard-library sums: mcdiarmid-refined at
-    (n, p, t), or ustat-refined when ``params`` is given.  Both sides take
-    the same log-pmf terms, so only the sums are compared."""
-    from depbounds.numkernel import logsumexp
-
+    (a log-sum-exp over the binomial log-pmf), kept here as a reference
+    for the standard-library sums: mcdiarmid-refined at (n, p, t), or
+    ustat-refined when ``params`` is given.  Both sides take the same
+    log-pmf terms, so only the sums are compared."""
     if params is None:
         ref = bd.mcdiarmid_refined_bound(n, p, t)
         h, missing = ref.params["h"], ref.params["missing_factor"]
@@ -762,6 +761,37 @@ class TestRecords:
             make()
         assert str(exc.value) == message
 
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: bd.linial_luria_bound(10, 2.5, 1, bd.MeanOnly(0.3)),
+     "beta_n not an integer"),
+    (lambda: bd.linial_luria_bound(10, 5, 1.5, bd.MeanOnly(0.3)), "k not an integer"),
+    (lambda: bd.kwise_bernoulli_bound(10, 2.5, 0.3, 1.0), "k not an integer"),
+    (lambda: bd.kwise_bound(10, 2.5, 0.3, 0.5), "k not an integer"),
+    (lambda: bd.sss_bound(10, 0.3, 0.5, NAN), "k not an integer"),
+    (lambda: bd.gnm_isolated_bound(10, 2.5, 3), "m not an integer"),
+    (lambda: bd.gnm_isolated_bound(10, NAN, 3), "m not an integer"),
+    (lambda: bd.gnm_isolated_bound(10, 5, 2.5), "t not an integer"),
+    (lambda: bd.gnm_isolated_bound(10, 5, NAN), "threshold is NaN"),
+    (lambda: bd.gnm_triangles_bound(10, 2.5, 3), "m not an integer"),
+    (lambda: bd.gnm_triangles_bound(10, NAN, 3), "m not an integer"),
+    (lambda: bd.gnm_triangles_bound(10, 5, 2.5), "t not an integer"),
+    (lambda: bd.DependencyGraphParams(10, 2.5),
+     ValueError("independence number must be an integer, got 2.5")),
+])
+def test_non_integral_parameter_is_refused(call, reason):
+    """A fractional or NaN integer parameter gives Invalid naming it; the
+    dependency-graph parameters raise ValueError, as UStatParams does."""
+    if isinstance(reason, ValueError):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == str(reason)
+    else:
+        tb = call()
+        assert not tb.is_valid and tb.invalid_reason == reason
 
 # one valid point per method at n = 20: flag values and native threshold
 FLOAT_N_POINTS = {

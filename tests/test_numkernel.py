@@ -21,9 +21,7 @@ from depbounds.numkernel import (
     binomial_median_lb_grid,
     kl_divergence,
     log_binom_coeff,
-    log_factorials,
     log_gen_binom_coeff,
-    logsumexp,
     poisson_binom_dist,
     to_prob,
 )
@@ -178,72 +176,6 @@ class TestLogBinomCoeff:
     def test_generalized_domain(self):
         with pytest.raises(ValueError):
             log_gen_binom_coeff(3.5, 5)
-
-
-@st.composite
-def logsumexp_inputs(draw):
-    """(a, b) with a of shape (rows, cols): finite exponents and -inf, some
-    rows all -inf; b is None or nonnegative weights with zeros."""
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    entry = st.one_of(st.floats(-700.0, 700.0), st.just(NEG_INF))
-    a = np.array(draw(st.lists(entry, min_size=rows * cols,
-                               max_size=rows * cols))).reshape(rows, cols)
-    if draw(st.booleans()):
-        a[draw(st.integers(0, rows - 1))] = NEG_INF
-    if draw(st.booleans()):
-        return a, None
-    weight = st.one_of(st.just(0.0), st.floats(1e-10, 1e10))
-    b = np.array(draw(st.lists(weight, min_size=rows * cols,
-                               max_size=rows * cols))).reshape(rows, cols)
-    return a, b
-
-
-class TestLogSumExp:
-    @given(logsumexp_inputs(), st.sampled_from([None, 1]))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_scipy(self, ab, axis):
-        a, b = ab
-        got = logsumexp(a, axis=axis, b=b)
-        want = scipy.special.logsumexp(a, axis=axis, b=b)
-        assert np.shape(got) == np.shape(want)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
-    @given(st.floats(-90.0, -40.0))
-    @settings(max_examples=100, deadline=None)
-    def test_sum_just_above_largest_term(self, x):
-        # ln(1 + e^x) is e^x to full precision here, where ln(sum(exp))
-        # would round the sum to 1 and return 0
-        assert logsumexp([0.0, x]) == pytest.approx(math.exp(x), rel=1e-15, abs=0.0)
-
-    def test_edge_cases(self):
-        assert logsumexp(3.0) == 3.0
-        assert logsumexp([NEG_INF, NEG_INF]) == NEG_INF
-        assert logsumexp([1.0, 2.0], b=[0.0, 0.0]) == NEG_INF
-        # a zero weight drops the term even where the exponent is +inf
-        assert logsumexp([np.inf, 0.0], b=[0.0, 2.0]) == pytest.approx(math.log(2.0))
-        assert logsumexp([np.inf, 0.0]) == np.inf
-        # a subnormal weight on the largest exponent overflows the ratio
-        assert logsumexp([1.0, 0.0], b=[1e-310, 2.0]) == pytest.approx(math.log(2.0))
-        rows = logsumexp([[NEG_INF, NEG_INF], [0.0, 0.0]], axis=1)
-        assert rows.tolist() == [NEG_INF, pytest.approx(math.log(2.0))]
-
-
-class TestLogFactorials:
-    def test_matches_gammaln(self):
-        ks = np.arange(5001)
-        np.testing.assert_allclose(
-            log_factorials(5000), scipy.special.gammaln(ks + 1.0),
-            rtol=1e-14, atol=0.0,
-        )
-
-    def test_grows_and_stays_read_only(self):
-        small = log_factorials(3).copy()
-        big = log_factorials(10_000)
-        assert len(big) == 10_001
-        assert big[:4].tolist() == small.tolist()
-        assert big[10_000] == math.lgamma(10_001)
-        with pytest.raises(ValueError):
-            big[0] = 1.0
 
 
 class TestBinomialPmfTail:

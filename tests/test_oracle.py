@@ -21,7 +21,6 @@ from depbounds.numkernel import (
     _binom_pmf_log_vec,
     _poisson_binom_rows,
     binom_pmf_log,
-    logsumexp,
     poisson_binom_dist,
     to_prob,
 )
@@ -341,7 +340,8 @@ def grid_dephoeff(zd, t, hs):
     exact solver replaced, kept as a reference."""
     with np.errstate(divide="ignore"):
         logp = np.where(zd.probs > 0.0, np.log(zd.probs), -np.inf)
-    vals = logsumexp(logp + hs[:, None] * np.arange(zd.n + 1), axis=1) - hs * t
+        tilted = logp + hs[:, None] * np.arange(zd.n + 1)
+        vals = scipy.special.logsumexp(tilted, axis=1) - hs * t
     return float(np.min(vals))
 
 
@@ -489,10 +489,11 @@ def reference_averaged_binomial_checks(spec, hs=(), bs=()):
     else:
         rhs_dist = np.zeros(n + 1)
         rhs_dist[round(pbar) * n] = 1.0
-    lhs, rhs = logsumexp(
-        hs[:, None] * np.arange(n + 1), axis=-1,
-        b=np.stack((lhs_dist, rhs_dist))[:, None],
-    )
+    with np.errstate(divide="ignore"):
+        lhs, rhs = scipy.special.logsumexp(
+            np.log(np.stack((lhs_dist, rhs_dist))[:, None])
+            + hs[:, None] * np.arange(n + 1), axis=-1,
+        )
     lhs_tail = np.cumsum(lhs_dist[::-1])[::-1]
     rhs_tail = np.cumsum(rhs_dist[::-1])[::-1]
     return lhs <= rhs + 1e-12, lhs_tail[bs] >= rhs_tail[bs] - 1e-12
@@ -604,17 +605,100 @@ class TestHoeffding1956Checks:
         n=st.integers(0, 30),
         hs=st.lists(st.floats(min_value=1e-3, max_value=800.0), min_size=1, max_size=4),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_stacked_tilt_sums_match_separate_calls(self, data, n, hs):
-        """The two sides' tilt sums from one stacked logsumexp call equal
-        one call per side, bit for bit."""
-        weights = st.lists(st.floats(min_value=0.0, max_value=1.0),
-                           min_size=n + 1, max_size=n + 1)
-        lhs_dist, rhs_dist = np.array(data.draw(weights)), np.array(data.draw(weights))
-        tilts = np.array(hs)[:, None] * np.arange(n + 1)
-        lhs, rhs = logsumexp(tilts, axis=-1, b=np.stack((lhs_dist, rhs_dist))[:, None])
-        np.testing.assert_array_equal(lhs, logsumexp(tilts, axis=1, b=lhs_dist))
-        np.testing.assert_array_equal(rhs, logsumexp(tilts, axis=1, b=rhs_dist))
+    @settings(max_examples=300, deadline=None)
+    def test_tilt_sums_match_scipy(self, data, n, hs):
+        """The tilt sums equal scipy's log-sum-exp within 1e-12 of
+        max(1, |value|), on weights with zeros whose last positive mass may
+        be subnormal."""
+        rows = data.draw(st.integers(1, 3))
+        weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+        pmfs = np.array(data.draw(st.lists(
+            st.lists(weight, min_size=n + 1, max_size=n + 1),
+            min_size=rows, max_size=rows)))
+        for row in pmfs:
+            top = data.draw(st.integers(0, n))
+            row[top] = data.draw(st.one_of(st.floats(5e-324, 2.2e-308),
+                                           st.floats(1e-300, 1.0)))
+            row[top + 1 :] = 0.0
+        hs = np.array(hs)
+        got = oc._tilt_sums(pmfs, hs)
+        with np.errstate(divide="ignore"):
+            want = scipy.special.logsumexp(
+                np.log(pmfs)[:, None, :] + hs[:, None] * np.arange(n + 1), axis=-1)
+        assert got.shape == (rows, hs.size)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_tilt_sums_at_a_subnormal_top_mass(self):
+        # the pmf of two trials of p = 1e-160; summed as q_j e^(h(j - 2)),
+        # the subnormal terms put ~1e-4 of error into the value at h = 370
+        pmfs = _poisson_binom_rows(np.array([[1e-160, 1e-160]]))
+        assert pmfs[0, 2] == pytest.approx(1e-320, rel=1e-3)
+        hs = np.array([300.0, 350.0, 370.0, 380.0, 800.0])
+        with np.errstate(divide="ignore"):
+            want = scipy.special.logsumexp(
+                np.log(pmfs)[:, None, :] + hs[:, None] * np.arange(3), axis=-1)
+        np.testing.assert_allclose(oc._tilt_sums(pmfs, hs), want,
+                                   rtol=1e-13, atol=1e-13)
+
+    @given(vectors=st.lists(trial_vectors, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_pmf_rows(self, vectors):
+        self.assert_pmf_rows([PoissonBinomialSpec(tuple(v)) for v in vectors])
+
+    def test_pmf_rows_at_large_n(self):
+        # the closed-form masses total 1 - 3.4e-14 and 1 + 1.2e-13 here, so
+        # a row divided by the other row's total shows
+        self.assert_pmf_rows([PoissonBinomialSpec((0.3,) * 1000),
+                              PoissonBinomialSpec((0.77,) * 3000)])
+
+    @staticmethod
+    def assert_pmf_rows(specs):
+        """Each row pair is the trials' DP pmf and Bin(n, pbar) as its
+        normalised closed form (a point mass at pbar in {0, 1}), zero past
+        its own n."""
+        lhs, rhs = oc._averaged_binomial_pmfs(specs)
+        width = max(spec.n for spec in specs) + 1
+        assert lhs.shape == rhs.shape == (len(specs), width)
+        for row, spec in enumerate(specs):
+            n, pbar = spec.n, spec.mean
+            if 0.0 < pbar < 1.0:
+                want = np.exp(_binom_pmf_log_vec(n, pbar))
+                want /= want.sum()
+            else:
+                want = np.zeros(n + 1)
+                want[round(pbar) * n] = 1.0
+            np.testing.assert_allclose(rhs[row, : n + 1], want, rtol=1e-14, atol=0.0)
+            np.testing.assert_array_equal(lhs[row, : n + 1], poisson_binom_dist(spec))
+            assert not lhs[row, n + 1 :].any() and not rhs[row, n + 1 :].any()
+
+    @staticmethod
+    def point_masses(at_top):
+        """A stand-in for the trials' DP: every row a point mass at 0, or at
+        its own n (the count of its nonzero trials)."""
+        def rows(ps):
+            out = np.zeros((ps.shape[0], ps.shape[1] + 1))
+            out[np.arange(ps.shape[0]),
+                np.count_nonzero(ps, axis=1) if at_top else 0] = 1.0
+            return out
+        return rows
+
+    SPECS = [PoissonBinomialSpec(ps) for ps in
+             [(0.5,) * 4, (0.3, 0.9, 0.6), (0.05,) * 40, (0.99, 0.2), (0.7,) * 13]]
+
+    def test_a_point_mass_at_zero_fails_each_positive_valid_threshold(self, monkeypatch):
+        monkeypatch.setattr(oc, "_poisson_binom_rows", self.point_masses(False))
+        exp_ok, tail_ok = oc.averaged_binomial_checks(self.SPECS, hs=(0.01, 1.0, 50.0))
+        assert exp_ok.all()
+        for spec, row in zip(self.SPECS, tail_ok):
+            limit = math.floor(spec.n * spec.mean)
+            assert limit >= 1
+            assert row.tolist() == [b == 0 or b > limit for b in range(len(row))]
+
+    def test_a_point_mass_at_n_fails_every_tilt(self, monkeypatch):
+        monkeypatch.setattr(oc, "_poisson_binom_rows", self.point_masses(True))
+        exp_ok, tail_ok = oc.averaged_binomial_checks(self.SPECS, hs=(0.01, 1.0, 50.0))
+        assert not exp_ok.any()
+        assert tail_ok.all()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 333, 1000, 2000])
     def test_closed_form_binomial_matches_the_dp(self, n):

@@ -197,39 +197,39 @@ class TestUStat:
             assert np.array_equal(got, want)
 
 
-# empirical_tail(model, t, 4096, seed=1).dumps() of the models that the
+# repr(empirical_tail(model, t, 4096, seed=1)) of the models that the
 # graph-mc benchmark workload simulates, pinned so that a change to a
 # sampler or a subgraph kernel cannot move a seeded result unnoticed
 GOLDEN = [
     (sim.GnpIsolated(30, 0.1), 2.0,
-     "empirical_tail=0.41259765625\nci_low=0.387344471229678\n"
-     "ci_high=0.438175052993852\nseed=1\nsum_mean=1.42724609375\n"),
+     "empirical_tail=0.41259765625, ci_low=0.387344471229678, "
+     "ci_high=0.438175052993852, seed=1, sum_mean=1.42724609375)"),
     (sim.GnpTriangles(30, 0.05), 1.0,
-     "empirical_tail=0.3818359375\nci_low=0.35697173951828853\n"
-     "ci_high=0.40713849366646343\nseed=1\nsum_mean=0.539306640625\n"),
+     "empirical_tail=0.3818359375, ci_low=0.35697173951828853, "
+     "ci_high=0.40713849366646343, seed=1, sum_mean=0.539306640625)"),
     (sim.Gnp4Cliques(20, 0.3), 4.0,
-     "empirical_tail=0.38232421875\nci_low=0.35745303091708125\n"
-     "ci_high=0.40763195265985913\nseed=1\nsum_mean=3.597412109375\n"),
+     "empirical_tail=0.38232421875, ci_low=0.35745303091708125, "
+     "ci_high=0.40763195265985913, seed=1, sum_mean=3.597412109375)"),
     (sim.GnmIsolated(30, 40), 4.0,
-     "empirical_tail=0.06787109375\nci_low=0.055619722606000906\n"
-     "ci_high=0.08173531124743551\nseed=1\nsum_mean=1.68701171875\n"),
+     "empirical_tail=0.06787109375, ci_low=0.055619722606000906, "
+     "ci_high=0.08173531124743551, seed=1, sum_mean=1.68701171875)"),
     (sim.GnmTriangles(20, 40), 15.0,
-     "empirical_tail=0.066650390625\nci_low=0.05450954935007976\n"
-     "ci_high=0.08040880217703784\nseed=1\nsum_mean=10.03955078125\n"),
+     "empirical_tail=0.066650390625, ci_low=0.05450954935007976, "
+     "ci_high=0.08040880217703784, seed=1, sum_mean=10.03955078125)"),
     (sim.MartingaleDiff(20, (0.3,) * 20), 0.5,
-     "empirical_tail=0.29150390625\nci_low=0.268418549700657\n"
-     "ci_high=0.3153630853848382\nseed=1\nsum_mean=0.017160397355979597\n"),
+     "empirical_tail=0.29150390625, ci_low=0.268418549700657, "
+     "ci_high=0.3153630853848382, seed=1, sum_mean=0.017160397355979597)"),
     (sim.UStat(40, 2, "all-below", (("c", 0.5),)), 200.0,
-     "empirical_tail=0.450439453125\nci_low=0.42484724698219617\n"
-     "ci_high=0.4762154872412881\nseed=1\nsum_mean=196.55078125\n"),
+     "empirical_tail=0.450439453125, ci_low=0.42484724698219617, "
+     "ci_high=0.4762154872412881, seed=1, sum_mean=196.55078125)"),
 ]
 
 
 @pytest.mark.parametrize("model,t,tail", GOLDEN,
                          ids=[type(m).__name__ for m, _, _ in GOLDEN])
 def test_golden_graph_mc_models(model, t, tail):
-    got = sim.empirical_tail(model, t, 4096, seed=1).dumps()
-    assert got == f"replications=4096\nthreshold={t!r}\n" + tail
+    got = repr(sim.empirical_tail(model, t, 4096, seed=1))
+    assert got == f"SimResult(replications=4096, threshold={t!r}, " + tail
 
 
 class TestBatchBytes:
@@ -418,15 +418,15 @@ class TestEmpiricalTail:
             again = sim.empirical_tail(
                 model, 4, reps=10000, seed=42, threads=threads
             )
-            assert again.dumps() == base.dumps()
+            assert repr(again) == repr(base)
         repeat = sim.empirical_tail(model, 4, reps=10000, seed=42, threads=1)
-        assert repeat.dumps() == base.dumps()
+        assert repr(repeat) == repr(base)
 
     def test_seed_changes_result(self):
         model = sim.GnpIsolated(10, 0.3)
         a = sim.empirical_tail(model, 3, reps=3000, seed=0)
         b = sim.empirical_tail(model, 3, reps=3000, seed=1)
-        assert a.dumps() != b.dumps()
+        assert repr(a) != repr(b)
 
     def test_partial_final_chunk(self):
         # reps not a multiple of the chunk size still covers every draw
