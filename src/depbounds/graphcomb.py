@@ -21,12 +21,14 @@ MAX_EXACT_MIS_N = 30
 
 __all__ = [
     "Graph",
-    "neighbour_masks",
-    "edge_masks",
     "BLOCK_BYTES",
+    "edge_planes",
     "isolated_count",
+    "odd_degree_count",
     "triangle_count",
     "clique4_count",
+    "triangle_union_size",
+    "clique4_union_size",
     "triangle_union_edges",
     "clique4_union_triangles",
     "independence_number",
@@ -112,27 +114,29 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# subgraph counts over a batch of graphs
+# subgraph counts over a batch of graphs, 64 graphs per machine word
 #
-# A batch of graphs on n vertices is held as neighbour masks: a (..., n, W)
-# uint64 array, W = ceil(n / 64), whose row v is the little-endian
-# ``np.packbits`` of row v of the adjacency matrix, so bit u % 64 of word
-# u // 64 says whether u ~ v.  Graphs of different sizes share a batch by
-# padding with isolated vertices, which no triangle or clique touches.
+# A batch of ``size`` graphs on n vertices is held as edge planes: a
+# (C(n,2), W) uint64 array, W = ceil(size / 64), with one row per vertex
+# pair u < v in colex order (by v, then u: pair uv is row v(v-1)/2 + u).
+# Bit r % 64 of word r // 64 of row uv says whether graph r has the edge
+# uv, so one AND of two rows intersects two edges in 64 graphs per word
+# (bit-slicing).  The pairs inside vertices 0..w-1 are the first C(w,2)
+# rows, so a graph on fewer vertices joins a batch as a prefix, its other
+# pairs zero.  The bits of graphs size..64W-1 in the last word are padding:
+# every kernel takes ``size`` and counts only the graphs below it.
 #
-# Callers split large batches into blocks of graphs whose largest array
-# holds about BLOCK_BYTES, and may pass every kernel of a block one
-# ``scratch`` dict.  The kernels then write their arrays into buffers kept
-# in it (see _buffer), so a caller that reuses the dict for block after
-# block allocates no large array once the first block has grown them.
-# All of a block's arrays then stay allocated together: its uniforms, edge
-# bits, adjacency and masks and two or three codegree-sized arrays, three
-# to six times its largest array (a chunk of the simulate models peaks at
-# 2.8-5.6 BLOCK_BYTES).  BLOCK_BYTES sizes the largest array so that this
-# whole working set, 1.4-2.8 MiB, stays near a core's 2 MiB L2 cache.  A
-# block keeps at least MIN_BLOCK_ROWS rows, since below that the fixed cost
-# of each call (numpy dispatch, small temporaries) outweighs what the
-# smaller arrays save.
+# A kernel builds one plane per candidate subgraph (a triangle's is the AND
+# of its three edges' planes) and sums the planes bit by bit with a
+# carry-save adder tree (``_Tally``).  It builds them in blocks of rows
+# whose gathered arrays hold about BLOCK_BYTES, which stay in a core's L2
+# cache next to the planes they read; the index tables it gathers by are
+# built on first use and hold at most 3 C(n,3) entries.
+#
+# The simulate models draw their rows in blocks of about BLOCK_BYTES too
+# (``block_rows``), of at least MIN_BLOCK_ROWS rows, since below that the
+# fixed cost of each call (numpy dispatch, small temporaries) outweighs
+# what the smaller arrays save.
 
 BLOCK_BYTES = 1 << 19
 MIN_BLOCK_ROWS = 64
@@ -143,170 +147,271 @@ def block_rows(row_bytes: int) -> int:
     return max(MIN_BLOCK_ROWS, BLOCK_BYTES // max(1, row_bytes))
 
 
-def edge_bytes(n: int, size: int, codegrees: bool = False) -> int:
-    """Bytes of the (size, C(n,2)) float64 edge uniforms of ``size`` graphs
-    on n vertices, or with ``codegrees`` of their (size, C(n,2),
-    ceil(n/64)) uint64 codegree masks, the largest array of the triangle
-    and 4-clique kernels."""
-    return 8 * size * math.comb(n, 2) * (-(-n // 64) if codegrees else 1)
-
-
-def _buffer(scratch, key, shape, dtype) -> np.ndarray:
-    """An uninitialised array of ``shape`` and ``dtype``: a view of the
-    buffer ``scratch[key]``, grown when it is too small, or a new array
-    when ``scratch`` is None.  Views of one key alias each other, so a
-    kernel gives every array it still reads its own key."""
-    if scratch is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    buf = scratch.get(key)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = scratch[key] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=8)
-def _edge_source(n: int) -> np.ndarray:
-    """(n, 8 ceil(n/8)) index of adjacency entry (u, v) into the edge bits
-    with a False entry prepended: 1 + the index of edge uv, and 0 on the
-    diagonal and in the columns that fill each row to whole bytes."""
-    u, v = np.triu_indices(n, 1)
-    source = np.zeros((n, -(-n // 8) * 8), dtype=np.intp)
-    source[u, v] = source[v, u] = np.arange(1, len(u) + 1)
-    source.flags.writeable = False
-    return source
-
-
-@lru_cache(maxsize=8)
-def _pairs(n: int) -> tuple:
-    """(v, u, word, shift) of the vertex pairs u < v, ordered by v then u:
-    the pair's two vertices, and the flat (v, u // 64) index into a graph's
-    (n, W) masks and the bit u % 64 there that says whether uv is an
-    edge."""
-    words = -(-n // 64)
+def _pair_vertices(n: int) -> tuple:
+    """(u, v) of every pair u < v in colex order."""
     v, u = np.tril_indices(n, -1)
-    pairs = (v, u, v * words + u // 64, (u % 64).astype(np.uint64))
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+    return _read_only(u, v)
 
 
-def neighbour_masks(adj, scratch=None) -> np.ndarray:
-    """Neighbour masks of boolean adjacency matrices of shape (..., n, n).
-    Rows may carry False columns past n, up to a whole number of bytes."""
-    adj = np.asarray(adj, dtype=bool)
-    n, width = adj.shape[-2:]
-    nbytes = -(-n // 8)
-    if width < 8 * nbytes:
-        filled = np.zeros(adj.shape[:-1] + (8 * nbytes,), dtype=bool)
-        filled[..., :width] = adj
-        adj = filled
-    # rows of whole bytes make one packbits of the flat array the row-wise
-    # pack, and the flat pack runs several times faster than axis=-1
-    words = _buffer(scratch, "words", adj.shape[:-1] + (-(-n // 64) * 8,),
-                    np.uint8)
-    words[..., nbytes:] = 0
-    words[..., :nbytes] = np.packbits(adj, axis=None, bitorder="little").reshape(
-        adj.shape[:-1] + (nbytes,)
-    )
-    return words.view("<u8")
+@lru_cache(maxsize=8)
+def _lex_rows(n: int) -> np.ndarray:
+    """For each pair in colex order, its index in ``combinations(range(n),
+    2)`` order."""
+    u, v = _pair_vertices(n)
+    return _read_only(u * (2 * n - u - 1) // 2 + v - u - 1)[0]
 
 
-def edge_masks(n: int, bits, scratch=None) -> np.ndarray:
-    """Neighbour masks of graphs given as edge bits of shape (..., C(n,2)),
-    in the order of ``combinations(range(n), 2)``."""
+# the O(n^3) tables: fewer of them are kept
+@lru_cache(maxsize=4)
+def _triple_pairs(n: int) -> tuple:
+    """(ab, ac, bc): the plane rows of the three pairs of every triple
+    a < b < c in colex order, where triple abc comes at C(c,3) + row ab."""
+    c = np.repeat(np.arange(n), [math.comb(c, 2) for c in range(n)])
+    ab = np.arange(c.size) - c * (c - 1) * (c - 2) // 6
+    a, b = (vertex[ab] for vertex in _pair_vertices(n))
+    top = c * (c - 1) // 2
+    return _read_only(ab, top + a, top + b)
+
+
+@lru_cache(maxsize=8)
+def _neighbours(n: int) -> np.ndarray:
+    """(n, n) plane row of the pair {v, w}, and C(n,2), one past the last
+    row, where v = w: the row of a zero plane appended to the planes."""
+    v = np.arange(n)
+    hi, lo = np.maximum.outer(v, v), np.minimum.outer(v, v)
+    rows = hi * (hi - 1) // 2 + lo
+    np.fill_diagonal(rows, math.comb(n, 2))
+    return _read_only(rows)[0]
+
+
+def edge_planes(n: int, bits) -> np.ndarray:
+    """Edge planes of the graphs whose edge bits, in the order of
+    ``combinations(range(n), 2)``, are the rows of ``bits`` (size,
+    C(n,2))."""
     bits = np.asarray(bits, dtype=bool)
-    # adjacency entry (u, v) is padded[_edge_source(n)[u, v]]; np.take
-    # returns a C-ordered array (fancy indexing would not), which packbits
-    # reads several times faster; mode="clip" writes straight into ``out``
-    # where mode="raise" would fill a temporary first
-    source = _edge_source(n)
-    padded = _buffer(scratch, "padded", bits.shape[:-1] + (bits.shape[-1] + 1,),
-                     bool)
-    padded[..., 0] = False
-    padded[..., 1:] = bits
-    adj = _buffer(scratch, "adjacency", bits.shape[:-1] + source.shape, bool)
-    np.take(padded, source, axis=-1, out=adj, mode="clip")
-    return neighbour_masks(adj, scratch)
+    size = len(bits)
+    words = -(-size // 64)
+    # rows of whole words make one packbits of the flat array the row-wise
+    # pack, and the flat pack runs several times faster than axis=-1
+    colex = bits.T[_lex_rows(n)]
+    if size % 64:
+        spread = np.zeros((len(colex), 64 * words), dtype=bool)
+        spread[:, :size] = colex
+        colex = spread
+    packed = np.packbits(colex, axis=None, bitorder="little")
+    return packed.view("<u8").reshape(len(colex), words)
 
 
-def _codegrees(masks, scratch=None):
-    """Common-neighbour masks of every vertex pair (v, u), u < v, that is an
-    edge, and zero masks for the other pairs, as little-endian words.
-    Pairs are ordered by v then u, so the pairs inside vertices 0..w-1
-    come first."""
-    n, words = masks.shape[-2:]
-    v, u, word, shift = _pairs(n)
-    shape = masks.shape[:-2] + (len(v), words)
-    common = _buffer(scratch, "common", shape, np.dtype("<u8"))
-    np.take(masks, u, axis=-2, out=common, mode="clip")
-    rows_v = np.take(masks, v, axis=-2, mode="clip",
-                     out=_buffer(scratch, "gather", shape, np.uint64))
-    common &= rows_v
-    # bit u of row v, 1 where uv is an edge and 0 elsewhere, gathered into
-    # the buffer of rows_v, which is no longer read
-    edge = np.take(masks.reshape(masks.shape[:-2] + (n * words,)), word,
-                   axis=-1, mode="clip",
-                   out=_buffer(scratch, "gather", shape[:-1], np.uint64))
-    np.right_shift(edge, shift, out=edge)
-    edge &= np.uint64(1)
-    common *= edge[..., None]
-    return common
+def _add(xs: list, ys: list) -> list:
+    """Sum of two bit-sliced numbers, each a list of digit arrays (lowest
+    first, all of one shape): digit by digit with ripple carry."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    out, carry = [], None
+    for j, x in enumerate(xs):
+        y = ys[j] if j < len(ys) else None
+        if y is None:
+            y, carry = carry, None
+        if y is None:
+            out.append(x)
+            continue
+        s, c = x ^ y, x & y
+        if carry is not None:
+            c |= carry & s
+            s ^= carry
+        out.append(s)
+        carry = c
+    if carry is not None and carry.any():
+        out.append(carry)
+    return out
 
 
-def _set_bits(masks, scratch=None) -> np.ndarray:
-    """Total set bits over the last two axes, (..., k, W) -> (...)."""
-    counts = _buffer(scratch, "bit_counts", masks.shape, np.uint8)
-    return np.bitwise_count(masks, out=counts).sum(axis=(-2, -1), dtype=np.int64)
+def _adder_tree(planes) -> list:
+    """The digits, lowest first, of the bit-sliced sum of the rows of
+    ``planes`` (k >= 1 rows): halves of the rows are added as numbers
+    until one is left, a zero row padding an odd count."""
+    digits = [planes]
+    while len(digits[0]) > 1:
+        if len(digits[0]) % 2:
+            pad = np.zeros((1, digits[0].shape[1]), np.uint64)
+            digits = [np.concatenate([d, pad]) for d in digits]
+        half = len(digits[0]) // 2
+        digits = _add([d[:half] for d in digits], [d[half:] for d in digits])
+    # one row is its own sum, which must not stay a view of the caller's rows
+    return digits if len(planes) > 1 else [planes.copy()]
 
 
-def isolated_count(masks) -> np.ndarray:
-    """Number of isolated vertices (all-zero rows) of each graph."""
-    return (~masks.any(axis=-1)).sum(axis=-1)
+def _unpack(digits: list, words: int) -> np.ndarray:
+    """(64 words,) int64 values of a bit-sliced number of (1, words)
+    digits."""
+    count = np.zeros(64 * words, dtype=np.int64)
+    for j, digit in enumerate(digits):
+        bits = np.unpackbits(digit.view(np.uint8), bitorder="little")
+        count += bits.astype(np.int64) << j
+    return count
 
 
-def triangle_count(masks, scratch=None) -> tuple:
-    """(triangle count, edge count of the union of the triangles' edge
-    sets) of each graph.
+class _Tally:
+    """Per-graph sum of the planes of a kernel's ``candidates`` subgraphs.
 
-    An edge lies in codegree-many triangles, so the triangle count is the
-    codegree sum over edges divided by 3, and the union holds the edges of
-    positive codegree.
+    ``rows(k)`` lends k rows of a buffer of about BLOCK_BYTES (or of all
+    the candidates, when they take less).  When it fills up, its rows go
+    through the adder tree into a bit-sliced running sum, which ``counts``
+    unpacks once.  The rows are padded with zero rows to a multiple of 64,
+    so that the tree's first six levels halve an even number of rows.
     """
-    common = _codegrees(masks, scratch)
-    return _set_bits(common, scratch) // 3, common.any(axis=-1).sum(axis=-1)
+
+    def __init__(self, words: int, candidates: int):
+        self.block = max(1, BLOCK_BYTES // (8 * words))
+        self.capacity = min(self.block, -(-candidates // 64) * 64)
+        self.buffer = np.empty((self.capacity, words), dtype=np.uint64)
+        self.used = 0
+        self.digits = []
+
+    def spans(self, rows: int, width: int = 1) -> list:
+        """(lo, hi) pieces of range(rows), each with ``width`` gathered
+        rows per candidate fitting the buffer."""
+        step = max(1, self.block // width)
+        return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+    def rows(self, k: int) -> np.ndarray:
+        if self.used + k > self.capacity:
+            self._flush()
+        self.used += k
+        return self.buffer[self.used - k : self.used]
+
+    def _flush(self):
+        if self.used:
+            rows = min(self.capacity, -(-self.used // 64) * 64)
+            self.buffer[self.used : rows] = 0
+            self.digits = _add(self.digits, _adder_tree(self.buffer[:rows]))
+            self.used = 0
+
+    def counts(self, size: int) -> np.ndarray:
+        self._flush()
+        return _unpack(self.digits, self.buffer.shape[1])[:size]
 
 
-def clique4_count(masks, scratch=None) -> tuple:
-    """(4-clique count, triangle count of the union of the 4-cliques'
-    triangle sets) of each graph.
+def _triangles(planes, ab, ac, bc, out):
+    """Planes of the triples with pair rows ``ab``, ``ac``, ``bc``: set
+    where all three pairs are edges."""
+    np.take(planes, ab, axis=0, out=out)
+    out &= np.take(planes, ac, axis=0)
+    out &= np.take(planes, bc, axis=0)
 
-    A triangle lies in as many 4-cliques as it has common neighbours, so
-    the 4-clique count is the sum of those over triangles divided by 4, and
-    the union holds the triangles with a common neighbour.  Triangles are
-    visited by their largest vertex w, one vertex at a time.
-    """
-    n = masks.shape[-2]
-    common = _codegrees(masks, scratch)
-    count = np.zeros(masks.shape[:-2], dtype=np.int64)
-    union = np.zeros(masks.shape[:-2], dtype=np.int64)
-    for w in range(2, n):
-        pair = common[..., : w * (w - 1) // 2, :]  # the pairs u < v < w
-        # common neighbours of u, v and w, kept where uvw is a triangle,
-        # that is where bit w of the pair's common neighbours is set: bit
-        # w % 8 of byte w // 8 of the little-endian words
-        extend = _buffer(scratch, "extend", pair.shape, np.uint64)
-        np.bitwise_and(pair, masks[..., w, None, :], out=extend)
-        triangle = pair.view(np.uint8)[..., w // 8] >> np.uint8(w % 8)
-        triangle &= np.uint8(1)
-        extend *= triangle[..., None]
-        count += _set_bits(extend, scratch)
-        union += extend.any(axis=-1).sum(axis=-1)
-    return count // 4, union
+
+def _with_zero_row(planes) -> np.ndarray:
+    """The planes with a zero plane appended, the row ``_neighbours`` gives
+    the pairs {v, v}."""
+    return np.concatenate([planes, np.zeros((1, planes.shape[1]), np.uint64)])
+
+
+def _vertex_count(n, planes, size, reduce, invert=False):
+    """Per graph, the number of vertices whose incident planes ``reduce``
+    (a ufunc) sets a bit for, or leaves it clear with ``invert``.  The
+    pairs uw with u < w are the w rows from C(w,2) on, so each w adds one
+    slice of the planes into vertex w and, row by row, into u = 0..w-1."""
+    reduced = np.zeros((n, planes.shape[1]), dtype=np.uint64)
+    for w in range(1, n):
+        below = planes[w * (w - 1) // 2 : w * (w + 1) // 2]
+        reduce.reduce(below, axis=0, out=reduced[w])
+        reduce(reduced[:w], below, out=reduced[:w])
+    if invert:
+        np.invert(reduced, out=reduced)
+    tally = _Tally(planes.shape[1], n)
+    for lo, hi in tally.spans(n):
+        tally.rows(hi - lo)[...] = reduced[lo:hi]
+    return tally.counts(size)
+
+
+def isolated_count(n: int, planes, size: int) -> np.ndarray:
+    """Isolated vertices of each graph: NOT of the OR of the incident
+    planes."""
+    return _vertex_count(n, planes, size, np.bitwise_or, invert=True)
+
+
+def odd_degree_count(n: int, planes, size: int) -> np.ndarray:
+    """Odd-degree vertices of each graph: the XOR of the incident planes."""
+    return _vertex_count(n, planes, size, np.bitwise_xor)
+
+
+def triangle_count(n: int, planes, size: int) -> np.ndarray:
+    """Triangles of each graph: P[uv] & P[uw] & P[vw] over all triples."""
+    ab, ac, bc = _triple_pairs(n)
+    tally = _Tally(planes.shape[1], len(ab))
+    for lo, hi in tally.spans(len(ab)):
+        _triangles(planes, ab[lo:hi], ac[lo:hi], bc[lo:hi], tally.rows(hi - lo))
+    return tally.counts(size)
+
+
+def clique4_count(n: int, planes, size: int) -> np.ndarray:
+    """4-cliques of each graph, by their largest vertex x: the triangles of
+    the link of x, the graph on 0..x-1 whose edges uv make a triangle uvx.
+    The link's planes are the triangle planes of the triples with largest
+    vertex x, rows C(x,3) on, one per pair below x in pair order."""
+    words = planes.shape[1]
+    tally = _Tally(words, math.comb(n, 4))
+    ab, ac, bc = _triple_pairs(n)
+    for x in range(3, n):
+        first, pairs = math.comb(x, 3), math.comb(x, 2)
+        link = np.empty((pairs, words), dtype=np.uint64)
+        for lo, hi in tally.spans(pairs):
+            rows = slice(first + lo, first + hi)
+            _triangles(planes, ab[rows], ac[rows], bc[rows], link[lo:hi])
+        for lo, hi in tally.spans(first):
+            _triangles(link, ab[lo:hi], ac[lo:hi], bc[lo:hi], tally.rows(hi - lo))
+    return tally.counts(size)
+
+
+def triangle_union_size(n: int, planes, size: int) -> np.ndarray:
+    """Edge count of the union of each graph's triangles' edge sets: the
+    edges uv with P[uw] & P[vw] set for some third vertex w, the OR over
+    all w with a zero plane standing in for the pairs {u, u}, {v, v}."""
+    u, v = _pair_vertices(n)
+    tally = _Tally(planes.shape[1], len(u))
+    padded, neighbours = _with_zero_row(planes), _neighbours(n)
+    for lo, hi in tally.spans(len(u), n):
+        common = np.take(padded, neighbours[:, u[lo:hi]], axis=0)
+        common &= np.take(padded, neighbours[:, v[lo:hi]], axis=0)
+        out = tally.rows(hi - lo)
+        np.bitwise_or.reduce(common, axis=0, out=out)
+        out &= planes[lo:hi]
+    return tally.counts(size)
+
+
+def clique4_union_size(n: int, planes, size: int) -> np.ndarray:
+    """Triangle count of the union of each graph's 4-cliques' triangle
+    sets: the triangles abc with P[ax] & P[bx] & P[cx] set for some fourth
+    vertex x, the OR over all x with a zero plane for x in abc."""
+    ab, ac, bc = _triple_pairs(n)
+    u, v = _pair_vertices(n)
+    tally = _Tally(planes.shape[1], len(ab))
+    padded, neighbours = _with_zero_row(planes), _neighbours(n)
+    for lo, hi in tally.spans(len(ab), n):
+        rows = slice(lo, hi)
+        common = np.take(padded, neighbours[:, u[ab[rows]]], axis=0)
+        common &= np.take(padded, neighbours[:, v[ab[rows]]], axis=0)
+        common &= np.take(padded, neighbours[:, v[ac[rows]]], axis=0)
+        out = tally.rows(hi - lo)
+        _triangles(planes, ab[rows], ac[rows], bc[rows], out)
+        out &= np.bitwise_or.reduce(common, axis=0)
+    return tally.counts(size)
 
 
 # ---------------------------------------------------------------------------
 # extremal lemmas
+
+
+def _one_graph_planes(g: Graph) -> np.ndarray:
+    """Edge planes of the one-graph batch ``g``."""
+    return edge_planes(g.n, [[pq in g.edges for pq in combinations(range(g.n), 2)]])
 
 
 def triangle_union_edges(g: Graph) -> tuple:
@@ -316,8 +421,9 @@ def triangle_union_edges(g: Graph) -> tuple:
     """
     if g.n < 3:
         raise ValueError(f"need n >= 3, got {g.n}")
-    j, r = triangle_count(neighbour_masks(g.adjacency()))
-    return int(j), int(r)
+    planes = _one_graph_planes(g)
+    return (int(triangle_count(g.n, planes, 1)[0]),
+            int(triangle_union_size(g.n, planes, 1)[0]))
 
 
 def clique4_union_triangles(g: Graph) -> tuple:
@@ -327,8 +433,9 @@ def clique4_union_triangles(g: Graph) -> tuple:
     """
     if g.n < 4:
         raise ValueError(f"need n >= 4, got {g.n}")
-    k, r = clique4_count(neighbour_masks(g.adjacency()))
-    return int(k), int(r)
+    planes = _one_graph_planes(g)
+    return (int(clique4_count(g.n, planes, 1)[0]),
+            int(clique4_union_size(g.n, planes, 1)[0]))
 
 
 # ---------------------------------------------------------------------------

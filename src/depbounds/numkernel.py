@@ -283,11 +283,26 @@ def binomial_median_lb_grid(ns, ps) -> np.ndarray:
     P[Bin(n,p) >= np - 1] >= 1/2, from the exact distribution; the result
     has shape ``np.shape(ns) + (len(ps),)``.
 
+    Linear scale is safe because the verdict compares with 1/2 and every
+    term is at most 1: the sum is exact to about n eps.
+    """
+    import numpy as np
+
+    out = np.empty(np.shape(ns) + np.shape(ps), dtype=bool)
+    rows_out = out.reshape(np.size(ns), np.size(ps))
+    for rows, tails in _binomial_median_tails(ns, ps):
+        rows_out[rows] = tails >= 0.5 - 1e-12
+    return out
+
+
+def _binomial_median_tails(ns, ps):
+    """Yields (rows, tails) block by block: P[Bin(n, p) >= ceil(np - 1)]
+    for the n of ``ns`` (flattened) at ``rows``, a slice, and every p of
+    ``ps``.
+
     Blocks of consecutive n are padded to their largest n.  Entry (n, p, j)
     holds ln P[Bin(n, p) = j] (-inf for j > n); the upper tail from
     j0 = ceil(np - 1) is a plain sum of the exp'd masses, never 1 - cdf.
-    Linear scale is safe because the verdict compares with 1/2 and every
-    term is at most 1: the sum is exact to about n eps.
     """
     import numpy as np
 
@@ -298,7 +313,6 @@ def binomial_median_lb_grid(ns, ps) -> np.ndarray:
     if not np.all((ps > 0.0) & (ps < 1.0)):
         raise ValueError(f"p must be in (0,1), got {ps}")
     flat = ns.ravel()
-    out = np.empty((flat.size, ps.size), dtype=bool)
     # j ln(p) + (n - j) ln(1 - p) = j ln(p / (1 - p)) + n ln(1 - p)
     log_q = np.log1p(-ps)
     log_ratio = np.log(ps) - log_q
@@ -319,5 +333,4 @@ def binomial_median_lb_grid(ns, ps) -> np.ndarray:
         j0 = np.maximum(0.0, np.ceil(n * ps - 1.0 - 1e-12))
         keep = upper[: pmf.size].reshape(shape)
         np.greater_equal(j, j0[:, :, None], out=keep)
-        out[start:stop] = np.einsum("kpj,kpj->kp", pmf, keep) >= 0.5 - 1e-12
-    return out.reshape(ns.shape + ps.shape)
+        yield slice(start, stop), np.einsum("kpj,kpj->kp", pmf, keep)

@@ -261,11 +261,20 @@ def dephoeff_bound(zdist: ZDist, t: float) -> TailBound:
     if t >= top:
         log_top = math.log(zdist.probs[top]) if t == top else NEG_INF
         return TailBound(method, log_top, {"h": math.inf})
-    # tilted weights of Z - s: each at most P[Z = j], so none overflows
-    q, down = zdist.probs[: top + 1], np.arange(-top, 1)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf drops a zero mass
+        log_q = np.log(zdist.probs[: top + 1])
+    down = np.arange(-top, 1)
+
+    def tilt(h):
+        """(weights, shift): the tilted weights q_j e^(h(j - s)), divided
+        by the largest, ln q_j + h(j - s), so that each is at most 1 and a
+        subnormal q_j costs no precision."""
+        terms = log_q + h * down
+        shift = float(terms.max())
+        return np.exp(terms - shift), shift
 
     def tilted_mean(h):
-        w = q * np.exp(h * down)
+        w, _ = tilt(h)
         return top + float(w @ down) / float(w.sum())
 
     lo, hi = 0.0, 1.0
@@ -274,7 +283,8 @@ def dephoeff_bound(zdist: ZDist, t: float) -> TailBound:
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if tilted_mean(mid) < t else (lo, mid)
     params = {"h": hi}
-    log_bound = math.log(float(q @ np.exp(hi * down))) + hi * (top - t)
+    w, shift = tilt(hi)
+    log_bound = shift + math.log(float(w.sum())) + hi * (top - t)
     return TailBound(method, _clamp(log_bound, params), params)
 
 

@@ -3,7 +3,8 @@ estimator with exact binomial confidence intervals.
 
 Every model samples in batches: ``model.batch(rng, size, scratch=None)``
 returns the statistic of ``size`` independent replications.  The graph
-models count subgraphs with the neighbour-mask kernels of ``graphcomb``.
+models count subgraphs with the bit-sliced kernels of ``graphcomb``, 64
+replications per machine word.
 
 Reproducibility contract: every batch draws from an explicit generator, and
 ``empirical_tail`` derives an independent child stream for each fixed-size
@@ -11,22 +12,25 @@ chunk of replications from (seed, chunk index).  The result is therefore a
 pure function of (model, t, reps, seed), identical for any degree of
 parallelism.
 
-A chunk is drawn as consecutive blocks of rows from its one stream, each
-block's largest array holding about ``graphcomb.BLOCK_BYTES``; models whose
-batch loops in Python over steps or edges (``stepwise``) draw it whole.
 Every model's batch draws exactly one ``rng.random((size, k))`` array and
-replication r reads row r of it, so the blocks get the rows of one
-whole-chunk draw and the result does not depend on the block size.
+replication r reads row r of it, so batches drawn one after another from
+one stream get the rows of one whole batch, and no result depends on how a
+chunk is split.  A chunk is drawn as consecutive blocks of rows, each
+block's largest array holding about ``graphcomb.BLOCK_BYTES``, except by
+the ``whole_chunks`` models, which take one batch per chunk.  A graph model
+is one of them: its batch draws its uniforms in blocks of a multiple of 64
+rows itself, packs each block's edge bits straight into its words of the
+chunk's edge planes, and runs its kernel once over the planes.  The others
+loop in Python over steps or edges, a cost each block would repeat.
 
-Each thread of an ``empirical_tail`` call passes every block it draws one
+Each thread of an ``empirical_tail`` call passes every batch it draws one
 ``scratch`` dict, a workspace that lives as long as the call.  The graph
-models write their uniforms, edge bits, masks and codegrees into buffers
-kept in it (``graphcomb._buffer``), so after a thread's first block no
-block allocates a large array, and no block pays for page faults on memory
-the allocator returned to the system when the previous block freed it.  A
-thread's workspace holds one block's whole working set, a few times
-``graphcomb.BLOCK_BYTES``; the other models ignore the argument.  Without
-a workspace (``scratch=None``, as for public callers) every array returned
+models draw their blocks of uniforms, and the edge bits and G(n,m)
+partition copies made from them, into buffers kept in it (``_buffer``), so
+after a thread's first block no block allocates these arrays again, and no
+block pays for page faults on memory the allocator returned to the system
+when the previous block freed it.  The other models ignore the argument.
+Without a workspace (``scratch=None``, as for public callers) every array
 is a new one.
 """
 
@@ -36,7 +40,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -78,17 +82,31 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 # batch samplers: every model draws `size` replications at once
 
 
+def _buffer(scratch, key, shape, dtype) -> np.ndarray:
+    """An uninitialised array of ``shape`` and ``dtype``: a view of the
+    buffer ``scratch[key]``, grown when it is too small, or a new array
+    when ``scratch`` is None.  Views of one key alias each other, so a
+    sampler gives every array it still reads its own key."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = scratch.get(key)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = scratch[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _uniforms(rng, size, k, scratch=None):
     """``rng.random((size, k))``, drawn into the buffer ``scratch["uniforms"]``
     (the same numbers: ``out=`` does not change the stream)."""
     shape = (size, k)
-    return rng.random(shape, out=gc._buffer(scratch, "uniforms", shape, np.float64))
+    return rng.random(shape, out=_buffer(scratch, "uniforms", shape, np.float64))
 
 
 def _gnp_edges(n, p, rng, size, scratch=None):
     """(size, C(n,2)) edge bits of G(n,p), in ``combinations`` order."""
     u = _uniforms(rng, size, math.comb(n, 2), scratch)
-    return np.less(u, p, out=gc._buffer(scratch, "bits", u.shape, bool))
+    return np.less(u, p, out=_buffer(scratch, "bits", u.shape, bool))
 
 
 def _gnm_edges(n, m, rng, size, scratch=None):
@@ -96,15 +114,51 @@ def _gnm_edges(n, m, rng, size, scratch=None):
     edges holding the m smallest of C(n,2) uniforms (ties have probability
     zero)."""
     u = _uniforms(rng, size, math.comb(n, 2), scratch)
-    bits = gc._buffer(scratch, "bits", u.shape, bool)
+    bits = _buffer(scratch, "bits", u.shape, bool)
     if m == 0:
         bits[...] = False
         return bits
     # the m-th smallest uniform of each row, partitioned in place in a copy
-    kth = gc._buffer(scratch, "partition", u.shape, np.float64)
+    kth = _buffer(scratch, "partition", u.shape, np.float64)
     np.copyto(kth, u)
     kth.partition(m - 1, axis=1)
     return np.less_equal(u, kth[:, m - 1 : m], out=bits)
+
+
+def _plane_rows(n) -> int:
+    """Rows per block of a graph model's uniforms: a multiple of 64 whose
+    C(n,2) uniforms per row fill about ``graphcomb.BLOCK_BYTES``."""
+    return gc.block_rows(8 * math.comb(n, 2)) // 64 * 64
+
+
+def _planes(n, size, edges):
+    """Edge planes of ``size`` graphs on n vertices, whose edge bits
+    ``edges(rows)`` draws ``rows`` graphs at a time.  Blocks of
+    ``_plane_rows(n)`` graphs fill whole words, so each block packs
+    straight into its own words of the planes."""
+    rows = _plane_rows(n)
+    planes = np.empty((math.comb(n, 2), -(-size // 64)), dtype=np.uint64)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        planes[:, start // 64 : -(-stop // 64)] = gc.edge_planes(n, edges(stop - start))
+    return planes
+
+
+def _gnp_planes(n, p, rng, size, scratch=None):
+    return _planes(n, size, partial(_gnp_edges, n, p, rng, scratch=scratch))
+
+
+def _gnm_planes(n, m, rng, size, scratch=None):
+    return _planes(n, size, partial(_gnm_edges, n, m, rng, scratch=scratch))
+
+
+def _plane_bytes(n, size, triples=False) -> int:
+    """Bytes of the largest array a graph model's batch of ``size``
+    allocates: a block of its uniforms (its edge planes, C(n,2) rows of
+    ceil(size / 64) words, are never larger), or, with ``triples``, the
+    three pair rows of every triple that the triangle kernels gather by."""
+    block = 8 * math.comb(n, 2) * min(size, _plane_rows(n))
+    return max(block, 24 * math.comb(n, 3)) if triples else block
 
 
 # -- martingale difference kernels: (size, n) arrays of Y values ------------
@@ -163,73 +217,79 @@ def _ustat_subset_counts(n: int, d: int) -> np.ndarray:
     return counts
 
 
+# The graph models block their own uniforms and run their kernel once over
+# the planes of a whole chunk (see _block_rows).
+
+
 @dataclass(frozen=True)
 class GnpIsolated:
     n: int
     p: float
+    whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        bits = _gnp_edges(self.n, self.p, rng, size, scratch)
-        return gc.isolated_count(gc.edge_masks(self.n, bits, scratch)).astype(float)
+        planes = _gnp_planes(self.n, self.p, rng, size, scratch)
+        return gc.isolated_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
         """Bytes of the largest array ``batch(rng, size)`` allocates."""
-        return gc.edge_bytes(self.n, size)
+        return _plane_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
 class GnpTriangles:
     n: int
     p: float
+    whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        bits = _gnp_edges(self.n, self.p, rng, size, scratch)
-        masks = gc.edge_masks(self.n, bits, scratch)
-        return gc.triangle_count(masks, scratch)[0].astype(float)
+        planes = _gnp_planes(self.n, self.p, rng, size, scratch)
+        return gc.triangle_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return gc.edge_bytes(self.n, size, codegrees=True)
+        return _plane_bytes(self.n, size, triples=True)
 
 
 @dataclass(frozen=True)
 class Gnp4Cliques:
     n: int
     p: float
+    whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        bits = _gnp_edges(self.n, self.p, rng, size, scratch)
-        masks = gc.edge_masks(self.n, bits, scratch)
-        return gc.clique4_count(masks, scratch)[0].astype(float)
+        planes = _gnp_planes(self.n, self.p, rng, size, scratch)
+        return gc.clique4_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return gc.edge_bytes(self.n, size, codegrees=True)
+        return _plane_bytes(self.n, size, triples=True)
 
 
 @dataclass(frozen=True)
 class GnmIsolated:
     n: int
     m: int
+    whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        bits = _gnm_edges(self.n, self.m, rng, size, scratch)
-        return gc.isolated_count(gc.edge_masks(self.n, bits, scratch)).astype(float)
+        planes = _gnm_planes(self.n, self.m, rng, size, scratch)
+        return gc.isolated_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return gc.edge_bytes(self.n, size)
+        return _plane_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
 class GnmTriangles:
     n: int
     m: int
+    whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        bits = _gnm_edges(self.n, self.m, rng, size, scratch)
-        masks = gc.edge_masks(self.n, bits, scratch)
-        return gc.triangle_count(masks, scratch)[0].astype(float)
+        planes = _gnm_planes(self.n, self.m, rng, size, scratch)
+        return gc.triangle_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return gc.edge_bytes(self.n, size, codegrees=True)
+        return _plane_bytes(self.n, size, triples=True)
 
 
 @dataclass(frozen=True)
@@ -238,7 +298,7 @@ class OrientationParity:
 
     graph: gc.Graph
     # batch() loops in Python over the edges (see _block_rows)
-    stepwise = True
+    whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
         edges = sorted(self.graph.edges)
@@ -258,15 +318,14 @@ class DegreeParity:
     """Sum of degree parities of a G(n, 1/2) random graph."""
 
     n: int
+    whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        bits = _gnp_edges(self.n, 0.5, rng, size, scratch)
-        masks = gc.edge_masks(self.n, bits, scratch)
-        degree = np.bitwise_count(masks).sum(axis=-1)
-        return (degree % 2).sum(axis=1).astype(float)
+        planes = _gnp_planes(self.n, 0.5, rng, size, scratch)
+        return gc.odd_degree_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return gc.edge_bytes(self.n, size)
+        return _plane_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -278,7 +337,7 @@ class MartingaleDiff:
     kernel: str = "polya-style"
 
     @property
-    def stepwise(self):
+    def whole_chunks(self):
         """Whether batch() loops in Python over the n steps."""
         return self.kernel == "polya-style"
 
@@ -453,11 +512,13 @@ def exact_binomial_ci(successes: int, trials: int, level: float = CI_LEVEL):
 def _block_rows(model) -> int:
     """Rows per block of ``model``'s chunks: enough to fill about
     ``graphcomb.BLOCK_BYTES`` of its largest array, and at least
-    ``graphcomb.MIN_BLOCK_ROWS``.  A ``stepwise`` model
-    loops in Python over its steps or edges in every batch, a fixed cost
-    each block would repeat and its smaller arrays do not repay, so it
-    draws its chunks whole."""
-    if getattr(model, "stepwise", False):
+    ``graphcomb.MIN_BLOCK_ROWS``.  A ``whole_chunks`` model draws its
+    chunks whole: a graph model blocks its own uniforms and counts over
+    the edge planes of the whole chunk, 64 replications per word, and the
+    others loop in Python over their steps or edges in every batch, a
+    fixed cost each block would repeat and its smaller arrays do not
+    repay."""
+    if getattr(model, "whole_chunks", False):
         return CHUNK_SIZE
     return gc.block_rows(model.batch_bytes(1))
 

@@ -283,31 +283,57 @@ def suite_identities(seed: int = 0):
     return records
 
 
-def _union_violations(masks, n, scratch):
-    """Graphs among ``masks`` (each on ``n`` vertices, padding aside) that
-    break the triangle-union or the 4-clique-union lemma; the kernels reuse
-    the workspace ``scratch`` (see graphcomb._buffer)."""
-    j, r = gc.triangle_count(masks, scratch)
-    k, rt = gc.clique4_count(masks, scratch)
-    return int((r * (n - 2) < 3 * j).sum()), int((rt * (n - 3) < 4 * k).sum())
+def _union_violations(planes, size, ns, n_max):
+    """Graphs among the ``size`` of ``planes`` on ``n_max`` vertices that
+    break the triangle-union or the 4-clique-union lemma; graph r has its
+    own ``ns[r]`` vertices, the others isolated."""
+    j = gc.triangle_count(n_max, planes, size)
+    r = gc.triangle_union_size(n_max, planes, size)
+    k = gc.clique4_count(n_max, planes, size)
+    rt = gc.clique4_union_size(n_max, planes, size)
+    return int((r * (ns - 2) < 3 * j).sum()), int((rt * (ns - 3) < 4 * k).sum())
+
+
+# bit e of the graph indices 64 k + r, r = 0..63, as one word: runs of 2^e
+# zeros and 2^e ones, alternating
+_INDEX_BITS = [0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+               0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000]
+# graphs per block of the exhaustive lemma check
+_ALL_GRAPH_WORDS = 512
+
+
+def _all_graph_planes(n: int, start: int, words: int) -> np.ndarray:
+    """Edge planes of the graphs 64 start .. 64 (start + words) - 1 of the
+    2^C(n,2) graphs on n labelled vertices, graph i having the edge of
+    plane e iff bit e of i is set.  Plane e < 6 repeats one word, and
+    plane e >= 6 is all ones or all zeros by bit e - 6 of the word index."""
+    planes = np.empty((math.comb(n, 2), words), dtype=np.uint64)
+    low = min(6, len(planes))
+    planes[:low] = np.array(_INDEX_BITS[:low], dtype=np.uint64)[:, None]
+    index = np.arange(start, start + words, dtype=np.uint64)
+    high = np.arange(len(planes) - low, dtype=np.uint64)[:, None]
+    # 0 - 1 wraps to all ones
+    np.negative((index >> high) & np.uint64(1), out=planes[low:])
+    return planes
 
 
 def _all_graph_union_check(n: int):
     """Exhaustive check of both union lemmas over all 2^C(n,2) graphs on n
-    labelled vertices, graph index i having edge e iff bit e of i is set.
-    Returns (graphs, triangle-union violations, clique-union violations)."""
-    e = math.comb(n, 2)
-    total = 1 << e
-    chunk = gc.block_rows(gc.edge_bytes(n, 1, codegrees=True))
-    scratch = {}
+    labelled vertices.  Returns (graphs, triangle-union violations,
+    clique-union violations)."""
+    total = 1 << math.comb(n, 2)
+    words = -(-total // 64)
     tv = qv = 0
-    for start in range(0, total, chunk):
-        index = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = (index[:, None] >> np.arange(e)) & 1
-        masks = gc.edge_masks(n, bits, scratch)
-        t, q = _union_violations(masks, n, scratch)
+    for start in range(0, words, _ALL_GRAPH_WORDS):
+        block = min(_ALL_GRAPH_WORDS, words - start)
+        planes = _all_graph_planes(n, start, block)
+        t, q = _union_violations(planes, min(total, 64 * block), n, n)
         tv, qv = tv + t, qv + q
     return total, tv, qv
+
+
+# random graphs per batch of the lemma suite's random pass
+_RANDOM_GRAPHS_BATCH = 4096
 
 
 def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
@@ -339,19 +365,16 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     # in the same order in both edge-bit layouts
     rng = np.random.default_rng(seed)
     _, second = np.triu_indices(30, 1)
-    chunk = gc.block_rows(gc.edge_bytes(30, 1, codegrees=True))
-    scratch = {}
     violations = 0
-    for start in range(0, random_graphs, chunk):
-        size = min(chunk, random_graphs - start)
+    for start in range(0, random_graphs, _RANDOM_GRAPHS_BATCH):
+        size = min(_RANDOM_GRAPHS_BATCH, random_graphs - start)
         ns = np.empty(size, dtype=np.int64)
         bits = np.zeros((size, second.size), dtype=bool)
         for i in range(size):
             n = ns[i] = int(rng.integers(4, 31))
             p = float(rng.random())
             bits[i, second < n] = rng.random(math.comb(n, 2)) < p
-        masks = gc.edge_masks(30, bits, scratch)
-        violations += sum(_union_violations(masks, ns, scratch))
+        violations += sum(_union_violations(gc.edge_planes(30, bits), size, ns, 30))
     records.append(
         (
             "lemmas/random-graphs",

@@ -409,7 +409,7 @@ class TestSimulate:
         ("orientation-parity --graph no-such-file.txt", "--graph"),
         ("mds --n 3 --p-vector 0.2,0.3", "--p-vector"),
         ("mds --n 5 --p 0.3 --kernel nope", "--kernel"),
-        # one 4096-replication chunk would need a 137 GiB / 7.9e3 GiB array
+        # one 4096-replication chunk would need a 2.15 GiB / 7.9e3 GiB array
         ("gnp-isolated --n 3000 --p 0.1", "--n"),
         ("ustat --n 200 --d 4 --kernel threshold-sum --theta 2", "--n"),
         # a byte count beyond the float range still gets its message

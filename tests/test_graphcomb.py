@@ -50,16 +50,35 @@ def union_reference(g):
     return len(edges), len(faces)
 
 
-def masks_of(g):
-    return gc.neighbour_masks(g.adjacency())
+def edge_bits(g):
+    """The edge bits of ``g`` in ``combinations(range(n), 2)`` order."""
+    return np.array([pq in g.edges for pq in combinations(range(g.n), 2)],
+                    dtype=bool)
 
 
-def kernel_counts(masks):
+def planes_of(*graphs):
+    """Edge planes of a batch of graphs on one vertex count."""
+    bits = np.array([edge_bits(g) for g in graphs]).reshape(len(graphs), -1)
+    return gc.edge_planes(graphs[0].n, bits)
+
+
+def kernel_counts(n, planes, size):
     """(isolated, triangles, triangle-edge union, 4-cliques,
-    4-clique-triangle union) of each graph of a batch, as int arrays."""
-    j, r = gc.triangle_count(masks)
-    k, rt = gc.clique4_count(masks)
-    return np.stack([gc.isolated_count(masks), j, r, k, rt], axis=-1)
+    4-clique-triangle union, odd-degree vertices) of each graph of a batch,
+    as int arrays."""
+    return np.stack([
+        gc.isolated_count(n, planes, size),
+        gc.triangle_count(n, planes, size),
+        gc.triangle_union_size(n, planes, size),
+        gc.clique4_count(n, planes, size),
+        gc.clique4_union_size(n, planes, size),
+        gc.odd_degree_count(n, planes, size),
+    ], axis=-1)
+
+
+def counts_of(g):
+    """``kernel_counts`` of the one-graph batch ``g``."""
+    return kernel_counts(g.n, planes_of(g), 1)[0]
 
 
 def brute_force_alpha(g):
@@ -94,129 +113,176 @@ class TestGraphBasics:
 
 class TestCounts:
     def test_empty_graph(self):
-        assert kernel_counts(masks_of(Graph.empty(7))).tolist() == [7, 0, 0, 0, 0]
+        assert counts_of(Graph.empty(7)).tolist() == [7, 0, 0, 0, 0, 0]
 
     def test_complete_k5(self):
-        assert kernel_counts(masks_of(Graph.complete(5))).tolist() == [
-            0, 10, 10, 5, 10
-        ]
+        assert counts_of(Graph.complete(5)).tolist() == [0, 10, 10, 5, 10, 0]
 
     def test_random_graphs_match_brute_force(self):
         rng = np.random.default_rng(123)
         for _ in range(50):
             g = random_graph(rng, 8, float(rng.random()))
-            iso, tri, _, quad, _ = kernel_counts(masks_of(g)).tolist()
+            iso, tri, _, quad, _, _ = counts_of(g).tolist()
             assert (tri, quad) == brute_force_counts(g)
             deg = g.adjacency().sum(axis=0)
             assert iso == int((deg == 0).sum())
 
 
 class TestMaskKernel:
-    """The neighbour-mask kernels against direct enumeration."""
+    """The edge-plane kernels against direct enumeration."""
 
     @staticmethod
     def reference(g):
         deg = g.adjacency().sum(axis=0)
         tri, quad = brute_force_counts(g)
         edges, faces = union_reference(g)
-        return [int((deg == 0).sum()), tri, edges, quad, faces]
+        return [int((deg == 0).sum()), tri, edges, quad, faces,
+                int((deg % 2).sum())]
 
     @pytest.mark.parametrize("n", list(range(1, 31)) + [65, 70])
     def test_random_graphs(self, n):
         rng = np.random.default_rng(n)
         # the references enumerate all C(n,4) quadruples: one sparse graph
-        # for the two-word sizes
+        # for the largest sizes
         ps = [0.2] if n > 64 else [0.2, 0.5, 0.9]
-        for p in ps:
-            g = random_graph(rng, n, p)
-            masks = masks_of(g)
-            assert masks.shape == (n, -(-n // 64))
-            assert kernel_counts(masks).tolist() == self.reference(g)
+        graphs = [random_graph(rng, n, p) for p in ps]
+        planes = planes_of(*graphs)
+        assert planes.dtype == np.uint64
+        assert planes.shape == (math.comb(n, 2), 1)
+        assert kernel_counts(n, planes, len(graphs)).tolist() == [
+            self.reference(g) for g in graphs]
 
-    @staticmethod
-    def int_mask_words(g):
-        """``Graph.neighbor_masks()`` (one Python int per vertex) split
-        into 64-bit words, low word first: no packing code involved."""
-        words = -(-g.n // 64)
-        return np.array(
-            [[m >> (64 * w) & (1 << 64) - 1 for w in range(words)]
-             for m in g.neighbor_masks()],
-            dtype=np.uint64,
-        ).reshape(g.n, words)
-
-    def test_edge_masks_match_graph_masks(self):
-        """Both packers against the Python-int masks, at word and byte
-        boundaries and for batches of every rank."""
+    def test_edge_planes_match_graph_edges(self):
+        """The packer against planes built from Python ints: bit r of row
+        v(v-1)/2 + u is edge uv of graph r, at word and byte boundaries
+        of the pairs and of the graphs."""
         rng = np.random.default_rng(3)
         for n in (1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 63, 64, 65, 70,
                   127, 128, 129, 130, 139):
             pairs = list(combinations(range(n), 2))
-            for shape in [(), (3,), (2, 3)]:
-                bits = rng.random(shape + (len(pairs),)) < rng.uniform(0.1, 0.9)
-                graphs = [
-                    Graph.from_edge_list(
-                        n, [pq for pq, b in zip(pairs, row) if b])
-                    for row in bits.reshape(math.prod(shape), len(pairs))
-                ]
-                want = np.array([self.int_mask_words(g) for g in graphs])
-                want = want.reshape(shape + want.shape[1:])
-                adj = np.array([g.adjacency() for g in graphs])
-                for got in (gc.edge_masks(n, bits),
-                            gc.neighbour_masks(adj.reshape(shape + (n, n)))):
-                    assert got.dtype == np.uint64
-                    assert got.shape == shape + (n, -(-n // 64))
-                    assert np.array_equal(got, want)
+            for size in (1, 63, 64, 65, 130):
+                bits = rng.random((size, len(pairs))) < rng.uniform(0.1, 0.9)
+                words = -(-size // 64)
+                want = np.zeros((len(pairs), words), dtype=np.uint64)
+                for k, (u, v) in enumerate(pairs):
+                    row = sum(1 << int(r) for r in np.flatnonzero(bits[:, k]))
+                    want[v * (v - 1) // 2 + u] = [
+                        row >> (64 * w) & (1 << 64) - 1 for w in range(words)]
+                got = gc.edge_planes(n, bits)
+                assert got.dtype == np.uint64
+                assert np.array_equal(got, want)
 
     @staticmethod
-    def loop_codegrees(masks):
-        """The codegree masks one vertex v at a time, pairs (v, u) with
-        u < v in order, masked by an explicit one-vertex mask of u."""
-        n, words = masks.shape[-2:]
-        vertex = gc.neighbour_masks(np.eye(n, dtype=bool))
-        blocks = []
-        for v in range(1, n):
-            row = masks[..., v, None, :]
-            common = row & masks[..., :v, :]
-            blocks.append(common * (row & vertex[:v]).any(axis=-1)[..., None])
-        return np.concatenate(blocks, axis=-2)
+    def loop_codegrees(n, planes):
+        """Per graph, the pairs uv that are edges with a common neighbour,
+        one third vertex w at a time, with pair rows from the colex
+        formula and no table."""
+        u, v = np.array(list(combinations(range(n), 2)), dtype=np.int64).T
+        common = np.zeros((len(u), planes.shape[1]), dtype=np.uint64)
+        for w in range(n):
+            keep = (u != w) & (v != w)
+            uw = np.maximum(u, w) * (np.maximum(u, w) - 1) // 2 + np.minimum(u, w)
+            vw = np.maximum(v, w) * (np.maximum(v, w) - 1) // 2 + np.minimum(v, w)
+            common[keep] |= planes[uw[keep]] & planes[vw[keep]]
+        common &= planes[v * (v - 1) // 2 + u]
+        bits = np.unpackbits(common.view(np.uint8), axis=-1, bitorder="little")
+        return bits.sum(axis=0, dtype=np.int64)
 
     @pytest.mark.parametrize("n", [2, 3, 20, 30, 63, 64, 65, 70, 130])
-    def test_codegree_gather_equals_the_loop(self, n):
+    def test_codegree_gather_equals_the_loop(self, n, monkeypatch):
+        """The triangle-union kernel gathers every pair's common
+        neighbours through a table with a zero plane for the pairs {w, w};
+        the loop builds them pair row by pair row."""
         rng = np.random.default_rng(n)
-        bits = rng.random((2, 3, math.comb(n, 2))) < 0.4
-        masks = gc.edge_masks(n, bits)
-        want = self.loop_codegrees(masks)
-        assert np.array_equal(gc._codegrees(masks), want)
-        scratch = {}
-        for rows in (3, 1, 3):  # the buffers shrink, then grow back
-            assert np.array_equal(gc._codegrees(masks[0, :rows], scratch),
-                                  want[0, :rows])
+        size = 70
+        planes = gc.edge_planes(n, rng.random((size, math.comb(n, 2))) < 0.4)
+        want = self.loop_codegrees(n, planes)[:size]
+        assert np.array_equal(gc.triangle_union_size(n, planes, size), want)
+        # blocks of a few rows: many spans, many adder-tree passes
+        monkeypatch.setattr(gc, "BLOCK_BYTES", 8 * planes.shape[1] * 3)
+        assert np.array_equal(gc.triangle_union_size(n, planes, size), want)
 
-    def test_edge_masks_without_scratch_are_new_arrays(self):
-        rng = np.random.default_rng(2)
-        bits = rng.random((2, 4, 45)) < 0.5
-        first = gc.edge_masks(10, bits[0])
-        kept = first.copy()
-        second = gc.edge_masks(10, bits[1])
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, kept)
-        assert first.flags.writeable and second.flags.writeable
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 4097])
+    def test_padding_bits_never_count(self, size):
+        """Batches that fill their last word or not: the bits past
+        ``size`` stay zero, and set to one they change no count (the
+        isolated kernel's NOT sets them)."""
+        n = 6
+        rng = np.random.default_rng(size)
+        graphs = [random_graph(rng, n, float(rng.uniform(0.05, 0.95)))
+                  for _ in range(size)]
+        planes = planes_of(*graphs)
+        assert planes.shape == (15, -(-size // 64))
+        pad = np.uint64(0) if size % 64 == 0 else ~np.uint64((1 << size % 64) - 1)
+        assert not (planes[:, -1] & pad).any()
+        want = [self.reference(g) for g in graphs]
+        assert kernel_counts(n, planes, size).tolist() == want
+        planes[:, -1] |= pad
+        assert kernel_counts(n, planes, size).tolist() == want
 
     def test_padded_batch_of_mixed_sizes(self):
-        # graphs of 1..66 vertices padded with isolated vertices to 70:
-        # padding changes the isolated count only
+        # graphs of 1..66 vertices as prefixes of 70-vertex planes, their
+        # other vertices isolated, in two words; the planes come from the
+        # colex formula.  Padding changes the isolated count only.
         rng = np.random.default_rng(11)
+        sizes = [1, 4, 5, 12, 30, 66] + [int(x) for x in rng.integers(1, 13, 64)]
         graphs = [random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
-                  for n in (1, 4, 5, 12, 30, 66)]
-        masks = np.zeros((len(graphs), 70, 2), dtype=np.uint64)
+                  for n in sizes]
+        planes = np.zeros((math.comb(70, 2), 2), dtype=np.uint64)
         for i, g in enumerate(graphs):
-            m = masks_of(g)
-            masks[i, :g.n, :m.shape[-1]] = m
-        got = kernel_counts(masks)
+            for u, v in g.edges:
+                planes[v * (v - 1) // 2 + u, i // 64] |= np.uint64(1 << i % 64)
+        got = kernel_counts(70, planes, len(graphs))
         for g, row in zip(graphs, got.tolist()):
             want = self.reference(g)
             want[0] += 70 - g.n
             assert row == want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_all_graph_planes_match_the_bit_indices(self, n):
+        """Plane e of the exhaustive lemma check holds bit e of each graph
+        index, for whole ranges of words and for a block in the middle."""
+        from depbounds.verify import _all_graph_planes
+
+        pairs = math.comb(n, 2)
+        words = -(-(1 << pairs) // 64)
+        for start, count in [(0, words), (words // 3, max(1, words // 4))]:
+            got = _all_graph_planes(n, start, count)
+            index = 64 * start + np.arange(64 * count)
+            bits = (index[:, None] >> np.arange(pairs)) & 1
+            want = np.packbits(np.ascontiguousarray(bits.T, dtype=bool),
+                               axis=-1, bitorder="little")
+            assert np.array_equal(got, want.view("<u8"))
+
+    def test_exhaustive_planes_count_every_graph(self):
+        """All 1024 graphs on 5 vertices through the closed-form planes,
+        graph i having the pair of plane e iff bit e of i is set."""
+        from depbounds.verify import _all_graph_planes
+
+        pairs = [(u, v) for v in range(5) for u in range(v)]  # colex order
+        got = kernel_counts(5, _all_graph_planes(5, 0, 16), 1024)
+        for i, row in enumerate(got.tolist()):
+            g = Graph.from_edge_list(
+                5, [pq for e, pq in enumerate(pairs) if i >> e & 1])
+            assert row == self.reference(g)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("block_rows", [1, 3, 64, 100, 4096])
+    def test_vertical_count_equals_the_unpacked_sum(self, rows, block_rows,
+                                                    monkeypatch):
+        """The adder tree's per-bit sums of rows fed a few at a time, for
+        buffers of one row, of odd sizes and of whole multiples of 64."""
+        monkeypatch.setattr(gc, "BLOCK_BYTES", 8 * 3 * block_rows)
+        rng = np.random.default_rng(rows)
+        planes = rng.integers(0, 2**64, size=(rows, 3), dtype=np.uint64)
+        want = np.unpackbits(planes.view(np.uint8), axis=-1,
+                             bitorder="little").sum(axis=0)
+        tally = gc._Tally(3, rows)
+        for lo, hi in tally.spans(rows, 2):
+            tally.rows(hi - lo)[...] = planes[lo:hi]
+        got = tally.counts(190)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[:190])
 
 
 class TestUnionLemmas:
@@ -321,15 +387,19 @@ class TestGnpConstants:
             gc.gnp_rate("pentagons", 10, 0.5)
 
 
+def all_gnm_planes(n, m):
+    """(edge planes, count) of all graphs on n vertices with m edges."""
+    pairs = math.comb(n, 2)
+    bits = np.zeros((math.comb(pairs, m), pairs), dtype=bool)
+    for row, edges in zip(bits, combinations(range(pairs), m)):
+        row[list(edges)] = True
+    return gc.edge_planes(n, bits), len(bits)
+
+
 def exact_gnm_triangle_tail(n, m, t):
     """Exact P[triangle count of G(n,m) >= t] by enumerating all graphs."""
-    pairs = list(combinations(range(n), 2))
-    hits = total = 0
-    for mask_pairs in combinations(range(len(pairs)), m):
-        g = Graph.from_edge_list(n, [pairs[i] for i in mask_pairs])
-        total += 1
-        if gc.triangle_count(masks_of(g))[0] >= t:
-            hits += 1
+    planes, total = all_gnm_planes(n, m)
+    hits = int((gc.triangle_count(n, planes, total) >= t).sum())
     return Fraction(hits, total)
 
 
@@ -350,14 +420,10 @@ class TestGnmBounds:
     def test_isolated_exact_tail_is_probability(self):
         # the inclusion-exclusion oracle against direct enumeration
         n, m = 6, 5
-        pairs = list(combinations(range(n), 2))
+        planes, total = all_gnm_planes(n, m)
+        isolated = gc.isolated_count(n, planes, total)
         for t in range(0, n + 1):
-            hits = total = 0
-            for mask_pairs in combinations(range(len(pairs)), m):
-                g = Graph.from_edge_list(n, [pairs[i] for i in mask_pairs])
-                total += 1
-                if gc.isolated_count(masks_of(g)) >= t:
-                    hits += 1
+            hits = int((isolated >= t).sum())
             assert gc.gnm_isolated_exact_tail(n, m, t) == Fraction(hits, total)
 
     def test_isolated_m0(self):

@@ -15,6 +15,7 @@ from depbounds.numkernel import (
     BinomialSpec,
     PoissonBinomialSpec,
     _binom_pmf_log_vec,
+    _binomial_median_tails,
     _log_beta,
     binom_pmf_log,
     binom_tail_log,
@@ -284,6 +285,20 @@ class TestBinomialMedian:
             tail = to_prob(binom_tail_log(BinomialSpec(n, p), j0))
             want.append(tail >= 0.5 - 1e-12)
         assert binomial_median_lb_grid(n, ps).tolist() == want
+
+    def test_grid_tails_match_scalar_tail(self):
+        # the tails themselves, not only the verdicts: every verdict holds
+        # with a wide margin, so a tail off by a few percent passes them
+        ns, ps = np.arange(1, 201), np.arange(1, 100) / 100.0
+        blocks = list(_binomial_median_tails(ns, ps))
+        assert [rows.stop for rows, _ in blocks][-1] == 200
+        got = np.concatenate([tails for _, tails in blocks])
+        assert got.shape == (200, 99)
+        for n, row in zip(ns.tolist(), got.tolist()):
+            for p, tail in zip(ps.tolist(), row):
+                j0 = max(0, math.ceil(n * p - 1.0 - 1e-12))
+                want = to_prob(binom_tail_log(BinomialSpec(n, p), j0))
+                assert tail == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

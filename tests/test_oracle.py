@@ -408,6 +408,23 @@ class TestDephoeff:
             tail = oc.exact_tail(dist, t)
             assert tail == 0.0 or math.log(tail) <= tb.log_bound + 1e-12
 
+    @pytest.mark.parametrize("t", [1.2, 1.5, 1.8])
+    def test_subnormal_top_mass_keeps_precision(self, t):
+        # near the best tilt the terms q_j e^(h(j - 2)) are subnormal unless
+        # they are shifted by the largest one
+        from scipy.optimize import minimize_scalar
+
+        probs = np.array([1.0 - 2e-160, 2e-160, 1e-320])
+        log_q = np.log(probs)
+
+        def value(h):
+            return scipy.special.logsumexp(log_q + h * np.arange(3)) - h * t
+
+        best = minimize_scalar(value, bounds=(0.0, 1000.0), method="bounded",
+                               options={"xatol": 1e-10}).fun
+        got = oc.dephoeff_bound(oc.ZDist(probs), t).log_bound
+        assert got == pytest.approx(best, rel=1e-12)
+
     def test_t_below_mean_invalid(self):
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))
         for t in (4.0, 5.0, -math.inf):

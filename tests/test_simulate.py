@@ -29,9 +29,9 @@ class TestSampleGnp:
         assert not sim._gnp_edges(6, 0.0, rng, 20).any()
         full = sim._gnp_edges(6, 1.0, rng, 20)
         assert full.all()
-        complete = gc.neighbour_masks(Graph.complete(6).adjacency())
-        assert np.array_equal(gc.edge_masks(6, full), np.broadcast_to(
-            complete, (20, 6, 1)))
+        # 20 complete graphs: each of the 15 planes holds 20 one bits
+        assert np.array_equal(gc.edge_planes(6, full),
+                              np.full((15, 1), (1 << 20) - 1, dtype=np.uint64))
 
     def test_uniform_over_all_graphs(self):
         # G(4, 1/2) puts equal mass on all 64 labelled graphs
@@ -232,6 +232,29 @@ def test_golden_graph_mc_models(model, t, tail):
     assert got == f"SimResult(replications=4096, threshold={t!r}, " + tail
 
 
+# 1000 replications end in a partial 64-bit word; n = 70 spans two words
+# of the neighbour masks the kernels used when these were recorded
+PINNED = [
+    (sim.DegreeParity(12), 6.0,
+     "empirical_tail=0.722, ci_low=0.6733111069887058, "
+     "ci_high=0.7672977246572404, seed=1, sum_mean=6.008)"),
+    (sim.GnpTriangles(70, 0.05), 7.0,
+     "empirical_tail=0.494, ci_low=0.44167890511355373, "
+     "ci_high=0.5464126165221662, seed=1, sum_mean=6.828)"),
+    (sim.Gnp4Cliques(24, 0.3), 8.0,
+     "empirical_tail=0.433, ci_low=0.3816069706310352, "
+     "ci_high=0.48541513592954516, seed=1, sum_mean=8.129)"),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("model,t,tail", PINNED,
+                         ids=[type(m).__name__ for m, _, _ in PINNED])
+def test_pinned_partial_word_models(model, t, tail, threads):
+    got = repr(sim.empirical_tail(model, t, 1000, seed=1, threads=threads))
+    assert got == f"SimResult(replications=1000, threshold={t!r}, " + tail
+
+
 class TestBatchBytes:
     MODELS = [
         sim.GnpIsolated(30, 0.1),
@@ -262,9 +285,11 @@ class TestBatchBytes:
         assert need <= peak <= 4 * need + (1 << 20)
 
     def test_chunk_sizes_of_oversized_models(self):
+        # a graph model's largest array is a block of 64 rows of uniforms,
+        # or the triangle kernels' three pair rows of every triple
         assert sim.GnpIsolated(3000, 0.1).batch_bytes(sim.CHUNK_SIZE) == (
-            8 * sim.CHUNK_SIZE * math.comb(3000, 2))
-        assert sim.GnmTriangles(100, 10).batch_bytes(1) == 8 * math.comb(100, 2) * 2
+            8 * 64 * math.comb(3000, 2))
+        assert sim.GnmTriangles(100, 10).batch_bytes(1) == 24 * math.comb(100, 3)
         threshold_sum = sim.UStat(200, 4, "threshold-sum", (("theta", 2.0),))
         assert threshold_sum.batch_bytes(sim.CHUNK_SIZE) == (
             8 * sim.CHUNK_SIZE * 4 * math.comb(200, 4))
@@ -345,10 +370,10 @@ class TestBlocks:
     @pytest.mark.parametrize("model", PEAK_MODELS,
                              ids=lambda m: type(m).__name__)
     def test_chunk_peak_is_about_one_block(self, model):
-        """A block's workspace holds its uniforms, its edge bits and masks
-        and the codegree masks at once, each at most about BLOCK_BYTES, so
-        8 BLOCK_BYTES leaves room for numpy's temporaries.  Whole-chunk
-        batches peaked at 18-29 MiB here."""
+        """A chunk holds one block of uniforms and its edge bits, the
+        chunk's edge planes and a kernel's buffer and gathered rows, each
+        at most about BLOCK_BYTES, so 8 BLOCK_BYTES leaves room for numpy's
+        temporaries.  Whole-chunk batches peaked at 18-29 MiB here."""
         assert self.peak(model, sim.CHUNK_SIZE) < 8 * gc.BLOCK_BYTES
 
     @pytest.mark.parametrize("model", PEAK_MODELS,

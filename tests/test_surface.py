@@ -6,6 +6,7 @@ nothing reads, and every public name that only tests read says why."""
 import ast
 import importlib
 import io
+import json
 import subprocess
 import sys
 import tokenize
@@ -177,3 +178,26 @@ def test_test_only_check_sees_a_new_name():
                "from .m import read\n"]
     assert public_names_only_tests_read(
         sources, {"m": ["read", "unread"]}) == ["m.unread"]
+
+
+def test_cli_import_builds_no_kernel_table():
+    """Importing the CLI fills none of the cached index tables of the
+    graph and simulate kernels: each is built on a model's first batch, so
+    no table build adds to the import every command pays for."""
+    code = (
+        "import json, depbounds.cli\n"
+        "from depbounds import graphcomb, simulate\n"
+        "caches = {f'{m.__name__}.{name}': f for m in (graphcomb, simulate)\n"
+        "          for name, f in vars(m).items() if hasattr(f, 'cache_info')}\n"
+        "filled = sorted(k for k, f in caches.items() if f.cache_info().currsize)\n"
+        "graphcomb._triple_pairs(5)\n"
+        "seen = graphcomb._triple_pairs.cache_info().currsize\n"
+        "print(json.dumps([sorted(caches), filled, seen]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=SRC.parent, check=True)
+    caches, filled, seen = json.loads(proc.stdout)
+    assert "depbounds.graphcomb._triple_pairs" in caches
+    assert "depbounds.simulate._ustat_tuples" in caches
+    assert filled == []
+    assert seen == 1  # the probe sees a table once one is built
