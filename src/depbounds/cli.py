@@ -471,9 +471,14 @@ def _fit_chunk(model, name):
 
     need = model.batch_bytes(sim.CHUNK_SIZE)
     if need > sim.CHUNK_BYTES_MAX:
-        # a byte count over C(n, d) tuples can be beyond the float range
-        array = (f"a {need / 2**30:.3g} GiB array" if need.bit_length() < 1000
-                 else f"an array of over 2^{need.bit_length() - 31} GiB")
+        # a byte count over C(n, d) tuples can be beyond the float range;
+        # the size is rounded up to 3 digits, so it never reads as the limit
+        if need.bit_length() < 1000:
+            gib = need / 2**30
+            scale = 10.0 ** (2 - math.floor(math.log10(gib)))
+            array = f"a {math.ceil(gib * scale) / scale:.3g} GiB array"
+        else:
+            array = f"an array of over 2^{need.bit_length() - 31} GiB"
         raise UsageError(
             f"--{SIM_MODELS[name].size} is too large: one "
             f"{sim.CHUNK_SIZE}-replication chunk of {name} needs "

@@ -23,6 +23,7 @@ __all__ = [
     "Graph",
     "BLOCK_BYTES",
     "edge_planes",
+    "bit_counts",
     "isolated_count",
     "odd_degree_count",
     "triangle_count",
@@ -325,9 +326,15 @@ def _vertex_count(n, planes, size, reduce, invert=False):
         reduce(reduced[:w], below, out=reduced[:w])
     if invert:
         np.invert(reduced, out=reduced)
-    tally = _Tally(planes.shape[1], n)
-    for lo, hi in tally.spans(n):
-        tally.rows(hi - lo)[...] = reduced[lo:hi]
+    return bit_counts(reduced, size)
+
+
+def bit_counts(planes, size: int) -> np.ndarray:
+    """Per replication r < size, the number of rows of ``planes`` (k, W)
+    whose bit r is set."""
+    tally = _Tally(planes.shape[1], len(planes))
+    for lo, hi in tally.spans(len(planes)):
+        tally.rows(hi - lo)[...] = planes[lo:hi]
     return tally.counts(size)
 
 

@@ -8,28 +8,33 @@ replications per machine word.
 
 Reproducibility contract: every batch draws from an explicit generator, and
 ``empirical_tail`` derives an independent child stream for each fixed-size
-chunk of replications from (seed, chunk index).  The result is therefore a
-pure function of (model, t, reps, seed), identical for any degree of
-parallelism.
+chunk of replications from (seed, chunk index) and draws each chunk the
+same way on any thread.  The result is therefore a pure function of
+(model, t, reps, seed), identical for any degree of parallelism.
 
-Every model's batch draws exactly one ``rng.random((size, k))`` array and
+The bit-sliced models (the G(n,p) models, ``DegreeParity`` and the
+all-below ``UStat``) draw their Bernoulli bits straight into planes, 64
+replications per word (``_bernoulli_planes``), so replications share
+random words and a batch is not the concatenation of smaller ones: these
+are ``whole_chunks`` models, and a chunk of theirs is never split.  Every
+other model's batch draws exactly one ``rng.random((size, k))`` array and
 replication r reads row r of it, so batches drawn one after another from
 one stream get the rows of one whole batch, and no result depends on how a
-chunk is split.  A chunk is drawn as consecutive blocks of rows, each
+chunk is split.  Such a chunk is drawn as consecutive blocks of rows, each
 block's largest array holding about ``graphcomb.BLOCK_BYTES``, except by
-the ``whole_chunks`` models, which take one batch per chunk.  A graph model
-is one of them: its batch draws its uniforms in blocks of a multiple of 64
-rows itself, packs each block's edge bits straight into its words of the
-chunk's edge planes, and runs its kernel once over the planes.  The others
+the other ``whole_chunks`` models, which take one batch per chunk: a G(n,m)
+model's batch draws its uniforms in blocks of a multiple of 64 rows
+itself, packs each block's edge bits straight into its words of the
+chunk's edge planes, and runs its kernel once over the planes; the others
 loop in Python over steps or edges, a cost each block would repeat.
 
 Each thread of an ``empirical_tail`` call passes every batch it draws one
-``scratch`` dict, a workspace that lives as long as the call.  The graph
-models draw their blocks of uniforms, and the edge bits and G(n,m)
-partition copies made from them, into buffers kept in it (``_buffer``), so
-after a thread's first block no block allocates these arrays again, and no
-block pays for page faults on memory the allocator returned to the system
-when the previous block freed it.  The other models ignore the argument.
+``scratch`` dict, a workspace that lives as long as the call.  The G(n,m)
+models draw their blocks of uniforms, and the edge bits and partition
+copies made from them, into buffers kept in it (``_buffer``), so after a
+thread's first block no block allocates these arrays again, and no block
+pays for page faults on memory the allocator returned to the system when
+the previous block freed it.  The other models ignore the argument.
 Without a workspace (``scratch=None``, as for public callers) every array
 is a new one.
 """
@@ -40,7 +45,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -103,10 +108,83 @@ def _uniforms(rng, size, k, scratch=None):
     return rng.random(shape, out=_buffer(scratch, "uniforms", shape, np.float64))
 
 
-def _gnp_edges(n, p, rng, size, scratch=None):
-    """(size, C(n,2)) edge bits of G(n,p), in ``combinations`` order."""
-    u = _uniforms(rng, size, math.comb(n, 2), scratch)
-    return np.less(u, p, out=_buffer(scratch, "bits", u.shape, bool))
+# -- exact Bernoulli bits, 64 per word ---------------------------------------
+
+_ALL_ONES = np.uint64(2**64 - 1)
+# words per block of the dense levels, whose arrays hold one block each:
+# 64 KiB, an eighth of BLOCK_BYTES
+_LEVEL_WORDS = gc.BLOCK_BYTES // 64
+# levels drawn over every word of a block: after them about one word in
+# five still holds an undecided bit, and those words are listed
+_DENSE_LEVELS = 8
+
+
+def _level(rng, digit, undecided):
+    """One level of ``_bernoulli_planes``: each undecided bit draws a random
+    bit, and where that is 0 (U's digit differs from p's) the bit is decided
+    to ``digit``.  Returns (the bits still undecided, the bits decided to 1
+    or None); both may reuse ``undecided``'s memory."""
+    r = rng.integers(0, 1 << 64, undecided.size, dtype=np.uint64)
+    if not digit:
+        undecided &= r
+        return undecided, None
+    np.bitwise_and(undecided, r, out=r)
+    np.bitwise_xor(undecided, r, out=undecided)
+    return r, undecided
+
+
+def _bernoulli_planes(rng, rows, words, p):
+    """(rows, words) uint64 array of i.i.d. bits with P(bit = 1) exactly p.
+
+    Each bit compares a uniform U = 0.u1u2... with p = 0.d1d2... (p's
+    binary digits, from ``p.as_integer_ratio()``) one digit at a time and
+    is 1 iff U < p: at level i, u_i differs from d_i with probability 1/2,
+    and then the bit is d_i; otherwise level i + 1 decides it.  When p's
+    digits run out, the bits left undecided have U >= p and are 0.  A
+    level draws one random word for every word that still holds an
+    undecided bit, so its 64 bits are decided side by side, where one bit
+    alone would take 2 random bits on average (Knuth & Yao 1976).  The
+    first ``_DENSE_LEVELS`` levels run block by block over every word;
+    the words still undecided after them are listed, and the later levels
+    run over that list alone, shortened level by level: about 8.5 draws
+    per word in all, and exactly one at p = 1/2.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if p == 0.0 or p == 1.0:
+        return np.full((rows, words), _ALL_ONES if p else 0, dtype=np.uint64)
+    num, den = float(p).as_integer_ratio()
+    digits = [num >> k & 1 for k in range(den.bit_length() - 2, -1, -1)]
+    dense, sparse = digits[:_DENSE_LEVELS], digits[_DENSE_LEVELS:]
+    planes = np.zeros(rows * words, dtype=np.uint64)
+    listed = []
+    for lo in range(0, planes.size, _LEVEL_WORDS):
+        out = planes[lo : lo + _LEVEL_WORDS]
+        undecided = np.full(out.size, _ALL_ONES)
+        for digit in dense:
+            undecided, ones = _level(rng, digit, undecided)
+            if ones is not None:
+                out |= ones
+        if sparse:
+            live = np.flatnonzero(undecided)
+            listed.append((live + lo, undecided[live]))
+    if sparse:
+        where = np.concatenate([w for w, _ in listed])
+        undecided = np.concatenate([u for _, u in listed])
+        for digit in sparse:
+            if not where.size:
+                break
+            undecided, ones = _level(rng, digit, undecided)
+            if ones is not None:
+                planes[where] |= ones
+            live = np.flatnonzero(undecided)
+            where, undecided = where[live], undecided[live]
+    return planes.reshape(rows, words)
+
+
+def _gnp_planes(n, p, rng, size):
+    """Edge planes of ``size`` G(n,p) graphs, every edge bit Bernoulli(p)."""
+    return _bernoulli_planes(rng, math.comb(n, 2), -(-size // 64), p)
 
 
 def _gnm_edges(n, m, rng, size, scratch=None):
@@ -126,39 +204,43 @@ def _gnm_edges(n, m, rng, size, scratch=None):
 
 
 def _plane_rows(n) -> int:
-    """Rows per block of a graph model's uniforms: a multiple of 64 whose
+    """Rows per block of a G(n,m) model's uniforms: a multiple of 64 whose
     C(n,2) uniforms per row fill about ``graphcomb.BLOCK_BYTES``."""
     return gc.block_rows(8 * math.comb(n, 2)) // 64 * 64
 
 
-def _planes(n, size, edges):
-    """Edge planes of ``size`` graphs on n vertices, whose edge bits
-    ``edges(rows)`` draws ``rows`` graphs at a time.  Blocks of
-    ``_plane_rows(n)`` graphs fill whole words, so each block packs
-    straight into its own words of the planes."""
+def _gnm_planes(n, m, rng, size, scratch=None):
+    """Edge planes of ``size`` G(n,m) graphs.  Blocks of ``_plane_rows(n)``
+    graphs fill whole words, so each block's edge bits pack straight into
+    its own words of the planes."""
     rows = _plane_rows(n)
     planes = np.empty((math.comb(n, 2), -(-size // 64)), dtype=np.uint64)
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        planes[:, start // 64 : -(-stop // 64)] = gc.edge_planes(n, edges(stop - start))
+        edges = _gnm_edges(n, m, rng, stop - start, scratch)
+        planes[:, start // 64 : -(-stop // 64)] = gc.edge_planes(n, edges)
     return planes
 
 
-def _gnp_planes(n, p, rng, size, scratch=None):
-    return _planes(n, size, partial(_gnp_edges, n, p, rng, scratch=scratch))
-
-
-def _gnm_planes(n, m, rng, size, scratch=None):
-    return _planes(n, size, partial(_gnm_edges, n, m, rng, scratch=scratch))
-
-
-def _plane_bytes(n, size, triples=False) -> int:
-    """Bytes of the largest array a graph model's batch of ``size``
-    allocates: a block of its uniforms (its edge planes, C(n,2) rows of
-    ceil(size / 64) words, are never larger), or, with ``triples``, the
-    three pair rows of every triple that the triangle kernels gather by."""
-    block = 8 * math.comb(n, 2) * min(size, _plane_rows(n))
+def _plane_bytes(n, rows, triples=False) -> int:
+    """Bytes of ``rows`` rows of C(n,2) 8-byte values, or, with
+    ``triples``, of the three pair rows of every triple that the triangle
+    kernels gather by, if that is larger."""
+    block = 8 * math.comb(n, 2) * rows
     return max(block, 24 * math.comb(n, 3)) if triples else block
+
+
+def _gnp_bytes(n, size, triples=False) -> int:
+    """Bytes of the largest array a G(n,p) batch allocates: its edge
+    planes, one row of C(n,2) words per 64 graphs."""
+    return _plane_bytes(n, -(-size // 64), triples)
+
+
+def _gnm_bytes(n, size, triples=False) -> int:
+    """Bytes of the largest array a G(n,m) batch allocates: a block of its
+    uniforms, one row of C(n,2) per graph (its edge planes are never
+    larger)."""
+    return _plane_bytes(n, min(size, _plane_rows(n)), triples)
 
 
 # -- martingale difference kernels: (size, n) arrays of Y values ------------
@@ -217,8 +299,8 @@ def _ustat_subset_counts(n: int, d: int) -> np.ndarray:
     return counts
 
 
-# The graph models block their own uniforms and run their kernel once over
-# the planes of a whole chunk (see _block_rows).
+# The graph models run their kernel once over the planes of a whole chunk
+# (see _block_rows).
 
 
 @dataclass(frozen=True)
@@ -228,12 +310,12 @@ class GnpIsolated:
     whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        planes = _gnp_planes(self.n, self.p, rng, size, scratch)
+        planes = _gnp_planes(self.n, self.p, rng, size)
         return gc.isolated_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
         """Bytes of the largest array ``batch(rng, size)`` allocates."""
-        return _plane_bytes(self.n, size)
+        return _gnp_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -243,11 +325,11 @@ class GnpTriangles:
     whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        planes = _gnp_planes(self.n, self.p, rng, size, scratch)
+        planes = _gnp_planes(self.n, self.p, rng, size)
         return gc.triangle_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return _plane_bytes(self.n, size, triples=True)
+        return _gnp_bytes(self.n, size, triples=True)
 
 
 @dataclass(frozen=True)
@@ -257,11 +339,11 @@ class Gnp4Cliques:
     whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        planes = _gnp_planes(self.n, self.p, rng, size, scratch)
+        planes = _gnp_planes(self.n, self.p, rng, size)
         return gc.clique4_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return _plane_bytes(self.n, size, triples=True)
+        return _gnp_bytes(self.n, size, triples=True)
 
 
 @dataclass(frozen=True)
@@ -275,7 +357,7 @@ class GnmIsolated:
         return gc.isolated_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return _plane_bytes(self.n, size)
+        return _gnm_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -289,7 +371,7 @@ class GnmTriangles:
         return gc.triangle_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return _plane_bytes(self.n, size, triples=True)
+        return _gnm_bytes(self.n, size, triples=True)
 
 
 @dataclass(frozen=True)
@@ -321,11 +403,11 @@ class DegreeParity:
     whole_chunks = True
 
     def batch(self, rng, size, scratch=None):
-        planes = _gnp_planes(self.n, 0.5, rng, size, scratch)
+        planes = _gnp_planes(self.n, 0.5, rng, size)
         return gc.odd_degree_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
-        return _plane_bytes(self.n, size)
+        return _gnp_bytes(self.n, size)
 
 
 @dataclass(frozen=True)
@@ -364,15 +446,22 @@ class UStat:
     kernel: str = "all-below"
     kernel_args: tuple = field(default_factory=tuple)  # (("c", 0.5), ...)
 
+    @property
+    def whole_chunks(self):
+        """Whether batch() draws bit-sliced planes, 64 replications per
+        word."""
+        return self.kernel == "all-below"
+
     def batch(self, rng, size, scratch=None):
         kw = dict(self.kernel_args)
-        u = rng.random((size, self.n))
         if self.kernel == "all-below":
-            # the d-subsets inside the B coordinates at or below c number
-            # exactly C(B, d)
-            below = (u <= kw["c"]).sum(axis=1)
-            return _ustat_subset_counts(self.n, self.d)[below]
+            # coordinate i of replication r is at or below c with
+            # probability c: bit r of row i; the d-subsets inside the B
+            # coordinates at or below c number exactly C(B, d)
+            planes = _bernoulli_planes(rng, self.n, -(-size // 64), kw["c"])
+            return _ustat_subset_counts(self.n, self.d)[gc.bit_counts(planes, size)]
         if self.kernel == "threshold-sum":
+            u = rng.random((size, self.n))
             tuples = _ustat_tuples(self.n, self.d)
             return (
                 (u[:, tuples].sum(axis=2) >= kw["theta"]).sum(axis=1).astype(float)
@@ -381,7 +470,7 @@ class UStat:
 
     def batch_bytes(self, size):
         if self.kernel == "all-below":
-            return 8 * size * self.n  # the uniforms
+            return 8 * self.n * -(-size // 64)  # the planes
         # the uniforms gathered at every d-subset, d C(n, d) >= n of them
         return 8 * size * self.d * math.comb(self.n, self.d)
 
@@ -513,11 +602,11 @@ def _block_rows(model) -> int:
     """Rows per block of ``model``'s chunks: enough to fill about
     ``graphcomb.BLOCK_BYTES`` of its largest array, and at least
     ``graphcomb.MIN_BLOCK_ROWS``.  A ``whole_chunks`` model draws its
-    chunks whole: a graph model blocks its own uniforms and counts over
-    the edge planes of the whole chunk, 64 replications per word, and the
-    others loop in Python over their steps or edges in every batch, a
-    fixed cost each block would repeat and its smaller arrays do not
-    repay."""
+    chunks whole: a bit-sliced model shares its random words among 64
+    replications, a G(n,m) model blocks its own uniforms and counts over
+    the edge planes of the whole chunk, and the others loop in Python over
+    their steps or edges in every batch, a fixed cost each block would
+    repeat and its smaller arrays do not repay."""
     if getattr(model, "whole_chunks", False):
         return CHUNK_SIZE
     return gc.block_rows(model.batch_bytes(1))

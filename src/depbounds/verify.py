@@ -368,12 +368,12 @@ def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     violations = 0
     for start in range(0, random_graphs, _RANDOM_GRAPHS_BATCH):
         size = min(_RANDOM_GRAPHS_BATCH, random_graphs - start)
-        ns = np.empty(size, dtype=np.int64)
+        ns = rng.integers(4, 31, size)
+        ps = rng.random(size)
+        # row r's C(n_r, 2) pairs, each an edge with probability p_r
+        pairs = ns * (ns - 1) // 2
         bits = np.zeros((size, second.size), dtype=bool)
-        for i in range(size):
-            n = ns[i] = int(rng.integers(4, 31))
-            p = float(rng.random())
-            bits[i, second < n] = rng.random(math.comb(n, 2)) < p
+        bits[second < ns[:, None]] = rng.random(pairs.sum()) < np.repeat(ps, pairs)
         violations += sum(_union_violations(gc.edge_planes(30, bits), size, ns, 30))
     records.append(
         (

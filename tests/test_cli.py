@@ -486,6 +486,16 @@ class TestSimulate:
         assert "GiB limit" in err
         assert peak < 16 << 20
 
+    def test_size_over_the_limit_is_rounded_up(self, capsys):
+        # the three pair rows of every triple take 1.004 GiB at n = 647,
+        # which 3 digits rounded to nearest print as the limit itself
+        code, out, err = run_cli(
+            capsys, "simulate", "gnp-triangles", "--n", "647", "--p", "0.1",
+            "--t", "1", "--reps", "10"
+        )
+        assert code == 64 and out == ""
+        assert "needs a 1.01 GiB array, over the 1 GiB limit" in err
+
     @pytest.mark.parametrize("argv,flag", [
         ("degree-parity --n 40 --bound auto", "--bound"),
         ("gnp-isolated --n 10 --p 0.2 --bound nope", "--bound"),

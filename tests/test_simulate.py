@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import betaincinv
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from depbounds import graphcomb as gc
 from depbounds import simulate as sim
@@ -23,38 +24,113 @@ def row_counts(bits):
     return counts
 
 
+def plane_bits(planes, size):
+    """(size, rows) bools: row r holds bit r of every row of ``planes``."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :size].T.astype(bool)
+
+
+class CountingRng:
+    """A generator that records the size of every word draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, *args, **kwargs):
+        words = self.rng.integers(*args, **kwargs)
+        self.sizes.append(words.size)
+        return words
+
+
+class TestBernoulliPlanes:
+    """``_bernoulli_planes`` draws bits with P(bit = 1) exactly p."""
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_p_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(ValueError, match="p must be in"):
+            sim._bernoulli_planes(np.random.default_rng(1), 2, 2, p)
+
+    def test_dyadic_p_takes_one_level_per_digit(self):
+        # 3/8 = 0.011 in binary: three levels, one word per word at most
+        rng = CountingRng(2)
+        planes = sim._bernoulli_planes(rng, 20, 50, 3 / 8)
+        assert len(rng.sizes) <= 3 and max(rng.sizes) <= 1000
+        freq = np.bitwise_count(planes).sum() / (64 * planes.size)
+        assert abs(freq - 3 / 8) < 5 * math.sqrt(3 / 8 * 5 / 8 / (64 * planes.size))
+        # p = 1/2 takes exactly one word per plane word
+        rng = CountingRng(2)
+        sim._bernoulli_planes(rng, 20, 50, 0.5)
+        assert rng.sizes == [1000]
+
+    @pytest.mark.parametrize("p,ones", [(5e-324, 0), (1 - 2**-53, 64 * 4000)])
+    def test_extreme_p_terminates(self, p, ones):
+        # 5e-324 has 1074 binary digits and 1 - 2^-53 fifty-three ones; a
+        # bit other than the likely one has probability about 1e-16 here
+        planes = sim._bernoulli_planes(np.random.default_rng(3), 40, 100, p)
+        assert np.bitwise_count(planes).sum() == ones
+
+    def test_frequency_at_one_tenth(self):
+        planes = sim._bernoulli_planes(np.random.default_rng(4), 125, 1250, 0.1)
+        bits = 64 * planes.size
+        assert bits >= 10**7
+        ones = int(np.bitwise_count(planes).sum())
+        assert abs(ones - bits * 0.1) <= 5 * math.sqrt(bits * 0.1 * 0.9)
+
+    def test_no_correlation_within_or_across_words(self):
+        p = 0.3
+        planes = sim._bernoulli_planes(np.random.default_rng(5), 100, 1000, p)
+        bits = np.unpackbits(planes.view(np.uint8), bitorder="little")
+        bits = bits.reshape(-1, 64)
+        # every bit position has frequency p: 64 degrees of freedom
+        words = len(bits)
+        ones = bits.sum(axis=0)
+        stat = ((ones - words * p) ** 2 / (words * p * (1 - p))).sum()
+        assert chi2.sf(stat, 64) > P_VALUE_FLOOR
+        # pairs of bits, neighbours in a word and in adjacent words, fall
+        # in the four cells as independent bits do
+        cells = np.array([(1 - p) ** 2, (1 - p) * p, p * (1 - p), p * p])
+        for first, second in ((bits[:, 0::2], bits[:, 1::2]),
+                              (bits[0::2], bits[1::2])):
+            pairs = np.bincount((2 * first + second).ravel(), minlength=4)
+            _, pvalue = chisquare(pairs, cells * pairs.sum())
+            assert pvalue > P_VALUE_FLOOR
+
+
 class TestSampleGnp:
     def test_p_zero_and_one(self):
-        rng = np.random.default_rng(1)
-        assert not sim._gnp_edges(6, 0.0, rng, 20).any()
-        full = sim._gnp_edges(6, 1.0, rng, 20)
-        assert full.all()
-        # 20 complete graphs: each of the 15 planes holds 20 one bits
-        assert np.array_equal(gc.edge_planes(6, full),
-                              np.full((15, 1), (1 << 20) - 1, dtype=np.uint64))
+        # the empty and the complete graphs, exactly, with no draw: every
+        # bit of the 15 planes, padding too, is 0 or 1
+        for p, word in ((0.0, 0), (1.0, 2**64 - 1)):
+            rng = np.random.default_rng(1)
+            before = rng.bit_generator.state
+            planes = sim._gnp_planes(6, p, rng, 20)
+            assert rng.bit_generator.state == before
+            assert planes.dtype == np.uint64
+            assert np.array_equal(planes, np.full((15, 1), word, dtype=np.uint64))
 
     def test_uniform_over_all_graphs(self):
         # G(4, 1/2) puts equal mass on all 64 labelled graphs
-        bits = sim._gnp_edges(4, 0.5, np.random.default_rng(0), 6400)
-        counts = row_counts(bits)
+        planes = sim._gnp_planes(4, 0.5, np.random.default_rng(0), 6400)
+        counts = row_counts(plane_bits(planes, 6400))
         assert len(counts) == 64
         _, p = chisquare(counts)
         assert p > P_VALUE_FLOOR
 
     def test_triangles_match_graph_count(self):
-        # the same stream gives the same edge bits; count their triangles
-        # by direct iteration over vertex triples
+        # the same stream gives the same edge planes; count the triangles
+        # of their decoded edge bits by direct iteration over vertex triples
         model = sim.GnpTriangles(6, 0.5)
+        index = {pq: i for i, pq in enumerate(zip(*gc._pair_vertices(6)))}
         for seed in range(5):
             stats = model.batch(np.random.default_rng(seed), 40)
-            bits = sim._gnp_edges(6, 0.5, np.random.default_rng(seed), 40)
-            index = {pq: i for i, pq in enumerate(combinations(range(6), 2))}
+            planes = sim._gnp_planes(6, 0.5, np.random.default_rng(seed), 40)
             want = [
                 sum(
                     all(row[index[pq]] for pq in combinations(t, 2))
                     for t in combinations(range(6), 3)
                 )
-                for row in bits
+                for row in plane_bits(planes, 40)
             ]
             assert stats.tolist() == want
 
@@ -154,6 +230,13 @@ def ustat(n, d, kernel, **kw):
     return sim.UStat(n, d, kernel, tuple(kw.items()))
 
 
+def bit_sliced(model):
+    """Whether ``model`` draws Bernoulli planes, 64 replications a word."""
+    gnp = (sim.GnpIsolated, sim.GnpTriangles, sim.Gnp4Cliques, sim.DegreeParity)
+    return isinstance(model, gnp) or (
+        isinstance(model, sim.UStat) and model.kernel == "all-below")
+
+
 class TestUStat:
     def test_all_below_c1_is_total_count(self):
         stats = ustat(6, 2, "all-below", c=1.0).batch(
@@ -179,20 +262,21 @@ class TestUStat:
             ustat(6, 2, "mystery").batch(np.random.default_rng(0), 5)
 
     @staticmethod
-    def all_below_by_gather(u, d, c):
-        """The all-below count by gathering every d-subset, as the sampler
-        did before it counted C(B, d)."""
-        tuples = np.array(list(combinations(range(u.shape[1]), d)))
-        return np.all((u <= c)[:, tuples], axis=2).sum(axis=1).astype(float)
+    def all_below_by_gather(below, d):
+        """The all-below count by gathering every d-subset of the
+        coordinates, ``below`` saying which are at or below c."""
+        tuples = np.array(list(combinations(range(below.shape[1]), d)))
+        return np.all(below[:, tuples], axis=2).sum(axis=1).astype(float)
 
     @pytest.mark.parametrize("c", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("n,d", [(1, 1), (6, 2), (9, 9), (12, 3), (40, 2)])
     def test_all_below_count_equals_the_gather(self, n, d, c):
+        # the same stream gives the same planes of Bernoulli(c) bits
         model = ustat(n, d, "all-below", c=c)
         for seed in range(3):
             got = model.batch(np.random.default_rng(seed), 700)
-            u = np.random.default_rng(seed).random((700, n))
-            want = self.all_below_by_gather(u, d, c)
+            planes = sim._bernoulli_planes(np.random.default_rng(seed), n, 11, c)
+            want = self.all_below_by_gather(plane_bits(planes, 700), d)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -202,14 +286,14 @@ class TestUStat:
 # sampler or a subgraph kernel cannot move a seeded result unnoticed
 GOLDEN = [
     (sim.GnpIsolated(30, 0.1), 2.0,
-     "empirical_tail=0.41259765625, ci_low=0.387344471229678, "
-     "ci_high=0.438175052993852, seed=1, sum_mean=1.42724609375)"),
+     "empirical_tail=0.398193359375, ci_low=0.3731094128867263, "
+     "ci_high=0.42365496323763036, seed=1, sum_mean=1.401611328125)"),
     (sim.GnpTriangles(30, 0.05), 1.0,
-     "empirical_tail=0.3818359375, ci_low=0.35697173951828853, "
-     "ci_high=0.40713849366646343, seed=1, sum_mean=0.539306640625)"),
+     "empirical_tail=0.37158203125, ci_low=0.34687081625938765, "
+     "ci_high=0.39676966093475313, seed=1, sum_mean=0.5048828125)"),
     (sim.Gnp4Cliques(20, 0.3), 4.0,
-     "empirical_tail=0.38232421875, ci_low=0.35745303091708125, "
-     "ci_high=0.40763195265985913, seed=1, sum_mean=3.597412109375)"),
+     "empirical_tail=0.3818359375, ci_low=0.35697173951828853, "
+     "ci_high=0.40713849366646343, seed=1, sum_mean=3.5400390625)"),
     (sim.GnmIsolated(30, 40), 4.0,
      "empirical_tail=0.06787109375, ci_low=0.055619722606000906, "
      "ci_high=0.08173531124743551, seed=1, sum_mean=1.68701171875)"),
@@ -220,8 +304,8 @@ GOLDEN = [
      "empirical_tail=0.29150390625, ci_low=0.268418549700657, "
      "ci_high=0.3153630853848382, seed=1, sum_mean=0.017160397355979597)"),
     (sim.UStat(40, 2, "all-below", (("c", 0.5),)), 200.0,
-     "empirical_tail=0.450439453125, ci_low=0.42484724698219617, "
-     "ci_high=0.4762154872412881, seed=1, sum_mean=196.55078125)"),
+     "empirical_tail=0.447265625, ci_low=0.4216960622293547, "
+     "ci_high=0.47303078881650634, seed=1, sum_mean=196.55908203125)"),
 ]
 
 
@@ -233,17 +317,17 @@ def test_golden_graph_mc_models(model, t, tail):
 
 
 # 1000 replications end in a partial 64-bit word; n = 70 spans two words
-# of the neighbour masks the kernels used when these were recorded
+# of the neighbour masks the kernels used when these were first recorded
 PINNED = [
     (sim.DegreeParity(12), 6.0,
-     "empirical_tail=0.722, ci_low=0.6733111069887058, "
-     "ci_high=0.7672977246572404, seed=1, sum_mean=6.008)"),
+     "empirical_tail=0.696, ci_low=0.646272352518569, "
+     "ci_high=0.7427347147814197, seed=1, sum_mean=5.872)"),
     (sim.GnpTriangles(70, 0.05), 7.0,
-     "empirical_tail=0.494, ci_low=0.44167890511355373, "
-     "ci_high=0.5464126165221662, seed=1, sum_mean=6.828)"),
+     "empirical_tail=0.509, ci_low=0.4565691589143479, "
+     "ci_high=0.5612935584780193, seed=1, sum_mean=6.854)"),
     (sim.Gnp4Cliques(24, 0.3), 8.0,
-     "empirical_tail=0.433, ci_low=0.3816069706310352, "
-     "ci_high=0.48541513592954516, seed=1, sum_mean=8.129)"),
+     "empirical_tail=0.42, ci_low=0.3689060412384378, "
+     "ci_high=0.4723144445280944, seed=1, sum_mean=7.734)"),
 ]
 
 
@@ -285,19 +369,38 @@ class TestBatchBytes:
         assert need <= peak <= 4 * need + (1 << 20)
 
     def test_chunk_sizes_of_oversized_models(self):
-        # a graph model's largest array is a block of 64 rows of uniforms,
-        # or the triangle kernels' three pair rows of every triple
+        # a G(n,p) model's largest array is its chunk's edge planes, C(n,2)
+        # rows of CHUNK_SIZE / 64 words (a G(n,m) model's is a block of 64
+        # rows of uniforms, as large), or the triangle kernels' three pair
+        # rows of every triple
         assert sim.GnpIsolated(3000, 0.1).batch_bytes(sim.CHUNK_SIZE) == (
+            8 * math.comb(3000, 2) * (sim.CHUNK_SIZE // 64))
+        assert sim.GnmIsolated(3000, 10).batch_bytes(sim.CHUNK_SIZE) == (
             8 * 64 * math.comb(3000, 2))
         assert sim.GnmTriangles(100, 10).batch_bytes(1) == 24 * math.comb(100, 3)
         threshold_sum = sim.UStat(200, 4, "threshold-sum", (("theta", 2.0),))
         assert threshold_sum.batch_bytes(sim.CHUNK_SIZE) == (
             8 * sim.CHUNK_SIZE * 4 * math.comb(200, 4))
-        # all-below counts the uniforms at or below c and gathers nothing
+        # all-below counts the bits of its n planes and gathers nothing
         all_below = sim.UStat(200, 4, "all-below", (("c", 0.5),))
-        assert all_below.batch_bytes(sim.CHUNK_SIZE) == 8 * sim.CHUNK_SIZE * 200
+        assert all_below.batch_bytes(sim.CHUNK_SIZE) == (
+            8 * 200 * (sim.CHUNK_SIZE // 64))
         for model in self.MODELS:
             assert model.batch_bytes(sim.CHUNK_SIZE) <= sim.CHUNK_BYTES_MAX
+
+    def test_largest_graph_models_within_the_limit(self):
+        """gnp-isolated and degree-parity run up to n = 2048, and the
+        triangle and 4-clique models up to n = 646."""
+        largest = [
+            (lambda n: sim.GnpIsolated(n, 0.1), 2048),
+            (sim.DegreeParity, 2048),
+            (lambda n: sim.GnpTriangles(n, 0.1), 646),
+            (lambda n: sim.Gnp4Cliques(n, 0.1), 646),
+        ]
+        for build, n in largest:
+            for size, fits in ((n, True), (n + 1, False)):
+                need = build(size).batch_bytes(sim.CHUNK_SIZE)
+                assert (need <= sim.CHUNK_BYTES_MAX) == fits, (build, size)
 
 
 class TestBlocks:
@@ -309,10 +412,20 @@ class TestBlocks:
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
     def test_blocks_are_the_rows_of_one_batch(self, model):
-        """Each batch draws one rng.random((size, k)) and replication r
-        reads row r, so batches drawn one after another from one stream
-        are the rows of one whole batch.  This holds for the stepwise
-        models too, which empirical_tail draws whole."""
+        """Each batch of a model that draws floats draws one
+        rng.random((size, k)) and replication r reads row r, so batches
+        drawn one after another from one stream are the rows of one whole
+        batch.  This holds for the stepwise models too, which
+        empirical_tail draws whole.  The bit-sliced models share each
+        random word among 64 replications: empirical_tail draws each of
+        their chunks, at most CHUNK_SIZE replications, as one batch, and
+        only that is checked for them."""
+        if bit_sliced(model):
+            for size in (1, 63, 65, sim.CHUNK_SIZE):
+                whole = model.batch(np.random.default_rng(size), size)
+                drawn = sim._batch_blocks(model, np.random.default_rng(size), size)
+                assert np.array_equal(drawn, whole)
+            return
         rows = gc.block_rows(model.batch_bytes(1))
         for size in sorted({1, rows - 1, rows + 1, sim.CHUNK_SIZE}):
             whole = model.batch(np.random.default_rng(size), size)
@@ -415,10 +528,10 @@ class TestWorkspace:
             return batch_blocks(model, rng, size, scratch)
 
         monkeypatch.setattr(sim, "_batch_blocks", record)
-        model = sim.GnpTriangles(12, 0.3)
+        model = sim.GnmTriangles(12, 20)
         sim.empirical_tail(model, 1, 3 * sim.CHUNK_SIZE, seed=0)
         assert len(seen) == 3 and all(s is seen[0] for s in seen)
-        assert seen[0]  # the graph kernels filled it
+        assert seen[0]  # the G(n,m) sampler filled it
         # a new call starts from a new workspace
         sim.empirical_tail(model, 1, 10, seed=0)
         assert seen[3] is not seen[0]
@@ -437,15 +550,17 @@ class TestEmpiricalTail:
         assert res.ci_low <= res.empirical_tail <= res.ci_high
 
     def test_deterministic_across_runs_and_threads(self):
-        model = sim.GnmTriangles(7, 10)
-        base = sim.empirical_tail(model, 4, reps=10000, seed=42, threads=1)
-        for threads in (2, 4):
-            again = sim.empirical_tail(
-                model, 4, reps=10000, seed=42, threads=threads
-            )
-            assert repr(again) == repr(base)
-        repeat = sim.empirical_tail(model, 4, reps=10000, seed=42, threads=1)
-        assert repr(repeat) == repr(base)
+        # a G(n,m) model draws floats; the other two are bit-sliced
+        for model in (sim.GnmTriangles(7, 10), sim.GnpTriangles(7, 0.3),
+                      sim.UStat(12, 3, "all-below", (("c", 0.37),))):
+            base = sim.empirical_tail(model, 4, reps=10000, seed=42, threads=1)
+            for threads in (2, 4):
+                again = sim.empirical_tail(
+                    model, 4, reps=10000, seed=42, threads=threads
+                )
+                assert repr(again) == repr(base)
+            repeat = sim.empirical_tail(model, 4, reps=10000, seed=42, threads=1)
+            assert repr(repeat) == repr(base)
 
     def test_seed_changes_result(self):
         model = sim.GnpIsolated(10, 0.3)
@@ -471,20 +586,66 @@ class TestEmpiricalTail:
         assert res.sum_mean == pytest.approx(10 * 0.7**9, abs=0.05)
 
 
+@lru_cache(maxsize=1)
+def all_graph_laws(n):
+    """{kernel: table} over all 2^C(n,2) graphs on n labelled vertices:
+    entry (m, k) of a kernel's table counts the graphs with m edges whose
+    count is k.  Graph i has the edge of plane e iff bit e of i is set, so
+    its edge count is the popcount of i."""
+    from depbounds.verify import _all_graph_planes
+
+    pairs = math.comb(n, 2)
+    edges = np.bitwise_count(np.arange(1 << pairs, dtype=np.uint64))
+    laws = {}
+    for kernel in (gc.triangle_count, gc.clique4_count):
+        counts = np.concatenate([
+            kernel(n, _all_graph_planes(n, start, 4096), 64 * 4096)
+            for start in range(0, (1 << pairs) // 64, 4096)
+        ])
+        table = np.zeros((pairs + 1, counts.max() + 1), dtype=np.int64)
+        np.add.at(table, (edges, counts), 1)
+        laws[kernel] = table
+    return laws
+
+
 class TestCalibration:
     """Samplers against exact tails: the 0.999 Clopper-Pearson interval of
     ``empirical_tail`` must cover the exact P[statistic >= t].
 
+    There are 9 checks: ustat all-below (3), gnm-isolated (2),
+    gnp-isolated, gnp-triangles, gnp-4cliques and degree-parity (1 each).
     An unbiased sampler misses with probability at most 0.001 per check,
-    so a miss on these seeds (fixed before the first run) points at the
-    sampler, not at chance.  A biased sampler that a bound still dominates
-    fails here.
+    at most 0.009 for any of the 9, so a miss on these seeds (fixed before
+    the first run) points at the sampler, not at chance.  A biased sampler
+    that a bound still dominates fails here.
     """
 
     @staticmethod
     def covers(model, t, exact, reps, seed):
         res = sim.empirical_tail(model, t, reps=reps, seed=seed)
         assert res.ci_low <= exact <= res.ci_high, (res, exact)
+
+    @pytest.mark.parametrize("model,kernel,t,seed", [
+        (sim.GnpTriangles(7, 0.3), gc.triangle_count, 2, 74),
+        (sim.Gnp4Cliques(7, 0.45), gc.clique4_count, 1, 75),
+    ], ids=["GnpTriangles", "Gnp4Cliques"])
+    def test_gnp_counts_on_seven_vertices(self, model, kernel, t, seed):
+        # all 2^21 graphs by edge count m, mixed by m ~ Bin(21, p)
+        table = all_graph_laws(7)[kernel]
+        p = model.p
+        exact = math.fsum(
+            p**m * (1 - p) ** (21 - m) * int(table[m, t:].sum())
+            for m in range(22)
+        )
+        self.covers(model, t, exact, 200_000, seed)
+
+    def test_degree_parity(self):
+        # the odd-degree vertices of G(n, 1/2) are a uniform even-size set:
+        # k of them with probability C(n, k) / 2^(n-1) for even k
+        n, t = 9, 6
+        exact = sum(math.comb(n, k) for k in range(t, n + 1, 2)) / 2 ** (n - 1)
+        assert exact == 93 / 256
+        self.covers(sim.DegreeParity(n), t, exact, 200_000, seed=76)
 
     @pytest.mark.parametrize("n,d,c,t", [(12, 3, 0.5, 56.0), (40, 2, 0.5, 200.0),
                                          (9, 9, 0.9, 1.0)])
