@@ -611,7 +611,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--reps must be a positive integer")
     if args.t is None:
         raise UsageError("--t is required")
-    # each thread holds a workspace of arrays; threads beyond the CPUs add
+    # each thread holds a chunk's arrays; threads beyond the CPUs add
     # memory and no speed
     _in_range("threads", args.threads, 1, os.cpu_count() or 1)
     spec = SIM_MODELS[args.model]

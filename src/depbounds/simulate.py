@@ -1,10 +1,10 @@
 """Monte Carlo generators for the dependence models and an empirical tail
 estimator with exact binomial confidence intervals.
 
-Every model samples in batches: ``model.batch(rng, size, scratch=None)``
-returns the statistic of ``size`` independent replications.  The graph
-models count subgraphs with the bit-sliced kernels of ``graphcomb``, 64
-replications per machine word.
+Every model samples in batches: ``model.batch(rng, size)`` returns the
+statistic of ``size`` independent replications.  The graph models count
+subgraphs with the bit-sliced kernels of ``graphcomb``, 64 replications per
+machine word.
 
 Reproducibility contract: every batch draws from an explicit generator, and
 ``empirical_tail`` derives an independent child stream for each fixed-size
@@ -14,35 +14,24 @@ same way on any thread.  The result is therefore a pure function of
 
 The bit-sliced models (the G(n,p) models, ``DegreeParity`` and the
 all-below ``UStat``) draw their Bernoulli bits straight into planes, 64
-replications per word (``_bernoulli_planes``), so replications share
-random words and a batch is not the concatenation of smaller ones: these
+replications per word (``_bernoulli_planes``).  The G(n,m) models draw
+their edge sets by Floyd's algorithm, one bounded integer per replication
+and step, into a bool array laid out as the planes and packed into them
+(``_gnm_planes``).  Either way every draw serves a whole block of
+replications, so a batch is not the concatenation of smaller ones: these
 are ``whole_chunks`` models, and a chunk of theirs is never split.  Every
 other model's batch draws exactly one ``rng.random((size, k))`` array and
 replication r reads row r of it, so batches drawn one after another from
 one stream get the rows of one whole batch, and no result depends on how a
 chunk is split.  Such a chunk is drawn as consecutive blocks of rows, each
 block's largest array holding about ``graphcomb.BLOCK_BYTES``, except by
-the other ``whole_chunks`` models, which take one batch per chunk: a G(n,m)
-model's batch draws its uniforms in blocks of a multiple of 64 rows
-itself, packs each block's edge bits straight into its words of the
-chunk's edge planes, and runs its kernel once over the planes; the others
+the other ``whole_chunks`` models, which take one batch per chunk: they
 loop in Python over steps or edges, a cost each block would repeat.
-
-Each thread of an ``empirical_tail`` call passes every batch it draws one
-``scratch`` dict, a workspace that lives as long as the call.  The G(n,m)
-models draw their blocks of uniforms, and the edge bits and partition
-copies made from them, into buffers kept in it (``_buffer``), so after a
-thread's first block no block allocates these arrays again, and no block
-pays for page faults on memory the allocator returned to the system when
-the previous block freed it.  The other models ignore the argument.
-Without a workspace (``scratch=None``, as for public callers) every array
-is a new one.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -85,27 +74,6 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # batch samplers: every model draws `size` replications at once
-
-
-def _buffer(scratch, key, shape, dtype) -> np.ndarray:
-    """An uninitialised array of ``shape`` and ``dtype``: a view of the
-    buffer ``scratch[key]``, grown when it is too small, or a new array
-    when ``scratch`` is None.  Views of one key alias each other, so a
-    sampler gives every array it still reads its own key."""
-    if scratch is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    buf = scratch.get(key)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = scratch[key] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
-def _uniforms(rng, size, k, scratch=None):
-    """``rng.random((size, k))``, drawn into the buffer ``scratch["uniforms"]``
-    (the same numbers: ``out=`` does not change the stream)."""
-    shape = (size, k)
-    return rng.random(shape, out=_buffer(scratch, "uniforms", shape, np.float64))
 
 
 # -- exact Bernoulli bits, 64 per word ---------------------------------------
@@ -187,60 +155,79 @@ def _gnp_planes(n, p, rng, size):
     return _bernoulli_planes(rng, math.comb(n, 2), -(-size // 64), p)
 
 
-def _gnm_edges(n, m, rng, size, scratch=None):
-    """(size, C(n,2)) edge bits of uniform graphs with exactly m edges: the
-    edges holding the m smallest of C(n,2) uniforms (ties have probability
-    zero)."""
-    u = _uniforms(rng, size, math.comb(n, 2), scratch)
-    bits = _buffer(scratch, "bits", u.shape, bool)
-    if m == 0:
-        bits[...] = False
-        return bits
-    # the m-th smallest uniform of each row, partitioned in place in a copy
-    kth = _buffer(scratch, "partition", u.shape, np.float64)
-    np.copyto(kth, u)
-    kth.partition(m - 1, axis=1)
-    return np.less_equal(u, kth[:, m - 1 : m], out=bits)
-
-
 def _plane_rows(n) -> int:
-    """Rows per block of a G(n,m) model's uniforms: a multiple of 64 whose
-    C(n,2) uniforms per row fill about ``graphcomb.BLOCK_BYTES``."""
-    return gc.block_rows(8 * math.comb(n, 2)) // 64 * 64
+    """Replications per block of a G(n,m) model's edge bits: a multiple of
+    64 whose planes, C(n,2) bits per replication, fill about
+    ``graphcomb.BLOCK_BYTES``, so a chunk of a graph up to n = 45 is one
+    block."""
+    return gc.block_rows(math.comb(n, 2) // 8) // 64 * 64
 
 
-def _gnm_planes(n, m, rng, size, scratch=None):
-    """Edge planes of ``size`` G(n,m) graphs.  Blocks of ``_plane_rows(n)``
-    graphs fill whole words, so each block's edge bits pack straight into
-    its own words of the planes."""
+def _floyd_words(pairs, m, rng, cols):
+    """(pairs, words) uint64 edge planes of ``cols`` uniform graphs with
+    exactly m of their ``pairs`` edges, bit r of row e set iff graph r has
+    edge e, bits past ``cols`` clear.
+
+    With k = min(m, pairs - m), Floyd's algorithm (Bentley & Floyd, CACM
+    30(9), 1987) draws a uniform k-set of rows for every graph at once:
+    step j = pairs-k, ..., pairs-1 draws t uniform on 0..j and takes t, or
+    j where t is taken already.  Row j is empty before step j, so it
+    receives that test's result before bit t is set (a graph with t = j
+    sets row j then).  When m > pairs/2 the k-set is the absent edges.
+    The bits go into a (pairs, 64 words) bool array laid out as the planes,
+    which packs into them.
+    """
+    k = min(m, pairs - m)
+    dtype = np.uint16 if pairs <= 1 << 16 else np.uint32
+    words = -(-cols // 64)
+    bits = np.zeros((pairs, 64 * words), dtype=bool)
+    flat = bits.reshape(-1)
+    lanes = np.arange(cols)
+    at = np.empty(cols, dtype=np.intp)
+    for j in range(pairs - k, pairs):
+        t = rng.integers(0, j + 1, cols, dtype=dtype)
+        np.multiply(t, 64 * words, out=at, dtype=np.intp)
+        at += lanes
+        bits[j, :cols] = flat[at]
+        flat[at] = True
+    if k < m:
+        drawn = bits[:, :cols]
+        np.logical_not(drawn, out=drawn)
+    return np.packbits(flat, bitorder="little").view("<u8").reshape(pairs, words)
+
+
+def _gnm_planes(n, m, rng, size):
+    """Edge planes of ``size`` G(n,m) graphs, drawn by ``_floyd_words`` in
+    blocks of ``_plane_rows(n)`` graphs, each into its own words (one
+    block is returned as drawn, with no copy).  Edges are numbered by
+    plane row, not in ``combinations`` order: relabelling the edges keeps
+    G(n,m) uniform."""
+    pairs = math.comb(n, 2)
     rows = _plane_rows(n)
-    planes = np.empty((math.comb(n, 2), -(-size // 64)), dtype=np.uint64)
+    if size <= rows:
+        return _floyd_words(pairs, m, rng, size)
+    planes = np.empty((pairs, -(-size // 64)), dtype=np.uint64)
     for start in range(0, size, rows):
-        stop = min(start + rows, size)
-        edges = _gnm_edges(n, m, rng, stop - start, scratch)
-        planes[:, start // 64 : -(-stop // 64)] = gc.edge_planes(n, edges)
+        block = _floyd_words(pairs, m, rng, min(rows, size - start))
+        planes[:, start // 64 : start // 64 + block.shape[1]] = block
     return planes
-
-
-def _plane_bytes(n, rows, triples=False) -> int:
-    """Bytes of ``rows`` rows of C(n,2) 8-byte values, or, with
-    ``triples``, of the three pair rows of every triple that the triangle
-    kernels gather by, if that is larger."""
-    block = 8 * math.comb(n, 2) * rows
-    return max(block, 24 * math.comb(n, 3)) if triples else block
 
 
 def _gnp_bytes(n, size, triples=False) -> int:
     """Bytes of the largest array a G(n,p) batch allocates: its edge
-    planes, one row of C(n,2) words per 64 graphs."""
-    return _plane_bytes(n, -(-size // 64), triples)
+    planes, one row of C(n,2) words per 64 graphs, or, with ``triples``,
+    the three pair rows of every triple that the triangle kernels gather
+    by, if that is larger."""
+    planes = 8 * math.comb(n, 2) * -(-size // 64)
+    return max(planes, 24 * math.comb(n, 3)) if triples else planes
 
 
 def _gnm_bytes(n, size, triples=False) -> int:
-    """Bytes of the largest array a G(n,m) batch allocates: a block of its
-    uniforms, one row of C(n,2) per graph (its edge planes are never
-    larger)."""
-    return _plane_bytes(n, min(size, _plane_rows(n)), triples)
+    """Bytes of the largest array a G(n,m) batch allocates: a block's bool
+    array, C(n,2) bytes per replication padded to whole words, or, if
+    larger, the edge planes or the triangle kernels' triple table."""
+    block = math.comb(n, 2) * 64 * -(-min(size, _plane_rows(n)) // 64)
+    return max(block, _gnp_bytes(n, size, triples))
 
 
 # -- martingale difference kernels: (size, n) arrays of Y values ------------
@@ -258,18 +245,18 @@ def _mds_polya_style(rng, size, p_vec):
     -kappa_i*pi_i otherwise, where pi_i is an urn fraction of the past
     up-moves mapped into [0.2, 0.8].  The conditional mean is identically
     zero and kappa_i is sized so -p_i <= Y_i <= 1-p_i holds surely.
-    Replication r uses the uniforms of row r, step by step.
+    Replication r uses the uniforms of row r, step by step, and its
+    differences overwrite them.
     """
     u = rng.random((size, len(p_vec)))
-    y = np.empty_like(u)
     ups = np.zeros(size, dtype=np.int64)
     for i, p in enumerate(p_vec):
         pi = 0.2 + 0.6 * (1 + ups) / (2 + i)
         kappa = min(p, 1.0 - p) / 0.8
         up = u[:, i] < pi
-        y[:, i] = np.where(up, kappa * (1.0 - pi), -kappa * pi)
+        u[:, i] = np.where(up, kappa * (1.0 - pi), -kappa * pi)
         ups += up
-    return y
+    return u
 
 
 MDS_KERNELS = {
@@ -309,7 +296,7 @@ class GnpIsolated:
     p: float
     whole_chunks = True
 
-    def batch(self, rng, size, scratch=None):
+    def batch(self, rng, size):
         planes = _gnp_planes(self.n, self.p, rng, size)
         return gc.isolated_count(self.n, planes, size).astype(float)
 
@@ -324,7 +311,7 @@ class GnpTriangles:
     p: float
     whole_chunks = True
 
-    def batch(self, rng, size, scratch=None):
+    def batch(self, rng, size):
         planes = _gnp_planes(self.n, self.p, rng, size)
         return gc.triangle_count(self.n, planes, size).astype(float)
 
@@ -338,7 +325,7 @@ class Gnp4Cliques:
     p: float
     whole_chunks = True
 
-    def batch(self, rng, size, scratch=None):
+    def batch(self, rng, size):
         planes = _gnp_planes(self.n, self.p, rng, size)
         return gc.clique4_count(self.n, planes, size).astype(float)
 
@@ -352,8 +339,8 @@ class GnmIsolated:
     m: int
     whole_chunks = True
 
-    def batch(self, rng, size, scratch=None):
-        planes = _gnm_planes(self.n, self.m, rng, size, scratch)
+    def batch(self, rng, size):
+        planes = _gnm_planes(self.n, self.m, rng, size)
         return gc.isolated_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
@@ -366,8 +353,8 @@ class GnmTriangles:
     m: int
     whole_chunks = True
 
-    def batch(self, rng, size, scratch=None):
-        planes = _gnm_planes(self.n, self.m, rng, size, scratch)
+    def batch(self, rng, size):
+        planes = _gnm_planes(self.n, self.m, rng, size)
         return gc.triangle_count(self.n, planes, size).astype(float)
 
     def batch_bytes(self, size):
@@ -382,7 +369,7 @@ class OrientationParity:
     # batch() loops in Python over the edges (see _block_rows)
     whole_chunks = True
 
-    def batch(self, rng, size, scratch=None):
+    def batch(self, rng, size):
         edges = sorted(self.graph.edges)
         flips = rng.random((size, len(edges))) < 0.5
         indeg = np.zeros((size, self.graph.n), dtype=np.int64)
@@ -402,7 +389,7 @@ class DegreeParity:
     n: int
     whole_chunks = True
 
-    def batch(self, rng, size, scratch=None):
+    def batch(self, rng, size):
         planes = _gnp_planes(self.n, 0.5, rng, size)
         return gc.odd_degree_count(self.n, planes, size).astype(float)
 
@@ -423,7 +410,7 @@ class MartingaleDiff:
         """Whether batch() loops in Python over the n steps."""
         return self.kernel == "polya-style"
 
-    def batch(self, rng, size, scratch=None):
+    def batch(self, rng, size):
         p_vec = np.asarray(self.p_vector, dtype=float)
         return MDS_KERNELS[self.kernel](rng, size, p_vec).sum(axis=1)
 
@@ -452,7 +439,7 @@ class UStat:
         word."""
         return self.kernel == "all-below"
 
-    def batch(self, rng, size, scratch=None):
+    def batch(self, rng, size):
         kw = dict(self.kernel_args)
         if self.kernel == "all-below":
             # coordinate i of replication r is at or below c with
@@ -602,22 +589,22 @@ def _block_rows(model) -> int:
     """Rows per block of ``model``'s chunks: enough to fill about
     ``graphcomb.BLOCK_BYTES`` of its largest array, and at least
     ``graphcomb.MIN_BLOCK_ROWS``.  A ``whole_chunks`` model draws its
-    chunks whole: a bit-sliced model shares its random words among 64
-    replications, a G(n,m) model blocks its own uniforms and counts over
-    the edge planes of the whole chunk, and the others loop in Python over
-    their steps or edges in every batch, a fixed cost each block would
-    repeat and its smaller arrays do not repay."""
+    chunks whole: a bit-sliced or G(n,m) model shares each draw among the
+    replications of a block and counts over the edge planes of the whole
+    chunk, and the others loop in Python over their steps or edges in
+    every batch, a fixed cost each block would repeat and its smaller
+    arrays do not repay."""
     if getattr(model, "whole_chunks", False):
         return CHUNK_SIZE
     return gc.block_rows(model.batch_bytes(1))
 
 
-def _batch_blocks(model, rng, size, scratch=None):
+def _batch_blocks(model, rng, size):
     """``model.batch(rng, size)``, drawn in blocks of ``_block_rows(model)``
-    rows that all reuse the workspace ``scratch``."""
+    rows."""
     rows = _block_rows(model)
     return np.concatenate([
-        model.batch(rng, min(rows, size - start), scratch=scratch)
+        model.batch(rng, min(rows, size - start))
         for start in range(0, size, rows)
     ])
 
@@ -636,14 +623,9 @@ def empirical_tail(model, t: float, reps: int, seed: int,
         for c in range((reps + CHUNK_SIZE - 1) // CHUNK_SIZE)
     ]
 
-    # one workspace per thread, kept for all the chunks the thread draws
-    # and dropped with ``local`` when the call returns
-    local = threading.local()
-
     def run(chunk):
         c, size = chunk
-        scratch = vars(local).setdefault("scratch", {})
-        stats = _batch_blocks(model, _chunk_rng(seed, c), size, scratch)
+        stats = _batch_blocks(model, _chunk_rng(seed, c), size)
         return int((stats >= t - 1e-12).sum()), float(stats.sum())
 
     if threads > 1:

@@ -135,29 +135,58 @@ class TestSampleGnp:
             assert stats.tolist() == want
 
 
+def floyd_reference(n, m, rng, size):
+    """(size, C(n,2)) edge bits, in plane row order, of Floyd's algorithm
+    run on a Python set per replication, on the draws ``_gnm_planes``
+    makes: per block of ``_plane_rows(n)`` replications, one integer per
+    replication at each step j = N-k .. N-1 (k = min(m, N - m)); the set
+    holds the absent edges when m > N/2."""
+    pairs = math.comb(n, 2)
+    k = min(m, pairs - m)
+    dtype = np.uint16 if pairs <= 1 << 16 else np.uint32
+    bits = np.zeros((size, pairs), dtype=bool)
+    rows = sim._plane_rows(n)
+    for start in range(0, size, rows):
+        lanes = [set() for _ in range(min(rows, size - start))]
+        for j in range(pairs - k, pairs):
+            draws = rng.integers(0, j + 1, len(lanes), dtype=dtype).tolist()
+            for chosen, t in zip(lanes, draws):
+                chosen.add(j if t in chosen else t)
+        for r, chosen in enumerate(lanes):
+            bits[start + r, sorted(chosen)] = True
+    return bits if k == m else ~bits
+
+
 class TestSampleGnm:
     def test_edge_count_exact(self):
-        bits = sim._gnm_edges(7, 9, np.random.default_rng(0), 200)
-        assert bits.shape == (200, 21)
-        assert np.all(bits.sum(axis=1) == 9)
+        # m = 0, m = N, the Floyd and the complement side; 200 graphs end
+        # in a partial word
+        for m in (0, 9, 15, 21):
+            planes = sim._gnm_planes(7, m, np.random.default_rng(m), 200)
+            assert planes.shape == (21, 4)
+            bits = plane_bits(planes, 200)
+            assert np.all(bits.sum(axis=1) == m)
 
-    @pytest.mark.parametrize("n,m", [(30, 40), (20, 40), (5, 10), (4, 1),
-                                     (30, 435), (6, 0)])
-    def test_same_bits_as_a_full_sort(self, n, m):
-        # the edges at the m smallest uniforms, as the argsort sampler chose
-        got = sim._gnm_edges(n, m, np.random.default_rng(5), 300)
-        u = np.random.default_rng(5).random((300, math.comb(n, 2)))
-        want = np.zeros(u.shape, dtype=bool)
-        np.put_along_axis(want, np.argsort(u, axis=1)[:, :m], True, axis=1)
+    @pytest.mark.parametrize("n,m,size", [
+        (30, 40, 300), (20, 40, 300), (5, 10, 300), (4, 1, 300),
+        (30, 435, 300), (6, 0, 300), (6, 12, 300), (20, 150, 64),
+        (50, 30, 3500)])
+    def test_same_bits_as_a_python_floyd(self, n, m, size):
+        # m = N, m = 0, m > N/2, partial last words; n = 50 draws its
+        # 3500 graphs in two blocks
+        got = plane_bits(sim._gnm_planes(n, m, np.random.default_rng(5), size), size)
+        want = floyd_reference(n, m, np.random.default_rng(5), size)
         assert np.array_equal(got, want)
 
     def test_uniform_over_edge_sets(self):
-        # G(5, 4) is uniform over the C(10,4) = 210 four-edge graphs
-        bits = sim._gnm_edges(5, 4, np.random.default_rng(0), 21000)
-        counts = row_counts(bits)
-        assert len(counts) == 210
-        _, p = chisquare(counts)
-        assert p > P_VALUE_FLOOR
+        # G(5, m) is uniform over the C(10, m) graphs with m edges: 210 at
+        # m = 4, and 120 at m = 7, which draws the 3 absent edges
+        for m in (4, 7):
+            planes = sim._gnm_planes(5, m, np.random.default_rng(0), 21000)
+            counts = row_counts(plane_bits(planes, 21000))
+            assert len(counts) == math.comb(10, m)
+            _, p = chisquare(counts)
+            assert p > P_VALUE_FLOOR
 
     def test_batch_model_matches_exact_tail(self):
         # isolated-vertex tail of G(6,5) against the rational oracle
@@ -231,9 +260,12 @@ def ustat(n, d, kernel, **kw):
 
 
 def bit_sliced(model):
-    """Whether ``model`` draws Bernoulli planes, 64 replications a word."""
-    gnp = (sim.GnpIsolated, sim.GnpTriangles, sim.Gnp4Cliques, sim.DegreeParity)
-    return isinstance(model, gnp) or (
+    """Whether ``model`` shares each draw among the replications of a
+    block: the Bernoulli planes, 64 replications a word, and G(n,m)'s
+    Floyd steps, one integer per replication."""
+    shared = (sim.GnpIsolated, sim.GnpTriangles, sim.Gnp4Cliques,
+              sim.DegreeParity, sim.GnmIsolated, sim.GnmTriangles)
+    return isinstance(model, shared) or (
         isinstance(model, sim.UStat) and model.kernel == "all-below")
 
 
@@ -295,11 +327,11 @@ GOLDEN = [
      "empirical_tail=0.3818359375, ci_low=0.35697173951828853, "
      "ci_high=0.40713849366646343, seed=1, sum_mean=3.5400390625)"),
     (sim.GnmIsolated(30, 40), 4.0,
-     "empirical_tail=0.06787109375, ci_low=0.055619722606000906, "
-     "ci_high=0.08173531124743551, seed=1, sum_mean=1.68701171875)"),
+     "empirical_tail=0.061767578125, ci_low=0.05008150277006037, "
+     "ci_high=0.0750901785728716, seed=1, sum_mean=1.6591796875)"),
     (sim.GnmTriangles(20, 40), 15.0,
-     "empirical_tail=0.066650390625, ci_low=0.05450954935007976, "
-     "ci_high=0.08040880217703784, seed=1, sum_mean=10.03955078125)"),
+     "empirical_tail=0.070068359375, ci_low=0.05762104136778475, "
+     "ci_high=0.08412003413830495, seed=1, sum_mean=10.07666015625)"),
     (sim.MartingaleDiff(20, (0.3,) * 20), 0.5,
      "empirical_tail=0.29150390625, ci_low=0.268418549700657, "
      "ci_high=0.3153630853848382, seed=1, sum_mean=0.017160397355979597)"),
@@ -328,6 +360,9 @@ PINNED = [
     (sim.Gnp4Cliques(24, 0.3), 8.0,
      "empirical_tail=0.42, ci_low=0.3689060412384378, "
      "ci_high=0.4723144445280944, seed=1, sum_mean=7.734)"),
+    (sim.GnmTriangles(20, 40), 12.0,
+     "empirical_tail=0.294, ci_low=0.2477959425978892, "
+     "ci_high=0.3433500974647093, seed=1, sum_mean=9.967)"),
 ]
 
 
@@ -369,15 +404,19 @@ class TestBatchBytes:
         assert need <= peak <= 4 * need + (1 << 20)
 
     def test_chunk_sizes_of_oversized_models(self):
-        # a G(n,p) model's largest array is its chunk's edge planes, C(n,2)
-        # rows of CHUNK_SIZE / 64 words (a G(n,m) model's is a block of 64
-        # rows of uniforms, as large), or the triangle kernels' three pair
-        # rows of every triple
+        # a graph model's largest array is its chunk's edge planes, C(n,2)
+        # rows of CHUNK_SIZE / 64 words (a G(n,m) model's bool block of 64
+        # replications is an eighth of that), or the triangle kernels'
+        # three pair rows of every triple
         assert sim.GnpIsolated(3000, 0.1).batch_bytes(sim.CHUNK_SIZE) == (
             8 * math.comb(3000, 2) * (sim.CHUNK_SIZE // 64))
         assert sim.GnmIsolated(3000, 10).batch_bytes(sim.CHUNK_SIZE) == (
-            8 * 64 * math.comb(3000, 2))
+            8 * math.comb(3000, 2) * (sim.CHUNK_SIZE // 64))
         assert sim.GnmTriangles(100, 10).batch_bytes(1) == 24 * math.comb(100, 3)
+        # up to n = 45 a G(n,m) chunk's bool array of edge bits, a byte per
+        # edge and replication, is drawn whole and is its largest array
+        assert sim.GnmIsolated(30, 40).batch_bytes(sim.CHUNK_SIZE) == (
+            math.comb(30, 2) * sim.CHUNK_SIZE)
         threshold_sum = sim.UStat(200, 4, "threshold-sum", (("theta", 2.0),))
         assert threshold_sum.batch_bytes(sim.CHUNK_SIZE) == (
             8 * sim.CHUNK_SIZE * 4 * math.comb(200, 4))
@@ -389,12 +428,14 @@ class TestBatchBytes:
             assert model.batch_bytes(sim.CHUNK_SIZE) <= sim.CHUNK_BYTES_MAX
 
     def test_largest_graph_models_within_the_limit(self):
-        """gnp-isolated and degree-parity run up to n = 2048, and the
-        triangle and 4-clique models up to n = 646."""
+        """gnp-isolated, gnm-isolated and degree-parity run up to n = 2048,
+        and the triangle and 4-clique models up to n = 646."""
         largest = [
             (lambda n: sim.GnpIsolated(n, 0.1), 2048),
+            (lambda n: sim.GnmIsolated(n, 10), 2048),
             (sim.DegreeParity, 2048),
             (lambda n: sim.GnpTriangles(n, 0.1), 646),
+            (lambda n: sim.GnmTriangles(n, 10), 646),
             (lambda n: sim.Gnp4Cliques(n, 0.1), 646),
         ]
         for build, n in largest:
@@ -417,9 +458,10 @@ class TestBlocks:
         drawn one after another from one stream are the rows of one whole
         batch.  This holds for the stepwise models too, which
         empirical_tail draws whole.  The bit-sliced models share each
-        random word among 64 replications: empirical_tail draws each of
-        their chunks, at most CHUNK_SIZE replications, as one batch, and
-        only that is checked for them."""
+        random word among 64 replications, and the G(n,m) models each
+        Floyd step's draw among a block's replications: empirical_tail
+        draws each of their chunks, at most CHUNK_SIZE replications, as one
+        batch, and only that is checked for them."""
         if bit_sliced(model):
             for size in (1, 63, 65, sim.CHUNK_SIZE):
                 whole = model.batch(np.random.default_rng(size), size)
@@ -483,58 +525,19 @@ class TestBlocks:
     @pytest.mark.parametrize("model", PEAK_MODELS,
                              ids=lambda m: type(m).__name__)
     def test_chunk_peak_is_about_one_block(self, model):
-        """A chunk holds one block of uniforms and its edge bits, the
-        chunk's edge planes and a kernel's buffer and gathered rows, each
-        at most about BLOCK_BYTES, so 8 BLOCK_BYTES leaves room for numpy's
-        temporaries.  Whole-chunk batches peaked at 18-29 MiB here."""
+        """A chunk holds the edge planes, a kernel's buffer and gathered
+        rows, each at most about BLOCK_BYTES, and a G(n,m) model's bool
+        block of edge bits, a byte per edge and replication (3.4
+        BLOCK_BYTES at n = 30), so 8 BLOCK_BYTES leaves room for numpy's
+        temporaries.  Whole-chunk float batches peaked at 18-29 MiB here."""
         assert self.peak(model, sim.CHUNK_SIZE) < 8 * gc.BLOCK_BYTES
 
     @pytest.mark.parametrize("model", PEAK_MODELS,
                              ids=lambda m: type(m).__name__)
     def test_workspace_does_not_grow_with_chunks(self, model):
-        """The one workspace of a thread serves every chunk it draws."""
+        """Every chunk frees what it allocates before the next one."""
         one = self.peak(model, sim.CHUNK_SIZE)
         assert self.peak(model, 3 * sim.CHUNK_SIZE) <= 1.1 * one
-
-
-class TestWorkspace:
-    """A ``scratch`` dict reused from block to block changes no result."""
-
-    @pytest.mark.parametrize(
-        "model", TestBatchBytes.MODELS + [sim.Gnp4Cliques(70, 0.2)],
-        ids=lambda m: type(m).__name__)
-    def test_reused_workspace_gives_the_same_statistics(self, model):
-        rows = gc.block_rows(model.batch_bytes(1))
-        scratch = {}
-        kept = []
-        # a full block, a short tail, then a full block again, with the
-        # buffers grown by the first; n = 20, 30 and 70 (two mask words)
-        for seed, size in enumerate((rows, 7, rows)):
-            want = model.batch(np.random.default_rng(seed), size)
-            got = model.batch(np.random.default_rng(seed), size, scratch=scratch)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            kept.append((got, want))
-        # no statistic is a view of the workspace that later blocks rewrite
-        for got, want in kept:
-            assert np.array_equal(got, want)
-
-    def test_chunks_reuse_one_workspace_per_thread(self, monkeypatch):
-        seen = []
-        batch_blocks = sim._batch_blocks
-
-        def record(model, rng, size, scratch):
-            seen.append(scratch)
-            return batch_blocks(model, rng, size, scratch)
-
-        monkeypatch.setattr(sim, "_batch_blocks", record)
-        model = sim.GnmTriangles(12, 20)
-        sim.empirical_tail(model, 1, 3 * sim.CHUNK_SIZE, seed=0)
-        assert len(seen) == 3 and all(s is seen[0] for s in seen)
-        assert seen[0]  # the G(n,m) sampler filled it
-        # a new call starts from a new workspace
-        sim.empirical_tail(model, 1, 10, seed=0)
-        assert seen[3] is not seen[0]
 
 
 class TestEmpiricalTail:
@@ -612,10 +615,10 @@ class TestCalibration:
     """Samplers against exact tails: the 0.999 Clopper-Pearson interval of
     ``empirical_tail`` must cover the exact P[statistic >= t].
 
-    There are 9 checks: ustat all-below (3), gnm-isolated (2),
-    gnp-isolated, gnp-triangles, gnp-4cliques and degree-parity (1 each).
-    An unbiased sampler misses with probability at most 0.001 per check,
-    at most 0.009 for any of the 9, so a miss on these seeds (fixed before
+    There are 11 checks: ustat all-below (3), gnm-isolated (2),
+    gnm-triangles (2), gnp-isolated, gnp-triangles, gnp-4cliques and
+    degree-parity (1 each).  An unbiased sampler misses with probability
+    at most 0.001 per check, at most 0.011 for any of the 11, so a miss on these seeds (fixed before
     the first run) points at the sampler, not at chance.  A biased sampler
     that a bound still dominates fails here.
     """
@@ -661,6 +664,14 @@ class TestCalibration:
     def test_gnm_isolated(self, n, m, t):
         exact = float(gc.gnm_isolated_exact_tail(n, m, t))
         self.covers(sim.GnmIsolated(n, m), t, exact, 100_000, seed=72)
+
+    @pytest.mark.parametrize("m,t,seed", [(8, 2, 77), (14, 10, 78)])
+    def test_gnm_triangles_on_seven_vertices(self, m, t, seed):
+        # all C(21, m) graphs with m edges are equally likely; m = 14 draws
+        # the 7 absent edges
+        table = all_graph_laws(7)[gc.triangle_count]
+        exact = int(table[m, t:].sum()) / math.comb(21, m)
+        self.covers(sim.GnmTriangles(7, m), t, exact, 200_000, seed)
 
     def test_gnp_isolated(self):
         # G(n, p) given its edge count m is G(n, m), and m ~ Bin(C(n,2), p)
