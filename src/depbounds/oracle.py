@@ -20,10 +20,18 @@ chunks that keep each (atoms, 2^n) block near 8 MB.
 Per-law data is built once.  A ``JointDist`` is never changed after
 construction: its ``xs`` and ``ws`` are neither reassigned nor written.
 On that assumption ``is_bernoulli``, ``means()`` and, for a Bernoulli law,
-``outcome_pmf`` are computed on first use and kept, the two arrays
-read-only; ``JointDist.from_masks`` fills the pmf and the Bernoulli flag
-from its masks at once.  The subset transforms start from a copy of the
+``outcome_pmf`` and ``atom_sizes`` are computed on first use and kept,
+the arrays read-only.  The subset transforms start from a copy of the
 pmf, so every caller gets a fresh writable array.
+
+Laws are built in blocks of one n.  ``random_joint_dists`` draws each law
+from its own seed but expands all mixture components of a block in one
+``_lattice_products`` call and all independent laws in another;
+``_mask_laws``, behind ``JointDist.from_masks``, checks the masks and
+weights it is given, not the 0/1 support it builds from them, and fills
+every law's pmf (one ``bincount`` for the block), atom sizes and
+Bernoulli flag.  ``_z_laws`` and ``_superset_sums`` take the stacked laws
+of Z and pmfs of a block; the one-law functions are their one-row case.
 
 ``averaged_binomial_checks`` takes all vectors of a sweep in one call:
 their Poisson-binomial DPs, closed-form binomial pmfs, tilt sums and tails
@@ -67,6 +75,7 @@ __all__ = [
     # the exact pmf of independent trials, from numkernel
     "poisson_binom_dist",
     "random_joint_dist",
+    "random_joint_dists",
     "subset_product_moments",
     "subset_zeta_moments",
     "subset_sizes",
@@ -136,21 +145,62 @@ class JointDist:
         masks = self.xs.astype(np.int64) @ (1 << np.arange(self.n, dtype=np.int64))
         return _read_only(np.bincount(masks, weights=self.ws, minlength=1 << self.n))
 
+    @cached_property
+    def atom_sizes(self) -> np.ndarray:
+        """The number of ones of each atom of a Bernoulli law, one read-only
+        array per law; ``tail_lookup`` and ``z_distribution`` read it."""
+        return _read_only(self.xs.sum(axis=1).astype(np.int64))
+
     @classmethod
     def from_masks(cls, n: int, masks, ws) -> "JointDist":
         """Bernoulli law with one atom per bitmask (bit i set means X_i = 1);
-        the weights are renormalized to sum to 1.  The outcome pmf is counted
-        from the masks themselves."""
-        masks = np.asarray(masks, dtype=np.int64)
-        xs = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        ws = np.asarray(ws, dtype=float)
-        dist = cls(n=n, xs=xs, ws=ws / math.fsum(ws))
-        # cached_property defines no setter: these fill the caches
-        dist.is_bernoulli = True
-        dist.outcome_pmf = _read_only(
-            np.bincount(masks, weights=dist.ws, minlength=1 << n)
-        )
-        return dist
+        the weights are renormalized to sum to 1.  The outcome pmf and the
+        atom sizes are counted from the masks themselves."""
+        return _mask_laws(n, [masks], [ws])[0]
+
+
+def _mask_laws(n: int, masks: list, ws: list) -> list:
+    """Bernoulli laws on n coordinates, law l with one atom per bitmask of
+    ``masks[l]`` and the weights ``ws[l]`` renormalized to sum to 1, built
+    with one set of array operations for all of them.
+
+    Checks what it is given: every mask in [0, 2^n), one weight per mask,
+    every weight a nonnegative number and each law's total positive and
+    finite.  The 0/1 support it builds from the masks is not checked again.
+    Each law's ``xs``, ``ws``, outcome pmf and atom sizes are views of
+    arrays shared by the block, whose pmfs are one ``bincount``.
+    """
+    counts = [len(m) for m in masks]
+    if counts != [len(w) for w in ws]:
+        raise ValueError("one weight per atom required")
+    flat = np.concatenate(masks).astype(np.int64, copy=False)
+    weights = np.concatenate(ws).astype(float, copy=False)
+    if bad := flat[(flat < 0) | (flat >= 1 << n)].tolist():
+        raise ValueError(f"mask {bad[0]} is outside [0, 2^{n})")
+    if not np.all(weights >= 0.0):  # written so that NaN fails it
+        raise ValueError("ws: weights must be nonnegative numbers")
+    bounds = np.cumsum([0] + counts).tolist()
+    totals = [math.fsum(weights[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    for total in totals:
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"ws: weights sum to {total}, not a positive number")
+    weights = _read_only(weights / np.repeat(totals, counts))
+    # bit i of each mask, from its little-endian bytes
+    bytes_ = flat.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    xs = np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
+    xs = _read_only(xs.astype(float))
+    sizes = subset_sizes(n)[flat]
+    rows = np.repeat(np.arange(len(counts)) << n, counts)
+    pmfs = np.bincount(rows + flat, weights=weights, minlength=len(counts) << n)
+    pmfs = _read_only(pmfs.reshape(len(counts), 1 << n))
+    laws = []
+    for l, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        # built valid: __post_init__'s checks are skipped, the caches filled
+        law = object.__new__(JointDist)
+        vars(law).update(n=n, xs=xs[a:b], ws=weights[a:b], is_bernoulli=True,
+                         outcome_pmf=pmfs[l], atom_sizes=sizes[a:b])
+        laws.append(law)
+    return laws
 
 
 @dataclass
@@ -184,15 +234,17 @@ def zeta_decomposition(x) -> np.ndarray:
     """Subset weights prod_{i in A} x_i * prod_{i not in A} (1-x_i).
 
     Returns an array of length 2^n indexed by bitmask (bit i set means
-    i in A).  The weights sum to 1 and their size-weighted sums recover
-    sum(x); both identities hold by construction.
+    i in A), or one such row per row of a 2-D ``x``.  The weights sum to 1
+    and their size-weighted sums recover sum(x); both identities hold by
+    construction.
     """
     x = np.asarray(x, dtype=float)
-    _check_cap(len(x))
+    _check_cap(x.shape[-1])
     # written so that NaN fails it
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("coordinates must be numbers in [0,1]")
-    return _lattice_products(1.0 - x[None, :], x[None, :])[0]
+    rows = np.atleast_2d(x)
+    return _lattice_products(1.0 - rows, rows).reshape(*x.shape[:-1], -1)
 
 
 def z_distribution(dist: JointDist) -> ZDist:
@@ -205,9 +257,19 @@ def z_distribution(dist: JointDist) -> ZDist:
     """
     _check_cap(dist.n)
     if dist.is_bernoulli:
-        sizes = dist.xs.sum(axis=1).astype(np.int64)
-        return ZDist(np.bincount(sizes, weights=dist.ws, minlength=dist.n + 1))
+        return ZDist(_z_laws([dist])[0])
     return ZDist(_atom_sum(dist, _poisson_binom_rows, dist.n + 1))
+
+
+def _z_laws(dists: Sequence[JointDist]) -> np.ndarray:
+    """P[Z = j] of each Bernoulli law of ``dists``, all of one n, as one
+    row per law: a ``bincount`` of their atom sizes, in atom order."""
+    width = dists[0].n + 1
+    rows = np.repeat(np.arange(len(dists)) * width, [len(d.ws) for d in dists])
+    sizes = np.concatenate([d.atom_sizes for d in dists])
+    weights = np.concatenate([d.ws for d in dists])
+    out = np.bincount(rows + sizes, weights=weights, minlength=len(dists) * width)
+    return out.reshape(len(dists), width)
 
 
 def exact_tail(dist: JointDist, t: float) -> float:
@@ -226,13 +288,13 @@ def tail_lookup(dist: JointDist):
     """
     if not dist.is_bernoulli:
         raise ValueError("tail_lookup needs a Bernoulli law; use exact_tail")
-    sums = dist.xs.sum(axis=1)
+    n, ws, sizes = dist.n, dist.ws, dist.atom_sizes
     tails = {}
 
     def tail(t: float) -> float:
-        j = min(max(math.ceil(t - 1e-12), 0), dist.n + 1)
+        j = min(max(math.ceil(t - 1e-12), 0), n + 1)
         if j not in tails:
-            tails[j] = float(dist.ws[sums >= j].sum())
+            tails[j] = float(ws[sizes >= j].sum())
         return tails[j]
 
     return tail
@@ -245,8 +307,10 @@ def tail_lookup(dist: JointDist):
 def dephoeff_bound(zdist: ZDist, t: float) -> TailBound:
     """Tail bound E[f(Z)] / f(t) at the best f(x) = exp(h*x), h > 0; always
     an upper bound on P[sum X_i >= t].  ln E[exp(hZ)] - h*t is convex in h,
-    with slope the h-tilted mean of Z minus t: its root is bracketed by
-    doubling from h = 1 and bisected to float resolution (``params["h"]``).
+    with slope the h-tilted mean of Z minus t and curvature its h-tilted
+    variance: its root is bracketed by doubling from h = 1 and found by
+    Newton steps inside the bracket, a step that would leave it being a
+    bisection (``params["h"]``).
     Past the top s < n of Z's support the tilt runs off to h = inf, leaving
     ln P[Z = s] at t = s and -inf for t > s.
     """
@@ -266,25 +330,37 @@ def dephoeff_bound(zdist: ZDist, t: float) -> TailBound:
     down = np.arange(-top, 1)
 
     def tilt(h):
-        """(weights, shift): the tilted weights q_j e^(h(j - s)), divided
-        by the largest, ln q_j + h(j - s), so that each is at most 1 and a
-        subnormal q_j costs no precision."""
+        """(shift, total, mean, variance) of the tilted weights
+        q_j e^(h(j - s)), each divided by the largest, e^shift with shift =
+        max ln q_j + h(j - s), so that each is at most 1 and a subnormal
+        q_j costs no precision."""
         terms = log_q + h * down
         shift = float(terms.max())
-        return np.exp(terms - shift), shift
+        w = np.exp(terms - shift)
+        total = float(w.sum())
+        mean = float(w @ down) / total
+        dev = down - mean
+        return shift, total, top + mean, float(w @ (dev * dev)) / total
 
-    def tilted_mean(h):
-        w, _ = tilt(h)
-        return top + float(w @ down) / float(w.sum())
-
-    lo, hi = 0.0, 1.0
-    while tilted_mean(hi) < t:
-        lo, hi = hi, 2.0 * hi
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if tilted_mean(mid) < t else (lo, mid)
-    params = {"h": hi}
-    w, shift = tilt(hi)
-    log_bound = shift + math.log(float(w.sum())) + hi * (top - t)
+    # the tilted mean is exact to a few ulps of s: a root to that level is
+    # optimal to second order
+    tol = 8.0 * np.finfo(float).eps * top
+    lo, h = 0.0, 1.0
+    shift, total, mean, var = tilt(h)
+    while mean < t:
+        lo, h = h, 2.0 * h
+        shift, total, mean, var = tilt(h)
+    hi = h
+    while abs(mean - t) > tol:
+        lo, hi = (h, hi) if mean < t else (lo, h)
+        h = h - (mean - t) / var if var > 0.0 else lo
+        if not lo < h < hi:
+            h = 0.5 * (lo + hi)
+            if not lo < h < hi:  # lo and hi are adjacent floats
+                break
+        shift, total, mean, var = tilt(h)
+    params = {"h": h}
+    log_bound = shift + math.log(total) + h * (top - t)
     return TailBound(method, _clamp(log_bound, params), params)
 
 
@@ -440,11 +516,17 @@ def subset_product_moments(dist: JointDist) -> np.ndarray:
     _check_cap(dist.n)
     if not dist.is_bernoulli:
         return _atom_sum(dist, lambda xs: _lattice_products(None, xs), 1 << dist.n)
-    moments = dist.outcome_pmf.copy()
-    for i in range(dist.n):
-        pairs = moments.reshape(-1, 2, 1 << i)
-        pairs[:, 0, :] += pairs[:, 1, :]
-    return moments
+    return _superset_sums(dist.outcome_pmf.copy())
+
+
+def _superset_sums(table: np.ndarray) -> np.ndarray:
+    """In place along the last axis, of length 2^n and bitmask indexed:
+    entry A becomes the sum of the entries of all B containing A, by one
+    pass per coordinate over a (..., 2, 2^i) view.  Returns ``table``."""
+    for i in range(table.shape[-1].bit_length() - 1):
+        pairs = table.reshape(*table.shape[:-1], -1, 2, 1 << i)
+        pairs[..., 0, :] += pairs[..., 1, :]
+    return table
 
 
 def subset_zeta_moments(dist: JointDist) -> np.ndarray:
@@ -469,28 +551,68 @@ def random_joint_dist(n: int, profile_constraint=None, seed: int = 0) -> JointDi
     prod_A p_i prod_{not A} (1 - p_i) <= gamma^|A| delta^(n-|A|)), and
     the caps are linear in the law, so the mixture meets them too.  An
     infeasible constraint is refused before anything is drawn.
-    Deterministic given the seed.
+    Deterministic given the seed; the one-law case of
+    ``random_joint_dists``.
+    """
+    return random_joint_dists(n, [(profile_constraint, seed)])[0]
+
+
+def random_joint_dists(n: int, draws: Sequence) -> list:
+    """The Bernoulli laws ``draws`` on n coordinates, 1 <= n <= 12, built
+    together.
+
+    A draw is a (constraint, seed) pair, the law ``random_joint_dist(n,
+    constraint, seed)`` (its own generator draws it, so the laws do not
+    depend on each other), or an array q of n rates in [0, 1], the law of
+    independent Bernoulli(q_i) expanded over all 2^n outcomes.  One
+    ``_lattice_products`` call covers the mixture components of every
+    constrained draw, each mixture being the sum of its own rows; one
+    ``zeta_decomposition`` covers every rate vector, and one
+    ``_mask_laws`` builds all the laws.
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
-    if isinstance(profile_constraint, ProductBound):
-        if not 0.0 <= profile_constraint.gamma <= 1.0:
-            raise ValueError(
-                f"ProductBound gamma must be in [0, 1], got {profile_constraint.gamma}"
-            )
-        lo, hi = 0.0, profile_constraint.gamma
-    elif isinstance(profile_constraint, SplitBound):
-        lo, hi = 1.0 - profile_constraint.delta, profile_constraint.gamma
-    elif profile_constraint is not None:
-        raise TypeError(f"unsupported constraint {type(profile_constraint).__name__}")
-    rng = np.random.default_rng(seed)
-    if profile_constraint is None:
-        m = int(rng.integers(2, min(16, 1 << n) + 1))
-        masks = rng.choice(1 << n, size=m, replace=False)
-        return JointDist.from_masks(n, masks, rng.dirichlet(np.ones(m)))
-    comps = int(rng.integers(2, 6))
-    rates = lo + (hi - lo) * rng.random((comps, n))
-    mix = rng.dirichlet(np.ones(comps))
-    outcome_probs = (mix[:, None] * _lattice_products(1.0 - rates, rates)).sum(axis=0)
-    masks = np.nonzero(outcome_probs > 0.0)[0]
-    return JointDist.from_masks(n, masks, outcome_probs[masks])
+    if not draws:
+        return []
+    masks, ws = [None] * len(draws), [None] * len(draws)
+    mixtures, rates, mixes, products = [], [], [], []
+    for i, draw in enumerate(draws):
+        if isinstance(draw, np.ndarray):
+            products.append(i)
+            continue
+        constraint, seed = draw
+        if isinstance(constraint, ProductBound):
+            if not 0.0 <= constraint.gamma <= 1.0:
+                raise ValueError(
+                    f"ProductBound gamma must be in [0, 1], got {constraint.gamma}"
+                )
+            lo, hi = 0.0, constraint.gamma
+        elif isinstance(constraint, SplitBound):
+            lo, hi = 1.0 - constraint.delta, constraint.gamma
+        elif constraint is not None:
+            raise TypeError(f"unsupported constraint {type(constraint).__name__}")
+        rng = np.random.default_rng(seed)
+        if constraint is None:
+            m = int(rng.integers(2, min(16, 1 << n) + 1))
+            masks[i] = rng.choice(1 << n, size=m, replace=False)
+            ws[i] = rng.dirichlet(np.ones(m))
+            continue
+        comps = int(rng.integers(2, 6))
+        rates.append(lo + (hi - lo) * rng.random((comps, n)))
+        mixes.append(rng.dirichlet(np.ones(comps)))
+        mixtures.append(i)
+    if mixtures:
+        rates = np.concatenate(rates)
+        terms = np.concatenate(mixes)[:, None] * _lattice_products(1.0 - rates, rates)
+        # per-slice sums: np.add.reduceat over the block rounds differently
+        ends = np.cumsum([len(mix) for mix in mixes]).tolist()
+        for i, a, b in zip(mixtures, [0] + ends, ends):
+            outcome_probs = terms[a:b].sum(axis=0)
+            masks[i] = np.flatnonzero(outcome_probs > 0.0)
+            ws[i] = outcome_probs[masks[i]]
+    if products:
+        every = np.arange(1 << n)
+        rows = zeta_decomposition(np.array([draws[i] for i in products]))
+        for i, row in zip(products, rows):
+            masks[i], ws[i] = every, row
+    return _mask_laws(n, masks, ws)

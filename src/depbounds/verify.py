@@ -1,6 +1,17 @@
 """Verification suites: each suite returns a list of (name, passed, detail)
 records.  These back the CLI ``verify`` subcommand and the acceptance
 tests, so the exact same sweeps run in both places.
+
+The soundness and sandwich sweeps draw their random laws in blocks of
+consecutive trials (at most ``_BLOCK_ENTRIES`` pmf entries a block, so
+memory stays bounded whatever ``--trials``).  The master generator gives
+each law its n, seed, kind and (gamma | q) in trial order, so a block is
+drawn before any of its laws is built.  The laws of one n in a block are
+built by one ``oracle.random_joint_dists`` call and prepared by one
+``_law_data`` call: the superset sums, both gamma rates, the laws of Z,
+S_k and the independence and all-half tests over stacked arrays.  Each
+law is then checked on its own, in trial order.  ``applicable_bound_checks``
+and ``bernoulli_sum_moments`` are the one-law case.
 """
 
 from __future__ import annotations
@@ -51,41 +62,68 @@ def run_suite(name: str, **kw):
 
 
 # ---------------------------------------------------------------------------
-# helpers for the soundness sweep
+# the laws of the soundness and sandwich sweeps, drawn and prepared in blocks
 
 
 def bernoulli_sum_moments(dist: oc.JointDist):
-    """(sum distribution, symmetric moments S_k) of a Bernoulli joint dist.
-
-    S_k = sum_j P[Z = j] C(j, k), added left to right in plain floats (not
-    builtin ``sum``, which compensates float items from CPython 3.12 on).
-    """
+    """(sum distribution, symmetric moments S_k) of a Bernoulli joint dist;
+    the one-law case of ``_symmetric_moments``."""
     zdist = oc.z_distribution(dist)
-    probs = zdist.probs.tolist()
-    sk = {}
-    for k in range(dist.n + 1):
-        total = 0.0
-        for j in range(k, dist.n + 1):
-            total += probs[j] * math.comb(j, k)
-        sk[k] = total
-    return zdist, sk
+    return zdist, _symmetric_moments(zdist.probs[None])[0]
 
 
-def _gamma(moments: np.ndarray, sizes: np.ndarray) -> float:
-    """Smallest gamma with moments[A] <= gamma^|A| for all A != {}.
+# C(j, k) as floats for j, k <= oc.MAX_ENUM_N, zero for k > j
+_BINOMIALS = np.array([[math.comb(j, k) for k in range(oc.MAX_ENUM_N + 1)]
+                       for j in range(oc.MAX_ENUM_N + 1)], dtype=float)
 
-    On the product moments this is the ProductBound rate; on the zeta
-    moments the SplitBound rate at delta = 1.
+
+def _symmetric_moments(z_laws: np.ndarray) -> list:
+    """S_k = sum_j P[Z = j] C(j, k) for every k, as one dict per row of
+    ``z_laws``, added over j = k..n in that order in plain floats (not
+    builtin ``sum``, which compensates float items from CPython 3.12 on):
+    column k of ``sk`` takes its terms j < k as zeros, which leave 0.0."""
+    n = z_laws.shape[1] - 1
+    terms = z_laws[:, :, None] * _BINOMIALS[: n + 1, : n + 1]
+    sk = terms[:, 0].copy()
+    for j in range(1, n + 1):
+        sk += terms[:, j]
+    return [dict(enumerate(row)) for row in sk.tolist()]
+
+
+def _law_data(dists: list) -> list:
+    """(gamma, gamma_z, pbar, sk, independent, all_half) of each law of
+    ``dists``, all of one n, from one set of array operations over their
+    stacked outcome pmfs, laws of Z and means.
+
+    gamma is the smallest rate with E[prod_{i in A} X_i] <= gamma^|A| for
+    all A != {} (the ProductBound rate), gamma_z the same on the zeta
+    moments E[Z_A], which for a Bernoulli law are its outcome pmf (the
+    SplitBound rate at delta = 1).  ``independent`` is True iff the product
+    moments match, within 1e-9, those of the product law with the same
+    means (``_is_independent``); ``all_half`` iff every mean is within
+    1e-12 of 1/2.
     """
-    return float((moments[1:] ** (1.0 / sizes[1:])).max())
+    if not all(dist.is_bernoulli for dist in dists):
+        raise ValueError("the sweeps' law data needs Bernoulli laws")
+    n = dists[0].n
+    exponents = 1.0 / oc.subset_sizes(n)[1:]
+    table = np.stack([dist.outcome_pmf for dist in dists])
+    gamma_z = (table[:, 1:] ** exponents).max(axis=1)
+    moments = oc._superset_sums(table)
+    gamma = (moments[:, 1:] ** exponents).max(axis=1)
+    means = np.stack([dist.means() for dist in dists])
+    all_half = (np.abs(means - 0.5) <= 1e-12).all(axis=1)
+    return list(zip(gamma.tolist(), gamma_z.tolist(), (means.sum(axis=1) / n).tolist(),
+                    _symmetric_moments(oc._z_laws(dists)),
+                    _is_independent(means, moments).tolist(), all_half.tolist()))
 
 
-def _is_independent(dist: oc.JointDist, moments: np.ndarray) -> bool:
-    """True iff the product moments ``moments`` of ``dist`` match, within
-    1e-9, those of the product law with the same means."""
-    means = np.minimum(np.maximum(dist.means(), 0.0), 1.0)  # np.clip, faster
-    product = oc._lattice_products(None, means[None, :])[0]
-    return bool(np.all(np.abs(moments[1:] - product[1:]) <= 1e-9))
+def _is_independent(means: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Row r is True iff the product moments ``moments[r]`` match, within
+    1e-9, those of the product law with the means ``means[r]``."""
+    clipped = np.minimum(np.maximum(means, 0.0), 1.0)  # np.clip, faster
+    product = oc._lattice_products(None, clipped)
+    return (np.abs(moments[:, 1:] - product[:, 1:]) <= 1e-9).all(axis=1)
 
 
 # thresholds each applicable bound is checked at
@@ -99,15 +137,14 @@ def _interior_grid(lo: float, hi: float) -> list:
 def applicable_bound_checks(dist: oc.JointDist):
     """(label, t, TailBound) triples for every bound whose hypotheses the
     distribution provably satisfies, at interior thresholds of each bound's
-    validity range."""
-    n = dist.n
-    checks = []
-    moments = oc.subset_product_moments(dist)
-    sizes = oc.subset_sizes(n)
-    gamma = _gamma(moments, sizes)
-    pbar = dist.mean_rate
-    zdist, sk = bernoulli_sum_moments(dist)
+    validity range; the one-law case of ``_bound_checks``."""
+    return _bound_checks(dist.n, *_law_data([dist])[0])
 
+
+def _bound_checks(n, gamma, gamma_z, pbar, sk, independent, all_half):
+    """``applicable_bound_checks`` of a law on n coordinates with the given
+    ``_law_data``."""
+    checks = []
     if 0.0 < gamma < 1.0:
         for t in _interior_grid(n * gamma, n):
             eps = bd.t_to_eps(n, gamma, t)
@@ -116,7 +153,6 @@ def applicable_bound_checks(dist: oc.JointDist):
             for t in _interior_grid(n * gamma + 1.0, n):
                 checks.append(("bincoupling", t, bd.bincoupling_bound(n, gamma, t)))
 
-    gamma_z = _gamma(oc.subset_zeta_moments(dist), sizes)
     if 0.0 < gamma_z < 1.0:
         for t in _interior_grid(n * gamma_z, n):
             checks.append(
@@ -136,13 +172,13 @@ def applicable_bound_checks(dist: oc.JointDist):
                 )
             )
 
-    if _is_independent(dist, moments) and 0.0 < pbar < 1.0:
+    if independent and 0.0 < pbar < 1.0:
         for t in _interior_grid(n * pbar, n):
             checks.append(("hoeffding", t, bd.hoeffding_bound(n, pbar, t)))
             eps = bd.t_to_eps(n, pbar, t)
             checks.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, eps)))
 
-    if np.all(np.abs(dist.means() - 0.5) <= 1e-12):
+    if all_half:
         params = bd.DependencyGraphParams(n=n, alpha=1)
         for t in _interior_grid(n / 2.0, n):
             checks.append(("depgraph(alpha=1)", t, bd.depgraph_bound(params, t)))
@@ -150,20 +186,56 @@ def applicable_bound_checks(dist: oc.JointDist):
     return checks
 
 
-def _random_bernoulli_dist(rng, n_max: int) -> oc.JointDist:
+def _law_draw(rng, n_max: int):
+    """(n, draw) of the next law of the sweeps' stream, ``draw`` as
+    ``oc.random_joint_dists`` takes it: the master generator ``rng`` gives
+    the law its n, seed, kind and (gamma | q), in that order."""
     n = int(rng.integers(3, n_max + 1))
     seed = int(rng.integers(0, 2**31))
     kind = rng.random()
     if kind < 0.4:
-        return oc.random_joint_dist(n, seed=seed)
+        return n, (None, seed)
     if kind < 0.7:
-        gamma = float(0.2 + 0.6 * rng.random())
-        return oc.random_joint_dist(
-            n, bd.ProductBound(gamma), seed=seed
-        )
+        return n, (bd.ProductBound(float(0.2 + 0.6 * rng.random())), seed)
     # independent product-Bernoulli, expanded over all outcomes
-    q = rng.random(n) * 0.8 + 0.1
-    return oc.JointDist.from_masks(n, np.arange(1 << n), oc.zeta_decomposition(q))
+    return n, rng.random(n) * 0.8 + 0.1
+
+
+# pmf entries (2^n a law) of one block of the sweeps' laws, so that a
+# block's arrays stay bounded however many trials a sweep runs: at most
+# one law of n = 12, whose (4096, 12) support alone takes 0.4 MB
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _sweep_laws(rng, n_max: int, trials: int):
+    """(dist, tail lookup, ``_law_data`` entry) of each law of a sweep, in
+    trial order.  The laws are drawn in blocks of consecutive trials of at
+    most ``_BLOCK_ENTRIES`` pmf entries (or one law), and the laws of one n
+    in a block are built and prepared together."""
+    block, entries = [], 0
+    for _ in range(trials):
+        n, draw = _law_draw(rng, n_max)
+        if block and entries + (1 << n) > _BLOCK_ENTRIES:
+            yield from _prepared_laws(block)
+            block, entries = [], 0
+        block.append((n, draw))
+        entries += 1 << n
+    yield from _prepared_laws(block)
+
+
+def _prepared_laws(draws: list) -> list:
+    """``_sweep_laws``' triples for one block of (n, draw) pairs, in order:
+    the laws of one n are built by one ``oc.random_joint_dists`` call and
+    prepared by one ``_law_data`` call."""
+    rows = {}
+    for r, (n, _) in enumerate(draws):
+        rows.setdefault(n, []).append(r)
+    laws = [None] * len(draws)
+    for n, group in rows.items():
+        dists = oc.random_joint_dists(n, [draws[r][1] for r in group])
+        for r, dist, data in zip(group, dists, _law_data(dists)):
+            laws[r] = dist, oc.tail_lookup(dist), data
+    return laws
 
 
 def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
@@ -174,10 +246,8 @@ def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
     records = []
     checked = 0
     worst = (None, -math.inf)
-    for i in range(trials):
-        dist = _random_bernoulli_dist(rng, n_max)
-        tail_at = oc.tail_lookup(dist)
-        for label, t, tb in applicable_bound_checks(dist):
+    for i, (dist, tail_at, data) in enumerate(_sweep_laws(rng, n_max, trials)):
+        for label, t, tb in _bound_checks(dist.n, *data):
             if not tb.is_valid:
                 continue
             checked += 1
@@ -419,11 +489,9 @@ def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0):
     rng = np.random.default_rng(seed)
     fails = []
     checked = 0
-    for i in range(trials):
-        dist = _random_bernoulli_dist(rng, n_max)
+    for i, (dist, tail_at, data) in enumerate(_sweep_laws(rng, n_max, trials)):
         n = dist.n
-        tail_at = oc.tail_lookup(dist)
-        _, sk = bernoulli_sum_moments(dist)
+        sk = data[3]
         profile = bd.SymmetricMoments(sk)
         for beta_n in range(1, n + 1):
             tail = tail_at(float(beta_n))

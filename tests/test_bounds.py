@@ -140,8 +140,8 @@ class TestLinialLuria:
         from depbounds import verify
 
         rng = np.random.default_rng(11)
-        for _ in range(60):
-            dist = verify._random_bernoulli_dist(rng, 10)
+        draws = [verify._law_draw(rng, 10) for _ in range(60)]
+        for dist, _, _ in verify._prepared_laws(draws):
             _, sk = verify.bernoulli_sum_moments(dist)
             tail_at = oc.tail_lookup(dist)
             for beta_n in range(1, dist.n + 1):

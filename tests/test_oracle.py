@@ -171,6 +171,52 @@ class TestSubsetTransforms:
         np.testing.assert_array_equal(dist.xs, [[1, 0, 1], [0, 1, 0]])
         np.testing.assert_array_equal(dist.ws, [0.25, 0.75])
 
+    @pytest.mark.parametrize("mask", [8, 9, -1, -8])
+    def test_from_masks_rejects_a_mask_outside_the_lattice(self, mask):
+        with pytest.raises(ValueError, match=rf"mask {mask} is outside \[0, 2\^3\)"):
+            oc.JointDist.from_masks(3, [5, mask], [1.0, 3.0])
+
+    @pytest.mark.parametrize("ws, match", [
+        ([math.nan, 1.0], "nonnegative"),
+        ([-0.5, 1.5], "nonnegative"),
+        ([0.0, 0.0], "sum to 0.0"),
+        ([math.inf, 1.0], "sum to inf"),
+        ([1.0], "one weight per atom"),
+    ])
+    def test_from_masks_rejects_bad_weights(self, ws, match):
+        with pytest.raises(ValueError, match=match):
+            oc.JointDist.from_masks(3, [5, 2], ws)
+
+    def test_from_masks_counts_what_the_support_gives(self):
+        masks = [0, 5, 6, 7, 5, 3]
+        dist = oc.JointDist.from_masks(3, masks, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        same = oc.JointDist(n=3, xs=dist.xs, ws=dist.ws)
+        for name in ("outcome_pmf", "atom_sizes"):
+            np.testing.assert_array_equal(getattr(dist, name), getattr(same, name))
+        assert dist.atom_sizes.tolist() == [0, 2, 2, 3, 2, 2]
+        np.testing.assert_array_equal(oc.z_distribution(dist).probs,
+                                      oc.z_distribution(same).probs)
+
+    def test_laws_built_together_equal_laws_built_alone(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 3, 6):
+            draws = [(None, 1), (bd.ProductBound(0.4), 2), rng.random(n),
+                     (bd.SplitBound(0.6, 0.7), 3), (bd.ProductBound(0.4), 4),
+                     rng.random(n), (None, 5)]
+            for dist, draw in zip(oc.random_joint_dists(n, draws), draws):
+                alone = (oc.random_joint_dist(n, *draw) if isinstance(draw, tuple)
+                         else oc.JointDist.from_masks(n, np.arange(1 << n),
+                                                      oc.zeta_decomposition(draw)))
+                for name in ("xs", "ws", "outcome_pmf", "atom_sizes"):
+                    np.testing.assert_array_equal(getattr(dist, name), getattr(alone, name))
+
+    def test_zeta_decomposition_of_rows(self):
+        q = np.random.default_rng(3).random((4, 5))
+        rows = oc.zeta_decomposition(q)
+        assert rows.shape == (4, 32)
+        for row, x in zip(rows, q):
+            np.testing.assert_array_equal(row, oc.zeta_decomposition(x))
+
     @given(
         m=st.integers(1, 6),
         n=st.integers(0, 10),
@@ -220,13 +266,17 @@ class TestSubsetTransforms:
         np.testing.assert_array_equal(oc.subset_zeta_moments(dist), dist.outcome_pmf)
 
     def test_is_independent(self):
+        def independent(law):
+            moments = oc.subset_product_moments(law)
+            return verify._is_independent(law.means()[None], moments[None])[0]
+
         dist = product_bernoulli_dist([0.2, 0.5, 0.7, 0.4])
-        assert verify._is_independent(dist, oc.subset_product_moments(dist))
+        assert independent(dist)
         ws = dist.ws.copy()
         ws[0] -= 1e-3
         ws[1] += 1e-3
         skewed = oc.JointDist(n=dist.n, xs=dist.xs, ws=ws)
-        assert not verify._is_independent(skewed, oc.subset_product_moments(skewed))
+        assert not independent(skewed)
 
 
 class TestZetaDecomposition:
@@ -424,6 +474,21 @@ class TestDephoeff:
                                options={"xatol": 1e-10}).fun
         got = oc.dephoeff_bound(oc.ZDist(probs), t).log_bound
         assert got == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, t", [(20, 0.3, 11.0), (14, 0.5, 10.0),
+                                         (20, 0.3, 6.0 + 1e-15)])
+    def test_few_tilt_evaluations(self, monkeypatch, n, p, t):
+        """Newton steps need a handful of tilts (one np.exp each) at the
+        identities' inputs and just above the mean, where bisection to
+        float resolution took 54 and 102."""
+        zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((p,) * n)))
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
+        tb = oc.dephoeff_bound(zd, t)
+        assert tb.is_valid and 1 <= len(calls) <= 12
+        assert tb.log_bound == pytest.approx(bd.hoeffding_bound(n, p, t).log_bound,
+                                             rel=0, abs=1e-10)
 
     def test_t_below_mean_invalid(self):
         zd = oc.ZDist(poisson_binom_dist(PoissonBinomialSpec((0.5,) * 10)))

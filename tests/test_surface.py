@@ -147,6 +147,13 @@ def test_private_name_check_sees_a_leftover():
 # one that gains a caller must leave.
 TEST_ONLY_PUBLIC = {
     "oracle.exact_tail": "the reference the sweep tests check tail_lookup against",
+    "oracle.random_joint_dist": "the one-law case of random_joint_dists",
+    "oracle.subset_product_moments": "the one-law transform; the sweeps take "
+                                     "superset sums of stacked pmfs",
+    "oracle.subset_zeta_moments": "the one-law transform; a Bernoulli law's "
+                                  "zeta moments are its outcome pmf",
+    "verify.applicable_bound_checks": "the one-law case of the sweeps' blocks",
+    "verify.bernoulli_sum_moments": "the one-law case of the sweeps' blocks",
     "numkernel.binom_tail_log": "a test reference; perfbench names a metric after it",
     "graphcomb.independence_number": "the depgraph check at alpha > 1 (ROADMAP item 2)",
     "graphcomb.gnm_isolated_exact_tail": "the gnm count tables' cross-check "

@@ -3,6 +3,7 @@ against the per-check loop they replaced, their records at pinned flags
 and rerun determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,46 @@ from depbounds import oracle as oc
 from depbounds import verify
 
 # ---------------------------------------------------------------------------
-# the reference: the per-check loop the sweeps ran before each law's tails
-# came from one table, with a fresh exact_tail per check, a one-atom
-# JointDist in the independence test and S_k summed over numpy scalars
+# the reference: the per-check loop the sweeps ran before laws were drawn and
+# prepared in blocks and each law's tails came from one table, with a law
+# drawn, summed and checked on its own, a fresh exact_tail per check, a
+# one-atom JointDist in the independence test and S_k summed over numpy
+# scalars
+
+
+def reference_zeta(q):
+    """prod_{i in A} q_i prod_{i not in A} (1 - q_i) for each row of q, by
+    concatenation (bit for bit the in-place doubling)."""
+    out = np.ones((len(q), 1))
+    for i in range(q.shape[1]):
+        out = np.concatenate([out * (1.0 - q[:, i : i + 1]), out * q[:, i : i + 1]], axis=1)
+    return out
+
+
+def reference_law(rng, n_max):
+    """The next law of the sweeps' stream, drawn on its own and checked in
+    full by the JointDist constructor."""
+    n = int(rng.integers(3, n_max + 1))
+    seed = int(rng.integers(0, 2**31))
+    kind = rng.random()
+    law_rng = np.random.default_rng(seed)
+    if kind < 0.4:
+        m = int(law_rng.integers(2, min(16, 1 << n) + 1))
+        masks = law_rng.choice(1 << n, size=m, replace=False)
+        ws = law_rng.dirichlet(np.ones(m))
+    elif kind < 0.7:
+        gamma = float(0.2 + 0.6 * rng.random())
+        comps = int(law_rng.integers(2, 6))
+        rates = gamma * law_rng.random((comps, n))
+        mix = law_rng.dirichlet(np.ones(comps))
+        probs = (mix[:, None] * reference_zeta(rates)).sum(axis=0)
+        masks = np.flatnonzero(probs > 0.0)
+        ws = probs[masks]
+    else:
+        q = rng.random(n) * 0.8 + 0.1
+        masks, ws = np.arange(1 << n), reference_zeta(q[None, :])[0]
+    xs = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+    return oc.JointDist(n=n, xs=xs, ws=ws / math.fsum(ws))
 
 
 def reference_sum_moments(dist):
@@ -37,14 +75,27 @@ def reference_is_independent(dist, moments):
     return bool(np.all(np.abs(moments[1:] - product[1:]) <= 1e-9))
 
 
+def reference_checks(dist):
+    """``applicable_bound_checks`` from the law's data computed on its own."""
+    n = dist.n
+    sizes = np.array([bin(m).count("1") for m in range(1, 1 << n)])
+    moments = oc.subset_product_moments(dist)
+    gamma = float((moments[1:] ** (1.0 / sizes)).max())
+    gamma_z = float((oc.subset_zeta_moments(dist)[1:] ** (1.0 / sizes)).max())
+    _, sk = reference_sum_moments(dist)
+    all_half = bool(np.all(np.abs(dist.means() - 0.5) <= 1e-12))
+    return verify._bound_checks(n, gamma, gamma_z, dist.mean_rate, sk,
+                                reference_is_independent(dist, moments), all_half)
+
+
 def reference_soundness(n_max, trials, seed):
     rng = np.random.default_rng(seed)
     records = []
     checked = 0
     worst = (None, -math.inf)
     for i in range(trials):
-        dist = verify._random_bernoulli_dist(rng, n_max)
-        for label, t, tb in verify.applicable_bound_checks(dist):
+        dist = reference_law(rng, n_max)
+        for label, t, tb in reference_checks(dist):
             if not tb.is_valid:
                 continue
             checked += 1
@@ -77,7 +128,7 @@ def reference_sandwich(n_max, trials, seed):
     fails = []
     checked = 0
     for i in range(trials):
-        dist = verify._random_bernoulli_dist(rng, n_max)
+        dist = reference_law(rng, n_max)
         n = dist.n
         _, sk = reference_sum_moments(dist)
         profile = bd.SymmetricMoments(sk)
@@ -113,7 +164,8 @@ def product_law(q):
 
 def random_laws(count, n_max, seed=0):
     rng = np.random.default_rng(seed)
-    return [verify._random_bernoulli_dist(rng, n_max) for _ in range(count)]
+    draws = [verify._law_draw(rng, n_max) for _ in range(count)]
+    return [dist for dist, _, _ in verify._prepared_laws(draws)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +198,8 @@ class TestTailLookup:
 class TestSweepsMatchReference:
     @pytest.mark.parametrize("n_max", [7, 10])
     @pytest.mark.parametrize("seed", range(5))
-    def test_soundness(self, monkeypatch, seed, n_max):
+    def test_soundness(self, seed, n_max):
         got = verify.suite_soundness(n_max=n_max, trials=200, seed=seed)
-        # applicable_bound_checks reaches the reference helpers by name
-        monkeypatch.setattr(verify, "bernoulli_sum_moments", reference_sum_moments)
-        monkeypatch.setattr(verify, "_is_independent", reference_is_independent)
         assert got == reference_soundness(n_max, 200, seed)
 
     @pytest.mark.parametrize("n_max", [7, 10])
@@ -178,9 +227,78 @@ class TestSweepsMatchReference:
                 oc.subset_product_moments(one_atom),
             )
             moments = oc.subset_product_moments(dist)
-            assert verify._is_independent(dist, moments) == (
+            assert verify._is_independent(dist.means()[None], moments[None])[0] == (
                 reference_is_independent(dist, moments)
             )
+
+
+class TestBlocks:
+    """The sweeps draw and prepare their laws in blocks of consecutive
+    trials, the laws of each n in a block together."""
+
+    @pytest.mark.parametrize("n_max", [3, 7, 12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_laws_equal_the_laws_drawn_one_at_a_time(self, seed, n_max):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [verify._law_draw(rng, n_max) for _ in range(60)]
+        for dist, _, _ in verify._prepared_laws(draws):
+            want = reference_law(ref_rng, n_max)
+            assert dist.n == want.n
+            for name in ("xs", "ws", "outcome_pmf", "atom_sizes"):
+                np.testing.assert_array_equal(getattr(dist, name), getattr(want, name))
+            np.testing.assert_array_equal(dist.means(), want.means())
+        # both streams end at the same draw
+        assert rng.random() == ref_rng.random()
+
+    # a block holds laws of at most _BLOCK_ENTRIES pmf entries, 2^n a law,
+    # or one law: 1 entry makes blocks of one law, 56 entries blocks of up
+    # to 7 laws (of n = 3), and the default at most one law of n = 12
+    @pytest.mark.parametrize("entries", [1, 56, None])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch, entries, seed):
+        if entries is not None:
+            monkeypatch.setattr(verify, "_BLOCK_ENTRIES", entries)
+        trials = 40  # several blocks of each size
+        got = verify.suite_soundness(n_max=12, trials=trials, seed=seed)
+        assert got == reference_soundness(12, trials, seed)
+        got = verify.suite_sandwich(n_max=12, trials=trials, seed=seed)
+        assert got == reference_sandwich(12, trials, seed)
+
+    def test_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.start()
+            try:
+                verify.suite_soundness(n_max=12, trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20, peaks
+
+    def test_one_law_calls_are_blocks_of_one(self):
+        def values(checks):
+            return [(label, t, vars_of(tb)) for label, t, tb in checks]
+
+        def vars_of(tb):
+            return tb.method, tb.log_bound, tb.params, tb.invalid_reason
+
+        laws = random_laws(30, 9, seed=4)
+        data = {}
+        for n in {dist.n for dist in laws}:
+            group = [dist for dist in laws if dist.n == n]
+            data.update(zip(map(id, group), verify._law_data(group)))
+        for dist in laws:
+            assert verify._law_data([dist])[0] == data[id(dist)]
+            assert values(verify.applicable_bound_checks(dist)) == values(
+                verify._bound_checks(dist.n, *data[id(dist)]))
+            assert verify.bernoulli_sum_moments(dist)[1] == data[id(dist)][3]
+
+
+    def test_law_data_needs_bernoulli_laws(self):
+        dist = oc.JointDist(n=2, xs=[[0.5, 1.0], [0.0, 0.25]], ws=[0.5, 0.5])
+        with pytest.raises(ValueError, match="Bernoulli"):
+            verify.applicable_bound_checks(dist)
+        assert oc.random_joint_dists(3, []) == []
 
 
 class TestLawStream:
