@@ -11,7 +11,7 @@ import math
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -346,6 +346,8 @@ def cmd_bound(args) -> int:
             rec["validity"] = (
                 "Valid" if tb.is_valid else f"Invalid: {tb.invalid_reason}"
             )
+            rec["clamped"] = (tb.params.get("clamped", False)
+                              if tb.is_valid else "")
             rec["provenance"] = spec.provenance
             rec["runtime_ms"] = runtime_ms
             records.append(rec)
@@ -682,8 +684,10 @@ def cmd_compare(args) -> int:
     methods = [m for m in (args.methods or "").split(",") if m]
     if len(methods) < 2:
         raise UsageError("--methods needs at least two comma-separated methods")
-    for m in methods:
+    for i, m in enumerate(methods):
         _method(m)
+        if m in methods[:i]:
+            raise UsageError(f"--methods lists {m} more than once")
     if args.t is None:
         raise UsageError("--t is required (comma-separated sweep)")
     ts = _sweep("t", args.t, finite)
@@ -720,6 +724,9 @@ def cmd_compare(args) -> int:
 # argument wiring
 
 
+# built on the first main call, not at import, and reused by later calls in
+# the same process; parse_args leaves the parser as it found it
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="depbounds")
     common = _Parser(add_help=False)

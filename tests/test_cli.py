@@ -185,6 +185,21 @@ class TestBound:
             (rec,) = json_records(out)
             assert rec["validity"] == f"Invalid: {reason}"
 
+    def test_clamped_field(self, capsys):
+        """bincoupling's log bound at t = 31.5 is positive and clamped to
+        0; at t = 40 it is not; an Invalid row leaves the field empty."""
+        code, out, _ = run_cli(
+            capsys, "bound", "bincoupling", "--n", "100", "--p", "0.3,1.3",
+            "--t", "31.5,40", "--format", "json-lines",
+        )
+        assert code == 2
+        recs = json_records(out)
+        assert [(r["p"], r["t"], r["clamped"]) for r in recs] == [
+            (0.3, 31.5, True), (0.3, 40.0, False), (1.3, 31.5, ""),
+            (1.3, 40.0, ""),
+        ]
+        assert recs[0]["log_bound"] == 0.0
+
     def test_table_format_has_header(self, capsys):
         code, out, _ = run_cli(
             capsys, "bound", "hoeffding", "--n", "100", "--p", "0.3", "--t", "40",
@@ -586,6 +601,14 @@ class TestCompare:
         )
         assert code == 64
 
+    def test_repeated_method_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--methods", "hoeffding,hoeffding",
+            "--n", "100", "--p", "0.3", "--t", "40",
+        )
+        assert code == 64 and not out
+        assert "--methods lists hoeffding more than once" in err
+
     def test_hoeffding_equals_mcdiarmid_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--methods", "hoeffding,mcdiarmid",
@@ -938,6 +961,82 @@ class TestSurface:
         sim_section = readme.split("### `simulate`")[1].split("### ")[0]
         models_text = sim_section.split("Models:")[1].split(". With")[0]
         assert tuple(re.findall(r"`([a-z][a-z0-9-]*)`", models_text)) == tuple(SIM_MODELS)
+
+
+# bound in csv, an argparse usage error, --help, simulate, verify and
+# bound in table format: each call must leave the reused parser as it found it
+PARSER_REUSE_RUNS = [
+    ["bound", "hoeffding", "--n", "100", "--p", "0.3", "--t", "40,45",
+     "--format", "csv"],
+    ["bound", "hoeffding", "--n", "100", "--p", "0.3", "--t", "40",
+     "--format", "xml"],
+    ["--help"],
+    ["simulate", "gnp-isolated", "--n", "10", "--p", "0.2", "--t", "3",
+     "--reps", "100", "--seed", "5", "--format", "json-lines"],
+    ["verify", "identities"],
+    ["bound", "hoeffding", "--n", "100", "--p", "0.3", "--t", "40"],
+]
+
+
+def run_in_one_process(runs):
+    """(exit code, stdout, stderr) of each argv, all run by main in one
+    fresh interpreter whose time.perf_counter is fixed, so that runtime_ms
+    does not vary."""
+    proc = run_python(textwrap.dedent(f"""
+        import contextlib, io, json, time
+        time.perf_counter = lambda: 0.0
+        from depbounds.cli import main
+        results = []
+        for argv in {runs!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \\
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            results.append([code, out.getvalue(), err.getvalue()])
+        print(json.dumps(results))
+    """))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        from depbounds import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        """import depbounds.cli constructs no ArgumentParser; the first
+        main call builds the parser and later calls build none."""
+        proc = run_python(textwrap.dedent("""
+            import argparse, contextlib, io
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting_init(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting_init
+            import depbounds.cli
+            print(len(built))
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    depbounds.cli.main(["bound", "hoeffding", "--n", "100",
+                                        "--p", "0.3", "--t", "40"])
+                print(len(built))
+        """))
+        assert proc.returncode == 0, proc.stderr
+        before, first, second = map(int, proc.stdout.split())
+        assert before == 0 and first > 0 and second == first
+
+    def test_calls_in_one_process_match_fresh_runs(self):
+        together = run_in_one_process(PARSER_REUSE_RUNS)
+        alone = [run_in_one_process([argv])[0] for argv in PARSER_REUSE_RUNS]
+        assert [code for code, _o, _e in together] == [0, 64, 0, 0, 0, 0]
+        assert together == alone
+        assert "runtime_ms" in together[0][1] and "usage:" in together[2][1]
 
 
 class TestEntryPoint:
