@@ -234,19 +234,47 @@ def _add(xs: list, ys: list) -> list:
     return out
 
 
+def _halve(digits: list) -> list:
+    """Adds the first half of the rows of a bit-sliced number (``digits``,
+    lowest first, of one even row count) to the second half in place, by
+    ripple carry: returns the digits of the sum, views of half the rows of
+    each input digit, and of the last one's other half for a nonzero top
+    carry."""
+    half = len(digits[0]) // 2
+    carry = None
+    out = []
+    for d in digits:
+        x, y = d[:half], d[half:]
+        x ^= y
+        y |= x
+        y ^= x  # y: the old x & y
+        if carry is not None:
+            x ^= carry
+            carry |= x
+            carry ^= x  # carry & ~(the sum digit): carry & (old x ^ y)
+            y |= carry
+        out.append(x)
+        carry = y
+    if carry.any():
+        out.append(carry)
+    return out
+
+
 def _adder_tree(planes) -> list:
     """The digits, lowest first, of the bit-sliced sum of the rows of
-    ``planes`` (k >= 1 rows): halves of the rows are added as numbers
-    until one is left, a zero row padding an odd count."""
-    digits = [planes]
+    ``planes`` (k >= 1 rows), which it overwrites: halves of the rows are
+    added in place until one row is left, the last row of an odd count set
+    aside and added at the end."""
+    digits, odd = [planes], []
     while len(digits[0]) > 1:
         if len(digits[0]) % 2:
-            pad = np.zeros((1, digits[0].shape[1]), np.uint64)
-            digits = [np.concatenate([d, pad]) for d in digits]
-        half = len(digits[0]) // 2
-        digits = _add([d[:half] for d in digits], [d[half:] for d in digits])
-    # one row is its own sum, which must not stay a view of the caller's rows
-    return digits if len(planes) > 1 else [planes.copy()]
+            odd.append([d[-1:] for d in digits])
+            digits = [d[:-1] for d in digits]
+        digits = _halve(digits)
+    for rest in odd:
+        digits = _add(digits, rest)
+    # the digits may still be views of ``planes``, which the caller reuses
+    return [d.copy() for d in digits]
 
 
 def _unpack(digits: list, words: int) -> np.ndarray:
@@ -263,10 +291,11 @@ class _Tally:
     """Per-graph sum of the planes of a kernel's ``candidates`` subgraphs.
 
     ``rows(k)`` lends k rows of a buffer of about BLOCK_BYTES (or of all
-    the candidates, when they take less).  When it fills up, its rows go
-    through the adder tree into a bit-sliced running sum, which ``counts``
-    unpacks once.  The rows are padded with zero rows to a multiple of 64,
-    so that the tree's first six levels halve an even number of rows.
+    the candidates, when they take less).  When it fills up, the adder tree
+    sums its rows in the buffer itself, and the sum joins a bit-sliced
+    running sum, which ``counts`` unpacks once.  The rows are padded with
+    zero rows to a multiple of 64, so that the tree's first six levels
+    halve an even number of rows.
     """
 
     def __init__(self, words: int, candidates: int):

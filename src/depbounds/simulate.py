@@ -32,6 +32,7 @@ loop in Python over steps or edges, a cost each block would repeat.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -609,6 +610,43 @@ def _batch_blocks(model, rng, size):
     ])
 
 
+def _run_chunks(run, chunks: int, threads: int) -> None:
+    """``run(c)`` for every chunk c < ``chunks``, on the calling thread and
+    ``min(threads, chunks) - 1`` workers, each claiming the next chunk from
+    one shared counter.  Once a chunk raises, no thread claims another; the
+    pool is joined before the error reaches the caller, so no chunk runs
+    after this returns.  The caller takes chunks rather than wait for the
+    workers: each worker thread gets a malloc arena of its own, which keeps
+    its freed blocks, so every thread beyond the caller adds to the
+    process's peak memory."""
+    workers = min(threads, chunks) - 1
+    if workers < 1:
+        for c in range(chunks):
+            run(c)
+        return
+    lock = threading.Lock()
+    claimed, failed = 0, False
+
+    def claim_loop():
+        nonlocal claimed, failed
+        while True:
+            with lock:
+                if failed or claimed == chunks:
+                    return
+                c, claimed = claimed, claimed + 1
+            try:
+                run(c)
+            except BaseException:
+                failed = True
+                raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(claim_loop) for _ in range(workers)]
+        claim_loop()
+        for future in futures:
+            future.result()
+
+
 def empirical_tail(model, t: float, reps: int, seed: int,
                    threads: int = 1) -> SimResult:
     """Empirical P[statistic >= t] with an exact 0.999 confidence interval.
@@ -618,22 +656,17 @@ def empirical_tail(model, t: float, reps: int, seed: int,
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    chunks = [
-        (c, min(CHUNK_SIZE, reps - c * CHUNK_SIZE))
-        for c in range((reps + CHUNK_SIZE - 1) // CHUNK_SIZE)
-    ]
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    sizes = [min(CHUNK_SIZE, reps - start)
+             for start in range(0, reps, CHUNK_SIZE)]
+    results = [None] * len(sizes)
 
-    def run(chunk):
-        c, size = chunk
-        stats = _batch_blocks(model, _chunk_rng(seed, c), size)
-        return int((stats >= t - 1e-12).sum()), float(stats.sum())
+    def run(c):
+        stats = _batch_blocks(model, _chunk_rng(seed, c), sizes[c])
+        results[c] = int((stats >= t - 1e-12).sum()), float(stats.sum())
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(chunk) for chunk in chunks]
-
+    _run_chunks(run, len(sizes), threads)
     hits = sum(r[0] for r in results)
     total = math.fsum(r[1] for r in results)
     lo, hi = exact_binomial_ci(hits, reps)

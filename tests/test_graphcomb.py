@@ -271,7 +271,10 @@ class TestMaskKernel:
     def test_vertical_count_equals_the_unpacked_sum(self, rows, block_rows,
                                                     monkeypatch):
         """The adder tree's per-bit sums of rows fed a few at a time, for
-        buffers of one row, of odd sizes and of whole multiples of 64."""
+        buffers of one row, of odd sizes and of whole multiples of 64, over
+        one flush or several.  The tree sums in the buffer, so the running
+        sum must hold no view of it, and ``bit_counts`` must sum a copy of
+        its input."""
         monkeypatch.setattr(gc, "BLOCK_BYTES", 8 * 3 * block_rows)
         rng = np.random.default_rng(rows)
         planes = rng.integers(0, 2**64, size=(rows, 3), dtype=np.uint64)
@@ -283,6 +286,11 @@ class TestMaskKernel:
         got = tally.counts(190)
         assert got.dtype == np.int64
         assert np.array_equal(got, want[:190])
+        assert not any(np.shares_memory(d, tally.buffer)
+                       for d in tally.digits)
+        kept = planes.copy()
+        assert np.array_equal(gc.bit_counts(planes, 190), want[:190])
+        assert np.array_equal(planes, kept)
 
 
 class TestUnionLemmas:

@@ -1,9 +1,15 @@
 """Monte Carlo samplers: exactness, uniformity, and the determinism contract."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +22,34 @@ from depbounds import simulate as sim
 from depbounds.graphcomb import Graph
 
 P_VALUE_FLOOR = 1e-4
+
+
+class RecordingModel:
+    """``model`` run one batch per chunk, recording each batch's chunk
+    index (its stream's spawn key) and thread.  ``pause`` sleeps in each
+    batch, letting the other threads claim chunks; with ``fail_first`` the
+    first batch raises and the others wait for it before running."""
+
+    whole_chunks = True
+
+    def __init__(self, model, pause=0.0, fail_first=False):
+        self.model, self.pause, self.fail_first = model, pause, fail_first
+        self.chunks, self.threads = [], []
+        self.lock = threading.Lock()
+        self.raised = threading.Event()
+
+    def batch(self, rng, size):
+        with self.lock:
+            first = not self.chunks
+            self.chunks.append(rng.bit_generator.seed_seq.spawn_key[0])
+            self.threads.append(threading.get_ident())
+        if self.fail_first:
+            if first:
+                self.raised.set()
+                raise RuntimeError("batch failed")
+            assert self.raised.wait(10)
+        time.sleep(self.pause)
+        return self.model.batch(rng, size)
 
 
 def row_counts(bits):
@@ -581,6 +615,81 @@ class TestEmpiricalTail:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=0, seed=0)
+        for threads in (0, -3, 2.5, "2", None):
+            with pytest.raises(ValueError, match="threads"):
+                sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=10,
+                                   seed=0, threads=threads)
+        res = sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=10, seed=0,
+                                 threads=np.int64(2))
+        assert res.replications == 10
+
+    def test_caller_runs_chunks_beside_one_worker(self):
+        """At two threads the batches run on the caller and at most one
+        other thread, every chunk once, and no thread outlives the call."""
+        model = RecordingModel(sim.GnpTriangles(12, 0.3), pause=0.01)
+        before = threading.active_count()
+        res = sim.empirical_tail(model, 3, reps=4 * sim.CHUNK_SIZE, seed=5,
+                                 threads=2)
+        assert threading.active_count() == before
+        assert sorted(model.chunks) == [0, 1, 2, 3]
+        assert threading.get_ident() in model.threads
+        assert len(set(model.threads)) <= 2
+        plain = sim.empirical_tail(sim.GnpTriangles(12, 0.3), 3,
+                                   reps=4 * sim.CHUNK_SIZE, seed=5)
+        assert repr(res) == repr(plain)
+
+    def test_one_thread_runs_every_chunk_on_the_caller(self):
+        model = RecordingModel(sim.GnpIsolated(10, 0.3))
+        before = threading.active_count()
+        sim.empirical_tail(model, 3, reps=3 * sim.CHUNK_SIZE + 5, seed=1)
+        assert threading.active_count() == before
+        assert model.chunks == [0, 1, 2, 3]
+        assert set(model.threads) == {threading.get_ident()}
+
+    def test_importing_simulate_starts_no_thread(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import threading, depbounds.simulate; "
+             "print(threading.active_count())"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failing_chunk_reaches_the_caller(self, threads):
+        """The first batch raises; the error reaches the caller, no thread
+        claims a chunk after it, and none starts after the call returns."""
+        model = RecordingModel(sim.GnpIsolated(10, 0.3), pause=0.02,
+                               fail_first=True)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch failed"):
+            sim.empirical_tail(model, 3, reps=8 * sim.CHUNK_SIZE, seed=0,
+                               threads=threads)
+        started = len(model.chunks)
+        assert 1 <= started <= threads
+        assert threading.active_count() == before
+        time.sleep(0.1)
+        assert len(model.chunks) == started
+
+    def test_many_threads_claim_every_chunk_once(self):
+        """More threads than CPUs and a short switch interval: each chunk
+        is claimed by exactly one thread, and the result is unchanged."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sim, "CHUNK_SIZE", 256)
+                model = RecordingModel(sim.GnpIsolated(8, 0.3))
+                res = sim.empirical_tail(model, 2, reps=40 * 256, seed=9,
+                                         threads=8)
+                again = sim.empirical_tail(sim.GnpIsolated(8, 0.3), 2,
+                                           reps=40 * 256, seed=9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(model.chunks) == list(range(40))
+        assert repr(res) == repr(again)
 
     def test_sum_mean_tracks_expectation(self):
         # E[isolated vertices in G(10, 0.3)] = 10 * 0.7^9
