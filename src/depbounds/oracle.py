@@ -29,8 +29,10 @@ from its own seed but expands all mixture components of a block in one
 ``_lattice_products`` call and all independent laws in another;
 ``_mask_laws``, behind ``JointDist.from_masks``, checks the masks and
 weights it is given, not the 0/1 support it builds from them, and fills
-every law's pmf (one ``bincount`` for the block), atom sizes and
-Bernoulli flag.  ``_z_laws`` and ``_superset_sums`` take the stacked laws
+every law's pmf (one ``bincount`` for the block), atom sizes, means
+and Bernoulli flag.  Such a law keeps its atom bitmasks, not the
+block's float support: its ``xs`` is derived from the masks on first
+access.  ``_z_laws`` and ``_superset_sums`` take the stacked laws
 of Z and pmfs of a block; the one-law functions are their one-row case.
 
 ``averaged_binomial_checks`` takes all vectors of a sweep in one call:
@@ -155,7 +157,8 @@ class JointDist:
     def from_masks(cls, n: int, masks, ws) -> "JointDist":
         """Bernoulli law with one atom per bitmask (bit i set means X_i = 1);
         the weights are renormalized to sum to 1.  The outcome pmf and the
-        atom sizes are counted from the masks themselves."""
+        atom sizes are counted from the masks themselves, and the support
+        ``xs`` is derived from them on first access."""
         return _mask_laws(n, [masks], [ws])[0]
 
 
@@ -167,8 +170,11 @@ def _mask_laws(n: int, masks: list, ws: list) -> list:
     Checks what it is given: every mask in [0, 2^n), one weight per mask,
     every weight a nonnegative number and each law's total positive and
     finite.  The 0/1 support it builds from the masks is not checked again.
-    Each law's ``xs``, ``ws``, outcome pmf and atom sizes are views of
-    arrays shared by the block, whose pmfs are one ``bincount``.
+    Each law's masks, ``ws``, outcome pmf and atom sizes are views of
+    arrays shared by the block, whose pmfs are one ``bincount``.  Its
+    ``means()`` are filled from the block's 0/1 support, the product
+    ``ws @ xs`` of its own rows; its ``xs`` is derived from its masks on
+    access (``_MaskLaw``), so that support is not kept.
     """
     counts = [len(m) for m in masks]
     if counts != [len(w) for w in ws]:
@@ -185,22 +191,38 @@ def _mask_laws(n: int, masks: list, ws: list) -> list:
         if not 0.0 < total < math.inf:
             raise ValueError(f"ws: weights sum to {total}, not a positive number")
     weights = _read_only(weights / np.repeat(totals, counts))
-    # bit i of each mask, from its little-endian bytes
-    bytes_ = flat.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    xs = np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
-    xs = _read_only(xs.astype(float))
-    sizes = subset_sizes(n)[flat]
+    flat = _read_only(flat)
+    xs = _mask_support(flat, n)
+    sizes = _read_only(subset_sizes(n)[flat])
     rows = np.repeat(np.arange(len(counts)) << n, counts)
     pmfs = np.bincount(rows + flat, weights=weights, minlength=len(counts) << n)
     pmfs = _read_only(pmfs.reshape(len(counts), 1 << n))
     laws = []
     for l, (a, b) in enumerate(zip(bounds, bounds[1:])):
         # built valid: __post_init__'s checks are skipped, the caches filled
-        law = object.__new__(JointDist)
-        vars(law).update(n=n, xs=xs[a:b], ws=weights[a:b], is_bernoulli=True,
-                         outcome_pmf=pmfs[l], atom_sizes=sizes[a:b])
+        law = object.__new__(_MaskLaw)
+        vars(law).update(n=n, masks=flat[a:b], ws=weights[a:b], is_bernoulli=True,
+                         outcome_pmf=pmfs[l], atom_sizes=sizes[a:b],
+                         _means=_read_only(weights[a:b] @ xs[a:b]))
         laws.append(law)
     return laws
+
+
+def _mask_support(masks: np.ndarray, n: int) -> np.ndarray:
+    """The (atoms, n) 0/1 float support of the bitmasks ``masks``: bit i of
+    each mask, from its little-endian bytes."""
+    bytes_ = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(bytes_, axis=1, count=n, bitorder="little").astype(float)
+
+
+class _MaskLaw(JointDist):
+    """A law built by ``_mask_laws``, one atom per bitmask of ``masks``.
+    Its support ``xs`` is derived from the masks on first access, so the
+    law keeps no view of its block's (atoms, n) float support."""
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        return _read_only(_mask_support(self.masks, self.n))
 
 
 @dataclass

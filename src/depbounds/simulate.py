@@ -92,8 +92,10 @@ def _level(rng, digit, undecided):
     """One level of ``_bernoulli_planes``: each undecided bit draws a random
     bit, and where that is 0 (U's digit differs from p's) the bit is decided
     to ``digit``.  Returns (the bits still undecided, the bits decided to 1
-    or None); both may reuse ``undecided``'s memory."""
-    r = rng.integers(0, 1 << 64, undecided.size, dtype=np.uint64)
+    or None); both may reuse ``undecided``'s memory.  The words are the bit
+    generator's raw output, the words ``rng.integers(0, 1 << 64, size,
+    dtype=np.uint64)`` gives without its fixed cost per call."""
+    r = rng.bit_generator.random_raw(undecided.size)
     if not digit:
         undecided &= r
         return undecided, None
@@ -654,10 +656,10 @@ def empirical_tail(model, t: float, reps: int, seed: int,
     Chunks of replications draw from child streams keyed by (seed, chunk
     index), so the result does not depend on the number of threads.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    for name, value in (("reps", reps), ("threads", threads)):
+        if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                or value < 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     sizes = [min(CHUNK_SIZE, reps - start)
              for start in range(0, reps, CHUNK_SIZE)]
     results = [None] * len(sizes)

@@ -3,8 +3,10 @@ records.  These back the CLI ``verify`` subcommand and the acceptance
 tests, so the exact same sweeps run in both places.
 
 The soundness and sandwich sweeps draw their random laws in blocks of
-consecutive trials (at most ``_BLOCK_ENTRIES`` pmf entries a block, so
-memory stays bounded whatever ``--trials``).  The master generator gives
+consecutive trials, each within a budget of 2 MiB (``_BLOCK_BYTES``)
+that charges every law the bytes it and its preparation hold
+(``_law_bytes``), so memory stays bounded whatever ``--trials``; a law
+over the budget alone is a block of one.  The master generator gives
 each law its n, seed, kind and (gamma | q) in trial order, so a block is
 drawn before any of its laws is built.  The laws of one n in a block are
 built by one ``oracle.random_joint_dists`` call and prepared by one
@@ -201,25 +203,43 @@ def _law_draw(rng, n_max: int):
     return n, rng.random(n) * 0.8 + 0.1
 
 
-# pmf entries (2^n a law) of one block of the sweeps' laws, so that a
-# block's arrays stay bounded however many trials a sweep runs: at most
-# one law of n = 12, whose (4096, 12) support alone takes 0.4 MB
-_BLOCK_ENTRIES = 1 << 12
+# bytes of one block of the sweeps' laws, as ``_law_bytes`` charges them,
+# so that a block's arrays stay bounded however many trials a sweep runs;
+# a 200-trial sweep at n <= 7 (1.4 MiB at most over seeds 0-1999) is one
+# block
+_BLOCK_BYTES = 2 << 20
+
+
+def _law_bytes(n: int, draw) -> int:
+    """Bytes the law ``draw`` on n coordinates and its preparation hold
+    while its block is built: its pmf row and six rows of ``_law_data``
+    temporaries, 2^n floats each, five more rows for a mixture's lattice
+    products, and for each atom its mask, weight, size and n support
+    floats, at most 16 atoms unconstrained and 2^n otherwise."""
+    if isinstance(draw, np.ndarray):  # independent, over all 2^n outcomes
+        rows, atoms = 7, 1 << n
+    elif draw[0] is None:
+        rows, atoms = 7, min(16, 1 << n)
+    else:  # a mixture of at most five product laws
+        rows, atoms = 12, 1 << n
+    return 8 * (rows << n) + atoms * (24 + 8 * n)
 
 
 def _sweep_laws(rng, n_max: int, trials: int):
     """(dist, tail lookup, ``_law_data`` entry) of each law of a sweep, in
-    trial order.  The laws are drawn in blocks of consecutive trials of at
-    most ``_BLOCK_ENTRIES`` pmf entries (or one law), and the laws of one n
-    in a block are built and prepared together."""
-    block, entries = [], 0
+    trial order.  The laws are drawn in blocks of consecutive trials, a
+    block closing when the next law would take its ``_law_bytes`` past
+    ``_BLOCK_BYTES`` (a law over the budget alone is a block of one), and
+    the laws of one n in a block are built and prepared together."""
+    block, charged = [], 0
     for _ in range(trials):
         n, draw = _law_draw(rng, n_max)
-        if block and entries + (1 << n) > _BLOCK_ENTRIES:
+        cost = _law_bytes(n, draw)
+        if block and charged + cost > _BLOCK_BYTES:
             yield from _prepared_laws(block)
-            block, entries = [], 0
+            block, charged = [], 0
         block.append((n, draw))
-        entries += 1 << n
+        charged += cost
     yield from _prepared_laws(block)
 
 

@@ -65,14 +65,16 @@ def plane_bits(planes, size):
 
 
 class CountingRng:
-    """A generator that records the size of every word draw."""
+    """A generator whose bit generator records the size of every raw word
+    draw."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.sizes = []
+        self.bit_generator = self
 
-    def integers(self, *args, **kwargs):
-        words = self.rng.integers(*args, **kwargs)
+    def random_raw(self, size):
+        words = self.rng.bit_generator.random_raw(size)
         self.sizes.append(words.size)
         return words
 
@@ -96,6 +98,16 @@ class TestBernoulliPlanes:
         rng = CountingRng(2)
         sim._bernoulli_planes(rng, 20, 50, 0.5)
         assert rng.sizes == [1000]
+
+    @pytest.mark.parametrize("size", [0, 1, 64, 1000])
+    def test_level_words_are_the_integers_words(self, size):
+        # a level's random words are those of integers(0, 2^64), and both
+        # leave the generator at the same state
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        want = ref.integers(0, 1 << 64, size, dtype=np.uint64)
+        undecided, ones = sim._level(rng, 0, np.full(size, sim._ALL_ONES))
+        np.testing.assert_array_equal(undecided, want)
+        assert ones is None and rng.random() == ref.random()
 
     @pytest.mark.parametrize("p,ones", [(5e-324, 0), (1 - 2**-53, 64 * 4000)])
     def test_extreme_p_terminates(self, p, ones):
@@ -613,14 +625,15 @@ class TestEmpiricalTail:
         assert res.empirical_tail == 1.0
 
     def test_reps_validation(self):
-        with pytest.raises(ValueError):
-            sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=0, seed=0)
-        for threads in (0, -3, 2.5, "2", None):
+        for reps in (0, -1, 2.5, 4096.0, True, "10", None):
+            with pytest.raises(ValueError, match="reps"):
+                sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=reps, seed=0)
+        for threads in (0, -3, 2.5, "2", None, True):
             with pytest.raises(ValueError, match="threads"):
                 sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=10,
                                    seed=0, threads=threads)
-        res = sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=10, seed=0,
-                                 threads=np.int64(2))
+        res = sim.empirical_tail(sim.GnpIsolated(5, 0.5), 1, reps=np.int64(10),
+                                 seed=0, threads=np.int64(2))
         assert res.replications == 10
 
     def test_caller_runs_chunks_beside_one_worker(self):

@@ -250,19 +250,66 @@ class TestBlocks:
         # both streams end at the same draw
         assert rng.random() == ref_rng.random()
 
-    # a block holds laws of at most _BLOCK_ENTRIES pmf entries, 2^n a law,
-    # or one law: 1 entry makes blocks of one law, 56 entries blocks of up
-    # to 7 laws (of n = 3), and the default at most one law of n = 12
-    @pytest.mark.parametrize("entries", [1, 56, None])
+    def test_block_built_laws_keep_no_support(self):
+        # xs is derived from the masks on access and equals, like the means,
+        # what the checked constructor gives for the same support and weights;
+        # every array a law holds is read-only
+        for dist, _, _ in verify._prepared_laws(
+                [verify._law_draw(np.random.default_rng(5), 9) for _ in range(40)]):
+            assert "xs" not in vars(dist)
+            want = oc.JointDist(n=dist.n, xs=dist.xs, ws=dist.ws)
+            np.testing.assert_array_equal(dist.xs, want.xs)
+            np.testing.assert_array_equal(dist.means(), want.means())
+            for a in (dist.xs, dist.ws, dist.masks, dist.outcome_pmf,
+                      dist.atom_sizes, dist.means()):
+                assert not a.flags.writeable
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """The list of blocks of (n, draw) pairs the sweeps prepare."""
+        blocks, prepared = [], verify._prepared_laws
+
+        def recording(draws):
+            blocks.append(draws)
+            return prepared(draws)
+
+        monkeypatch.setattr(verify, "_prepared_laws", recording)
+        return blocks
+
+    # a budget of 1 byte makes blocks of one law, 128 KiB blocks of a few
+    # small laws, and an infinite one a single block per call
+    @pytest.mark.parametrize("budget", [1, 1 << 17, None, math.inf])
     @pytest.mark.parametrize("seed", range(2))
-    def test_records_do_not_depend_on_the_block_size(self, monkeypatch, entries, seed):
-        if entries is not None:
-            monkeypatch.setattr(verify, "_BLOCK_ENTRIES", entries)
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch, budget, seed):
+        if budget is not None:
+            monkeypatch.setattr(verify, "_BLOCK_BYTES", budget)
         trials = 40  # several blocks of each size
         got = verify.suite_soundness(n_max=12, trials=trials, seed=seed)
         assert got == reference_soundness(12, trials, seed)
         got = verify.suite_sandwich(n_max=12, trials=trials, seed=seed)
         assert got == reference_sandwich(12, trials, seed)
+
+    @pytest.mark.parametrize("budget", [1 << 17, None])
+    @pytest.mark.parametrize("n_max", [7, 12])
+    def test_blocks_stay_within_the_budget(self, monkeypatch, budget, n_max):
+        # a block of more than one law is within the budget by the laws'
+        # charges, and it closes only when the next law would pass it
+        if budget is not None:
+            monkeypatch.setattr(verify, "_BLOCK_BYTES", budget)
+        blocks = self.record_blocks(monkeypatch)
+        assert len(list(verify._sweep_laws(np.random.default_rng(3), n_max, 300))) == 300
+        charges = [[verify._law_bytes(n, draw) for n, draw in block] for block in blocks]
+        assert sum(map(len, charges)) == 300 and any(len(c) > 1 for c in charges)
+        for block in charges:
+            assert len(block) == 1 or sum(block) <= verify._BLOCK_BYTES
+        for block, after in zip(charges, charges[1:]):
+            assert sum(block) + after[0] > verify._BLOCK_BYTES
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_small_sweep_is_one_block(self, monkeypatch, seed):
+        blocks = self.record_blocks(monkeypatch)
+        verify.suite_sandwich(n_max=7, trials=200, seed=seed)
+        assert [len(block) for block in blocks] == [200]
 
     def test_memory_does_not_grow_with_trials(self):
         peaks = []
