@@ -1,7 +1,7 @@
 """Combinatorial lemmas and derived constants for the random-graph bounds:
-triangle/4-clique edge-union lower bounds, exact independence number, the
-moment rates for G(n,p) counting problems and the exact G(n,m) isolated-
-vertex tail.  The G(n,m) bounds are in :mod:`depbounds.bounds`.
+triangle/4-clique edge-union lower bounds, the moment rates for G(n,p)
+counting problems and the exact G(n,m) isolated-vertex tail.  The G(n,m)
+bounds are in :mod:`depbounds.bounds`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 # re-exported for callers that reach the G(n,m) bounds through this module
 from .bounds import gnm_isolated_bound, gnm_triangles_bound
 
-MAX_EXACT_MIS_N = 30
-
 __all__ = [
     "Graph",
     "BLOCK_BYTES",
@@ -32,7 +30,6 @@ __all__ = [
     "clique4_union_size",
     "triangle_union_edges",
     "clique4_union_triangles",
-    "independence_number",
     "gnp_rate",
     "gnm_isolated_bound",
     "gnm_triangles_bound",
@@ -70,19 +67,6 @@ class Graph:
     @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n=n)
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = True
-        return a
-
-    def neighbor_masks(self) -> list:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
 
     # -- edge-list text format: header "n <count>", one "u v" per line ---
 
@@ -472,51 +456,6 @@ def clique4_union_triangles(g: Graph) -> tuple:
     planes = _one_graph_planes(g)
     return (int(clique4_count(g.n, planes, 1)[0]),
             int(clique4_union_size(g.n, planes, 1)[0]))
-
-
-# ---------------------------------------------------------------------------
-# independence number
-
-
-def independence_number(g: Graph) -> int:
-    """Exact maximum independent-set size by branch and bound.
-
-    Branches on a maximum-degree vertex of the remaining subgraph and
-    prunes with the trivial remaining-vertex-count upper bound.
-    """
-    if g.n > MAX_EXACT_MIS_N:
-        raise ValueError(f"exact search capped at n={MAX_EXACT_MIS_N}, got {g.n}")
-    masks = g.neighbor_masks()
-    full = (1 << g.n) - 1
-
-    # greedy start: repeatedly take a minimum-degree vertex
-    best = 0
-    avail = full
-    while avail:
-        cands = [v for v in range(g.n) if avail >> v & 1]
-        v = min(cands, key=lambda u: bin(masks[u] & avail).count("1"))
-        best += 1
-        avail &= ~(masks[v] | (1 << v))
-
-    def search(avail: int, size: int):
-        nonlocal best
-        count = bin(avail).count("1")
-        if size + count <= best:
-            return
-        if count == 0:
-            best = max(best, size)
-            return
-        cands = [v for v in range(g.n) if avail >> v & 1]
-        v = max(cands, key=lambda u: bin(masks[u] & avail).count("1"))
-        if masks[v] & avail == 0:
-            # isolated in the remaining subgraph: always take it
-            search(avail & ~(1 << v), size + 1)
-            return
-        search(avail & ~(masks[v] | (1 << v)), size + 1)
-        search(avail & ~(1 << v), size)
-
-    search(full, 0)
-    return best
 
 
 # ---------------------------------------------------------------------------

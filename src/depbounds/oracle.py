@@ -27,10 +27,9 @@ pmf, so every caller gets a fresh writable array.
 Laws are built in blocks of one n.  ``random_joint_dists`` draws each law
 from its own seed but expands all mixture components of a block in one
 ``_lattice_products`` call and all independent laws in another;
-``_mask_laws``, behind ``JointDist.from_masks``, checks the masks and
-weights it is given, not the 0/1 support it builds from them, and fills
-every law's pmf (one ``bincount`` for the block), atom sizes, means
-and Bernoulli flag.  Such a law keeps its atom bitmasks, not the
+``_mask_laws`` checks the masks and weights it is given, not the 0/1
+support it builds from them, and fills every law's pmf (one ``bincount``
+for the block), atom sizes, means and Bernoulli flag.  Such a law keeps its atom bitmasks, not the
 block's float support: its ``xs`` is derived from the masks on first
 access.  ``_z_laws`` and ``_superset_sums`` take the stacked laws
 of Z and pmfs of a block; the one-law functions are their one-row case.
@@ -76,7 +75,6 @@ __all__ = [
     "averaged_binomial_checks",
     # the exact pmf of independent trials, from numkernel
     "poisson_binom_dist",
-    "random_joint_dist",
     "random_joint_dists",
     "subset_product_moments",
     "subset_zeta_moments",
@@ -134,12 +132,6 @@ class JointDist:
         """E[X_i] for every i, one read-only array per law."""
         return self._means
 
-    @property
-    def mean_rate(self) -> float:
-        """Average coordinate mean p = (1/n) sum E[X_i]."""
-        # the value np.mean gives (its sum, then the division), at less cost
-        return float(self.means().sum()) / self.n
-
     @cached_property
     def outcome_pmf(self) -> np.ndarray:
         """P[X = 1_A] for every A of a Bernoulli law (bitmask indexed), one
@@ -153,19 +145,12 @@ class JointDist:
         array per law; ``tail_lookup`` and ``z_distribution`` read it."""
         return _read_only(self.xs.sum(axis=1).astype(np.int64))
 
-    @classmethod
-    def from_masks(cls, n: int, masks, ws) -> "JointDist":
-        """Bernoulli law with one atom per bitmask (bit i set means X_i = 1);
-        the weights are renormalized to sum to 1.  The outcome pmf and the
-        atom sizes are counted from the masks themselves, and the support
-        ``xs`` is derived from them on first access."""
-        return _mask_laws(n, [masks], [ws])[0]
-
 
 def _mask_laws(n: int, masks: list, ws: list) -> list:
     """Bernoulli laws on n coordinates, law l with one atom per bitmask of
-    ``masks[l]`` and the weights ``ws[l]`` renormalized to sum to 1, built
-    with one set of array operations for all of them.
+    ``masks[l]`` (bit i set means X_i = 1) and the weights ``ws[l]``
+    renormalized to sum to 1, built with one set of array operations for
+    all of them.
 
     Checks what it is given: every mask in [0, 2^n), one weight per mask,
     every weight a nonnegative number and each law's total positive and
@@ -560,33 +545,24 @@ def subset_zeta_moments(dist: JointDist) -> np.ndarray:
     return _atom_sum(dist, lambda xs: _lattice_products(1.0 - xs, xs), 1 << dist.n)
 
 
-def random_joint_dist(n: int, profile_constraint=None, seed: int = 0) -> JointDist:
-    """Seeded generator of Bernoulli joint distributions, 1 <= n <= 12.
-
-    Unconstrained, the law has 2..16 atoms at distinct outcomes with
-    Dirichlet weights.  With a :class:`ProductBound` or :class:`SplitBound`
-    constraint it is a Dirichlet mixture of 2..5 product-Bernoulli laws,
-    expanded over all 2^n outcomes, whose rates are drawn from [0, gamma]
-    or [1 - delta, gamma].  Such a law meets the constraint by
-    construction, so nothing is checked: each product component meets
-    every cap (E[prod_A X] = prod_A p_i <= gamma^|A|, and E[Z_A] =
-    prod_A p_i prod_{not A} (1 - p_i) <= gamma^|A| delta^(n-|A|)), and
-    the caps are linear in the law, so the mixture meets them too.  An
-    infeasible constraint is refused before anything is drawn.
-    Deterministic given the seed; the one-law case of
-    ``random_joint_dists``.
-    """
-    return random_joint_dists(n, [(profile_constraint, seed)])[0]
-
-
 def random_joint_dists(n: int, draws: Sequence) -> list:
     """The Bernoulli laws ``draws`` on n coordinates, 1 <= n <= 12, built
     together.
 
-    A draw is a (constraint, seed) pair, the law ``random_joint_dist(n,
-    constraint, seed)`` (its own generator draws it, so the laws do not
-    depend on each other), or an array q of n rates in [0, 1], the law of
-    independent Bernoulli(q_i) expanded over all 2^n outcomes.  One
+    A draw is an array q of n rates in [0, 1], the law of independent
+    Bernoulli(q_i) expanded over all 2^n outcomes, or a (constraint, seed)
+    pair, a law drawn by its own generator ``default_rng(seed)``, so that
+    the laws do not depend on each other and each is deterministic given
+    its seed.  With constraint None the law has 2..16 atoms at distinct
+    outcomes with Dirichlet weights.  With a :class:`ProductBound` or
+    :class:`SplitBound` it is a Dirichlet mixture of 2..5 product-Bernoulli
+    laws, expanded over all 2^n outcomes, whose rates are drawn from
+    [0, gamma] or [1 - delta, gamma].  Such a law meets the constraint by
+    construction, so nothing is checked: each product component meets
+    every cap (E[prod_A X] = prod_A p_i <= gamma^|A|, and E[Z_A] =
+    prod_A p_i prod_{not A} (1 - p_i) <= gamma^|A| delta^(n-|A|)), and
+    the caps are linear in the law, so the mixture meets them too.  An
+    infeasible constraint is refused before its law is drawn.  One
     ``_lattice_products`` call covers the mixture components of every
     constrained draw, each mixture being the sum of its own rows; one
     ``zeta_decomposition`` covers every rate vector, and one

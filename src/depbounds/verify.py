@@ -11,9 +11,10 @@ each law its n, seed, kind and (gamma | q) in trial order, so a block is
 drawn before any of its laws is built.  The laws of one n in a block are
 built by one ``oracle.random_joint_dists`` call and prepared by one
 ``_law_data`` call: the superset sums, both gamma rates, the laws of Z,
-S_k and the independence and all-half tests over stacked arrays.  Each
-law is then checked on its own, in trial order.  ``applicable_bound_checks``
-and ``bernoulli_sum_moments`` are the one-law case.
+S_k and the independence tests over stacked arrays.  Each law is then
+checked on its own, in trial order, by ``_bound_checks``.  The soundness
+sweep checks no ``depgraph`` bound: no law it draws has a dependency graph
+it could read (ROADMAP item 19).
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "suite_convex_order",
     "suite_sandwich",
     "run_suite",
-    "applicable_bound_checks",
-    "bernoulli_sum_moments",
 ]
 
 
@@ -67,13 +66,6 @@ def run_suite(name: str, **kw):
 # the laws of the soundness and sandwich sweeps, drawn and prepared in blocks
 
 
-def bernoulli_sum_moments(dist: oc.JointDist):
-    """(sum distribution, symmetric moments S_k) of a Bernoulli joint dist;
-    the one-law case of ``_symmetric_moments``."""
-    zdist = oc.z_distribution(dist)
-    return zdist, _symmetric_moments(zdist.probs[None])[0]
-
-
 # C(j, k) as floats for j, k <= oc.MAX_ENUM_N, zero for k > j
 _BINOMIALS = np.array([[math.comb(j, k) for k in range(oc.MAX_ENUM_N + 1)]
                        for j in range(oc.MAX_ENUM_N + 1)], dtype=float)
@@ -93,7 +85,7 @@ def _symmetric_moments(z_laws: np.ndarray) -> list:
 
 
 def _law_data(dists: list) -> list:
-    """(gamma, gamma_z, pbar, sk, independent, all_half) of each law of
+    """(gamma, gamma_z, pbar, sk, independent) of each law of
     ``dists``, all of one n, from one set of array operations over their
     stacked outcome pmfs, laws of Z and means.
 
@@ -102,8 +94,7 @@ def _law_data(dists: list) -> list:
     moments E[Z_A], which for a Bernoulli law are its outcome pmf (the
     SplitBound rate at delta = 1).  ``independent`` is True iff the product
     moments match, within 1e-9, those of the product law with the same
-    means (``_is_independent``); ``all_half`` iff every mean is within
-    1e-12 of 1/2.
+    means (``_is_independent``).
     """
     if not all(dist.is_bernoulli for dist in dists):
         raise ValueError("the sweeps' law data needs Bernoulli laws")
@@ -114,10 +105,9 @@ def _law_data(dists: list) -> list:
     moments = oc._superset_sums(table)
     gamma = (moments[:, 1:] ** exponents).max(axis=1)
     means = np.stack([dist.means() for dist in dists])
-    all_half = (np.abs(means - 0.5) <= 1e-12).all(axis=1)
     return list(zip(gamma.tolist(), gamma_z.tolist(), (means.sum(axis=1) / n).tolist(),
                     _symmetric_moments(oc._z_laws(dists)),
-                    _is_independent(means, moments).tolist(), all_half.tolist()))
+                    _is_independent(means, moments).tolist()))
 
 
 def _is_independent(means: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -136,16 +126,10 @@ def _interior_grid(lo: float, hi: float) -> list:
     return [lo + (hi - lo) * i / (_THRESHOLDS + 1) for i in range(1, _THRESHOLDS + 1)]
 
 
-def applicable_bound_checks(dist: oc.JointDist):
-    """(label, t, TailBound) triples for every bound whose hypotheses the
-    distribution provably satisfies, at interior thresholds of each bound's
-    validity range; the one-law case of ``_bound_checks``."""
-    return _bound_checks(dist.n, *_law_data([dist])[0])
-
-
-def _bound_checks(n, gamma, gamma_z, pbar, sk, independent, all_half):
-    """``applicable_bound_checks`` of a law on n coordinates with the given
-    ``_law_data``."""
+def _bound_checks(n, gamma, gamma_z, pbar, sk, independent):
+    """(label, t, TailBound) triples for every bound whose hypotheses a law
+    on n coordinates with the given ``_law_data`` provably satisfies, at
+    interior thresholds of each bound's validity range."""
     checks = []
     if 0.0 < gamma < 1.0:
         for t in _interior_grid(n * gamma, n):
@@ -179,11 +163,6 @@ def _bound_checks(n, gamma, gamma_z, pbar, sk, independent, all_half):
             checks.append(("hoeffding", t, bd.hoeffding_bound(n, pbar, t)))
             eps = bd.t_to_eps(n, pbar, t)
             checks.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, eps)))
-
-    if all_half:
-        params = bd.DependencyGraphParams(n=n, alpha=1)
-        for t in _interior_grid(n / 2.0, n):
-            checks.append(("depgraph(alpha=1)", t, bd.depgraph_bound(params, t)))
 
     return checks
 

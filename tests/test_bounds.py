@@ -136,14 +136,12 @@ class TestLinialLuria:
     def test_k_equal_to_beta_n_bounds_exact_tails(self):
         """At k = beta_n the bound is S_beta_n, Markov on C(Z, beta_n),
         which is at least 1 exactly when Z >= beta_n."""
-        from depbounds import oracle as oc
         from depbounds import verify
 
         rng = np.random.default_rng(11)
         draws = [verify._law_draw(rng, 10) for _ in range(60)]
-        for dist, _, _ in verify._prepared_laws(draws):
-            _, sk = verify.bernoulli_sum_moments(dist)
-            tail_at = oc.tail_lookup(dist)
+        for dist, tail_at, data in verify._prepared_laws(draws):
+            sk = data[3]
             for beta_n in range(1, dist.n + 1):
                 tb = bd.linial_luria_bound(
                     dist.n, beta_n, beta_n, bd.SymmetricMoments(sk))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depbounds import bounds as bd
-from depbounds.cli import METHODS, SIM_MODELS, main
+from depbounds.cli import METHODS, SIM_MODELS, at_sum, main
 
 
 def run_cli(capsys, *argv):
@@ -705,6 +705,38 @@ class TestCompare:
         assert code == 0
         (rec,) = json_records(out)
         assert rec["ik_log"] == bd.ik_bound(30, 0.2, 10 / 6 - 1, 2.0).log_bound
+
+    # flag values of each method and the largest sum its grid reaches
+    MONOTONE_CASES = {
+        "hoeffding": [({"n": 40, "p": 0.3}, 40), ({"n": 10, "p": 0.5}, 10)],
+        "ik": [({"n": 30, "gamma": 0.2}, 30), ({"n": 12, "gamma": 0.6, "c": 2.0}, 12)],
+        "linial-luria": [({"n": 12, "k": 3, "gamma": 0.4}, 12),
+                         ({"n": 12, "k": 2, "s-k": 5.0}, 12),
+                         ({"n": 12, "p": 0.3}, 12)],
+        "expfunct": [({"n": 20, "gamma": 0.3, "delta": 0.9}, 20)],
+        "bincoupling": [({"n": 40, "p": 0.3}, 40)],
+        "mcdiarmid": [({"n": 40, "p": 0.3}, 40)],
+        "mcdiarmid-refined": [({"n": 40, "p": 0.3}, 40)],
+        "kwise": [({"n": 40, "k": 6, "p": 0.3}, 40)],
+        "kwise-bernoulli": [({"n": 40, "k": 6, "p": 0.3}, 40)],
+        "sss": [({"n": 40, "k": 20, "p": 0.3}, 40)],
+        "depgraph": [({"n": 30, "alpha": 5}, 30), ({"n": 30, "alpha": 30}, 30)],
+        "ustat": [({"n": 20, "d": 2, "p": 0.2}, 190)],
+        "ustat-refined": [({"n": 20, "d": 2, "p": 0.2}, 190)],
+        "gnm-isolated": [({"n": 10, "m": 15}, 10)],
+        "gnm-triangles": [({"n": 10, "m": 20}, 120)],
+    }
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_no_valid_bound_rises_with_t(self, method):
+        """compare's column of each method, on a quarter-step grid of sums
+        from 0 to the top: the Valid bounds never rise as t grows."""
+        for a, top in self.MONOTONE_CASES[method]:
+            tbs = [at_sum(method, a, i / 4) for i in range(4 * top + 1)]
+            logs = [tb.log_bound for tb in tbs if tb.is_valid]
+            assert len(logs) >= 2, (a, logs)
+            rises = [(x, y) for x, y in zip(logs, logs[1:]) if y > x + 1e-12]
+            assert rises == [], a
 
 
 class TestInputGuard:

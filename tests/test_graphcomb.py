@@ -1,4 +1,4 @@
-"""Graph lemmas, exact independence number and the G(n,m) rational bounds."""
+"""Graph lemmas, the subgraph-count kernels and the G(n,m) rational bounds."""
 
 import math
 from fractions import Fraction
@@ -17,9 +17,17 @@ def random_graph(rng, n, p):
     return Graph.from_edge_list(n, [pq for pq, b in zip(pairs, bits) if b])
 
 
+def adjacency(g):
+    """The boolean adjacency matrix of ``g``."""
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = True
+    return a
+
+
 def brute_force_counts(g):
     """Subgraph counts by direct iteration over all triples/quadruples."""
-    adj = g.adjacency()
+    adj = adjacency(g)
     tri = sum(
         1
         for u, v, w in combinations(range(g.n), 3)
@@ -36,7 +44,7 @@ def brute_force_counts(g):
 def union_reference(g):
     """(triangle-edge union size, 4-clique-triangle union size) from the
     explicit sets of triangles and 4-cliques."""
-    adj = g.adjacency()
+    adj = adjacency(g)
     tris = [
         t for t in combinations(range(g.n), 3)
         if all(adj[a, b] for a, b in combinations(t, 2))
@@ -81,16 +89,6 @@ def counts_of(g):
     return kernel_counts(g.n, planes_of(g), 1)[0]
 
 
-def brute_force_alpha(g):
-    adj = g.adjacency()
-    best = 0
-    for mask in range(1 << g.n):
-        verts = [v for v in range(g.n) if mask >> v & 1]
-        if all(not adj[u, v] for u, v in combinations(verts, 2)):
-            best = max(best, len(verts))
-    return best
-
-
 class TestGraphBasics:
     def test_normalization_and_validation(self):
         g = Graph.from_edge_list(4, [(2, 1), (1, 2), (0, 3)])
@@ -124,7 +122,7 @@ class TestCounts:
             g = random_graph(rng, 8, float(rng.random()))
             iso, tri, _, quad, _, _ = counts_of(g).tolist()
             assert (tri, quad) == brute_force_counts(g)
-            deg = g.adjacency().sum(axis=0)
+            deg = adjacency(g).sum(axis=0)
             assert iso == int((deg == 0).sum())
 
 
@@ -133,7 +131,7 @@ class TestMaskKernel:
 
     @staticmethod
     def reference(g):
-        deg = g.adjacency().sum(axis=0)
+        deg = adjacency(g).sum(axis=0)
         tri, quad = brute_force_counts(g)
         edges, faces = union_reference(g)
         return [int((deg == 0).sum()), tri, edges, quad, faces,
@@ -338,28 +336,6 @@ class TestUnionLemmas:
             gc.triangle_union_edges(Graph.empty(2))
         with pytest.raises(ValueError):
             gc.clique4_union_triangles(Graph.empty(3))
-
-
-class TestIndependenceNumber:
-    def test_empty_and_complete(self):
-        assert gc.independence_number(Graph.empty(9)) == 9
-        assert gc.independence_number(Graph.complete(9)) == 1
-
-    def test_cycle_c7(self):
-        g = Graph.from_edge_list(7, [(i, (i + 1) % 7) for i in range(7)])
-        assert gc.independence_number(g) == 3
-        assert brute_force_alpha(g) == 3
-
-    def test_random_graphs_match_brute_force(self):
-        rng = np.random.default_rng(99)
-        for _ in range(60):
-            n = int(rng.integers(2, 13))
-            g = random_graph(rng, n, float(rng.random()))
-            assert gc.independence_number(g) == brute_force_alpha(g)
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            gc.independence_number(Graph.empty(31))
 
 
 class TestGnpConstants:

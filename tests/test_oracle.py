@@ -33,6 +33,11 @@ def random_point_law(n, seed, m=5):
     return oc.JointDist(n, rng.random((m, n)), ws / math.fsum(ws))
 
 
+def drawn_law(n, constraint=None, seed=0):
+    """The law that ``random_joint_dists`` draws for (constraint, seed)."""
+    return oc.random_joint_dists(n, [(constraint, seed)])[0]
+
+
 def product_bernoulli_dist(q):
     """All 2^n outcomes of independent Bernoulli(q_i) as a JointDist."""
     q = np.asarray(q, dtype=float)
@@ -161,20 +166,20 @@ class TestSubsetTransforms:
         assert not sizes.flags.writeable
         with pytest.raises(ValueError):
             sizes[1] += 1
-        # applicable_bound_checks reads the cached array for every law
-        verify.applicable_bound_checks(oc.random_joint_dist(6, seed=1))
+        # _law_data reads the cached array for every law
+        verify._law_data([drawn_law(6, seed=1)])
         assert oc.subset_sizes(6) is sizes
         assert sizes.tolist() == want
 
     def test_from_masks(self):
-        dist = oc.JointDist.from_masks(3, [5, 2], [1.0, 3.0])
+        dist = oc._mask_laws(3, [[5, 2]], [[1.0, 3.0]])[0]
         np.testing.assert_array_equal(dist.xs, [[1, 0, 1], [0, 1, 0]])
         np.testing.assert_array_equal(dist.ws, [0.25, 0.75])
 
     @pytest.mark.parametrize("mask", [8, 9, -1, -8])
     def test_from_masks_rejects_a_mask_outside_the_lattice(self, mask):
         with pytest.raises(ValueError, match=rf"mask {mask} is outside \[0, 2\^3\)"):
-            oc.JointDist.from_masks(3, [5, mask], [1.0, 3.0])
+            oc._mask_laws(3, [[5, mask]], [[1.0, 3.0]])
 
     @pytest.mark.parametrize("ws, match", [
         ([math.nan, 1.0], "nonnegative"),
@@ -185,11 +190,11 @@ class TestSubsetTransforms:
     ])
     def test_from_masks_rejects_bad_weights(self, ws, match):
         with pytest.raises(ValueError, match=match):
-            oc.JointDist.from_masks(3, [5, 2], ws)
+            oc._mask_laws(3, [[5, 2]], [ws])
 
     def test_from_masks_counts_what_the_support_gives(self):
         masks = [0, 5, 6, 7, 5, 3]
-        dist = oc.JointDist.from_masks(3, masks, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        dist = oc._mask_laws(3, [masks], [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])[0]
         same = oc.JointDist(n=3, xs=dist.xs, ws=dist.ws)
         for name in ("outcome_pmf", "atom_sizes"):
             np.testing.assert_array_equal(getattr(dist, name), getattr(same, name))
@@ -204,9 +209,9 @@ class TestSubsetTransforms:
                      (bd.SplitBound(0.6, 0.7), 3), (bd.ProductBound(0.4), 4),
                      rng.random(n), (None, 5)]
             for dist, draw in zip(oc.random_joint_dists(n, draws), draws):
-                alone = (oc.random_joint_dist(n, *draw) if isinstance(draw, tuple)
-                         else oc.JointDist.from_masks(n, np.arange(1 << n),
-                                                      oc.zeta_decomposition(draw)))
+                alone = (drawn_law(n, *draw) if isinstance(draw, tuple)
+                         else oc._mask_laws(n, [np.arange(1 << n)],
+                                            [oc.zeta_decomposition(draw)])[0])
                 for name in ("xs", "ws", "outcome_pmf", "atom_sizes"):
                     np.testing.assert_array_equal(getattr(dist, name), getattr(alone, name))
 
@@ -241,10 +246,10 @@ class TestSubsetTransforms:
 
     def test_law_data_is_cached_read_only(self):
         masks = [0, 5, 6, 7, 5]
-        dist = oc.JointDist.from_masks(3, masks, [1.0, 2.0, 3.0, 4.0, 5.0])
+        dist = oc._mask_laws(3, [masks], [[1.0, 2.0, 3.0, 4.0, 5.0]])[0]
         same = oc.JointDist(n=3, xs=dist.xs, ws=dist.ws)
         assert dist.is_bernoulli and same.is_bernoulli
-        # from_masks counts the pmf from its masks; the property from xs
+        # _mask_laws counts the pmf from its masks; the property from xs
         np.testing.assert_array_equal(dist.outcome_pmf, same.outcome_pmf)
         for law in (dist, same):
             for cached in (law.means(), law.outcome_pmf):
@@ -256,7 +261,7 @@ class TestSubsetTransforms:
         np.testing.assert_array_equal(dist.means(), dist.ws @ dist.xs)
 
     def test_subset_moments_are_fresh_writable_arrays(self):
-        dist = oc.random_joint_dist(5, seed=2)
+        dist = drawn_law(5, seed=2)
         for transform in (oc.subset_product_moments, oc.subset_zeta_moments):
             first, second = transform(dist), transform(dist)
             assert first.flags.writeable and first is not second
@@ -366,13 +371,13 @@ class TestZDistribution:
 
 class TestExactTail:
     def test_degenerate_thresholds(self):
-        dist = oc.random_joint_dist(5, seed=3)
+        dist = drawn_law(5, seed=3)
         assert oc.exact_tail(dist, 0.0) == 1.0
         assert oc.exact_tail(dist, -1.0) == 1.0
         assert oc.exact_tail(dist, 5.5) == 0.0
 
     def test_enumeration_oracle(self):
-        dist = oc.random_joint_dist(8, seed=11)
+        dist = drawn_law(8, seed=11)
         t = 5.0
         want = math.fsum(
             w for w, x in zip(dist.ws, dist.xs) if x.sum() >= t - 1e-12
@@ -406,7 +411,7 @@ def dephoeff_cases():
     """(law, Z-law, threshold) over Bernoulli and [0,1]-valued laws, at
     thresholds spread over (mean, n)."""
     for seed in range(20):
-        for dist in (oc.random_joint_dist(6, seed=seed), random_point_law(5, seed)):
+        for dist in (drawn_law(6, seed=seed), random_point_law(5, seed)):
             zd = oc.z_distribution(dist)
             for t in np.linspace(zd.mean(), dist.n, 7)[1:-1]:
                 yield dist, zd, float(t)
@@ -524,18 +529,18 @@ class TestDephoeff:
 
 class TestSymmetricMoment:
     """S_k = E[sum over |A|=k of prod_{i in A} X_i] of a Bernoulli law, as
-    ``verify.bernoulli_sum_moments`` reads it off the law of Z."""
+    ``verify._symmetric_moments`` reads it off the law of Z."""
 
     @staticmethod
     def moments(dist):
-        return verify.bernoulli_sum_moments(dist)[1]
+        return verify._symmetric_moments(oc.z_distribution(dist).probs[None])[0]
 
     def test_k_zero(self):
-        dist = oc.random_joint_dist(5, seed=1)
+        dist = drawn_law(5, seed=1)
         assert self.moments(dist)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_k_one_is_sum_of_means(self):
-        dist = oc.random_joint_dist(5, seed=2)
+        dist = drawn_law(5, seed=2)
         assert self.moments(dist)[1] == pytest.approx(
             float(dist.means().sum()), abs=1e-12
         )
@@ -548,7 +553,7 @@ class TestSymmetricMoment:
         )
 
     def test_matches_subset_enumeration(self):
-        dist = oc.random_joint_dist(6, seed=9)
+        dist = drawn_law(6, seed=9)
         moments = oc.subset_product_moments(dist)
         sk = self.moments(dist)
         for k in range(7):
@@ -836,20 +841,20 @@ class TestJointDist:
 
 class TestRandomJointDist:
     def test_n1_unconstrained_two_atoms(self):
-        dist = oc.random_joint_dist(1, seed=0)
+        dist = drawn_law(1, seed=0)
         assert dist.n == 1
         assert dist.xs.shape[0] == 2
         assert dist.is_bernoulli
 
     def test_determinism(self):
-        a = oc.random_joint_dist(8, bd.ProductBound(0.3), seed=17)
-        b = oc.random_joint_dist(8, bd.ProductBound(0.3), seed=17)
+        a = drawn_law(8, bd.ProductBound(0.3), seed=17)
+        b = drawn_law(8, bd.ProductBound(0.3), seed=17)
         np.testing.assert_array_equal(a.xs, b.xs)
         np.testing.assert_array_equal(a.ws, b.ws)
         # the law stream of the sweeps: the same draws as when every
         # candidate was checked and could be rejected
         assert len(a.ws) == 256 and a.ws[0] == 0.27524238878061924
-        c = oc.random_joint_dist(6, bd.SplitBound(0.5, 0.9), seed=4)
+        c = drawn_law(6, bd.SplitBound(0.5, 0.9), seed=4)
         assert len(c.ws) == 64 and c.ws[0] == 0.08023381887816917
 
     @given(
@@ -859,7 +864,7 @@ class TestRandomJointDist:
     )
     @settings(max_examples=60, deadline=None)
     def test_product_constraint_verified(self, n, gamma, seed):
-        dist = oc.random_joint_dist(n, bd.ProductBound(gamma), seed=seed)
+        dist = drawn_law(n, bd.ProductBound(gamma), seed=seed)
         sizes = oc.subset_sizes(n)
         excess = oc.subset_product_moments(dist)[1:] - gamma ** sizes[1:]
         assert excess.max() <= 1e-12
@@ -875,25 +880,25 @@ class TestRandomJointDist:
         # delta spans [1 - gamma, 1], where gamma + delta >= 1
         delta = min(1.0, 1.0 - gamma + gamma * delta_share)
         assume(gamma + delta >= 1.0)
-        dist = oc.random_joint_dist(n, bd.SplitBound(gamma, delta), seed=seed)
+        dist = drawn_law(n, bd.SplitBound(gamma, delta), seed=seed)
         sizes = oc.subset_sizes(n)
         caps = gamma**sizes * delta ** (n - sizes)
         assert (oc.subset_zeta_moments(dist) - caps).max() <= 1e-12
 
     def test_bernoulli_cap(self):
         with pytest.raises(ValueError):
-            oc.random_joint_dist(13, seed=0)
+            drawn_law(13, seed=0)
 
     @pytest.mark.parametrize("n", [0, -1, 2.0])
     def test_n_outside_one_to_twelve_is_a_value_error(self, n):
         with pytest.raises(ValueError, match=rf"n must be an integer in \[1, 12\], got {n}"):
-            oc.random_joint_dist(n, bd.ProductBound(0.3), seed=0)
+            drawn_law(n, bd.ProductBound(0.3), seed=0)
 
     @pytest.mark.parametrize("gamma", [-0.2, 1.5, math.nan])
     def test_infeasible_product_gamma_is_a_value_error(self, gamma):
         with pytest.raises(ValueError, match=f"gamma must be in \\[0, 1\\], got {gamma}"):
-            oc.random_joint_dist(3, bd.ProductBound(gamma), seed=0)
+            drawn_law(3, bd.ProductBound(gamma), seed=0)
 
     def test_unsupported_constraint_type(self):
         with pytest.raises(TypeError):
-            oc.random_joint_dist(4, bd.MeanOnly(0.3), seed=0)
+            drawn_law(4, bd.MeanOnly(0.3), seed=0)

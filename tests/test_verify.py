@@ -2,8 +2,10 @@
 against the per-check loop they replaced, their records at pinned flags
 and rerun determinism."""
 
+import inspect
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,16 +78,15 @@ def reference_is_independent(dist, moments):
 
 
 def reference_checks(dist):
-    """``applicable_bound_checks`` from the law's data computed on its own."""
+    """``_bound_checks`` from the law's data computed on its own."""
     n = dist.n
     sizes = np.array([bin(m).count("1") for m in range(1, 1 << n)])
     moments = oc.subset_product_moments(dist)
     gamma = float((moments[1:] ** (1.0 / sizes)).max())
     gamma_z = float((oc.subset_zeta_moments(dist)[1:] ** (1.0 / sizes)).max())
     _, sk = reference_sum_moments(dist)
-    all_half = bool(np.all(np.abs(dist.means() - 0.5) <= 1e-12))
-    return verify._bound_checks(n, gamma, gamma_z, dist.mean_rate, sk,
-                                reference_is_independent(dist, moments), all_half)
+    return verify._bound_checks(n, gamma, gamma_z, float(dist.means().sum()) / n, sk,
+                                reference_is_independent(dist, moments))
 
 
 def reference_soundness(n_max, trials, seed):
@@ -159,7 +160,7 @@ def reference_sandwich(n_max, trials, seed):
 def product_law(q):
     q = np.asarray(q, dtype=float)
     n = len(q)
-    return oc.JointDist.from_masks(n, np.arange(1 << n), oc.zeta_decomposition(q))
+    return oc._mask_laws(n, [np.arange(1 << n)], [oc.zeta_decomposition(q)])[0]
 
 
 def random_laws(count, n_max, seed=0):
@@ -210,14 +211,15 @@ class TestSweepsMatchReference:
 
     def test_symmetric_moments_equal_numpy_scalar_sums(self):
         for dist in random_laws(100, 12, seed=1):
-            zdist, sk = verify.bernoulli_sum_moments(dist)
+            zdist = oc.z_distribution(dist)
+            sk = verify._symmetric_moments(zdist.probs[None])[0]
             ref_zdist, ref_sk = reference_sum_moments(dist)
             assert zdist.probs.tolist() == ref_zdist.probs.tolist()
             assert sk == ref_sk
             assert all(type(v) is float for v in sk.values())
 
     def test_independence_test_matches_one_atom_law(self):
-        point_mass = oc.JointDist.from_masks(3, [5], [1.0])
+        point_mass = oc._mask_laws(3, [[5]], [[1.0]])[0]
         laws = random_laws(100, 8, seed=2) + [product_law([0.3, 0.6]), point_mass]
         for dist in laws:
             means = np.clip(dist.means(), 0.0, 1.0)
@@ -323,12 +325,6 @@ class TestBlocks:
         assert peaks[1] <= peaks[0] + 2**20, peaks
 
     def test_one_law_calls_are_blocks_of_one(self):
-        def values(checks):
-            return [(label, t, vars_of(tb)) for label, t, tb in checks]
-
-        def vars_of(tb):
-            return tb.method, tb.log_bound, tb.params, tb.invalid_reason
-
         laws = random_laws(30, 9, seed=4)
         data = {}
         for n in {dist.n for dist in laws}:
@@ -336,15 +332,13 @@ class TestBlocks:
             data.update(zip(map(id, group), verify._law_data(group)))
         for dist in laws:
             assert verify._law_data([dist])[0] == data[id(dist)]
-            assert values(verify.applicable_bound_checks(dist)) == values(
-                verify._bound_checks(dist.n, *data[id(dist)]))
-            assert verify.bernoulli_sum_moments(dist)[1] == data[id(dist)][3]
-
+            z_law = oc.z_distribution(dist).probs[None]
+            assert verify._symmetric_moments(z_law)[0] == data[id(dist)][3]
 
     def test_law_data_needs_bernoulli_laws(self):
         dist = oc.JointDist(n=2, xs=[[0.5, 1.0], [0.0, 0.25]], ws=[0.5, 0.5])
         with pytest.raises(ValueError, match="Bernoulli"):
-            verify.applicable_bound_checks(dist)
+            verify._law_data([dist])
         assert oc.random_joint_dists(3, []) == []
 
 
@@ -375,21 +369,20 @@ class TestLawStream:
         ]
 
 
-class TestDepgraphGate:
-    @staticmethod
-    def labels(dist):
-        return {label for label, _t, _tb in verify.applicable_bound_checks(dist)}
-
-    def test_means_near_one_half_get_no_check(self):
-        dist = product_law([0.5 + 1e-7] * 5)
-        # inside numpy's default relative tolerance around 1/2
-        assert np.allclose(dist.means(), 0.5, atol=1e-12)
-        assert "depgraph(alpha=1)" not in self.labels(dist)
-
-    def test_means_of_exactly_one_half_get_a_check(self):
-        dist = product_law([0.5] * 5)
-        assert np.all(dist.means() == 0.5)
-        assert "depgraph(alpha=1)" in self.labels(dist)
+def test_every_soundness_row_runs():
+    """At ``verify soundness``'s defaults, every row of ``_bound_checks`` has
+    a Valid check, so a row whose laws the sweep never draws fails here."""
+    defaults = {name: p.default for name, p in
+                inspect.signature(verify.suite_soundness).parameters.items()}
+    valid = Counter()
+    rng = np.random.default_rng(defaults["seed"])
+    for dist, _, data in verify._sweep_laws(rng, defaults["n_max"], defaults["trials"]):
+        valid.update(label.partition("(")[0]
+                     for label, _t, tb in verify._bound_checks(dist.n, *data)
+                     if tb.is_valid)
+    assert sorted(valid) == sorted(["ik", "bincoupling", "expfunct", "linial-luria",
+                                    "hoeffding", "kwise"])
+    assert min(valid.values()) >= 1
 
 
 @pytest.mark.parametrize(
