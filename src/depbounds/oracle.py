@@ -6,9 +6,10 @@ exponentials f(x) = exp(h*x), and the averaged-binomial ordering checks.
 Everything here is a ground-truth oracle: sizes are capped (2^n
 enumeration at n <= 20) and computations are exact up to float rounding.
 
-The soundness and sandwich sweeps of ``verify`` read the tails of a
-Bernoulli law from one per-law table, ``tail_lookup``, whose entries equal
-``exact_tail`` bit for bit; ``exact_tail`` stays the oracle for other laws.
+The soundness and sandwich sweeps of ``verify`` read the tails of their
+Bernoulli laws from the suffix sums of the laws of Z that ``_z_laws``
+gives for a block, equal to ``exact_tail`` up to rounding; ``exact_tail``
+stays the oracle for one law, [0,1]-valued ones included.
 
 Subset moments are whole-array transforms over the subset lattice.  For a
 Bernoulli law the outcome pmf (a ``bincount`` of the atom bitmasks) is
@@ -70,7 +71,6 @@ __all__ = [
     "zeta_decomposition",
     "z_distribution",
     "exact_tail",
-    "tail_lookup",
     "dephoeff_bound",
     "averaged_binomial_checks",
     # the exact pmf of independent trials, from numkernel
@@ -142,7 +142,7 @@ class JointDist:
     @cached_property
     def atom_sizes(self) -> np.ndarray:
         """The number of ones of each atom of a Bernoulli law, one read-only
-        array per law; ``tail_lookup`` and ``z_distribution`` read it."""
+        array per law; ``_z_laws`` reads it."""
         return _read_only(self.xs.sum(axis=1).astype(np.int64))
 
 
@@ -283,28 +283,6 @@ def exact_tail(dist: JointDist, t: float) -> float:
     """Ground truth P[sum X_i >= t] by direct enumeration of the support."""
     sums = dist.xs.sum(axis=1)
     return float(dist.ws[sums >= t - 1e-12].sum())
-
-
-def tail_lookup(dist: JointDist):
-    """P[sum X_i >= t] of a Bernoulli law as a function of finite t, equal
-    bit for bit to ``exact_tail(dist, t)``.
-
-    Every atom sum is an integer, so ``sums >= t - 1e-12`` selects the same
-    atoms as ``sums >= j`` at j = ceil(t - 1e-12) clamped to [0, n + 1];
-    the tail at each such j is computed on its first lookup only.
-    """
-    if not dist.is_bernoulli:
-        raise ValueError("tail_lookup needs a Bernoulli law; use exact_tail")
-    n, ws, sizes = dist.n, dist.ws, dist.atom_sizes
-    tails = {}
-
-    def tail(t: float) -> float:
-        j = min(max(math.ceil(t - 1e-12), 0), n + 1)
-        if j not in tails:
-            tails[j] = float(ws[sizes >= j].sum())
-        return tails[j]
-
-    return tail
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,18 @@ that charges every law the bytes it and its preparation hold
 over the budget alone is a block of one.  The master generator gives
 each law its n, seed, kind and (gamma | q) in trial order, so a block is
 drawn before any of its laws is built.  The laws of one n in a block are
-built by one ``oracle.random_joint_dists`` call and prepared by one
-``_law_data`` call: the superset sums, both gamma rates, the laws of Z,
-S_k and the independence tests over stacked arrays.  Each law is then
-checked on its own, in trial order, by ``_bound_checks``.  The soundness
-sweep checks no ``depgraph`` bound: no law it draws has a dependency graph
-it could read (ROADMAP item 19).
+built by one ``oracle.random_joint_dists`` call.  Their laws of Z, one
+``oracle._z_laws`` call, give each law's tails P(Z >= j), j = 0..n+1, as
+one reversed cumulative sum (``_tail_rows``): the suffix sums of the law
+of Z, equal to ``oracle.exact_tail`` up to rounding.  One ``_law_data``
+call gives the superset sums, both gamma rates, S_k (from the same laws
+of Z) and the independence tests over stacked arrays.  Each law is then
+checked on its own, in trial order, by ``_bound_checks``.  A check fails
+when the larger side exceeds the smaller by more than ``SOUNDNESS_TOL``
+or by a factor over 1 + ``RELATIVE_TOL`` (``_exceeds``), so tails far
+below 1e-12 are gated too.  The soundness sweep checks no ``depgraph``
+bound: no law it draws has a dependency graph it could read (ROADMAP item
+19).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .numkernel import (
 )
 
 SOUNDNESS_TOL = 1e-12
+RELATIVE_TOL = 1e-9
 IDENTITY_TOL = 1e-10
 
 __all__ = [
@@ -84,10 +91,11 @@ def _symmetric_moments(z_laws: np.ndarray) -> list:
     return [dict(enumerate(row)) for row in sk.tolist()]
 
 
-def _law_data(dists: list) -> list:
+def _law_data(dists: list, z_laws: np.ndarray) -> list:
     """(gamma, gamma_z, pbar, sk, independent) of each law of
     ``dists``, all of one n, from one set of array operations over their
-    stacked outcome pmfs, laws of Z and means.
+    stacked outcome pmfs, laws of Z (``z_laws``, as ``oc._z_laws`` gives
+    them) and means.
 
     gamma is the smallest rate with E[prod_{i in A} X_i] <= gamma^|A| for
     all A != {} (the ProductBound rate), gamma_z the same on the zeta
@@ -106,8 +114,29 @@ def _law_data(dists: list) -> list:
     gamma = (moments[:, 1:] ** exponents).max(axis=1)
     means = np.stack([dist.means() for dist in dists])
     return list(zip(gamma.tolist(), gamma_z.tolist(), (means.sum(axis=1) / n).tolist(),
-                    _symmetric_moments(oc._z_laws(dists)),
+                    _symmetric_moments(z_laws),
                     _is_independent(means, moments).tolist()))
+
+
+def _tail_rows(z_laws: np.ndarray) -> list:
+    """P[Z >= j] for j = 0..n+1 of each row of ``z_laws``, as one list of
+    n + 2 floats per law: the row's reversed cumulative sum and a 0."""
+    tails = np.zeros((len(z_laws), z_laws.shape[1] + 1))
+    np.cumsum(z_laws[:, ::-1], axis=1, out=tails[:, -2::-1])
+    return tails.tolist()
+
+
+def _tail(tails: list, t: float) -> float:
+    """P[Z >= t] from a ``_tail_rows`` row: Z is integer, so Z >= t - 1e-12
+    iff Z >= ceil(t - 1e-12), clamped to the row."""
+    return tails[min(max(math.ceil(t - 1e-12), 0), len(tails) - 1)]
+
+
+def _exceeds(a: float, b: float) -> bool:
+    """True iff a exceeds b by more than ``SOUNDNESS_TOL`` or by a factor
+    over 1 + ``RELATIVE_TOL``: the test that a tail breaks an upper bound,
+    and, roles swapped, that a lower bound breaks a tail."""
+    return a - b > SOUNDNESS_TOL or a > b * (1.0 + RELATIVE_TOL)
 
 
 def _is_independent(means: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -205,11 +234,12 @@ def _law_bytes(n: int, draw) -> int:
 
 
 def _sweep_laws(rng, n_max: int, trials: int):
-    """(dist, tail lookup, ``_law_data`` entry) of each law of a sweep, in
-    trial order.  The laws are drawn in blocks of consecutive trials, a
-    block closing when the next law would take its ``_law_bytes`` past
-    ``_BLOCK_BYTES`` (a law over the budget alone is a block of one), and
-    the laws of one n in a block are built and prepared together."""
+    """(dist, ``_tail_rows`` row, ``_law_data`` entry) of each law of a
+    sweep, in trial order.  The laws are drawn in blocks of consecutive
+    trials, a block closing when the next law would take its
+    ``_law_bytes`` past ``_BLOCK_BYTES`` (a law over the budget alone is a
+    block of one), and the laws of one n in a block are built and prepared
+    together."""
     block, charged = [], 0
     for _ in range(trials):
         n, draw = _law_draw(rng, n_max)
@@ -225,41 +255,43 @@ def _sweep_laws(rng, n_max: int, trials: int):
 def _prepared_laws(draws: list) -> list:
     """``_sweep_laws``' triples for one block of (n, draw) pairs, in order:
     the laws of one n are built by one ``oc.random_joint_dists`` call and
-    prepared by one ``_law_data`` call."""
+    prepared from one ``oc._z_laws`` call and one ``_law_data`` call."""
     rows = {}
     for r, (n, _) in enumerate(draws):
         rows.setdefault(n, []).append(r)
     laws = [None] * len(draws)
     for n, group in rows.items():
         dists = oc.random_joint_dists(n, [draws[r][1] for r in group])
-        for r, dist, data in zip(group, dists, _law_data(dists)):
-            laws[r] = dist, oc.tail_lookup(dist), data
+        z_laws = oc._z_laws(dists)
+        for r, dist, tails, data in zip(group, dists, _tail_rows(z_laws),
+                                        _law_data(dists, z_laws)):
+            laws[r] = dist, tails, data
     return laws
 
 
 def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
     """Master soundness sweep: exact_tail <= bound for every applicable
     bound on random Bernoulli joint distributions, each law's tails read
-    from one ``oc.tail_lookup``."""
+    from its ``_tail_rows`` row."""
     rng = np.random.default_rng(seed)
     records = []
     checked = 0
     worst = (None, -math.inf)
-    for i, (dist, tail_at, data) in enumerate(_sweep_laws(rng, n_max, trials)):
+    for i, (dist, tails, data) in enumerate(_sweep_laws(rng, n_max, trials)):
         for label, t, tb in _bound_checks(dist.n, *data):
             if not tb.is_valid:
                 continue
             checked += 1
-            tail = tail_at(t)
-            gap = tail - tb.bound
+            tail, bound = _tail(tails, t), tb.bound
+            gap = tail - bound
             if gap > worst[1]:
                 worst = (f"{label} n={dist.n} t={t:.4g} trial={i}", gap)
-            if gap > SOUNDNESS_TOL:
+            if _exceeds(tail, bound):
                 records.append(
                     (
                         f"soundness/{label}",
                         False,
-                        f"trial {i}: exact_tail={tail!r} > bound={tb.bound!r} "
+                        f"trial {i}: exact_tail={tail!r} > bound={bound!r} "
                         f"at t={t!r}, params={tb.params}",
                     )
                 )
@@ -488,19 +520,19 @@ def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0):
     rng = np.random.default_rng(seed)
     fails = []
     checked = 0
-    for i, (dist, tail_at, data) in enumerate(_sweep_laws(rng, n_max, trials)):
+    for i, (dist, tails, data) in enumerate(_sweep_laws(rng, n_max, trials)):
         n = dist.n
         sk = data[3]
         profile = bd.SymmetricMoments(sk)
         for beta_n in range(1, n + 1):
-            tail = tail_at(float(beta_n))
+            tail = tails[beta_n]  # _tail at an integer t in [1, n]
             lower = math.exp(bd.linial_lower_bound(n, beta_n, sk[beta_n]))
-            if lower > tail + SOUNDNESS_TOL:
+            if _exceeds(lower, tail):
                 fails.append(f"trial {i}: lower {lower!r} > tail {tail!r}")
             checked += 1
             for k in range(1, beta_n):
                 tb = bd.linial_luria_bound(n, beta_n, k, profile)
-                if tb.is_valid and tail > tb.bound + SOUNDNESS_TOL:
+                if tb.is_valid and _exceeds(tail, tb.bound):
                     fails.append(
                         f"trial {i}: tail {tail!r} > upper {tb.bound!r} "
                         f"(beta_n={beta_n}, k={k})"

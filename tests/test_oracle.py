@@ -167,7 +167,8 @@ class TestSubsetTransforms:
         with pytest.raises(ValueError):
             sizes[1] += 1
         # _law_data reads the cached array for every law
-        verify._law_data([drawn_law(6, seed=1)])
+        law = drawn_law(6, seed=1)
+        verify._law_data([law], oc._z_laws([law]))
         assert oc.subset_sizes(6) is sizes
         assert sizes.tolist() == want
 

@@ -147,7 +147,7 @@ def test_private_name_check_sees_a_leftover():
 # reason it stays.  A new one must be declared here; one that gains a
 # caller must leave.
 TEST_ONLY_PUBLIC = {
-    "oracle.exact_tail": "the reference the sweep tests check tail_lookup against",
+    "oracle.exact_tail": "the reference the sweep tests check the tail table against",
     "oracle.z_distribution": "the law of Z of one law, [0,1]-valued ones "
                              "included; the sweeps count the laws of Z of "
                              "stacked Bernoulli laws",

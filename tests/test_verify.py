@@ -1,6 +1,6 @@
-"""The soundness and sandwich sweeps: the per-law tail lookup, the sweeps
-against the per-check loop they replaced, their records at pinned flags
-and rerun determinism."""
+"""The soundness and sandwich sweeps: the tail table read from each block's
+laws of Z, the gate a check must pass, the sweeps against the per-check
+loop they replaced, their records at pinned flags and rerun determinism."""
 
 import inspect
 import math
@@ -163,47 +163,100 @@ def product_law(q):
     return oc._mask_laws(n, [np.arange(1 << n)], [oc.zeta_decomposition(q)])[0]
 
 
-def random_laws(count, n_max, seed=0):
+def prepared_laws(count, n_max, seed=0):
+    """The sweeps' (dist, tail row, law data) triples of ``count`` laws."""
     rng = np.random.default_rng(seed)
-    draws = [verify._law_draw(rng, n_max) for _ in range(count)]
-    return [dist for dist, _, _ in verify._prepared_laws(draws)]
+    return verify._prepared_laws([verify._law_draw(rng, n_max) for _ in range(count)])
+
+
+def random_laws(count, n_max, seed=0):
+    return [dist for dist, _, _ in prepared_laws(count, n_max, seed)]
+
+
+def one_law(dist):
+    """The sweeps' triple of ``dist`` prepared on its own."""
+    z_laws = oc._z_laws([dist])
+    return dist, verify._tail_rows(z_laws)[0], verify._law_data([dist], z_laws)[0]
 
 
 # ---------------------------------------------------------------------------
 
 
-class TestTailLookup:
-    def test_equals_exact_tail(self):
-        for dist in random_laws(200, 10):
+class TestTailTable:
+    @pytest.mark.parametrize("n_max, seed", [(10, 0), (12, 1)])
+    def test_rows_are_the_suffix_sums_of_the_law_of_z(self, n_max, seed):
+        for dist, tails, _ in prepared_laws(200, n_max, seed):
+            probs = oc.z_distribution(dist).probs
+            assert tails == np.cumsum(probs[::-1])[::-1].tolist() + [0.0]
+
+    @pytest.mark.parametrize("n_max, seed", [(10, 0), (12, 1)])
+    def test_agrees_with_exact_tail(self, n_max, seed):
+        for dist, tails, _ in prepared_laws(200, n_max, seed):
             n = dist.n
             ts = [-1.0, 0.0, float(n), n + 0.5]
             for j in range(n + 2):
                 ts += [float(j), j - 0.5, j + 0.5, j - 1e-13, j + 1e-13]
-            tail = oc.tail_lookup(dist)
             for t in ts:
-                assert tail(t) == oc.exact_tail(dist, t), (n, t)
+                assert abs(verify._tail(tails, t) - oc.exact_tail(dist, t)) <= 1e-14, (n, t)
 
-    def test_order_of_lookups_does_not_matter(self):
-        dist = random_laws(1, 8, seed=3)[0]
-        ts = [t / 4.0 for t in range(-4, 4 * dist.n + 8)]
-        forward, backward = oc.tail_lookup(dist), oc.tail_lookup(dist)
-        want = [forward(t) for t in ts]
-        assert [backward(t) for t in reversed(ts)] == want[::-1]
 
-    def test_rejects_a_non_bernoulli_law(self):
-        dist = oc.JointDist(n=2, xs=[[0.5, 1.0], [0.0, 0.25]], ws=[0.5, 0.5])
-        with pytest.raises(ValueError, match="Bernoulli"):
-            oc.tail_lookup(dist)
+class TestGate:
+    """A check fails when the larger side exceeds the smaller by more than
+    ``SOUNDNESS_TOL`` or by a factor over 1 + ``RELATIVE_TOL``."""
+
+    # a tail of 1e-5 above its bound by a factor 1 + 1e-8: 1e-13 apart
+    TAIL = 1e-5
+    BELOW = TAIL * (1.0 - 1e-8)
+
+    def test_relative_condition_flags_a_small_tail(self):
+        assert not self.TAIL - self.BELOW > verify.SOUNDNESS_TOL
+        assert verify._exceeds(self.TAIL, self.BELOW)
+
+    def test_either_condition_fails_a_check(self):
+        assert verify._exceeds(0.5, 0.5 - 2e-12)  # absolute only
+        assert not verify._exceeds(0.5, 0.5 - 5e-13)
+        assert not verify._exceeds(self.TAIL, self.TAIL * (1.0 - 1e-12))
+        assert not verify._exceeds(0.0, 0.0)
+        assert verify._exceeds(1e-300, 0.0)
+
+    @staticmethod
+    def small_tail_law(monkeypatch):
+        """Make the sweeps draw one law on 2 coordinates, P[Z = 2] = 1e-5
+        and P[Z = 0] the rest, and return its tail row."""
+        law = one_law(oc._mask_laws(2, [[0, 3]], [[1.0 - 1e-5, 1e-5]])[0])
+        monkeypatch.setattr(verify, "_sweep_laws", lambda rng, n_max, trials: [law])
+        return law[1]
+
+    def test_soundness_flags_a_small_relative_excess(self, monkeypatch):
+        tails = self.small_tail_law(monkeypatch)
+        assert tails[2] == self.TAIL
+        tb = bd.TailBound("fake", math.log(self.BELOW))
+        monkeypatch.setattr(verify, "_bound_checks", lambda n, *data: [("fake", 2.0, tb)])
+        records = verify.suite_soundness(n_max=2, trials=1)
+        assert [(name, ok) for name, ok, _ in records] == [
+            ("soundness/fake", False), ("soundness/sweep", False)]
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_sandwich_flags_a_small_relative_excess(self, monkeypatch, side):
+        self.small_tail_law(monkeypatch)
+        if side == "lower":
+            monkeypatch.setattr(bd, "linial_lower_bound",
+                                lambda n, beta_n, s: math.log(self.TAIL * (1.0 + 1e-8)))
+        else:
+            tb = bd.TailBound("fake", math.log(self.BELOW))
+            monkeypatch.setattr(bd, "linial_luria_bound", lambda n, beta_n, k, profile: tb)
+        [(_, ok, detail)] = verify.suite_sandwich(n_max=2, trials=1)
+        assert not ok and f"{side} " in detail
 
 
 class TestSweepsMatchReference:
-    @pytest.mark.parametrize("n_max", [7, 10])
+    @pytest.mark.parametrize("n_max", [3, 7, 10, 12])
     @pytest.mark.parametrize("seed", range(5))
     def test_soundness(self, seed, n_max):
         got = verify.suite_soundness(n_max=n_max, trials=200, seed=seed)
         assert got == reference_soundness(n_max, 200, seed)
 
-    @pytest.mark.parametrize("n_max", [7, 10])
+    @pytest.mark.parametrize("n_max", [3, 7, 10, 12])
     @pytest.mark.parametrize("seed", range(5))
     def test_sandwich(self, seed, n_max):
         got = verify.suite_sandwich(n_max=n_max, trials=200, seed=seed)
@@ -329,16 +382,16 @@ class TestBlocks:
         data = {}
         for n in {dist.n for dist in laws}:
             group = [dist for dist in laws if dist.n == n]
-            data.update(zip(map(id, group), verify._law_data(group)))
+            data.update(zip(map(id, group), verify._law_data(group, oc._z_laws(group))))
         for dist in laws:
-            assert verify._law_data([dist])[0] == data[id(dist)]
+            assert one_law(dist)[2] == data[id(dist)]
             z_law = oc.z_distribution(dist).probs[None]
             assert verify._symmetric_moments(z_law)[0] == data[id(dist)][3]
 
     def test_law_data_needs_bernoulli_laws(self):
         dist = oc.JointDist(n=2, xs=[[0.5, 1.0], [0.0, 0.25]], ws=[0.5, 0.5])
         with pytest.raises(ValueError, match="Bernoulli"):
-            verify._law_data([dist])
+            verify._law_data([dist], oc._z_laws([dist]))
         assert oc.random_joint_dists(3, []) == []
 
 
