@@ -37,7 +37,6 @@ __all__ = [
     "hoeffding_bound",
     "ik_bound",
     "linial_luria_bound",
-    "linial_lower_bound",
     "expfunct_bound",
     "bincoupling_bound",
     "mcdiarmid_bound",
@@ -320,17 +319,6 @@ def linial_luria_bound(n: int, beta_n: int, k: int, profile) -> TailBound:
     params = {"k": k, "beta_n": beta_n}
     log_bound = log_sk - log_binom_coeff(beta_n, k)
     return TailBound(method, _clamp(log_bound, params), params)
-
-
-def linial_lower_bound(n: int, beta_n: int, s_beta_n: float) -> float:
-    """Certified lower bound ln(S_{beta_n} / C(n, beta_n)) for Bernoulli inputs."""
-    if not 0 < beta_n <= n:
-        raise ValueError(f"beta_n={beta_n} outside (0, {n}]")
-    if s_beta_n < 0.0:
-        raise ValueError(f"S_beta_n must be nonnegative, got {s_beta_n}")
-    if s_beta_n == 0.0:
-        return NEG_INF
-    return min(0.0, math.log(s_beta_n) - log_binom_coeff(n, beta_n))
 
 
 def expfunct_bound(n: int, gamma: float, delta: float, t: float) -> TailBound:

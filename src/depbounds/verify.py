@@ -12,10 +12,17 @@ drawn before any of its laws is built.  The laws of one n in a block are
 built by one ``oracle.random_joint_dists`` call.  Their laws of Z, one
 ``oracle._z_laws`` call, give each law's tails P(Z >= j), j = 0..n+1, as
 one reversed cumulative sum (``_tail_rows``): the suffix sums of the law
-of Z, equal to ``oracle.exact_tail`` up to rounding.  One ``_law_data``
-call gives the superset sums, both gamma rates, S_k (from the same laws
-of Z) and the independence tests over stacked arrays.  Each law is then
-checked on its own, in trial order, by ``_bound_checks``.  A check fails
+of Z, equal to ``oracle.exact_tail`` up to rounding.  The same laws of Z
+give S_k (``_symmetric_moments``), and S_k one table of Linial-Luria
+bounds for the group (``_linial_tables``): S_k / C(beta, k) for every
+1 <= k <= beta <= n and the lower bound S_beta / C(n, beta), each capped
+at 1, equal bit for bit to what ``bounds.linial_luria_bound`` gives (a
+test ties the two).  Every linial-luria check of both sweeps reads this
+table; the evaluator runs only to print a failing check's params.  One
+``_law_data`` call gives the superset sums, both gamma rates and the
+independence tests over stacked arrays.  The soundness sweep then checks
+each law on its own, in trial order, by ``_bound_checks``; the sandwich
+compares each group's tails with its table as arrays.  A check fails
 when the larger side exceeds the smaller by more than ``SOUNDNESS_TOL``
 or by a factor over 1 + ``RELATIVE_TOL`` (``_exceeds``), so tails far
 below 1e-12 are gated too.  The soundness sweep checks no ``depgraph``
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .numkernel import (
     PoissonBinomialSpec,
     binomial_median_lb_grid,
     kl_divergence,
+    log_binom_coeff,
     poisson_binom_dist,
 )
 
@@ -76,26 +85,55 @@ def run_suite(name: str, **kw):
 # C(j, k) as floats for j, k <= oc.MAX_ENUM_N, zero for k > j
 _BINOMIALS = np.array([[math.comb(j, k) for k in range(oc.MAX_ENUM_N + 1)]
                        for j in range(oc.MAX_ENUM_N + 1)], dtype=float)
+# ln C(j, k) as ``log_binom_coeff`` gives it, the value the evaluators
+# take, for k <= j <= oc.MAX_ENUM_N; +inf for k > j, where the
+# Linial-Luria tables hold 0.0 and are never read
+_LOG_BINOMIALS = np.array([[log_binom_coeff(j, k) if k <= j else math.inf
+                            for k in range(oc.MAX_ENUM_N + 1)]
+                           for j in range(oc.MAX_ENUM_N + 1)])
 
 
-def _symmetric_moments(z_laws: np.ndarray) -> list:
-    """S_k = sum_j P[Z = j] C(j, k) for every k, as one dict per row of
+def _symmetric_moments(z_laws: np.ndarray) -> np.ndarray:
+    """S_k = sum_j P[Z = j] C(j, k) for every k, one row per row of
     ``z_laws``, added over j = k..n in that order in plain floats (not
     builtin ``sum``, which compensates float items from CPython 3.12 on):
-    column k of ``sk`` takes its terms j < k as zeros, which leave 0.0."""
+    column k takes its terms j < k as zeros, which leave 0.0."""
     n = z_laws.shape[1] - 1
     terms = z_laws[:, :, None] * _BINOMIALS[: n + 1, : n + 1]
     sk = terms[:, 0].copy()
     for j in range(1, n + 1):
         sk += terms[:, j]
-    return [dict(enumerate(row)) for row in sk.tolist()]
+    return sk
 
 
-def _law_data(dists: list, z_laws: np.ndarray) -> list:
-    """(gamma, gamma_z, pbar, sk, independent) of each law of
-    ``dists``, all of one n, from one set of array operations over their
-    stacked outcome pmfs, laws of Z (``z_laws``, as ``oc._z_laws`` gives
-    them) and means.
+def _linial_tables(sk: np.ndarray) -> tuple:
+    """(upper, lower) for the laws whose S_k, k = 0..n, are the rows of
+    ``sk``: upper[l, beta, k] = exp(min(ln S_k - ln C(beta, k), 0)), the
+    bound ``bd.linial_luria_bound`` gives for 1 <= k <= beta <= n, and
+    lower[l, beta] = exp(min(ln S_beta - ln C(n, beta), 0)), a lower bound
+    on P[Z >= beta]; both are 0.0 where S_k = 0.  ln and exp are
+    ``math``'s, mapped over lists, as the evaluator takes them: numpy's
+    differ from them in the last bit on some inputs, and the soundness
+    sweep's worst margin sits at rounding level.  The -, min and the
+    comparisons made on the tables round as Python floats do."""
+    n = sk.shape[1] - 1
+    log_sk = np.array([math.log(s) if s > 0.0 else -math.inf
+                       for s in sk.ravel().tolist()]).reshape(sk.shape)
+    log_c = _LOG_BINOMIALS[: n + 1, : n + 1]
+    upper = np.minimum(log_sk[:, None, :] - log_c, 0.0)
+    lower = np.minimum(log_sk - log_c[n], 0.0)
+    return _exp(upper), _exp(lower)
+
+
+def _exp(logs: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every entry of ``logs``, in its shape."""
+    return np.array(list(map(math.exp, logs.ravel().tolist()))).reshape(logs.shape)
+
+
+def _law_data(dists: list) -> list:
+    """(gamma, gamma_z, pbar, independent) of each law of ``dists``, all of
+    one n, from one set of array operations over their stacked outcome
+    pmfs and means.
 
     gamma is the smallest rate with E[prod_{i in A} X_i] <= gamma^|A| for
     all A != {} (the ProductBound rate), gamma_z the same on the zeta
@@ -114,16 +152,15 @@ def _law_data(dists: list, z_laws: np.ndarray) -> list:
     gamma = (moments[:, 1:] ** exponents).max(axis=1)
     means = np.stack([dist.means() for dist in dists])
     return list(zip(gamma.tolist(), gamma_z.tolist(), (means.sum(axis=1) / n).tolist(),
-                    _symmetric_moments(z_laws),
                     _is_independent(means, moments).tolist()))
 
 
-def _tail_rows(z_laws: np.ndarray) -> list:
-    """P[Z >= j] for j = 0..n+1 of each row of ``z_laws``, as one list of
-    n + 2 floats per law: the row's reversed cumulative sum and a 0."""
+def _tail_rows(z_laws: np.ndarray) -> np.ndarray:
+    """P[Z >= j] for j = 0..n+1 of each row of ``z_laws``, one row of n + 2
+    floats per law: the row's reversed cumulative sum and a 0."""
     tails = np.zeros((len(z_laws), z_laws.shape[1] + 1))
     np.cumsum(z_laws[:, ::-1], axis=1, out=tails[:, -2::-1])
-    return tails.tolist()
+    return tails
 
 
 def _tail(tails: list, t: float) -> float:
@@ -132,11 +169,12 @@ def _tail(tails: list, t: float) -> float:
     return tails[min(max(math.ceil(t - 1e-12), 0), len(tails) - 1)]
 
 
-def _exceeds(a: float, b: float) -> bool:
+def _exceeds(a, b):
     """True iff a exceeds b by more than ``SOUNDNESS_TOL`` or by a factor
     over 1 + ``RELATIVE_TOL``: the test that a tail breaks an upper bound,
-    and, roles swapped, that a lower bound breaks a tail."""
-    return a - b > SOUNDNESS_TOL or a > b * (1.0 + RELATIVE_TOL)
+    and, roles swapped, that a lower bound breaks a tail.  Floats give a
+    bool, arrays an array of them."""
+    return (a - b > SOUNDNESS_TOL) | (a > b * (1.0 + RELATIVE_TOL))
 
 
 def _is_independent(means: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -155,10 +193,29 @@ def _interior_grid(lo: float, hi: float) -> list:
     return [lo + (hi - lo) * i / (_THRESHOLDS + 1) for i in range(1, _THRESHOLDS + 1)]
 
 
-def _bound_checks(n, gamma, gamma_z, pbar, sk, independent):
+class _TableBound:
+    """A linial-luria check read from a law's upper table: its bound, and
+    the params ``bd.linial_luria_bound`` gives it, which only a failure
+    prints, so the evaluator runs only then."""
+
+    __slots__ = ("bound", "n", "beta_n", "k", "s_k")
+    is_valid = True
+
+    def __init__(self, bound: float, n: int, beta_n: int, k: int, s_k: float):
+        self.bound, self.n, self.beta_n, self.k, self.s_k = bound, n, beta_n, k, s_k
+
+    @property
+    def params(self) -> dict:
+        profile = bd.SymmetricMoments({self.k: self.s_k})
+        return bd.linial_luria_bound(self.n, self.beta_n, self.k, profile).params
+
+
+def _bound_checks(n, gamma, gamma_z, pbar, independent, upper, sk):
     """(label, t, TailBound) triples for every bound whose hypotheses a law
     on n coordinates with the given ``_law_data`` provably satisfies, at
-    interior thresholds of each bound's validity range."""
+    interior thresholds of each bound's validity range.  Its linial-luria
+    checks are ``_TableBound``s read from its upper table ``upper`` (as
+    lists), given its S_k ``sk``."""
     checks = []
     if 0.0 < gamma < 1.0:
         for t in _interior_grid(n * gamma, n):
@@ -174,18 +231,12 @@ def _bound_checks(n, gamma, gamma_z, pbar, sk, independent):
                 ("expfunct", t, bd.expfunct_bound(n, gamma_z, 1.0, t))
             )
 
-    profile = bd.SymmetricMoments(sk)
     beta_lo = max(1, math.floor(n * pbar) + 1)
-    beta_candidates = list(range(beta_lo, n + 1))[:_THRESHOLDS]
-    for beta_n in beta_candidates:
+    for beta_n in range(beta_lo, n + 1)[:_THRESHOLDS]:
+        row = upper[beta_n]
         for k in range(1, beta_n):
-            checks.append(
-                (
-                    f"linial-luria(k={k})",
-                    float(beta_n),
-                    bd.linial_luria_bound(n, beta_n, k, profile),
-                )
-            )
+            checks.append((f"linial-luria(k={k})", float(beta_n),
+                           _TableBound(row[k], n, beta_n, k, sk[k])))
 
     if independent and 0.0 < pbar < 1.0:
         for t in _interior_grid(n * pbar, n):
@@ -233,40 +284,77 @@ def _law_bytes(n: int, draw) -> int:
     return 8 * (rows << n) + atoms * (24 + 8 * n)
 
 
-def _sweep_laws(rng, n_max: int, trials: int):
-    """(dist, ``_tail_rows`` row, ``_law_data`` entry) of each law of a
-    sweep, in trial order.  The laws are drawn in blocks of consecutive
-    trials, a block closing when the next law would take its
-    ``_law_bytes`` past ``_BLOCK_BYTES`` (a law over the budget alone is a
-    block of one), and the laws of one n in a block are built and prepared
-    together."""
+class _Group(NamedTuple):
+    """The laws of one n in a block, prepared together: their positions
+    in the block, the laws, their ``_tail_rows``, ``_law_data`` entries,
+    S_k (``_symmetric_moments``) and ``_linial_tables``."""
+
+    rows: list
+    dists: list
+    tails: np.ndarray
+    data: list
+    sk: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+
+def _sweep_blocks(rng, n_max: int, trials: int):
+    """The ``_prepared_laws`` of each block of a sweep's laws, in trial
+    order.  A block is consecutive trials, closing when the next law would
+    take its ``_law_bytes`` past ``_BLOCK_BYTES`` (a law over the budget
+    alone is a block of one)."""
     block, charged = [], 0
     for _ in range(trials):
         n, draw = _law_draw(rng, n_max)
         cost = _law_bytes(n, draw)
         if block and charged + cost > _BLOCK_BYTES:
-            yield from _prepared_laws(block)
+            yield _prepared_laws(block)
             block, charged = [], 0
         block.append((n, draw))
         charged += cost
-    yield from _prepared_laws(block)
+    yield _prepared_laws(block)
+
+
+def _sweep_laws(rng, n_max: int, trials: int):
+    """(dist, tails, data) of each law of a sweep, in trial order
+    (``_law_rows``)."""
+    for groups in _sweep_blocks(rng, n_max, trials):
+        yield from _law_rows(groups)
+
+
+def _law_rows(groups: list):
+    """(dist, tails, data) of each law of one block's ``groups``, in trial
+    order: ``tails`` its ``_tail_rows`` row and ``data`` its ``_law_data``
+    entry, upper table and S_k, all as lists, as ``_bound_checks`` takes
+    them after n."""
+    laws = [None] * sum(len(group.rows) for group in groups)
+    for group in groups:
+        for l, r in enumerate(group.rows):
+            laws[r] = group, l
+    for group, l in laws:
+        yield (group.dists[l], group.tails[l].tolist(),
+               (*group.data[l], group.upper[l].tolist(), group.sk[l].tolist()))
 
 
 def _prepared_laws(draws: list) -> list:
-    """``_sweep_laws``' triples for one block of (n, draw) pairs, in order:
-    the laws of one n are built by one ``oc.random_joint_dists`` call and
-    prepared from one ``oc._z_laws`` call and one ``_law_data`` call."""
+    """The ``_Group``s of one block of (n, draw) pairs, one per n: the laws
+    of one n are built by one ``oc.random_joint_dists`` call and prepared
+    by ``_group``."""
     rows = {}
     for r, (n, _) in enumerate(draws):
         rows.setdefault(n, []).append(r)
-    laws = [None] * len(draws)
-    for n, group in rows.items():
-        dists = oc.random_joint_dists(n, [draws[r][1] for r in group])
-        z_laws = oc._z_laws(dists)
-        for r, dist, tails, data in zip(group, dists, _tail_rows(z_laws),
-                                        _law_data(dists, z_laws)):
-            laws[r] = dist, tails, data
-    return laws
+    return [_group(group, oc.random_joint_dists(n, [draws[r][1] for r in group]))
+            for n, group in rows.items()]
+
+
+def _group(rows: list, dists: list) -> _Group:
+    """The ``_Group`` of the laws ``dists``, all of one n, at the block
+    positions ``rows``: their tails, S_k and Linial-Luria tables come from
+    one ``oc._z_laws`` call."""
+    z_laws = oc._z_laws(dists)
+    sk = _symmetric_moments(z_laws)
+    return _Group(rows, dists, _tail_rows(z_laws), _law_data(dists), sk,
+                  *_linial_tables(sk))
 
 
 def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
@@ -516,34 +604,53 @@ def suite_convex_order(trials: int = 100, seed: int = 0, n_max: int = 12):
 
 
 def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0):
-    """Lower and upper symmetric-moment bounds sandwich the exact tail."""
+    """Lower and upper symmetric-moment bounds sandwich the exact tail:
+    every 1 <= k < beta <= n, by array comparisons of each group of laws'
+    tails with its ``_linial_tables``; only the first failing law, in
+    trial order, has its failure's text built."""
     rng = np.random.default_rng(seed)
-    fails = []
-    checked = 0
-    for i, (dist, tails, data) in enumerate(_sweep_laws(rng, n_max, trials)):
-        n = dist.n
-        sk = data[3]
-        profile = bd.SymmetricMoments(sk)
-        for beta_n in range(1, n + 1):
-            tail = tails[beta_n]  # _tail at an integer t in [1, n]
-            lower = math.exp(bd.linial_lower_bound(n, beta_n, sk[beta_n]))
-            if _exceeds(lower, tail):
-                fails.append(f"trial {i}: lower {lower!r} > tail {tail!r}")
-            checked += 1
-            for k in range(1, beta_n):
-                tb = bd.linial_luria_bound(n, beta_n, k, profile)
-                if tb.is_valid and _exceeds(tail, tb.bound):
-                    fails.append(
-                        f"trial {i}: tail {tail!r} > upper {tb.bound!r} "
-                        f"(beta_n={beta_n}, k={k})"
-                    )
-                checked += 1
-    return [
-        (
-            "sandwich/linial",
-            not fails,
-            f"{checked} comparisons over {trials} distributions"
-            + (f"; first failure: {fails[0]}" if fails else ""),
-        )
-    ]
+    checked, start = 0, 0
+    first = None  # (trial, group, law) of the first failing law
+    for groups in _sweep_blocks(rng, n_max, trials):
+        for group in groups:
+            n = group.sk.shape[1] - 1
+            checked += len(group.rows) * n * (n + 1) // 2
+            failing = np.flatnonzero(_sandwich_fails(group))
+            if failing.size:
+                trial = start + group.rows[failing[0]]
+                if first is None or trial < first[0]:
+                    first = trial, group, int(failing[0])
+        start += sum(len(group.rows) for group in groups)
+    detail = f"{checked} comparisons over {trials} distributions"
+    if first is not None:
+        detail += "; first failure: " + _sandwich_failure(*first)
+    return [("sandwich/linial", first is None, detail)]
 
+
+def _sandwich_fails(group: _Group) -> np.ndarray:
+    """True for each law of ``group`` with, at some 1 <= beta <= n, its
+    lower bound above P[Z >= beta] or that tail above an upper bound at
+    some 1 <= k < beta (``_exceeds``)."""
+    n = group.sk.shape[1] - 1
+    tails = group.tails[:, 1 : n + 1]
+    checked = np.tri(n, n + 1, dtype=bool)  # (beta - 1, k): k <= beta - 1
+    checked[:, 0] = False
+    upper = _exceeds(tails[:, :, None], group.upper[:, 1:]) & checked
+    return _exceeds(group.lower[:, 1:], tails).any(axis=1) | upper.any(axis=(1, 2))
+
+
+def _sandwich_failure(trial: int, group: _Group, l: int) -> str:
+    """The text of the first failing check of law ``l`` of ``group``, trial
+    ``trial``, in the order the checks are listed: by beta, its lower
+    bound before its upper bounds by k."""
+    tails, upper, lower = (group.tails[l].tolist(), group.upper[l].tolist(),
+                           group.lower[l].tolist())
+    for beta_n in range(1, len(lower)):
+        tail = tails[beta_n]
+        if _exceeds(lower[beta_n], tail):
+            return f"trial {trial}: lower {lower[beta_n]!r} > tail {tail!r}"
+        for k in range(1, beta_n):
+            if _exceeds(tail, upper[beta_n][k]):
+                return (f"trial {trial}: tail {tail!r} > upper {upper[beta_n][k]!r} "
+                        f"(beta_n={beta_n}, k={k})")
+    raise ValueError(f"law {l} of the group passes every check")

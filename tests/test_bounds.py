@@ -140,11 +140,10 @@ class TestLinialLuria:
 
         rng = np.random.default_rng(11)
         draws = [verify._law_draw(rng, 10) for _ in range(60)]
-        for dist, tails, data in verify._prepared_laws(draws):
-            sk = data[3]
+        for dist, tails, data in verify._law_rows(verify._prepared_laws(draws)):
+            profile = bd.SymmetricMoments(dict(enumerate(data[-1])))
             for beta_n in range(1, dist.n + 1):
-                tb = bd.linial_luria_bound(
-                    dist.n, beta_n, beta_n, bd.SymmetricMoments(sk))
+                tb = bd.linial_luria_bound(dist.n, beta_n, beta_n, profile)
                 assert tb.is_valid
                 assert tails[beta_n] <= tb.bound + 1e-12
 
@@ -182,22 +181,32 @@ class TestLinialLuria:
 
 
 class TestLinialLower:
+    """The sandwich sweep's lower bound S_beta_n / C(n, beta_n) on
+    P[Z >= beta_n], as ``verify._linial_tables`` gives it from the S_k of
+    a law."""
+
+    @staticmethod
+    def lower(sk):
+        from depbounds import verify
+
+        return verify._linial_tables(np.array([sk], dtype=float))[1][0].tolist()
+
     def test_all_ones(self):
         n, beta_n = 8, 5
-        assert bd.linial_lower_bound(n, beta_n, float(math.comb(n, beta_n))) == pytest.approx(0.0, abs=1e-12)
+        lower = self.lower([math.comb(n, k) for k in range(n + 1)])
+        assert lower[beta_n] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zeros(self):
-        assert bd.linial_lower_bound(8, 5, 0.0) == float("-inf")
+        assert self.lower([1.0] + [0.0] * 8)[5] == 0.0
 
     def test_independent_bernoulli_lower(self):
+        p = 0.35
         for n in (5, 10, 20):
+            lower = self.lower([math.comb(n, k) * p**k for k in range(n + 1)])
             for beta_n in range(1, n + 1):
-                p = 0.35
-                s = math.comb(n, beta_n) * p**beta_n
-                lower = math.exp(bd.linial_lower_bound(n, beta_n, s))
                 exact = float(exact_binom_tail(n, Fraction(35, 100), beta_n))
-                assert lower <= exact + 1e-12
-                assert lower == pytest.approx(p**beta_n, rel=1e-10)
+                assert lower[beta_n] <= exact + 1e-12
+                assert lower[beta_n] == pytest.approx(p**beta_n, rel=1e-10)
 
 
 class TestExpfunct:

@@ -1,6 +1,7 @@
 """The soundness and sandwich sweeps: the tail table read from each block's
 laws of Z, the gate a check must pass, the sweeps against the per-check
-loop they replaced, their records at pinned flags and rerun determinism."""
+loop they replaced, the Linial-Luria tables against their evaluator,
+their records at pinned flags and rerun determinism."""
 
 import inspect
 import math
@@ -13,13 +14,14 @@ import pytest
 from depbounds import bounds as bd
 from depbounds import oracle as oc
 from depbounds import verify
+from depbounds.numkernel import log_binom_coeff
 
 # ---------------------------------------------------------------------------
 # the reference: the per-check loop the sweeps ran before laws were drawn and
 # prepared in blocks and each law's tails came from one table, with a law
 # drawn, summed and checked on its own, a fresh exact_tail per check, a
-# one-atom JointDist in the independence test and S_k summed over numpy
-# scalars
+# one-atom JointDist in the independence test, S_k summed over numpy
+# scalars and every Linial-Luria bound a scalar call
 
 
 def reference_zeta(q):
@@ -78,15 +80,36 @@ def reference_is_independent(dist, moments):
 
 
 def reference_checks(dist):
-    """``_bound_checks`` from the law's data computed on its own."""
+    """``_bound_checks`` from the law's data computed on its own, each
+    check a call of its evaluator, linial-luria's included."""
     n = dist.n
     sizes = np.array([bin(m).count("1") for m in range(1, 1 << n)])
     moments = oc.subset_product_moments(dist)
     gamma = float((moments[1:] ** (1.0 / sizes)).max())
     gamma_z = float((oc.subset_zeta_moments(dist)[1:] ** (1.0 / sizes)).max())
+    pbar = float(dist.means().sum()) / n
     _, sk = reference_sum_moments(dist)
-    return verify._bound_checks(n, gamma, gamma_z, float(dist.means().sum()) / n, sk,
-                                reference_is_independent(dist, moments))
+    grid = verify._interior_grid
+    checks = []
+    if 0.0 < gamma < 1.0:
+        checks += [("ik", t, bd.ik_bound(n, gamma, bd.t_to_eps(n, gamma, t), c=1.0))
+                   for t in grid(n * gamma, n)]
+        if n * gamma + 1.0 < n:
+            checks += [("bincoupling", t, bd.bincoupling_bound(n, gamma, t))
+                       for t in grid(n * gamma + 1.0, n)]
+    if 0.0 < gamma_z < 1.0:
+        checks += [("expfunct", t, bd.expfunct_bound(n, gamma_z, 1.0, t))
+                   for t in grid(n * gamma_z, n)]
+    profile = bd.SymmetricMoments(sk)
+    beta_lo = max(1, math.floor(n * pbar) + 1)
+    for beta_n in list(range(beta_lo, n + 1))[:verify._THRESHOLDS]:
+        checks += [(f"linial-luria(k={k})", float(beta_n),
+                    bd.linial_luria_bound(n, beta_n, k, profile)) for k in range(1, beta_n)]
+    if reference_is_independent(dist, moments) and 0.0 < pbar < 1.0:
+        for t in grid(n * pbar, n):
+            checks.append(("hoeffding", t, bd.hoeffding_bound(n, pbar, t)))
+            checks.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, bd.t_to_eps(n, pbar, t))))
+    return checks
 
 
 def reference_soundness(n_max, trials, seed):
@@ -124,6 +147,14 @@ def reference_soundness(n_max, trials, seed):
     return records
 
 
+def reference_lower(n, beta_n, s_beta_n):
+    """The sandwich's lower bound on P[Z >= beta_n], S_beta_n / C(n, beta_n)
+    capped at 1, in the scalar form the sweep took before its tables."""
+    if s_beta_n == 0.0:
+        return 0.0
+    return math.exp(min(0.0, math.log(s_beta_n) - log_binom_coeff(n, beta_n)))
+
+
 def reference_sandwich(n_max, trials, seed):
     rng = np.random.default_rng(seed)
     fails = []
@@ -135,7 +166,7 @@ def reference_sandwich(n_max, trials, seed):
         profile = bd.SymmetricMoments(sk)
         for beta_n in range(1, n + 1):
             tail = oc.exact_tail(dist, float(beta_n))
-            lower = math.exp(bd.linial_lower_bound(n, beta_n, sk[beta_n]))
+            lower = reference_lower(n, beta_n, sk[beta_n])
             if lower > tail + verify.SOUNDNESS_TOL:
                 fails.append(f"trial {i}: lower {lower!r} > tail {tail!r}")
             checked += 1
@@ -166,7 +197,8 @@ def product_law(q):
 def prepared_laws(count, n_max, seed=0):
     """The sweeps' (dist, tail row, law data) triples of ``count`` laws."""
     rng = np.random.default_rng(seed)
-    return verify._prepared_laws([verify._law_draw(rng, n_max) for _ in range(count)])
+    draws = [verify._law_draw(rng, n_max) for _ in range(count)]
+    return list(verify._law_rows(verify._prepared_laws(draws)))
 
 
 def random_laws(count, n_max, seed=0):
@@ -175,8 +207,8 @@ def random_laws(count, n_max, seed=0):
 
 def one_law(dist):
     """The sweeps' triple of ``dist`` prepared on its own."""
-    z_laws = oc._z_laws([dist])
-    return dist, verify._tail_rows(z_laws)[0], verify._law_data([dist], z_laws)[0]
+    [law] = verify._law_rows([verify._group([0], [dist])])
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +255,10 @@ class TestGate:
     def small_tail_law(monkeypatch):
         """Make the sweeps draw one law on 2 coordinates, P[Z = 2] = 1e-5
         and P[Z = 0] the rest, and return its tail row."""
-        law = one_law(oc._mask_laws(2, [[0, 3]], [[1.0 - 1e-5, 1e-5]])[0])
-        monkeypatch.setattr(verify, "_sweep_laws", lambda rng, n_max, trials: [law])
-        return law[1]
+        dist = oc._mask_laws(2, [[0, 3]], [[1.0 - 1e-5, 1e-5]])[0]
+        monkeypatch.setattr(verify, "_sweep_blocks",
+                            lambda rng, n_max, trials: [[verify._group([0], [dist])]])
+        return one_law(dist)[1]
 
     def test_soundness_flags_a_small_relative_excess(self, monkeypatch):
         tails = self.small_tail_law(monkeypatch)
@@ -238,13 +271,20 @@ class TestGate:
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_sandwich_flags_a_small_relative_excess(self, monkeypatch, side):
+        # move one table entry of the law to just past its tail, 1e-5
         self.small_tail_law(monkeypatch)
-        if side == "lower":
-            monkeypatch.setattr(bd, "linial_lower_bound",
-                                lambda n, beta_n, s: math.log(self.TAIL * (1.0 + 1e-8)))
-        else:
-            tb = bd.TailBound("fake", math.log(self.BELOW))
-            monkeypatch.setattr(bd, "linial_luria_bound", lambda n, beta_n, k, profile: tb)
+        tables = verify._linial_tables
+
+        def moved(sk):
+            upper, lower = tables(sk)
+            if side == "lower":
+                lower[0, 2] = self.TAIL * (1.0 + 1e-8)
+            else:
+                upper[0, 2, 1] = self.BELOW
+            return upper, lower
+
+        assert verify.suite_sandwich(n_max=2, trials=1)[0][1]
+        monkeypatch.setattr(verify, "_linial_tables", moved)
         [(_, ok, detail)] = verify.suite_sandwich(n_max=2, trials=1)
         assert not ok and f"{side} " in detail
 
@@ -265,11 +305,10 @@ class TestSweepsMatchReference:
     def test_symmetric_moments_equal_numpy_scalar_sums(self):
         for dist in random_laws(100, 12, seed=1):
             zdist = oc.z_distribution(dist)
-            sk = verify._symmetric_moments(zdist.probs[None])[0]
+            sk = verify._symmetric_moments(zdist.probs[None])[0].tolist()
             ref_zdist, ref_sk = reference_sum_moments(dist)
             assert zdist.probs.tolist() == ref_zdist.probs.tolist()
-            assert sk == ref_sk
-            assert all(type(v) is float for v in sk.values())
+            assert dict(enumerate(sk)) == ref_sk
 
     def test_independence_test_matches_one_atom_law(self):
         point_mass = oc._mask_laws(3, [[5]], [[1.0]])[0]
@@ -296,7 +335,7 @@ class TestBlocks:
     def test_laws_equal_the_laws_drawn_one_at_a_time(self, seed, n_max):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = [verify._law_draw(rng, n_max) for _ in range(60)]
-        for dist, _, _ in verify._prepared_laws(draws):
+        for dist, _, _ in verify._law_rows(verify._prepared_laws(draws)):
             want = reference_law(ref_rng, n_max)
             assert dist.n == want.n
             for name in ("xs", "ws", "outcome_pmf", "atom_sizes"):
@@ -309,8 +348,9 @@ class TestBlocks:
         # xs is derived from the masks on access and equals, like the means,
         # what the checked constructor gives for the same support and weights;
         # every array a law holds is read-only
-        for dist, _, _ in verify._prepared_laws(
-                [verify._law_draw(np.random.default_rng(5), 9) for _ in range(40)]):
+        rng = np.random.default_rng(5)
+        draws = [verify._law_draw(rng, 9) for _ in range(40)]
+        for dist, _, _ in verify._law_rows(verify._prepared_laws(draws)):
             assert "xs" not in vars(dist)
             want = oc.JointDist(n=dist.n, xs=dist.xs, ws=dist.ws)
             np.testing.assert_array_equal(dist.xs, want.xs)
@@ -379,19 +419,21 @@ class TestBlocks:
 
     def test_one_law_calls_are_blocks_of_one(self):
         laws = random_laws(30, 9, seed=4)
-        data = {}
+        prepared = {}
         for n in {dist.n for dist in laws}:
             group = [dist for dist in laws if dist.n == n]
-            data.update(zip(map(id, group), verify._law_data(group, oc._z_laws(group))))
+            rows = verify._law_rows([verify._group(list(range(len(group))), group)])
+            prepared.update(zip(map(id, group), rows))
         for dist in laws:
-            assert one_law(dist)[2] == data[id(dist)]
+            _, tails, data = prepared[id(dist)]
+            assert one_law(dist)[1:] == (tails, data)
             z_law = oc.z_distribution(dist).probs[None]
-            assert verify._symmetric_moments(z_law)[0] == data[id(dist)][3]
+            assert verify._symmetric_moments(z_law)[0].tolist() == data[-1]
 
     def test_law_data_needs_bernoulli_laws(self):
         dist = oc.JointDist(n=2, xs=[[0.5, 1.0], [0.0, 0.25]], ws=[0.5, 0.5])
         with pytest.raises(ValueError, match="Bernoulli"):
-            verify._law_data([dist], oc._z_laws([dist]))
+            verify._law_data([dist])
         assert oc.random_joint_dists(3, []) == []
 
 
@@ -452,3 +494,82 @@ def test_reruns_are_identical(suite, kwargs):
     # a call in between on other inputs must leave nothing behind
     verify.run_suite(suite, **{**kwargs, "seed": 6})
     assert verify.run_suite(suite, **kwargs) == first
+
+
+class TestLinialTables:
+    """The sweeps' Linial-Luria bounds come from one table per group of
+    laws (``verify._linial_tables``), tied here to the evaluator."""
+
+    @staticmethod
+    def assert_tables_match(dist, sk):
+        n = dist.n
+        upper, lower = (table[0].tolist() for table in
+                        verify._linial_tables(np.array([sk])))
+        profile = bd.SymmetricMoments(dict(enumerate(sk)))
+        for beta_n in range(1, n + 1):
+            assert lower[beta_n] == reference_lower(n, beta_n, sk[beta_n])
+            for k in range(1, beta_n + 1):
+                tb = bd.linial_luria_bound(n, beta_n, k, profile)
+                assert upper[beta_n][k] == tb.bound, (n, beta_n, k)
+
+    @pytest.mark.parametrize("n_max", [3, 7, 12])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entries_equal_the_evaluator(self, seed, n_max):
+        for dist, _, data in prepared_laws(100, n_max, seed):
+            upper, sk = data[-2:]
+            assert verify._linial_tables(np.array([sk]))[0][0].tolist() == upper
+            self.assert_tables_match(dist, sk)
+
+    def test_zero_moments_give_zero_entries(self):
+        # Z is 0 or 1, so S_k = 0 for every k >= 2
+        dist = oc._mask_laws(4, [[0, 4]], [[0.5, 0.5]])[0]
+        _, _, data = one_law(dist)
+        upper, sk = data[-2:]
+        assert sk[2:] == [0.0] * 3
+        assert all(upper[beta_n][k] == 0.0 for beta_n in range(2, 5) for k in range(2, beta_n))
+        self.assert_tables_match(dist, sk)
+
+    @staticmethod
+    def scale_tables(monkeypatch, upper=1.0, lower=1.0):
+        tables = verify._linial_tables
+        monkeypatch.setattr(verify, "_linial_tables",
+                            lambda sk: tuple(a * f for a, f in zip(tables(sk), (upper, lower))))
+
+    # mutation checks: at n_max 7, seed 0 and 100 trials, upper entries
+    # shrunk by a factor 1 - 1e-6 fail 3 linial-luria soundness checks and
+    # 13 laws of the sandwich, lower entries raised by 1 + 1e-6 fail 78
+    def test_shrunk_upper_entries_fail_both_sweeps(self, monkeypatch):
+        self.scale_tables(monkeypatch, upper=1.0 - 1e-6)
+        records = verify.suite_soundness(n_max=7, trials=100, seed=0)
+        assert records[-1][:2] == ("soundness/sweep", False)
+        assert {name for name, _, _ in records[:-1]} <= {
+            f"soundness/linial-luria(k={k})" for k in range(1, 7)}
+        [(_, ok, detail)] = verify.suite_sandwich(n_max=7, trials=100, seed=0)
+        assert not ok and "> upper" in detail
+
+    def test_raised_lower_entries_fail_the_sandwich(self, monkeypatch):
+        self.scale_tables(monkeypatch, lower=1.0 + 1e-6)
+        [(_, ok, detail)] = verify.suite_sandwich(n_max=7, trials=100, seed=0)
+        assert not ok and ": lower " in detail
+        assert verify.suite_soundness(n_max=7, trials=100, seed=0)[-1][1]
+
+    def test_failure_text_is_the_evaluators(self, monkeypatch):
+        # Z is 7 with probability 0.3, else 0: S_2 / C(3, 2) = 6.3 / 3 is
+        # clamped to 1; zeroed upper entries fail every linial-luria check
+        dist = oc._mask_laws(7, [[0, 127]], [[0.7, 0.3]])[0]
+        monkeypatch.setattr(verify, "_sweep_blocks",
+                            lambda rng, n_max, trials: [[verify._group([0], [dist])]])
+        self.scale_tables(monkeypatch, upper=0.0)
+        records = verify.suite_soundness(n_max=7, trials=1)
+        tails = oc.z_distribution(dist).probs[::-1].cumsum()[::-1].tolist()
+        profile = bd.SymmetricMoments(dict(enumerate(one_law(dist)[2][-1])))
+        want = [(f"soundness/linial-luria(k={k})", False,
+                 f"trial 0: exact_tail={tails[beta_n]!r} > bound=0.0 at t={float(beta_n)!r}, "
+                 f"params={bd.linial_luria_bound(7, beta_n, k, profile).params}")
+                for beta_n in range(3, 8) for k in range(1, beta_n)]
+        assert records[:-1] == want
+        assert "params={'k': 2, 'beta_n': 3, 'clamped': True}" in records[1][2]
+        [(_, ok, detail)] = verify.suite_sandwich(n_max=7, trials=1)
+        assert detail == ("28 comparisons over 1 distributions; first failure: "
+                          "trial 0: tail 0.3 > upper 0.0 (beta_n=2, k=1)")
+        assert "np." not in repr(records) + detail
