@@ -3,31 +3,27 @@ records.  These back the CLI ``verify`` subcommand and the acceptance
 tests, so the exact same sweeps run in both places.
 
 The soundness and sandwich sweeps draw their random laws in blocks of
-consecutive trials, each within a budget of 2 MiB (``_BLOCK_BYTES``)
-that charges every law the bytes it and its preparation hold
-(``_law_bytes``), so memory stays bounded whatever ``--trials``; a law
-over the budget alone is a block of one.  The master generator gives
-each law its n, seed, kind and (gamma | q) in trial order, so a block is
-drawn before any of its laws is built.  The laws of one n in a block are
-built by one ``oracle.random_joint_dists`` call.  Their laws of Z, one
-``oracle._z_laws`` call, give each law's tails P(Z >= j), j = 0..n+1, as
-one reversed cumulative sum (``_tail_rows``): the suffix sums of the law
-of Z, equal to ``oracle.exact_tail`` up to rounding.  The same laws of Z
-give S_k (``_symmetric_moments``), and S_k one table of Linial-Luria
-bounds for the group (``_linial_tables``): S_k / C(beta, k) for every
-1 <= k <= beta <= n and the lower bound S_beta / C(n, beta), each capped
-at 1, equal bit for bit to what ``bounds.linial_luria_bound`` gives (a
-test ties the two).  Every linial-luria check of both sweeps reads this
-table; the evaluator runs only to print a failing check's params.  One
-``_law_data`` call gives the superset sums, both gamma rates and the
-independence tests over stacked arrays.  The soundness sweep then checks
-each law on its own, in trial order, by ``_bound_checks``; the sandwich
-compares each group's tails with its table as arrays.  A check fails
-when the larger side exceeds the smaller by more than ``SOUNDNESS_TOL``
-or by a factor over 1 + ``RELATIVE_TOL`` (``_exceeds``), so tails far
-below 1e-12 are gated too.  The soundness sweep checks no ``depgraph``
-bound: no law it draws has a dependency graph it could read (ROADMAP item
-19).
+consecutive trials within a budget of 2 MiB (``_BLOCK_BYTES``) charged
+by ``_law_bytes``, so memory stays bounded whatever ``--trials``; each
+block is prepared and checked inside one call, which releases it before
+the next is drawn.  The laws of one n in a block are a group, built by
+one ``oracle.random_joint_dists`` call.  Their laws of Z (one
+``oracle._z_laws`` call) give each law's tails P(Z >= j), j = 0..n+1, as
+suffix sums (``_tail_rows``), and S_k, and S_k one table of Linial-Luria
+bounds for the group (``_linial_tables``).  One ``_law_data`` call gives
+the rates gamma and gamma_z, pbar and the independence tests.  Every
+check is then an array operation over the group: the sandwich compares
+the tails with the table, and the soundness sweep builds each law's
+checks of ik, bincoupling, expfunct, linial-luria, hoeffding and kwise as
+(laws, slots) arrays of thresholds, bounds and validity
+(``_soundness_checks``).  Their bounds take ln and exp from ``math``,
+each bound equal bit for bit to its ``bounds`` evaluator's (tests tie
+the two); an evaluator runs only to print a failing check's params.  A
+check fails when the larger side exceeds the smaller by more than
+``SOUNDNESS_TOL`` or by a factor over 1 + ``RELATIVE_TOL``
+(``_exceeds``), so tails far below 1e-12 are gated too.  The soundness
+sweep checks no ``depgraph`` bound: no law it draws has a dependency
+graph it could read (ROADMAP item 19).
 """
 
 from __future__ import annotations
@@ -122,25 +118,26 @@ def _linial_tables(sk: np.ndarray) -> tuple:
     log_c = _LOG_BINOMIALS[: n + 1, : n + 1]
     upper = np.minimum(log_sk[:, None, :] - log_c, 0.0)
     lower = np.minimum(log_sk - log_c[n], 0.0)
-    return _exp(upper), _exp(lower)
+    return _map(math.exp, upper), _map(math.exp, lower)
 
 
-def _exp(logs: np.ndarray) -> np.ndarray:
-    """``math.exp`` of every entry of ``logs``, in its shape."""
-    return np.array(list(map(math.exp, logs.ravel().tolist()))).reshape(logs.shape)
+def _map(f, a: np.ndarray) -> np.ndarray:
+    """``f`` of every entry of ``a``, in its shape: ``math``'s ln and exp
+    mapped over a list, as the evaluators take them."""
+    return np.array(list(map(f, a.ravel().tolist())), dtype=float).reshape(a.shape)
 
 
-def _law_data(dists: list) -> list:
-    """(gamma, gamma_z, pbar, independent) of each law of ``dists``, all of
-    one n, from one set of array operations over their stacked outcome
-    pmfs and means.
+def _law_data(dists: list) -> tuple:
+    """(gamma, gamma_z, pbar, independent), one entry per law of ``dists``,
+    all of one n, from one set of array operations over their stacked
+    outcome pmfs and means.
 
     gamma is the smallest rate with E[prod_{i in A} X_i] <= gamma^|A| for
     all A != {} (the ProductBound rate), gamma_z the same on the zeta
     moments E[Z_A], which for a Bernoulli law are its outcome pmf (the
-    SplitBound rate at delta = 1).  ``independent`` is True iff the product
-    moments match, within 1e-9, those of the product law with the same
-    means (``_is_independent``).
+    SplitBound rate at delta = 1), pbar the mean of the means.
+    ``independent`` is True iff the product moments match, within 1e-9,
+    those of the product law with the same means (``_is_independent``).
     """
     if not all(dist.is_bernoulli for dist in dists):
         raise ValueError("the sweeps' law data needs Bernoulli laws")
@@ -151,8 +148,7 @@ def _law_data(dists: list) -> list:
     moments = oc._superset_sums(table)
     gamma = (moments[:, 1:] ** exponents).max(axis=1)
     means = np.stack([dist.means() for dist in dists])
-    return list(zip(gamma.tolist(), gamma_z.tolist(), (means.sum(axis=1) / n).tolist(),
-                    _is_independent(means, moments).tolist()))
+    return gamma, gamma_z, means.sum(axis=1) / n, _is_independent(means, moments)
 
 
 def _tail_rows(z_laws: np.ndarray) -> np.ndarray:
@@ -163,10 +159,12 @@ def _tail_rows(z_laws: np.ndarray) -> np.ndarray:
     return tails
 
 
-def _tail(tails: list, t: float) -> float:
-    """P[Z >= t] from a ``_tail_rows`` row: Z is integer, so Z >= t - 1e-12
-    iff Z >= ceil(t - 1e-12), clamped to the row."""
-    return tails[min(max(math.ceil(t - 1e-12), 0), len(tails) - 1)]
+def _tail_at(tails: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """P[Z >= t] for each entry of ``t``, whose row l reads row l of the
+    ``_tail_rows`` array ``tails``: Z is integer, so Z >= t - 1e-12 iff
+    Z >= ceil(t - 1e-12), clamped to the row."""
+    j = np.clip(np.ceil(t - 1e-12), 0, tails.shape[1] - 1).astype(np.intp)
+    return np.take_along_axis(tails, j, axis=1)
 
 
 def _exceeds(a, b):
@@ -185,66 +183,103 @@ def _is_independent(means: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return (np.abs(moments[:, 1:] - product[:, 1:]) <= 1e-9).all(axis=1)
 
 
-# thresholds each applicable bound is checked at
+# thresholds each grid bound is checked at, and beta_n each linial-luria k
 _THRESHOLDS = 5
+_STEPS = np.arange(1, _THRESHOLDS + 1)
+
+# the evaluator call of each soundness check but linial-luria, given n, the
+# law's gamma, gamma_z and pbar, and t: only a failure's params read it
+_EVALUATORS = {
+    "ik": lambda n, g, gz, p, t: bd.ik_bound(n, g, bd.t_to_eps(n, g, t), c=1.0),
+    "bincoupling": lambda n, g, gz, p, t: bd.bincoupling_bound(n, g, t),
+    "expfunct": lambda n, g, gz, p, t: bd.expfunct_bound(n, gz, 1.0, t),
+    "hoeffding": lambda n, g, gz, p, t: bd.hoeffding_bound(n, p, t),
+    "kwise(k=n)": lambda n, g, gz, p, t: bd.kwise_bound(n, n, p, bd.t_to_eps(n, p, t)),
+}
 
 
-def _interior_grid(lo: float, hi: float) -> list:
-    return [lo + (hi - lo) * i / (_THRESHOLDS + 1) for i in range(1, _THRESHOLDS + 1)]
+def _slot_labels(n: int) -> list:
+    """The label of each slot of ``_soundness_checks``' arrays at n."""
+    return (["ik"] * _THRESHOLDS + ["bincoupling"] * _THRESHOLDS + ["expfunct"] * _THRESHOLDS
+            + [f"linial-luria(k={k})" for _ in range(_THRESHOLDS) for k in range(1, n)]
+            + ["hoeffding", "kwise(k=n)"] * _THRESHOLDS)
 
 
-class _TableBound:
-    """A linial-luria check read from a law's upper table: its bound, and
-    the params ``bd.linial_luria_bound`` gives it, which only a failure
-    prints, so the evaluator runs only then."""
-
-    __slots__ = ("bound", "n", "beta_n", "k", "s_k")
-    is_valid = True
-
-    def __init__(self, bound: float, n: int, beta_n: int, k: int, s_k: float):
-        self.bound, self.n, self.beta_n, self.k, self.s_k = bound, n, beta_n, k, s_k
-
-    @property
-    def params(self) -> dict:
-        profile = bd.SymmetricMoments({self.k: self.s_k})
-        return bd.linial_luria_bound(self.n, self.beta_n, self.k, profile).params
+def _kl(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``kl_divergence(q, p)`` entry by entry, by its operations in its
+    order."""
+    value = q * (_map(math.log, q) - _map(math.log, p)) + (1.0 - q) * (
+        _map(math.log1p, -q) - _map(math.log1p, -p))
+    return np.maximum(value, 0.0)
 
 
-def _bound_checks(n, gamma, gamma_z, pbar, independent, upper, sk):
-    """(label, t, TailBound) triples for every bound whose hypotheses a law
-    on n coordinates with the given ``_law_data`` provably satisfies, at
-    interior thresholds of each bound's validity range.  Its linial-luria
-    checks are ``_TableBound``s read from its upper table ``upper`` (as
-    lists), given its S_k ``sk``."""
-    checks = []
-    if 0.0 < gamma < 1.0:
-        for t in _interior_grid(n * gamma, n):
-            eps = bd.t_to_eps(n, gamma, t)
-            checks.append(("ik", t, bd.ik_bound(n, gamma, eps, c=1.0)))
-        if n * gamma + 1.0 < n:
-            for t in _interior_grid(n * gamma + 1.0, n):
-                checks.append(("bincoupling", t, bd.bincoupling_bound(n, gamma, t)))
+def _to_prob(valid: np.ndarray, log_bound: np.ndarray) -> np.ndarray:
+    """``to_prob`` of each log bound, given for the True entries of
+    ``valid`` in their order; 0.0 elsewhere."""
+    bound = np.zeros(valid.shape)
+    bound[valid] = _map(math.exp, np.minimum(log_bound, 0.0))
+    return bound
 
-    if 0.0 < gamma_z < 1.0:
-        for t in _interior_grid(n * gamma_z, n):
-            checks.append(
-                ("expfunct", t, bd.expfunct_bound(n, gamma_z, 1.0, t))
-            )
 
-    beta_lo = max(1, math.floor(n * pbar) + 1)
-    for beta_n in range(beta_lo, n + 1)[:_THRESHOLDS]:
-        row = upper[beta_n]
-        for k in range(1, beta_n):
-            checks.append((f"linial-luria(k={k})", float(beta_n),
-                           _TableBound(row[k], n, beta_n, k, sk[k])))
+def _soundness_checks(group: _Group) -> tuple:
+    """(t, bound, valid), arrays of shape (laws, slots), of the soundness
+    checks of each law of ``group``, slot s labelled ``_slot_labels(n)[s]``:
+    ik, bincoupling and expfunct at five interior points of their ranges,
+    linial-luria at beta_n = max(1, floor(n pbar) + 1) and the next four,
+    up to n, each with every k < beta_n, read from the upper table, and
+    hoeffding and kwise(k=n) alternating over five.  A check is valid where
+    the law's rates meet the bound's hypotheses and the evaluator's
+    conditions hold, tested as it tests them; a valid bound is ``to_prob``
+    of the evaluator's log bound, by its operations in its order with ln
+    and exp from ``math``, so equal bit for bit to its ``bound`` (a test
+    ties the two)."""
+    n = group.sk.shape[1] - 1
+    g, gz, p = group.gamma[:, None], group.gamma_z[:, None], group.pbar[:, None]
+    ng, nz, npbar = n * g, n * gz, n * p
 
-    if independent and 0.0 < pbar < 1.0:
-        for t in _interior_grid(n * pbar, n):
-            checks.append(("hoeffding", t, bd.hoeffding_bound(n, pbar, t)))
-            eps = bd.t_to_eps(n, pbar, t)
-            checks.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, eps)))
+    def grid(lo):
+        return lo + (n - lo) * _STEPS / (_THRESHOLDS + 1)
 
-    return checks
+    def inside(x):
+        return (0.0 < x) & (x < 1.0)
+
+    def at(x, ok):  # the entries of the column or array x where ok is True
+        return np.broadcast_to(x, ok.shape)[ok]
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # in rows never valid
+        t_ik, t_bc, t_ef, t_h = grid(ng), grid(ng + 1.0), grid(nz), grid(npbar)
+        eps_ik, eps_kw = t_ik / ng - 1.0, t_h / npbar - 1.0
+        q_ik, q_kw = g * (1.0 + eps_ik), p * (1.0 + eps_kw)
+        q_bc = g * (1.0 + (t_bc - 1.0 - ng) / ng)
+        ok_ik = inside(g) & ~(eps_ik <= 0.0) & ~((eps_ik >= 1.0 / g - 1.0) | (q_ik >= 1.0))
+        ok_bc = (inside(g) & (ng + 1.0 < n) & ~(t_bc <= ng + 1.0) & ~(t_bc >= n)
+                 & ~(q_bc >= 1.0))
+        ok_ef = inside(gz) & ~(t_ef <= nz) & ~(t_ef >= n)
+        independent = group.independent[:, None] & inside(p)
+        ok_h = independent & ~(t_h <= npbar) & ~(t_h >= n)
+        ok_kw = independent & ~(eps_kw <= 0.0) & ~((eps_kw >= 1.0 / p - 1.0) | (q_kw >= 1.0))
+    # ln c = 0 at c = 1 (ik), ln delta = 0 at delta = 1 (expfunct), and
+    # kwise's (n - k) term is 0 at k = n
+    bound_ik = _to_prob(ok_ik, -n * _kl(q_ik[ok_ik], at(g, ok_ik)))
+    bound_bc = _to_prob(ok_bc, math.log(2.0) - n * _kl(q_bc[ok_bc], at(g, ok_bc)))
+    bound_h = _to_prob(ok_h, -n * _kl(t_h[ok_h] / n, at(p, ok_h)))
+    bound_kw = _to_prob(ok_kw, -n * _kl(q_kw[ok_kw], at(p, ok_kw)))
+    t, ln_n_t = t_ef[ok_ef], _map(math.log, n - t_ef[ok_ef])
+    bound_ef = _to_prob(ok_ef, t * _map(math.log, at(gz, ok_ef))
+                        + t * (ln_n_t - _map(math.log, t)) + n * (math.log(n) - ln_n_t))
+    # linial-luria by (law, beta offset, k)
+    beta = np.maximum(np.floor(npbar) + 1, 1) + np.arange(_THRESHOLDS)
+    beta, k = beta.astype(np.intp)[:, :, None], np.arange(1, n)
+    ok_ll = (beta <= n) & (k < beta)
+    bound_ll = group.upper[np.arange(len(g))[:, None, None], np.minimum(beta, n), k]
+
+    def slots(ik, bc, ef, ll, h, kw):  # (laws, slots), hoeffding and kwise alternating
+        parts = (ik, bc, ef, ll, np.stack([h, kw], axis=2))
+        return np.concatenate([part.reshape(len(g), -1) for part in parts], axis=1)
+
+    return (slots(t_ik, t_bc, t_ef, np.broadcast_to(beta, ok_ll.shape), t_h, t_h),
+            slots(bound_ik, bound_bc, bound_ef, bound_ll, bound_h, bound_kw),
+            slots(ok_ik, ok_bc, ok_ef, ok_ll, ok_h, ok_kw))
 
 
 def _law_draw(rng, n_max: int):
@@ -286,54 +321,38 @@ def _law_bytes(n: int, draw) -> int:
 
 class _Group(NamedTuple):
     """The laws of one n in a block, prepared together: their positions
-    in the block, the laws, their ``_tail_rows``, ``_law_data`` entries,
+    in the block, the laws, their ``_tail_rows``, ``_law_data`` arrays,
     S_k (``_symmetric_moments``) and ``_linial_tables``."""
 
     rows: list
     dists: list
     tails: np.ndarray
-    data: list
+    gamma: np.ndarray
+    gamma_z: np.ndarray
+    pbar: np.ndarray
+    independent: np.ndarray
     sk: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
 
 
-def _sweep_blocks(rng, n_max: int, trials: int):
-    """The ``_prepared_laws`` of each block of a sweep's laws, in trial
-    order.  A block is consecutive trials, closing when the next law would
+def _sweep_blocks(rng, n_max: int, trials: int, check):
+    """``check(groups, start)`` of each block of a sweep's laws, in trial
+    order: ``groups`` its ``_prepared_laws``, ``start`` its first law's
+    trial.  A block is consecutive trials, closing when the next law would
     take its ``_law_bytes`` past ``_BLOCK_BYTES`` (a law over the budget
-    alone is a block of one)."""
-    block, charged = [], 0
+    alone is a block of one).  Its laws live only in the call, so a block
+    is released before the next is drawn."""
+    block, charged, start = [], 0, 0
     for _ in range(trials):
         n, draw = _law_draw(rng, n_max)
         cost = _law_bytes(n, draw)
         if block and charged + cost > _BLOCK_BYTES:
-            yield _prepared_laws(block)
-            block, charged = [], 0
+            yield check(_prepared_laws(block), start)
+            block, charged, start = [], 0, start + len(block)
         block.append((n, draw))
         charged += cost
-    yield _prepared_laws(block)
-
-
-def _sweep_laws(rng, n_max: int, trials: int):
-    """(dist, tails, data) of each law of a sweep, in trial order
-    (``_law_rows``)."""
-    for groups in _sweep_blocks(rng, n_max, trials):
-        yield from _law_rows(groups)
-
-
-def _law_rows(groups: list):
-    """(dist, tails, data) of each law of one block's ``groups``, in trial
-    order: ``tails`` its ``_tail_rows`` row and ``data`` its ``_law_data``
-    entry, upper table and S_k, all as lists, as ``_bound_checks`` takes
-    them after n."""
-    laws = [None] * sum(len(group.rows) for group in groups)
-    for group in groups:
-        for l, r in enumerate(group.rows):
-            laws[r] = group, l
-    for group, l in laws:
-        yield (group.dists[l], group.tails[l].tolist(),
-               (*group.data[l], group.upper[l].tolist(), group.sk[l].tolist()))
+    yield check(_prepared_laws(block), start)
 
 
 def _prepared_laws(draws: list) -> list:
@@ -353,45 +372,64 @@ def _group(rows: list, dists: list) -> _Group:
     one ``oc._z_laws`` call."""
     z_laws = oc._z_laws(dists)
     sk = _symmetric_moments(z_laws)
-    return _Group(rows, dists, _tail_rows(z_laws), _law_data(dists), sk,
+    return _Group(rows, dists, _tail_rows(z_laws), *_law_data(dists), sk,
                   *_linial_tables(sk))
 
 
 def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
     """Master soundness sweep: exact_tail <= bound for every applicable
-    bound on random Bernoulli joint distributions, each law's tails read
-    from its ``_tail_rows`` row."""
+    bound on random Bernoulli joint distributions, checked a block of laws
+    at a time (``_soundness_block``)."""
     rng = np.random.default_rng(seed)
-    records = []
-    checked = 0
-    worst = (None, -math.inf)
-    for i, (dist, tails, data) in enumerate(_sweep_laws(rng, n_max, trials)):
-        for label, t, tb in _bound_checks(dist.n, *data):
-            if not tb.is_valid:
-                continue
-            checked += 1
-            tail, bound = _tail(tails, t), tb.bound
-            gap = tail - bound
-            if gap > worst[1]:
-                worst = (f"{label} n={dist.n} t={t:.4g} trial={i}", gap)
-            if _exceeds(tail, bound):
-                records.append(
-                    (
-                        f"soundness/{label}",
-                        False,
-                        f"trial {i}: exact_tail={tail!r} > bound={bound!r} "
-                        f"at t={t!r}, params={tb.params}",
-                    )
-                )
-    records.append(
-        (
-            "soundness/sweep",
-            not any(not ok for _, ok, _ in records),
-            f"{checked} bound evaluations over {trials} distributions; "
-            f"worst margin {worst[1]:.3g} at {worst[0]}",
-        )
-    )
+    checked, worst, records = 0, (-math.inf, None), []
+    for count, best, failures in _sweep_blocks(rng, n_max, trials, _soundness_block):
+        checked, records = checked + count, records + failures
+        worst = best if best[0] > worst[0] else worst
+    records.append(("soundness/sweep", not records,
+                    f"{checked} bound evaluations over {trials} distributions; "
+                    f"worst margin {worst[0]:.3g} at {worst[1]}"))
     return records
+
+
+def _soundness_block(groups: list, start: int) -> tuple:
+    """(checked, worst, records) of one block's ``groups``, its first law
+    trial ``start``, from the ``_soundness_checks`` arrays: the count of
+    valid checks, (gap, text) of the first largest tail - bound in trial
+    order, then slot order ((-inf, None) without a valid check), and the
+    record of each failing check, in that order.  Only their text is
+    built."""
+    checked, best, failures = 0, [(-math.inf, 0, None)], []
+    for group in groups:
+        n, (t, bound, valid) = group.sk.shape[1] - 1, _soundness_checks(group)
+        labels, tail = _slot_labels(n), _tail_at(group.tails, t)
+        checked += int(np.count_nonzero(valid))
+        gap = np.where(valid, tail - bound, -np.inf)
+        l, s = np.unravel_index(np.argmax(gap), gap.shape)
+        if valid[l, s]:
+            trial = start + group.rows[l]
+            best.append((gap[l, s].item(), -trial,
+                         f"{labels[s]} n={n} t={t[l, s].item():.4g} trial={trial}"))
+        for l, s in zip(*np.nonzero(valid & _exceeds(tail, bound))):
+            trial, t_ls = start + group.rows[l], t[l, s].item()
+            params = _check_params(group, l, labels[s], t_ls)
+            text = (f"trial {trial}: exact_tail={tail[l, s].item()!r} > "
+                    f"bound={bound[l, s].item()!r} at t={t_ls!r}, params={params}")
+            failures.append((trial, s, (f"soundness/{labels[s]}", False, text)))
+    gap, _, text = max(best)
+    failures.sort(key=lambda failure: failure[:2])
+    return checked, (gap, text), [record for _, _, record in failures]
+
+
+def _check_params(group: _Group, l: int, label: str, t: float) -> dict:
+    """The params the evaluator gives the check ``label`` at t of law l of
+    ``group``, which only a failure prints."""
+    n = group.sk.shape[1] - 1
+    if label in _EVALUATORS:
+        rates = (group.gamma[l].item(), group.gamma_z[l].item(), group.pbar[l].item())
+        return _EVALUATORS[label](n, *rates, t).params
+    k = int(label[len("linial-luria(k="):-1])
+    profile = bd.SymmetricMoments({k: group.sk[l, k].item()})
+    return bd.linial_luria_bound(n, int(t), k, profile).params
 
 
 def suite_identities(seed: int = 0):
@@ -609,22 +647,28 @@ def suite_sandwich(trials: int = 500, n_max: int = 10, seed: int = 0):
     tails with its ``_linial_tables``; only the first failing law, in
     trial order, has its failure's text built."""
     rng = np.random.default_rng(seed)
-    checked, start = 0, 0
-    first = None  # (trial, group, law) of the first failing law
-    for groups in _sweep_blocks(rng, n_max, trials):
-        for group in groups:
-            n = group.sk.shape[1] - 1
-            checked += len(group.rows) * n * (n + 1) // 2
-            failing = np.flatnonzero(_sandwich_fails(group))
-            if failing.size:
-                trial = start + group.rows[failing[0]]
-                if first is None or trial < first[0]:
-                    first = trial, group, int(failing[0])
-        start += sum(len(group.rows) for group in groups)
+    checked, first = 0, None
+    for count, failure in _sweep_blocks(rng, n_max, trials, _sandwich_block):
+        checked, first = checked + count, first or failure
     detail = f"{checked} comparisons over {trials} distributions"
     if first is not None:
-        detail += "; first failure: " + _sandwich_failure(*first)
+        detail += "; first failure: " + first
     return [("sandwich/linial", first is None, detail)]
+
+
+def _sandwich_block(groups: list, start: int) -> tuple:
+    """(comparisons, failure) of one block's ``groups``, its first law trial
+    ``start``: ``failure`` is the text of its first failing law in trial
+    order (``_sandwich_failure``), or None."""
+    checked, failures = 0, [(math.inf, None)]
+    for group in groups:
+        n = group.sk.shape[1] - 1
+        checked += len(group.rows) * n * (n + 1) // 2
+        failing = np.flatnonzero(_sandwich_fails(group))
+        if failing.size:
+            trial = start + group.rows[failing[0]]
+            failures.append((trial, _sandwich_failure(trial, group, int(failing[0]))))
+    return checked, min(failures)[1]
 
 
 def _sandwich_fails(group: _Group) -> np.ndarray:

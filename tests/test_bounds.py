@@ -140,12 +140,13 @@ class TestLinialLuria:
 
         rng = np.random.default_rng(11)
         draws = [verify._law_draw(rng, 10) for _ in range(60)]
-        for dist, tails, data in verify._law_rows(verify._prepared_laws(draws)):
-            profile = bd.SymmetricMoments(dict(enumerate(data[-1])))
-            for beta_n in range(1, dist.n + 1):
-                tb = bd.linial_luria_bound(dist.n, beta_n, beta_n, profile)
-                assert tb.is_valid
-                assert tails[beta_n] <= tb.bound + 1e-12
+        for group in verify._prepared_laws(draws):
+            for dist, tails, sk in zip(group.dists, group.tails.tolist(), group.sk.tolist()):
+                profile = bd.SymmetricMoments(dict(enumerate(sk)))
+                for beta_n in range(1, dist.n + 1):
+                    tb = bd.linial_luria_bound(dist.n, beta_n, beta_n, profile)
+                    assert tb.is_valid
+                    assert tails[beta_n] <= tb.bound + 1e-12
 
     def test_product_profile_matches_explicit_moment(self):
         n, beta_n, k, g = 12, 9, 3, 0.4

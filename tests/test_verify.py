@@ -59,6 +59,18 @@ def reference_law(rng, n_max):
     return oc.JointDist(n=n, xs=xs, ws=ws / math.fsum(ws))
 
 
+def reference_grid(lo, hi):
+    """The thresholds a grid bound is checked at: five interior points of
+    (lo, hi)."""
+    return [lo + (hi - lo) * i / 6 for i in range(1, 6)]
+
+
+def reference_exceeds(a, b):
+    """The scalar gate: a exceeds b by more than 1e-12 or by a factor over
+    1 + 1e-9."""
+    return a - b > verify.SOUNDNESS_TOL or a > b * (1.0 + verify.RELATIVE_TOL)
+
+
 def reference_sum_moments(dist):
     zdist = oc.z_distribution(dist)
     n = dist.n
@@ -80,8 +92,9 @@ def reference_is_independent(dist, moments):
 
 
 def reference_checks(dist):
-    """``_bound_checks`` from the law's data computed on its own, each
-    check a call of its evaluator, linial-luria's included."""
+    """The soundness checks of ``dist`` from its data computed on its own,
+    in the sweep's order, each check a call of its evaluator, linial-luria's
+    included."""
     n = dist.n
     sizes = np.array([bin(m).count("1") for m in range(1, 1 << n)])
     moments = oc.subset_product_moments(dist)
@@ -89,7 +102,7 @@ def reference_checks(dist):
     gamma_z = float((oc.subset_zeta_moments(dist)[1:] ** (1.0 / sizes)).max())
     pbar = float(dist.means().sum()) / n
     _, sk = reference_sum_moments(dist)
-    grid = verify._interior_grid
+    grid = reference_grid
     checks = []
     if 0.0 < gamma < 1.0:
         checks += [("ik", t, bd.ik_bound(n, gamma, bd.t_to_eps(n, gamma, t), c=1.0))
@@ -127,7 +140,7 @@ def reference_soundness(n_max, trials, seed):
             gap = tail - tb.bound
             if gap > worst[1]:
                 worst = (f"{label} n={dist.n} t={t:.4g} trial={i}", gap)
-            if gap > verify.SOUNDNESS_TOL:
+            if reference_exceeds(tail, tb.bound):
                 records.append(
                     (
                         f"soundness/{label}",
@@ -167,12 +180,12 @@ def reference_sandwich(n_max, trials, seed):
         for beta_n in range(1, n + 1):
             tail = oc.exact_tail(dist, float(beta_n))
             lower = reference_lower(n, beta_n, sk[beta_n])
-            if lower > tail + verify.SOUNDNESS_TOL:
+            if reference_exceeds(lower, tail):
                 fails.append(f"trial {i}: lower {lower!r} > tail {tail!r}")
             checked += 1
             for k in range(1, beta_n):
                 tb = bd.linial_luria_bound(n, beta_n, k, profile)
-                if tb.is_valid and tail > tb.bound + verify.SOUNDNESS_TOL:
+                if tb.is_valid and reference_exceeds(tail, tb.bound):
                     fails.append(
                         f"trial {i}: tail {tail!r} > upper {tb.bound!r} "
                         f"(beta_n={beta_n}, k={k})"
@@ -194,20 +207,41 @@ def product_law(q):
     return oc._mask_laws(n, [np.arange(1 << n)], [oc.zeta_decomposition(q)])[0]
 
 
+def law_rows(groups):
+    """(dist, tails, data) of each law of one block's ``groups``, in trial
+    order: ``tails`` its ``_tail_rows`` row and ``data`` its gamma,
+    gamma_z, pbar, independence, upper table and S_k, all as lists and
+    Python scalars."""
+    laws = [None] * sum(len(group.rows) for group in groups)
+    for group in groups:
+        for l, r in enumerate(group.rows):
+            laws[r] = group, l
+    for group, l in laws:
+        yield (group.dists[l], group.tails[l].tolist(),
+               (group.gamma[l].item(), group.gamma_z[l].item(), group.pbar[l].item(),
+                group.independent[l].item(), group.upper[l].tolist(), group.sk[l].tolist()))
+
+
 def prepared_laws(count, n_max, seed=0):
     """The sweeps' (dist, tail row, law data) triples of ``count`` laws."""
     rng = np.random.default_rng(seed)
     draws = [verify._law_draw(rng, n_max) for _ in range(count)]
-    return list(verify._law_rows(verify._prepared_laws(draws)))
+    return list(law_rows(verify._prepared_laws(draws)))
 
 
 def random_laws(count, n_max, seed=0):
     return [dist for dist, _, _ in prepared_laws(count, n_max, seed)]
 
 
+def sweep_one_law(monkeypatch, dist):
+    """Make the sweeps draw one block holding the one law ``dist``."""
+    monkeypatch.setattr(verify, "_sweep_blocks", lambda rng, n_max, trials, check:
+                        [check([verify._group([0], [dist])], 0)])
+
+
 def one_law(dist):
     """The sweeps' triple of ``dist`` prepared on its own."""
-    [law] = verify._law_rows([verify._group([0], [dist])])
+    [law] = law_rows([verify._group([0], [dist])])
     return law
 
 
@@ -228,8 +262,9 @@ class TestTailTable:
             ts = [-1.0, 0.0, float(n), n + 0.5]
             for j in range(n + 2):
                 ts += [float(j), j - 0.5, j + 0.5, j - 1e-13, j + 1e-13]
-            for t in ts:
-                assert abs(verify._tail(tails, t) - oc.exact_tail(dist, t)) <= 1e-14, (n, t)
+            got = verify._tail_at(np.array([tails]), np.array([ts]))[0].tolist()
+            for t, tail in zip(ts, got):
+                assert abs(tail - oc.exact_tail(dist, t)) <= 1e-14, (n, t)
 
 
 class TestGate:
@@ -256,18 +291,29 @@ class TestGate:
         """Make the sweeps draw one law on 2 coordinates, P[Z = 2] = 1e-5
         and P[Z = 0] the rest, and return its tail row."""
         dist = oc._mask_laws(2, [[0, 3]], [[1.0 - 1e-5, 1e-5]])[0]
-        monkeypatch.setattr(verify, "_sweep_blocks",
-                            lambda rng, n_max, trials: [[verify._group([0], [dist])]])
+        sweep_one_law(monkeypatch, dist)
         return one_law(dist)[1]
 
     def test_soundness_flags_a_small_relative_excess(self, monkeypatch):
+        # move the law's one linial-luria check, P[Z >= 2] <= S_1 / C(2, 1),
+        # to just below its tail, 1e-5
         tails = self.small_tail_law(monkeypatch)
         assert tails[2] == self.TAIL
-        tb = bd.TailBound("fake", math.log(self.BELOW))
-        monkeypatch.setattr(verify, "_bound_checks", lambda n, *data: [("fake", 2.0, tb)])
+        assert verify.suite_soundness(n_max=2, trials=1)[-1][1]
+        checks = verify._soundness_checks
+
+        def moved(group):
+            t, bound, valid = checks(group)
+            [s] = [s for s, label in enumerate(verify._slot_labels(2))
+                   if label.startswith("linial-luria") and valid[0, s]]
+            assert t[0, s] == 2.0
+            bound[0, s] = self.BELOW
+            return t, bound, valid
+
+        monkeypatch.setattr(verify, "_soundness_checks", moved)
         records = verify.suite_soundness(n_max=2, trials=1)
         assert [(name, ok) for name, ok, _ in records] == [
-            ("soundness/fake", False), ("soundness/sweep", False)]
+            ("soundness/linial-luria(k=1)", False), ("soundness/sweep", False)]
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_sandwich_flags_a_small_relative_excess(self, monkeypatch, side):
@@ -335,7 +381,7 @@ class TestBlocks:
     def test_laws_equal_the_laws_drawn_one_at_a_time(self, seed, n_max):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = [verify._law_draw(rng, n_max) for _ in range(60)]
-        for dist, _, _ in verify._law_rows(verify._prepared_laws(draws)):
+        for dist, _, _ in law_rows(verify._prepared_laws(draws)):
             want = reference_law(ref_rng, n_max)
             assert dist.n == want.n
             for name in ("xs", "ws", "outcome_pmf", "atom_sizes"):
@@ -350,7 +396,7 @@ class TestBlocks:
         # every array a law holds is read-only
         rng = np.random.default_rng(5)
         draws = [verify._law_draw(rng, 9) for _ in range(40)]
-        for dist, _, _ in verify._law_rows(verify._prepared_laws(draws)):
+        for dist, _, _ in law_rows(verify._prepared_laws(draws)):
             assert "xs" not in vars(dist)
             want = oc.JointDist(n=dist.n, xs=dist.xs, ws=dist.ws)
             np.testing.assert_array_equal(dist.xs, want.xs)
@@ -392,7 +438,7 @@ class TestBlocks:
         if budget is not None:
             monkeypatch.setattr(verify, "_BLOCK_BYTES", budget)
         blocks = self.record_blocks(monkeypatch)
-        assert len(list(verify._sweep_laws(np.random.default_rng(3), n_max, 300))) == 300
+        list(verify._sweep_blocks(np.random.default_rng(3), n_max, 300, lambda *block: None))
         charges = [[verify._law_bytes(n, draw) for n, draw in block] for block in blocks]
         assert sum(map(len, charges)) == 300 and any(len(c) > 1 for c in charges)
         for block in charges:
@@ -422,7 +468,7 @@ class TestBlocks:
         prepared = {}
         for n in {dist.n for dist in laws}:
             group = [dist for dist in laws if dist.n == n]
-            rows = verify._law_rows([verify._group(list(range(len(group))), group)])
+            rows = law_rows([verify._group(list(range(len(group))), group)])
             prepared.update(zip(map(id, group), rows))
         for dist in laws:
             _, tails, data = prepared[id(dist)]
@@ -465,16 +511,20 @@ class TestLawStream:
 
 
 def test_every_soundness_row_runs():
-    """At ``verify soundness``'s defaults, every row of ``_bound_checks`` has
-    a Valid check, so a row whose laws the sweep never draws fails here."""
+    """At ``verify soundness``'s defaults, every method of the soundness
+    checks has a valid check, so a method whose laws the sweep never draws
+    fails here."""
     defaults = {name: p.default for name, p in
                 inspect.signature(verify.suite_soundness).parameters.items()}
     valid = Counter()
     rng = np.random.default_rng(defaults["seed"])
-    for dist, _, data in verify._sweep_laws(rng, defaults["n_max"], defaults["trials"]):
-        valid.update(label.partition("(")[0]
-                     for label, _t, tb in verify._bound_checks(dist.n, *data)
-                     if tb.is_valid)
+    for groups in verify._sweep_blocks(rng, defaults["n_max"], defaults["trials"],
+                                       lambda groups, start: groups):
+        for group in groups:
+            labels = verify._slot_labels(group.sk.shape[1] - 1)
+            counts = verify._soundness_checks(group)[2].sum(axis=0).tolist()
+            for label, count in zip(labels, counts):
+                valid[label.partition("(")[0]] += count
     assert sorted(valid) == sorted(["ik", "bincoupling", "expfunct", "linial-luria",
                                     "hoeffding", "kwise"])
     assert min(valid.values()) >= 1
@@ -557,8 +607,7 @@ class TestLinialTables:
         # Z is 7 with probability 0.3, else 0: S_2 / C(3, 2) = 6.3 / 3 is
         # clamped to 1; zeroed upper entries fail every linial-luria check
         dist = oc._mask_laws(7, [[0, 127]], [[0.7, 0.3]])[0]
-        monkeypatch.setattr(verify, "_sweep_blocks",
-                            lambda rng, n_max, trials: [[verify._group([0], [dist])]])
+        sweep_one_law(monkeypatch, dist)
         self.scale_tables(monkeypatch, upper=0.0)
         records = verify.suite_soundness(n_max=7, trials=1)
         tails = oc.z_distribution(dist).probs[::-1].cumsum()[::-1].tolist()
@@ -573,3 +622,169 @@ class TestLinialTables:
         assert detail == ("28 comparisons over 1 distributions; first failure: "
                           "trial 0: tail 0.3 > upper 0.0 (beta_n=2, k=1)")
         assert "np." not in repr(records) + detail
+
+
+def reference_slots(n, gamma, gamma_z, pbar, independent, sk):
+    """(label, t, TailBound) of each slot of the soundness arrays, each
+    check a call of its evaluator; the TailBound is None where the law's
+    rates rule the bound out, a check the per-law loop never made."""
+    grid = reference_grid
+    ik = 0.0 < gamma < 1.0
+    bincoupling = ik and n * gamma + 1.0 < n
+    expfunct = 0.0 < gamma_z < 1.0
+    hoeffding = independent and 0.0 < pbar < 1.0
+    slots = [("ik", t, bd.ik_bound(n, gamma, bd.t_to_eps(n, gamma, t), c=1.0) if ik else None)
+             for t in grid(n * gamma, n)]
+    slots += [("bincoupling", t, bd.bincoupling_bound(n, gamma, t) if bincoupling else None)
+              for t in grid(n * gamma + 1.0, n)]
+    slots += [("expfunct", t, bd.expfunct_bound(n, gamma_z, 1.0, t) if expfunct else None)
+              for t in grid(n * gamma_z, n)]
+    profile = bd.SymmetricMoments(dict(enumerate(sk)))
+    beta_lo = max(1, math.floor(n * pbar) + 1)
+    for beta_n in range(beta_lo, beta_lo + 5):
+        slots += [(f"linial-luria(k={k})", float(beta_n),
+                   bd.linial_luria_bound(n, beta_n, k, profile) if k < beta_n <= n else None)
+                  for k in range(1, n)]
+    for t in grid(n * pbar, n):
+        slots.append(("hoeffding", t, bd.hoeffding_bound(n, pbar, t) if hoeffding else None))
+        slots.append(("kwise(k=n)", t, bd.kwise_bound(n, n, pbar, bd.t_to_eps(n, pbar, t))
+                      if hoeffding else None))
+    return slots
+
+
+# the methods whose soundness bounds are computed as arrays, not read from
+# the Linial-Luria tables
+GRID_METHODS = ["ik", "bincoupling", "expfunct", "hoeffding", "kwise(k=n)"]
+
+
+class TestSoundnessChecks:
+    """The soundness sweep's checks are arrays per group of laws
+    (``verify._soundness_checks``), tied here to the evaluators."""
+
+    @staticmethod
+    def assert_slots_match(group):
+        n = group.sk.shape[1] - 1
+        t, bound, valid = verify._soundness_checks(group)
+        assert t.shape == bound.shape == valid.shape == (len(group.rows), 5 * n + 20)
+        for l in range(len(group.rows)):
+            slots = reference_slots(n, group.gamma[l].item(), group.gamma_z[l].item(),
+                                    group.pbar[l].item(), group.independent[l].item(),
+                                    group.sk[l].tolist())
+            assert [label for label, _, _ in slots] == verify._slot_labels(n)
+            assert t[l].tolist() == [t for _, t, _ in slots]
+            for s, (label, t_s, tb) in enumerate(slots):
+                ok = tb is not None and tb.is_valid
+                assert valid[l, s] == ok, (label, t_s)
+                if ok:
+                    assert bound[l, s] == tb.bound, (label, t_s)
+
+    @pytest.mark.parametrize("n_max", [3, 7, 12])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slots_equal_the_evaluators(self, seed, n_max):
+        rng = np.random.default_rng(seed)
+        draws = [verify._law_draw(rng, n_max) for _ in range(100)]
+        for group in verify._prepared_laws(draws):
+            self.assert_slots_match(group)
+
+    @pytest.mark.parametrize("dist", [
+        oc._mask_laws(3, [[0]], [[1.0]])[0],  # gamma = gamma_z = pbar = 0
+        oc._mask_laws(3, [[5]], [[1.0]])[0],  # a point mass: gamma = 1
+        oc._mask_laws(4, [[15]], [[1.0]])[0],  # pbar = 1
+        product_law([0.999, 0.9999, 0.99, 0.995]),  # independent, pbar near 1
+        product_law([0.01, 0.02, 0.5]),
+        oc._mask_laws(4, [[0, 4]], [[0.5, 0.5]])[0],
+        # gamma and gamma_z within a few ulps of 1, where the grid's points
+        # round onto n gamma_z or n and the evaluators' boundary tests bind
+        oc._mask_laws(3, [[1, 6]], [[1.0 - 2.0**-52, 2.0**-52]])[0],
+        oc._mask_laws(3, [[1, 6]], [[1.0 - 1e-15, 1e-15]])[0],
+    ], ids=["zero", "point-mass", "all-ones", "independent-near-1",
+            "independent-small", "one-coordinate", "rates-2ulp-below-1",
+            "rates-1e-15-below-1"])
+    def test_edge_laws(self, dist):
+        self.assert_slots_match(verify._group([0], [dist]))
+
+    def test_failure_text_is_the_evaluators(self, monkeypatch):
+        # zeroed, the first ik and the first hoeffding bound of an
+        # independent law fail, and print their evaluators' params
+        dist = product_law([0.3, 0.6, 0.5])
+        sweep_one_law(monkeypatch, dist)
+        labels, checks = verify._slot_labels(3), verify._soundness_checks
+        zeroed = [labels.index("ik"), labels.index("hoeffding")]
+
+        def moved(group):
+            t, bound, valid = checks(group)
+            assert valid[0, zeroed].all()
+            bound[0, zeroed] = 0.0
+            return t, bound, valid
+
+        monkeypatch.setattr(verify, "_soundness_checks", moved)
+        records = verify.suite_soundness(n_max=3, trials=1)
+        gamma, _, pbar, _ = (a[0].item() for a in verify._law_data([dist]))
+        tails = oc.z_distribution(dist).probs[::-1].cumsum()[::-1].tolist()
+        t_ik, t_h = reference_grid(3 * gamma, 3)[0], reference_grid(3 * pbar, 3)[0]
+        assert records[:-1] == [
+            ("soundness/ik", False,
+             f"trial 0: exact_tail={tails[math.ceil(t_ik)]!r} > bound=0.0 at t={t_ik!r}, "
+             f"params={bd.ik_bound(3, gamma, bd.t_to_eps(3, gamma, t_ik), c=1.0).params}"),
+            ("soundness/hoeffding", False,
+             f"trial 0: exact_tail={tails[math.ceil(t_h)]!r} > bound=0.0 at t={t_h!r}, "
+             f"params={bd.hoeffding_bound(3, pbar, t_h).params}"),
+        ]
+        assert records[-1][:2] == ("soundness/sweep", False)
+        assert "np." not in repr(records)
+
+    @staticmethod
+    def slack(method):
+        """The smallest ln(bound / tail) of ``method``'s valid checks with a
+        nonzero tail in ``verify soundness --n-max 7 --trials 100``."""
+        least = math.inf
+        rng = np.random.default_rng(0)
+        for groups in verify._sweep_blocks(rng, 7, 100, lambda groups, start: groups):
+            for group in groups:
+                t, bound, valid = verify._soundness_checks(group)
+                tail = verify._tail_at(group.tails, t)
+                labels = np.array(verify._slot_labels(group.sk.shape[1] - 1))
+                checked = valid & (tail > 0.0) & (labels == method)
+                for b, z in zip(bound[checked].tolist(), tail[checked].tolist()):
+                    least = min(least, math.log(b / z))
+        return least
+
+    @staticmethod
+    def scale_method(monkeypatch, method, factor):
+        monkeypatch.undo()  # scale the unpatched bounds, not a previous call's
+        checks = verify._soundness_checks
+
+        def scaled(group):
+            t, bound, valid = checks(group)
+            bound[:, np.array(verify._slot_labels(group.sk.shape[1] - 1)) == method] *= factor
+            return t, bound, valid
+
+        monkeypatch.setattr(verify, "_soundness_checks", scaled)
+
+    # mutation checks: each method's bounds shrunk by e^-(slack + 1e-6) fail
+    # the sweep, by e^-(slack - 1e-6) pass it
+    @pytest.mark.parametrize("method", GRID_METHODS)
+    def test_a_method_shrunk_past_its_slack_fails_the_sweep(self, monkeypatch, method):
+        slack = self.slack(method)
+        assert 0.0 < slack < math.inf
+        self.scale_method(monkeypatch, method, math.exp(-(slack - 1e-6)))
+        assert verify.suite_soundness(n_max=7, trials=100, seed=0)[-1][1]
+        self.scale_method(monkeypatch, method, math.exp(-(slack + 1e-6)))
+        records = verify.suite_soundness(n_max=7, trials=100, seed=0)
+        assert records[-1][:2] == ("soundness/sweep", False)
+        assert {name for name, _, _ in records[:-1]} == {f"soundness/{method}"}
+
+
+@pytest.mark.parametrize("suite", [verify.suite_soundness, verify.suite_sandwich])
+def test_a_sweep_holds_one_block_at_a_time(suite):
+    # at n_max 3, 2,500 laws are one block and 12,000 are five; a sweep that
+    # kept a block while building the next would peak 3 MiB higher
+    peaks = []
+    for trials in (2500, 12000):
+        tracemalloc.start()
+        try:
+            suite(n_max=3, trials=trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**20, peaks
