@@ -7,8 +7,8 @@ Everything here is a ground-truth oracle: sizes are capped (2^n
 enumeration at n <= 20) and computations are exact up to float rounding.
 
 The soundness and sandwich sweeps of ``verify`` read the tails of their
-Bernoulli laws from the suffix sums of the laws of Z that ``_z_laws``
-gives for a block, equal to ``exact_tail`` up to rounding; ``exact_tail``
+Bernoulli laws from the suffix sums of the laws of Z that ``law_tables``
+gives for a group, equal to ``exact_tail`` up to rounding; ``exact_tail``
 stays the oracle for one law, [0,1]-valued ones included.
 
 Subset moments are whole-array transforms over the subset lattice.  For a
@@ -18,22 +18,17 @@ and the law of Z is a ``bincount`` of the atom sizes: O(n 2^n) however
 many atoms the law has.  Other laws are broadcast over their atoms, in
 chunks that keep each (atoms, 2^n) block near 8 MB.
 
-Per-law data is built once.  A ``JointDist`` is never changed after
-construction: its ``xs`` and ``ws`` are neither reassigned nor written.
-On that assumption ``is_bernoulli``, ``means()`` and, for a Bernoulli law,
-``outcome_pmf`` and ``atom_sizes`` are computed on first use and kept,
-the arrays read-only.  The subset transforms start from a copy of the
-pmf, so every caller gets a fresh writable array.
+A ``JointDist`` is one law, the oracle the tests check the sweeps
+against.  It is never changed after construction: its ``xs`` and ``ws``
+are neither reassigned nor written.  On that assumption
+``is_bernoulli``, ``means()`` and, for a Bernoulli law, ``outcome_pmf``
+are computed on first use and kept, the arrays read-only.  The subset
+transforms start from a copy of the pmf, so every caller gets a fresh
+writable array.
 
-Laws are built in blocks of one n.  ``random_joint_dists`` draws each law
-from its own seed but expands all mixture components of a block in one
-``_lattice_products`` call and all independent laws in another;
-``_mask_laws`` checks the masks and weights it is given, not the 0/1
-support it builds from them, and fills every law's pmf (one ``bincount``
-for the block), atom sizes, means and Bernoulli flag.  Such a law keeps its atom bitmasks, not the
-block's float support: its ``xs`` is derived from the masks on first
-access.  ``_z_laws`` and ``_superset_sums`` take the stacked laws
-of Z and pmfs of a block; the one-law functions are their one-row case.
+The sweeps build no ``JointDist``: ``law_tables`` builds the laws of one
+n straight into arrays of outcome pmfs, laws of Z and means, one row per
+law, each row bit for bit what a ``JointDist`` of the law's atoms gives.
 
 ``averaged_binomial_checks`` takes all vectors of a sweep in one call:
 their Poisson-binomial DPs, closed-form binomial pmfs, tilt sums and tails
@@ -75,7 +70,7 @@ __all__ = [
     "averaged_binomial_checks",
     # the exact pmf of independent trials, from numkernel
     "poisson_binom_dist",
-    "random_joint_dists",
+    "law_tables",
     "subset_product_moments",
     "subset_zeta_moments",
     "subset_sizes",
@@ -139,76 +134,6 @@ class JointDist:
         masks = self.xs.astype(np.int64) @ (1 << np.arange(self.n, dtype=np.int64))
         return _read_only(np.bincount(masks, weights=self.ws, minlength=1 << self.n))
 
-    @cached_property
-    def atom_sizes(self) -> np.ndarray:
-        """The number of ones of each atom of a Bernoulli law, one read-only
-        array per law; ``_z_laws`` reads it."""
-        return _read_only(self.xs.sum(axis=1).astype(np.int64))
-
-
-def _mask_laws(n: int, masks: list, ws: list) -> list:
-    """Bernoulli laws on n coordinates, law l with one atom per bitmask of
-    ``masks[l]`` (bit i set means X_i = 1) and the weights ``ws[l]``
-    renormalized to sum to 1, built with one set of array operations for
-    all of them.
-
-    Checks what it is given: every mask in [0, 2^n), one weight per mask,
-    every weight a nonnegative number and each law's total positive and
-    finite.  The 0/1 support it builds from the masks is not checked again.
-    Each law's masks, ``ws``, outcome pmf and atom sizes are views of
-    arrays shared by the block, whose pmfs are one ``bincount``.  Its
-    ``means()`` are filled from the block's 0/1 support, the product
-    ``ws @ xs`` of its own rows; its ``xs`` is derived from its masks on
-    access (``_MaskLaw``), so that support is not kept.
-    """
-    counts = [len(m) for m in masks]
-    if counts != [len(w) for w in ws]:
-        raise ValueError("one weight per atom required")
-    flat = np.concatenate(masks).astype(np.int64, copy=False)
-    weights = np.concatenate(ws).astype(float, copy=False)
-    if bad := flat[(flat < 0) | (flat >= 1 << n)].tolist():
-        raise ValueError(f"mask {bad[0]} is outside [0, 2^{n})")
-    if not np.all(weights >= 0.0):  # written so that NaN fails it
-        raise ValueError("ws: weights must be nonnegative numbers")
-    bounds = np.cumsum([0] + counts).tolist()
-    totals = [math.fsum(weights[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
-    for total in totals:
-        if not 0.0 < total < math.inf:
-            raise ValueError(f"ws: weights sum to {total}, not a positive number")
-    weights = _read_only(weights / np.repeat(totals, counts))
-    flat = _read_only(flat)
-    xs = _mask_support(flat, n)
-    sizes = _read_only(subset_sizes(n)[flat])
-    rows = np.repeat(np.arange(len(counts)) << n, counts)
-    pmfs = np.bincount(rows + flat, weights=weights, minlength=len(counts) << n)
-    pmfs = _read_only(pmfs.reshape(len(counts), 1 << n))
-    laws = []
-    for l, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        # built valid: __post_init__'s checks are skipped, the caches filled
-        law = object.__new__(_MaskLaw)
-        vars(law).update(n=n, masks=flat[a:b], ws=weights[a:b], is_bernoulli=True,
-                         outcome_pmf=pmfs[l], atom_sizes=sizes[a:b],
-                         _means=_read_only(weights[a:b] @ xs[a:b]))
-        laws.append(law)
-    return laws
-
-
-def _mask_support(masks: np.ndarray, n: int) -> np.ndarray:
-    """The (atoms, n) 0/1 float support of the bitmasks ``masks``: bit i of
-    each mask, from its little-endian bytes."""
-    bytes_ = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(bytes_, axis=1, count=n, bitorder="little").astype(float)
-
-
-class _MaskLaw(JointDist):
-    """A law built by ``_mask_laws``, one atom per bitmask of ``masks``.
-    Its support ``xs`` is derived from the masks on first access, so the
-    law keeps no view of its block's (atoms, n) float support."""
-
-    @cached_property
-    def xs(self) -> np.ndarray:
-        return _read_only(_mask_support(self.masks, self.n))
-
 
 @dataclass
 class ZDist:
@@ -260,23 +185,14 @@ def z_distribution(dist: JointDist) -> ZDist:
     The size-j subset sums of the zeta weights of a point x are exactly
     the Poisson-binomial pmf of the coordinates of x, so the atoms go
     through one DP convolution together rather than a 2^n enumeration;
-    a Bernoulli atom is a point mass at its number of ones.
+    a Bernoulli atom is a point mass at its number of ones, so a Bernoulli
+    law's Z is a ``bincount`` of its atom sizes, in atom order.
     """
     _check_cap(dist.n)
     if dist.is_bernoulli:
-        return ZDist(_z_laws([dist])[0])
+        sizes = dist.xs.sum(axis=1).astype(np.int64)
+        return ZDist(np.bincount(sizes, weights=dist.ws, minlength=dist.n + 1))
     return ZDist(_atom_sum(dist, _poisson_binom_rows, dist.n + 1))
-
-
-def _z_laws(dists: Sequence[JointDist]) -> np.ndarray:
-    """P[Z = j] of each Bernoulli law of ``dists``, all of one n, as one
-    row per law: a ``bincount`` of their atom sizes, in atom order."""
-    width = dists[0].n + 1
-    rows = np.repeat(np.arange(len(dists)) * width, [len(d.ws) for d in dists])
-    sizes = np.concatenate([d.atom_sizes for d in dists])
-    weights = np.concatenate([d.ws for d in dists])
-    out = np.bincount(rows + sizes, weights=weights, minlength=len(dists) * width)
-    return out.reshape(len(dists), width)
 
 
 def exact_tail(dist: JointDist, t: float) -> float:
@@ -523,72 +439,173 @@ def subset_zeta_moments(dist: JointDist) -> np.ndarray:
     return _atom_sum(dist, lambda xs: _lattice_products(1.0 - xs, xs), 1 << dist.n)
 
 
-def random_joint_dists(n: int, draws: Sequence) -> list:
-    """The Bernoulli laws ``draws`` on n coordinates, 1 <= n <= 12, built
-    together.
+def law_tables(n: int, draws: Sequence) -> tuple:
+    """(pmfs, z_laws, means) of the Bernoulli laws ``draws`` on n
+    coordinates, 1 <= n <= 12, one row per draw: a (laws, 2^n) table of
+    outcome pmfs P[X = 1_A] (bitmask indexed, bit i set means X_i = 1), a
+    (laws, n + 1) table of laws of Z and a (laws, n) table of means E[X_i].
+    The laws are built together, straight into the tables.
 
-    A draw is an array q of n rates in [0, 1], the law of independent
-    Bernoulli(q_i) expanded over all 2^n outcomes, or a (constraint, seed)
-    pair, a law drawn by its own generator ``default_rng(seed)``, so that
-    the laws do not depend on each other and each is deterministic given
-    its seed.  With constraint None the law has 2..16 atoms at distinct
-    outcomes with Dirichlet weights.  With a :class:`ProductBound` or
-    :class:`SplitBound` it is a Dirichlet mixture of 2..5 product-Bernoulli
-    laws, expanded over all 2^n outcomes, whose rates are drawn from
-    [0, gamma] or [1 - delta, gamma].  Such a law meets the constraint by
-    construction, so nothing is checked: each product component meets
-    every cap (E[prod_A X] = prod_A p_i <= gamma^|A|, and E[Z_A] =
-    prod_A p_i prod_{not A} (1 - p_i) <= gamma^|A| delta^(n-|A|)), and
-    the caps are linear in the law, so the mixture meets them too.  An
-    infeasible constraint is refused before its law is drawn.  One
-    ``_lattice_products`` call covers the mixture components of every
-    constrained draw, each mixture being the sum of its own rows; one
-    ``zeta_decomposition`` covers every rate vector, and one
-    ``_mask_laws`` builds all the laws.
+    A draw is one of:
+
+    - an array q of n rates in [0, 1], the law of independent
+      Bernoulli(q_i), over all 2^n outcomes;
+    - a (constraint, seed) pair, a law drawn by its own generator
+      ``default_rng(seed)``, so that the laws do not depend on each other
+      and each is deterministic given its seed.  With constraint None the
+      law has 2..16 atoms at distinct outcomes with Dirichlet weights.
+      With a :class:`ProductBound` or :class:`SplitBound` it is a Dirichlet
+      mixture of 2..5 product-Bernoulli laws, over all 2^n outcomes, whose
+      rates are drawn from [0, gamma] or [1 - delta, gamma].  Such a law
+      meets the constraint by construction, so nothing is checked: each
+      product component meets every cap (E[prod_A X] = prod_A p_i <=
+      gamma^|A|, and E[Z_A] = prod_A p_i prod_{not A} (1 - p_i) <=
+      gamma^|A| delta^(n-|A|)), and the caps are linear in the law, so the
+      mixture meets them too.  An infeasible constraint is refused before
+      its law is drawn;
+    - a (masks, weights) pair, a law with one atom at each bitmask of
+      ``masks`` (they may repeat) and the weights.  These are checked:
+      every mask in [0, 2^n), one weight per mask, every weight a
+      nonnegative number and their total positive and finite.
+
+    One ``_lattice_products`` call covers the mixture components of every
+    constrained draw and one ``zeta_decomposition`` every rate vector.
+    Each row is bit for bit what a ``JointDist`` of the law's atoms gives
+    (``outcome_pmf``, ``z_distribution`` and ``means()``), since summed in
+    another order it would round differently: the weights are divided by
+    their ``math.fsum``, a mixture adds its components in order, a law
+    given by atoms (unconstrained or masks) is added into its rows in atom
+    order, the other laws of Z are one ``bincount`` in bitmask order, and
+    the means are ``w @ xs`` over the law's own atoms (for a mixture its
+    outcomes of positive weight, for a rate vector all outcomes).
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
-    if not draws:
-        return []
-    masks, ws = [None] * len(draws), [None] * len(draws)
-    mixtures, rates, mixes, products = [], [], [], []
-    for i, draw in enumerate(draws):
+    outcomes = 1 << n
+    # the rows of each kind, and what each kind's rows are built from
+    mixtures, products, atoms = [], [], []
+    rates, lows, spans, mixes = [], [], [], []
+    masks, weights = [], []
+    for l, draw in enumerate(draws):
         if isinstance(draw, np.ndarray):
-            products.append(i)
+            products.append(l)
             continue
-        constraint, seed = draw
-        if isinstance(constraint, ProductBound):
-            if not 0.0 <= constraint.gamma <= 1.0:
-                raise ValueError(
-                    f"ProductBound gamma must be in [0, 1], got {constraint.gamma}"
-                )
-            lo, hi = 0.0, constraint.gamma
-        elif isinstance(constraint, SplitBound):
-            lo, hi = 1.0 - constraint.delta, constraint.gamma
-        elif constraint is not None:
-            raise TypeError(f"unsupported constraint {type(constraint).__name__}")
-        rng = np.random.default_rng(seed)
-        if constraint is None:
-            m = int(rng.integers(2, min(16, 1 << n) + 1))
-            masks[i] = rng.choice(1 << n, size=m, replace=False)
-            ws[i] = rng.dirichlet(np.ones(m))
+        first, second = draw
+        if isinstance(first, (list, tuple, np.ndarray)):
+            atoms.append(l)
+            masks.append(np.asarray(first))
+            weights.append(np.asarray(second, dtype=float))
             continue
-        comps = int(rng.integers(2, 6))
-        rates.append(lo + (hi - lo) * rng.random((comps, n)))
-        mixes.append(rng.dirichlet(np.ones(comps)))
-        mixtures.append(i)
+        if isinstance(first, ProductBound):
+            if not 0.0 <= first.gamma <= 1.0:
+                raise ValueError(f"ProductBound gamma must be in [0, 1], got {first.gamma}")
+            lo, hi = 0.0, first.gamma
+        elif isinstance(first, SplitBound):
+            lo, hi = 1.0 - first.delta, first.gamma
+        elif first is not None:
+            raise TypeError(f"unsupported constraint {type(first).__name__}")
+        rng = np.random.default_rng(second)
+        if first is None:
+            m = int(rng.integers(2, min(16, outcomes) + 1))
+            atoms.append(l)
+            masks.append(rng.choice(outcomes, size=m, replace=False))
+            weights.append(_dirichlet(rng, m))
+        else:
+            comps = int(rng.integers(2, 6))
+            mixtures.append(l)
+            rates.append(rng.random((comps, n)))
+            lows.append(lo)
+            spans.append(hi - lo)
+            mixes.append(_dirichlet(rng, comps))
+    pmfs = np.zeros((len(draws), outcomes))
     if mixtures:
-        rates = np.concatenate(rates)
-        terms = np.concatenate(mixes)[:, None] * _lattice_products(1.0 - rates, rates)
-        # per-slice sums: np.add.reduceat over the block rounds differently
-        ends = np.cumsum([len(mix) for mix in mixes]).tolist()
-        for i, a, b in zip(mixtures, [0] + ends, ends):
-            outcome_probs = terms[a:b].sum(axis=0)
-            masks[i] = np.flatnonzero(outcome_probs > 0.0)
-            ws[i] = outcome_probs[masks[i]]
+        pmfs[mixtures] = _mixture_rows(rates, lows, spans, mixes)
     if products:
-        every = np.arange(1 << n)
-        rows = zeta_decomposition(np.array([draws[i] for i in products]))
-        for i, row in zip(products, rows):
-            masks[i], ws[i] = every, row
-    return _mask_laws(n, masks, ws)
+        pmfs[products] = zeta_decomposition(np.array([draws[l] for l in products]))
+    dense = mixtures + products
+    totals = np.ones(len(draws))
+    totals[dense] = [math.fsum(memoryview(pmfs[l])) for l in dense]
+    pmfs /= totals[:, None]
+    bins = (np.arange(len(draws)) * (n + 1))[:, None] + subset_sizes(n)
+    z_laws = np.bincount(bins.ravel(), weights=pmfs.ravel(), minlength=len(draws) * (n + 1))
+    z_laws = z_laws.reshape(len(draws), n + 1)
+    support, means = _outcomes(n), np.empty((len(draws), n))
+    for l in mixtures:
+        row = pmfs[l]
+        if row.all():
+            means[l] = row @ support
+        else:  # a mixture's atoms are its outcomes of positive weight
+            nonzero = np.flatnonzero(row)
+            means[l] = row[nonzero] @ support[nonzero]
+    for l in products:
+        means[l] = pmfs[l] @ support
+    if atoms:
+        _add_atoms(n, atoms, masks, weights, pmfs, z_laws, means)
+    return pmfs, z_laws, means
+
+
+def _mixture_rows(rates: list, lows: list, spans: list, mixes: list) -> np.ndarray:
+    """The outcome probabilities, not yet normalized, of mixture l of
+    product-Bernoulli laws with the rates lows[l] + spans[l] * rates[l]
+    (rates[l] being uniform draws, one row per component) and the weights
+    mixes[l], one row per mixture: all components are expanded by one
+    ``_lattice_products`` call, and each mixture adds its weighted rows in
+    order, as a per-slice sum does."""
+    counts = np.array([len(mix) for mix in mixes])
+    rates = (np.repeat(lows, counts)[:, None]
+             + np.repeat(spans, counts)[:, None] * np.concatenate(rates))
+    terms = _lattice_products(1.0 - rates, rates)
+    terms *= np.concatenate(mixes)[:, None]
+    starts = np.cumsum(counts) - counts
+    rows = terms[starts]
+    for c in range(1, counts.max()):
+        more = counts > c
+        rows[more] += terms[starts[more] + c]
+    return rows
+
+
+def _add_atoms(n, laws, masks, weights, pmfs, z_laws, means):
+    """Fill the rows ``laws`` of ``pmfs``, ``z_laws`` and ``means``, all
+    zero in the first two, with the laws whose atoms are the bitmasks
+    ``masks[i]`` and the weights ``weights[i]``: each weight divided by its
+    law's ``math.fsum`` and added into its rows in atom order.  Checks what
+    it is given, as ``law_tables`` states."""
+    counts = [len(m) for m in masks]
+    if counts != [len(w) for w in weights]:
+        raise ValueError("one weight per atom required")
+    flat = np.concatenate(masks).astype(np.int64, copy=False)
+    ws = np.concatenate(weights)
+    if bad := flat[(flat < 0) | (flat >= 1 << n)].tolist():
+        raise ValueError(f"mask {bad[0]} is outside [0, 2^{n})")
+    if not np.all(ws >= 0.0):  # written so that NaN fails it
+        raise ValueError("ws: weights must be nonnegative numbers")
+    ends = np.cumsum(counts).tolist()
+    totals = [math.fsum(memoryview(ws[a:b])) for a, b in zip([0] + ends, ends)]
+    for total in totals:
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"ws: weights sum to {total}, not a positive number")
+    ws /= np.repeat(totals, counts)
+    rows = np.repeat(laws, counts)
+    np.add.at(pmfs, (rows, flat), ws)
+    np.add.at(z_laws, (rows, subset_sizes(n)[flat]), ws)
+    for l, a, b in zip(laws, [0] + ends, ends):
+        means[l] = ws[a:b] @ _outcomes(n)[flat[a:b]]
+
+
+def _dirichlet(rng, m: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(m))``, drawn and scaled as numpy draws it: m
+    standard exponentials times 1 / their sum, added in order in plain
+    floats (builtin ``sum`` compensates float items from CPython 3.12 on)."""
+    draws = rng.standard_exponential(m)
+    total = 0.0
+    for x in draws.tolist():
+        total += x
+    draws *= 1.0 / total
+    return draws
+
+
+@lru_cache(maxsize=8)
+def _outcomes(n: int) -> np.ndarray:
+    """The (2^n, n) 0/1 float support of all outcomes, row A holding bit i
+    of A in column i; one read-only array per n."""
+    return _read_only(((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float))

@@ -6,16 +6,17 @@ The soundness and sandwich sweeps draw their random laws in blocks of
 consecutive trials within a budget of 2 MiB (``_BLOCK_BYTES``) charged
 by ``_law_bytes``, so memory stays bounded whatever ``--trials``; each
 block is prepared and checked inside one call, which releases it before
-the next is drawn.  The laws of one n in a block are a group, built by
-one ``oracle.random_joint_dists`` call.  Their laws of Z (one
-``oracle._z_laws`` call) give each law's tails P(Z >= j), j = 0..n+1, as
-suffix sums (``_tail_rows``), and S_k, and S_k one table of Linial-Luria
-bounds for the group (``_linial_tables``).  One ``_law_data`` call gives
-the rates gamma and gamma_z, pbar and the independence tests.  Every
-check is then an array operation over the group: the sandwich compares
-the tails with the table, and the soundness sweep builds each law's
-checks of ik, bincoupling, expfunct, linial-luria, hoeffding and kwise as
-(laws, slots) arrays of thresholds, bounds and validity
+the next is drawn.  The laws of one n in a block are a group, built as
+arrays by one ``oracle.law_tables`` call: no object is built per law.
+Their laws of Z give each law's tails P(Z >= j), j = 0..n+1, as suffix
+sums (``_tail_rows``), and its S_k; the S_k give one table of
+Linial-Luria bounds for the group (``_linial_tables``).  One
+``_law_data`` call on their outcome pmfs and means gives the rates gamma
+and gamma_z, pbar and the independence tests.  Every check is then an
+array operation over the group: the sandwich compares the tails with the
+table, and the soundness sweep builds each law's checks of ik,
+bincoupling, expfunct, linial-luria, hoeffding and kwise as (laws, slots)
+arrays of thresholds, bounds and validity
 (``_soundness_checks``).  Their bounds take ln and exp from ``math``,
 each bound equal bit for bit to its ``bounds`` evaluator's (tests tie
 the two); an evaluator runs only to print a failing check's params.  A
@@ -82,8 +83,8 @@ def run_suite(name: str, **kw):
 _BINOMIALS = np.array([[math.comb(j, k) for k in range(oc.MAX_ENUM_N + 1)]
                        for j in range(oc.MAX_ENUM_N + 1)], dtype=float)
 # ln C(j, k) as ``log_binom_coeff`` gives it, the value the evaluators
-# take, for k <= j <= oc.MAX_ENUM_N; +inf for k > j, where the
-# Linial-Luria tables hold 0.0 and are never read
+# take, for k <= j <= oc.MAX_ENUM_N; +inf for k > j, which the
+# Linial-Luria tables never read
 _LOG_BINOMIALS = np.array([[log_binom_coeff(j, k) if k <= j else math.inf
                             for k in range(oc.MAX_ENUM_N + 1)]
                            for j in range(oc.MAX_ENUM_N + 1)])
@@ -105,32 +106,41 @@ def _symmetric_moments(z_laws: np.ndarray) -> np.ndarray:
 def _linial_tables(sk: np.ndarray) -> tuple:
     """(upper, lower) for the laws whose S_k, k = 0..n, are the rows of
     ``sk``: upper[l, beta, k] = exp(min(ln S_k - ln C(beta, k), 0)), the
-    bound ``bd.linial_luria_bound`` gives for 1 <= k <= beta <= n, and
+    bound ``bd.linial_luria_bound`` gives, for 1 <= k <= beta <= n, and
     lower[l, beta] = exp(min(ln S_beta - ln C(n, beta), 0)), a lower bound
-    on P[Z >= beta]; both are 0.0 where S_k = 0.  ln and exp are
-    ``math``'s, mapped over lists, as the evaluator takes them: numpy's
-    differ from them in the last bit on some inputs, and the soundness
-    sweep's worst margin sits at rounding level.  The -, min and the
-    comparisons made on the tables round as Python floats do."""
-    n = sk.shape[1] - 1
-    log_sk = np.array([math.log(s) if s > 0.0 else -math.inf
-                       for s in sk.ravel().tolist()]).reshape(sk.shape)
-    log_c = _LOG_BINOMIALS[: n + 1, : n + 1]
-    upper = np.minimum(log_sk[:, None, :] - log_c, 0.0)
-    lower = np.minimum(log_sk - log_c[n], 0.0)
-    return _map(math.exp, upper), _map(math.exp, lower)
+    on P[Z >= beta], for 1 <= beta <= n.  They are 0.0 where S_k = 0, and
+    so is every other entry, which no check reads.  ln and exp are
+    ``math``'s, mapped over the entries read (``_map``), as the evaluator
+    takes them: numpy's differ from them in the last bit on some inputs,
+    and the soundness sweep's worst margin sits at rounding level.  The -,
+    min and the comparisons made on the tables round as Python floats
+    do."""
+    laws, n = sk.shape[0], sk.shape[1] - 1
+    log_sk = np.full((laws, n), -math.inf)
+    positive = sk[:, 1:] > 0.0
+    log_sk[positive] = _map(math.log, sk[:, 1:][positive])
+    # (beta - 1, k - 1) for 1 <= k <= beta <= n
+    beta, k = np.nonzero(np.tri(n, dtype=bool))
+    upper = np.zeros((laws, n + 1, n + 1))
+    upper[:, beta + 1, k + 1] = _map(math.exp, np.minimum(
+        log_sk[:, k] - _LOG_BINOMIALS[beta + 1, k + 1], 0.0))
+    lower = np.zeros((laws, n + 1))
+    lower[:, 1:] = _map(math.exp, np.minimum(log_sk - _LOG_BINOMIALS[n, 1 : n + 1], 0.0))
+    return upper, lower
 
 
 def _map(f, a: np.ndarray) -> np.ndarray:
     """``f`` of every entry of ``a``, in its shape: ``math``'s ln and exp
-    mapped over a list, as the evaluators take them."""
-    return np.array(list(map(f, a.ravel().tolist())), dtype=float).reshape(a.shape)
+    mapped over its floats, as the evaluators take them.  The floats are
+    read one at a time through a memoryview, not made into a list first."""
+    return np.fromiter(map(f, memoryview(a.ravel())), float, a.size).reshape(a.shape)
 
 
-def _law_data(dists: list) -> tuple:
-    """(gamma, gamma_z, pbar, independent), one entry per law of ``dists``,
-    all of one n, from one set of array operations over their stacked
-    outcome pmfs and means.
+def _law_data(pmfs: np.ndarray, means: np.ndarray) -> tuple:
+    """(gamma, gamma_z, pbar, independent), one entry per law of one n,
+    from one set of array operations over the laws' (laws, 2^n) outcome
+    pmfs ``pmfs`` and (laws, n) means ``means``, as ``oc.law_tables``
+    gives them; ``pmfs`` is overwritten with its superset sums.
 
     gamma is the smallest rate with E[prod_{i in A} X_i] <= gamma^|A| for
     all A != {} (the ProductBound rate), gamma_z the same on the zeta
@@ -139,15 +149,11 @@ def _law_data(dists: list) -> tuple:
     ``independent`` is True iff the product moments match, within 1e-9,
     those of the product law with the same means (``_is_independent``).
     """
-    if not all(dist.is_bernoulli for dist in dists):
-        raise ValueError("the sweeps' law data needs Bernoulli laws")
-    n = dists[0].n
+    n = means.shape[1]
     exponents = 1.0 / oc.subset_sizes(n)[1:]
-    table = np.stack([dist.outcome_pmf for dist in dists])
-    gamma_z = (table[:, 1:] ** exponents).max(axis=1)
-    moments = oc._superset_sums(table)
+    gamma_z = (pmfs[:, 1:] ** exponents).max(axis=1)
+    moments = oc._superset_sums(pmfs)
     gamma = (moments[:, 1:] ** exponents).max(axis=1)
-    means = np.stack([dist.means() for dist in dists])
     return gamma, gamma_z, means.sum(axis=1) / n, _is_independent(means, moments)
 
 
@@ -284,7 +290,7 @@ def _soundness_checks(group: _Group) -> tuple:
 
 def _law_draw(rng, n_max: int):
     """(n, draw) of the next law of the sweeps' stream, ``draw`` as
-    ``oc.random_joint_dists`` takes it: the master generator ``rng`` gives
+    ``oc.law_tables`` takes it: the master generator ``rng`` gives
     the law its n, seed, kind and (gamma | q), in that order."""
     n = int(rng.integers(3, n_max + 1))
     seed = int(rng.integers(0, 2**31))
@@ -305,11 +311,13 @@ _BLOCK_BYTES = 2 << 20
 
 
 def _law_bytes(n: int, draw) -> int:
-    """Bytes the law ``draw`` on n coordinates and its preparation hold
-    while its block is built: its pmf row and six rows of ``_law_data``
-    temporaries, 2^n floats each, five more rows for a mixture's lattice
-    products, and for each atom its mask, weight, size and n support
-    floats, at most 16 atoms unconstrained and 2^n otherwise."""
+    """Bytes charged for the law ``draw`` on n coordinates while its block
+    is built and prepared: seven rows of 2^n floats (its pmf row and the
+    ``_law_data`` temporaries), five more for a mixture's lattice
+    products, and 24 + 8n bytes an atom, at most 16 atoms unconstrained
+    and 2^n otherwise, which also cover the arrays its draw makes.  A
+    group's peak stays within the sum of its laws' charges (a test reads
+    it with ``tracemalloc`` at n = 3 and 7)."""
     if isinstance(draw, np.ndarray):  # independent, over all 2^n outcomes
         rows, atoms = 7, 1 << n
     elif draw[0] is None:
@@ -321,11 +329,10 @@ def _law_bytes(n: int, draw) -> int:
 
 class _Group(NamedTuple):
     """The laws of one n in a block, prepared together: their positions
-    in the block, the laws, their ``_tail_rows``, ``_law_data`` arrays,
-    S_k (``_symmetric_moments``) and ``_linial_tables``."""
+    in the block, their ``_tail_rows``, ``_law_data`` arrays, S_k
+    (``_symmetric_moments``) and ``_linial_tables``."""
 
     rows: list
-    dists: list
     tails: np.ndarray
     gamma: np.ndarray
     gamma_z: np.ndarray
@@ -357,22 +364,22 @@ def _sweep_blocks(rng, n_max: int, trials: int, check):
 
 def _prepared_laws(draws: list) -> list:
     """The ``_Group``s of one block of (n, draw) pairs, one per n: the laws
-    of one n are built by one ``oc.random_joint_dists`` call and prepared
-    by ``_group``."""
+    of one n are built by one ``oc.law_tables`` call and prepared by
+    ``_group``."""
     rows = {}
     for r, (n, _) in enumerate(draws):
         rows.setdefault(n, []).append(r)
-    return [_group(group, oc.random_joint_dists(n, [draws[r][1] for r in group]))
+    return [_group(group, *oc.law_tables(n, [draws[r][1] for r in group]))
             for n, group in rows.items()]
 
 
-def _group(rows: list, dists: list) -> _Group:
-    """The ``_Group`` of the laws ``dists``, all of one n, at the block
-    positions ``rows``: their tails, S_k and Linial-Luria tables come from
-    one ``oc._z_laws`` call."""
-    z_laws = oc._z_laws(dists)
+def _group(rows: list, pmfs: np.ndarray, z_laws: np.ndarray, means: np.ndarray) -> _Group:
+    """The ``_Group`` of the laws of one n whose ``oc.law_tables`` arrays
+    are ``pmfs`` (overwritten by ``_law_data``), ``z_laws`` and ``means``,
+    at the block positions ``rows``: their tails, S_k and Linial-Luria
+    tables come from the laws of Z."""
     sk = _symmetric_moments(z_laws)
-    return _Group(rows, dists, _tail_rows(z_laws), *_law_data(dists), sk,
+    return _Group(rows, _tail_rows(z_laws), *_law_data(pmfs, means), sk,
                   *_linial_tables(sk))
 
 

@@ -33,9 +33,42 @@ def random_point_law(n, seed, m=5):
     return oc.JointDist(n, rng.random((m, n)), ws / math.fsum(ws))
 
 
+def all_outcomes(n):
+    """The 2^n 0/1 points, row A holding bit i of A in column i."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+
+
 def drawn_law(n, constraint=None, seed=0):
-    """The law that ``random_joint_dists`` draws for (constraint, seed)."""
-    return oc.random_joint_dists(n, [(constraint, seed)])[0]
+    """The law that ``law_tables`` draws for (constraint, seed), as a
+    JointDist over all 2^n outcomes."""
+    pmfs, _, _ = oc.law_tables(n, [(constraint, seed)])
+    return oc.JointDist(n, all_outcomes(n), pmfs[0])
+
+
+def reference_drawn_law(n, draw):
+    """The JointDist of ``draw`` built on its own, as each law was built
+    before a group's laws were built into arrays: Dirichlet weights from
+    ``rng.dirichlet``, a mixture's outcomes of positive weight as its
+    atoms, all 2^n outcomes for a rate vector."""
+    if isinstance(draw, np.ndarray):
+        masks, ws = np.arange(1 << n), oc.zeta_decomposition(draw)
+    else:
+        constraint, seed = draw
+        rng = np.random.default_rng(seed)
+        if constraint is None:
+            m = int(rng.integers(2, min(16, 1 << n) + 1))
+            masks = rng.choice(1 << n, size=m, replace=False)
+            ws = rng.dirichlet(np.ones(m))
+        else:
+            lo = 0.0 if isinstance(constraint, bd.ProductBound) else 1.0 - constraint.delta
+            hi = constraint.gamma
+            comps = int(rng.integers(2, 6))
+            rates = lo + (hi - lo) * rng.random((comps, n))
+            mix = rng.dirichlet(np.ones(comps))
+            probs = (mix[:, None] * oc.zeta_decomposition(rates)).sum(axis=0)
+            masks = np.flatnonzero(probs > 0.0)
+            ws = probs[masks]
+    return oc.JointDist(n, all_outcomes(n)[masks], ws / math.fsum(ws))
 
 
 def product_bernoulli_dist(q):
@@ -166,21 +199,22 @@ class TestSubsetTransforms:
         assert not sizes.flags.writeable
         with pytest.raises(ValueError):
             sizes[1] += 1
-        # _law_data reads the cached array for every law
-        law = drawn_law(6, seed=1)
-        verify._law_data([law])
+        # _law_data reads the cached array for every group
+        pmfs, _, means = oc.law_tables(6, [(None, 1)])
+        verify._law_data(pmfs, means)
         assert oc.subset_sizes(6) is sizes
         assert sizes.tolist() == want
 
     def test_from_masks(self):
-        dist = oc._mask_laws(3, [[5, 2]], [[1.0, 3.0]])[0]
-        np.testing.assert_array_equal(dist.xs, [[1, 0, 1], [0, 1, 0]])
-        np.testing.assert_array_equal(dist.ws, [0.25, 0.75])
+        pmfs, z_laws, means = oc.law_tables(3, [([5, 2], [1.0, 3.0])])
+        assert pmfs.tolist() == [[0.0, 0.0, 0.75, 0.0, 0.0, 0.25, 0.0, 0.0]]
+        assert z_laws.tolist() == [[0.0, 0.75, 0.25, 0.0]]
+        assert means.tolist() == [[0.25, 0.75, 0.25]]
 
     @pytest.mark.parametrize("mask", [8, 9, -1, -8])
     def test_from_masks_rejects_a_mask_outside_the_lattice(self, mask):
         with pytest.raises(ValueError, match=rf"mask {mask} is outside \[0, 2\^3\)"):
-            oc._mask_laws(3, [[5, mask]], [[1.0, 3.0]])
+            oc.law_tables(3, [([5, mask], [1.0, 3.0])])
 
     @pytest.mark.parametrize("ws, match", [
         ([math.nan, 1.0], "nonnegative"),
@@ -191,30 +225,31 @@ class TestSubsetTransforms:
     ])
     def test_from_masks_rejects_bad_weights(self, ws, match):
         with pytest.raises(ValueError, match=match):
-            oc._mask_laws(3, [[5, 2]], [ws])
+            oc.law_tables(3, [([5, 2], ws)])
 
     def test_from_masks_counts_what_the_support_gives(self):
-        masks = [0, 5, 6, 7, 5, 3]
-        dist = oc._mask_laws(3, [masks], [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])[0]
-        same = oc.JointDist(n=3, xs=dist.xs, ws=dist.ws)
-        for name in ("outcome_pmf", "atom_sizes"):
-            np.testing.assert_array_equal(getattr(dist, name), getattr(same, name))
-        assert dist.atom_sizes.tolist() == [0, 2, 2, 3, 2, 2]
-        np.testing.assert_array_equal(oc.z_distribution(dist).probs,
-                                      oc.z_distribution(same).probs)
+        # a repeated mask adds its weights in atom order, as the checked
+        # constructor's pmf and law of Z do
+        masks, ws = [0, 5, 6, 7, 5, 3], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        pmfs, z_laws, means = oc.law_tables(3, [(masks, ws)])
+        same = oc.JointDist(n=3, xs=all_outcomes(3)[masks], ws=np.array(ws) / math.fsum(ws))
+        np.testing.assert_array_equal(pmfs[0], same.outcome_pmf)
+        np.testing.assert_array_equal(z_laws[0], oc.z_distribution(same).probs)
+        np.testing.assert_array_equal(means[0], same.means())
+        assert z_laws[0].tolist() == [1 / 21, 0.0, 16 / 21, 4 / 21]
 
     def test_laws_built_together_equal_laws_built_alone(self):
         rng = np.random.default_rng(8)
         for n in (1, 3, 6):
             draws = [(None, 1), (bd.ProductBound(0.4), 2), rng.random(n),
                      (bd.SplitBound(0.6, 0.7), 3), (bd.ProductBound(0.4), 4),
-                     rng.random(n), (None, 5)]
-            for dist, draw in zip(oc.random_joint_dists(n, draws), draws):
-                alone = (drawn_law(n, *draw) if isinstance(draw, tuple)
-                         else oc._mask_laws(n, [np.arange(1 << n)],
-                                            [oc.zeta_decomposition(draw)])[0])
-                for name in ("xs", "ws", "outcome_pmf", "atom_sizes"):
-                    np.testing.assert_array_equal(getattr(dist, name), getattr(alone, name))
+                     ([0, (1 << n) - 1, 0], [0.5, 0.25, 0.25]), rng.random(n), (None, 5)]
+            together = oc.law_tables(n, draws)
+            for l, draw in enumerate(draws):
+                for table, alone in zip(together, oc.law_tables(n, [draw])):
+                    np.testing.assert_array_equal(table[l], alone[0])
+        empty = oc.law_tables(3, [])
+        assert [table.shape for table in empty] == [(0, 8), (0, 4), (0, 3)]
 
     def test_zeta_decomposition_of_rows(self):
         q = np.random.default_rng(3).random((4, 5))
@@ -247,18 +282,14 @@ class TestSubsetTransforms:
 
     def test_law_data_is_cached_read_only(self):
         masks = [0, 5, 6, 7, 5]
-        dist = oc._mask_laws(3, [masks], [[1.0, 2.0, 3.0, 4.0, 5.0]])[0]
-        same = oc.JointDist(n=3, xs=dist.xs, ws=dist.ws)
-        assert dist.is_bernoulli and same.is_bernoulli
-        # _mask_laws counts the pmf from its masks; the property from xs
-        np.testing.assert_array_equal(dist.outcome_pmf, same.outcome_pmf)
-        for law in (dist, same):
-            for cached in (law.means(), law.outcome_pmf):
-                assert not cached.flags.writeable
-                with pytest.raises(ValueError):
-                    cached[0] = 1.0
-            assert law.means() is law.means()
-            assert law.outcome_pmf is law.outcome_pmf
+        dist = oc.JointDist(n=3, xs=all_outcomes(3)[masks], ws=np.arange(1.0, 6.0) / 15.0)
+        assert dist.is_bernoulli
+        for cached in (dist.means(), dist.outcome_pmf):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        assert dist.means() is dist.means()
+        assert dist.outcome_pmf is dist.outcome_pmf
         np.testing.assert_array_equal(dist.means(), dist.ws @ dist.xs)
 
     def test_subset_moments_are_fresh_writable_arrays(self):
@@ -841,22 +872,49 @@ class TestJointDist:
 
 
 class TestRandomJointDist:
+    """The laws ``law_tables`` draws: each from its own seed, bit for bit
+    the law built on its own, and meeting its constraint."""
+
     def test_n1_unconstrained_two_atoms(self):
-        dist = drawn_law(1, seed=0)
-        assert dist.n == 1
-        assert dist.xs.shape[0] == 2
-        assert dist.is_bernoulli
+        pmfs, z_laws, means = oc.law_tables(1, [(None, 0)])
+        assert pmfs.shape == (1, 2) and (pmfs > 0.0).all()
+        np.testing.assert_array_equal(z_laws, pmfs)
+        assert means.tolist() == [[pmfs[0, 1]]]
 
     def test_determinism(self):
-        a = drawn_law(8, bd.ProductBound(0.3), seed=17)
-        b = drawn_law(8, bd.ProductBound(0.3), seed=17)
-        np.testing.assert_array_equal(a.xs, b.xs)
-        np.testing.assert_array_equal(a.ws, b.ws)
+        a = oc.law_tables(8, [(bd.ProductBound(0.3), 17)])
+        b = oc.law_tables(8, [(bd.ProductBound(0.3), 17)])
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
         # the law stream of the sweeps: the same draws as when every
         # candidate was checked and could be rejected
-        assert len(a.ws) == 256 and a.ws[0] == 0.27524238878061924
-        c = drawn_law(6, bd.SplitBound(0.5, 0.9), seed=4)
-        assert len(c.ws) == 64 and c.ws[0] == 0.08023381887816917
+        pmfs = a[0]
+        assert np.count_nonzero(pmfs) == 256 and pmfs[0, 0] == 0.27524238878061924
+        c = oc.law_tables(6, [(bd.SplitBound(0.5, 0.9), 4)])[0]
+        assert np.count_nonzero(c) == 64 and c[0, 0] == 0.08023381887816917
+
+    @pytest.mark.parametrize("kind", ["unconstrained", "product", "product-zero", "split",
+                                      "rates"])
+    @pytest.mark.parametrize("n", [1, 3, 7, 12])
+    def test_rows_equal_the_law_built_on_its_own(self, kind, n):
+        rng = np.random.default_rng(n)
+        constraint = {"unconstrained": None, "product": bd.ProductBound(0.35),
+                      "product-zero": bd.ProductBound(0.0), "split": bd.SplitBound(0.6, 0.7),
+                      "rates": None}[kind]
+        draws = [rng.random(n) if kind == "rates" else (constraint, seed)
+                 for seed in range(20)]
+        for pmf, z_law, means, draw in zip(*oc.law_tables(n, draws), draws):
+            want = reference_drawn_law(n, draw)
+            np.testing.assert_array_equal(pmf, want.outcome_pmf)
+            np.testing.assert_array_equal(z_law, oc.z_distribution(want).probs)
+            np.testing.assert_array_equal(means, want.means())
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_dirichlet_weights_are_numpys(self, m):
+        for seed in range(200):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(oc._dirichlet(got, m), want.dirichlet(np.ones(m)))
+            assert got.random() == want.random()
 
     @given(
         n=st.integers(1, 12),
@@ -865,9 +923,9 @@ class TestRandomJointDist:
     )
     @settings(max_examples=60, deadline=None)
     def test_product_constraint_verified(self, n, gamma, seed):
-        dist = drawn_law(n, bd.ProductBound(gamma), seed=seed)
+        pmfs, _, _ = oc.law_tables(n, [(bd.ProductBound(gamma), seed)])
         sizes = oc.subset_sizes(n)
-        excess = oc.subset_product_moments(dist)[1:] - gamma ** sizes[1:]
+        excess = oc._superset_sums(pmfs)[0, 1:] - gamma ** sizes[1:]
         assert excess.max() <= 1e-12
 
     @given(
@@ -881,25 +939,26 @@ class TestRandomJointDist:
         # delta spans [1 - gamma, 1], where gamma + delta >= 1
         delta = min(1.0, 1.0 - gamma + gamma * delta_share)
         assume(gamma + delta >= 1.0)
-        dist = drawn_law(n, bd.SplitBound(gamma, delta), seed=seed)
+        pmfs, _, _ = oc.law_tables(n, [(bd.SplitBound(gamma, delta), seed)])
         sizes = oc.subset_sizes(n)
         caps = gamma**sizes * delta ** (n - sizes)
-        assert (oc.subset_zeta_moments(dist) - caps).max() <= 1e-12
+        # a Bernoulli law's zeta moments E[Z_A] are its outcome pmf
+        assert (pmfs[0] - caps).max() <= 1e-12
 
     def test_bernoulli_cap(self):
         with pytest.raises(ValueError):
-            drawn_law(13, seed=0)
+            oc.law_tables(13, [(None, 0)])
 
     @pytest.mark.parametrize("n", [0, -1, 2.0])
     def test_n_outside_one_to_twelve_is_a_value_error(self, n):
         with pytest.raises(ValueError, match=rf"n must be an integer in \[1, 12\], got {n}"):
-            drawn_law(n, bd.ProductBound(0.3), seed=0)
+            oc.law_tables(n, [(bd.ProductBound(0.3), 0)])
 
     @pytest.mark.parametrize("gamma", [-0.2, 1.5, math.nan])
     def test_infeasible_product_gamma_is_a_value_error(self, gamma):
         with pytest.raises(ValueError, match=f"gamma must be in \\[0, 1\\], got {gamma}"):
-            drawn_law(3, bd.ProductBound(gamma), seed=0)
+            oc.law_tables(3, [(bd.ProductBound(gamma), 0)])
 
     def test_unsupported_constraint_type(self):
         with pytest.raises(TypeError):
-            drawn_law(4, bd.MeanOnly(0.3), seed=0)
+            oc.law_tables(4, [(bd.MeanOnly(0.3), 0)])

@@ -201,14 +201,33 @@ def reference_sandwich(n_max, trials, seed):
     ]
 
 
+def all_outcomes(n):
+    """The 2^n 0/1 points, row A holding bit i of A in column i."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+
+
+def mask_law(n, masks, ws):
+    """The law with one atom at each bitmask of ``masks`` and the weights
+    ``ws``, normalized, checked in full by the JointDist constructor."""
+    ws = np.asarray(ws, dtype=float)
+    return oc.JointDist(n=n, xs=all_outcomes(n)[masks], ws=ws / math.fsum(ws))
+
+
 def product_law(q):
     q = np.asarray(q, dtype=float)
-    n = len(q)
-    return oc._mask_laws(n, [np.arange(1 << n)], [oc.zeta_decomposition(q)])[0]
+    return mask_law(len(q), np.arange(1 << len(q)), oc.zeta_decomposition(q))
+
+
+def group_of(dists):
+    """The ``_Group`` of the laws ``dists``, all of one n, built by
+    ``law_tables`` from their atoms and weights."""
+    n = dists[0].n
+    draws = [(dist.xs.astype(np.int64) @ (1 << np.arange(n)), dist.ws) for dist in dists]
+    return verify._group(list(range(len(dists))), *oc.law_tables(n, draws))
 
 
 def law_rows(groups):
-    """(dist, tails, data) of each law of one block's ``groups``, in trial
+    """(tails, data) of each law of one block's ``groups``, in trial
     order: ``tails`` its ``_tail_rows`` row and ``data`` its gamma,
     gamma_z, pbar, independence, upper table and S_k, all as lists and
     Python scalars."""
@@ -217,32 +236,35 @@ def law_rows(groups):
         for l, r in enumerate(group.rows):
             laws[r] = group, l
     for group, l in laws:
-        yield (group.dists[l], group.tails[l].tolist(),
+        yield (group.tails[l].tolist(),
                (group.gamma[l].item(), group.gamma_z[l].item(), group.pbar[l].item(),
                 group.independent[l].item(), group.upper[l].tolist(), group.sk[l].tolist()))
 
 
 def prepared_laws(count, n_max, seed=0):
-    """The sweeps' (dist, tail row, law data) triples of ``count`` laws."""
+    """The sweeps' (dist, tail row, law data) triples of ``count`` laws,
+    ``dist`` the law as ``reference_law`` draws it on its own."""
     rng = np.random.default_rng(seed)
     draws = [verify._law_draw(rng, n_max) for _ in range(count)]
-    return list(law_rows(verify._prepared_laws(draws)))
+    dists = random_laws(count, n_max, seed)
+    return [(dist, *row) for dist, row in zip(dists, law_rows(verify._prepared_laws(draws)))]
 
 
 def random_laws(count, n_max, seed=0):
-    return [dist for dist, _, _ in prepared_laws(count, n_max, seed)]
+    rng = np.random.default_rng(seed)
+    return [reference_law(rng, n_max) for _ in range(count)]
 
 
 def sweep_one_law(monkeypatch, dist):
     """Make the sweeps draw one block holding the one law ``dist``."""
     monkeypatch.setattr(verify, "_sweep_blocks", lambda rng, n_max, trials, check:
-                        [check([verify._group([0], [dist])], 0)])
+                        [check([group_of([dist])], 0)])
 
 
 def one_law(dist):
     """The sweeps' triple of ``dist`` prepared on its own."""
-    [law] = law_rows([verify._group([0], [dist])])
-    return law
+    [law] = law_rows([group_of([dist])])
+    return (dist, *law)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +312,7 @@ class TestGate:
     def small_tail_law(monkeypatch):
         """Make the sweeps draw one law on 2 coordinates, P[Z = 2] = 1e-5
         and P[Z = 0] the rest, and return its tail row."""
-        dist = oc._mask_laws(2, [[0, 3]], [[1.0 - 1e-5, 1e-5]])[0]
+        dist = mask_law(2, [0, 3], [1.0 - 1e-5, 1e-5])
         sweep_one_law(monkeypatch, dist)
         return one_law(dist)[1]
 
@@ -357,7 +379,7 @@ class TestSweepsMatchReference:
             assert dict(enumerate(sk)) == ref_sk
 
     def test_independence_test_matches_one_atom_law(self):
-        point_mass = oc._mask_laws(3, [[5]], [[1.0]])[0]
+        point_mass = mask_law(3, [5], [1.0])
         laws = random_laws(100, 8, seed=2) + [product_law([0.3, 0.6]), point_mass]
         for dist in laws:
             means = np.clip(dist.means(), 0.0, 1.0)
@@ -381,29 +403,17 @@ class TestBlocks:
     def test_laws_equal_the_laws_drawn_one_at_a_time(self, seed, n_max):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = [verify._law_draw(rng, n_max) for _ in range(60)]
-        for dist, _, _ in law_rows(verify._prepared_laws(draws)):
-            want = reference_law(ref_rng, n_max)
-            assert dist.n == want.n
-            for name in ("xs", "ws", "outcome_pmf", "atom_sizes"):
-                np.testing.assert_array_equal(getattr(dist, name), getattr(want, name))
-            np.testing.assert_array_equal(dist.means(), want.means())
+        wants = [reference_law(ref_rng, n_max) for _ in draws]
+        for n in {n for n, _ in draws}:
+            rows = [r for r, (m, _) in enumerate(draws) if m == n]
+            tables = oc.law_tables(n, [draws[r][1] for r in rows])
+            for r, pmf, z_law, means in zip(rows, *tables):
+                want = wants[r]
+                np.testing.assert_array_equal(pmf, want.outcome_pmf)
+                np.testing.assert_array_equal(z_law, oc.z_distribution(want).probs)
+                np.testing.assert_array_equal(means, want.means())
         # both streams end at the same draw
         assert rng.random() == ref_rng.random()
-
-    def test_block_built_laws_keep_no_support(self):
-        # xs is derived from the masks on access and equals, like the means,
-        # what the checked constructor gives for the same support and weights;
-        # every array a law holds is read-only
-        rng = np.random.default_rng(5)
-        draws = [verify._law_draw(rng, 9) for _ in range(40)]
-        for dist, _, _ in law_rows(verify._prepared_laws(draws)):
-            assert "xs" not in vars(dist)
-            want = oc.JointDist(n=dist.n, xs=dist.xs, ws=dist.ws)
-            np.testing.assert_array_equal(dist.xs, want.xs)
-            np.testing.assert_array_equal(dist.means(), want.means())
-            for a in (dist.xs, dist.ws, dist.masks, dist.outcome_pmf,
-                      dist.atom_sizes, dist.means()):
-                assert not a.flags.writeable
 
     @staticmethod
     def record_blocks(monkeypatch):
@@ -464,23 +474,29 @@ class TestBlocks:
         assert peaks[1] <= peaks[0] + 2**20, peaks
 
     def test_one_law_calls_are_blocks_of_one(self):
-        laws = random_laws(30, 9, seed=4)
-        prepared = {}
-        for n in {dist.n for dist in laws}:
-            group = [dist for dist in laws if dist.n == n]
-            rows = law_rows([verify._group(list(range(len(group))), group)])
-            prepared.update(zip(map(id, group), rows))
-        for dist in laws:
-            _, tails, data = prepared[id(dist)]
-            assert one_law(dist)[1:] == (tails, data)
+        rng = np.random.default_rng(4)
+        draws = [verify._law_draw(rng, 9) for _ in range(30)]
+        rows = law_rows(verify._prepared_laws(draws))
+        for (n, draw), row, dist in zip(draws, rows, random_laws(30, 9, seed=4)):
+            [alone] = law_rows([verify._group([0], *oc.law_tables(n, [draw]))])
+            assert alone == row
             z_law = oc.z_distribution(dist).probs[None]
-            assert verify._symmetric_moments(z_law)[0].tolist() == data[-1]
+            assert verify._symmetric_moments(z_law)[0].tolist() == row[1][-1]
 
-    def test_law_data_needs_bernoulli_laws(self):
-        dist = oc.JointDist(n=2, xs=[[0.5, 1.0], [0.0, 0.25]], ws=[0.5, 0.5])
-        with pytest.raises(ValueError, match="Bernoulli"):
-            verify._law_data([dist])
-        assert oc.random_joint_dists(3, []) == []
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_a_group_peaks_within_its_charge(self, n):
+        # the laws of one n from the sweeps' stream, built and prepared as
+        # one group: 2,000 laws at n = 3, about 500 at n = 7
+        rng = np.random.default_rng(0)
+        draws = [draw for draw in (verify._law_draw(rng, n) for _ in range(2500))
+                 if draw[0] == n][:2000]
+        tracemalloc.start()
+        try:
+            verify._prepared_laws(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(verify._law_bytes(*draw) for draw in draws), peak
 
 
 class TestLawStream:
@@ -572,7 +588,7 @@ class TestLinialTables:
 
     def test_zero_moments_give_zero_entries(self):
         # Z is 0 or 1, so S_k = 0 for every k >= 2
-        dist = oc._mask_laws(4, [[0, 4]], [[0.5, 0.5]])[0]
+        dist = mask_law(4, [0, 4], [0.5, 0.5])
         _, _, data = one_law(dist)
         upper, sk = data[-2:]
         assert sk[2:] == [0.0] * 3
@@ -606,7 +622,7 @@ class TestLinialTables:
     def test_failure_text_is_the_evaluators(self, monkeypatch):
         # Z is 7 with probability 0.3, else 0: S_2 / C(3, 2) = 6.3 / 3 is
         # clamped to 1; zeroed upper entries fail every linial-luria check
-        dist = oc._mask_laws(7, [[0, 127]], [[0.7, 0.3]])[0]
+        dist = mask_law(7, [0, 127], [0.7, 0.3])
         sweep_one_law(monkeypatch, dist)
         self.scale_tables(monkeypatch, upper=0.0)
         records = verify.suite_soundness(n_max=7, trials=1)
@@ -687,21 +703,21 @@ class TestSoundnessChecks:
             self.assert_slots_match(group)
 
     @pytest.mark.parametrize("dist", [
-        oc._mask_laws(3, [[0]], [[1.0]])[0],  # gamma = gamma_z = pbar = 0
-        oc._mask_laws(3, [[5]], [[1.0]])[0],  # a point mass: gamma = 1
-        oc._mask_laws(4, [[15]], [[1.0]])[0],  # pbar = 1
+        mask_law(3, [0], [1.0]),  # gamma = gamma_z = pbar = 0
+        mask_law(3, [5], [1.0]),  # a point mass: gamma = 1
+        mask_law(4, [15], [1.0]),  # pbar = 1
         product_law([0.999, 0.9999, 0.99, 0.995]),  # independent, pbar near 1
         product_law([0.01, 0.02, 0.5]),
-        oc._mask_laws(4, [[0, 4]], [[0.5, 0.5]])[0],
+        mask_law(4, [0, 4], [0.5, 0.5]),
         # gamma and gamma_z within a few ulps of 1, where the grid's points
         # round onto n gamma_z or n and the evaluators' boundary tests bind
-        oc._mask_laws(3, [[1, 6]], [[1.0 - 2.0**-52, 2.0**-52]])[0],
-        oc._mask_laws(3, [[1, 6]], [[1.0 - 1e-15, 1e-15]])[0],
+        mask_law(3, [1, 6], [1.0 - 2.0**-52, 2.0**-52]),
+        mask_law(3, [1, 6], [1.0 - 1e-15, 1e-15]),
     ], ids=["zero", "point-mass", "all-ones", "independent-near-1",
             "independent-small", "one-coordinate", "rates-2ulp-below-1",
             "rates-1e-15-below-1"])
     def test_edge_laws(self, dist):
-        self.assert_slots_match(verify._group([0], [dist]))
+        self.assert_slots_match(group_of([dist]))
 
     def test_failure_text_is_the_evaluators(self, monkeypatch):
         # zeroed, the first ik and the first hoeffding bound of an
@@ -719,8 +735,7 @@ class TestSoundnessChecks:
 
         monkeypatch.setattr(verify, "_soundness_checks", moved)
         records = verify.suite_soundness(n_max=3, trials=1)
-        gamma, _, pbar, _ = (a[0].item() for a in verify._law_data([dist]))
-        tails = oc.z_distribution(dist).probs[::-1].cumsum()[::-1].tolist()
+        _, tails, (gamma, _, pbar, *_) = one_law(dist)
         t_ik, t_h = reference_grid(3 * gamma, 3)[0], reference_grid(3 * pbar, 3)[0]
         assert records[:-1] == [
             ("soundness/ik", False,
