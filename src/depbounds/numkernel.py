@@ -256,53 +256,29 @@ def _poisson_binom_rows(ps: np.ndarray) -> np.ndarray:
     return probs
 
 
-# entries of one padded block in the batched kernels (512 KB of floats):
-# small enough to stay in cache and add little to peak memory, large enough
-# that a block costs far more than its numpy calls
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _row_blocks(costs):
-    """Consecutive ranges (start, stop) over rows of the given ``costs``
-    (entries per row) whose block, every row padded to the largest cost in
-    it, holds at most ``_BLOCK_ENTRIES`` entries; each range has at least
-    one row."""
-    start = 0
-    while start < len(costs):
-        stop, top = start + 1, costs[start]
-        while (stop < len(costs)
-               and (stop + 1 - start) * max(top, costs[stop]) <= _BLOCK_ENTRIES):
-            top = max(top, costs[stop])
-            stop += 1
-        yield start, stop
-        start = stop
-
-
 def binomial_median_lb_grid(ns, ps) -> np.ndarray:
     """For every n of ``ns`` and every p of a grid: True iff
     P[Bin(n,p) >= np - 1] >= 1/2, from the exact distribution; the result
-    has shape ``np.shape(ns) + (len(ps),)``.
+    has shape ``np.shape(ns) + np.shape(ps)``.
 
-    Linear scale is safe because the verdict compares with 1/2 and every
-    term is at most 1: the sum is exact to about n eps.
+    Linear scale is safe because the verdict compares with 1/2: each tail
+    is within about max(ns) eps of its value (``_binomial_median_tails``).
     """
-    import numpy as np
-
-    out = np.empty(np.shape(ns) + np.shape(ps), dtype=bool)
-    rows_out = out.reshape(np.size(ns), np.size(ps))
-    for rows, tails in _binomial_median_tails(ns, ps):
-        rows_out[rows] = tails >= 0.5 - 1e-12
-    return out
+    return _binomial_median_tails(ns, ps) >= 0.5 - 1e-12
 
 
-def _binomial_median_tails(ns, ps):
-    """Yields (rows, tails) block by block: P[Bin(n, p) >= ceil(np - 1)]
-    for the n of ``ns`` (flattened) at ``rows``, a slice, and every p of
-    ``ps``.
+def _binomial_median_tails(ns, ps) -> np.ndarray:
+    """P[Bin(n, p) >= j0], j0 = max(0, ceil(np - 1)), for every n of ``ns``
+    and p of ``ps``, in shape ``np.shape(ns) + np.shape(ps)``.
 
-    Blocks of consecutive n are padded to their largest n.  Entry (n, p, j)
-    holds ln P[Bin(n, p) = j] (-inf for j > n); the upper tail from
-    j0 = ceil(np - 1) is a plain sum of the exp'd masses, never 1 - cdf.
+    One walk over n = 0..max(ns), vectorised over p; S_n ~ Bin(n, p), q =
+    1 - p.  j0 rises by 0 or 1 a step (p < 1), and b_n = P[S_n = j0] moves
+    by one exact ratio, (n + 1) q / (n + 1 - j0) where j0 stays and
+    (n + 1) p / (j0 + 1) where it rises.  T_n = P[S_n >= j0] gains
+    p P[S_n = j0 - 1] = q b_n j0 / (n + 1 - j0) where j0 stays and loses
+    q b_n where it rises: a sum of steps of at most 1 from T_0 = 1, never
+    1 - cdf, so each tail is within about max(ns) eps.  Work and memory are
+    O(max(ns) len(ps)).
     """
     import numpy as np
 
@@ -312,25 +288,23 @@ def _binomial_median_tails(ns, ps):
         raise ValueError(f"n must be >= 1, got {ns}")
     if not np.all((ps > 0.0) & (ps < 1.0)):
         raise ValueError(f"p must be in (0,1), got {ps}")
-    flat = ns.ravel()
-    # j ln(p) + (n - j) ln(1 - p) = j ln(p / (1 - p)) + n ln(1 - p)
-    log_q = np.log1p(-ps)
-    log_ratio = np.log(ps) - log_q
-    lf = np.array([math.lgamma(k + 1) for k in range(flat.max(initial=0) + 1)])
-    costs = ((flat + 1) * ps.size).tolist()
-    # every block's masses and mask reuse one buffer each
-    masses = np.empty(max(_BLOCK_ENTRIES, *costs, 0))
-    upper = np.empty(masses.size, dtype=bool)
-    for start, stop in _row_blocks(costs):
-        n = flat[start:stop, None]
-        j = np.arange(n.max() + 1)
-        shape = (stop - start, ps.size, j.size)
-        pmf = masses[: math.prod(shape)].reshape(shape)
-        coef = np.where(j <= n, lf[n] - lf[j] - lf[np.abs(n - j)], NEG_INF)
-        np.add(np.multiply.outer(log_ratio, j), coef[:, None, :], out=pmf)
-        pmf += (n * log_q)[:, :, None]
-        np.exp(pmf, out=pmf)
-        j0 = np.maximum(0.0, np.ceil(n * ps - 1.0 - 1e-12))
-        keep = upper[: pmf.size].reshape(shape)
-        np.greater_equal(j, j0[:, :, None], out=keep)
-        yield slice(start, stop), np.einsum("kpj,kpj->kp", pmf, keep)
+    p = ps.ravel()
+    q = 1.0 - p
+    n = np.arange(ns.max(initial=0) + 1)[:, None]
+    j0 = np.maximum(np.ceil(n * p - 1.0 - 1e-12), 0.0)
+    # step n -> m = n + 1 from j = j0[n]; the tables b and T are built in
+    # place, so at most four (N + 1, P) arrays are alive at once
+    j, m = j0[:-1], n[1:]
+    rises = j0[1:] > j
+    b, tails = np.ones(j0.shape), np.ones(j0.shape)
+    ratio, step = b[1:], tails[1:]
+    np.subtract(m, j, out=ratio)  # n + 1 - j0 until it holds the ratio
+    np.divide(j, ratio, out=step)  # each step over q b_n
+    step[rises] = -1.0
+    np.divide(m * q, ratio, out=ratio)
+    np.divide(m * p, j0[1:], out=ratio, where=rises)
+    np.cumprod(b, axis=0, out=b)
+    step *= b[:-1]
+    step *= q
+    np.cumsum(tails, axis=0, out=tails)
+    return tails[ns].reshape(ns.shape + ps.shape)

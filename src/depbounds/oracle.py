@@ -50,7 +50,6 @@ from .numkernel import (
     PoissonBinomialSpec,
     _log_binom_row,
     _poisson_binom_rows,
-    _row_blocks,
     poisson_binom_dist,
 )
 from .bounds import ProductBound, SplitBound, TailBound, _clamp, _invalid, check_n
@@ -267,6 +266,28 @@ def dephoeff_bound(zdist: ZDist, t: float) -> TailBound:
 
 # ---------------------------------------------------------------------------
 # classical orderings
+
+
+# entries of one padded block of ``averaged_binomial_checks`` (512 KB of
+# floats): small enough to stay in cache and add little to peak memory,
+# large enough that a block costs far more than its numpy calls
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(costs):
+    """Consecutive ranges (start, stop) over rows of the given ``costs``
+    (entries per row) whose block, every row padded to the largest cost in
+    it, holds at most ``_BLOCK_ENTRIES`` entries; each range has at least
+    one row."""
+    start = 0
+    while start < len(costs):
+        stop, top = start + 1, costs[start]
+        while (stop < len(costs)
+               and (stop + 1 - start) * max(top, costs[stop]) <= _BLOCK_ENTRIES):
+            top = max(top, costs[stop])
+            stop += 1
+        yield start, stop
+        start = stop
 
 
 def averaged_binomial_checks(specs: Sequence[PoissonBinomialSpec], hs=()):

@@ -286,19 +286,28 @@ class TestBinomialMedian:
             want.append(tail >= 0.5 - 1e-12)
         assert binomial_median_lb_grid(n, ps).tolist() == want
 
+    @staticmethod
+    def assert_tails_match_scalar_tail(ns, ps):
+        got = _binomial_median_tails(ns, ps)
+        assert got.shape == (len(ns), len(ps))
+        for n, row in zip(ns, got.tolist()):
+            for p, tail in zip(ps, row):
+                j0 = max(0, math.ceil(n * p - 1.0 - 1e-12))
+                want = to_prob(binom_tail_log(BinomialSpec(n, p), j0))
+                assert tail == pytest.approx(want, rel=1e-12, abs=0), (n, p)
+
     def test_grid_tails_match_scalar_tail(self):
         # the tails themselves, not only the verdicts: every verdict holds
         # with a wide margin, so a tail off by a few percent passes them
-        ns, ps = np.arange(1, 201), np.arange(1, 100) / 100.0
-        blocks = list(_binomial_median_tails(ns, ps))
-        assert [rows.stop for rows, _ in blocks][-1] == 200
-        got = np.concatenate([tails for _, tails in blocks])
-        assert got.shape == (200, 99)
-        for n, row in zip(ns.tolist(), got.tolist()):
-            for p, tail in zip(ps.tolist(), row):
-                j0 = max(0, math.ceil(n * p - 1.0 - 1e-12))
-                want = to_prob(binom_tail_log(BinomialSpec(n, p), j0))
-                assert tail == pytest.approx(want, rel=1e-12, abs=0)
+        self.assert_tails_match_scalar_tail(list(range(1, 201)),
+                                            (np.arange(1, 100) / 100.0).tolist())
+
+    def test_walk_tails_at_large_n_match_scalar_tail(self):
+        """The walk's error grows with its length; at n = 5000 it stays
+        far inside rel 1e-12, p near 0 and 1 included."""
+        self.assert_tails_match_scalar_tail(
+            [500, 1000, 2000, 5000],
+            [0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -309,9 +318,9 @@ class TestBinomialMedian:
             binomial_median_lb_grid([3, 0, 4], [0.5])
 
     def test_many_n_in_one_call_match_one_n_at_a_time(self):
-        """n <= 200 in one call, over blocks of consecutive n padded to
-        their largest, gives each n's own verdicts; the result has the
-        shape of ns plus the p axis."""
+        """n <= 200 in one call, read off one walk over n, gives each n's
+        own verdicts, in any order of n; the result has the shape of ns
+        plus the p axis."""
         ps = np.arange(1, 100) / 100.0
         ns = np.arange(1, 201)
         want = [binomial_median_lb_grid(int(n), ps).tolist() for n in ns]

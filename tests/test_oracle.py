@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from depbounds import bounds as bd
-from depbounds import numkernel
 from depbounds import oracle as oc
 from depbounds import verify
 from depbounds.numkernel import (
@@ -701,7 +700,7 @@ class TestHoeffding1956Checks:
         gave them."""
         specs = [PoissonBinomialSpec(tuple(v)) for v in vectors]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numkernel, "_BLOCK_ENTRIES", budget)
+            mp.setattr(oc, "_BLOCK_ENTRIES", budget)
             exp_ok, tail_ok = oc.averaged_binomial_checks(specs, hs)
         width = max(spec.n for spec in specs) + 1
         assert exp_ok.shape == (len(specs), len(hs))

@@ -14,7 +14,7 @@ import pytest
 from depbounds import bounds as bd
 from depbounds import oracle as oc
 from depbounds import verify
-from depbounds.numkernel import log_binom_coeff
+from depbounds.numkernel import kl_divergence, log_binom_coeff
 
 # ---------------------------------------------------------------------------
 # the reference: the per-check loop the sweeps ran before laws were drawn and
@@ -524,6 +524,31 @@ class TestLawStream:
             ("convex-order/binomial-median", True,
              "grid n<=200 x p in 0.01..0.99, 0 failures"),
         ]
+
+
+class TestPinskerGrid:
+    """``identities/kl-quadratic-lower`` evaluates its 100 x 100 grid with
+    ``verify._kl`` on broadcast arrays: every point equals the scalar loop
+    over ``kl_divergence`` bit for bit."""
+
+    GRID = np.linspace(0.005, 0.995, 100)
+
+    def scalar_loop(self):
+        grid = self.GRID.tolist()
+        return [[kl_divergence(q, p) - 2.0 * (q - p) ** 2 for p in grid] for q in grid]
+
+    def test_every_point_equals_the_scalar_loop(self):
+        q, p = self.GRID[:, None], self.GRID[None, :]
+        got = verify._kl(q, p) - 2.0 * (q - p) ** 2
+        want = np.array(self.scalar_loop())
+        assert got.shape == want.shape == (100, 100)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_record_states_the_scalar_minimum(self):
+        worst = min(map(min, self.scalar_loop()))
+        assert ("identities/kl-quadratic-lower", True,
+                f"min(D(q||p) - 2(q-p)^2) = {worst:.3g} over 100x100 grid"
+                ) in verify.suite_identities()
 
 
 def test_every_soundness_row_runs():
