@@ -9,7 +9,10 @@ they produce ``Invalid`` with the violated clause named, and no value.
 
 Every evaluator runs on the standard library alone: the two refined ones
 sum at most n + 1 binomial terms with ``math.fsum``, and the G(n,m) bounds
-decide their minimum in integers.
+decide their minimum in integers.  The five that ``verify``'s soundness
+sweep checks as arrays are rows: ``_<method>_conditions`` yields (holds,
+reason) pairs, tests that NaN fails, and ``_<method>_log_bound`` takes ln,
+log1p and maximum as ``xp``; both run on floats and numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from __future__ import annotations
 import math
 
 from .numkernel import (
+    FLOAT_MATH,
     NEG_INF,
     BinomialSpec,
     binom_pmf_log,
+    kl,
     kl_divergence,
     log_binom_coeff,
     log_gen_binom_coeff,
@@ -110,6 +115,15 @@ def _check_integer(method: str, name: str, value) -> TailBound | None:
     n calls this after ``check_n``."""
     if not value % 1 == 0:
         return _invalid(method, f"{name} not an integer")
+    return None
+
+
+def _unmet(method: str, conditions) -> TailBound | None:
+    """Invalid with the reason of the first unmet of a row's ``conditions``,
+    or None."""
+    for holds, reason in conditions:
+        if not holds:
+            return _invalid(method, reason)
     return None
 
 
@@ -230,22 +244,25 @@ def _log_hoeffding(n: int, p: float, t: float) -> float:
     )
 
 
+def _hoeffding_conditions(n, p, t):
+    yield (0.0 < p) & (p < 1.0), "p outside (0,1)"
+    yield t > n * p, "t <= np"
+    yield t < n, "t >= n"
+
+
+def _hoeffding_log_bound(n, p, t, xp):
+    return -n * kl(t / n, p, xp)
+
+
 def hoeffding_bound(n: int, p: float, t: float) -> TailBound:
     """Optimal exponential-moment bound for independent [0,1] summands.
 
     Returns ln H(n,p,t) = -n*D(t/n || p); valid for np < t < n.
     """
     method = "hoeffding"
-    if bad := check_n(method, n, t):
+    if bad := check_n(method, n, t) or _unmet(method, _hoeffding_conditions(n, p, t)):
         return bad
-    if not 0.0 < p < 1.0:
-        return _invalid(method, "p outside (0,1)")
-    if t <= n * p:
-        return _invalid(method, "t <= np")
-    if t >= n:
-        return _invalid(method, "t >= n")
-    q = t / n
-    log_bound = -n * kl_divergence(q, p)
+    log_bound = _hoeffding_log_bound(n, p, t, FLOAT_MATH)
     h_opt = math.log(t * (1.0 - p)) - math.log((n - t) * p)
     params = {
         "h": h_opt,
@@ -256,6 +273,17 @@ def hoeffding_bound(n: int, p: float, t: float) -> TailBound:
     return TailBound(method, _clamp(log_bound, params), params)
 
 
+def _ik_conditions(n, gamma, eps, c):
+    yield (0.0 < gamma) & (gamma < 1.0), "gamma outside (0,1)"
+    yield c >= 1.0, "c < 1"
+    yield eps > 0.0, "eps <= 0"
+    yield (eps < 1.0 / gamma - 1.0) & (gamma * (1.0 + eps) < 1.0), "eps >= 1/gamma - 1"
+
+
+def _ik_log_bound(n, gamma, eps, c, xp):
+    return xp.log(c) - n * kl(gamma * (1.0 + eps), gamma, xp)
+
+
 def ik_bound(n: int, gamma: float, eps: float, c: float = 1.0) -> TailBound:
     """Covariance-condition bound c * exp(-n*D(gamma(1+eps)||gamma)).
 
@@ -264,17 +292,9 @@ def ik_bound(n: int, gamma: float, eps: float, c: float = 1.0) -> TailBound:
     unless the caller overrides c.
     """
     method = "ik"
-    if bad := check_n(method, n, eps):
+    if bad := check_n(method, n, eps) or _unmet(method, _ik_conditions(n, gamma, eps, c)):
         return bad
-    if not 0.0 < gamma < 1.0:
-        return _invalid(method, "gamma outside (0,1)")
-    if not c >= 1.0:
-        return _invalid(method, "c < 1")
-    if eps <= 0.0:
-        return _invalid(method, "eps <= 0")
-    if eps >= 1.0 / gamma - 1.0 or gamma * (1.0 + eps) >= 1.0:
-        return _invalid(method, "eps >= 1/gamma - 1")
-    log_bound = math.log(c) - n * kl_divergence(gamma * (1.0 + eps), gamma)
+    log_bound = _ik_log_bound(n, gamma, eps, c, FLOAT_MATH)
     params = {
         "eps": eps,
         "c": c,
@@ -321,6 +341,20 @@ def linial_luria_bound(n: int, beta_n: int, k: int, profile) -> TailBound:
     return TailBound(method, _clamp(log_bound, params), params)
 
 
+def _expfunct_conditions(n, gamma, delta, t):
+    yield (0.0 < gamma) & (gamma < 1.0), "gamma outside (0,1)"
+    yield (0.0 < delta) & (delta <= 1.0), "delta outside (0,1]"
+    yield gamma + delta >= 1.0, "gamma + delta < 1"
+    yield t > n * gamma, "t <= n*gamma"
+    yield t < n, "t >= n"
+
+
+def _expfunct_log_bound(n, gamma, delta, t, xp):
+    log_n_t = xp.log(n - t)
+    return (t * xp.log(gamma) + (n - t) * xp.log(delta)
+            + t * (log_n_t - xp.log(t)) + n * (xp.log(n) - log_n_t))
+
+
 def expfunct_bound(n: int, gamma: float, delta: float, t: float) -> TailBound:
     """Product-split bound gamma^t delta^(n-t) ((n-t)/t)^t (n/(n-t))^n.
 
@@ -329,25 +363,11 @@ def expfunct_bound(n: int, gamma: float, delta: float, t: float) -> TailBound:
     which the closed form never exceeds.
     """
     method = "expfunct"
-    if bad := check_n(method, n, t):
+    if bad := check_n(method, n, t) or _unmet(
+            method, _expfunct_conditions(n, gamma, delta, t)):
         return bad
-    if not 0.0 < gamma < 1.0:
-        return _invalid(method, "gamma outside (0,1)")
-    if not 0.0 < delta <= 1.0:
-        return _invalid(method, "delta outside (0,1]")
-    if gamma + delta < 1.0:
-        return _invalid(method, "gamma + delta < 1")
-    if t <= n * gamma:
-        return _invalid(method, "t <= n*gamma")
-    if t >= n:
-        return _invalid(method, "t >= n")
+    log_closed = _expfunct_log_bound(n, gamma, delta, t, FLOAT_MATH)
     eps = t_to_eps(n, gamma, t)
-    log_closed = (
-        t * math.log(gamma)
-        + (n - t) * math.log(delta)
-        + t * (math.log(n - t) - math.log(t))
-        + n * (math.log(n) - math.log(n - t))
-    )
     q = t / n
     log_kl_form = -n * (
         kl_divergence(q, gamma) - (1.0 - q) * (math.log(delta) - math.log1p(-gamma))
@@ -361,6 +381,21 @@ def expfunct_bound(n: int, gamma: float, delta: float, t: float) -> TailBound:
     return TailBound(method, _clamp(log_closed, params), params)
 
 
+def _bincoupling_q(n, p, t):  # p(1 + eps0)
+    return p * (1.0 + (t - 1.0 - n * p) / (n * p))
+
+
+def _bincoupling_conditions(n, p, t):
+    yield (0.0 < p) & (p < 1.0), "p outside (0,1)"
+    yield t > n * p + 1.0, "t <= np+1"
+    yield t < n, "t >= n"
+    yield _bincoupling_q(n, p, t) < 1.0, "t-1 >= n"
+
+
+def _bincoupling_log_bound(n, p, t, xp):
+    return xp.log(2.0) - n * kl(_bincoupling_q(n, p, t), p, xp)
+
+
 def bincoupling_bound(n: int, p: float, t: float) -> TailBound:
     """Factor-2 coupling bound 2*exp(-n*D(p(1+eps0)||p)) with t-1 = np(1+eps0).
 
@@ -368,20 +403,10 @@ def bincoupling_bound(n: int, p: float, t: float) -> TailBound:
     soundness requires E[prod_{i in A} X_i] <= p^|A|.
     """
     method = "bincoupling"
-    if bad := check_n(method, n, t):
+    if bad := check_n(method, n, t) or _unmet(method, _bincoupling_conditions(n, p, t)):
         return bad
-    if not 0.0 < p < 1.0:
-        return _invalid(method, "p outside (0,1)")
-    if t <= n * p + 1.0:
-        return _invalid(method, "t <= np+1")
-    if t >= n:
-        return _invalid(method, "t >= n")
-    eps0 = (t - 1.0 - n * p) / (n * p)
-    q = p * (1.0 + eps0)
-    if q >= 1.0:
-        return _invalid(method, "t-1 >= n")
-    log_bound = math.log(2.0) - n * kl_divergence(q, p)
-    params = {"eps0": eps0}
+    log_bound = _bincoupling_log_bound(n, p, t, FLOAT_MATH)
+    params = {"eps0": (t - 1.0 - n * p) / (n * p)}
     return TailBound(method, _clamp(log_bound, params), params)
 
 
@@ -459,22 +484,24 @@ def mcdiarmid_refined_bound(n: int, p: float, t: float) -> TailBound:
     return TailBound(method, _clamp(log_bound, params), params)
 
 
+def _kwise_conditions(n, k, p, eps):
+    yield (1 <= k) & (k <= n), "k outside [1, n]"
+    yield (0.0 < p) & (p < 1.0), "p outside (0,1)"
+    yield eps > 0.0, "eps <= 0"
+    yield (eps < 1.0 / p - 1.0) & (p * (1.0 + eps) < 1.0), "eps >= 1/p - 1"
+
+
+def _kwise_log_bound(n, k, p, eps, xp):
+    return -(n - k) * xp.log(p * (1.0 - p)) - n * kl(p * (1.0 + eps), p, xp)
+
+
 def kwise_bound(n: int, k: int, p: float, eps: float) -> TailBound:
     """k-wise independence bound (p-p^2)^(k-n) * exp(-n*D(p(1+eps)||p))."""
     method = "kwise"
-    if bad := check_n(method, n, eps) or _check_integer(method, "k", k):
+    if bad := (check_n(method, n, eps) or _check_integer(method, "k", k)
+               or _unmet(method, _kwise_conditions(n, k, p, eps))):
         return bad
-    if not 1 <= k <= n:
-        return _invalid(method, "k outside [1, n]")
-    if not 0.0 < p < 1.0:
-        return _invalid(method, "p outside (0,1)")
-    if eps <= 0.0:
-        return _invalid(method, "eps <= 0")
-    if eps >= 1.0 / p - 1.0 or p * (1.0 + eps) >= 1.0:
-        return _invalid(method, "eps >= 1/p - 1")
-    log_bound = -(n - k) * math.log(p * (1.0 - p)) - n * kl_divergence(
-        p * (1.0 + eps), p
-    )
+    log_bound = _kwise_log_bound(n, k, p, eps, FLOAT_MATH)
     params = {"eps": eps, "t": eps_to_t(n, p, eps)}
     return TailBound(method, _clamp(log_bound, params), params)
 

@@ -17,6 +17,7 @@ a* + ln sum_i e^(a_i - a*), so no term exceeds 1 and none overflows:
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -80,21 +81,26 @@ class PoissonBinomialSpec:
         return math.fsum(self.ps) / len(self.ps)
 
 
-def kl_divergence(q: float, p: float) -> float:
-    """Kullback-Leibler divergence D(q||p) for q, p strictly inside (0,1).
+FLOAT_MATH = SimpleNamespace(log=math.log, log1p=math.log1p, maximum=max)
 
-    Endpoints are rejected rather than extended by continuity; callers
-    that rely on the 0*log(0) convention must handle it themselves.
-    """
+
+def kl(q, p, xp):
+    """D(q||p) for q, p strictly inside (0,1), unchecked, with ln, log1p and
+    maximum from ``xp``: ``FLOAT_MATH`` on floats, or functions on arrays."""
+    # log1p keeps the (1-q)/(1-p) term accurate near the upper endpoint
+    value = q * (xp.log(q) - xp.log(p)) + (1.0 - q) * (xp.log1p(-q) - xp.log1p(-p))
+    return xp.maximum(value, 0.0)
+
+
+def kl_divergence(q: float, p: float) -> float:
+    """Kullback-Leibler divergence D(q||p): ``kl`` on floats, once q and p
+    are checked to lie strictly inside (0,1).  Endpoints raise ValueError
+    rather than extend by continuity (no 0*log(0) convention)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be strictly inside (0,1), got {q}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be strictly inside (0,1), got {p}")
-    # log1p keeps the (1-q)/(1-p) term accurate near the upper endpoint
-    value = q * (math.log(q) - math.log(p)) + (1.0 - q) * (
-        math.log1p(-q) - math.log1p(-p)
-    )
-    return max(value, 0.0)
+    return kl(q, p, FLOAT_MATH)
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

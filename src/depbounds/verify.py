@@ -16,10 +16,10 @@ and gamma_z, pbar and the independence tests.  Every check is then an
 array operation over the group: the sandwich compares the tails with the
 table, and the soundness sweep builds each law's checks of ik,
 bincoupling, expfunct, linial-luria, hoeffding and kwise as (laws, slots)
-arrays of thresholds, bounds and validity
-(``_soundness_checks``).  Their bounds take ln and exp from ``math``,
-each bound equal bit for bit to its ``bounds`` evaluator's (tests tie
-the two); an evaluator runs only to print a failing check's params.  A
+arrays of thresholds, bounds and validity (``_soundness_checks``), each
+grid method's from the row of ``bounds`` its evaluator reads, with
+``math``'s ln and exp mapped over arrays, so equal bit for bit to the
+evaluator's; an evaluator runs only to print a failing check's params.  A
 check fails when the larger side exceeds the smaller by more than
 ``SOUNDNESS_TOL`` or by a factor over 1 + ``RELATIVE_TOL``
 (``_exceeds``), so tails far below 1e-12 are gated too.  The soundness
@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +43,7 @@ from . import oracle as oc
 from .numkernel import (
     PoissonBinomialSpec,
     binomial_median_lb_grid,
+    kl,
     log_binom_coeff,
     poisson_binom_dist,
 )
@@ -128,10 +131,12 @@ def _linial_tables(sk: np.ndarray) -> tuple:
     return upper, lower
 
 
-def _map(f, a: np.ndarray) -> np.ndarray:
-    """``f`` of every entry of ``a``, in its shape: ``math``'s ln and exp
-    mapped over its floats, as the evaluators take them.  The floats are
-    read one at a time through a memoryview, not made into a list first."""
+def _map(f, a):
+    """``f`` of the float ``a``, or of every entry of the array ``a`` in its
+    shape, read one at a time through a memoryview: ``math``'s ln and exp
+    mapped over floats, as the evaluators take them."""
+    if not isinstance(a, np.ndarray):
+        return f(a)
     return np.fromiter(map(f, memoryview(a.ravel())), float, a.size).reshape(a.shape)
 
 
@@ -192,14 +197,24 @@ def _is_independent(means: np.ndarray, moments: np.ndarray) -> np.ndarray:
 _THRESHOLDS = 5
 _STEPS = np.arange(1, _THRESHOLDS + 1)
 
-# the evaluator call of each soundness check but linial-luria, given n, the
-# law's gamma, gamma_z and pbar, and t: only a failure's params read it
-_EVALUATORS = {
-    "ik": lambda n, g, gz, p, t: bd.ik_bound(n, g, bd.t_to_eps(n, g, t), c=1.0),
-    "bincoupling": lambda n, g, gz, p, t: bd.bincoupling_bound(n, g, t),
-    "expfunct": lambda n, g, gz, p, t: bd.expfunct_bound(n, gz, 1.0, t),
-    "hoeffding": lambda n, g, gz, p, t: bd.hoeffding_bound(n, p, t),
-    "kwise(k=n)": lambda n, g, gz, p, t: bd.kwise_bound(n, n, p, bd.t_to_eps(n, p, t)),
+# a method the soundness sweep checks by its evaluator's row at the points t
+# of (n rate + low, n), rate a ``_Group`` field, at arguments args(n, rate, t)
+# (eps as ``bd.t_to_eps`` gives it; the sweep calls no public ``bounds`` name)
+_GridMethod = namedtuple("_GridMethod",
+                         "evaluator conditions log_bound rate independent low args")
+# the grid methods of the soundness checks, in slot order
+_GRID_METHODS = {
+    "ik": _GridMethod(bd.ik_bound, bd._ik_conditions, bd._ik_log_bound, "gamma", False,
+                      0.0, lambda n, g, t: (n, g, t / (n * g) - 1.0, 1.0)),
+    "bincoupling": _GridMethod(bd.bincoupling_bound, bd._bincoupling_conditions,
+                               bd._bincoupling_log_bound, "gamma", False, 1.0, lambda *a: a),
+    "expfunct": _GridMethod(bd.expfunct_bound, bd._expfunct_conditions,
+                            bd._expfunct_log_bound, "gamma_z", False, 0.0,
+                            lambda n, gz, t: (n, gz, 1.0, t)),
+    "hoeffding": _GridMethod(bd.hoeffding_bound, bd._hoeffding_conditions,
+                             bd._hoeffding_log_bound, "pbar", True, 0.0, lambda *a: a),
+    "kwise(k=n)": _GridMethod(bd.kwise_bound, bd._kwise_conditions, bd._kwise_log_bound,
+                              "pbar", True, 0.0, lambda n, p, t: (n, n, p, t / (n * p) - 1.0)),
 }
 
 
@@ -210,82 +225,57 @@ def _slot_labels(n: int) -> list:
             + ["hoeffding", "kwise(k=n)"] * _THRESHOLDS)
 
 
-def _kl(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``kl_divergence(q, p)`` entry by entry, by its operations in its
-    order; ``q`` and ``p`` broadcast, each log taken once an entry of its
-    own array."""
-    value = q * (_map(math.log, q) - _map(math.log, p)) + (1.0 - q) * (
-        _map(math.log1p, -q) - _map(math.log1p, -p))
-    return np.maximum(value, 0.0)
+# ``bounds``' rows' ``xp`` on arrays: ``math``'s ln and log1p, as the
+# evaluators take them (numpy's differ in the last bit on some inputs)
+_ARRAY_MATH = SimpleNamespace(log=lambda a: _map(math.log, a),
+                              log1p=lambda a: _map(math.log1p, a), maximum=np.maximum)
 
 
-def _to_prob(valid: np.ndarray, log_bound: np.ndarray) -> np.ndarray:
-    """``to_prob`` of each log bound, given for the True entries of
-    ``valid`` in their order; 0.0 elsewhere."""
+def _row_bounds(method: _GridMethod, args: tuple, valid: np.ndarray) -> np.ndarray:
+    """``to_prob`` of ``method``'s log bound at ``args``, floats or arrays of
+    ``valid``'s shape, where ``valid``, ANDed in place with its conditions
+    (under the caller's ``np.errstate``), is True; 0.0 elsewhere."""
+    for holds, _ in method.conditions(*args):
+        valid &= holds
+    at = [a[valid] if isinstance(a, np.ndarray) else a for a in args]
     bound = np.zeros(valid.shape)
-    bound[valid] = _map(math.exp, np.minimum(log_bound, 0.0))
+    bound[valid] = _map(math.exp, np.minimum(method.log_bound(*at, _ARRAY_MATH), 0.0))
     return bound
 
 
 def _soundness_checks(group: _Group) -> tuple:
     """(t, bound, valid), arrays of shape (laws, slots), of the soundness
     checks of each law of ``group``, slot s labelled ``_slot_labels(n)[s]``:
-    ik, bincoupling and expfunct at five interior points of their ranges,
-    linial-luria at beta_n = max(1, floor(n pbar) + 1) and the next four,
-    up to n, each with every k < beta_n, read from the upper table, and
-    hoeffding and kwise(k=n) alternating over five.  A check is valid where
-    the law's rates meet the bound's hypotheses and the evaluator's
-    conditions hold, tested as it tests them; a valid bound is ``to_prob``
-    of the evaluator's log bound, by its operations in its order with ln
-    and exp from ``math``, so equal bit for bit to its ``bound`` (a test
-    ties the two)."""
-    n = group.sk.shape[1] - 1
-    g, gz, p = group.gamma[:, None], group.gamma_z[:, None], group.pbar[:, None]
-    ng, nz, npbar = n * g, n * gz, n * p
-
-    def grid(lo):
-        return lo + (n - lo) * _STEPS / (_THRESHOLDS + 1)
-
-    def inside(x):
-        return (0.0 < x) & (x < 1.0)
-
-    def at(x, ok):  # the entries of the column or array x where ok is True
-        return np.broadcast_to(x, ok.shape)[ok]
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # in rows never valid
-        t_ik, t_bc, t_ef, t_h = grid(ng), grid(ng + 1.0), grid(nz), grid(npbar)
-        eps_ik, eps_kw = t_ik / ng - 1.0, t_h / npbar - 1.0
-        q_ik, q_kw = g * (1.0 + eps_ik), p * (1.0 + eps_kw)
-        q_bc = g * (1.0 + (t_bc - 1.0 - ng) / ng)
-        ok_ik = inside(g) & ~(eps_ik <= 0.0) & ~((eps_ik >= 1.0 / g - 1.0) | (q_ik >= 1.0))
-        ok_bc = (inside(g) & (ng + 1.0 < n) & ~(t_bc <= ng + 1.0) & ~(t_bc >= n)
-                 & ~(q_bc >= 1.0))
-        ok_ef = inside(gz) & ~(t_ef <= nz) & ~(t_ef >= n)
-        independent = group.independent[:, None] & inside(p)
-        ok_h = independent & ~(t_h <= npbar) & ~(t_h >= n)
-        ok_kw = independent & ~(eps_kw <= 0.0) & ~((eps_kw >= 1.0 / p - 1.0) | (q_kw >= 1.0))
-    # ln c = 0 at c = 1 (ik), ln delta = 0 at delta = 1 (expfunct), and
-    # kwise's (n - k) term is 0 at k = n
-    bound_ik = _to_prob(ok_ik, -n * _kl(q_ik[ok_ik], at(g, ok_ik)))
-    bound_bc = _to_prob(ok_bc, math.log(2.0) - n * _kl(q_bc[ok_bc], at(g, ok_bc)))
-    bound_h = _to_prob(ok_h, -n * _kl(t_h[ok_h] / n, at(p, ok_h)))
-    bound_kw = _to_prob(ok_kw, -n * _kl(q_kw[ok_kw], at(p, ok_kw)))
-    t, ln_n_t = t_ef[ok_ef], _map(math.log, n - t_ef[ok_ef])
-    bound_ef = _to_prob(ok_ef, t * _map(math.log, at(gz, ok_ef))
-                        + t * (ln_n_t - _map(math.log, t)) + n * (math.log(n) - ln_n_t))
+    each ``_GRID_METHODS`` entry at five interior points of its range,
+    hoeffding and kwise(k=n) alternating, and linial-luria at beta_n =
+    max(1, floor(n pbar) + 1) and the next four, up to n, each with every
+    k < beta_n, read from the upper table.  A grid check's bound and
+    validity are its row's (``_row_bounds``), and independence if needed."""
+    laws, n = len(group.rows), group.sk.shape[1] - 1
+    shape = (laws, _THRESHOLDS)
+    grid = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # in entries never valid
+        for method in _GRID_METHODS.values():
+            rate = np.repeat(getattr(group, method.rate), _THRESHOLDS).reshape(shape)
+            lo = n * rate + method.low
+            t = lo + (n - lo) * _STEPS / (_THRESHOLDS + 1)
+            valid = np.ones(shape, dtype=bool)
+            if method.independent:
+                valid &= group.independent[:, None]
+            grid.append((t, _row_bounds(method, method.args(n, rate, t), valid), valid))
     # linial-luria by (law, beta offset, k)
-    beta = np.maximum(np.floor(npbar) + 1, 1) + np.arange(_THRESHOLDS)
+    beta = np.maximum(np.floor(n * group.pbar[:, None]) + 1, 1) + np.arange(_THRESHOLDS)
     beta, k = beta.astype(np.intp)[:, :, None], np.arange(1, n)
     ok_ll = (beta <= n) & (k < beta)
-    bound_ll = group.upper[np.arange(len(g))[:, None, None], np.minimum(beta, n), k]
+    bound_ll = group.upper[np.arange(laws)[:, None, None], np.minimum(beta, n), k]
 
-    def slots(ik, bc, ef, ll, h, kw):  # (laws, slots), hoeffding and kwise alternating
+    def slots(i, ll):  # (laws, slots), hoeffding and kwise alternating
+        ik, bc, ef, h, kw = (check[i] for check in grid)
         parts = (ik, bc, ef, ll, np.stack([h, kw], axis=2))
-        return np.concatenate([part.reshape(len(g), -1) for part in parts], axis=1)
+        return np.concatenate([part.reshape(laws, -1) for part in parts], axis=1)
 
-    return (slots(t_ik, t_bc, t_ef, np.broadcast_to(beta, ok_ll.shape), t_h, t_h),
-            slots(bound_ik, bound_bc, bound_ef, bound_ll, bound_h, bound_kw),
-            slots(ok_ik, ok_bc, ok_ef, ok_ll, ok_h, ok_kw))
+    return (slots(0, np.broadcast_to(beta, ok_ll.shape)), slots(1, bound_ll),
+            slots(2, ok_ll))
 
 
 def _law_draw(rng, n_max: int):
@@ -431,9 +421,9 @@ def _check_params(group: _Group, l: int, label: str, t: float) -> dict:
     """The params the evaluator gives the check ``label`` at t of law l of
     ``group``, which only a failure prints."""
     n = group.sk.shape[1] - 1
-    if label in _EVALUATORS:
-        rates = (group.gamma[l].item(), group.gamma_z[l].item(), group.pbar[l].item())
-        return _EVALUATORS[label](n, *rates, t).params
+    if method := _GRID_METHODS.get(label):
+        rate = getattr(group, method.rate)[l].item()
+        return method.evaluator(*method.args(n, rate, t)).params
     k = int(label[len("linial-luria(k="):-1])
     profile = bd.SymmetricMoments({k: group.sk[l, k].item()})
     return bd.linial_luria_bound(n, int(t), k, profile).params
@@ -487,11 +477,10 @@ def suite_identities(seed: int = 0):
             math.log(s1 / beta_n),
         )
 
-    # quadratic lower bound on the divergence, over a dense (q, p) grid:
-    # ``_kl`` takes the grid's 4 x 100 logs once, then broadcasts
+    # quadratic lower bound on the divergence, over a dense (q, p) grid
     grid = np.linspace(0.005, 0.995, 100)
     q, p = grid[:, None], grid[None, :]
-    worst = float((_kl(q, p) - 2.0 * (q - p) ** 2).min())
+    worst = float((kl(q, p, _ARRAY_MATH) - 2.0 * (q - p) ** 2).min())
     records.append(
         (
             "identities/kl-quadratic-lower",

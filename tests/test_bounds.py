@@ -802,6 +802,63 @@ def test_non_integral_parameter_is_refused(call, reason):
         tb = call()
         assert not tb.is_valid and tb.invalid_reason == reason
 
+
+# the rates at which test_rate_rounding_to_one's tilted rate rounds to 1.0
+ROUNDING_G, ROUNDING_E = 0.8474337369372327, 0.18003326562636898
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: bd.hoeffding_bound(10, 0.0, 5.0), "p outside (0,1)"),
+    (lambda: bd.hoeffding_bound(10, 1.0, 5.0), "p outside (0,1)"),
+    (lambda: bd.hoeffding_bound(10, NAN, 5.0), "p outside (0,1)"),
+    (lambda: bd.hoeffding_bound(10, 0.3, 3.0), "t <= np"),
+    (lambda: bd.hoeffding_bound(10, 0.3, -math.inf), "t <= np"),
+    (lambda: bd.hoeffding_bound(10, 0.3, 10.0), "t >= n"),
+    (lambda: bd.hoeffding_bound(10, 0.3, math.inf), "t >= n"),
+    (lambda: bd.ik_bound(10, 0.0, 0.5), "gamma outside (0,1)"),
+    (lambda: bd.ik_bound(10, 1.0, 0.5), "gamma outside (0,1)"),
+    (lambda: bd.ik_bound(10, NAN, 0.5), "gamma outside (0,1)"),
+    (lambda: bd.ik_bound(10, 0.3, 0.5, c=0.5), "c < 1"),
+    (lambda: bd.ik_bound(10, 0.3, 0.5, c=NAN), "c < 1"),
+    (lambda: bd.ik_bound(10, 0.3, 0.0), "eps <= 0"),
+    (lambda: bd.ik_bound(10, 0.3, -math.inf), "eps <= 0"),
+    (lambda: bd.ik_bound(10, 0.5, 1.0), "eps >= 1/gamma - 1"),
+    (lambda: bd.ik_bound(10, 0.5, math.inf), "eps >= 1/gamma - 1"),
+    (lambda: bd.ik_bound(10, ROUNDING_G, ROUNDING_E), "eps >= 1/gamma - 1"),
+    (lambda: bd.bincoupling_bound(10, 0.0, 5.0), "p outside (0,1)"),
+    (lambda: bd.bincoupling_bound(10, 1.0, 5.0), "p outside (0,1)"),
+    (lambda: bd.bincoupling_bound(10, NAN, 5.0), "p outside (0,1)"),
+    (lambda: bd.bincoupling_bound(10, 0.3, 4.0), "t <= np+1"),
+    (lambda: bd.bincoupling_bound(10, 0.3, 10.0), "t >= n"),
+    # t one ulp below n, where (t - 1 - np) / np rounds the tilted rate to 1
+    (lambda: bd.bincoupling_bound(7793691299598120, 0.3439649697031705,
+                                  7793691299598119.0), "t-1 >= n"),
+    (lambda: bd.expfunct_bound(10, 0.0, 0.9, 5.0), "gamma outside (0,1)"),
+    (lambda: bd.expfunct_bound(10, 1.0, 0.9, 5.0), "gamma outside (0,1)"),
+    (lambda: bd.expfunct_bound(10, NAN, 0.9, 5.0), "gamma outside (0,1)"),
+    (lambda: bd.expfunct_bound(10, 0.3, 0.0, 5.0), "delta outside (0,1]"),
+    (lambda: bd.expfunct_bound(10, 0.3, 1.5, 5.0), "delta outside (0,1]"),
+    (lambda: bd.expfunct_bound(10, 0.3, NAN, 5.0), "delta outside (0,1]"),
+    (lambda: bd.expfunct_bound(10, 0.3, 0.5, 5.0), "gamma + delta < 1"),
+    (lambda: bd.expfunct_bound(10, 0.3, 0.9, 3.0), "t <= n*gamma"),
+    (lambda: bd.expfunct_bound(10, 0.3, 0.9, 10.0), "t >= n"),
+    (lambda: bd.kwise_bound(10, 0, 0.3, 0.5), "k outside [1, n]"),
+    (lambda: bd.kwise_bound(10, 11, 0.3, 0.5), "k outside [1, n]"),
+    (lambda: bd.kwise_bound(10, 3, 0.0, 0.5), "p outside (0,1)"),
+    (lambda: bd.kwise_bound(10, 3, 1.0, 0.5), "p outside (0,1)"),
+    (lambda: bd.kwise_bound(10, 3, NAN, 0.5), "p outside (0,1)"),
+    (lambda: bd.kwise_bound(10, 3, 0.3, 0.0), "eps <= 0"),
+    (lambda: bd.kwise_bound(10, 3, 0.5, 1.0), "eps >= 1/p - 1"),
+    (lambda: bd.kwise_bound(10, 3, ROUNDING_G, ROUNDING_E), "eps >= 1/p - 1"),
+])
+def test_invalid_reason_names_the_first_failed_condition(call, reason):
+    """Each condition of the five methods the soundness sweep checks as
+    arrays gives its own reason where it is the first to fail; ``bound``
+    prints these texts."""
+    tb = call()
+    assert tb.log_bound is None and tb.invalid_reason == reason
+
+
 # one valid point per method at n = 20: flag values and native threshold
 FLOAT_N_POINTS = {
     "hoeffding": ({"p": 0.3}, 9.0),

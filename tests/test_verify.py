@@ -14,7 +14,7 @@ import pytest
 from depbounds import bounds as bd
 from depbounds import oracle as oc
 from depbounds import verify
-from depbounds.numkernel import kl_divergence, log_binom_coeff
+from depbounds.numkernel import kl, kl_divergence, log_binom_coeff
 
 # ---------------------------------------------------------------------------
 # the reference: the per-check loop the sweeps ran before laws were drawn and
@@ -528,8 +528,9 @@ class TestLawStream:
 
 class TestPinskerGrid:
     """``identities/kl-quadratic-lower`` evaluates its 100 x 100 grid with
-    ``verify._kl`` on broadcast arrays: every point equals the scalar loop
-    over ``kl_divergence`` bit for bit."""
+    the shared ``kl`` and the array functions (``verify._ARRAY_MATH``) on
+    broadcast arrays: every point equals the scalar loop over
+    ``kl_divergence`` bit for bit."""
 
     GRID = np.linspace(0.005, 0.995, 100)
 
@@ -539,7 +540,7 @@ class TestPinskerGrid:
 
     def test_every_point_equals_the_scalar_loop(self):
         q, p = self.GRID[:, None], self.GRID[None, :]
-        got = verify._kl(q, p) - 2.0 * (q - p) ** 2
+        got = kl(q, p, verify._ARRAY_MATH) - 2.0 * (q - p) ** 2
         want = np.array(self.scalar_loop())
         assert got.shape == want.shape == (100, 100)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -813,6 +814,69 @@ class TestSoundnessChecks:
         records = verify.suite_soundness(n_max=7, trials=100, seed=0)
         assert records[-1][:2] == ("soundness/sweep", False)
         assert {name for name, _, _ in records[:-1]} == {f"soundness/{method}"}
+
+
+def around(x):
+    """x and the floats one ulp either side of it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def edge_points(label):
+    """Evaluator arguments of the grid method ``label`` where each of its
+    conditions binds: a valid base point with one argument moved onto, and
+    one ulp either side of, each threshold it meets, NaN and infinities,
+    and the points at which a tilted rate rounds to 1.0.  These include
+    c != 1, delta < 1 and k < n, which no law the sweep draws gives."""
+    nan, inf = math.nan, math.inf
+    g, e = 0.8474337369372327, 0.18003326562636898  # g (1 + e) rounds to 1
+    if label == "ik":
+        n, gamma, eps, c = 10, 0.3, 0.5, 1.0
+        return ([(n, x, eps, c) for x in [*around(0.0), *around(1.0), nan]]
+                + [(n, gamma, eps, x) for x in [*around(1.0), 0.5, 2.0, nan, inf]]
+                + [(n, gamma, x, c) for x in [*around(0.0), *around(1.0 / gamma - 1.0),
+                                              nan, inf, -inf]]
+                + [(10, g, x, c) for x in around(e)])
+    if label == "bincoupling":
+        n, p, t = 10, 0.3, 6.0
+        return ([(n, x, t) for x in [*around(0.0), *around(1.0), nan]]
+                + [(n, p, x) for x in [*around(n * p + 1.0), *around(float(n)), nan, inf]]
+                # one ulp below n, the coupled rate rounds to 1.0
+                + [(7793691299598120, 0.3439649697031705, x)
+                   for x in around(7793691299598119.0)])
+    if label == "expfunct":
+        n, gamma, delta, t = 10, 0.3, 0.9, 5.0
+        return ([(n, x, delta, t) for x in [*around(0.0), *around(1.0), nan]]
+                + [(n, gamma, x, t) for x in [*around(0.0), *around(1.0), *around(1.0 - gamma),
+                                              nan, 1.5]]
+                + [(n, gamma, delta, x) for x in [*around(n * gamma), *around(float(n)), nan]]
+                + [(7, 0.1469614007334975, 1.0, x) for x in around(6.999999999999999)])
+    if label == "hoeffding":
+        n, p, t = 10, 0.3, 5.0
+        return ([(n, x, t) for x in [*around(0.0), *around(1.0), nan]]
+                + [(n, p, x) for x in [*around(n * p), *around(float(n)), nan, inf, -inf]])
+    n, k, p, eps = 10, 3, 0.3, 0.5
+    return ([(n, x, p, eps) for x in [0, 1, 9, 10, 11]]
+            + [(n, k, x, eps) for x in [*around(0.0), *around(1.0), nan]]
+            + [(n, k, p, x) for x in [*around(0.0), *around(1.0 / p - 1.0), nan, inf]]
+            + [(10, 3, g, x) for x in around(e)])
+
+
+@pytest.mark.parametrize("label", GRID_METHODS)
+def test_rows_equal_the_evaluators_at_the_edges(label):
+    """The array path of each grid method (``verify._row_bounds``), run on
+    arrays of its evaluator's arguments, gives entry by entry the
+    evaluator's validity and, where valid, its ``bound`` bit for bit."""
+    method = verify._GRID_METHODS[label]
+    points = edge_points(label)
+    valid = np.ones(len(points), dtype=bool)
+    with np.errstate(all="ignore"):
+        bound = verify._row_bounds(method, tuple(map(np.array, zip(*points))), valid)
+    for args, ok, b in zip(points, valid.tolist(), bound.tolist()):
+        tb = method.evaluator(*args)
+        assert ok == tb.is_valid, (args, tb)
+        if ok:
+            assert b.hex() == tb.bound.hex(), args
+    assert 0 < valid.sum() < len(points)
 
 
 @pytest.mark.parametrize("suite", [verify.suite_soundness, verify.suite_sandwich])
