@@ -28,7 +28,12 @@ writable array.
 
 The sweeps build no ``JointDist``: ``law_tables`` builds the laws of one
 n straight into arrays of outcome pmfs, laws of Z and means, one row per
-law, each row bit for bit what a ``JointDist`` of the law's atoms gives.
+law, each row bit for bit what a ``JointDist`` of the law's atoms gives;
+``law_groups`` does so for each n of a block of laws.  A seeded law draws
+what ``default_rng(seed)`` would, from one generator per call set to the
+law's state; ``_law_states`` computes the states of all the seeds at
+once, as numpy's ``SeedSequence`` and PCG64 seeding do, in array
+operations.
 
 ``averaged_binomial_checks`` takes all vectors of a sweep in one call:
 their Poisson-binomial DPs, closed-form binomial pmfs, tilt sums and tails
@@ -70,6 +75,7 @@ __all__ = [
     # the exact pmf of independent trials, from numkernel
     "poisson_binom_dist",
     "law_tables",
+    "law_groups",
     "subset_product_moments",
     "subset_zeta_moments",
     "subset_sizes",
@@ -471,11 +477,14 @@ def law_tables(n: int, draws: Sequence) -> tuple:
 
     - an array q of n rates in [0, 1], the law of independent
       Bernoulli(q_i), over all 2^n outcomes;
-    - a (constraint, seed) pair, a law drawn by its own generator
-      ``default_rng(seed)``, so that the laws do not depend on each other
-      and each is deterministic given its seed.  With constraint None the
-      law has 2..16 atoms at distinct outcomes with Dirichlet weights.
-      With a :class:`ProductBound` or :class:`SplitBound` it is a Dirichlet
+    - a (constraint, seed) pair, a law drawn by its own generator: the
+      draws of ``default_rng(seed)``, from one generator set to the state
+      ``_law_states`` gives the seed, so that the laws do not depend on
+      each other and each is deterministic given its seed.  A seed is an
+      int in [0, 2^32); any other value (a bool, a float, a negative or
+      larger int) is a ValueError.  With constraint None the law has
+      2..16 atoms at distinct outcomes with Dirichlet weights.  With a
+      :class:`ProductBound` or :class:`SplitBound` it is a Dirichlet
       mixture of 2..5 product-Bernoulli laws, over all 2^n outcomes, whose
       rates are drawn from [0, gamma] or [1 - delta, gamma].  Such a law
       meets the constraint by construction, so nothing is checked: each
@@ -500,6 +509,36 @@ def law_tables(n: int, draws: Sequence) -> tuple:
     the means are ``w @ xs`` over the law's own atoms (for a mixture its
     outcomes of positive weight, for a rate vector all outcomes).
     """
+    return _law_tables(n, draws, _law_states([_seed(draw) for draw in draws]),
+                       np.random.Generator(np.random.PCG64(0)))
+
+
+def law_groups(draws: Sequence) -> list:
+    """``law_tables`` of each n among the (n, draw) pairs ``draws``, one
+    block of laws: a list of (rows, pmfs, z_laws, means), one per n in the
+    order it first appears, ``rows`` the positions of its draws.  One
+    ``_law_states`` call seeds every (constraint, seed) draw of the block,
+    and one generator draws them all."""
+    rows = {}
+    for r, (n, _) in enumerate(draws):
+        rows.setdefault(n, []).append(r)
+    states = _law_states([_seed(draw) for _, draw in draws])
+    rng = np.random.Generator(np.random.PCG64(0))
+    return [(group, *_law_tables(n, [draws[r][1] for r in group], states[group], rng))
+            for n, group in rows.items()]
+
+
+def _seed(draw) -> int:
+    """The seed of a (constraint, seed) draw; 0 for a rate vector or a
+    (masks, weights) pair, whose state row goes unread."""
+    if isinstance(draw, np.ndarray) or isinstance(draw[0], (list, tuple, np.ndarray)):
+        return 0
+    return draw[1]
+
+
+def _law_tables(n: int, draws: Sequence, states: np.ndarray, rng) -> tuple:
+    """``law_tables(n, draws)``, the seeded draw l drawn by the PCG64
+    generator ``rng`` set to the state row ``states[l]`` (``_law_states``)."""
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
     outcomes = 1 << n
@@ -507,6 +546,10 @@ def law_tables(n: int, draws: Sequence) -> tuple:
     mixtures, products, atoms = [], [], []
     rates, lows, spans, mixes = [], [], [], []
     masks, weights = [], []
+    # one dict sets every law's state, its words written in place, with no
+    # buffered 32-bit half, as a new generator starts
+    words = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
     for l, draw in enumerate(draws):
         if isinstance(draw, np.ndarray):
             products.append(l)
@@ -525,7 +568,9 @@ def law_tables(n: int, draws: Sequence) -> tuple:
             lo, hi = 1.0 - first.delta, first.gamma
         elif first is not None:
             raise TypeError(f"unsupported constraint {type(first).__name__}")
-        rng = np.random.default_rng(second)
+        state_hi, state_lo, inc_hi, inc_lo = states[l].tolist()
+        words["state"], words["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        rng.bit_generator.state = full
         if first is None:
             m = int(rng.integers(2, min(16, outcomes) + 1))
             atoms.append(l)
@@ -590,12 +635,16 @@ def _add_atoms(n, laws, masks, weights, pmfs, z_laws, means):
     zero in the first two, with the laws whose atoms are the bitmasks
     ``masks[i]`` and the weights ``weights[i]``: each weight divided by its
     law's ``math.fsum`` and added into its rows in atom order.  Checks what
-    it is given, as ``law_tables`` states."""
+    it is given, as ``law_tables`` states, and empties ``masks`` and
+    ``weights``."""
     counts = [len(m) for m in masks]
     if counts != [len(w) for w in weights]:
         raise ValueError("one weight per atom required")
     flat = np.concatenate(masks).astype(np.int64, copy=False)
     ws = np.concatenate(weights)
+    # joined, the per-law arrays are freed before the rows are filled
+    masks.clear()
+    weights.clear()
     if bad := flat[(flat < 0) | (flat >= 1 << n)].tolist():
         raise ValueError(f"mask {bad[0]} is outside [0, 2^{n})")
     if not np.all(ws >= 0.0):  # written so that NaN fails it
@@ -623,6 +672,93 @@ def _dirichlet(rng, m: int) -> np.ndarray:
         total += x
     draws *= 1.0 / total
     return draws
+
+
+# ---------------------------------------------------------------------------
+# the generator states of seeded laws, as numpy seeds PCG64
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """start and its next ``count`` products by mult, mod 2^32: the hash
+    constants numpy's ``SeedSequence`` steps through, as a column."""
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# ``SeedSequence``'s constants: 16 hashes mix a one-word seed into its pool
+# of 4 words, 8 more give the 4 uint64 words of a PCG64 seed
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit multiplier, as 32-bit limbs from the lowest
+_PCG64_MULT = np.array([0x2360ED051FC65DA44385DF649FCCF645 >> 32 * k & _MASK32
+                        for k in range(4)], dtype=np.uint64)
+
+
+def _hash(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hash of uint32 ``values``: xor with one
+    constant, times the next, mod 2^32, then xor with itself shifted right
+    16 bits."""
+    values = (values ^ xors) * mults
+    return values ^ (values >> 16)
+
+
+# the last three words of every pool before mixing: hashes of 0
+_POOL_ZEROS = _hash(np.zeros((3, 1), dtype=np.uint32), _MIX_HASH[1:4], _MIX_HASH[2:5])
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """In place, the 32-bit limbs (lowest first, along axis 0) of the
+    128-bit numbers whose limbs ``limbs`` may pass 2^32, mod 2^128."""
+    for k in range(3):
+        limbs[k + 1] += limbs[k] >> 32
+    limbs &= _MASK32
+    return limbs
+
+
+def _law_states(seeds: Sequence) -> np.ndarray:
+    """The PCG64 state of ``default_rng(seed)`` for each seed of ``seeds``,
+    ints in [0, 2^32): one row of uint64 (state >> 64, state mod 2^64,
+    inc >> 64, inc mod 2^64) per seed, the words its ``bit_generator.state``
+    is set from.  All seeds go through one pass of array operations:
+    ``SeedSequence(seed).generate_state(4, uint64)``, the words (s_hi, s_lo,
+    i_hi, i_lo), in uint32 arithmetic, then PCG64's seeding, inc = (i << 1)
+    | 1 and state = ((0 M + inc) + s) M + inc mod 2^128 for its multiplier
+    M, on 32-bit limbs.  Any other seed (a bool, a float, a negative or
+    larger int) is a ValueError."""
+    for seed in seeds:
+        if not (type(seed) is int or isinstance(seed, np.integer)) or not 0 <= seed <= _MASK32:
+            raise ValueError(f"seed must be an integer in [0, 2^32), got {seed!r}")
+    # the entropy pool, one column per seed: the seed's hash and three
+    # hashes of 0, then each word's hashes mixed into the other three in turn
+    pool = np.empty((4, len(seeds)), dtype=np.uint32)
+    pool[0] = _hash(np.array(seeds, dtype=np.uint32), _MIX_HASH[0], _MIX_HASH[1])
+    pool[1:] = _POOL_ZEROS
+    for src in range(4):
+        others, c = [d for d in range(4) if d != src], 4 + 3 * src
+        hashed = _hash(pool[src], _MIX_HASH[c : c + 3], _MIX_HASH[c + 1 : c + 4])
+        mixed = pool[others] * _MIX_L - hashed * _MIX_R
+        pool[others] = mixed ^ (mixed >> 16)
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASH[:8], _OUT_HASH[1:])
+    # uint64 word j is uint32 words 2j (low) and 2j + 1, and s = word 0 << 64
+    # | word 1, i = word 2 << 64 | word 3: as limbs from the lowest
+    out = out.astype(np.uint64)
+    s, i = out[[2, 3, 0, 1]], out[[6, 7, 4, 5]]
+    inc = (i << 1) & _MASK32
+    inc[1:] |= i[:-1] >> 31
+    inc[0] |= 1
+    x = _carry(inc + s)
+    state = inc.copy()
+    for j in range(4):  # state += x M: limb k gets x_(k-j) M_j, its high half limb k + 1
+        terms = x[: 4 - j] * _PCG64_MULT[j]
+        state[j:] += terms & _MASK32
+        state[j + 1 :] += terms[: 3 - j] >> 32
+    limbs = np.concatenate([_carry(state), inc])
+    return (limbs[[3, 1, 7, 5]] << 32 | limbs[[2, 0, 6, 4]]).T
 
 
 @lru_cache(maxsize=8)

@@ -6,11 +6,12 @@ The soundness and sandwich sweeps draw their random laws in blocks of
 consecutive trials within a budget of 2 MiB (``_BLOCK_BYTES``) charged
 by ``_law_bytes``, so memory stays bounded whatever ``--trials``; each
 block is prepared and checked inside one call, which releases it before
-the next is drawn.  The laws of one n in a block are a group, built as
-arrays by one ``oracle.law_tables`` call: no object is built per law.
-Their laws of Z give each law's tails P(Z >= j), j = 0..n+1, as suffix
-sums (``_tail_rows``), and its S_k; the S_k give one table of
-Linial-Luria bounds for the group (``_linial_tables``).  One
+the next is drawn.  One ``oracle.law_groups`` call seeds all the laws of
+a block at once and builds the laws of each n in it, a group, as arrays:
+no object is built per law.  Their laws of Z give each law's tails
+P(Z >= j), j = 0..n+1, as suffix sums (``_tail_rows``), and its S_k; the
+S_k give one table of Linial-Luria bounds for the group
+(``_linial_tables``).  One
 ``_law_data`` call on their outcome pmfs and means gives the rates gamma
 and gamma_z, pbar and the independence tests.  Every check is then an
 array operation over the group: the sandwich compares the tails with the
@@ -19,7 +20,8 @@ bincoupling, expfunct, linial-luria, hoeffding and kwise as (laws, slots)
 arrays of thresholds, bounds and validity (``_soundness_checks``), each
 grid method's from the row of ``bounds`` its evaluator reads, with
 ``math``'s ln and exp mapped over arrays, so equal bit for bit to the
-evaluator's; an evaluator runs only to print a failing check's params.  A
+evaluator's; the rows run once over a block's laws (``_grid_checks``),
+and an evaluator runs only to print a failing check's params.  A
 check fails when the larger side exceeds the smaller by more than
 ``SOUNDNESS_TOL`` or by a factor over 1 + ``RELATIVE_TOL``
 (``_exceeds``), so tails far below 1e-12 are gated too.  The soundness
@@ -243,26 +245,44 @@ def _row_bounds(method: _GridMethod, args: tuple, valid: np.ndarray) -> np.ndarr
     return bound
 
 
-def _soundness_checks(group: _Group) -> tuple:
-    """(t, bound, valid), arrays of shape (laws, slots), of the soundness
-    checks of each law of ``group``, slot s labelled ``_slot_labels(n)[s]``:
-    each ``_GRID_METHODS`` entry at five interior points of its range,
-    hoeffding and kwise(k=n) alternating, and linial-luria at beta_n =
-    max(1, floor(n pbar) + 1) and the next four, up to n, each with every
-    k < beta_n, read from the upper table.  A grid check's bound and
-    validity are its row's (``_row_bounds``), and independence if needed."""
-    laws, n = len(group.rows), group.sk.shape[1] - 1
-    shape = (laws, _THRESHOLDS)
+def _grid_checks(groups: list) -> list:
+    """(t, bound, valid) of each ``_GRID_METHODS`` entry, arrays of shape
+    (laws, 5), for the laws of each of ``groups``: one list per group.
+    Each method is checked at five interior points of its range, its bound
+    and validity its row's (``_row_bounds``), and independence if needed.
+    The rows run once over the laws of all the groups, n an array of each
+    law's n, and each group takes its slice: every entry depends on its own
+    law only, so a group's slices are what its laws alone give."""
+    sizes = [len(group.rows) for group in groups]
+    n = np.repeat([group.sk.shape[1] - 1 for group in groups], sizes)
+    shape = (len(n), _THRESHOLDS)
+    n = np.repeat(n, _THRESHOLDS).reshape(shape)
     grid = []
     with np.errstate(divide="ignore", invalid="ignore"):  # in entries never valid
         for method in _GRID_METHODS.values():
-            rate = np.repeat(getattr(group, method.rate), _THRESHOLDS).reshape(shape)
+            rates = np.concatenate([getattr(group, method.rate) for group in groups])
+            rate = np.repeat(rates, _THRESHOLDS).reshape(shape)
             lo = n * rate + method.low
             t = lo + (n - lo) * _STEPS / (_THRESHOLDS + 1)
             valid = np.ones(shape, dtype=bool)
             if method.independent:
-                valid &= group.independent[:, None]
+                valid &= np.concatenate([group.independent for group in groups])[:, None]
             grid.append((t, _row_bounds(method, method.args(n, rate, t), valid), valid))
+    ends = np.cumsum(sizes).tolist()
+    return [[tuple(a[start:end] for a in check) for check in grid]
+            for start, end in zip([0] + ends, ends)]
+
+
+def _soundness_checks(group: _Group) -> tuple:
+    """(t, bound, valid), arrays of shape (laws, slots), of the soundness
+    checks of each law of ``group``, slot s labelled ``_slot_labels(n)[s]``:
+    each ``_GRID_METHODS`` entry at five interior points of its range
+    (``_grid_checks``, the group's ``grid`` when its block's were made
+    together), hoeffding and kwise(k=n) alternating, and linial-luria at
+    beta_n = max(1, floor(n pbar) + 1) and the next four, up to n, each
+    with every k < beta_n, read from the upper table."""
+    laws, n = len(group.rows), group.sk.shape[1] - 1
+    grid = _grid_checks([group])[0] if group.grid is None else group.grid
     # linial-luria by (law, beta offset, k)
     beta = np.maximum(np.floor(n * group.pbar[:, None]) + 1, 1) + np.arange(_THRESHOLDS)
     beta, k = beta.astype(np.intp)[:, :, None], np.arange(1, n)
@@ -295,32 +315,30 @@ def _law_draw(rng, n_max: int):
 
 # bytes of one block of the sweeps' laws, as ``_law_bytes`` charges them,
 # so that a block's arrays stay bounded however many trials a sweep runs;
-# a 200-trial sweep at n <= 7 (1.4 MiB at most over seeds 0-1999) is one
+# a 200-trial sweep at n <= 7 (0.68 MiB at most over seeds 0-1999) is one
 # block
 _BLOCK_BYTES = 2 << 20
 
 
 def _law_bytes(n: int, draw) -> int:
     """Bytes charged for the law ``draw`` on n coordinates while its block
-    is built and prepared: seven rows of 2^n floats (its pmf row and the
-    ``_law_data`` temporaries), five more for a mixture's lattice
-    products, and 24 + 8n bytes an atom, at most 16 atoms unconstrained
-    and 2^n otherwise, which also cover the arrays its draw makes.  A
-    group's peak stays within the sum of its laws' charges (a test reads
-    it with ``tracemalloc`` at n = 3 and 7)."""
-    if isinstance(draw, np.ndarray):  # independent, over all 2^n outcomes
-        rows, atoms = 7, 1 << n
-    elif draw[0] is None:
-        rows, atoms = 7, min(16, 1 << n)
-    else:  # a mixture of at most five product laws
-        rows, atoms = 12, 1 << n
-    return 8 * (rows << n) + atoms * (24 + 8 * n)
+    is built and prepared: 34 bytes an outcome (4.25 floats, its pmf entry
+    and the ``_law_data`` temporaries), 72 for a mixture (its components'
+    lattice products too), and 64 (n + 5) bytes for its other arrays and
+    objects, the arrays its draw makes included.  A group's peak stays
+    within the sum of its laws' charges (a test reads it with
+    ``tracemalloc`` at n = 3, 7 and 12).  For every n >= 3 each charge is
+    at most what the laws cost before they were built as arrays: seven
+    rows, five more for a mixture, and 24 + 8n bytes an atom."""
+    per_outcome = 34 if isinstance(draw, np.ndarray) or draw[0] is None else 72
+    return (per_outcome << n) + 64 * (n + 5)
 
 
 class _Group(NamedTuple):
     """The laws of one n in a block, prepared together: their positions
     in the block, their ``_tail_rows``, ``_law_data`` arrays, S_k
-    (``_symmetric_moments``) and ``_linial_tables``."""
+    (``_symmetric_moments``), ``_linial_tables`` and, in the soundness
+    sweep, their grid checks."""
 
     rows: list
     tails: np.ndarray
@@ -331,6 +349,8 @@ class _Group(NamedTuple):
     sk: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
+    # its ``_grid_checks``, once the soundness sweep has made its block's
+    grid: list | None = None
 
 
 def _sweep_blocks(rng, n_max: int, trials: int, check):
@@ -353,14 +373,10 @@ def _sweep_blocks(rng, n_max: int, trials: int, check):
 
 
 def _prepared_laws(draws: list) -> list:
-    """The ``_Group``s of one block of (n, draw) pairs, one per n: the laws
-    of one n are built by one ``oc.law_tables`` call and prepared by
-    ``_group``."""
-    rows = {}
-    for r, (n, _) in enumerate(draws):
-        rows.setdefault(n, []).append(r)
-    return [_group(group, *oc.law_tables(n, [draws[r][1] for r in group]))
-            for n, group in rows.items()]
+    """The ``_Group``s of one block of (n, draw) pairs, one per n: the
+    block's laws are seeded and built by one ``oc.law_groups`` call, and
+    the laws of each n prepared by ``_group``."""
+    return [_group(rows, *tables) for rows, *tables in oc.law_groups(draws)]
 
 
 def _group(rows: list, pmfs: np.ndarray, z_laws: np.ndarray, means: np.ndarray) -> _Group:
@@ -396,7 +412,8 @@ def _soundness_block(groups: list, start: int) -> tuple:
     record of each failing check, in that order.  Only their text is
     built."""
     checked, best, failures = 0, [(-math.inf, 0, None)], []
-    for group in groups:
+    for group, grid in zip(groups, _grid_checks(groups)):
+        group = group._replace(grid=grid)
         n, (t, bound, valid) = group.sk.shape[1] - 1, _soundness_checks(group)
         labels, tail = _slot_labels(n), _tail_at(group.tails, t)
         checked += int(np.count_nonzero(valid))

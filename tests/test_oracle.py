@@ -948,6 +948,40 @@ class TestRandomJointDist:
         with pytest.raises(ValueError):
             oc.law_tables(13, [(None, 0)])
 
+    @staticmethod
+    def numpy_state(seed):
+        """``default_rng(seed)``'s PCG64 state as ``_law_states`` lays it out."""
+        words = np.random.default_rng(seed).bit_generator.state["state"]
+        return [words["state"] >> 64, words["state"] & (2**64 - 1),
+                words["inc"] >> 64, words["inc"] & (2**64 - 1)]
+
+    def test_law_states_are_numpys(self):
+        seeds = [0, 1, 2**31 - 1, 2**32 - 1]
+        seeds += np.random.default_rng(20261022).integers(0, 2**32, 10_000).tolist()
+        states = oc._law_states(seeds)
+        assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+        assert states.tolist() == [self.numpy_state(seed) for seed in seeds]
+        assert oc._law_states([]).shape == (0, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, True, 1.0])
+    def test_a_seed_outside_the_uint32_range_is_a_value_error(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^32\)"):
+            oc.law_tables(3, [(None, seed)])
+
+    def test_a_block_is_its_groups_built_alone(self):
+        # one block seeds all its laws and draws them from one generator,
+        # which a law leaves with a buffered 32-bit half; each group is the
+        # law_tables call of its n
+        rng = np.random.default_rng(11)
+        draws = [verify._law_draw(rng, 12) for _ in range(120)]
+        groups = oc.law_groups(draws)
+        assert sorted(r for rows, *_ in groups for r in rows) == list(range(len(draws)))
+        for rows, *tables in groups:
+            [n] = {draws[r][0] for r in rows}
+            alone = oc.law_tables(n, [draws[r][1] for r in rows])
+            for table, want in zip(tables, alone):
+                np.testing.assert_array_equal(table, want)
+
     @pytest.mark.parametrize("n", [0, -1, 2.0])
     def test_n_outside_one_to_twelve_is_a_value_error(self, n):
         with pytest.raises(ValueError, match=rf"n must be an integer in \[1, 12\], got {n}"):

@@ -148,6 +148,8 @@ def test_private_name_check_sees_a_leftover():
 # caller must leave.
 TEST_ONLY_PUBLIC = {
     "oracle.exact_tail": "the reference the sweep tests check the tail table against",
+    "oracle.law_tables": "the laws of one n, seeded as law_groups seeds a block's; "
+                         "the tests build single groups with it",
     "oracle.z_distribution": "the law of Z of one law, [0,1]-valued ones "
                              "included; the sweeps count the laws of Z of "
                              "stacked Bernoulli laws",

@@ -483,10 +483,10 @@ class TestBlocks:
             z_law = oc.z_distribution(dist).probs[None]
             assert verify._symmetric_moments(z_law)[0].tolist() == row[1][-1]
 
-    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("n", [3, 7, 12])
     def test_a_group_peaks_within_its_charge(self, n):
         # the laws of one n from the sweeps' stream, built and prepared as
-        # one group: 2,000 laws at n = 3, about 500 at n = 7
+        # one group: 2,000 laws at n = 3, about 500 at n = 7 and 250 at 12
         rng = np.random.default_rng(0)
         draws = [draw for draw in (verify._law_draw(rng, n) for _ in range(2500))
                  if draw[0] == n][:2000]
@@ -523,6 +523,24 @@ class TestLawStream:
              "100 vectors, all valid thresholds, 0 failures"),
             ("convex-order/binomial-median", True,
              "grid n<=200 x p in 0.01..0.99, 0 failures"),
+        ]
+
+
+class TestManyBlockRecords:
+    """The sweeps' records at n_max 12 and 600 trials, pinned: these runs
+    span several blocks and every n from 3 to 12, so a change to how a
+    block's laws are seeded, built or checked shows here."""
+
+    def test_soundness_records(self):
+        assert verify.suite_soundness(n_max=12, trials=600, seed=1) == [
+            ("soundness/sweep", True,
+             "20647 bound evaluations over 600 distributions; "
+             "worst margin 1.11e-16 at linial-luria(k=2) n=5 t=3 trial=139"),
+        ]
+
+    def test_sandwich_records(self):
+        assert verify.suite_sandwich(n_max=12, trials=600, seed=1) == [
+            ("sandwich/linial", True, "22034 comparisons over 600 distributions"),
         ]
 
 
@@ -773,6 +791,33 @@ class TestSoundnessChecks:
         ]
         assert records[-1][:2] == ("soundness/sweep", False)
         assert "np." not in repr(records)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_checks_equal_each_group_alone(self, seed):
+        # blocks of laws at n = 3..12: the grid rows run once over a
+        # block's laws, each group sliced from them, as the sweep does
+        rng = np.random.default_rng(seed)
+        blocks = list(verify._sweep_blocks(rng, 12, 300, lambda groups, start: groups))
+        assert len(blocks) > 1
+        ns = set()
+        for groups in blocks:
+            for group, grid in zip(groups, verify._grid_checks(groups)):
+                ns.add(group.sk.shape[1] - 1)
+                together = verify._soundness_checks(group._replace(grid=grid))
+                for got, want in zip(together, verify._soundness_checks(group)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+        assert ns == set(range(3, 13))
+
+    def test_the_sandwich_builds_no_grid_checks(self, monkeypatch):
+        def refuse(groups):
+            raise AssertionError("the sandwich built grid checks")
+
+        want = verify.suite_sandwich(n_max=12, trials=100, seed=2)
+        monkeypatch.setattr(verify, "_grid_checks", refuse)
+        assert verify.suite_sandwich(n_max=12, trials=100, seed=2) == want
+        with pytest.raises(AssertionError, match="built grid checks"):
+            verify.suite_soundness(n_max=12, trials=100, seed=2)
 
     @staticmethod
     def slack(method):
