@@ -7,7 +7,7 @@ Everything here is a ground-truth oracle: sizes are capped (2^n
 enumeration at n <= 20) and computations are exact up to float rounding.
 
 The soundness and sandwich sweeps of ``verify`` read the tails of their
-Bernoulli laws from the suffix sums of the laws of Z that ``law_tables``
+Bernoulli laws from the suffix sums of the laws of Z that ``law_groups``
 gives for a group, equal to ``exact_tail`` up to rounding; ``exact_tail``
 stays the oracle for one law, [0,1]-valued ones included.
 
@@ -26,14 +26,15 @@ are computed on first use and kept, the arrays read-only.  The subset
 transforms start from a copy of the pmf, so every caller gets a fresh
 writable array.
 
-The sweeps build no ``JointDist``: ``law_tables`` builds the laws of one
-n straight into arrays of outcome pmfs, laws of Z and means, one row per
-law, each row bit for bit what a ``JointDist`` of the law's atoms gives;
-``law_groups`` does so for each n of a block of laws.  A seeded law draws
-what ``default_rng(seed)`` would, from one generator per call set to the
-law's state; ``_law_states`` computes the states of all the seeds at
-once, as numpy's ``SeedSequence`` and PCG64 seeding do, in array
-operations.
+The sweeps build no ``JointDist``: ``law_groups`` builds the laws of
+each n of a block straight into arrays of outcome pmfs, laws of Z and
+means, one row per law, each row bit for bit what a ``JointDist`` of the
+law's atoms gives, and turns the pmfs and means into the rates of the
+bounds' hypotheses (``_law_rates``) as soon as they are built: only the
+laws of Z and the rates leave this module.  A seeded law draws what
+``default_rng(seed)`` would, from one generator per call set to the law's
+state; ``_law_states`` computes the states of all the seeds at once, as
+numpy's ``SeedSequence`` and PCG64 seeding do, in array operations.
 
 ``averaged_binomial_checks`` takes all vectors of a sweep in one call:
 their Poisson-binomial DPs, closed-form binomial pmfs, tilt sums and tails
@@ -74,7 +75,6 @@ __all__ = [
     "averaged_binomial_checks",
     # the exact pmf of independent trials, from numkernel
     "poisson_binom_dist",
-    "law_tables",
     "law_groups",
     "subset_product_moments",
     "subset_zeta_moments",
@@ -466,12 +466,13 @@ def subset_zeta_moments(dist: JointDist) -> np.ndarray:
     return _atom_sum(dist, lambda xs: _lattice_products(1.0 - xs, xs), 1 << dist.n)
 
 
-def law_tables(n: int, draws: Sequence) -> tuple:
-    """(pmfs, z_laws, means) of the Bernoulli laws ``draws`` on n
-    coordinates, 1 <= n <= 12, one row per draw: a (laws, 2^n) table of
-    outcome pmfs P[X = 1_A] (bitmask indexed, bit i set means X_i = 1), a
-    (laws, n + 1) table of laws of Z and a (laws, n) table of means E[X_i].
-    The laws are built together, straight into the tables.
+def law_groups(draws: Sequence) -> list:
+    """The Bernoulli laws of the (n, draw) pairs ``draws``, 1 <= n <= 12,
+    one block of laws built together: a list of (rows, z_laws, gamma,
+    gamma_z, pbar, independent), one per n in the order it first appears.
+    ``rows`` are the positions of its draws, ``z_laws`` a (laws, n + 1)
+    table of laws of Z, one row per draw, and the rest (laws,) arrays of
+    the laws' rates (``_law_rates``).
 
     A draw is one of:
 
@@ -492,53 +493,41 @@ def law_tables(n: int, draws: Sequence) -> tuple:
       gamma^|A|, and E[Z_A] = prod_A p_i prod_{not A} (1 - p_i) <=
       gamma^|A| delta^(n-|A|)), and the caps are linear in the law, so the
       mixture meets them too.  An infeasible constraint is refused before
-      its law is drawn;
-    - a (masks, weights) pair, a law with one atom at each bitmask of
-      ``masks`` (they may repeat) and the weights.  These are checked:
-      every mask in [0, 2^n), one weight per mask, every weight a
-      nonnegative number and their total positive and finite.
+      its law is drawn.
 
-    One ``_lattice_products`` call covers the mixture components of every
+    One ``_law_states`` call seeds every (constraint, seed) draw of the
+    block, and one generator draws them all.  For each n one
+    ``_lattice_products`` call covers the mixture components of every
     constrained draw and one ``zeta_decomposition`` every rate vector.
-    Each row is bit for bit what a ``JointDist`` of the law's atoms gives
-    (``outcome_pmf``, ``z_distribution`` and ``means()``), since summed in
-    another order it would round differently: the weights are divided by
-    their ``math.fsum``, a mixture adds its components in order, a law
-    given by atoms (unconstrained or masks) is added into its rows in atom
-    order, the other laws of Z are one ``bincount`` in bitmask order, and
-    the means are ``w @ xs`` over the law's own atoms (for a mixture its
-    outcomes of positive weight, for a rate vector all outcomes).
+    Each law's outcome pmf, law of Z and means are bit for bit what a
+    ``JointDist`` of its atoms gives (``outcome_pmf``, ``z_distribution``
+    and ``means()``), since summed in another order they would round
+    differently: the weights are divided by their ``math.fsum``, a mixture
+    adds its components in order, an unconstrained law is added into its
+    rows in atom order, the other laws of Z are one ``bincount`` in
+    bitmask order, and the means are ``w @ xs`` over the law's own atoms
+    (for a mixture its outcomes of positive weight, for a rate vector all
+    outcomes).
     """
-    return _law_tables(n, draws, _law_states([_seed(draw) for draw in draws]),
-                       np.random.Generator(np.random.PCG64(0)))
-
-
-def law_groups(draws: Sequence) -> list:
-    """``law_tables`` of each n among the (n, draw) pairs ``draws``, one
-    block of laws: a list of (rows, pmfs, z_laws, means), one per n in the
-    order it first appears, ``rows`` the positions of its draws.  One
-    ``_law_states`` call seeds every (constraint, seed) draw of the block,
-    and one generator draws them all."""
     rows = {}
     for r, (n, _) in enumerate(draws):
         rows.setdefault(n, []).append(r)
-    states = _law_states([_seed(draw) for _, draw in draws])
+    # a rate vector's state row goes unread
+    states = _law_states([0 if isinstance(draw, np.ndarray) else draw[1]
+                          for _, draw in draws])
     rng = np.random.Generator(np.random.PCG64(0))
-    return [(group, *_law_tables(n, [draws[r][1] for r in group], states[group], rng))
+    return [(group, *_law_rates(*_law_tables(n, [draws[r][1] for r in group],
+                                             states[group], rng)))
             for n, group in rows.items()]
 
 
-def _seed(draw) -> int:
-    """The seed of a (constraint, seed) draw; 0 for a rate vector or a
-    (masks, weights) pair, whose state row goes unread."""
-    if isinstance(draw, np.ndarray) or isinstance(draw[0], (list, tuple, np.ndarray)):
-        return 0
-    return draw[1]
-
-
 def _law_tables(n: int, draws: Sequence, states: np.ndarray, rng) -> tuple:
-    """``law_tables(n, draws)``, the seeded draw l drawn by the PCG64
-    generator ``rng`` set to the state row ``states[l]`` (``_law_states``)."""
+    """(pmfs, z_laws, means) of the laws ``draws`` of one n, as
+    ``law_groups`` builds them: a (laws, 2^n) table of outcome pmfs
+    P[X = 1_A] (bitmask indexed, bit i set means X_i = 1), a (laws, n + 1)
+    table of laws of Z and a (laws, n) table of means E[X_i], the seeded
+    draw l drawn by the PCG64 generator ``rng`` set to the state row
+    ``states[l]`` (``_law_states``)."""
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
     outcomes = 1 << n
@@ -554,24 +543,20 @@ def _law_tables(n: int, draws: Sequence, states: np.ndarray, rng) -> tuple:
         if isinstance(draw, np.ndarray):
             products.append(l)
             continue
-        first, second = draw
-        if isinstance(first, (list, tuple, np.ndarray)):
-            atoms.append(l)
-            masks.append(np.asarray(first))
-            weights.append(np.asarray(second, dtype=float))
-            continue
-        if isinstance(first, ProductBound):
-            if not 0.0 <= first.gamma <= 1.0:
-                raise ValueError(f"ProductBound gamma must be in [0, 1], got {first.gamma}")
-            lo, hi = 0.0, first.gamma
-        elif isinstance(first, SplitBound):
-            lo, hi = 1.0 - first.delta, first.gamma
-        elif first is not None:
-            raise TypeError(f"unsupported constraint {type(first).__name__}")
+        constraint = draw[0]
+        if isinstance(constraint, ProductBound):
+            if not 0.0 <= constraint.gamma <= 1.0:
+                raise ValueError(
+                    f"ProductBound gamma must be in [0, 1], got {constraint.gamma}")
+            lo, hi = 0.0, constraint.gamma
+        elif isinstance(constraint, SplitBound):
+            lo, hi = 1.0 - constraint.delta, constraint.gamma
+        elif constraint is not None:
+            raise TypeError(f"unsupported constraint {type(constraint).__name__}")
         state_hi, state_lo, inc_hi, inc_lo = states[l].tolist()
         words["state"], words["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
         rng.bit_generator.state = full
-        if first is None:
+        if constraint is None:
             m = int(rng.integers(2, min(16, outcomes) + 1))
             atoms.append(l)
             masks.append(rng.choice(outcomes, size=m, replace=False))
@@ -610,6 +595,30 @@ def _law_tables(n: int, draws: Sequence, states: np.ndarray, rng) -> tuple:
     return pmfs, z_laws, means
 
 
+def _law_rates(pmfs: np.ndarray, z_laws: np.ndarray, means: np.ndarray) -> tuple:
+    """(z_laws, gamma, gamma_z, pbar, independent) of the laws of one n
+    whose ``_law_tables`` are ``pmfs`` (overwritten with its superset
+    sums), ``z_laws`` and ``means``, the rates one entry per law from one
+    set of array operations over the laws.
+
+    gamma is the smallest rate with E[prod_{i in A} X_i] <= gamma^|A| for
+    all A != {} (the ProductBound rate), gamma_z the same on the zeta
+    moments E[Z_A], which for a Bernoulli law are its outcome pmf (the
+    SplitBound rate at delta = 1), pbar the mean of the means.
+    ``independent`` is True iff the product moments match, within 1e-9,
+    those of the product law with the same means, clipped to [0, 1].
+    """
+    n = means.shape[1]
+    exponents = 1.0 / subset_sizes(n)[1:]
+    gamma_z = (pmfs[:, 1:] ** exponents).max(axis=1)
+    moments = _superset_sums(pmfs)
+    gamma = (moments[:, 1:] ** exponents).max(axis=1)
+    clipped = np.minimum(np.maximum(means, 0.0), 1.0)  # np.clip, faster
+    product = _lattice_products(None, clipped)
+    independent = (np.abs(moments[:, 1:] - product[:, 1:]) <= 1e-9).all(axis=1)
+    return z_laws, gamma, gamma_z, means.sum(axis=1) / n, independent
+
+
 def _mixture_rows(rates: list, lows: list, spans: list, mixes: list) -> np.ndarray:
     """The outcome probabilities, not yet normalized, of mixture l of
     product-Bernoulli laws with the rates lows[l] + spans[l] * rates[l]
@@ -632,28 +641,18 @@ def _mixture_rows(rates: list, lows: list, spans: list, mixes: list) -> np.ndarr
 
 def _add_atoms(n, laws, masks, weights, pmfs, z_laws, means):
     """Fill the rows ``laws`` of ``pmfs``, ``z_laws`` and ``means``, all
-    zero in the first two, with the laws whose atoms are the bitmasks
-    ``masks[i]`` and the weights ``weights[i]``: each weight divided by its
-    law's ``math.fsum`` and added into its rows in atom order.  Checks what
-    it is given, as ``law_tables`` states, and empties ``masks`` and
-    ``weights``."""
+    zero in the first two, with the laws whose atoms are the distinct
+    bitmasks ``masks[i]`` and the Dirichlet weights ``weights[i]``: each
+    weight divided by its law's ``math.fsum`` and added into its rows in
+    atom order.  Empties ``masks`` and ``weights``."""
     counts = [len(m) for m in masks]
-    if counts != [len(w) for w in weights]:
-        raise ValueError("one weight per atom required")
-    flat = np.concatenate(masks).astype(np.int64, copy=False)
+    flat = np.concatenate(masks)
     ws = np.concatenate(weights)
     # joined, the per-law arrays are freed before the rows are filled
     masks.clear()
     weights.clear()
-    if bad := flat[(flat < 0) | (flat >= 1 << n)].tolist():
-        raise ValueError(f"mask {bad[0]} is outside [0, 2^{n})")
-    if not np.all(ws >= 0.0):  # written so that NaN fails it
-        raise ValueError("ws: weights must be nonnegative numbers")
     ends = np.cumsum(counts).tolist()
     totals = [math.fsum(memoryview(ws[a:b])) for a, b in zip([0] + ends, ends)]
-    for total in totals:
-        if not 0.0 < total < math.inf:
-            raise ValueError(f"ws: weights sum to {total}, not a positive number")
     ws /= np.repeat(totals, counts)
     rows = np.repeat(laws, counts)
     np.add.at(pmfs, (rows, flat), ws)

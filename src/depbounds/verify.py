@@ -8,22 +8,21 @@ by ``_law_bytes``, so memory stays bounded whatever ``--trials``; each
 block is prepared and checked inside one call, which releases it before
 the next is drawn.  One ``oracle.law_groups`` call seeds all the laws of
 a block at once and builds the laws of each n in it, a group, as arrays:
-no object is built per law.  Their laws of Z give each law's tails
-P(Z >= j), j = 0..n+1, as suffix sums (``_tail_rows``), and its S_k; the
-S_k give one table of Linial-Luria bounds for the group
-(``_linial_tables``).  One
-``_law_data`` call on their outcome pmfs and means gives the rates gamma
-and gamma_z, pbar and the independence tests.  Every check is then an
-array operation over the group: the sandwich compares the tails with the
-table, and the soundness sweep builds each law's checks of ik,
-bincoupling, expfunct, linial-luria, hoeffding and kwise as (laws, slots)
-arrays of thresholds, bounds and validity (``_soundness_checks``), each
-grid method's from the row of ``bounds`` its evaluator reads, with
-``math``'s ln and exp mapped over arrays, so equal bit for bit to the
-evaluator's; the rows run once over a block's laws (``_grid_checks``),
-and an evaluator runs only to print a failing check's params.  A
-check fails when the larger side exceeds the smaller by more than
-``SOUNDNESS_TOL`` or by a factor over 1 + ``RELATIVE_TOL``
+no object is built per law, and each group comes with its laws of Z and
+the rates of the bounds' hypotheses: gamma and gamma_z, pbar and the
+independence tests.  The laws of Z give each law's tails P(Z >= j),
+j = 0..n+1, as suffix sums (``_tail_rows``), and its S_k; the S_k give
+one table of Linial-Luria bounds for the group (``_linial_tables``).
+Every check is then an array operation over the group: the sandwich
+compares the tails with the table, and the soundness sweep builds each
+law's checks of ik, bincoupling, expfunct, linial-luria, hoeffding and
+kwise as (laws, slots) arrays of thresholds, bounds and validity
+(``_soundness_checks``), each grid method's from the row of ``bounds``
+its evaluator reads, with ``math``'s ln and exp mapped over arrays, so
+equal bit for bit to the evaluator's; the rows run once over a block's
+laws (``_grid_checks``), and an evaluator runs only to print a failing
+check's params.  A check fails when the larger side exceeds the smaller
+by more than ``SOUNDNESS_TOL`` or by a factor over 1 + ``RELATIVE_TOL``
 (``_exceeds``), so tails far below 1e-12 are gated too.  The soundness
 sweep checks no ``depgraph`` bound: no law it draws has a dependency
 graph it could read (ROADMAP item 19).
@@ -40,7 +39,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bd
-from . import graphcomb as gc
 from . import oracle as oc
 from .numkernel import (
     PoissonBinomialSpec,
@@ -142,27 +140,6 @@ def _map(f, a):
     return np.fromiter(map(f, memoryview(a.ravel())), float, a.size).reshape(a.shape)
 
 
-def _law_data(pmfs: np.ndarray, means: np.ndarray) -> tuple:
-    """(gamma, gamma_z, pbar, independent), one entry per law of one n,
-    from one set of array operations over the laws' (laws, 2^n) outcome
-    pmfs ``pmfs`` and (laws, n) means ``means``, as ``oc.law_tables``
-    gives them; ``pmfs`` is overwritten with its superset sums.
-
-    gamma is the smallest rate with E[prod_{i in A} X_i] <= gamma^|A| for
-    all A != {} (the ProductBound rate), gamma_z the same on the zeta
-    moments E[Z_A], which for a Bernoulli law are its outcome pmf (the
-    SplitBound rate at delta = 1), pbar the mean of the means.
-    ``independent`` is True iff the product moments match, within 1e-9,
-    those of the product law with the same means (``_is_independent``).
-    """
-    n = means.shape[1]
-    exponents = 1.0 / oc.subset_sizes(n)[1:]
-    gamma_z = (pmfs[:, 1:] ** exponents).max(axis=1)
-    moments = oc._superset_sums(pmfs)
-    gamma = (moments[:, 1:] ** exponents).max(axis=1)
-    return gamma, gamma_z, means.sum(axis=1) / n, _is_independent(means, moments)
-
-
 def _tail_rows(z_laws: np.ndarray) -> np.ndarray:
     """P[Z >= j] for j = 0..n+1 of each row of ``z_laws``, one row of n + 2
     floats per law: the row's reversed cumulative sum and a 0."""
@@ -185,14 +162,6 @@ def _exceeds(a, b):
     and, roles swapped, that a lower bound breaks a tail.  Floats give a
     bool, arrays an array of them."""
     return (a - b > SOUNDNESS_TOL) | (a > b * (1.0 + RELATIVE_TOL))
-
-
-def _is_independent(means: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """Row r is True iff the product moments ``moments[r]`` match, within
-    1e-9, those of the product law with the means ``means[r]``."""
-    clipped = np.minimum(np.maximum(means, 0.0), 1.0)  # np.clip, faster
-    product = oc._lattice_products(None, clipped)
-    return (np.abs(moments[:, 1:] - product[:, 1:]) <= 1e-9).all(axis=1)
 
 
 # thresholds each grid bound is checked at, and beta_n each linial-luria k
@@ -273,16 +242,15 @@ def _grid_checks(groups: list) -> list:
             for start, end in zip([0] + ends, ends)]
 
 
-def _soundness_checks(group: _Group) -> tuple:
+def _soundness_checks(group: _Group, grid: list) -> tuple:
     """(t, bound, valid), arrays of shape (laws, slots), of the soundness
     checks of each law of ``group``, slot s labelled ``_slot_labels(n)[s]``:
-    each ``_GRID_METHODS`` entry at five interior points of its range
-    (``_grid_checks``, the group's ``grid`` when its block's were made
-    together), hoeffding and kwise(k=n) alternating, and linial-luria at
-    beta_n = max(1, floor(n pbar) + 1) and the next four, up to n, each
-    with every k < beta_n, read from the upper table."""
+    each ``_GRID_METHODS`` entry at five interior points of its range, from
+    the group's ``_grid_checks`` ``grid``, hoeffding and kwise(k=n)
+    alternating, and linial-luria at beta_n = max(1, floor(n pbar) + 1) and
+    the next four, up to n, each with every k < beta_n, read from the upper
+    table."""
     laws, n = len(group.rows), group.sk.shape[1] - 1
-    grid = _grid_checks([group])[0] if group.grid is None else group.grid
     # linial-luria by (law, beta offset, k)
     beta = np.maximum(np.floor(n * group.pbar[:, None]) + 1, 1) + np.arange(_THRESHOLDS)
     beta, k = beta.astype(np.intp)[:, :, None], np.arange(1, n)
@@ -300,7 +268,7 @@ def _soundness_checks(group: _Group) -> tuple:
 
 def _law_draw(rng, n_max: int):
     """(n, draw) of the next law of the sweeps' stream, ``draw`` as
-    ``oc.law_tables`` takes it: the master generator ``rng`` gives
+    ``oc.law_groups`` takes it: the master generator ``rng`` gives
     the law its n, seed, kind and (gamma | q), in that order."""
     n = int(rng.integers(3, n_max + 1))
     seed = int(rng.integers(0, 2**31))
@@ -323,7 +291,7 @@ _BLOCK_BYTES = 2 << 20
 def _law_bytes(n: int, draw) -> int:
     """Bytes charged for the law ``draw`` on n coordinates while its block
     is built and prepared: 34 bytes an outcome (4.25 floats, its pmf entry
-    and the ``_law_data`` temporaries), 72 for a mixture (its components'
+    and the temporaries of its rates), 72 for a mixture (its components'
     lattice products too), and 64 (n + 5) bytes for its other arrays and
     objects, the arrays its draw makes included.  A group's peak stays
     within the sum of its laws' charges (a test reads it with
@@ -336,9 +304,8 @@ def _law_bytes(n: int, draw) -> int:
 
 class _Group(NamedTuple):
     """The laws of one n in a block, prepared together: their positions
-    in the block, their ``_tail_rows``, ``_law_data`` arrays, S_k
-    (``_symmetric_moments``), ``_linial_tables`` and, in the soundness
-    sweep, their grid checks."""
+    in the block, their ``_tail_rows``, rates (as ``oc.law_groups`` gives
+    them), S_k (``_symmetric_moments``) and ``_linial_tables``."""
 
     rows: list
     tails: np.ndarray
@@ -349,8 +316,6 @@ class _Group(NamedTuple):
     sk: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    # its ``_grid_checks``, once the soundness sweep has made its block's
-    grid: list | None = None
 
 
 def _sweep_blocks(rng, n_max: int, trials: int, check):
@@ -376,17 +341,16 @@ def _prepared_laws(draws: list) -> list:
     """The ``_Group``s of one block of (n, draw) pairs, one per n: the
     block's laws are seeded and built by one ``oc.law_groups`` call, and
     the laws of each n prepared by ``_group``."""
-    return [_group(rows, *tables) for rows, *tables in oc.law_groups(draws)]
+    return [_group(*group) for group in oc.law_groups(draws)]
 
 
-def _group(rows: list, pmfs: np.ndarray, z_laws: np.ndarray, means: np.ndarray) -> _Group:
-    """The ``_Group`` of the laws of one n whose ``oc.law_tables`` arrays
-    are ``pmfs`` (overwritten by ``_law_data``), ``z_laws`` and ``means``,
-    at the block positions ``rows``: their tails, S_k and Linial-Luria
-    tables come from the laws of Z."""
+def _group(rows: list, z_laws: np.ndarray, *rates: np.ndarray) -> _Group:
+    """The ``_Group`` of the laws of one n at the block positions ``rows``
+    whose laws of Z are ``z_laws`` and rates ``rates`` (gamma, gamma_z,
+    pbar, independent), as ``oc.law_groups`` gives them: their tails, S_k
+    and Linial-Luria tables come from the laws of Z."""
     sk = _symmetric_moments(z_laws)
-    return _Group(rows, _tail_rows(z_laws), *_law_data(pmfs, means), sk,
-                  *_linial_tables(sk))
+    return _Group(rows, _tail_rows(z_laws), *rates, sk, *_linial_tables(sk))
 
 
 def suite_soundness(n_max: int = 10, trials: int = 500, seed: int = 0):
@@ -413,8 +377,7 @@ def _soundness_block(groups: list, start: int) -> tuple:
     built."""
     checked, best, failures = 0, [(-math.inf, 0, None)], []
     for group, grid in zip(groups, _grid_checks(groups)):
-        group = group._replace(grid=grid)
-        n, (t, bound, valid) = group.sk.shape[1] - 1, _soundness_checks(group)
+        n, (t, bound, valid) = group.sk.shape[1] - 1, _soundness_checks(group, grid)
         labels, tail = _slot_labels(n), _tail_at(group.tails, t)
         checked += int(np.count_nonzero(valid))
         gap = np.where(valid, tail - bound, -np.inf)
@@ -523,6 +486,9 @@ def _union_violations(planes, size, ns, n_max):
     """Graphs among the ``size`` of ``planes`` on ``n_max`` vertices that
     break the triangle-union or the 4-clique-union lemma; graph r has its
     own ``ns[r]`` vertices, the others isolated."""
+    # graphcomb (and the fractions module it loads) only for the lemmas
+    from . import graphcomb as gc
+
     j = gc.triangle_count(n_max, planes, size)
     r = gc.triangle_union_size(n_max, planes, size)
     k = gc.clique4_count(n_max, planes, size)
@@ -575,6 +541,8 @@ _RANDOM_GRAPHS_BATCH = 4096
 def suite_lemmas(n_max: int = 6, random_graphs: int = 10_000, seed: int = 0):
     """Triangle and 4-clique edge-union lemmas: exhaustive on small n,
     randomized on larger graphs, with the tight cases witnessed."""
+    from . import graphcomb as gc
+
     records = []
     total, tv, qv = _all_graph_union_check(n_max)
     records.append(

@@ -882,6 +882,24 @@ class TestSurface:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "0 []"]
 
+    def test_only_the_lemmas_load_graphcomb(self):
+        """verify identities and soundness load neither graphcomb nor the
+        fractions module it brings; verify lemmas loads graphcomb."""
+        proc = run_python(textwrap.dedent("""
+            import contextlib, io, sys
+            import depbounds.cli
+            for argv in (["verify", "identities"],
+                         ["verify", "soundness", "--n-max", "3", "--trials", "5"],
+                         ["verify", "lemmas"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = depbounds.cli.main(argv)
+                print(code, [m for m in ("depbounds.graphcomb", "fractions")
+                             if m in sys.modules])
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "0 []", "0 []", "0 ['depbounds.graphcomb', 'fractions']"]
+
     def test_closed_forms_load_no_numpy(self):
         """bound and compare of every method, and usage errors, run
         in-process without loading numpy; verify and simulate load it

@@ -37,10 +37,19 @@ def all_outcomes(n):
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
 
 
+def law_tables(n, draws):
+    """(pmfs, z_laws, means) of the laws ``draws`` of one n, as
+    ``law_groups`` builds them before it takes their rates: a block of one
+    n, seeded by ``_law_states`` and drawn by one generator."""
+    seeds = [0 if isinstance(draw, np.ndarray) else draw[1] for draw in draws]
+    return oc._law_tables(n, draws, oc._law_states(seeds),
+                          np.random.Generator(np.random.PCG64(0)))
+
+
 def drawn_law(n, constraint=None, seed=0):
-    """The law that ``law_tables`` draws for (constraint, seed), as a
+    """The law that ``law_groups`` draws for (constraint, seed), as a
     JointDist over all 2^n outcomes."""
-    pmfs, _, _ = oc.law_tables(n, [(constraint, seed)])
+    pmfs, _, _ = law_tables(n, [(constraint, seed)])
     return oc.JointDist(n, all_outcomes(n), pmfs[0])
 
 
@@ -198,56 +207,22 @@ class TestSubsetTransforms:
         assert not sizes.flags.writeable
         with pytest.raises(ValueError):
             sizes[1] += 1
-        # _law_data reads the cached array for every group
-        pmfs, _, means = oc.law_tables(6, [(None, 1)])
-        verify._law_data(pmfs, means)
+        # the builder and the rates read the cached array for every group
+        oc.law_groups([(6, (None, 1))])
         assert oc.subset_sizes(6) is sizes
         assert sizes.tolist() == want
-
-    def test_from_masks(self):
-        pmfs, z_laws, means = oc.law_tables(3, [([5, 2], [1.0, 3.0])])
-        assert pmfs.tolist() == [[0.0, 0.0, 0.75, 0.0, 0.0, 0.25, 0.0, 0.0]]
-        assert z_laws.tolist() == [[0.0, 0.75, 0.25, 0.0]]
-        assert means.tolist() == [[0.25, 0.75, 0.25]]
-
-    @pytest.mark.parametrize("mask", [8, 9, -1, -8])
-    def test_from_masks_rejects_a_mask_outside_the_lattice(self, mask):
-        with pytest.raises(ValueError, match=rf"mask {mask} is outside \[0, 2\^3\)"):
-            oc.law_tables(3, [([5, mask], [1.0, 3.0])])
-
-    @pytest.mark.parametrize("ws, match", [
-        ([math.nan, 1.0], "nonnegative"),
-        ([-0.5, 1.5], "nonnegative"),
-        ([0.0, 0.0], "sum to 0.0"),
-        ([math.inf, 1.0], "sum to inf"),
-        ([1.0], "one weight per atom"),
-    ])
-    def test_from_masks_rejects_bad_weights(self, ws, match):
-        with pytest.raises(ValueError, match=match):
-            oc.law_tables(3, [([5, 2], ws)])
-
-    def test_from_masks_counts_what_the_support_gives(self):
-        # a repeated mask adds its weights in atom order, as the checked
-        # constructor's pmf and law of Z do
-        masks, ws = [0, 5, 6, 7, 5, 3], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        pmfs, z_laws, means = oc.law_tables(3, [(masks, ws)])
-        same = oc.JointDist(n=3, xs=all_outcomes(3)[masks], ws=np.array(ws) / math.fsum(ws))
-        np.testing.assert_array_equal(pmfs[0], same.outcome_pmf)
-        np.testing.assert_array_equal(z_laws[0], oc.z_distribution(same).probs)
-        np.testing.assert_array_equal(means[0], same.means())
-        assert z_laws[0].tolist() == [1 / 21, 0.0, 16 / 21, 4 / 21]
 
     def test_laws_built_together_equal_laws_built_alone(self):
         rng = np.random.default_rng(8)
         for n in (1, 3, 6):
             draws = [(None, 1), (bd.ProductBound(0.4), 2), rng.random(n),
                      (bd.SplitBound(0.6, 0.7), 3), (bd.ProductBound(0.4), 4),
-                     ([0, (1 << n) - 1, 0], [0.5, 0.25, 0.25]), rng.random(n), (None, 5)]
-            together = oc.law_tables(n, draws)
+                     rng.random(n), (None, 5)]
+            together = law_tables(n, draws)
             for l, draw in enumerate(draws):
-                for table, alone in zip(together, oc.law_tables(n, [draw])):
+                for table, alone in zip(together, law_tables(n, [draw])):
                     np.testing.assert_array_equal(table[l], alone[0])
-        empty = oc.law_tables(3, [])
+        empty = law_tables(3, [])
         assert [table.shape for table in empty] == [(0, 8), (0, 4), (0, 3)]
 
     def test_zeta_decomposition_of_rows(self):
@@ -303,8 +278,7 @@ class TestSubsetTransforms:
 
     def test_is_independent(self):
         def independent(law):
-            moments = oc.subset_product_moments(law)
-            return verify._is_independent(law.means()[None], moments[None])[0]
+            return oc._law_rates(law.outcome_pmf[None].copy(), None, law.means()[None])[4][0]
 
         dist = product_bernoulli_dist([0.2, 0.5, 0.7, 0.4])
         assert independent(dist)
@@ -871,25 +845,25 @@ class TestJointDist:
 
 
 class TestRandomJointDist:
-    """The laws ``law_tables`` draws: each from its own seed, bit for bit
+    """The laws ``law_groups`` draws: each from its own seed, bit for bit
     the law built on its own, and meeting its constraint."""
 
     def test_n1_unconstrained_two_atoms(self):
-        pmfs, z_laws, means = oc.law_tables(1, [(None, 0)])
+        pmfs, z_laws, means = law_tables(1, [(None, 0)])
         assert pmfs.shape == (1, 2) and (pmfs > 0.0).all()
         np.testing.assert_array_equal(z_laws, pmfs)
         assert means.tolist() == [[pmfs[0, 1]]]
 
     def test_determinism(self):
-        a = oc.law_tables(8, [(bd.ProductBound(0.3), 17)])
-        b = oc.law_tables(8, [(bd.ProductBound(0.3), 17)])
+        a = law_tables(8, [(bd.ProductBound(0.3), 17)])
+        b = law_tables(8, [(bd.ProductBound(0.3), 17)])
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
         # the law stream of the sweeps: the same draws as when every
         # candidate was checked and could be rejected
         pmfs = a[0]
         assert np.count_nonzero(pmfs) == 256 and pmfs[0, 0] == 0.27524238878061924
-        c = oc.law_tables(6, [(bd.SplitBound(0.5, 0.9), 4)])[0]
+        c = law_tables(6, [(bd.SplitBound(0.5, 0.9), 4)])[0]
         assert np.count_nonzero(c) == 64 and c[0, 0] == 0.08023381887816917
 
     @pytest.mark.parametrize("kind", ["unconstrained", "product", "product-zero", "split",
@@ -902,7 +876,7 @@ class TestRandomJointDist:
                       "rates": None}[kind]
         draws = [rng.random(n) if kind == "rates" else (constraint, seed)
                  for seed in range(20)]
-        for pmf, z_law, means, draw in zip(*oc.law_tables(n, draws), draws):
+        for pmf, z_law, means, draw in zip(*law_tables(n, draws), draws):
             want = reference_drawn_law(n, draw)
             np.testing.assert_array_equal(pmf, want.outcome_pmf)
             np.testing.assert_array_equal(z_law, oc.z_distribution(want).probs)
@@ -922,7 +896,7 @@ class TestRandomJointDist:
     )
     @settings(max_examples=60, deadline=None)
     def test_product_constraint_verified(self, n, gamma, seed):
-        pmfs, _, _ = oc.law_tables(n, [(bd.ProductBound(gamma), seed)])
+        pmfs, _, _ = law_tables(n, [(bd.ProductBound(gamma), seed)])
         sizes = oc.subset_sizes(n)
         excess = oc._superset_sums(pmfs)[0, 1:] - gamma ** sizes[1:]
         assert excess.max() <= 1e-12
@@ -938,7 +912,7 @@ class TestRandomJointDist:
         # delta spans [1 - gamma, 1], where gamma + delta >= 1
         delta = min(1.0, 1.0 - gamma + gamma * delta_share)
         assume(gamma + delta >= 1.0)
-        pmfs, _, _ = oc.law_tables(n, [(bd.SplitBound(gamma, delta), seed)])
+        pmfs, _, _ = law_tables(n, [(bd.SplitBound(gamma, delta), seed)])
         sizes = oc.subset_sizes(n)
         caps = gamma**sizes * delta ** (n - sizes)
         # a Bernoulli law's zeta moments E[Z_A] are its outcome pmf
@@ -946,7 +920,7 @@ class TestRandomJointDist:
 
     def test_bernoulli_cap(self):
         with pytest.raises(ValueError):
-            oc.law_tables(13, [(None, 0)])
+            oc.law_groups([(13, (None, 0))])
 
     @staticmethod
     def numpy_state(seed):
@@ -966,32 +940,45 @@ class TestRandomJointDist:
     @pytest.mark.parametrize("seed", [-1, 2**32, True, 1.0])
     def test_a_seed_outside_the_uint32_range_is_a_value_error(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^32\)"):
-            oc.law_tables(3, [(None, seed)])
+            oc.law_groups([(3, (None, seed))])
 
     def test_a_block_is_its_groups_built_alone(self):
         # one block seeds all its laws and draws them from one generator,
         # which a law leaves with a buffered 32-bit half; each group is the
-        # law_tables call of its n
+        # block of its n alone
         rng = np.random.default_rng(11)
         draws = [verify._law_draw(rng, 12) for _ in range(120)]
         groups = oc.law_groups(draws)
         assert sorted(r for rows, *_ in groups for r in rows) == list(range(len(draws)))
         for rows, *tables in groups:
             [n] = {draws[r][0] for r in rows}
-            alone = oc.law_tables(n, [draws[r][1] for r in rows])
+            alone = oc._law_rates(*law_tables(n, [draws[r][1] for r in rows]))
             for table, want in zip(tables, alone):
                 np.testing.assert_array_equal(table, want)
+
+    def test_a_group_holds_only_laws_of_z_and_rates(self):
+        # the outcome pmfs and means stay behind oracle: a group is its
+        # rows, a (laws, n + 1) table of laws of Z and four (laws,) rates
+        rng = np.random.default_rng(12)
+        draws = [verify._law_draw(rng, 12) for _ in range(120)]
+        for group in oc.law_groups(draws):
+            rows, z_laws, *rates = group
+            [n] = {draws[r][0] for r in rows}
+            assert len(group) == 6 and isinstance(rows, list)
+            assert z_laws.shape == (len(rows), n + 1)
+            assert [(rate.shape, rate.dtype) for rate in rates] == (
+                [((len(rows),), np.float64)] * 3 + [((len(rows),), np.bool_)])
 
     @pytest.mark.parametrize("n", [0, -1, 2.0])
     def test_n_outside_one_to_twelve_is_a_value_error(self, n):
         with pytest.raises(ValueError, match=rf"n must be an integer in \[1, 12\], got {n}"):
-            oc.law_tables(n, [(bd.ProductBound(0.3), 0)])
+            oc.law_groups([(n, (bd.ProductBound(0.3), 0))])
 
     @pytest.mark.parametrize("gamma", [-0.2, 1.5, math.nan])
     def test_infeasible_product_gamma_is_a_value_error(self, gamma):
         with pytest.raises(ValueError, match=f"gamma must be in \\[0, 1\\], got {gamma}"):
-            oc.law_tables(3, [(bd.ProductBound(gamma), 0)])
+            oc.law_groups([(3, (bd.ProductBound(gamma), 0))])
 
     def test_unsupported_constraint_type(self):
         with pytest.raises(TypeError):
-            oc.law_tables(4, [(bd.MeanOnly(0.3), 0)])
+            oc.law_groups([(4, (bd.MeanOnly(0.3), 0))])

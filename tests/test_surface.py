@@ -1,7 +1,8 @@
 """The package surface: every advertised name resolves, importing the
 package loads none of its modules, no module of ``src/depbounds``
 imports a name it never uses, imports scipy or keeps a private name that
-nothing reads, and every public name that only tests read says why."""
+nothing reads, ``verify`` reads no private ``oracle`` name, and every
+public name that only tests read says why."""
 
 import ast
 import importlib
@@ -142,14 +143,34 @@ def test_private_name_check_sees_a_leftover():
     assert unread_private_names(sources) == ["_A", "_deco"]
 
 
+def private_reads(source: str, module: str) -> list:
+    """The names ``module._name`` that ``source`` reads: a name token
+    ``module``, a dot and a name token starting with ``_``."""
+    tokens = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type in (tokenize.NAME, tokenize.OP)]
+    return sorted({name for first, dot, name in zip(tokens, tokens[1:], tokens[2:])
+                   if first == module and dot == "." and name.startswith("_")})
+
+
+def test_verify_reads_no_private_oracle_name():
+    """The sweeps' law format stays behind ``oracle``: verify reads the
+    laws of Z and rates that ``law_groups`` returns, and no private name
+    of ``oracle``."""
+    assert private_reads((SRC / "verify.py").read_text(), "oc") == []
+
+
+def test_private_read_check_sees_a_read():
+    source = ("from . import oracle as oc\nx = oc._law_rates(oc.MAX, oc . _b)\n"
+              "# oc._c in a comment is no read\n")
+    assert private_reads(source, "oc") == ["_b", "_law_rates"]
+
+
 # Public names, and public methods and properties of public classes, that
 # no module of src/depbounds and no file of perfbench/ reads, each with the
 # reason it stays.  A new one must be declared here; one that gains a
 # caller must leave.
 TEST_ONLY_PUBLIC = {
     "oracle.exact_tail": "the reference the sweep tests check the tail table against",
-    "oracle.law_tables": "the laws of one n, seeded as law_groups seeds a block's; "
-                         "the tests build single groups with it",
     "oracle.z_distribution": "the law of Z of one law, [0,1]-valued ones "
                              "included; the sweeps count the laws of Z of "
                              "stacked Bernoulli laws",

@@ -219,11 +219,21 @@ def product_law(q):
 
 
 def group_of(dists):
-    """The ``_Group`` of the laws ``dists``, all of one n, built by
-    ``law_tables`` from their atoms and weights."""
-    n = dists[0].n
-    draws = [(dist.xs.astype(np.int64) @ (1 << np.arange(n)), dist.ws) for dist in dists]
-    return verify._group(list(range(len(dists))), *oc.law_tables(n, draws))
+    """The ``_Group`` of the Bernoulli laws ``dists``, all of one n, from
+    their stacked outcome pmfs, laws of Z and means as ``JointDist`` gives
+    them, which are the builder's rows bit for bit."""
+    tables = ([dist.outcome_pmf for dist in dists],
+              [oc.z_distribution(dist).probs for dist in dists],
+              [dist.means() for dist in dists])
+    return verify._group(list(range(len(dists))), *oc._law_rates(*map(np.stack, tables)))
+
+
+def law_tables(n, draws):
+    """(pmfs, z_laws, means) of the laws ``draws`` of one n, as
+    ``oc.law_groups`` builds them before it takes their rates."""
+    seeds = [0 if isinstance(draw, np.ndarray) else draw[1] for draw in draws]
+    return oc._law_tables(n, draws, oc._law_states(seeds),
+                          np.random.Generator(np.random.PCG64(0)))
 
 
 def law_rows(groups):
@@ -324,8 +334,8 @@ class TestGate:
         assert verify.suite_soundness(n_max=2, trials=1)[-1][1]
         checks = verify._soundness_checks
 
-        def moved(group):
-            t, bound, valid = checks(group)
+        def moved(group, grid):
+            t, bound, valid = checks(group, grid)
             [s] = [s for s, label in enumerate(verify._slot_labels(2))
                    if label.startswith("linial-luria") and valid[0, s]]
             assert t[0, s] == 2.0
@@ -389,9 +399,8 @@ class TestSweepsMatchReference:
                 oc.subset_product_moments(one_atom),
             )
             moments = oc.subset_product_moments(dist)
-            assert verify._is_independent(dist.means()[None], moments[None])[0] == (
-                reference_is_independent(dist, moments)
-            )
+            rates = oc._law_rates(dist.outcome_pmf[None].copy(), None, dist.means()[None])
+            assert rates[4][0] == reference_is_independent(dist, moments)
 
 
 class TestBlocks:
@@ -406,7 +415,7 @@ class TestBlocks:
         wants = [reference_law(ref_rng, n_max) for _ in draws]
         for n in {n for n, _ in draws}:
             rows = [r for r, (m, _) in enumerate(draws) if m == n]
-            tables = oc.law_tables(n, [draws[r][1] for r in rows])
+            tables = law_tables(n, [draws[r][1] for r in rows])
             for r, pmf, z_law, means in zip(rows, *tables):
                 want = wants[r]
                 np.testing.assert_array_equal(pmf, want.outcome_pmf)
@@ -478,7 +487,7 @@ class TestBlocks:
         draws = [verify._law_draw(rng, 9) for _ in range(30)]
         rows = law_rows(verify._prepared_laws(draws))
         for (n, draw), row, dist in zip(draws, rows, random_laws(30, 9, seed=4)):
-            [alone] = law_rows([verify._group([0], *oc.law_tables(n, [draw]))])
+            [alone] = law_rows([verify._group(*oc.law_groups([(n, draw)])[0])])
             assert alone == row
             z_law = oc.z_distribution(dist).probs[None]
             assert verify._symmetric_moments(z_law)[0].tolist() == row[1][-1]
@@ -582,7 +591,8 @@ def test_every_soundness_row_runs():
                                        lambda groups, start: groups):
         for group in groups:
             labels = verify._slot_labels(group.sk.shape[1] - 1)
-            counts = verify._soundness_checks(group)[2].sum(axis=0).tolist()
+            grid = verify._grid_checks([group])[0]
+            counts = verify._soundness_checks(group, grid)[2].sum(axis=0).tolist()
             for label, count in zip(labels, counts):
                 valid[label.partition("(")[0]] += count
     assert sorted(valid) == sorted(["ik", "bincoupling", "expfunct", "linial-luria",
@@ -724,7 +734,7 @@ class TestSoundnessChecks:
     @staticmethod
     def assert_slots_match(group):
         n = group.sk.shape[1] - 1
-        t, bound, valid = verify._soundness_checks(group)
+        t, bound, valid = verify._soundness_checks(group, verify._grid_checks([group])[0])
         assert t.shape == bound.shape == valid.shape == (len(group.rows), 5 * n + 20)
         for l in range(len(group.rows)):
             slots = reference_slots(n, group.gamma[l].item(), group.gamma_z[l].item(),
@@ -771,8 +781,8 @@ class TestSoundnessChecks:
         labels, checks = verify._slot_labels(3), verify._soundness_checks
         zeroed = [labels.index("ik"), labels.index("hoeffding")]
 
-        def moved(group):
-            t, bound, valid = checks(group)
+        def moved(group, grid):
+            t, bound, valid = checks(group, grid)
             assert valid[0, zeroed].all()
             bound[0, zeroed] = 0.0
             return t, bound, valid
@@ -803,8 +813,9 @@ class TestSoundnessChecks:
         for groups in blocks:
             for group, grid in zip(groups, verify._grid_checks(groups)):
                 ns.add(group.sk.shape[1] - 1)
-                together = verify._soundness_checks(group._replace(grid=grid))
-                for got, want in zip(together, verify._soundness_checks(group)):
+                together = verify._soundness_checks(group, grid)
+                alone = verify._soundness_checks(group, verify._grid_checks([group])[0])
+                for got, want in zip(together, alone):
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
         assert ns == set(range(3, 13))
@@ -827,7 +838,8 @@ class TestSoundnessChecks:
         rng = np.random.default_rng(0)
         for groups in verify._sweep_blocks(rng, 7, 100, lambda groups, start: groups):
             for group in groups:
-                t, bound, valid = verify._soundness_checks(group)
+                grid = verify._grid_checks([group])[0]
+                t, bound, valid = verify._soundness_checks(group, grid)
                 tail = verify._tail_at(group.tails, t)
                 labels = np.array(verify._slot_labels(group.sk.shape[1] - 1))
                 checked = valid & (tail > 0.0) & (labels == method)
@@ -840,8 +852,8 @@ class TestSoundnessChecks:
         monkeypatch.undo()  # scale the unpatched bounds, not a previous call's
         checks = verify._soundness_checks
 
-        def scaled(group):
-            t, bound, valid = checks(group)
+        def scaled(group, grid):
+            t, bound, valid = checks(group, grid)
             bound[:, np.array(verify._slot_labels(group.sk.shape[1] - 1)) == method] *= factor
             return t, bound, valid
 
